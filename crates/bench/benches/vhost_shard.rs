@@ -10,8 +10,7 @@
 //! * **shared** — kicks round-robin across every pair before any drain:
 //!   maximum interleaving through the per-worker FIFOs;
 //! * **hot-queue** — 90% of kicks hammer pair 0: the skewed case where
-//!   per-vCPU affine sharding degenerates to a single hot worker and
-//!   hash spreading keeps the rest of the pool busy.
+//!   per-vCPU affine sharding degenerates to a single hot worker.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use es2_virtio::{ShardPolicy, VhostPool};
@@ -27,7 +26,7 @@ fn build(workers: usize, policy: ShardPolicy) -> (VhostPool, Vec<es2_virtio::Han
     let mut pool = VhostPool::new(workers, policy);
     let mut handlers = Vec::with_capacity(2 * PAIRS as usize);
     for q in 0..PAIRS {
-        let (tx, rx) = pool.register_pair(0, q, q % VCPUS);
+        let (tx, rx) = pool.register_pair(q, q % VCPUS);
         handlers.push(tx);
         handlers.push(rx);
     }
@@ -93,7 +92,7 @@ fn bench_mix(c: &mut Criterion, mix: &str, seq_of: fn(&[es2_virtio::HandlerId]) 
     let mut g = c.benchmark_group(&format!("vhost_shard/{mix}"));
     g.sample_size(10);
     for workers in WORKER_COUNTS {
-        for policy in [ShardPolicy::Hash, ShardPolicy::Affine, ShardPolicy::Passthrough] {
+        for policy in [ShardPolicy::Affine, ShardPolicy::Passthrough] {
             // Passthrough needs one worker per pair to mean anything;
             // the pool clamps identically, so skip redundant rows.
             if policy == ShardPolicy::Passthrough && workers < PAIRS as usize {

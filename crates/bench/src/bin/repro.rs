@@ -68,7 +68,7 @@
 //!
 //! `--mq` runs the multi-queue virtio sweep: VM 0 drives a two-flow
 //! TCP stream over q TX/RX pairs sharded across w vhost workers
-//! (mux / hash / affine / passthrough) at 64 and 128 VMs; the report
+//! (mux / affine / passthrough) at 64 and 128 VMs; the report
 //! compares exit rate and rx p99 across the grid, headlining the
 //! passthrough-vs-single-worker-mux dispatch hop at the densest cell.
 //! JSON lands in `BENCH_mq.json` (`target/BENCH_mq_fast.json` with
@@ -182,7 +182,7 @@ fn main() {
         }
         let (report, json) = migrate::migrate_report(params, SEED, fast);
         // Only the deterministic report goes to stdout: verify.sh diffs
-        // it between ES2_THREADS=1 / ES2_LANES and the defaults. A fast
+        // it between ES2_THREADS=1 and the default thread count. A fast
         // run must not clobber the committed full-window
         // BENCH_migrate.json.
         print!("{report}");
@@ -210,7 +210,7 @@ fn main() {
         }
         let (report, json) = churn::churn_report(params, SEED, fast);
         // Only the deterministic report goes to stdout: verify.sh diffs
-        // it between ES2_THREADS=1 / ES2_LANES and the defaults. A fast
+        // it between ES2_THREADS=1 and the default thread count. A fast
         // run must not clobber the committed full-window
         // BENCH_churn.json.
         print!("{report}");
@@ -235,7 +235,7 @@ fn main() {
         }
         let (report, json, chrome) = telemetry::telemetry_report(params, SEED, fast);
         // Only the deterministic report goes to stdout: verify.sh diffs
-        // it between ES2_THREADS=1 / ES2_LANES and the defaults. A fast
+        // it between ES2_THREADS=1 and the default thread count. A fast
         // run must not clobber the committed full-window
         // BENCH_telemetry.json.
         print!("{report}");
@@ -263,7 +263,7 @@ fn main() {
         let (report, json) = mq::mq_report(params, SEED, fast);
         // Only the deterministic report goes to stdout: verify.sh diffs
         // it between ES2_THREADS=1 and the default thread count (and
-        // across ES2_LANES / ES2_VHOST_WORKERS). A fast run must not
+        // across ES2_VHOST_WORKERS). A fast run must not
         // clobber the committed full-window BENCH_mq.json.
         print!("{report}");
         let path = if fast {

@@ -14,8 +14,8 @@
 //! per cell and gated fatally by `ci/bench_gate.rs`.
 //!
 //! Everything in the stdout report is simulation-determined, so its
-//! bytes must not depend on `ES2_THREADS` or `ES2_LANES` — `verify.sh`
-//! diffs the serial and parallel outputs. The JSON (committed as
+//! bytes must not depend on `ES2_THREADS` — `verify.sh` diffs the
+//! serial and default-thread outputs. The JSON (committed as
 //! `BENCH_churn.json` for full windows) carries the same cells.
 
 use es2_core::EventPathConfig;

@@ -462,15 +462,19 @@ pub fn render_chaos(params: Params, seed: u64) -> String {
     let mut out = t.render();
 
     // One liveness-checked run of the acceptance shape: the invariant
-    // checker's verdict is part of the deterministic report. Routed
-    // through the lane-sharded machine so `ES2_LANES` covers the chaos
-    // suite too (one lane — the legacy machine — by default).
+    // checker's verdict is part of the deterministic report.
     let topo = Topology::micro();
     let mut specs = vec![WorkloadSpec::Idle; topo.num_vms as usize];
     specs[0] = WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024));
-    let (_, report) =
-        es2_testbed::ShardedMachine::auto(EventPathConfig::pi(), topo, specs, params, seed, plan)
-            .run_checked();
+    let (_, report) = es2_testbed::Machine::with_specs_faulted(
+        EventPathConfig::pi(),
+        topo,
+        specs,
+        params,
+        seed,
+        plan,
+    )
+    .run_checked();
     out.push('\n');
     out.push_str(&format!(
         "liveness: {}\n",

@@ -10,8 +10,8 @@
 //! migration aborted mid-copy with rollback.
 //!
 //! Everything in the stdout report is simulation-determined, so its
-//! bytes must not depend on `ES2_THREADS` or `ES2_LANES` — `verify.sh`
-//! diffs the serial and parallel outputs. The JSON (committed as
+//! bytes must not depend on `ES2_THREADS` — `verify.sh` diffs the
+//! serial and default-thread outputs. The JSON (committed as
 //! `BENCH_migrate.json` for full windows) carries the same cells.
 
 use es2_core::EventPathConfig;

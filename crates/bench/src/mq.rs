@@ -10,8 +10,7 @@
 //!   byte-identity anchor: this cell is the pre-multi-queue machine);
 //! * `q2/w1 mux` — two queues multiplexed onto one worker: queue
 //!   identity without parallel service, isolating the dispatch hop;
-//! * `q2/w2 hash|affine` — sharded workers, flow-hash vs per-vCPU
-//!   affine placement;
+//! * `q2/w2 affine` — sharded workers, per-vCPU affine placement;
 //! * `q2/w2 passthrough` — each queue owns a worker and skips the
 //!   shared dispatch hop entirely (the optimal-event-path analog: no
 //!   intermediate multiplexing stage between kick and service);
@@ -19,14 +18,14 @@
 //!   `ES2_VHOST_WORKERS`, proving the env knob reaches the pool.
 //!
 //! Stdout is simulation-determined (no wall-clock), so `verify.sh`
-//! diffs it across `ES2_THREADS`/`ES2_LANES`/`ES2_VHOST_WORKERS`
-//! combinations; the committed `BENCH_mq.json` carries the full-window
-//! cells, including the headline comparison: passthrough rx p99 vs the
-//! single-worker mux at the densest cell.
+//! diffs it across `ES2_THREADS`/`ES2_VHOST_WORKERS` combinations; the
+//! committed `BENCH_mq.json` carries the full-window cells, including
+//! the headline comparison: passthrough rx p99 vs the single-worker mux
+//! at the densest cell.
 
 use es2_core::EventPathConfig;
 use es2_sim::FaultPlan;
-use es2_testbed::{Params, RunResult, ShardPolicy, ShardedMachine, Topology, WorkloadSpec};
+use es2_testbed::{Machine, Params, RunResult, ShardPolicy, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
 
 use crate::perf::json_f;
@@ -60,11 +59,10 @@ impl MqCell {
 }
 
 /// The cell grid at one VM count.
-fn cell_plan() -> [(u32, u32, ShardPolicy); 6] {
+fn cell_plan() -> [(u32, u32, ShardPolicy); 5] {
     [
         (1, 1, ShardPolicy::Mux),
         (2, 1, ShardPolicy::Mux),
-        (2, 2, ShardPolicy::Hash),
         (2, 2, ShardPolicy::Affine),
         (2, 2, ShardPolicy::Passthrough),
         (2, 0, ShardPolicy::Affine),
@@ -93,9 +91,15 @@ fn run_cell(
     let mut specs = vec![WorkloadSpec::IdleQuiet; vms as usize];
     specs[0] = WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024).with_threads(2));
     let effective_workers = params.effective_vhost_workers() as u32;
-    let (result, live) =
-        ShardedMachine::auto(EventPathConfig::pi_h_r(4), topo, specs, params, seed, FaultPlan::none())
-            .run_checked();
+    let (result, live) = Machine::with_specs_faulted(
+        EventPathConfig::pi_h_r(4),
+        topo,
+        specs,
+        params,
+        seed,
+        FaultPlan::none(),
+    )
+    .run_checked();
     MqCell {
         vms,
         queues,

@@ -334,46 +334,9 @@ pub fn scale_report(params: Params, seed: u64, fast: bool) -> (String, String) {
     }
 
     // Liveness-checked run of the densest ES2 cell: timer parking must
-    // not break conservation or forward progress. Routed through the
-    // lane-sharded machine so `ES2_LANES` covers this cell too.
+    // not break conservation or forward progress.
     let check_vms = *vm_counts.last().unwrap();
     let (_, liveness) = experiments::scale_specs(check_vms, params, seed)[2].run_checked();
-
-    // In-run lane parallelism on the all-active companion cell: shard
-    // the densest VM count into explicit lane counts and compare the
-    // summed per-lane serial wall against the critical path (the
-    // slowest lane). Lane execution is deterministic, so the
-    // events/conns columns land in the stdout report; wall-clock and
-    // the derived in_run_speedup go to the JSON only.
-    let lane_counts: &[usize] = &[1, 4, 8];
-    let active = experiments::scale_active_spec(check_vms, params, seed);
-    let mut lane_rows = Vec::new();
-    for &lanes in lane_counts {
-        // Best-of-reps elementwise: each lane's work is deterministic,
-        // so repeats only tighten its wall-clock estimate.
-        let mut timed = None;
-        let mut lane_secs = vec![f64::INFINITY; lanes];
-        for _ in 0..reps {
-            let (r, secs) = active.sharded_with(lanes).run_lanes_timed();
-            for (best, s) in lane_secs.iter_mut().zip(&secs) {
-                *best = best.min(*s);
-            }
-            timed = Some(r);
-        }
-        let timed = timed.expect("reps >= 1");
-        let t0 = Instant::now();
-        let par = active.sharded_with(lanes).run_parallel(lanes);
-        let par_secs = t0.elapsed().as_secs_f64();
-        assert_eq!(
-            timed.events_simulated, par.events_simulated,
-            "lane-parallel scale cell diverged from serial ({lanes} lanes)"
-        );
-        assert_eq!(
-            timed.conns_established, par.conns_established,
-            "lane-parallel scale cell diverged from serial ({lanes} lanes)"
-        );
-        lane_rows.push((lanes, timed, lane_secs, par_secs));
-    }
 
     let mut t = Table::new(
         format!(
@@ -411,26 +374,6 @@ pub fn scale_report(params: Params, seed: u64, fast: bool) -> (String, String) {
             format!("FAIL\n  {}", liveness.violations.join("\n  "))
         }
     ));
-    report.push('\n');
-    let mut lt = Table::new(
-        format!(
-            "Scale — lane sharding ({check_vms} all-active VMs, httperf \
-             {:.0} conn/s each, es2, seed {seed}; lane count is a model \
-             parameter — rows are distinct shardings, each verified \
-             serial ≡ lane-parallel)",
-            experiments::SCALE_ACTIVE_RATE
-        ),
-        &["lanes", "events", "conns", "ctx switches"],
-    );
-    for (lanes, r, _, _) in &lane_rows {
-        lt.row(&[
-            lanes.to_string(),
-            r.events_simulated.to_string(),
-            r.conns_established.to_string(),
-            r.host_ctx_switches.to_string(),
-        ]);
-    }
-    report.push_str(&lt.render());
 
     let threads = es2_sim::exec::effective_threads(usize::MAX);
     let tot_events: u64 = cells.iter().map(|c| c.result.events_simulated).sum();
@@ -484,67 +427,6 @@ pub fn scale_report(params: Params, seed: u64, fast: bool) -> (String, String) {
     json.push_str(&format!(
         "    \"events_per_sec\": {}\n",
         json_f(tot_events as f64 / tot_serial.max(1e-12))
-    ));
-    json.push_str("  },\n");
-    // In-run lane parallelism on the all-active companion cell. The
-    // headline `in_run_speedup` is the critical-path speedup at the
-    // largest lane count: Σ per-lane serial wall / max per-lane serial
-    // wall — the same-run speedup an L-core host achieves, since lanes
-    // share no state between rendezvous. `parallel_wall_s` is the
-    // actual threaded wall on *this* host (meaningful only when the
-    // host has cores to spare; CI boxes often pin this process to one).
-    json.push_str("  \"in_run\": {\n");
-    json.push_str(&format!("    \"vms\": {check_vms},\n"));
-    json.push_str("    \"config\": \"es2\",\n");
-    json.push_str(&format!(
-        "    \"httperf_rate\": {},\n",
-        json_f(experiments::SCALE_ACTIVE_RATE)
-    ));
-    json.push_str("    \"lane_counts\": [\n");
-    for (i, (lanes, r, lane_secs, par_secs)) in lane_rows.iter().enumerate() {
-        let sum: f64 = lane_secs.iter().sum();
-        let max = lane_secs.iter().cloned().fold(0.0, f64::max);
-        json.push_str("      {\n");
-        json.push_str(&format!("        \"lanes\": {lanes},\n"));
-        json.push_str(&format!(
-            "        \"events_simulated\": {},\n",
-            r.events_simulated
-        ));
-        json.push_str(&format!(
-            "        \"conns_established\": {},\n",
-            r.conns_established
-        ));
-        json.push_str("        \"lane_wall_s\": [");
-        for (j, s) in lane_secs.iter().enumerate() {
-            if j > 0 {
-                json.push_str(", ");
-            }
-            json.push_str(&json_f(*s));
-        }
-        json.push_str("],\n");
-        json.push_str(&format!("        \"sum_lane_wall_s\": {},\n", json_f(sum)));
-        json.push_str(&format!("        \"max_lane_wall_s\": {},\n", json_f(max)));
-        json.push_str(&format!(
-            "        \"parallel_wall_s\": {},\n",
-            json_f(*par_secs)
-        ));
-        json.push_str(&format!(
-            "        \"critical_path_speedup\": {}\n",
-            json_f(sum / max.max(1e-12))
-        ));
-        json.push_str(if i + 1 < lane_rows.len() {
-            "      },\n"
-        } else {
-            "      }\n"
-        });
-    }
-    json.push_str("    ],\n");
-    let (_, _, top_secs, _) = lane_rows.last().expect("at least one lane count");
-    let top_sum: f64 = top_secs.iter().sum();
-    let top_max = top_secs.iter().cloned().fold(0.0, f64::max);
-    json.push_str(&format!(
-        "    \"in_run_speedup\": {}\n",
-        json_f(top_sum / top_max.max(1e-12))
     ));
     json.push_str("  },\n");
     json.push_str(&format!(
@@ -704,23 +586,15 @@ pub fn perf_baseline_json(params: Params, seed: u64, fast: bool) -> String {
         "    \"flattened_parallel_wall_s\": {},\n",
         json_f(flat_parallel_secs)
     ));
-    // Two distinct parallelism axes, reported under separate names:
-    // job-level (independent runs spread over a work-stealing pool —
-    // bounded by how many runs the grid has per worker) and in-run
-    // (one simulation sharded into per-VM event lanes — measured by
-    // `repro --scale` and reported in BENCH_scale.json's `in_run`
-    // block). The old `speedup`/`parallel_efficiency` names conflated
-    // the two, reading as "a simulation parallelizes at 1.05×" when
-    // the figure only ever described job spreading.
+    // Job-level parallelism: independent runs spread over a
+    // work-stealing pool, bounded by how many runs the grid has per
+    // worker. It is the only level — a single simulation runs on one
+    // thread.
     out.push_str(&format!("    \"job_workers\": {threads},\n"));
     out.push_str(&format!("    \"job_speedup\": {},\n", json_f(speedup)));
     out.push_str(&format!(
-        "    \"job_parallel_efficiency\": {},\n",
+        "    \"job_parallel_efficiency\": {}\n",
         json_f(speedup / threads as f64)
-    ));
-    out.push_str(&format!(
-        "    \"in_run_lanes\": {}\n",
-        es2_sim::exec::effective_lanes(usize::MAX)
     ));
     out.push_str("  }\n");
     out.push_str("}\n");

@@ -10,8 +10,8 @@
 //! multi-window burn-rate alerts.
 //!
 //! Stdout is simulation-determined only (no wall-clock): `verify.sh`
-//! diffs it across `ES2_THREADS` and `ES2_LANES`, which also proves the
-//! telemetry pipeline merges lanes byte-identically. The JSON lands in
+//! diffs it across `ES2_THREADS`, which also proves the telemetry
+//! pipeline merges hosts byte-identically. The JSON lands in
 //! `BENCH_telemetry.json` (`target/BENCH_telemetry_fast.json` with
 //! `--fast`) and carries the per-window fleet series (downsampled to a
 //! bounded point count), the annotation stream, and every
@@ -24,7 +24,7 @@ use es2_core::EventPathConfig;
 use es2_metrics::{SloMetric, SloSpec, TelemetryReport};
 use es2_sim::{FaultPlan, SimDuration, SimTime};
 use es2_testbed::{
-    experiments, Cluster, ClusterSpec, Params, PlannedMove, ShardPolicy, ShardedMachine, Topology,
+    experiments, Cluster, ClusterSpec, Machine, Params, PlannedMove, ShardPolicy, Topology,
     WorkloadSpec,
 };
 use es2_workloads::NetperfSpec;
@@ -98,9 +98,9 @@ fn configs() -> [EventPathConfig; 3] {
     ]
 }
 
-/// The chaos topology: an 8-VM fleet (lane-shardable at 1/4/8) under
-/// the acceptance fault plan; VM 0 sends TCP, VM 1 receives, the rest
-/// idle for density. Spans on for the Chrome-trace merge.
+/// The chaos topology: an 8-VM fleet under the acceptance fault plan;
+/// VM 0 sends TCP, VM 1 receives, the rest idle for density. Spans on
+/// for the Chrome-trace merge.
 fn run_chaos(cfg: EventPathConfig, base: Params, seed: u64) -> TelCell {
     let params = Params {
         telemetry: true,
@@ -116,7 +116,7 @@ fn run_chaos(cfg: EventPathConfig, base: Params, seed: u64) -> TelCell {
     specs[0] = WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024));
     specs[1] = WorkloadSpec::Netperf(NetperfSpec::tcp_receive(1024));
     let plan = experiments::chaos_plan();
-    let (mut result, _) = ShardedMachine::auto(cfg, topo, specs, params, seed, plan).run_checked();
+    let mut result = Machine::with_specs_faulted(cfg, topo, specs, params, seed, plan).run();
     TelCell {
         topology: "chaos",
         config: result.config,
@@ -197,8 +197,8 @@ fn run_mq(cfg: EventPathConfig, base: Params, seed: u64) -> TelCell {
     };
     let mut specs = vec![WorkloadSpec::IdleQuiet; 8];
     specs[0] = WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024).with_threads(2));
-    let (mut result, _) =
-        ShardedMachine::auto(cfg, topo, specs, params, seed, FaultPlan::none()).run_checked();
+    let mut result =
+        Machine::with_specs_faulted(cfg, topo, specs, params, seed, FaultPlan::none()).run();
     TelCell {
         topology: "mq",
         config: result.config,

@@ -138,27 +138,6 @@ pub struct SpanNotes {
     pub unclosed_reqs: u64,
 }
 
-impl SpanNotes {
-    /// Accumulate another annotation set (lane merging).
-    pub fn merge(&mut self, o: &SpanNotes) {
-        self.irqs_opened += o.irqs_opened;
-        self.irqs_closed += o.irqs_closed;
-        self.redirected += o.redirected;
-        self.parked += o.parked;
-        self.migrated += o.migrated;
-        self.coalesced_irqs += o.coalesced_irqs;
-        self.watchdog_reraises += o.watchdog_reraises;
-        self.degradations += o.degradations;
-        self.reqs_opened += o.reqs_opened;
-        self.reqs_closed += o.reqs_closed;
-        self.coalesced_kicks += o.coalesced_kicks;
-        self.delayed_kicks += o.delayed_kicks;
-        self.watchdog_rekicks += o.watchdog_rekicks;
-        self.unclosed_irqs += o.unclosed_irqs;
-        self.unclosed_reqs += o.unclosed_reqs;
-    }
-}
-
 /// One bounded-log entry for the Chrome-trace export. `dur_ns == 0`
 /// renders as an instant event, anything else as a complete slice.
 #[derive(Clone, Copy, Debug)]
@@ -299,25 +278,6 @@ impl SpanReport {
             h.merge(vm.stage(s));
         }
         h
-    }
-
-    /// Merge another report's recorder state after this one's — the
-    /// deterministic per-lane tracer-ring merge for sharded runs. The
-    /// other report's VMs are appended in lane order (reconstructing
-    /// global VM indexing for contiguous lane blocks) with `vm_offset`
-    /// added to its event log's VM ids; note counters sum; event logs
-    /// concatenate in lane order (each lane's log is itself in sim-time
-    /// order, and the merge happens at the window boundary — after both
-    /// lanes finished — so the result is a pure function of the
-    /// simulation, never of thread timing).
-    pub fn absorb(&mut self, other: SpanReport, vm_offset: u32) {
-        self.vms.extend(other.vms);
-        self.notes.merge(&other.notes);
-        self.events.extend(other.events.into_iter().map(|mut e| {
-            e.vm += vm_offset;
-            e
-        }));
-        self.events_dropped += other.events_dropped;
     }
 
     /// Render the bounded event log in the Chrome tracing (`chrome://

@@ -332,9 +332,9 @@ impl FaultPlan {
     /// Project this plan onto one host of a cluster: the host family is
     /// zeroed (those decisions live at the cluster level), and a degraded
     /// host has the degradation translated onto its own preempt-storm
-    /// machinery. VM-addressed classes are **not** remapped here — the
-    /// cluster layer composes this with [`for_vm_range`](Self::for_vm_range)
-    /// over the host's global VM block.
+    /// machinery. VM-addressed classes are **not** remapped: every host
+    /// runs the cell's global VM slot table, so VM indices are already
+    /// global.
     pub fn for_single_host(&self, host: usize) -> FaultPlan {
         let mut p = *self;
         if self.degrades_host(host) {
@@ -370,42 +370,6 @@ impl FaultPlan {
     /// Whether VM `vm` is scheduled to lose posted-interrupt hardware.
     pub fn pi_fails_for_vm(&self, vm: usize) -> bool {
         vm < 64 && self.pi_unavailable_mask & (1u64 << vm) != 0
-    }
-
-    /// Translate this plan to a VM block `[base, base + count)` — the
-    /// lane-sharding projection. Probabilistic fault classes are global
-    /// (every lane keeps them; each lane's injector draws from its own
-    /// seed-derived streams), while VM-addressed classes are remapped to
-    /// lane-local indices: the PI-failure mask is shifted and truncated
-    /// to the block, and the hostile-guest family survives only in the
-    /// lane that owns `hostile_vm` (other lanes get the family zeroed,
-    /// matching "other VMs draw nothing from the hostile streams").
-    pub fn for_vm_range(&self, base: u32, count: u32) -> FaultPlan {
-        let mut p = *self;
-        p.pi_unavailable_mask = if (base as u64) < 64 {
-            let shifted = self.pi_unavailable_mask >> base;
-            if count as u64 >= 64 {
-                shifted
-            } else {
-                shifted & ((1u64 << count) - 1)
-            }
-        } else {
-            0
-        };
-        if self.hostile_active() {
-            if self.hostile_vm >= base && self.hostile_vm < base + count {
-                p.hostile_vm -= base;
-            } else {
-                p.hostile_vm = 0;
-                p.ring_corrupt_at_kick = 0;
-                p.kick_storm_p = 0.0;
-                p.kick_storm_burst = 0;
-                p.eoi_storm_p = 0.0;
-                p.eoi_storm_burst = 0;
-                p.desc_loop_p = 0.0;
-            }
-        }
-        p
     }
 }
 
@@ -466,28 +430,6 @@ impl FaultStats {
             + self.migration_aborts
             + self.churn_place_fails
             + self.churn_boot_stalls
-    }
-
-    /// Accumulate another counter set (used when merging per-lane shards
-    /// of one sharded run into a single result).
-    pub fn merge(&mut self, o: &FaultStats) {
-        self.kicks_dropped += o.kicks_dropped;
-        self.kicks_delayed += o.kicks_delayed;
-        self.worker_stalls += o.worker_stalls;
-        self.msis_dropped += o.msis_dropped;
-        self.msis_delayed += o.msis_delayed;
-        self.pkts_dropped += o.pkts_dropped;
-        self.pkts_duplicated += o.pkts_duplicated;
-        self.pkts_reordered += o.pkts_reordered;
-        self.storm_preemptions += o.storm_preemptions;
-        self.pi_degradations += o.pi_degradations;
-        self.ring_corruptions += o.ring_corruptions;
-        self.storm_kicks += o.storm_kicks;
-        self.storm_eois += o.storm_eois;
-        self.host_crashes += o.host_crashes;
-        self.migration_aborts += o.migration_aborts;
-        self.churn_place_fails += o.churn_place_fails;
-        self.churn_boot_stalls += o.churn_boot_stalls;
     }
 }
 
@@ -890,72 +832,6 @@ mod tests {
         assert!(!FaultPlan::none().is_active());
         assert!(!FaultPlan::default().is_active());
         assert!(chaos_plan().is_active());
-    }
-
-    #[test]
-    fn for_vm_range_shifts_and_truncates_the_pi_mask() {
-        let plan = FaultPlan {
-            pi_unavailable_mask: 0b1010_0110,
-            pi_fail_after: SimDuration::from_millis(100),
-            ..FaultPlan::none()
-        };
-        assert_eq!(plan.for_vm_range(0, 4).pi_unavailable_mask, 0b0110);
-        assert_eq!(plan.for_vm_range(4, 4).pi_unavailable_mask, 0b1010);
-        assert_eq!(plan.for_vm_range(2, 2).pi_unavailable_mask, 0b01);
-        assert_eq!(plan.for_vm_range(8, 4).pi_unavailable_mask, 0);
-        assert_eq!(plan.for_vm_range(64, 4).pi_unavailable_mask, 0);
-        // A full-width block keeps the whole (shifted) mask.
-        assert_eq!(plan.for_vm_range(0, 64).pi_unavailable_mask, 0b1010_0110);
-        // Probabilistic classes pass through unchanged.
-        let sliced = chaos_plan().for_vm_range(2, 2);
-        assert_eq!(sliced.kick_drop_p, chaos_plan().kick_drop_p);
-        assert_eq!(sliced.pkt_reorder_delay, chaos_plan().pkt_reorder_delay);
-    }
-
-    #[test]
-    fn for_vm_range_keeps_hostility_only_in_the_owning_lane() {
-        let plan = FaultPlan {
-            hostile_vm: 5,
-            ring_corrupt_at_kick: 20,
-            kick_storm_p: 0.3,
-            kick_storm_burst: 8,
-            eoi_storm_p: 0.2,
-            eoi_storm_burst: 4,
-            desc_loop_p: 0.002,
-            ..FaultPlan::none()
-        };
-        let owner = plan.for_vm_range(4, 4);
-        assert!(owner.hostile_active());
-        assert_eq!(owner.hostile_vm, 1, "hostile index remapped lane-local");
-        assert_eq!(owner.ring_corrupt_at_kick, 20);
-        let other = plan.for_vm_range(0, 4);
-        assert!(!other.hostile_active());
-        assert_eq!(other.hostile_vm, 0);
-        assert_eq!(other.kick_storm_burst, 0);
-        assert_eq!(other.desc_loop_p, 0.0);
-    }
-
-    #[test]
-    fn fault_stats_merge_sums_every_counter() {
-        let mut a = FaultStats {
-            kicks_dropped: 1,
-            msis_delayed: 2,
-            storm_eois: 3,
-            ..FaultStats::default()
-        };
-        let b = FaultStats {
-            kicks_dropped: 10,
-            pkts_reordered: 5,
-            storm_eois: 7,
-            ..FaultStats::default()
-        };
-        let total = a.total() + b.total();
-        a.merge(&b);
-        assert_eq!(a.kicks_dropped, 11);
-        assert_eq!(a.msis_delayed, 2);
-        assert_eq!(a.pkts_reordered, 5);
-        assert_eq!(a.storm_eois, 10);
-        assert_eq!(a.total(), total, "merge must not lose any counter");
     }
 
     #[test]

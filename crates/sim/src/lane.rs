@@ -1,64 +1,35 @@
-//! Conservative parallel lane executor.
+//! Serial lane executor for partitioned simulations.
 //!
-//! [`exec::sweep`](crate::exec::sweep) parallelizes *across* independent
-//! runs; this module parallelizes *within* one run. The simulation is
-//! partitioned into **lanes** — shards that each own their own event
-//! queue and RNG streams — and the executor advances them concurrently
-//! under a conservative synchronization protocol with the serial
-//! execution as the bitwise-identity oracle.
+//! A simulation can be partitioned into **lanes** — shards that each
+//! own their own event queue and RNG streams, such as the hosts of a
+//! multi-host cell. Lanes interact only through timestamped
+//! **cross-lane messages**; [`run_lanes`] drives every lane in one
+//! global min-merge loop, so a partitioned run is a single seeded event
+//! loop. Parallelism lives one level up, across independent runs in
+//! [`exec::sweep`](crate::exec::sweep).
 //!
-//! # Protocol
+//! # Lookahead
 //!
-//! Lanes interact only through timestamped **cross-lane messages**. Each
-//! lane declares a **lookahead** `L`: a lower bound on the delta between
-//! its current clock and the timestamp of any message it emits (derived
-//! from modeled wire/NIC latency by the testbed — a packet leaving lane
-//! *i* at time `t` cannot arrive at lane *j* before `t + L`). The
-//! parallel strategy is the classic conservative **bounded time window**
-//! (Lubachevsky's bounded lag with uniform lookahead):
-//!
-//! 1. **Rendezvous.** All workers quiesce. Buffered messages from the
-//!    previous window are delivered into per-lane staging queues, then
-//!    the global minimum next-event time `t_min` over every lane (local
-//!    events and staged arrivals alike) fixes the window horizon
-//!    `H = t_min + min_lanes(L)`.
-//! 2. **Advance.** Each lane independently processes every event with
-//!    time `< H`, buffering any messages it emits.
-//!
-//! Soundness: every event processed inside a window has time
-//! `>= t_min`, so every message it emits has timestamp
-//! `>= t_min + L >= H` — no message generated in a window can land
-//! inside that same window, and the rendezvous delivers it before any
-//! later window reaches its timestamp. Progress: `L > 0` implies
-//! `H > t_min`, so each window retires at least the globally minimum
-//! event. Lanes that never emit (`lookahead() == None`) relax the
-//! horizon; when *no* lane can emit the horizon is infinite and the
-//! lanes run embarrassingly parallel with a single rendezvous.
+//! Each lane declares a **lookahead** `L`: a lower bound on the delta
+//! between its current clock and the timestamp of any message it emits
+//! (derived from modeled wire latency by the testbed — a packet leaving
+//! lane *i* at time `t` cannot arrive at lane *j* before `t + L`).
+//! [`Outbox::send`] asserts it on every message: a positive lookahead
+//! is what keeps a message from landing in its receiver's past, and it
+//! stays a checked property of the model rather than a comment.
 //!
 //! # Determinism
 //!
-//! Bitwise identity with the serial oracle holds by construction:
-//!
-//! * Within a lane, the next step is always the composite minimum of
-//!   (local events, staged arrivals), with local events winning time
-//!   ties and staged arrivals ordered by `(time, sender, sender_seq)` —
-//!   the same `(time, seq)` FIFO contract [`EventQueue`] uses.
-//! * Sender sequence numbers are assigned in emission order by the
-//!   sending lane, which steps deterministically, so the staging order
-//!   is a pure function of the simulation — never of thread timing.
-//! * The window schedule itself depends only on event timestamps.
-//!
-//! Strategy selection follows the sweep executor: `ES2_THREADS=1` (or
-//! [`exec::set_threads`](crate::exec::set_threads)`(Some(1))`) forces
-//! the serial oracle, anything else runs the windowed parallel path,
-//! and the two are byte-identical for any seed and fault plan.
+//! * Each lane's next step is the composite minimum of (local events,
+//!   staged arrivals), with local events winning time ties and staged
+//!   arrivals ordered by `(time, sender, sender_seq)` — the same
+//!   `(time, seq)` FIFO contract [`EventQueue`] uses.
+//! * Across lanes, the loop picks the minimum `(time, class, lane)`
+//!   step, so the schedule is a pure function of the simulation.
 //!
 //! [`EventQueue`]: crate::EventQueue
 
-use std::cell::UnsafeCell;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -68,9 +39,9 @@ use crate::time::{SimDuration, SimTime};
 /// streams, world state). The executor never inspects that state; it
 /// only asks for the next event time, tells the lane to take one step,
 /// and routes cross-lane messages.
-pub trait LaneSim: Send {
+pub trait LaneSim {
     /// A timestamped event crossing from this lane to another.
-    type Msg: Send;
+    type Msg;
 
     /// Time of the lane's next *local* event (`None` once drained).
     /// Staged cross-lane arrivals are tracked by the executor and do not
@@ -78,11 +49,9 @@ pub trait LaneSim: Send {
     fn next_time(&self) -> Option<SimTime>;
 
     /// Minimum delta between the lane's clock and the timestamp of any
-    /// message it emits. `None` means the lane never emits cross-lane
-    /// messages (no egress routes), which exempts it from the horizon
-    /// computation entirely. When `Some`, the value must be positive —
-    /// zero lookahead admits no parallel progress.
-    fn lookahead(&self) -> Option<SimDuration>;
+    /// message it emits. Must be positive, so every message lands
+    /// strictly after the step that sends it.
+    fn lookahead(&self) -> SimDuration;
 
     /// Process exactly one local event — the one whose time
     /// [`next_time`](Self::next_time) last reported. Cross-lane messages
@@ -101,20 +70,19 @@ pub trait LaneSim: Send {
 pub struct Outbox<M> {
     from: usize,
     now: SimTime,
-    lookahead: Option<SimDuration>,
+    lookahead: SimDuration,
     msgs: Vec<(usize, SimTime, M)>,
 }
 
 impl<M> Outbox<M> {
     /// Emit a message to lane `dest` arriving at `at`.
     ///
-    /// Panics if the lane declared no lookahead, if `at` violates the
-    /// declared lookahead, or on a self-send (local events don't need
-    /// the mailbox).
+    /// Panics if the lane declared a zero lookahead, if `at` violates
+    /// the declared lookahead, or on a self-send (local events don't
+    /// need the mailbox).
     pub fn send(&mut self, dest: usize, at: SimTime, msg: M) {
-        let la = self
-            .lookahead
-            .expect("lane with lookahead() == None emitted a cross-lane message");
+        let la = self.lookahead;
+        assert!(!la.is_zero(), "cross-lane message from a lane with zero lookahead");
         assert!(
             at >= self.now + la,
             "cross-lane message violates lookahead: event at {:?}, message at {:?}, lookahead {:?}",
@@ -220,24 +188,11 @@ impl<'a, L: LaneSim> Slot<'a, L> {
     }
 }
 
-/// Run every lane to completion with the strategy the executor config
-/// selects: the serial oracle under `ES2_THREADS=1` /
-/// `set_threads(Some(1))`, the windowed parallel path otherwise. Output
-/// is bitwise identical either way.
+/// Run every lane to completion: one global merge loop picking the
+/// minimum `(time, class, lane)` composite step across all lanes,
+/// delivering emitted messages into the receivers' staging queues
+/// immediately.
 pub fn run_lanes<L: LaneSim>(lanes: &mut [L]) {
-    let threads = crate::exec::effective_threads(lanes.len());
-    if threads <= 1 {
-        run_lanes_serial(lanes);
-    } else {
-        run_lanes_parallel(lanes, threads);
-    }
-}
-
-/// The serial oracle: one global merge loop picking the minimum
-/// `(time, class, lane)` composite step across all lanes, delivering
-/// messages immediately. This is the reference semantics the parallel
-/// strategy must reproduce byte-for-byte.
-pub fn run_lanes_serial<L: LaneSim>(lanes: &mut [L]) {
     let mut slots: Vec<Slot<L>> = lanes
         .iter_mut()
         .map(|sim| Slot {
@@ -250,8 +205,7 @@ pub fn run_lanes_serial<L: LaneSim>(lanes: &mut [L]) {
     loop {
         // Minimum composite step across lanes; lane index breaks ties
         // (any fixed rule works — it only orders causally independent
-        // steps — but it must match nothing, as the parallel path never
-        // interleaves lanes within a window at all).
+        // steps).
         let mut best: Option<(SimTime, u8, usize)> = None;
         for (i, s) in slots.iter().enumerate() {
             if let Some((t, c)) = s.next_key() {
@@ -269,258 +223,9 @@ pub fn run_lanes_serial<L: LaneSim>(lanes: &mut [L]) {
     }
 }
 
-/// Interior-mutability wrapper for the lane slots. Safety discipline
-/// (the same write-once/barrier idiom as the sweep executor's `Slots`):
-/// during a window's advance phase each slot is touched only by its
-/// owning worker (static `lane % threads` ownership); during the
-/// rendezvous phase only the leader touches any slot; the two phases
-/// are separated by `Barrier` waits, which provide the happens-before
-/// edges that publish each phase's writes to the next.
-struct SlotCell<'a, L: LaneSim>(UnsafeCell<Slot<'a, L>>);
-
-// SAFETY: see the phase discipline above — accesses are disjoint in
-// every phase and ordered across phases by the barrier.
-unsafe impl<'a, L: LaneSim> Sync for SlotCell<'a, L> {}
-
-/// Horizon sentinel: every lane drained and no message in flight.
-const DONE: u64 = u64::MAX;
-
-/// The conservative windowed parallel strategy (see module docs).
-///
-/// `threads` is clamped to the lane count; workers own lanes by index
-/// stripe (`lane % threads`) so the assignment is static and the
-/// advance phase needs no coordination at all.
-pub fn run_lanes_parallel<L: LaneSim>(lanes: &mut [L], threads: usize) {
-    let n = lanes.len();
-    if n == 0 {
-        return;
-    }
-    let threads = threads.clamp(1, n);
-
-    // Window size bound: the tightest lookahead among lanes that can
-    // emit at all. All-`None` means no cross-lane traffic can ever
-    // exist — a single unbounded window.
-    let min_la: Option<SimDuration> = lanes.iter().filter_map(|l| l.lookahead()).min();
-    if let Some(la) = min_la {
-        assert!(!la.is_zero(), "zero lookahead admits no parallel progress");
-    }
-
-    let slots: Vec<SlotCell<L>> = lanes
-        .iter_mut()
-        .map(|sim| {
-            SlotCell(UnsafeCell::new(Slot {
-                sim,
-                staging: BinaryHeap::new(),
-                sent: 0,
-            }))
-        })
-        .collect();
-    // Messages buffered during the advance phase, delivered by the
-    // leader at the next rendezvous. One lock per worker per window.
-    let pending: Mutex<Vec<(usize, Inbound<L::Msg>)>> = Mutex::new(Vec::new());
-    // Exclusive upper bound (nanoseconds) on event times this window.
-    let horizon = AtomicU64::new(0);
-    let barrier = Barrier::new(threads);
-
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let slots = &slots;
-            let pending = &pending;
-            let horizon = &horizon;
-            let barrier = &barrier;
-            scope.spawn(move || {
-                let mut emitted: Vec<(usize, Inbound<L::Msg>)> = Vec::new();
-                loop {
-                    // --- rendezvous: leader delivers and sets horizon ---
-                    if w == 0 {
-                        let mut t_min: Option<SimTime> = None;
-                        // SAFETY: rendezvous phase — only the leader
-                        // touches slots; the barriers below/above order
-                        // these accesses against the advance phases.
-                        unsafe {
-                            for (dest, inbound) in pending.lock().unwrap().drain(..) {
-                                (*slots[dest].0.get()).staging.push(inbound);
-                            }
-                            for s in slots.iter() {
-                                if let Some((t, _)) = (*s.0.get()).next_key() {
-                                    t_min = Some(t_min.map_or(t, |m: SimTime| m.min(t)));
-                                }
-                            }
-                        }
-                        let h = match (t_min, min_la) {
-                            (None, _) => DONE,
-                            // No lane can emit: one unbounded window.
-                            (Some(_), None) => DONE - 1,
-                            (Some(t), Some(la)) => t.as_nanos().saturating_add(la.as_nanos()).min(DONE - 1),
-                        };
-                        horizon.store(h, Ordering::SeqCst);
-                    }
-                    barrier.wait();
-                    let h = horizon.load(Ordering::SeqCst);
-                    if h == DONE {
-                        break;
-                    }
-                    // --- advance: each worker drives its own lanes ---
-                    for i in (w..n).step_by(threads) {
-                        // SAFETY: advance phase — lane i is owned by
-                        // worker `i % threads == w` alone; the barrier
-                        // above published the leader's delivery writes.
-                        let slot = unsafe { &mut *slots[i].0.get() };
-                        while let Some((t, c)) = slot.next_key() {
-                            if t.as_nanos() >= h {
-                                break;
-                            }
-                            slot.step_once(i, (t, c), &mut emitted);
-                        }
-                    }
-                    if !emitted.is_empty() {
-                        pending.lock().unwrap().append(&mut emitted);
-                    }
-                    barrier.wait();
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::SimRng;
-
-    /// A synthetic lane: a queue of local events; each event may emit a
-    /// message to another lane (arriving after the lookahead), and
-    /// every executed step (local or received) is appended to a log.
-    /// The log, compared across strategies, is the identity oracle.
-    struct PingLane {
-        idx: usize,
-        n_lanes: usize,
-        q: crate::EventQueue<u64>,
-        done_at: SimTime,
-        finished: bool,
-        la: Option<SimDuration>,
-        rng: SimRng,
-        /// P(an event emits a cross-lane message), in percent.
-        cross_percent: u64,
-        log: Vec<(u64, u64)>,
-    }
-
-    impl PingLane {
-        fn new(idx: usize, n_lanes: usize, seed: u64, cross_percent: u64) -> Self {
-            let mut q = crate::EventQueue::new();
-            let mut rng = SimRng::new(seed ^ (idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            let mut t = SimTime::ZERO;
-            for i in 0..200u64 {
-                t += SimDuration::from_nanos(1 + rng.gen_range(5_000));
-                q.push(t, i);
-            }
-            PingLane {
-                idx,
-                n_lanes,
-                q,
-                done_at: SimTime::from_nanos(2_000_000),
-                finished: false,
-                la: (n_lanes > 1).then(|| SimDuration::from_micros(2)),
-                rng,
-                cross_percent,
-                log: Vec::new(),
-            }
-        }
-    }
-
-    impl LaneSim for PingLane {
-        type Msg = u64;
-
-        fn next_time(&self) -> Option<SimTime> {
-            if self.finished {
-                return None;
-            }
-            self.q.peek_time()
-        }
-
-        fn lookahead(&self) -> Option<SimDuration> {
-            self.la
-        }
-
-        fn step(&mut self, outbox: &mut Outbox<u64>) {
-            let (t, v) = self.q.pop().expect("step after Some(next_time)");
-            if t > self.done_at {
-                self.finished = true;
-                return;
-            }
-            self.log.push((t.as_nanos(), v));
-            if self.n_lanes > 1 && self.rng.gen_range(100) < self.cross_percent {
-                let dest = (self.idx + 1) % self.n_lanes;
-                let at = t + self.la.unwrap() + SimDuration::from_nanos(self.rng.gen_range(3_000));
-                outbox.send(dest, at, v ^ 0xffff);
-            }
-        }
-
-        fn receive(&mut self, at: SimTime, msg: u64) {
-            // Schedule the arrival as a local event; a same-time local
-            // push lands behind existing events, matching the
-            // executor's local-first tie-break.
-            self.q.push(at, msg);
-        }
-    }
-
-    fn logs_for(
-        n_lanes: usize,
-        seed: u64,
-        cross: u64,
-        run: impl FnOnce(&mut Vec<PingLane>),
-    ) -> Vec<Vec<(u64, u64)>> {
-        let mut lanes: Vec<PingLane> = (0..n_lanes)
-            .map(|i| PingLane::new(i, n_lanes, seed, cross))
-            .collect();
-        run(&mut lanes);
-        lanes.into_iter().map(|l| l.log).collect()
-    }
-
-    #[test]
-    fn parallel_matches_serial_with_cross_traffic() {
-        for &n in &[2usize, 3, 8] {
-            for seed in 0..5u64 {
-                let serial = logs_for(n, seed, 30, |l| run_lanes_serial(l));
-                for &threads in &[2usize, 4, 8] {
-                    let parallel = logs_for(n, seed, 30, |l| run_lanes_parallel(l, threads));
-                    assert_eq!(serial, parallel, "n={n} seed={seed} threads={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial_without_cross_traffic() {
-        let serial = logs_for(4, 11, 0, |l| run_lanes_serial(l));
-        let parallel = logs_for(4, 11, 0, |l| run_lanes_parallel(l, 4));
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn heavy_cross_traffic_still_identical() {
-        let serial = logs_for(4, 3, 100, |l| run_lanes_serial(l));
-        let parallel = logs_for(4, 3, 100, |l| run_lanes_parallel(l, 2));
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn single_lane_and_empty() {
-        let serial = logs_for(1, 9, 0, |l| run_lanes_serial(l));
-        let parallel = logs_for(1, 9, 0, |l| run_lanes_parallel(l, 4));
-        assert_eq!(serial, parallel);
-        let mut empty: Vec<PingLane> = Vec::new();
-        run_lanes_parallel(&mut empty, 4);
-    }
-
-    #[test]
-    fn run_lanes_honors_thread_override() {
-        // Smoke: the strategy dispatcher completes and matches the
-        // oracle at whatever the ambient thread config is.
-        let serial = logs_for(3, 21, 25, |l| run_lanes_serial(l));
-        let auto = logs_for(3, 21, 25, |l| run_lanes(l));
-        assert_eq!(serial, auto);
-    }
 
     /// A lane that revives after draining: lane 1 has no local events at
     /// all and only acts when lane 0's messages arrive.
@@ -536,8 +241,8 @@ mod tests {
         fn next_time(&self) -> Option<SimTime> {
             self.q.peek_time()
         }
-        fn lookahead(&self) -> Option<SimDuration> {
-            Some(SimDuration::from_micros(1))
+        fn lookahead(&self) -> SimDuration {
+            SimDuration::from_micros(1)
         }
         fn step(&mut self, outbox: &mut Outbox<u64>) {
             let (t, v) = self.q.pop().unwrap();
@@ -554,31 +259,28 @@ mod tests {
 
     #[test]
     fn drained_lane_revives_on_message() {
-        let make = || {
-            let mut a = crate::EventQueue::new();
-            a.push(SimTime::from_nanos(100), 0);
-            vec![
-                EchoLane {
-                    idx: 0,
-                    q: a,
-                    remaining: 10,
-                    log: Vec::new(),
-                },
-                EchoLane {
-                    idx: 1,
-                    q: crate::EventQueue::new(),
-                    remaining: 10,
-                    log: Vec::new(),
-                },
-            ]
-        };
-        let mut s = make();
-        run_lanes_serial(&mut s);
-        let mut p = make();
-        run_lanes_parallel(&mut p, 2);
-        // The ping-pong ran to ball exhaustion on both strategies.
-        assert_eq!(s[0].log.len() + s[1].log.len(), 21);
-        assert_eq!(s[0].log, p[0].log);
-        assert_eq!(s[1].log, p[1].log);
+        let mut a = crate::EventQueue::new();
+        a.push(SimTime::from_nanos(100), 0);
+        let mut lanes = vec![
+            EchoLane {
+                idx: 0,
+                q: a,
+                remaining: 10,
+                log: Vec::new(),
+            },
+            EchoLane {
+                idx: 1,
+                q: crate::EventQueue::new(),
+                remaining: 10,
+                log: Vec::new(),
+            },
+        ];
+        run_lanes(&mut lanes);
+        // The ball bounced until both lanes ran out of sends: lane 0
+        // holds the even hops, lane 1 (drained from the start) the odd
+        // ones, each one lookahead after the last.
+        let hop = |k: u64| (100 + 1_000 * k, k);
+        assert_eq!(lanes[0].log, (0..=20).step_by(2).map(hop).collect::<Vec<_>>());
+        assert_eq!(lanes[1].log, (1..20).step_by(2).map(hop).collect::<Vec<_>>());
     }
 }

@@ -39,7 +39,7 @@
 //! Every transition compiles to per-host machine calls (boot, depart,
 //! timeout rollback, observational note) with times strictly inside the
 //! run window, so the runtime side is an ordinary deterministic event
-//! diet and serial vs lane-parallel execution stays byte-identical.
+//! diet.
 //!
 //! # Compilation order
 //!
@@ -56,14 +56,15 @@ use std::collections::BinaryHeap;
 
 use es2_sim::{FaultInjector, SimDuration, SimTime};
 
-use crate::cluster::{best_fit, evacuation_target, percentile_ns, ClusterSpec, PlannedMove, Timeline};
-use crate::lanes::CROSS_LANE_LOOKAHEAD;
+use crate::cluster::{
+    best_fit, evacuation_target, percentile_ns, ClusterSpec, PlannedMove, Timeline, CROSS_LANE_LOOKAHEAD,
+};
 use crate::params::ChurnSpec;
 use crate::workload::WorkloadSpec;
 
 /// Everything the churn control plane accounts for over one compile.
-/// Entirely construction-time state: identical for serial and parallel
-/// runs by construction, surfaced on `ClusterResult` and in the digest.
+/// Entirely construction-time state, surfaced on `ClusterResult` and in
+/// the digest.
 #[derive(Clone, Debug, Default)]
 pub struct ChurnLedger {
     /// Arrivals whose first attempt landed inside the run window.

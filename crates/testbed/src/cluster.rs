@@ -26,37 +26,41 @@
 //!
 //! # Cross-host traffic and determinism
 //!
-//! Hosts exchange traffic through the [`es2_sim::lane`] mailboxes with
-//! the finite [`CROSS_LANE_LOOKAHEAD`] (ROADMAP item 1's windowed
-//! protocol, now exercised by real workloads: a migrated VM's external
-//! peer stays on its home host, so post-move guest↔peer traffic crosses
-//! lanes continuously in both directions). Every cluster decision —
-//! placement, crash times, abort draws, blackout lengths, message
-//! timestamps — is a pure function of `(spec, seed)`, so serial and
-//! windowed-parallel execution are byte-identical at any host count.
+//! Hosts exchange traffic as timestamped [`es2_sim::lane`] messages: a
+//! migrated VM's external peer stays on its home host, so post-move
+//! guest↔peer traffic crosses hosts continuously in both directions.
+//! [`Cluster::run`] drives every host through the serial
+//! [`run_lanes`] min-merge — one seeded event loop for the whole cell.
+//! Every message lands at least [`CROSS_LANE_LOOKAHEAD`] after the
+//! event that sends it, which the lane [`Outbox`] asserts. Every cluster
+//! decision — placement, crash times, abort draws, blackout lengths,
+//! message timestamps — is a pure function of `(spec, seed)`.
 //!
 //! A crashed host freezes at its crash instant: events at or after the
 //! crash time never dispatch, and arrivals at or after it are dropped.
-//! The accept/drop decision depends only on timestamps (never on
-//! executor scheduling), which is what keeps crash runs deterministic
-//! under parallel execution. In-flight events die with the host — a
-//! crash *loses* work (and any external peers it hosted for evacuated
-//! VMs); live migration by contrast loses nothing.
+//! In-flight events die with the host — a crash *loses* work (and any
+//! external peers it hosted for evacuated VMs); live migration by
+//! contrast loses nothing.
 
 use std::sync::Arc;
 
 use es2_core::EventPathConfig;
-use es2_sim::lane::{run_lanes, run_lanes_parallel, run_lanes_serial, LaneSim, Outbox};
+use es2_sim::lane::{run_lanes, LaneSim, Outbox};
 use es2_sim::{FaultInjector, FaultPlan, SimDuration, SimTime};
 
 use crate::churn::{self, Call, ChurnLedger};
-use crate::lanes::CROSS_LANE_LOOKAHEAD;
 use crate::liveness::{self, LivenessReport};
 use crate::machine::{Machine, Topology};
 use crate::migrate::{CrossOut, MigCosts, MigLedger, VmSnapshot};
 use crate::params::{ChurnSpec, Params};
 use crate::results::RunResult;
 use crate::workload::WorkloadSpec;
+
+/// Minimum cross-host latency: the external link's propagation delay
+/// (`Link::forty_gbe()` — 1 µs). A packet, stale MSI or snapshot leaving
+/// a host at `t` reaches another host no earlier than `t + 1 µs`; every
+/// host lane declares it as its lookahead.
+pub const CROSS_LANE_LOOKAHEAD: SimDuration = SimDuration::from_micros(1);
 
 /// A requested live migration: pause `vm` at `at` and move it to host
 /// `to`. The source is wherever the VM lives at `at`.
@@ -227,9 +231,7 @@ impl LaneSim for HostLane {
             return None;
         }
         let t = self.m.next_event_time()?;
-        // A crashed host's clock never reaches its crash instant: the
-        // filter (rather than a sticky flag) keeps the lane's behavior a
-        // pure function of timestamps under any execution order.
+        // A crashed host's clock never reaches its crash instant.
         if self.alive_at(t) {
             Some(t)
         } else {
@@ -237,10 +239,8 @@ impl LaneSim for HostLane {
         }
     }
 
-    fn lookahead(&self) -> Option<SimDuration> {
-        // Cluster lanes always have egress routes (migration, forwarded
-        // traffic), so they run the windowed protocol.
-        Some(CROSS_LANE_LOOKAHEAD)
+    fn lookahead(&self) -> SimDuration {
+        CROSS_LANE_LOOKAHEAD
     }
 
     fn step(&mut self, outbox: &mut Outbox<HostMsg>) {
@@ -272,16 +272,15 @@ impl LaneSim for HostLane {
     fn receive(&mut self, at: SimTime, msg: HostMsg) {
         if !self.alive_at(at) {
             // Arrivals at or after the crash instant are lost with the
-            // host. Timestamp-only, so serial and parallel agree.
+            // host.
             return;
         }
         self.deliver_local(at, msg);
     }
 }
 
-/// SplitMix64 host-seed derivation; host 0 keeps the run seed (the same
-/// discipline as lane sharding, so a 1-host cell with no moves is the
-/// plain machine's RNG universe).
+/// SplitMix64 host-seed derivation; host 0 keeps the run seed, so a
+/// 1-host cell with no moves is the plain machine's RNG universe.
 fn host_seed(seed: u64, host: usize) -> u64 {
     if host == 0 {
         return seed;
@@ -349,7 +348,7 @@ impl ClusterResult {
     }
 
     /// A stable, complete text digest of the run — the byte-identity
-    /// surface for serial-vs-parallel and traced-vs-untraced gates.
+    /// surface for the traced-vs-untraced and thread-count gates.
     pub fn digest(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -617,23 +616,9 @@ impl Cluster {
         &self.placement
     }
 
-    /// Run under the executor config (serial oracle iff `ES2_THREADS=1`,
-    /// windowed parallel otherwise — identical bytes either way).
+    /// Run every host to completion and merge the outcome.
     pub fn run(mut self) -> ClusterResult {
         run_lanes(&mut self.lanes);
-        self.collect()
-    }
-
-    /// Run with the serial oracle, regardless of config.
-    pub fn run_serial(mut self) -> ClusterResult {
-        run_lanes_serial(&mut self.lanes);
-        self.collect()
-    }
-
-    /// Run with the windowed parallel executor at an explicit worker
-    /// count (identity-test hook).
-    pub fn run_parallel(mut self, threads: usize) -> ClusterResult {
-        run_lanes_parallel(&mut self.lanes, threads);
         self.collect()
     }
 

@@ -13,7 +13,7 @@ use es2_core::{EventPathConfig, HybridParams};
 use es2_sim::FaultPlan;
 use es2_workloads::NetperfSpec;
 
-use crate::machine::Topology;
+use crate::machine::{Machine, Topology};
 use crate::params::Params;
 use crate::results::RunResult;
 use crate::workload::WorkloadSpec;
@@ -40,37 +40,29 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// Execute the run to completion. Lane-sharded when the executor
-    /// config asks for more than one lane (`ES2_LANES`); the default is
-    /// one lane, i.e. the legacy unsharded machine, byte for byte.
+    /// Execute the run to completion.
     pub fn run(&self) -> RunResult {
-        self.sharded().run()
+        self.machine().run()
     }
 
     /// Execute the run to completion with liveness checking on the
-    /// final state of every lane.
+    /// final state.
     pub fn run_checked(&self) -> (RunResult, crate::liveness::LivenessReport) {
-        self.sharded().run_checked()
+        self.machine().run_checked()
     }
 
-    /// Build the (possibly lane-sharded) machine for this spec.
-    pub fn sharded(&self) -> crate::lanes::ShardedMachine {
-        self.sharded_with(es2_sim::exec::effective_lanes(self.topo.num_vms as usize))
-    }
-
-    /// Build the machine sharded into an explicit lane count,
-    /// independent of the executor config (bench and test hook).
-    pub fn sharded_with(&self, lanes: usize) -> crate::lanes::ShardedMachine {
+    /// Build the machine for this spec: VM 0 runs `spec`, every other
+    /// VM runs `fill`.
+    fn machine(&self) -> Machine {
         let mut specs = vec![self.fill; self.topo.num_vms as usize];
         specs[0] = self.spec;
-        crate::lanes::ShardedMachine::with_specs_faulted(
+        Machine::with_specs_faulted(
             self.cfg,
             self.topo,
             specs,
             self.params,
             self.seed,
             self.faults,
-            lanes,
         )
     }
 
@@ -652,16 +644,14 @@ pub fn scale_specs(num_vms: u32, mut params: Params, seed: u64) -> Vec<RunSpec> 
     .collect()
 }
 
-/// Per-tenant connection rate in the all-active lane-speedup cell —
+/// Per-tenant connection rate in the all-active consolidation cell —
 /// lower than [`SCALE_HTTPERF_RATE`] because *every* tenant serves it
 /// concurrently, keeping total offered load within the modeled host.
 pub const SCALE_ACTIVE_RATE: f64 = 200.0;
 
 /// The all-active companion to [`scale_specs`]: every tenant serves
-/// httperf at [`SCALE_ACTIVE_RATE`] under full ES2. This is the cell
-/// the in-run lane-speedup measurement shards, because event work is
-/// spread across all VMs instead of concentrated on VM 0 — the
-/// configuration where per-VM event lanes have parallelism to mine.
+/// httperf at [`SCALE_ACTIVE_RATE`] under full ES2, so event work is
+/// spread across all VMs instead of concentrated on VM 0.
 pub fn scale_active_spec(num_vms: u32, mut params: Params, seed: u64) -> RunSpec {
     params.num_cores = SCALE_VCPUS_PER_VM + num_vms;
     RunSpec {

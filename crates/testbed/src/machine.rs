@@ -692,7 +692,7 @@ impl Machine {
             for qi in 0..num_pairs {
                 // Pair q is owned by (and its MSIs steered at) vCPU q%N.
                 let owner = qi % topo.vcpus_per_vm;
-                let (tx_h, rx_h) = worker.register_pair(vm, qi, owner);
+                let (tx_h, rx_h) = worker.register_pair(qi, owner);
                 let mut tx = Virtqueue::with_id(
                     vq_cfg,
                     QueueId {
@@ -1077,8 +1077,8 @@ impl Machine {
     /// is over — queue drained or the first event past `end_time`
     /// reached (the clock still advances to that event, exactly as the
     /// old inline run loop behaved). This is the single-step form the
-    /// lane executor drives; the run loops above are its trivial
-    /// clients, so serial and lane-sharded execution share one
+    /// cluster's lane merge drives; the run loops above are its trivial
+    /// clients, so standalone and multi-host execution share one
     /// event-dispatch semantics by construction.
     pub(crate) fn step_one(&mut self) -> bool {
         match self.q.pop() {

@@ -34,8 +34,7 @@
 //! (replayed in order at resume); traffic addressed to a slot that lives
 //! elsewhere is forwarded across the mailbox with the finite lookahead.
 //! The external peer never moves on migration — post-move guest↔peer
-//! traffic permanently crosses lanes in both directions, which is what
-//! finally exercises the windowed lane protocol on real workloads.
+//! traffic permanently crosses hosts in both directions.
 //!
 //! **Abort** (mid-copy failure, decided by the fault plan's migration
 //! stream): the source keeps the snapshot, buffers its own arrivals for
@@ -366,7 +365,7 @@ impl Machine {
                         // against the stale location timeline.
                         return None;
                     }
-                    let at = now + crate::lanes::CROSS_LANE_LOOKAHEAD;
+                    let at = now + crate::cluster::CROSS_LANE_LOOKAHEAD;
                     m.cross_out.push(CrossOut::GuestPkt { vm, at, pkt });
                     None
                 } else {
@@ -380,7 +379,7 @@ impl Machine {
                     if m.reclaimed[vm as usize] {
                         return None;
                     }
-                    let at = now + crate::lanes::CROSS_LANE_LOOKAHEAD;
+                    let at = now + crate::cluster::CROSS_LANE_LOOKAHEAD;
                     m.cross_out.push(CrossOut::ExtPkt { vm, at, pkt });
                     None
                 } else {
@@ -398,7 +397,7 @@ impl Machine {
                     if m.reclaimed[vmi] {
                         return None;
                     }
-                    let at = now + crate::lanes::CROSS_LANE_LOOKAHEAD;
+                    let at = now + crate::cluster::CROSS_LANE_LOOKAHEAD;
                     m.cross_out.push(CrossOut::StaleMsi { vm, at, vector });
                     None
                 } else {
@@ -420,7 +419,7 @@ impl Machine {
                     if m.reclaimed[vmi] {
                         return None;
                     }
-                    let at = now + crate::lanes::CROSS_LANE_LOOKAHEAD;
+                    let at = now + crate::cluster::CROSS_LANE_LOOKAHEAD;
                     m.cross_out.push(CrossOut::StaleMsi { vm, at, vector });
                     None
                 } else {
@@ -1111,7 +1110,7 @@ impl Machine {
         let mut pairs = Vec::with_capacity(num_pairs as usize);
         for qi in 0..num_pairs {
             let owner = qi % nv as u32;
-            let (tx_h, rx_h) = worker.register_pair(vm, qi, owner);
+            let (tx_h, rx_h) = worker.register_pair(qi, owner);
             let mut tx = Virtqueue::with_id(
                 vq_cfg,
                 QueueId {

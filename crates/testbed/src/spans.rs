@@ -457,7 +457,7 @@ mod tests {
     fn request_span_closes_on_pickup_with_the_right_stage() {
         let mut tr = SpanTracker::new(1, 1, 0);
         let mut w = VhostPool::new(1, ShardPolicy::Mux);
-        let (h, _rx) = w.register_pair(0, 0, 0);
+        let (h, _rx) = w.register_pair(0, 0);
 
         tr.on_kick_signal(0, &mut w, h, KickOrigin::Kick, 100);
         // Coalesced second signal keeps the first span.
@@ -482,7 +482,7 @@ mod tests {
     fn polled_requeue_records_polled_pickup() {
         let mut tr = SpanTracker::new(1, 1, 0);
         let mut w = VhostPool::new(1, ShardPolicy::Mux);
-        let (h, _rx) = w.register_pair(0, 0, 0);
+        let (h, _rx) = w.register_pair(0, 0);
         tr.on_kick_signal(0, &mut w, h, KickOrigin::Requeue, 0);
         let corr = w.take_kick_corr(h);
         tr.on_turn_begin(0, 0, corr, 50, true);

@@ -239,3 +239,58 @@ fn degradation_is_bounded_under_the_acceptance_plan() {
         faulted.fault_stats
     );
 }
+
+/// The all-active 8-VM consolidation cell under the acceptance plan,
+/// on short windows.
+fn chaos_scale_spec(params: Params, seed: u64) -> RunSpec {
+    let params = Params {
+        warmup: SimDuration::from_millis(20),
+        measure: SimDuration::from_millis(100),
+        ..params
+    };
+    experiments::scale_active_spec(8, params, seed).with_faults(chaos_plan())
+}
+
+#[test]
+fn tracing_does_not_perturb_chaos_results() {
+    // Flight-recorder compatibility: a traced run must agree with the
+    // untraced run on every simulation-determined field (the trace only
+    // *observes*). Compare full Debug renderings with the spans report
+    // stripped from the traced run.
+    let plain = chaos_scale_spec(Params::default(), 17).run();
+    let traced_params = Params {
+        trace: true,
+        trace_events: 4096,
+        ..Params::default()
+    };
+    let mut traced = chaos_scale_spec(traced_params, 17).run();
+    assert!(traced.spans.is_some(), "traced run produced no span report");
+    traced.spans = None;
+    assert!(plain.spans.is_none());
+    assert_eq!(
+        format!("{plain:?}"),
+        format!("{traced:?}"),
+        "tracing perturbed the simulation"
+    );
+}
+
+#[test]
+fn telemetry_does_not_perturb_chaos_results() {
+    // Same contract as the flight recorder: the telemetry hooks only
+    // observe. A telemetry-enabled run must agree with the plain run on
+    // every simulation-determined field once the report is stripped.
+    let plain = chaos_scale_spec(Params::default(), 23).run();
+    let telemetry_params = Params {
+        telemetry: true,
+        ..Params::default()
+    };
+    let mut instrumented = chaos_scale_spec(telemetry_params, 23).run();
+    assert!(instrumented.telemetry.is_some());
+    instrumented.telemetry = None;
+    assert!(plain.telemetry.is_none());
+    assert_eq!(
+        format!("{plain:?}"),
+        format!("{instrumented:?}"),
+        "telemetry hooks perturbed the simulation"
+    );
+}

@@ -1,8 +1,7 @@
 //! Tenant-churn control-plane tests: lifecycle faults (stuck boots,
 //! placement failures, crash-during-admit), the depart/migration race,
 //! retry-exhaustion determinism, leak-proof reclamation under the full
-//! fault diet, and the serial-vs-parallel / churn-off byte-identity
-//! gates.
+//! fault diet, and the churn-off byte-identity gate.
 
 use es2_core::EventPathConfig;
 use es2_sim::{FaultPlan, SimDuration, SimTime};
@@ -60,8 +59,8 @@ fn zero_arrival_churn_is_byte_identical_to_disabled() {
     let mut without = with.clone();
     without.churn = None;
 
-    let d_with = Cluster::new(with).run_serial().digest();
-    let d_without = Cluster::new(without).run_serial().digest();
+    let d_with = Cluster::new(with).run().digest();
+    let d_without = Cluster::new(without).run().digest();
     // The enabled run appends churn ledger lines; everything before
     // them must match the disabled run byte for byte.
     let stripped: String = d_with
@@ -77,7 +76,7 @@ fn zero_arrival_churn_is_byte_identical_to_disabled() {
 /// ends in-window) depart — with zero orphaned resources afterwards.
 #[test]
 fn arrivals_boot_run_and_depart_cleanly() {
-    let r = Cluster::new(churn_cluster(6, 3, FaultPlan::none())).run_serial();
+    let r = Cluster::new(churn_cluster(6, 3, FaultPlan::none())).run();
     assert!(r.liveness.ok(), "{:?}\n{}", r.liveness.violations, r.liveness.diagnostics);
     let c = r.churn.as_ref().expect("churn ledger missing");
     assert!(c.arrivals > 0, "no arrivals landed in the window");
@@ -102,7 +101,7 @@ fn stuck_boot_times_out_rolls_back_and_retries() {
         churn_boot_stall_nth: 1,
         ..FaultPlan::none()
     };
-    let r = Cluster::new(churn_cluster(4, 5, plan)).run_serial();
+    let r = Cluster::new(churn_cluster(4, 5, plan)).run();
     assert!(r.liveness.ok(), "{:?}\n{}", r.liveness.violations, r.liveness.diagnostics);
     let c = r.churn.as_ref().unwrap();
     assert_eq!(c.boot_stall_faults, 1, "the pinned stall did not fire: {c:?}");
@@ -124,7 +123,7 @@ fn retry_exhaustion_is_deterministic_and_complete() {
         churn_place_fail_p: 1.0,
         ..FaultPlan::none()
     };
-    let run = || Cluster::new(churn_cluster(5, 17, plan)).run_serial();
+    let run = || Cluster::new(churn_cluster(5, 17, plan)).run();
     let a = run();
     let b = run();
     assert_eq!(a.digest(), b.digest(), "retry exhaustion not deterministic");
@@ -157,7 +156,7 @@ fn crash_during_admit_replaces_via_evacuation() {
         ..FaultPlan::none()
     };
     spec.churn = Some(churn_spec(3));
-    let r = Cluster::new(spec).run_serial();
+    let r = Cluster::new(spec).run();
     assert!(r.liveness.ok(), "{:?}\n{}", r.liveness.violations, r.liveness.diagnostics);
     let c = r.churn.as_ref().unwrap();
     assert!(
@@ -208,7 +207,7 @@ fn depart_racing_migration_defers_and_reclaims() {
             to: 1,
             at: depart_at - SimDuration::from_micros(2),
         }];
-        let r = Cluster::new(spec).run_serial();
+        let r = Cluster::new(spec).run();
         assert!(
             r.liveness.ok(),
             "seed {seed}: {:?}\n{}",
@@ -233,11 +232,10 @@ fn depart_racing_migration_defers_and_reclaims() {
 }
 
 /// The full fault diet — placement failures, stuck boots, a host crash,
-/// migration aborts, destroy races — over serial and parallel executors
-/// at 1, 4, and 8 workers: byte-identical digests everywhere, zero
-/// orphaned resources.
+/// migration aborts, destroy races — stays liveness-clean with zero
+/// orphaned resources, and its digest is a pure function of the spec.
 #[test]
-fn serial_and_parallel_churn_digests_are_identical() {
+fn full_fault_diet_churn_cell_is_leak_free_and_deterministic() {
     let fleet = vec![tcp(), WorkloadSpec::Ping, tcp(), WorkloadSpec::Ping];
     let build = || {
         let mut spec = ClusterSpec::new(cfg(), 1, fleet.clone(), 4, 3, tiny_params(), 21);
@@ -261,22 +259,15 @@ fn serial_and_parallel_churn_digests_are_identical() {
         });
         Cluster::new(spec)
     };
-    let serial = build().run_serial();
+    let r = build().run();
     assert!(
-        serial.liveness.ok(),
+        r.liveness.ok(),
         "{:?}\n{}",
-        serial.liveness.violations,
-        serial.liveness.diagnostics
+        r.liveness.violations,
+        r.liveness.diagnostics
     );
-    assert_eq!(serial.orphans(), 0);
-    let c = serial.churn.as_ref().unwrap();
+    assert_eq!(r.orphans(), 0);
+    let c = r.churn.as_ref().unwrap();
     assert!(c.admitted > 0, "fault diet admitted nothing: {c:?}");
-    for threads in [1usize, 4, 8] {
-        let par = build().run_parallel(threads);
-        assert_eq!(
-            serial.digest(),
-            par.digest(),
-            "serial vs {threads}-worker parallel digests diverged"
-        );
-    }
+    assert_eq!(r.digest(), build().run().digest());
 }

@@ -1,11 +1,11 @@
 //! Multi-host cell tests: placement, live migration (state carried,
 //! redirection resuming on the target), host-fault injection, and the
-//! serial-vs-parallel / traced-vs-untraced byte-identity gates.
+//! traced-vs-untraced byte-identity gate.
 
 use es2_core::EventPathConfig;
 use es2_sim::{FaultPlan, SimDuration, SimTime};
-use es2_testbed::experiments::{hostile_plan, RunSpec};
-use es2_testbed::{Cluster, ClusterSpec, Params, PlannedMove, Topology, WorkloadSpec};
+use es2_testbed::experiments::hostile_plan;
+use es2_testbed::{Cluster, ClusterSpec, Machine, Params, PlannedMove, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
 
 fn tiny_params() -> Params {
@@ -28,31 +28,24 @@ fn at_ms(ms: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(ms)
 }
 
-/// A 1-host cell with no moves and no faults is the standalone sharded
-/// machine, byte for byte — enrolling a machine into a cluster must not
+/// A 1-host cell with no moves and no faults is the standalone machine,
+/// byte for byte — enrolling a machine into a cluster must not
 /// perturb a run that never migrates (the no-neighbor-regression gate).
 #[test]
 fn one_host_cell_matches_standalone_run() {
     let params = tiny_params();
     let fleet = vec![tcp(), WorkloadSpec::Ping];
     let spec = ClusterSpec::new(cfg(), 1, fleet, 1, 4, params, 42);
-    let cell = Cluster::new(spec).run_serial();
+    let cell = Cluster::new(spec).run();
     assert!(cell.liveness.ok(), "{}", cell.liveness.diagnostics);
 
-    let standalone = RunSpec {
-        cfg: cfg(),
-        topo: Topology {
-            num_vms: 2,
-            vcpus_per_vm: 1,
-        },
-        spec: tcp(),
-        params,
-        seed: 42,
-        faults: FaultPlan::none(),
-        fill: WorkloadSpec::Ping,
-    }
-    .sharded_with(1)
-    .run();
+    let topo = Topology {
+        num_vms: 2,
+        vcpus_per_vm: 1,
+    };
+    let specs = vec![tcp(), WorkloadSpec::Ping];
+    let standalone =
+        Machine::with_specs_faulted(cfg(), topo, specs, params, 42, FaultPlan::none()).run();
     assert_eq!(
         format!("{:?}", cell.per_host[0].result),
         format!("{standalone:?}"),
@@ -68,7 +61,7 @@ fn admission_rejects_overflow_and_runs_clean() {
     let spec = ClusterSpec::new(cfg(), 1, fleet, 2, 1, tiny_params(), 7);
     let c = Cluster::new(spec);
     assert_eq!(c.placement(), &[Some(0), Some(1), None]);
-    let r = c.run_serial();
+    let r = c.run();
     assert_eq!((r.admitted, r.rejected), (2, 1));
     assert!((r.packing_density() - 1.0).abs() < 1e-9);
     assert_eq!(r.final_host, vec![Some(0), Some(1), None]);
@@ -114,7 +107,7 @@ fn migration_preserves_state_and_redirection_resumes_on_target() {
     };
     let c = Cluster::new(spec);
     assert_eq!(c.placement(), &[Some(0), Some(0), Some(1)]);
-    let r = c.run_serial();
+    let r = c.run();
 
     assert!(r.liveness.ok(), "{}", r.liveness.diagnostics);
     assert_eq!((r.ledger.out, r.ledger.resumed, r.ledger.aborts), (1, 1, 0));
@@ -159,7 +152,7 @@ fn aborted_migration_rolls_back_to_source() {
         migration_abort_nth: 1,
         ..FaultPlan::none()
     };
-    let r = Cluster::new(spec).run_serial();
+    let r = Cluster::new(spec).run();
     assert!(r.liveness.ok(), "{}", r.liveness.diagnostics);
     assert_eq!((r.ledger.out, r.ledger.aborts, r.ledger.resumed), (0, 1, 1));
     assert_eq!(r.final_host[0], Some(0), "abort must leave the VM on the source");
@@ -185,7 +178,7 @@ fn double_migration_chains_across_three_hosts() {
             at: at_ms(80),
         },
     ];
-    let r = Cluster::new(spec).run_serial();
+    let r = Cluster::new(spec).run();
     assert!(r.liveness.ok(), "{}", r.liveness.diagnostics);
     assert_eq!((r.ledger.out, r.ledger.resumed), (2, 2));
     assert_eq!(r.final_host[0], Some(2));
@@ -214,7 +207,7 @@ fn migrate_while_quarantined_carries_reset_to_target() {
         to: 1,
         at: at_ms(5),
     }];
-    let r = Cluster::new(spec).run_serial();
+    let r = Cluster::new(spec).run();
     assert!(r.liveness.ok(), "{}", r.liveness.diagnostics);
     assert_eq!(r.final_host[1], Some(1));
     assert_eq!(r.ledger.resumed, 1);
@@ -247,7 +240,7 @@ fn migrate_pi_degraded_vm_keeps_emulated_path() {
         to: 1,
         at: at_ms(60),
     }];
-    let r = Cluster::new(spec).run_serial();
+    let r = Cluster::new(spec).run();
     assert!(r.liveness.ok(), "{}", r.liveness.diagnostics);
     assert_eq!(r.final_host[0], Some(1));
     let t = r.per_host[1].result.modes.totals();
@@ -271,7 +264,7 @@ fn host_crash_evacuates_victims_to_survivor() {
     };
     let c = Cluster::new(spec);
     assert_eq!(c.placement(), &[Some(0), Some(0)]);
-    let r = c.run_serial();
+    let r = c.run();
     assert!(r.liveness.ok(), "{}", r.liveness.diagnostics);
     assert!(r.per_host[0].crashed.is_some());
     assert!(r.per_host[1].crashed.is_none());
@@ -299,7 +292,7 @@ fn source_crash_during_copy_vm_survives_on_target() {
         host_crash_at: SimDuration::from_micros(50_050),
         ..FaultPlan::none()
     };
-    let r = Cluster::new(spec).run_serial();
+    let r = Cluster::new(spec).run();
     assert!(r.liveness.ok(), "{}", r.liveness.diagnostics);
     assert_eq!(r.ledger.out, 1);
     assert_eq!(r.ledger.resumed, 1, "snapshot died with the source");
@@ -308,11 +301,11 @@ fn source_crash_during_copy_vm_survives_on_target() {
     assert_eq!(r.final_host[1], Some(1));
 }
 
-/// Serial oracle vs windowed-parallel executor: byte-identical digests
-/// across seeds, host counts, and worker counts on a clean cell with a
-/// live migration in flight.
+/// A live migration in flight resumes on its target and leaves the
+/// cell liveness-clean across seeds and host counts, and the digest is
+/// a pure function of the spec.
 #[test]
-fn serial_vs_parallel_identity_with_migration() {
+fn migration_cell_resumes_across_seeds_and_host_counts() {
     for seed in [1u64, 2] {
         for hosts in [2u32, 3] {
             let mk = || {
@@ -332,23 +325,27 @@ fn serial_vs_parallel_identity_with_migration() {
                 }];
                 Cluster::new(spec)
             };
-            let oracle = mk().run_serial().digest();
-            for threads in [2usize, 4] {
-                let par = mk().run_parallel(threads).digest();
-                assert_eq!(
-                    oracle, par,
-                    "divergence at seed={seed} hosts={hosts} threads={threads}"
-                );
-            }
+            let r = mk().run();
+            assert_eq!(r.ledger.resumed, 1, "seed={seed} hosts={hosts}");
+            assert_eq!(
+                r.final_host[0],
+                Some(hosts - 1),
+                "seed={seed} hosts={hosts}"
+            );
+            assert!(
+                r.liveness.ok(),
+                "seed={seed} hosts={hosts}: {:?}",
+                r.liveness.violations
+            );
+            assert_eq!(r.digest(), mk().run().digest(), "seed={seed} hosts={hosts}");
         }
     }
 }
 
-/// Identity holds under the full host-fault family too: a crash (with
-/// evacuation) plus an aborted migration must replay byte-identically
-/// in parallel — the crash filter is timestamp-pure.
+/// The full host-fault family on one cell: a crash (with evacuation)
+/// plus an aborted migration both land, deterministically.
 #[test]
-fn serial_vs_parallel_identity_under_host_faults() {
+fn host_crash_and_migration_abort_land_in_one_cell() {
     let mk = || {
         let mut spec = ClusterSpec::new(
             cfg(),
@@ -379,22 +376,15 @@ fn serial_vs_parallel_identity_under_host_faults() {
         ];
         Cluster::new(spec)
     };
-    let oracle = mk().run_serial();
-    assert!(oracle.per_host[1].crashed.is_some());
-    assert_eq!(oracle.ledger.aborts, 1);
-    let oracle = oracle.digest();
-    for threads in [2usize, 3] {
-        assert_eq!(
-            oracle,
-            mk().run_parallel(threads).digest(),
-            "fault-plan divergence at threads={threads}"
-        );
-    }
+    let r = mk().run();
+    assert!(r.per_host[1].crashed.is_some());
+    assert_eq!(r.ledger.aborts, 1);
+    assert_eq!(r.digest(), mk().run().digest());
 }
 
 /// The migration span family is observational only: a traced cell run
 /// (flight recorder on) produces the identical digest to an untraced
-/// one, serial or parallel.
+/// one.
 #[test]
 fn traced_cell_run_is_byte_identical_to_untraced() {
     let mk = |trace: bool| {
@@ -410,12 +400,7 @@ fn traced_cell_run_is_byte_identical_to_untraced() {
         }];
         Cluster::new(spec)
     };
-    let untraced = mk(false).run_serial().digest();
-    let traced = mk(true).run_serial().digest();
+    let untraced = mk(false).run().digest();
+    let traced = mk(true).run().digest();
     assert_eq!(untraced, traced, "tracing perturbed the simulation");
-    assert_eq!(
-        untraced,
-        mk(true).run_parallel(2).digest(),
-        "traced parallel run diverged"
-    );
 }

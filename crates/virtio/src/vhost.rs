@@ -252,8 +252,6 @@ pub enum ShardPolicy {
     /// worker this is byte-identical to the pre-multi-queue model.
     #[default]
     Mux,
-    /// Pair spread by a deterministic hash of `(vm, pair)`.
-    Hash,
     /// Pair follows its owning vCPU (`owner % workers`), so a vCPU's TX
     /// and RX service lands on a stable worker — the per-vCPU affine
     /// sharding of multiqueue vhost-net.
@@ -267,14 +265,10 @@ pub enum ShardPolicy {
 impl ShardPolicy {
     /// The worker index serving `pair` of `vm` under this policy.
     /// `workers` must be >= 1; results are always in `0..workers`.
-    pub fn worker_for(self, vm: u32, pair: u32, owner_vcpu: u32, workers: u32) -> u32 {
+    pub fn worker_for(self, pair: u32, owner_vcpu: u32, workers: u32) -> u32 {
         let w = workers.max(1);
         match self {
             ShardPolicy::Mux => 0,
-            ShardPolicy::Hash => {
-                let x = (((vm as u64) << 32) | pair as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                ((x >> 33) % w as u64) as u32
-            }
             ShardPolicy::Affine => owner_vcpu % w,
             ShardPolicy::Passthrough => pair % w,
         }
@@ -284,7 +278,6 @@ impl ShardPolicy {
     pub fn label(self) -> &'static str {
         match self {
             ShardPolicy::Mux => "mux",
-            ShardPolicy::Hash => "hash",
             ShardPolicy::Affine => "affine",
             ShardPolicy::Passthrough => "passthrough",
         }
@@ -329,10 +322,10 @@ impl VhostPool {
 
     /// Register one TX/RX queue pair owned by `owner_vcpu`, returning
     /// `(tx, rx)` handler ids. Both halves land on the same worker.
-    pub fn register_pair(&mut self, vm: u32, pair: u32, owner_vcpu: u32) -> (HandlerId, HandlerId) {
+    pub fn register_pair(&mut self, pair: u32, owner_vcpu: u32) -> (HandlerId, HandlerId) {
         let w = self
             .policy
-            .worker_for(vm, pair, owner_vcpu, self.workers.len() as u32);
+            .worker_for(pair, owner_vcpu, self.workers.len() as u32);
         let mut tx = HandlerId(0);
         let mut rx = HandlerId(0);
         for worker in &mut self.workers {
@@ -678,32 +671,29 @@ mod tests {
     fn policy_worker_for_is_in_range_and_stable() {
         for &policy in &[
             ShardPolicy::Mux,
-            ShardPolicy::Hash,
             ShardPolicy::Affine,
             ShardPolicy::Passthrough,
         ] {
-            for vm in 0..8 {
-                for pair in 0..8 {
-                    for workers in 1..8 {
-                        let w = policy.worker_for(vm, pair, pair % 2, workers);
-                        assert!(w < workers, "{policy:?} out of range");
-                        let again = policy.worker_for(vm, pair, pair % 2, workers);
-                        assert_eq!(w, again, "{policy:?} must be deterministic");
-                    }
+            for pair in 0..8 {
+                for workers in 1..8 {
+                    let w = policy.worker_for(pair, pair % 2, workers);
+                    assert!(w < workers, "{policy:?} out of range");
+                    let again = policy.worker_for(pair, pair % 2, workers);
+                    assert_eq!(w, again, "{policy:?} must be deterministic");
                 }
             }
         }
         // Mux is always worker 0; passthrough pins pair == worker.
-        assert_eq!(ShardPolicy::Mux.worker_for(3, 5, 1, 4), 0);
-        assert_eq!(ShardPolicy::Passthrough.worker_for(3, 2, 0, 4), 2);
-        assert_eq!(ShardPolicy::Affine.worker_for(3, 5, 1, 4), 1);
+        assert_eq!(ShardPolicy::Mux.worker_for(5, 1, 4), 0);
+        assert_eq!(ShardPolicy::Passthrough.worker_for(2, 0, 4), 2);
+        assert_eq!(ShardPolicy::Affine.worker_for(5, 1, 4), 1);
     }
 
     #[test]
     fn pool_single_worker_mux_matches_bare_worker() {
         let mut pool = VhostPool::new(1, ShardPolicy::Mux);
         let mut bare = VhostWorker::new();
-        let (ptx, prx) = pool.register_pair(0, 0, 0);
+        let (ptx, prx) = pool.register_pair(0, 0);
         let btx = bare.register_handler();
         let brx = bare.register_handler();
         assert_eq!((ptx, prx), (btx, brx), "handler ids line up");
@@ -723,7 +713,7 @@ mod tests {
         // Passthrough with 4 pairs / 4 workers: pair k owns worker k.
         let mut pool = VhostPool::new(4, ShardPolicy::Passthrough);
         let pairs: Vec<(HandlerId, HandlerId)> =
-            (0..4).map(|p| pool.register_pair(0, p, p % 2)).collect();
+            (0..4).map(|p| pool.register_pair(p, p % 2)).collect();
         for (p, &(tx, rx)) in pairs.iter().enumerate() {
             assert_eq!(pool.worker_of(tx), p);
             assert_eq!(pool.worker_of(rx), p);
@@ -759,10 +749,10 @@ mod tests {
     /// to the per-worker sum across every transition that can change it.
     #[test]
     fn pool_pending_total_is_exact_across_transitions() {
-        let mut pool = VhostPool::new(2, ShardPolicy::Hash);
+        let mut pool = VhostPool::new(2, ShardPolicy::Affine);
         let mut hs = Vec::new();
         for p in 0..4 {
-            let (tx, rx) = pool.register_pair(7, p, p % 2);
+            let (tx, rx) = pool.register_pair(p, p % 2);
             hs.push(tx);
             hs.push(rx);
         }
