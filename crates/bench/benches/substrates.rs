@@ -11,7 +11,7 @@ fn event_queue(c: &mut Criterion) {
     use es2_sim::{EventQueue, SimDuration, SimTime};
     c.bench_function("sim/event_queue_push_pop_1k", |b| {
         b.iter(|| {
-            let mut q = EventQueue::with_capacity(1024);
+            let mut q = EventQueue::new();
             for i in 0..1000u64 {
                 // Pseudo-shuffled times exercise heap reordering.
                 let t = SimTime::ZERO + SimDuration::from_nanos((i * 7919) % 10_000);
@@ -128,7 +128,7 @@ fn hybrid(c: &mut Criterion) {
                 loop {
                     match h.poll_next(&mut vq) {
                         PollDecision::Process(_) => polled += 1,
-                        PollDecision::QuotaExhausted => break,
+                        PollDecision::QuotaExhausted | PollDecision::BudgetExhausted => break,
                         PollDecision::Drained => return black_box(polled),
                     }
                 }

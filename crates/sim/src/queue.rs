@@ -1,58 +1,69 @@
 //! The timed event queue.
 //!
-//! A hierarchical timer wheel: events within a configurable near-future
-//! *horizon* land in a dense ring of buckets (constant-time push, cheap
-//! bucket-local ordering on drain), while far-future timers (RTOs,
-//! delayed-ACK flushes) overflow into a small binary heap and migrate into
-//! the ring as the cursor reaches their bucket. The contract is identical
-//! to the original `BinaryHeap` implementation: events pop ordered by
-//! [`SimTime`], ties break in insertion order (a monotone sequence
-//! number), and debug builds refuse to schedule into the past.
+//! A binary min-heap of compact keys over a slab of event payloads. The
+//! contract: events pop ordered by [`SimTime`], ties break in insertion
+//! order (a monotone sequence number), and debug builds refuse to
+//! schedule into the past.
 //!
-//! Why a wheel: the simulation's hottest structure sees millions of
-//! push/pop pairs per run, almost all within a few microseconds of "now".
-//! A binary heap pays `O(log n)` comparisons on both ends; the wheel pays
-//! `O(1)` on push and an amortized small sort over one bucket's worth of
-//! events (events per ~1 µs of simulated time) on pop. Steady state is
-//! allocation-free: bucket `Vec`s and the drain list recycle their
-//! capacity.
+//! Why a plain heap: it fits the traffic the simulator produces. Counted
+//! on the three perfbench workloads, few events are pending at once — a
+//! mean of 21 on `sweep`, 310 on `dense` and 12 on the 4-host `cell`
+//! (maxima 166, 644 and 71) — and they sit ~1 per µs of simulated time.
+//! At those depths a heap sift is a handful of comparisons. The timer
+//! wheel this replaced cost more: 85–86 % of its pops found the drain
+//! bucket empty and refilled it (an occupancy-bitmap scan plus a heap
+//! rebuild, for ~1.1 events per refill), and its 4096-bucket ring kept
+//! ~1 MB per machine cycling through cache.
+//!
+//! Why compact keys: a sift moves entries, so the heap holds only a
+//! 24-byte `(at, seq, slot)` key and compares `(at, seq)` as one 128-bit
+//! integer. The payload stays in a slab slot until its key pops. Freed
+//! slots are reused through a free list, so the slab never outgrows the
+//! run's peak pending count and the steady state allocates nothing. A
+//! heap of inline 56-byte entries (payload included) ran `dense` 3–11 %
+//! slower end to end. [`EventQueue::peek_time`] is O(1); the multi-host
+//! merge peeks every host's queue on every step.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Default log2 of the bucket width in nanoseconds (2^10 ≈ 1.02 µs).
-const DEFAULT_BUCKET_SHIFT: u32 = 10;
-/// Default number of ring buckets (must be a power of two). With the
-/// default shift this gives a ~4.2 ms horizon: scheduler ticks and guest
-/// timers stay in the ring; only RTO-scale timers overflow.
-const DEFAULT_BUCKETS: usize = 4096;
-
-struct Entry<E> {
+/// Heap entry: when, the tie-breaking push number, and where the payload
+/// lives in the slab.
+struct Key {
     at: SimTime,
     seq: u64,
-    ev: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl Key {
+    /// `(at, seq)` as one integer, so each sift step is a single
+    /// comparison.
+    #[inline]
+    fn rank(&self) -> u128 {
+        (u128::from(self.at.as_nanos()) << 64) | u128::from(self.seq)
     }
 }
-impl<E> Eq for Entry<E> {}
 
-impl<E> PartialOrd for Entry<E> {
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.rank() == other.rank()
+    }
+}
+impl Eq for Key {}
+
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Entry<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first from the overflow heap.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        // BinaryHeap is a max-heap; invert so the earliest (time, seq)
+        // pops first.
+        other.rank().cmp(&self.rank())
     }
 }
 
@@ -60,28 +71,11 @@ impl<E> Ord for Entry<E> {
 ///
 /// Events scheduled for the same instant pop in the order they were pushed.
 pub struct EventQueue<E> {
-    /// Entries of the bucket currently being drained — a min-heap on
-    /// `(at, seq)` (via the inverted `Entry` ordering), so a push that
-    /// lands in the draining bucket costs O(log k) instead of an O(k)
-    /// sorted-Vec insert (k = events in one bucket, which can spike when
-    /// a burst schedules many sub-microsecond follow-ups).
-    current: BinaryHeap<Entry<E>>,
-    /// The near-future bucket ring; entries are unsorted within a bucket.
-    ring: Vec<Vec<Entry<E>>>,
-    /// Occupancy bitmap over ring slots (one bit per bucket) for fast
-    /// next-occupied-bucket scans.
-    occ: Vec<u64>,
-    /// Total entries across all ring buckets (excludes `current`).
-    ring_len: usize,
-    /// Absolute index (time >> shift) of the bucket `current` drains.
-    cursor: u64,
-    /// log2 of bucket width in nanoseconds.
-    shift: u32,
-    /// `ring.len() - 1` (ring length is a power of two).
-    mask: u64,
-    /// Far-future events, beyond the ring horizon at push time.
-    overflow: BinaryHeap<Entry<E>>,
-    len: usize,
+    heap: BinaryHeap<Key>,
+    /// Payloads by slot; `None` marks a free slot.
+    slab: Vec<Option<E>>,
+    /// Free slab slots, reused last-freed first.
+    free: Vec<u32>,
     seq: u64,
     last_popped: SimTime,
 }
@@ -93,62 +87,16 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue positioned at `SimTime::ZERO` with the default
-    /// horizon (~4.2 ms: 4096 buckets of ~1 µs).
+    /// An empty queue positioned at `SimTime::ZERO`. It grows to the
+    /// run's peak pending count and keeps that capacity.
     pub fn new() -> Self {
-        Self::with_horizon(DEFAULT_BUCKET_SHIFT, DEFAULT_BUCKETS)
-    }
-
-    /// An empty queue with an explicit horizon: `2^bucket_shift` ns per
-    /// bucket, `buckets` buckets (rounded up to a power of two). The
-    /// horizon — the span the dense ring covers — is
-    /// `buckets << bucket_shift` nanoseconds; events further out sit in
-    /// the overflow heap until the cursor approaches them.
-    pub fn with_horizon(bucket_shift: u32, buckets: usize) -> Self {
-        let buckets = buckets.next_power_of_two().max(64);
         EventQueue {
-            current: BinaryHeap::new(),
-            ring: (0..buckets).map(|_| Vec::new()).collect(),
-            occ: vec![0u64; buckets / 64],
-            ring_len: 0,
-            cursor: 0,
-            shift: bucket_shift,
-            mask: (buckets - 1) as u64,
-            overflow: BinaryHeap::new(),
-            len: 0,
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             seq: 0,
             last_popped: SimTime::ZERO,
         }
-    }
-
-    /// An empty queue pre-sized for roughly `cap` concurrently pending
-    /// events (reserves the drain list and overflow heap so a busy run
-    /// does not regrow them).
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut q = Self::new();
-        q.current.reserve(cap.min(1 << 16));
-        q.overflow.reserve((cap / 8).min(1 << 14));
-        q
-    }
-
-    #[inline]
-    fn bucket_of(&self, at: SimTime) -> u64 {
-        at.as_nanos() >> self.shift
-    }
-
-    #[inline]
-    fn slot(&self, bucket: u64) -> usize {
-        (bucket & self.mask) as usize
-    }
-
-    #[inline]
-    fn occ_set(&mut self, slot: usize) {
-        self.occ[slot >> 6] |= 1u64 << (slot & 63);
-    }
-
-    #[inline]
-    fn occ_clear(&mut self, slot: usize) {
-        self.occ[slot >> 6] &= !(1u64 << (slot & 63));
     }
 
     /// Schedule `ev` at absolute instant `at`.
@@ -162,147 +110,49 @@ impl<E> EventQueue<E> {
             "scheduling into the past: {at:?} < {:?}",
             self.last_popped
         );
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(ev);
+                slot
+            }
+            None => {
+                self.slab.push(Some(ev));
+                (self.slab.len() - 1) as u32
+            }
+        };
         let seq = self.seq;
         self.seq += 1;
-        self.len += 1;
-        let entry = Entry { at, seq, ev };
-        let b = self.bucket_of(at);
-        if b <= self.cursor {
-            // The event lands in the bucket being drained (common for
-            // sub-microsecond follow-ups).
-            self.current.push(entry);
-        } else if b - self.cursor <= self.mask {
-            let slot = self.slot(b);
-            self.ring[slot].push(entry);
-            self.occ_set(slot);
-            self.ring_len += 1;
-        } else {
-            self.overflow.push(entry);
-        }
-    }
-
-    /// Next occupied ring slot strictly after `cursor`, as an absolute
-    /// bucket index. Scans the occupancy bitmap word-at-a-time.
-    fn next_ring_bucket(&self) -> Option<u64> {
-        if self.ring_len == 0 {
-            return None;
-        }
-        // All ring entries live in absolute buckets (cursor, cursor+N],
-        // so scanning N slots starting after the cursor's slot visits
-        // each candidate exactly once.
-        let n = self.ring.len() as u64;
-        let start = self.cursor + 1;
-        let mut b = start;
-        while b < start + n {
-            let slot = self.slot(b);
-            let word = self.occ[slot >> 6] >> (slot & 63);
-            if word != 0 {
-                let hop = word.trailing_zeros() as u64;
-                // The bitmap word may wrap past the ring end relative to
-                // this absolute index; re-check bounds.
-                if slot as u64 + hop < 64 * ((slot as u64 >> 6) + 1) && b + hop < start + n {
-                    return Some(b + hop);
-                }
-                b += hop.max(1);
-            } else {
-                // Skip the rest of this 64-slot word.
-                b += 64 - (slot as u64 & 63);
-            }
-        }
-        unreachable!("ring_len > 0 but no occupied slot found");
-    }
-
-    /// Advance the cursor to absolute bucket `b`, collecting that bucket's
-    /// ring entries and any overflow entries that belong to it into the
-    /// drain heap.
-    fn refill_from(&mut self, b: u64) {
-        debug_assert!(self.current.is_empty(), "refill only on an empty drain heap");
-        self.cursor = b;
-        // Rebuild the heap from its own (empty) buffer so its capacity is
-        // retained across refills: move entries into the Vec, then
-        // heapify once — O(k), allocation-free at steady state.
-        let mut v = std::mem::take(&mut self.current).into_vec();
-        while let Some(top) = self.overflow.peek() {
-            if self.bucket_of(top.at) > b {
-                break;
-            }
-            v.push(self.overflow.pop().expect("peeked"));
-        }
-        let slot = self.slot(b);
-        if !self.ring[slot].is_empty() {
-            self.ring_len -= self.ring[slot].len();
-            // Take the bucket Vec's elements while keeping its capacity
-            // for reuse.
-            let mut bucket = std::mem::take(&mut self.ring[slot]);
-            v.append(&mut bucket);
-            self.ring[slot] = bucket;
-            self.occ_clear(slot);
-        }
-        self.current = BinaryHeap::from(v);
+        self.heap.push(Key { at, seq, slot });
     }
 
     /// Remove and return the earliest event.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            if let Some(e) = self.current.pop() {
-                self.last_popped = e.at;
-                self.len -= 1;
-                return Some((e.at, e.ev));
-            }
-            if self.len == 0 {
-                return None;
-            }
-            let next_ring = self.next_ring_bucket();
-            let next_over = self.overflow.peek().map(|e| self.bucket_of(e.at));
-            let b = match (next_ring, next_over) {
-                (Some(r), Some(o)) => r.min(o),
-                (Some(r), None) => r,
-                (None, Some(o)) => o,
-                (None, None) => unreachable!("len > 0 but no entries anywhere"),
-            };
-            self.refill_from(b);
-        }
+        let key = self.heap.pop()?;
+        let ev = self.slab[key.slot as usize]
+            .take()
+            .expect("a queued key owns its slab slot");
+        self.free.push(key.slot);
+        self.last_popped = key.at;
+        Some((key.at, ev))
     }
 
     /// The instant of the earliest pending event, if any.
-    ///
-    /// O(1) while the current bucket has entries; otherwise a bitmap scan
-    /// plus a linear pass over one bucket (diagnostic paths only — the
-    /// simulation loop drives on `pop`).
+    #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.current.peek() {
-            return Some(e.at);
-        }
-        if self.len == 0 {
-            return None;
-        }
-        let ring_min = self.next_ring_bucket().map(|b| {
-            self.ring[self.slot(b)]
-                .iter()
-                .map(|e| e.at)
-                .min()
-                .expect("occupied bucket")
-        });
-        let over_min = self.overflow.peek().map(|e| e.at);
-        match (ring_min, over_min) {
-            (Some(r), Some(o)) => Some(r.min(o)),
-            (Some(r), None) => Some(r),
-            (None, Some(o)) => Some(o),
-            (None, None) => unreachable!("len > 0 but no entries anywhere"),
-        }
+        self.heap.peek().map(|k| k.at)
     }
 
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True if no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// The instant of the most recently popped event (the queue's notion of
@@ -324,6 +174,7 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
 
     fn t(us: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_micros(us)
@@ -368,22 +219,22 @@ mod tests {
     }
 
     #[test]
-    fn peek_sees_overflow_and_ring() {
+    fn peek_sees_far_and_near_events() {
         let mut q = EventQueue::new();
-        // Far beyond the default ~4.2 ms horizon: overflow.
         q.push(t(100_000), "far");
         assert_eq!(q.peek_time(), Some(t(100_000)));
-        // Near event lands in the ring and becomes the new minimum.
+        // A nearer event pushed later becomes the new minimum.
         q.push(t(50), "near");
         assert_eq!(q.peek_time(), Some(t(50)));
         assert_eq!(q.pop().map(|(_, e)| e), Some("near"));
         assert_eq!(q.pop().map(|(_, e)| e), Some("far"));
         assert_eq!(q.pop(), None);
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn far_future_events_cross_the_horizon_in_order() {
-        // Events spread across many horizons interleaved with near ones.
+        // Far timers (RTO scale) interleaved with near follow-ups.
         let mut q = EventQueue::new();
         let times = [1u64, 5_000, 3, 80_000, 79_999, 2, 400_000, 5_001];
         for (i, &us) in times.iter().enumerate() {
@@ -398,13 +249,12 @@ mod tests {
     }
 
     #[test]
-    fn push_into_current_bucket_mid_drain_stays_ordered() {
+    fn push_mid_drain_stays_ordered() {
         let mut q = EventQueue::new();
-        // Two events in the same ~1 µs bucket.
         q.push(SimTime::from_nanos(100), "a");
         q.push(SimTime::from_nanos(900), "d");
         assert_eq!(q.pop().map(|(_, e)| e), Some("a"));
-        // Mid-drain pushes into the same bucket, between pending entries.
+        // Pushes after a pop land between pending entries.
         q.push(SimTime::from_nanos(500), "b");
         q.push(SimTime::from_nanos(700), "c");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
@@ -421,13 +271,14 @@ mod tests {
         q.push(t(5), ());
     }
 
-    /// Reference model: the original `BinaryHeap` implementation.
+    /// Reference model: a plain `BinaryHeap` of inline `(time, seq, event)`
+    /// entries. `seq` is unique, so the event itself is never compared.
     struct RefHeap<E> {
-        heap: BinaryHeap<Entry<E>>,
+        heap: BinaryHeap<Reverse<(SimTime, u64, E)>>,
         seq: u64,
     }
 
-    impl<E> RefHeap<E> {
+    impl<E: Ord> RefHeap<E> {
         fn new() -> Self {
             RefHeap {
                 heap: BinaryHeap::new(),
@@ -437,10 +288,10 @@ mod tests {
         fn push(&mut self, at: SimTime, ev: E) {
             let seq = self.seq;
             self.seq += 1;
-            self.heap.push(Entry { at, seq, ev });
+            self.heap.push(Reverse((at, seq, ev)));
         }
         fn pop(&mut self) -> Option<(SimTime, E)> {
-            self.heap.pop().map(|e| (e.at, e.ev))
+            self.heap.pop().map(|Reverse((at, _, ev))| (at, ev))
         }
     }
 
@@ -462,22 +313,21 @@ mod tests {
             prop_assert_eq!(got, expected);
         }
 
-        /// The wheel pops in exactly the order of the reference
+        /// The queue pops in exactly the order of the reference
         /// `BinaryHeap` model under arbitrary push/pop interleavings,
-        /// including pushes relative to the advancing "now" that land in
-        /// the current bucket, elsewhere in the ring, and in the overflow
-        /// heap (deltas up to 16 ms span the ~4.2 ms default horizon).
+        /// with pushes relative to the advancing "now" from
+        /// same-instant follow-ups out to 16 ms timers.
         #[test]
-        fn prop_wheel_matches_heap_model(
+        fn prop_matches_heap_model(
             ops in proptest::collection::vec((any::<bool>(), 0u64..16_000_000), 2..400)
         ) {
-            let mut wheel = EventQueue::new();
+            let mut q = EventQueue::new();
             let mut model = RefHeap::new();
             let mut now = SimTime::ZERO;
             let mut id = 0u64;
             for (is_pop, delta_ns) in ops {
                 if is_pop {
-                    let got = wheel.pop();
+                    let got = q.pop();
                     let want = model.pop();
                     match (got, want) {
                         (Some((gt, gv)), Some((wt, wv))) => {
@@ -490,14 +340,14 @@ mod tests {
                     }
                 } else {
                     let at = now + SimDuration::from_nanos(delta_ns);
-                    wheel.push(at, id);
+                    q.push(at, id);
                     model.push(at, id);
                     id += 1;
                 }
             }
             // Drain the rest; orders must agree to the end.
             loop {
-                let got = wheel.pop();
+                let got = q.pop();
                 let want = model.pop();
                 prop_assert_eq!(got.is_some(), want.is_some());
                 match (got, want) {
@@ -505,29 +355,42 @@ mod tests {
                     _ => break,
                 }
             }
-            prop_assert!(wheel.is_empty());
+            prop_assert!(q.is_empty());
         }
 
-        /// A tiny ring (64 buckets) forces constant overflow migration and
-        /// cursor wraps; ordering must still match the model.
+        /// Under arbitrary push/pop interleavings (pushes weighted 3:2 so
+        /// the depth wanders), `peek_time` always names the instant the
+        /// next `pop` returns, and freed slab slots are reused: the slab
+        /// never holds more slots than the peak pending count, and every
+        /// slot is either pending or on the free list.
         #[test]
-        fn prop_small_ring_matches_heap_model(
-            times in proptest::collection::vec(0u64..2_000_000, 1..200)
+        fn prop_peek_matches_next_pop_and_slab_stays_at_peak(
+            ops in proptest::collection::vec((0u8..5, 0u64..5_000), 1..400)
         ) {
-            let mut wheel = EventQueue::with_horizon(8, 64); // 256 ns * 64 = 16 us horizon
-            let mut model = RefHeap::new();
-            for (i, &ns) in times.iter().enumerate() {
-                wheel.push(SimTime::from_nanos(ns), i);
-                model.push(SimTime::from_nanos(ns), i);
-            }
-            loop {
-                let got = wheel.pop();
-                let want = model.pop();
-                prop_assert_eq!(&got, &want);
-                if got.is_none() {
-                    break;
+            let mut q = EventQueue::new();
+            let mut now = SimTime::ZERO;
+            let mut peak = 0usize;
+            for (op, delta_ns) in ops {
+                if op < 3 {
+                    q.push(now + SimDuration::from_nanos(delta_ns), ());
+                } else {
+                    let peeked = q.peek_time();
+                    let popped = q.pop().map(|(at, ())| at);
+                    prop_assert_eq!(peeked, popped);
+                    if let Some(at) = popped {
+                        now = at;
+                    }
                 }
+                peak = peak.max(q.len());
+                prop_assert!(q.slab.len() <= peak, "slab {} > peak {peak}", q.slab.len());
+                prop_assert_eq!(q.slab.len(), q.len() + q.free.len());
             }
+            while !q.is_empty() {
+                let peeked = q.peek_time();
+                prop_assert_eq!(peeked, q.pop().map(|(at, ())| at));
+            }
+            prop_assert_eq!(q.peek_time(), None);
+            prop_assert_eq!(q.free.len(), q.slab.len());
         }
     }
 }

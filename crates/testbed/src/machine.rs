@@ -807,7 +807,7 @@ impl Machine {
             topo,
             specs,
             now: SimTime::ZERO,
-            q: EventQueue::with_capacity(params.event_capacity_hint(topo.num_vms, topo.vcpus_per_vm)),
+            q: EventQueue::new(),
             rng,
             rng_tick,
             sched,

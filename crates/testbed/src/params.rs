@@ -411,20 +411,6 @@ impl Params {
         }
     }
 
-    /// Pending-event capacity hint for a machine's event queue, derived
-    /// from the sources of concurrently scheduled events: per-core tick
-    /// chains, per-vCPU guest timers, and in-flight ring/backlog entries
-    /// (each can carry a wire or completion event). Sizing the queue from
-    /// the topology instead of a fixed constant keeps micro runs lean and
-    /// avoids regrowth in wide multiplexed runs.
-    pub fn event_capacity_hint(&self, num_vms: u32, vcpus_per_vm: u32) -> usize {
-        let timers = (self.num_cores + num_vms * vcpus_per_vm) as usize;
-        let pairs = self.queues_per_vm.max(1) as usize;
-        let inflight =
-            2 * self.ring_size as usize * pairs * num_vms as usize + self.host_backlog;
-        (timers + inflight + 64).next_power_of_two()
-    }
-
     /// The resolved vhost worker count for this parameter set: the
     /// explicit `vhost_workers` if non-zero, else the `ES2_VHOST_WORKERS`
     /// environment default — always clamped to the pair count so every
@@ -503,14 +489,6 @@ mod tests {
         p.queues_per_vm = 8;
         p.vhost_workers = 3;
         assert_eq!(p.effective_vhost_workers(), 3);
-    }
-
-    #[test]
-    fn event_capacity_scales_with_queue_pairs() {
-        let mut p = Params::default();
-        let single = p.event_capacity_hint(64, 2);
-        p.queues_per_vm = 4;
-        assert!(p.event_capacity_hint(64, 2) > single);
     }
 
     #[test]

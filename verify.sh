@@ -12,6 +12,10 @@ cargo build --release
 cargo test -q
 cargo clippy -q --workspace -- -D warnings
 
+# Bench targets must compile: neither the build nor the tests above
+# touch crates/bench/benches, so a stale bench would otherwise rot unseen.
+cargo bench -q -p es2-bench --no-run
+
 # Rustdoc gate: the API docs must build clean (broken intra-doc links
 # and malformed doc comments are errors, not noise).
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
