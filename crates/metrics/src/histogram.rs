@@ -3,7 +3,10 @@
 //! An HDR-style histogram over `u64` values (we record nanoseconds): values
 //! are bucketed into a power-of-two *major* tier subdivided into a fixed
 //! number of linear *minor* buckets, giving a bounded relative error
-//! (~1/`SUBBUCKETS`) over the full 64-bit range with a few KiB of memory.
+//! (~1/`SUBBUCKETS`) over the full 64-bit range. Buckets grow to the
+//! highest value recorded: an empty histogram owns no bucket storage, and
+//! one of microsecond latencies under 10 ms holds at most ~300 counters,
+//! not the 1920 the full range would need.
 
 const SUBBUCKET_BITS: u32 = 5;
 const SUBBUCKETS: u64 = 1 << SUBBUCKET_BITS; // 32 per tier => <= ~3% relative error
@@ -11,6 +14,8 @@ const SUBBUCKETS: u64 = 1 << SUBBUCKET_BITS; // 32 per tier => <= ~3% relative e
 /// A log-linear histogram of `u64` samples.
 #[derive(Clone, Debug)]
 pub struct Histogram {
+    /// Counts per bucket, up to the highest bucket recorded so far; every
+    /// bucket past the end holds zero.
     buckets: Vec<u64>,
     count: u64,
     sum: u128,
@@ -47,16 +52,16 @@ fn bucket_high(index: usize) -> u64 {
     }
     let tier_off = index / SUBBUCKETS - 1;
     let sub = index % SUBBUCKETS;
-    ((SUBBUCKETS + sub + 1) << tier_off) - 1
+    // The top bucket's exclusive edge is 2^64, which shifts out to 0:
+    // wrapping back by one gives its inclusive bound, u64::MAX.
+    ((SUBBUCKETS + sub + 1) << tier_off).wrapping_sub(1)
 }
 
 impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
-        // 64-bit range: tiers 0..=58 above the linear region.
-        let nbuckets = bucket_index(u64::MAX) + 1;
         Histogram {
-            buckets: vec![0; nbuckets],
+            buckets: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -67,7 +72,11 @@ impl Histogram {
     /// Record one sample.
     #[inline]
     pub fn record(&mut self, value: u64) {
-        self.buckets[bucket_index(value)] += 1;
+        let i = bucket_index(value);
+        if i >= self.buckets.len() {
+            self.buckets.resize(i + 1, 0);
+        }
+        self.buckets[i] += 1;
         self.count += 1;
         self.sum += value as u128;
         self.min = self.min.min(value);
@@ -131,8 +140,12 @@ impl Histogram {
         self.quantile(0.99)
     }
 
-    /// Merge another histogram into this one.
+    /// Merge another histogram into this one (the buckets extend to the
+    /// longer of the two).
     pub fn merge(&mut self, other: &Histogram) {
+        if self.buckets.len() < other.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
@@ -146,7 +159,7 @@ impl Histogram {
 
     /// Reset all state.
     pub fn clear(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
+        self.buckets.clear();
         self.count = 0;
         self.sum = 0;
         self.min = u64::MAX;
@@ -251,6 +264,19 @@ mod tests {
     }
 
     #[test]
+    fn top_bucket_reports_its_samples() {
+        // The last bucket ends at u64::MAX; quantiles there stay capped at
+        // the recorded max instead of overflowing.
+        assert_eq!(bucket_high(bucket_index(u64::MAX)), u64::MAX);
+        let mut h = Histogram::new();
+        h.record(u64::MAX - 1);
+        h.record(u64::MAX);
+        assert_eq!(h.quantile(0.0), u64::MAX);
+        assert_eq!(h.quantile(1.0), u64::MAX);
+        assert_eq!(h.min(), u64::MAX - 1);
+    }
+
+    #[test]
     fn quantile_rank_edges_pick_first_and_last_sample() {
         let mut h = Histogram::new();
         h.record(1);
@@ -299,6 +325,40 @@ mod tests {
         }
     }
 
+    /// The storage layout before buckets grew on demand: every bucket of
+    /// the 64-bit range allocated up front.
+    fn presized() -> Histogram {
+        Histogram {
+            buckets: vec![0; bucket_index(u64::MAX) + 1],
+            ..Histogram::new()
+        }
+    }
+
+    /// Every observable of `lazy` equals that of the pre-sized `full`.
+    fn assert_same(lazy: &Histogram, full: &Histogram) {
+        assert_eq!(lazy.count(), full.count());
+        assert_eq!(lazy.sum, full.sum);
+        assert_eq!(lazy.min(), full.min());
+        assert_eq!(lazy.max(), full.max());
+        assert_eq!(lazy.mean().to_bits(), full.mean().to_bits());
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(lazy.quantile(q), full.quantile(q), "q={q}");
+        }
+        assert!(lazy.buckets.len() <= full.buckets.len());
+    }
+
+    /// Spread a raw draw across the whole range, with extra weight on
+    /// small values (short bucket vectors) and on values next to
+    /// `u64::MAX` (the last bucket).
+    fn spread((kind, raw): (u8, u64)) -> u64 {
+        match kind {
+            0 => raw % 64,
+            1 => raw % 1_000_000,
+            2 => u64::MAX - raw % 1_000,
+            _ => raw,
+        }
+    }
+
     proptest! {
         /// Every value's bucket upper bound is >= the value's bucket lower
         /// neighbour and the relative error of the representative is bounded.
@@ -316,6 +376,49 @@ mod tests {
         fn prop_bucket_index_monotone(a in any::<u64>(), b in any::<u64>()) {
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
             prop_assert!(bucket_index(lo) <= bucket_index(hi));
+        }
+
+        /// Buckets grown on demand answer exactly like buckets allocated
+        /// up front: after recording, after merging in either direction
+        /// between histograms of different lengths, and after clearing.
+        #[test]
+        fn prop_lazy_buckets_match_presized(
+            small in proptest::collection::vec(0u64..10_000, 0..40),
+            wide in proptest::collection::vec((0u8..4, any::<u64>()), 0..40),
+        ) {
+            let wide: Vec<u64> = wide.into_iter().map(spread).collect();
+            let (mut ls, mut fs) = (Histogram::new(), presized());
+            let (mut lw, mut fw) = (Histogram::new(), presized());
+            for &v in &small {
+                ls.record(v);
+                fs.record(v);
+            }
+            for &v in &wide {
+                lw.record(v);
+                fw.record(v);
+            }
+            assert_same(&ls, &fs);
+            assert_same(&lw, &fw);
+
+            let (mut l_sw, mut f_sw) = (ls.clone(), fs.clone());
+            l_sw.merge(&lw);
+            f_sw.merge(&fw);
+            assert_same(&l_sw, &f_sw);
+            let (mut l_ws, mut f_ws) = (lw.clone(), fw.clone());
+            l_ws.merge(&ls);
+            f_ws.merge(&fs);
+            assert_same(&l_ws, &f_ws);
+            assert_same(&l_ws, &f_sw);
+
+            l_sw.clear();
+            f_sw.clear();
+            assert_same(&l_sw, &f_sw);
+            assert_same(&l_sw, &Histogram::new());
+            for &v in &wide {
+                l_sw.record(v);
+                f_sw.record(v);
+            }
+            assert_same(&l_sw, &f_sw);
         }
 
         /// max/min/count survive arbitrary sequences.

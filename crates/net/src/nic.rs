@@ -29,6 +29,8 @@ pub fn rss_queue(flow: u32, pkt_id: u64, queues: u32) -> u32 {
 /// A bounded FIFO packet queue with drop accounting.
 #[derive(Clone, Debug)]
 pub struct NicQueue {
+    /// Queued packets. Storage grows with occupancy; `capacity` is the
+    /// drop bound, not a preallocation.
     q: VecDeque<Packet>,
     capacity: usize,
     enqueued: u64,
@@ -40,7 +42,7 @@ impl NicQueue {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         NicQueue {
-            q: VecDeque::with_capacity(capacity),
+            q: VecDeque::new(),
             capacity,
             enqueued: 0,
             dropped: 0,
@@ -139,6 +141,27 @@ mod tests {
         assert_eq!(q.dropped_total(), 1);
         assert_eq!(q.enqueued_total(), 2);
         assert!((q.drop_fraction() - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn push_past_capacity_drops_exactly_one() {
+        // Storage grows with occupancy; `capacity` alone is the bound.
+        let mut f = PacketFactory::new();
+        let capacity = 512;
+        let mut q = NicQueue::new(capacity);
+        for _ in 0..capacity {
+            assert!(q.push(pkt(&mut f)));
+        }
+        assert!(q.is_full());
+        let last = pkt(&mut f);
+        assert!(!q.push(last));
+        assert_eq!(q.len(), capacity);
+        assert_eq!(q.dropped_total(), 1);
+        assert_eq!(q.enqueued_total(), capacity as u64);
+        assert!(
+            q.peek().unwrap().id < last.id,
+            "the dropped packet is the new one"
+        );
     }
 
     #[test]

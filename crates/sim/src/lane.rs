@@ -172,6 +172,9 @@ impl<'a, L: LaneSim> Slot<'a, L> {
             msgs: Vec::new(),
         };
         self.sim.step(&mut outbox);
+        if outbox.msgs.is_empty() {
+            return;
+        }
         for (dest, at, msg) in outbox.msgs {
             let seq = self.sent;
             self.sent += 1;
@@ -217,8 +220,10 @@ pub fn run_lanes<L: LaneSim>(lanes: &mut [L]) {
         }
         let Some((t, c, i)) = best else { break };
         slots[i].step_once(i, (t, c), &mut routed);
-        for (dest, inbound) in routed.drain(..) {
-            slots[dest].staging.push(inbound);
+        if !routed.is_empty() {
+            for (dest, inbound) in routed.drain(..) {
+                slots[dest].staging.push(inbound);
+            }
         }
     }
 }

@@ -23,7 +23,9 @@ pub struct TraceRecord {
 
 /// A fixed-capacity ring buffer of [`TraceRecord`]s.
 pub struct Tracer {
+    /// Retained records; grows to `cap` as records arrive, then wraps.
     buf: Vec<TraceRecord>,
+    cap: usize,
     head: usize,
     len: usize,
     enabled: bool,
@@ -34,7 +36,8 @@ impl Tracer {
     /// A disabled tracer with the given capacity (rounded up to at least 1).
     pub fn new(capacity: usize) -> Self {
         Tracer {
-            buf: Vec::with_capacity(capacity.max(1)),
+            buf: Vec::new(),
+            cap: capacity.max(1),
             head: 0,
             len: 0,
             enabled: false,
@@ -60,13 +63,12 @@ impl Tracer {
         }
         self.recorded_total += 1;
         let rec = TraceRecord { at, tag, a, b };
-        let cap = self.buf.capacity();
-        if self.buf.len() < cap {
+        if self.buf.len() < self.cap {
             self.buf.push(rec);
             self.len = self.buf.len();
         } else {
             self.buf[self.head] = rec;
-            self.head = (self.head + 1) % cap;
+            self.head = (self.head + 1) % self.cap;
         }
     }
 

@@ -247,6 +247,9 @@ impl LaneSim for HostLane {
         if !self.m.step_one() {
             self.done = true;
         }
+        if !self.m.has_cross_out() {
+            return;
+        }
         for out in self.m.take_cross_out() {
             let (vm, at, msg) = match out {
                 CrossOut::GuestPkt { vm, at, pkt } => (vm, at, HostMsg::Pkt { vm, pkt }),

@@ -310,12 +310,15 @@ impl Machine {
         self.q.push(at, Ev::ChurnNote { vm, kind, arg });
     }
 
-    /// Drain the cross-host emissions staged since the last step.
+    /// Whether any cross-host emission is staged since the last step.
+    pub(crate) fn has_cross_out(&self) -> bool {
+        self.mig.as_ref().is_some_and(|m| !m.cross_out.is_empty())
+    }
+
+    /// Drain the cross-host emissions staged since the last step (a
+    /// cluster member only: check [`Self::has_cross_out`] first).
     pub(crate) fn take_cross_out(&mut self) -> Vec<CrossOut> {
-        match self.mig.as_mut() {
-            Some(m) if !m.cross_out.is_empty() => std::mem::take(&mut m.cross_out),
-            _ => Vec::new(),
-        }
+        std::mem::take(&mut self.mig_mut().cross_out)
     }
 
     /// Accept a peer-bound packet forwarded from the VM's current host.

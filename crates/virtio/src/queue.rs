@@ -130,6 +130,8 @@ pub struct Virtqueue<T> {
     /// name the exact queue).
     id: Option<QueueId>,
     /// Buffers exposed by the driver, not yet consumed by the device.
+    /// Both halves grow with occupancy; `num_free` bounds their sum at
+    /// `cfg.size`.
     avail: VecDeque<T>,
     /// Buffers completed by the device, not yet reclaimed by the driver.
     used: VecDeque<T>,
@@ -188,8 +190,8 @@ impl<T> Virtqueue<T> {
         Virtqueue {
             cfg,
             id: None,
-            avail: VecDeque::with_capacity(cfg.size as usize),
-            used: VecDeque::with_capacity(cfg.size as usize),
+            avail: VecDeque::new(),
+            used: VecDeque::new(),
             num_free: cfg.size,
             avail_idx: 0,
             used_idx: 0,
@@ -882,6 +884,59 @@ mod tests {
         for want in 0..5 {
             assert_eq!(q.driver_take_used(), Some(want));
         }
+    }
+
+    #[test]
+    fn full_size_ring_refuses_one_more_add() {
+        // Ring storage grows with occupancy, so the bound comes from the
+        // descriptor count alone: the (size + 1)th add is refused with its
+        // payload handed back, whether the in-flight entries sit on the
+        // avail side or the used side.
+        let size = VirtqueueConfig::default().size;
+        let mut q: Virtqueue<u32> = Virtqueue::new(VirtqueueConfig::default());
+        for i in 0..size as u32 {
+            q.driver_add(i).unwrap();
+        }
+        assert_eq!(q.avail_pending(), size as usize);
+        assert_eq!(q.driver_add(u32::MAX), Err(u32::MAX));
+        for _ in 0..size / 2 {
+            let p = q.device_pop().unwrap();
+            q.device_push_used(p);
+        }
+        assert_eq!(q.avail_pending() + q.used_pending(), size as usize);
+        assert_eq!(q.driver_add(u32::MAX), Err(u32::MAX));
+        assert_eq!(q.added_total(), size as u64);
+        q.driver_take_used().unwrap();
+        q.driver_add(size as u32).unwrap();
+        assert_eq!(q.driver_add(u32::MAX), Err(u32::MAX));
+    }
+
+    #[test]
+    fn fifo_order_survives_many_index_wraparounds() {
+        // Cycle a small ring through several wraps of the free-running
+        // u16 indices with uneven batches, so the storage's own head also
+        // wraps at every offset: both halves stay FIFO throughout.
+        let mut q = vq(true);
+        let (mut next_add, mut next_pop, mut next_take) = (0u32, 0u32, 0u32);
+        let mut batch = 1;
+        while next_take < 3 * 65_536 + 5 {
+            for _ in 0..q.num_free().min(batch) {
+                q.driver_add(next_add).unwrap();
+                next_add += 1;
+            }
+            for _ in 0..batch.div_ceil(2) {
+                let Some(p) = q.device_pop() else { break };
+                assert_eq!(p, next_pop);
+                next_pop += 1;
+                q.device_push_used(p);
+            }
+            while let Some(p) = q.driver_take_used() {
+                assert_eq!(p, next_take);
+                next_take += 1;
+            }
+            batch = batch % 8 + 1;
+        }
+        assert_eq!(q.num_free() as usize, 8 - q.avail_pending());
     }
 
     // ------------------------------------------------------------------

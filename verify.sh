@@ -144,6 +144,21 @@ fi
 # committed 2x-margined floor) stays a warning inside the gate.
 ./target/release/bench_gate
 
+# Benchmark model pin: a perf claim compares wall time on the same
+# simulated model, so the benchmark's digest of every simulated result
+# must keep its committed value at seed 1. A change that alters the model
+# the benchmark measures fails here instead of passing as a speed-up.
+# ES2_* variables are cleared, as perfbench/run.py does.
+cargo build --release --offline -q --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+for pin in "sweep 7293ff7c6422dac9" "dense 524da1bc611269a3" "cell e7455fdb3b68525b"; do
+    env -u ES2_THREADS -u ES2_VHOST_WORKERS -u ES2_TCP_WINDOW \
+        target/perfbench/release/perfbench --workload "${pin%% *}" --seed 1 --seconds 0.1 \
+        > /tmp/es2_perfbench.txt
+    grep -qx "sim_digest $pin" /tmp/es2_perfbench.txt
+    tail -n 1 /tmp/es2_perfbench.txt | grep -q '"correct":true'
+done
+rm -f /tmp/es2_perfbench.txt
+
 # Multi-queue determinism: the sharded-vhost sweep report must be
 # byte-identical serial (ES2_THREADS=1) vs the default thread count at
 # every ES2_VHOST_WORKERS setting — worker count and shard policy are
