@@ -3,14 +3,11 @@
 //!
 //! This bin promotes what used to be scattered `awk`/`sed` tripwires in
 //! `verify.sh` into one declarative table ([`CHECKS`]): each row names a
-//! file, a derived metric, a direction, a target, and an explicit slack.
-//! Everything checked here is **simulation-determined** (sim-time
-//! quantities committed at full-window settings), so violations are
-//! fatal — a regression in these numbers means the model changed, not
-//! that the CI box was busy. The one wall-clock-derived metric (the
-//! fresh fast-sweep events/sec floor) is declared `Severity::Warn` and
-//! is additionally skipped when the fresh run artifact is absent, so
-//! the gate can run standalone against a clean checkout.
+//! file, a derived metric, a direction and a bound. Everything checked
+//! here is **simulation-determined** (sim-time quantities committed at
+//! full-window settings), so every violation is fatal — a regression in
+//! these numbers means the model changed, not that the CI box was busy.
+//! Host-time performance is perfbench's business, not the gate's.
 //!
 //! Run from the repository root:
 //!
@@ -18,8 +15,8 @@
 //! cargo run --release -p es2-bench --bin bench_gate
 //! ```
 //!
-//! Exit status is non-zero iff a `Severity::Fatal` row fails (missing
-//! file, missing metric, or out-of-band value).
+//! Exit status is non-zero iff any row fails (missing file, missing
+//! metric, or out-of-band value).
 
 use std::fmt;
 use std::fs;
@@ -108,28 +105,6 @@ impl Json {
         let mut all = Vec::new();
         self.collect_nums(key, &mut all);
         all.into_iter().fold(None, |m, v| Some(m.map_or(v, |m: f64| m.min(v))))
-    }
-
-    /// Depth-first search for the first occurrence of `key` anywhere in
-    /// the document, returning its numeric value.
-    fn find_num(&self, key: &str) -> Option<f64> {
-        match self {
-            Json::Obj(fields) => {
-                for (k, v) in fields {
-                    if k == key {
-                        if let Some(n) = v.num() {
-                            return Some(n);
-                        }
-                    }
-                    if let Some(n) = v.find_num(key) {
-                        return Some(n);
-                    }
-                }
-                None
-            }
-            Json::Arr(items) => items.iter().find_map(|v| v.find_num(key)),
-            _ => None,
-        }
     }
 }
 
@@ -319,9 +294,9 @@ impl Files {
 
 #[derive(Clone, Copy, PartialEq)]
 enum Dir {
-    /// Metric must be `>= target - slack`.
+    /// Metric must be `>= target`.
     AtLeast,
-    /// Metric must be `<= target + slack`.
+    /// Metric must be `<= target`.
     AtMost,
 }
 
@@ -334,25 +309,13 @@ impl fmt::Display for Dir {
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Severity {
-    /// Sim-determined quantity: out-of-band fails the build.
-    Fatal,
-    /// Wall-clock-derived quantity: out-of-band (or a missing fresh
-    /// artifact) only warns.
-    Warn,
-}
-
 struct Check {
-    /// Primary artifact; a missing file fails/warns per severity.
+    /// Primary artifact; a missing file fails the row.
     file: &'static str,
     /// Human-readable metric name, unique within the table.
     metric: &'static str,
     dir: Dir,
     target: f64,
-    /// Tolerance applied in the permissive direction.
-    slack: f64,
-    severity: Severity,
     extract: fn(&Files) -> Option<f64>,
 }
 
@@ -400,15 +363,13 @@ fn attributed_chaos_breaches(doc: &Json) -> Option<f64> {
     Some(attributed)
 }
 
-/// The declarative gate: per-metric direction + slack in one table.
+/// The declarative gate: per-metric direction and bound in one table.
 const CHECKS: &[Check] = &[
     Check {
         file: "BENCH_mq.json",
         metric: "passthrough/mux rx p99 ratio @128 VMs",
         dir: Dir::AtMost,
         target: 1.0,
-        slack: 0.0,
-        severity: Severity::Fatal,
         extract: |f| {
             let doc = f.doc("BENCH_mq.json")?;
             let pt = mq_p99(&doc, "passthrough", &[])?;
@@ -421,8 +382,6 @@ const CHECKS: &[Check] = &[
         metric: "worst blackout p99 (us)",
         dir: Dir::AtMost,
         target: 400.0,
-        slack: 0.0,
-        severity: Severity::Fatal,
         extract: |f| f.doc("BENCH_migrate.json")?.max_num("blackout_p99_us"),
     },
     Check {
@@ -430,8 +389,6 @@ const CHECKS: &[Check] = &[
         metric: "worst blackout p99 > 0 (migrations ran)",
         dir: Dir::AtLeast,
         target: 1.0,
-        slack: 0.0,
-        severity: Severity::Fatal,
         extract: |f| f.doc("BENCH_migrate.json")?.max_num("blackout_p99_us"),
     },
     Check {
@@ -439,8 +396,6 @@ const CHECKS: &[Check] = &[
         metric: "quarantine/reset damage leaked to neighbors",
         dir: Dir::AtMost,
         target: 0.0,
-        slack: 0.0,
-        severity: Severity::Fatal,
         extract: |f| hostile_leakage(&f.doc("BENCH_hostile.json")?),
     },
     Check {
@@ -448,8 +403,6 @@ const CHECKS: &[Check] = &[
         metric: "chaos SLO breaches attributed to a fault",
         dir: Dir::AtLeast,
         target: 1.0,
-        slack: 0.0,
-        severity: Severity::Fatal,
         extract: |f| attributed_chaos_breaches(&f.doc("BENCH_telemetry.json")?),
     },
     Check {
@@ -461,8 +414,6 @@ const CHECKS: &[Check] = &[
         metric: "orphaned resources after churn fault diet",
         dir: Dir::AtMost,
         target: 0.0,
-        slack: 0.0,
-        severity: Severity::Fatal,
         extract: |f| f.doc("BENCH_churn.json")?.max_num("orphans"),
     },
     Check {
@@ -470,8 +421,6 @@ const CHECKS: &[Check] = &[
         metric: "typed control-plane errors during churn",
         dir: Dir::AtMost,
         target: 0.0,
-        slack: 0.0,
-        severity: Severity::Fatal,
         extract: |f| f.doc("BENCH_churn.json")?.max_num("ctl_errors"),
     },
     Check {
@@ -482,8 +431,6 @@ const CHECKS: &[Check] = &[
         metric: "worst churn retry-success ratio",
         dir: Dir::AtLeast,
         target: 0.4,
-        slack: 0.0,
-        severity: Severity::Fatal,
         extract: |f| f.doc("BENCH_churn.json")?.min_num("retry_success_ratio"),
     },
     Check {
@@ -493,29 +440,7 @@ const CHECKS: &[Check] = &[
         metric: "worst churn boot p99 (us)",
         dir: Dir::AtMost,
         target: 25_000.0,
-        slack: 0.0,
-        severity: Severity::Fatal,
         extract: |f| f.doc("BENCH_churn.json")?.max_num("boot_p99_us"),
-    },
-    Check {
-        // Wall-clock tripwire: the fresh fast-mode sweep (written by
-        // `repro --scale --fast` earlier in verify.sh) against the
-        // committed 2x-margined floor. Loaded-box noise is expected,
-        // hence Warn; skipped when the fresh artifact is absent.
-        file: "target/BENCH_scale_fast.json",
-        metric: "fresh scale events/sec vs committed floor",
-        dir: Dir::AtLeast,
-        target: 1.0,
-        slack: 0.0,
-        severity: Severity::Warn,
-        extract: |f| {
-            let fresh = f
-                .doc("target/BENCH_scale_fast.json")?
-                .get("totals")?
-                .field_num("events_per_sec")?;
-            let floor = f.doc("BENCH_scale.json")?.find_num("fast_floor_events_per_sec")?;
-            (floor > 0.0).then_some(fresh / floor)
-        },
     },
 ];
 
@@ -524,35 +449,22 @@ fn main() {
     let mut fatal = 0u32;
     println!("bench gate: {} checks over committed BENCH_*.json", CHECKS.len());
     for c in CHECKS {
-        let bound = match c.dir {
-            Dir::AtLeast => c.target - c.slack,
-            Dir::AtMost => c.target + c.slack,
-        };
         match (c.extract)(&files) {
             Some(v) => {
                 let ok = match c.dir {
-                    Dir::AtLeast => v >= bound,
-                    Dir::AtMost => v <= bound,
+                    Dir::AtLeast => v >= c.target,
+                    Dir::AtMost => v <= c.target,
                 };
-                let verdict = match (ok, c.severity) {
-                    (true, _) => "PASS",
-                    (false, Severity::Fatal) => {
-                        fatal += 1;
-                        "FAIL"
-                    }
-                    (false, Severity::Warn) => "WARN",
-                };
+                if !ok {
+                    fatal += 1;
+                }
                 println!(
                     "  [{verdict}] {file}: {metric} = {v:.6} (want {dir} {bound})",
+                    verdict = if ok { "PASS" } else { "FAIL" },
                     file = c.file,
                     metric = c.metric,
                     dir = c.dir,
-                );
-            }
-            None if c.severity == Severity::Warn => {
-                println!(
-                    "  [SKIP] {}: {} (artifact absent — run the fast sweeps first)",
-                    c.file, c.metric
+                    bound = c.target,
                 );
             }
             None => {
@@ -581,14 +493,6 @@ mod tests {
         assert!(arr[2].get("b").unwrap().str_is("x"));
         assert!(matches!(arr[2].get("c"), Some(Json::Null)));
         assert!(matches!(arr[2].get("d"), Some(Json::Bool(true))));
-    }
-
-    #[test]
-    fn find_num_descends_depth_first() {
-        let doc = parse(r#"{"outer": {"cells": [{"x": 1}, {"fast_floor_events_per_sec": 7.5}]}}"#)
-            .unwrap();
-        assert_eq!(doc.find_num("fast_floor_events_per_sec"), Some(7.5));
-        assert_eq!(doc.find_num("absent"), None);
     }
 
     #[test]

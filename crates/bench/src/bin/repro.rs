@@ -1,9 +1,9 @@
 //! Regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro [table1] [fig4] [fig5] [fig6] [fig7] [fig8] [fig9] [chaos] [all] [--fast] [--traced] [--telemetered]
-//! repro --perf [--fast]
+//! repro [table1] [fig4] [fig5] [fig6] [fig7] [fig8] [fig9] [sriov] [ablations] [chaos] [all] [--fast] [--traced] [--telemetered]
 //! repro --trace [--fast]
+//! repro --scale [--fast]
 //! repro --hostile [--fast]
 //! repro --migrate [--fast]
 //! repro --churn [--fast]
@@ -36,12 +36,9 @@
 //! `--traced`: telemetry hooks on for the regular figure runs, output
 //! byte-identical (cmp-gated in `verify.sh`).
 //!
-//! `--perf` runs the perf baseline instead: each figure sweep is timed
-//! serial vs parallel and the results land in `BENCH_sweeps.json`
-//! (wall-clock per figure, simulated events/sec, speedup), then each is
-//! re-run clean vs chaos-faulted into `BENCH_faults.json` (fault-layer
-//! overhead + injected-fault counts). Thread count comes from
-//! `ES2_THREADS` (default: all cores).
+//! `--scale` runs the many-VM consolidation sweep: one httperf tenant
+//! among HLT-idle neighbours at growing VM counts. JSON lands in
+//! `BENCH_scale.json` (`target/BENCH_scale_fast.json` with `--fast`).
 //!
 //! `--migrate` runs the multi-host consolidation sweep: a cell of hosts
 //! admits a TCP fleet, live-migrates more and more of it onto host 0,
@@ -78,6 +75,14 @@
 //! paper's workload shapes. The output contains only deterministic
 //! quantities, so `ES2_THREADS=1 repro chaos` and `repro chaos` must be
 //! byte-identical — `verify.sh` diffs exactly that.
+//!
+//! Every report prints only deterministic quantities to stdout, which
+//! `verify.sh` diffs between `ES2_THREADS=1` and the default thread
+//! count. A `--fast` run writes its JSON under `target/` so it never
+//! clobbers the committed full-window `BENCH_*.json`.
+//!
+//! An argument that is none of the above exits with status 2 before
+//! anything runs.
 
 use es2_bench::*;
 use es2_sim::SimDuration;
@@ -90,215 +95,104 @@ fn dump_ev_profile() {
     eprintln!("{}", es2_metrics::ev_profile::render(es2_testbed::EV_KIND_NAMES));
 }
 
+/// A report subcommand: runs at `(params, seed, fast)` and returns its
+/// deterministic stdout report, its JSON and an optional Chrome trace.
+type Report = fn(Params, u64, bool) -> (String, String, Option<String>);
+
+/// The report subcommands: flag, stem of the `BENCH_<stem>.json` they
+/// write, and the report they run. The first flag present wins.
+const REPORTS: &[(&str, &str, Report)] = &[
+    ("--trace", "trace", |p, seed, fast| {
+        let out = trace::trace_report(p, seed, fast);
+        (out.report, out.json, Some(out.chrome))
+    }),
+    ("--scale", "scale", |p, seed, fast| {
+        let (report, json) = scale::scale_report(p, seed, fast);
+        (report, json, None)
+    }),
+    ("--migrate", "migrate", |p, seed, fast| {
+        let (report, json) = migrate::migrate_report(p, seed, fast);
+        (report, json, None)
+    }),
+    ("--churn", "churn", |p, seed, fast| {
+        let (report, json) = churn::churn_report(p, seed, fast);
+        (report, json, None)
+    }),
+    ("--telemetry", "telemetry", |p, seed, fast| {
+        let (report, json, chrome) = telemetry::telemetry_report(p, seed, fast);
+        (report, json, Some(chrome))
+    }),
+    ("--mq", "mq", |p, seed, fast| {
+        let (report, json) = mq::mq_report(p, seed, fast);
+        (report, json, None)
+    }),
+    ("--hostile", "hostile", |p, seed, fast| {
+        let (report, json) = hostile::hostile_report(p, seed, fast);
+        (report, json, None)
+    }),
+];
+
+/// The figure experiments, in the order `all` runs them.
+const EXPERIMENTS: &[&str] = &[
+    "table1",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "sriov",
+    "ablations",
+    "chaos",
+];
+
+/// Flags that modify a run rather than select one.
+const MODIFIERS: &[&str] = &["--fast", "--traced", "--telemetered"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    for a in &args {
+        let known = a == "all"
+            || EXPERIMENTS.contains(&a.as_str())
+            || MODIFIERS.contains(&a.as_str())
+            || REPORTS.iter().any(|(flag, _, _)| flag == a);
+        if !known {
+            let reports: Vec<&str> = REPORTS.iter().map(|(flag, _, _)| *flag).collect();
+            eprintln!("repro: unknown argument: {a}");
+            eprintln!("  experiments: {} all", EXPERIMENTS.join(" "));
+            eprintln!("  reports:     {}", reports.join(" "));
+            eprintln!("  modifiers:   {}", MODIFIERS.join(" "));
+            std::process::exit(2);
+        }
+    }
     let fast = args.iter().any(|a| a == "--fast");
+    let traced = args.iter().any(|a| a == "--traced");
 
-    if args.iter().any(|a| a == "--perf") {
-        let mut params = Params::default();
-        if fast {
-            params.warmup = SimDuration::from_millis(50);
-            params.measure = SimDuration::from_millis(200);
-        } else {
-            params.measure = SimDuration::from_millis(500);
-        }
-        let json = perf::perf_baseline_json(params, SEED, fast);
-        print!("{json}");
-        match std::fs::write("BENCH_sweeps.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_sweeps.json"),
-            Err(e) => eprintln!("could not write BENCH_sweeps.json: {e}"),
-        }
-        let json = perf::faults_baseline_json(params, SEED, fast);
-        print!("{json}");
-        match std::fs::write("BENCH_faults.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_faults.json"),
-            Err(e) => eprintln!("could not write BENCH_faults.json: {e}"),
-        }
-        dump_ev_profile();
-        return;
-    }
-
-    if args.iter().any(|a| a == "--trace") {
-        let mut params = Params::default();
-        if fast {
-            params.warmup = SimDuration::from_millis(50);
-            params.measure = SimDuration::from_millis(200);
-        }
-        let out = trace::trace_report(params, SEED, fast);
-        // Stdout carries only deterministic quantities: verify.sh diffs
-        // it (and the JSON) between ES2_THREADS=1 and the default.
-        print!("{}", out.report);
-        let path = if fast {
-            "target/BENCH_trace_fast.json"
-        } else {
-            "BENCH_trace.json"
+    if let Some((_, stem, run)) = REPORTS
+        .iter()
+        .find(|(flag, _, _)| args.iter().any(|a| a == flag))
+    {
+        let mut params = Params {
+            trace: traced,
+            ..Params::default()
         };
-        for (p, content) in [(path, &out.json), ("target/BENCH_trace_chrome.json", &out.chrome)] {
-            match std::fs::write(p, content) {
+        if fast {
+            params.warmup = SimDuration::from_millis(50);
+            params.measure = SimDuration::from_millis(200);
+        }
+        let (report, json, chrome) = run(params, SEED, fast);
+        print!("{report}");
+        let path = if fast {
+            format!("target/BENCH_{stem}_fast.json")
+        } else {
+            format!("BENCH_{stem}.json")
+        };
+        let chrome = chrome.map(|c| (format!("target/BENCH_{stem}_chrome.json"), c));
+        for (p, content) in std::iter::once((path, json)).chain(chrome) {
+            match std::fs::write(&p, content) {
                 Ok(()) => eprintln!("wrote {p}"),
                 Err(e) => eprintln!("could not write {p}: {e}"),
             }
-        }
-        dump_ev_profile();
-        return;
-    }
-
-    if args.iter().any(|a| a == "--scale") {
-        let mut params = Params {
-            trace: args.iter().any(|a| a == "--traced"),
-            ..Params::default()
-        };
-        if fast {
-            params.warmup = SimDuration::from_millis(50);
-            params.measure = SimDuration::from_millis(200);
-        }
-        let (report, json) = perf::scale_report(params, SEED, fast);
-        // Only the deterministic report goes to stdout: verify.sh diffs
-        // it between ES2_THREADS=1 and the default thread count. The
-        // JSON carries wall-clock numbers; a fast run must not clobber
-        // the committed full-window BENCH_scale.json.
-        print!("{report}");
-        let path = if fast {
-            "target/BENCH_scale_fast.json"
-        } else {
-            "BENCH_scale.json"
-        };
-        match std::fs::write(path, &json) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-        dump_ev_profile();
-        return;
-    }
-
-    if args.iter().any(|a| a == "--migrate") {
-        let mut params = Params {
-            trace: args.iter().any(|a| a == "--traced"),
-            ..Params::default()
-        };
-        if fast {
-            params.warmup = SimDuration::from_millis(50);
-            params.measure = SimDuration::from_millis(200);
-        }
-        let (report, json) = migrate::migrate_report(params, SEED, fast);
-        // Only the deterministic report goes to stdout: verify.sh diffs
-        // it between ES2_THREADS=1 and the default thread count. A fast
-        // run must not clobber the committed full-window
-        // BENCH_migrate.json.
-        print!("{report}");
-        let path = if fast {
-            "target/BENCH_migrate_fast.json"
-        } else {
-            "BENCH_migrate.json"
-        };
-        match std::fs::write(path, &json) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-        dump_ev_profile();
-        return;
-    }
-
-    if args.iter().any(|a| a == "--churn") {
-        let mut params = Params {
-            trace: args.iter().any(|a| a == "--traced"),
-            ..Params::default()
-        };
-        if fast {
-            params.warmup = SimDuration::from_millis(50);
-            params.measure = SimDuration::from_millis(200);
-        }
-        let (report, json) = churn::churn_report(params, SEED, fast);
-        // Only the deterministic report goes to stdout: verify.sh diffs
-        // it between ES2_THREADS=1 and the default thread count. A fast
-        // run must not clobber the committed full-window
-        // BENCH_churn.json.
-        print!("{report}");
-        let path = if fast {
-            "target/BENCH_churn_fast.json"
-        } else {
-            "BENCH_churn.json"
-        };
-        match std::fs::write(path, &json) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-        dump_ev_profile();
-        return;
-    }
-
-    if args.iter().any(|a| a == "--telemetry") {
-        let mut params = Params::default();
-        if fast {
-            params.warmup = SimDuration::from_millis(50);
-            params.measure = SimDuration::from_millis(200);
-        }
-        let (report, json, chrome) = telemetry::telemetry_report(params, SEED, fast);
-        // Only the deterministic report goes to stdout: verify.sh diffs
-        // it between ES2_THREADS=1 and the default thread count. A fast
-        // run must not clobber the committed full-window
-        // BENCH_telemetry.json.
-        print!("{report}");
-        let path = if fast {
-            "target/BENCH_telemetry_fast.json"
-        } else {
-            "BENCH_telemetry.json"
-        };
-        for (p, content) in [(path, &json), ("target/BENCH_telemetry_chrome.json", &chrome)] {
-            match std::fs::write(p, content) {
-                Ok(()) => eprintln!("wrote {p}"),
-                Err(e) => eprintln!("could not write {p}: {e}"),
-            }
-        }
-        dump_ev_profile();
-        return;
-    }
-
-    if args.iter().any(|a| a == "--mq") {
-        let mut params = Params::default();
-        if fast {
-            params.warmup = SimDuration::from_millis(50);
-            params.measure = SimDuration::from_millis(200);
-        }
-        let (report, json) = mq::mq_report(params, SEED, fast);
-        // Only the deterministic report goes to stdout: verify.sh diffs
-        // it between ES2_THREADS=1 and the default thread count (and
-        // across ES2_VHOST_WORKERS). A fast run must not
-        // clobber the committed full-window BENCH_mq.json.
-        print!("{report}");
-        let path = if fast {
-            "target/BENCH_mq_fast.json"
-        } else {
-            "BENCH_mq.json"
-        };
-        match std::fs::write(path, &json) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-        dump_ev_profile();
-        return;
-    }
-
-    if args.iter().any(|a| a == "--hostile") {
-        let mut params = Params::default();
-        if fast {
-            params.warmup = SimDuration::from_millis(50);
-            params.measure = SimDuration::from_millis(200);
-        }
-        let (report, json) = hostile::hostile_report(params, SEED, fast);
-        // Only the deterministic report goes to stdout: verify.sh diffs
-        // it between ES2_THREADS=1 and the default thread count. A fast
-        // run must not clobber the committed full-window
-        // BENCH_hostile.json.
-        print!("{report}");
-        let path = if fast {
-            "target/BENCH_hostile_fast.json"
-        } else {
-            "BENCH_hostile.json"
-        };
-        match std::fs::write(path, &json) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
         }
         dump_ev_profile();
         return;
@@ -310,25 +204,14 @@ fn main() {
         .map(|s| s.as_str())
         .collect();
     if what.is_empty() || what.contains(&"all") {
-        what = vec![
-            "table1",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "sriov",
-            "ablations",
-            "chaos",
-        ];
+        what = EXPERIMENTS.to_vec();
     }
 
     // --traced: flight recorder on, output unchanged — the figures must
     // be byte-identical to an untraced run (verify.sh checks).
     // --telemetered: same contract for the windowed telemetry recorder.
     let mut params = Params {
-        trace: args.iter().any(|a| a == "--traced"),
+        trace: traced,
         telemetry: args.iter().any(|a| a == "--telemetered"),
         ..Params::default()
     };
@@ -390,7 +273,7 @@ fn main() {
                 };
                 println!("{}", render_ablations(p, SEED));
             }
-            other => eprintln!("unknown experiment: {other}"),
+            other => unreachable!("unvalidated experiment {other}"),
         }
     }
 }

@@ -25,7 +25,7 @@ use es2_testbed::{
 };
 use es2_workloads::NetperfSpec;
 
-use crate::perf::json_f;
+use crate::json_f;
 
 const HOSTS: u32 = 4;
 const CAP_VMS_PER_HOST: u32 = 3;

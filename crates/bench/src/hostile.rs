@@ -20,7 +20,7 @@ use es2_testbed::experiments::{self};
 use es2_testbed::{BackpressureParams, Machine, Params, RunResult, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
 
-use crate::perf::json_f;
+use crate::json_f;
 
 /// The VM index that misbehaves (VM 0 is the measured victim).
 const HOSTILE_VM: u32 = 1;

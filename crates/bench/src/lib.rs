@@ -10,7 +10,7 @@ pub mod churn;
 pub mod hostile;
 pub mod migrate;
 pub mod mq;
-pub mod perf;
+pub mod scale;
 pub mod telemetry;
 pub mod trace;
 
@@ -22,6 +22,16 @@ use es2_testbed::{Params, RunResult};
 
 /// Default seed used by the repro harness.
 pub const SEED: u64 = 20170814; // ICPP'17 conference date
+
+/// A float as a JSON number with six decimals, or `null` when it is not
+/// finite (the reports' JSON is hand-written; there is no serde here).
+pub(crate) fn json_f(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x:.6}")
+    } else {
+        "null".to_string()
+    }
+}
 
 fn exit_cells(r: &RunResult) -> [String; 5] {
     let other = r.rate(ExitReason::EptViolation)

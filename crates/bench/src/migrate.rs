@@ -19,7 +19,7 @@ use es2_sim::{FaultPlan, SimDuration, SimTime};
 use es2_testbed::{Cluster, ClusterResult, ClusterSpec, Params, PlannedMove, WorkloadSpec};
 use es2_workloads::NetperfSpec;
 
-use crate::perf::json_f;
+use crate::json_f;
 
 const HOSTS: u32 = 4;
 const CAP_VMS_PER_HOST: u32 = 2;

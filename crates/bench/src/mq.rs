@@ -28,7 +28,7 @@ use es2_sim::FaultPlan;
 use es2_testbed::{Machine, Params, RunResult, ShardPolicy, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
 
-use crate::perf::json_f;
+use crate::json_f;
 
 /// vCPUs per VM in the sweep — matches the consolidation sweep's
 /// two-vCPU tenants, so `q2` is exactly one TX/RX pair per vCPU.

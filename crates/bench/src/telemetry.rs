@@ -29,7 +29,7 @@ use es2_testbed::{
 };
 use es2_workloads::NetperfSpec;
 
-use crate::perf::json_f;
+use crate::json_f;
 
 /// Attribution horizon: a breach blames the latest annotation at most
 /// this far before its onset.

@@ -17,7 +17,7 @@ use es2_testbed::experiments::{run_specs, RunSpec};
 use es2_testbed::{Params, RunResult, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
 
-use crate::perf::json_f;
+use crate::json_f;
 
 /// Event-log capacity for the Chrome-trace export run (bounded so the
 /// export stays viewer-sized regardless of window length).

@@ -14,8 +14,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Upper bound on distinct event kinds (the testbed currently has ~20;
-/// headroom avoids a cross-crate const dependency).
+/// Upper bound on distinct event kinds. The testbed has exactly 32 and
+/// checks its kind table against this bound at compile time.
 pub const MAX_KINDS: usize = 32;
 
 static COUNTS: [AtomicU64; MAX_KINDS] = [const { AtomicU64::new(0) }; MAX_KINDS];

@@ -434,7 +434,7 @@ pub(crate) enum Ev {
 }
 
 /// Display names for `Ev` kinds, indexed by `Ev::kind_idx`. Public
-/// so the perf harness can label the `ev-profile` dispatch profile.
+/// so `repro` and perfbench can label the `ev-profile` dispatch profile.
 pub const EV_KIND_NAMES: &[&str] = &[
     "Tick",
     "SegDone",
@@ -469,6 +469,10 @@ pub const EV_KIND_NAMES: &[&str] = &[
     "BootTimeout",
     "ChurnNote",
 ];
+
+// A kind past the profiler's table would land in its overflow bucket
+// unattributed: grow `MAX_KINDS` with the enum.
+const _: () = assert!(EV_KIND_NAMES.len() <= es2_metrics::ev_profile::MAX_KINDS);
 
 impl Ev {
     /// Dense kind index into [`EV_KIND_NAMES`] (profiling).

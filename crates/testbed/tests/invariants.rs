@@ -51,6 +51,9 @@ fn tig_is_a_percentage_everywhere() {
             spec,
             r.tig_percent
         );
+        // `run_one` carries the inert fault plan: hooks compiled in,
+        // nothing injected.
+        assert_eq!(r.fault_stats.total(), 0, "{} {:?}", cfg.label(), spec);
     }
 }
 

@@ -29,14 +29,17 @@ cmp /tmp/es2_chaos_serial.txt /tmp/es2_chaos_default.txt
 grep -q "liveness: PASS" /tmp/es2_chaos_serial.txt
 rm -f /tmp/es2_chaos_serial.txt /tmp/es2_chaos_default.txt
 
-# Scale-sweep determinism: the consolidation report (simulation-determined
-# quantities only) must also be byte-identical serial vs default threads,
-# with lazy-timer elision leaving the liveness invariants green.
+# Scale-sweep determinism: the consolidation report and its JSON
+# (simulation-determined quantities only) must also be byte-identical
+# serial vs default threads, with lazy-timer elision leaving the liveness
+# invariants green.
 ES2_THREADS=1 ./target/release/repro --scale --fast > /tmp/es2_scale_serial.txt
+cp target/BENCH_scale_fast.json /tmp/es2_scale_serial.json
 ./target/release/repro --scale --fast > /tmp/es2_scale_default.txt
 cmp /tmp/es2_scale_serial.txt /tmp/es2_scale_default.txt
+cmp /tmp/es2_scale_serial.json target/BENCH_scale_fast.json
 grep -q "PASS (0 violations)" /tmp/es2_scale_serial.txt
-rm -f /tmp/es2_scale_serial.txt /tmp/es2_scale_default.txt
+rm -f /tmp/es2_scale_serial.txt /tmp/es2_scale_default.txt /tmp/es2_scale_serial.json
 
 # Flight-recorder determinism: the --trace stage-latency report (and its
 # JSON) is built from sim-time quantities only, so it must be
@@ -136,12 +139,9 @@ if sed -n '1,/#\[cfg(test)\]/p' crates/virtio/src/vhost.rs | grep -n 'unwrap()';
     exit 1
 fi
 
-# Bench regression gate: structured tolerance bands over the committed
-# BENCH_*.json artifacts (ci/bench_gate.rs). Everything sim-determined
-# is fatal here — this replaces the former non-fatal awk tripwires for
-# migration blackout and the mq passthrough/mux ratio.
-# The one wall-clock metric (fresh fast-sweep events/sec vs the
-# committed 2x-margined floor) stays a warning inside the gate.
+# Bench regression gate: bounds over the committed BENCH_*.json
+# artifacts (ci/bench_gate.rs). Every row is sim-determined and fatal;
+# host-time performance is measured by perfbench, pinned below.
 ./target/release/bench_gate
 
 # Benchmark model pin: a perf claim compares wall time on the same
