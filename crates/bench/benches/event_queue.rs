@@ -1,25 +1,30 @@
 //! Event-queue micro-benchmarks at the simulator's measured traffic.
 //!
-//! `EventQueue` (a heap of 24-byte keys over a payload slab) against a
-//! `BinaryHeap` of inline entries carrying the same 40-byte payload — the
-//! layout that moves whole events through every sift. Deltas are uniform
-//! over `[0, 2·depth)` µs, so a queue holding `depth` events holds ~1
-//! event per µs of simulated time, as the machine loop's queue does.
+//! `EventQueue` (an 8-key sorted front ahead of a heap of packed `u128`
+//! keys over a payload slab) against `KeyHeap`, the plain heap of the
+//! same keys it replaced. Each push lands 1–16 µs after `now` with the
+//! workload's near share and 0.25–4 ms after it otherwise (timer
+//! re-arms), the mix recorded on perfbench's workloads:
 //!
-//! * **churn** — prefill to `depth`, then one pop + one push per
-//!   iteration (the machine loop's pattern), at depths 12, 21 and 310:
-//!   the mean pending depths measured on perfbench's `cell`, `sweep` and
-//!   `dense` workloads;
-//! * **merge4** — four queues at depth 12; each step peeks all four, pops
-//!   the earliest and pushes a follow-up into the same queue (the
-//!   pattern of `es2_sim::lane::run_lanes` on the 4-host cell).
+//! | traffic | mean depth | near share |
+//! |---------|-----------:|-----------:|
+//! | `cell`  | 12         | 95 %       |
+//! | `sweep` | 21         | 87 %       |
+//! | `dense` | 310        | 60 %       |
+//!
+//! * **churn** — prefill to the depth, then one pop + one push per
+//!   iteration (the machine loop's pattern);
+//! * **merge4** — four queues at `cell` traffic; each step peeks all
+//!   four, pops the earliest and pushes a follow-up into the same queue
+//!   (the multi-host merge of the 4-host cell).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use es2_sim::{EventQueue, SimDuration, SimRng, SimTime};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-const DEPTHS: [usize; 3] = [12, 21, 310];
+/// `(workload, mean pending depth, % of pushes 1–16 µs ahead)`.
+const TRAFFIC: [(&str, usize, u64); 3] = [("cell", 12, 95), ("sweep", 21, 87), ("dense", 310, 60)];
 const ITERS: u64 = 10_000;
 
 /// Stand-in for the testbed's 40-byte `Ev`.
@@ -44,62 +49,55 @@ impl Queue for EventQueue<Payload> {
     }
 }
 
-/// A 56-byte heap entry: key and payload inline.
-struct Inline {
-    at: SimTime,
-    seq: u64,
-    ev: Payload,
-}
-
-impl Inline {
-    /// The same single 128-bit `(at, seq)` comparison `EventQueue` uses,
-    /// so the two queues differ only in layout.
-    fn rank(&self) -> u128 {
-        (u128::from(self.at.as_nanos()) << 64) | u128::from(self.seq)
-    }
-}
-
-impl PartialEq for Inline {
-    fn eq(&self, other: &Self) -> bool {
-        self.rank() == other.rank()
-    }
-}
-impl Eq for Inline {}
-impl PartialOrd for Inline {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Inline {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.rank().cmp(&self.rank())
-    }
-}
-
-/// The rejected layout: a `BinaryHeap` of inline entries.
+/// The replaced layout: every key, however near, sifts through one
+/// `BinaryHeap`. Keys pack `(at, seq, slot)` as `EventQueue`'s do.
 #[derive(Default)]
-struct InlineHeap {
-    heap: BinaryHeap<Inline>,
+struct KeyHeap {
+    heap: BinaryHeap<Reverse<u128>>,
+    slab: Vec<Option<Payload>>,
+    free: Vec<u32>,
     seq: u64,
 }
 
-impl Queue for InlineHeap {
+impl Queue for KeyHeap {
     fn push(&mut self, at: SimTime, ev: Payload) {
-        let seq = self.seq;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(ev);
+                slot
+            }
+            None => {
+                self.slab.push(Some(ev));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        let key = (u128::from(at.as_nanos()) << 64) | u128::from(self.seq << 24) | u128::from(slot);
         self.seq += 1;
-        self.heap.push(Inline { at, seq, ev });
+        self.heap.push(Reverse(key));
     }
     fn pop(&mut self) -> Option<(SimTime, Payload)> {
-        self.heap.pop().map(|e| (e.at, e.ev))
+        let Reverse(key) = self.heap.pop()?;
+        let slot = key as u32 & 0xff_ffff;
+        let ev = self.slab[slot as usize]
+            .take()
+            .expect("a queued key owns its slot");
+        self.free.push(slot);
+        Some((SimTime::from_nanos((key >> 64) as u64), ev))
     }
     fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        self.heap
+            .peek()
+            .map(|&Reverse(k)| SimTime::from_nanos((k >> 64) as u64))
     }
 }
 
-/// Next delta for a queue of `depth` pending events at ~1 event per µs.
-fn delta(rng: &mut SimRng, depth: usize) -> SimDuration {
-    SimDuration::from_nanos(rng.gen_range(2_000 * depth as u64))
+/// Next push delta: 1–16 µs with probability `near_pct` %, else 0.25–4 ms.
+fn delta(rng: &mut SimRng, near_pct: u64) -> SimDuration {
+    SimDuration::from_nanos(if rng.gen_range(100) < near_pct {
+        1_000 + rng.gen_range(15_000)
+    } else {
+        250_000 + rng.gen_range(3_750_000)
+    })
 }
 
 fn payload(i: u64) -> Payload {
@@ -107,29 +105,32 @@ fn payload(i: u64) -> Payload {
 }
 
 /// Prefill to `depth`, then `ITERS` rounds of pop + push.
-fn churn<Q: Queue>(depth: usize) -> u64 {
+fn churn<Q: Queue>(depth: usize, near_pct: u64) -> u64 {
     let mut rng = SimRng::new(7);
     let mut q = Q::default();
     for i in 0..depth as u64 {
-        q.push(SimTime::ZERO + delta(&mut rng, depth), payload(i));
+        q.push(SimTime::ZERO + delta(&mut rng, near_pct), payload(i));
     }
     let mut acc = 0u64;
     for i in 0..ITERS {
         let (now, ev) = q.pop().expect("queue stays at depth");
         acc = acc.wrapping_add(ev[0]);
-        q.push(now + delta(&mut rng, depth), payload(i));
+        q.push(now + delta(&mut rng, near_pct), payload(i));
     }
     acc
 }
 
 /// Four queues at `depth`; each round peeks all four, pops the earliest
 /// (lowest index on ties) and pushes its follow-up back into that queue.
-fn merge4<Q: Queue>(depth: usize) -> u64 {
+fn merge4<Q: Queue>(depth: usize, near_pct: u64) -> u64 {
     let mut rng = SimRng::new(7);
     let mut qs: [Q; 4] = Default::default();
     for (k, q) in qs.iter_mut().enumerate() {
         for i in 0..depth as u64 {
-            q.push(SimTime::ZERO + delta(&mut rng, depth), payload(i + k as u64));
+            q.push(
+                SimTime::ZERO + delta(&mut rng, near_pct),
+                payload(i + k as u64),
+            );
         }
     }
     let mut acc = 0u64;
@@ -142,36 +143,37 @@ fn merge4<Q: Queue>(depth: usize) -> u64 {
             .expect("queues stay at depth");
         let (now, ev) = qs[k].pop().expect("peeked");
         acc = acc.wrapping_add(ev[0]);
-        qs[k].push(now + delta(&mut rng, depth), payload(i));
+        qs[k].push(now + delta(&mut rng, near_pct), payload(i));
     }
     acc
 }
 
-fn churn_depths(c: &mut Criterion) {
+fn churn_traffic(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue/churn");
     g.sample_size(10);
-    for depth in DEPTHS {
-        g.bench_function(&format!("slab_keys/depth={depth}"), |b| {
-            b.iter(|| black_box(churn::<EventQueue<Payload>>(depth)))
+    for (name, depth, near_pct) in TRAFFIC {
+        g.bench_function(&format!("front_heap/{name}"), |b| {
+            b.iter(|| black_box(churn::<EventQueue<Payload>>(depth, near_pct)))
         });
-        g.bench_function(&format!("inline_heap/depth={depth}"), |b| {
-            b.iter(|| black_box(churn::<InlineHeap>(depth)))
+        g.bench_function(&format!("key_heap/{name}"), |b| {
+            b.iter(|| black_box(churn::<KeyHeap>(depth, near_pct)))
         });
     }
     g.finish();
 }
 
 fn merge_four(c: &mut Criterion) {
+    let (_, depth, near_pct) = TRAFFIC[0];
     let mut g = c.benchmark_group("event_queue/merge4");
     g.sample_size(10);
-    g.bench_function("slab_keys/depth=12", |b| {
-        b.iter(|| black_box(merge4::<EventQueue<Payload>>(12)))
+    g.bench_function("front_heap/cell", |b| {
+        b.iter(|| black_box(merge4::<EventQueue<Payload>>(depth, near_pct)))
     });
-    g.bench_function("inline_heap/depth=12", |b| {
-        b.iter(|| black_box(merge4::<InlineHeap>(12)))
+    g.bench_function("key_heap/cell", |b| {
+        b.iter(|| black_box(merge4::<KeyHeap>(depth, near_pct)))
     });
     g.finish();
 }
 
-criterion_group!(benches, churn_depths, merge_four);
+criterion_group!(benches, churn_traffic, merge_four);
 criterion_main!(benches);

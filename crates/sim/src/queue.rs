@@ -1,77 +1,85 @@
 //! The timed event queue.
 //!
-//! A binary min-heap of compact keys over a slab of event payloads. The
-//! contract: events pop ordered by [`SimTime`], ties break in insertion
-//! order (a monotone sequence number), and debug builds refuse to
-//! schedule into the past.
+//! An 8-key sorted front ahead of a binary min-heap, both holding packed
+//! `u128` keys over a slab of event payloads. The contract: events pop
+//! ordered by [`SimTime`], ties break in insertion order (a monotone
+//! sequence number), and debug builds refuse to schedule into the past.
 //!
-//! Why a plain heap: it fits the traffic the simulator produces. Counted
-//! on the three perfbench workloads, few events are pending at once — a
-//! mean of 21 on `sweep`, 310 on `dense` and 12 on the 4-host `cell`
-//! (maxima 166, 644 and 71) — and they sit ~1 per µs of simulated time.
-//! At those depths a heap sift is a handful of comparisons. The timer
-//! wheel this replaced cost more: 85–86 % of its pops found the drain
-//! bucket empty and refilled it (an occupancy-bitmap scan plus a heap
-//! rebuild, for ~1.1 events per refill), and its 4096-bucket ring kept
-//! ~1 MB per machine cycling through cache.
+//! Why a front: most events are scheduled a few µs ahead and pop within
+//! a few places, and a plain heap made push + pop ~40 % of CPU on
+//! perfbench's `sweep` and `dense` in a sampling profile. Recorded on the
+//! three perfbench workloads (seed 1),
+//! 87 / 60 / 95 % of pushes on `sweep` / `dense` / `cell` land less than
+//! 16 µs after `now`, while 0.25–4 ms timer re-arms (4 / 33 / 1.5 % of
+//! pushes) sit in the queue and keep it at a mean depth of 21 / 310 / 12.
+//! In a plain heap every near event paid a full sift in and out to move
+//! a few places. A push now inserts into the front from its soonest end;
+//! when the front is full, the later of the new key and the front's
+//! latest key goes to the heap. A pop takes the earlier of the front's
+//! soonest key and the heap's top. 96 / 64.5 / 99.5 % of pops never touch
+//! the heap. Replaying the recorded traffic, the queue costs 19 / 38 /
+//! 15 ns per event against 24 / 53 / 21 ns for the plain heap of the
+//! same keys; fronts of 4, 8 and 16 keys replayed within noise of each
+//! other. End to end, with CFS's sorted-`Vec` run queue, `dense` wall
+//! time fell ~24 % (DESIGN.md §8 has the A/B).
 //!
-//! Why compact keys: a sift moves entries, so the heap holds only a
-//! 24-byte `(at, seq, slot)` key and compares `(at, seq)` as one 128-bit
-//! integer. The payload stays in a slab slot until its key pops. Freed
-//! slots are reused through a free list, so the slab never outgrows the
-//! run's peak pending count and the steady state allocates nothing. A
-//! heap of inline 56-byte entries (payload included) ran `dense` 3–11 %
-//! slower end to end. [`EventQueue::peek_time`] is O(1); the multi-host
-//! merge peeks every host's queue on every step.
+//! Why packed keys: the heap and the front move keys, never payloads.
+//! A key is `(at, seq, slot)` in one `u128` (64 / 40 / 24 bits), so it
+//! compares as `(at, seq)` in one integer comparison; a push that would
+//! overflow a field panics, in release builds too. The payload stays in
+//! a slab slot until its key pops. Freed slots are reused through a free
+//! list, so the slab never outgrows the run's peak pending count and the
+//! steady state allocates nothing. [`EventQueue::peek_time`] is O(1); the
+//! multi-host merge peeks every host's queue on every step.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Heap entry: when, the tie-breaking push number, and where the payload
-/// lives in the slab.
-struct Key {
-    at: SimTime,
-    seq: u64,
-    slot: u32,
+/// Keys held in the sorted front ahead of the heap.
+const FRONT: usize = 8;
+
+/// Bit widths of the `seq` and `slot` fields packed under `at` in a key.
+const SEQ_BITS: u32 = 40;
+const SLOT_BITS: u32 = 24;
+
+/// Stands for "no key" when comparing the front's and the heap's soonest
+/// keys. No real key equals it: the all-ones slot is never handed out.
+const NO_KEY: u128 = u128::MAX;
+
+/// `(at, seq, slot)` as one integer: `at` in the high 64 bits, then a
+/// 40-bit push number, then a 24-bit slab slot. `seq` is unique, so keys
+/// order exactly as `(at, seq)` and `slot` only rides along.
+#[inline]
+fn pack(at: SimTime, seq: u64, slot: u32) -> u128 {
+    assert!(
+        seq >> SEQ_BITS == 0 && slot < (1 << SLOT_BITS) - 1,
+        "event key field overflow: seq {seq}, slot {slot}"
+    );
+    (u128::from(at.as_nanos()) << 64) | u128::from(seq << SLOT_BITS) | u128::from(slot)
 }
 
-impl Key {
-    /// `(at, seq)` as one integer, so each sift step is a single
-    /// comparison.
-    #[inline]
-    fn rank(&self) -> u128 {
-        (u128::from(self.at.as_nanos()) << 64) | u128::from(self.seq)
-    }
+#[inline]
+fn key_at(key: u128) -> SimTime {
+    SimTime::from_nanos((key >> 64) as u64)
 }
 
-impl PartialEq for Key {
-    fn eq(&self, other: &Self) -> bool {
-        self.rank() == other.rank()
-    }
-}
-impl Eq for Key {}
-
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq)
-        // pops first.
-        other.rank().cmp(&self.rank())
-    }
+#[inline]
+fn key_slot(key: u128) -> usize {
+    (key as u64 & ((1 << SLOT_BITS) - 1)) as usize
 }
 
 /// A deterministic priority queue of `(SimTime, E)` events.
 ///
 /// Events scheduled for the same instant pop in the order they were pushed.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Key>,
+    /// Up to [`FRONT`] keys sorted descending: the soonest is
+    /// `front[front_len - 1]`.
+    front: [u128; FRONT],
+    front_len: usize,
+    /// Keys evicted from, or too late for, the full front.
+    heap: BinaryHeap<Reverse<u128>>,
     /// Payloads by slot; `None` marks a free slot.
     slab: Vec<Option<E>>,
     /// Free slab slots, reused last-freed first.
@@ -91,12 +99,21 @@ impl<E> EventQueue<E> {
     /// run's peak pending count and keeps that capacity.
     pub fn new() -> Self {
         EventQueue {
+            front: [0; FRONT],
+            front_len: 0,
             heap: BinaryHeap::new(),
             slab: Vec::new(),
             free: Vec::new(),
             seq: 0,
             last_popped: SimTime::ZERO,
         }
+    }
+
+    /// An empty queue whose next push number is `seq`, to reach the key
+    /// field limits without 2^40 pushes.
+    #[cfg(test)]
+    fn with_seq(seq: u64) -> Self {
+        EventQueue { seq, ..Self::new() }
     }
 
     /// Schedule `ev` at absolute instant `at`.
@@ -120,39 +137,82 @@ impl<E> EventQueue<E> {
                 (self.slab.len() - 1) as u32
             }
         };
-        let seq = self.seq;
+        let key = pack(at, self.seq, slot);
         self.seq += 1;
-        self.heap.push(Key { at, seq, slot });
+        if self.front_len == FRONT {
+            // Full: the later of the new key and the front's latest goes
+            // to the heap.
+            let latest = self.front[0];
+            if key > latest {
+                self.heap.push(Reverse(key));
+                return;
+            }
+            self.heap.push(Reverse(latest));
+            self.front.copy_within(1.., 0);
+            self.front_len -= 1;
+        }
+        // Insert from the soonest end, where most pushes land.
+        let mut i = self.front_len;
+        while i > 0 && self.front[i - 1] < key {
+            self.front[i] = self.front[i - 1];
+            i -= 1;
+        }
+        self.front[i] = key;
+        self.front_len += 1;
+    }
+
+    /// The front's soonest key, or [`NO_KEY`] if the front is empty.
+    #[inline]
+    fn front_soonest(&self) -> u128 {
+        match self.front_len {
+            0 => NO_KEY,
+            n => self.front[n - 1],
+        }
+    }
+
+    /// The heap's soonest key, or [`NO_KEY`] if the heap is empty.
+    #[inline]
+    fn heap_soonest(&self) -> u128 {
+        self.heap.peek().map_or(NO_KEY, |&Reverse(k)| k)
     }
 
     /// Remove and return the earliest event.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let key = self.heap.pop()?;
-        let ev = self.slab[key.slot as usize]
+        let soonest = self.front_soonest();
+        let key = if soonest < self.heap_soonest() {
+            self.front_len -= 1;
+            soonest
+        } else {
+            self.heap.pop()?.0
+        };
+        let slot = key_slot(key);
+        let ev = self.slab[slot]
             .take()
             .expect("a queued key owns its slab slot");
-        self.free.push(key.slot);
-        self.last_popped = key.at;
-        Some((key.at, ev))
+        self.free.push(slot as u32);
+        let at = key_at(key);
+        self.last_popped = at;
+        Some((at, ev))
     }
 
     /// The instant of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|k| k.at)
+        let key = self.front_soonest().min(self.heap_soonest());
+        (key != NO_KEY).then(|| key_at(key))
     }
 
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.front_len + self.heap.len()
     }
 
     /// True if no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// The instant of the most recently popped event (the queue's notion of
@@ -269,6 +329,75 @@ mod tests {
         q.push(t(10), ());
         q.pop();
         q.push(t(5), ());
+    }
+
+    #[test]
+    fn full_front_evicts_its_latest_key_to_the_heap() {
+        let mut q = EventQueue::new();
+        for us in 10..18 {
+            q.push(t(us), us);
+        }
+        assert_eq!((q.front_len, q.heap.len()), (FRONT, 0));
+        // Later than the whole front: straight to the heap.
+        q.push(t(100), 100);
+        assert_eq!((q.front_len, q.heap.len()), (FRONT, 1));
+        // Sooner than the front's latest (17): 17 is evicted.
+        q.push(t(1), 1);
+        assert_eq!((q.front_len, q.heap.len()), (FRONT, 2));
+        assert_eq!(key_at(q.front[0]), t(16));
+        assert_eq!(q.peek_time(), Some(t(1)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec![1, 10, 11, 12, 13, 14, 15, 16, 17, 100]);
+    }
+
+    #[test]
+    fn heap_key_pops_before_every_front_key() {
+        let mut q = EventQueue::new();
+        for us in 1..=9 {
+            q.push(t(us), us);
+        }
+        // 9 overflowed the full front; draining the front leaves it alone.
+        for us in 1..=8 {
+            assert_eq!(q.pop(), Some((t(us), us)));
+        }
+        assert_eq!((q.front_len, q.heap.len()), (0, 1));
+        // The refilled front is entirely later than the heap's key.
+        for us in [300, 100, 200] {
+            q.push(t(us), us);
+        }
+        assert_eq!((q.front_len, q.heap.len()), (3, 1));
+        assert_eq!(q.peek_time(), Some(t(9)));
+        assert_eq!(q.pop(), Some((t(9), 9)));
+        assert_eq!((q.front_len, q.heap.len()), (3, 0));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec![100, 200, 300]);
+    }
+
+    #[test]
+    fn same_instant_stays_fifo_when_a_later_push_reuses_a_lower_slot() {
+        let mut q = EventQueue::new();
+        q.push(t(1), "x"); // slot 0
+        q.push(t(5), "y"); // slot 1
+        assert_eq!(q.pop(), Some((t(1), "x")));
+        q.push(t(5), "z"); // reuses slot 0, pushed after y
+        assert_eq!(key_slot(q.front[0]), 0, "z, the latest key, holds slot 0");
+        assert_eq!(q.pop(), Some((t(5), "y")));
+        assert_eq!(q.pop(), Some((t(5), "z")));
+    }
+
+    #[test]
+    fn last_push_number_below_the_field_limit_is_accepted() {
+        let mut q = EventQueue::with_seq((1 << SEQ_BITS) - 1);
+        q.push(t(1), ());
+        assert_eq!(q.pop(), Some((t(1), ())));
+    }
+
+    #[test]
+    #[should_panic(expected = "event key field overflow")]
+    fn push_number_past_the_field_limit_panics() {
+        let mut q = EventQueue::with_seq((1 << SEQ_BITS) - 1);
+        q.push(t(1), ());
+        q.push(t(1), ());
     }
 
     /// Reference model: a plain `BinaryHeap` of inline `(time, seq, event)`
