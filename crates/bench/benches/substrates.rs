@@ -74,23 +74,28 @@ fn scheduler(c: &mut Criterion) {
         })
     });
     // Run-queue traffic: the running thread blocks (pop the leftmost) and
-    // is woken again (insert), with 7 runnable threads queued.
-    c.bench_function("sched/wake_block_8_threads_1k", |b| {
-        b.iter(|| {
-            let mut s = CfsScheduler::new(1, SchedParams::default());
-            for _ in 0..8 {
-                let t = s.add_thread(0, CoreId(0));
-                s.wake(t, SimTime::ZERO);
-            }
-            for i in 1..=1000u64 {
-                let now = SimTime::ZERO + SimDuration::from_micros(10 * i);
-                let cur = s.current(CoreId(0)).expect("a thread always runs");
-                s.block(cur, now);
-                s.wake(cur, now);
-            }
-            black_box(s.switch_count(CoreId(0)))
-        })
-    });
+    // is woken again (insert), at the queue depths perfbench measures at
+    // an enqueue: 1 (the common case on every workload) and 128 (the
+    // maximum, on `dense`).
+    for queued in [1u32, 128] {
+        let threads = queued + 1;
+        c.bench_function(&format!("sched/wake_block_{threads}_threads_1k"), |b| {
+            b.iter(|| {
+                let mut s = CfsScheduler::new(1, SchedParams::default());
+                for _ in 0..threads {
+                    let t = s.add_thread(0, CoreId(0));
+                    s.wake(t, SimTime::ZERO);
+                }
+                for i in 1..=1000u64 {
+                    let now = SimTime::ZERO + SimDuration::from_micros(10 * i);
+                    let cur = s.current(CoreId(0)).expect("a thread always runs");
+                    s.block(cur, now);
+                    s.wake(cur, now);
+                }
+                black_box(s.switch_count(CoreId(0)))
+            })
+        });
+    }
 }
 
 fn apic(c: &mut Criterion) {

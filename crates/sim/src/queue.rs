@@ -5,32 +5,26 @@
 //! ordered by [`SimTime`], ties break in insertion order (a monotone
 //! sequence number), and debug builds refuse to schedule into the past.
 //!
-//! Why a front: most events are scheduled a few µs ahead and pop within
-//! a few places, and a plain heap made push + pop ~40 % of CPU on
-//! perfbench's `sweep` and `dense` in a sampling profile. Recorded on the
-//! three perfbench workloads (seed 1),
-//! 87 / 60 / 95 % of pushes on `sweep` / `dense` / `cell` land less than
-//! 16 µs after `now`, while 0.25–4 ms timer re-arms (4 / 33 / 1.5 % of
-//! pushes) sit in the queue and keep it at a mean depth of 21 / 310 / 12.
-//! In a plain heap every near event paid a full sift in and out to move
-//! a few places. A push now inserts into the front from its soonest end;
-//! when the front is full, the later of the new key and the front's
-//! latest key goes to the heap. A pop takes the earlier of the front's
-//! soonest key and the heap's top. 96 / 64.5 / 99.5 % of pops never touch
-//! the heap. Replaying the recorded traffic, the queue costs 19 / 38 /
-//! 15 ns per event against 24 / 53 / 21 ns for the plain heap of the
-//! same keys; fronts of 4, 8 and 16 keys replayed within noise of each
-//! other. End to end, with CFS's sorted-`Vec` run queue, `dense` wall
-//! time fell ~24 % (DESIGN.md §8 has the A/B).
+//! Why a front: the design relies on the push-delta mix of the
+//! simulator's traffic. Most pushes land a few µs after `now` and pop
+//! within a few places, while millisecond timer re-arms sit in the queue
+//! and keep it dozens to hundreds deep, so in a plain heap every near
+//! event would pay a full sift in and out. A push inserts into the front
+//! from its soonest end; when the front is full, the later of the new
+//! key and the front's latest key goes to the heap. A pop takes the
+//! earlier of the front's soonest key and the heap's top, so the pop
+//! order never depends on how keys are split between the two. DESIGN.md
+//! §8 has the measured mix, the front's hit rate and the costs.
 //!
 //! Why packed keys: the heap and the front move keys, never payloads.
 //! A key is `(at, seq, slot)` in one `u128` (64 / 40 / 24 bits), so it
 //! compares as `(at, seq)` in one integer comparison; a push that would
-//! overflow a field panics, in release builds too. The payload stays in
-//! a slab slot until its key pops. Freed slots are reused through a free
-//! list, so the slab never outgrows the run's peak pending count and the
-//! steady state allocates nothing. [`EventQueue::peek_time`] is O(1); the
-//! multi-host merge peeks every host's queue on every step.
+//! overflow a field panics, in release builds too (limits on
+//! [`EventQueue::push`]). The payload stays in a slab slot until its key
+//! pops. Freed slots are reused through a free list, so the slab never
+//! outgrows the run's peak pending count and the steady state allocates
+//! nothing. [`EventQueue::peek_time`] is O(1); the multi-host merge peeks
+//! every host's queue on every step.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -120,6 +114,10 @@ impl<E> EventQueue<E> {
     ///
     /// Debug builds panic if `at` is before the last popped instant — a
     /// causality violation that would silently corrupt a release run.
+    ///
+    /// Every build panics on the push that would overflow a key field:
+    /// the 2^40-th push into one queue (about 30 h of host time at
+    /// 10 M pushes/s), or a push while 2^24 − 1 events are pending.
     #[inline]
     pub fn push(&mut self, at: SimTime, ev: E) {
         debug_assert!(
@@ -222,7 +220,8 @@ impl<E> EventQueue<E> {
         self.last_popped
     }
 
-    /// Total number of events ever pushed (diagnostics).
+    /// Total number of events ever pushed (diagnostics). At most 2^40:
+    /// [`EventQueue::push`] panics before it would pass that.
     #[inline]
     pub fn pushed_total(&self) -> u64 {
         self.seq
