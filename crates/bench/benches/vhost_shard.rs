@@ -63,7 +63,7 @@ fn isolated_seq(handlers: &[es2_virtio::HandlerId]) -> Vec<es2_virtio::HandlerId
     let per = KICKS as usize / handlers.len();
     let mut seq = Vec::with_capacity(per * handlers.len());
     for &h in handlers {
-        seq.extend(std::iter::repeat(h).take(per));
+        seq.extend(std::iter::repeat_n(h, per));
     }
     seq
 }

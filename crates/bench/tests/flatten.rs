@@ -10,10 +10,11 @@ use es2_testbed::{Params, RunResult, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
 
 fn tiny_params() -> Params {
-    let mut p = Params::default();
-    p.warmup = SimDuration::from_millis(20);
-    p.measure = SimDuration::from_millis(60);
-    p
+    Params {
+        warmup: SimDuration::from_millis(20),
+        measure: SimDuration::from_millis(60),
+        ..Params::default()
+    }
 }
 
 fn spec(cfg: EventPathConfig, topo: Topology, spec: WorkloadSpec, params: Params) -> RunSpec {

@@ -136,7 +136,7 @@ impl HybridHandler {
 
     /// Lines 7–11: the I/O thread scheduled this handler. Disables guest
     /// notifications (entering polling mode) and resets the turn workload.
-    pub fn begin_turn<T>(&mut self, vq: &mut Virtqueue<T>) {
+    pub fn begin_turn<A, U>(&mut self, vq: &mut Virtqueue<A, U>) {
         self.turns += 1;
         self.workload = 0;
         if !vq.notify_disabled() {
@@ -152,7 +152,7 @@ impl HybridHandler {
     /// per-VM service-budget check (overload control): an exhausted budget
     /// ends the turn *before* the quota test so a poll-hogging VM defers
     /// its own work instead of spending shared I/O-thread time.
-    pub fn poll_next<T>(&mut self, vq: &mut Virtqueue<T>) -> PollDecision<T> {
+    pub fn poll_next<A, U>(&mut self, vq: &mut Virtqueue<A, U>) -> PollDecision<A> {
         if self.budget.is_some() && self.budget_left == 0 && !vq.is_avail_empty() {
             self.budget_exhaustions += 1;
             return PollDecision::BudgetExhausted;
@@ -250,7 +250,7 @@ impl HybridHandler {
     /// In polling mode the handler is driven by the I/O thread (a requeue
     /// is pending or the worker is mid-turn), so no re-kick is needed —
     /// that edge is owned by the quota-requeue machinery.
-    pub fn needs_rekick<T>(&self, vq: &Virtqueue<T>) -> bool {
+    pub fn needs_rekick<A, U>(&self, vq: &Virtqueue<A, U>) -> bool {
         self.mode == HandlerMode::Notification && !vq.is_avail_empty()
     }
 

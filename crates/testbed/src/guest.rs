@@ -422,11 +422,12 @@ impl Machine {
                     let Some(pkt) = self.vms[vmi].pairs[qi].rx.driver_take_used() else {
                         break;
                     };
-                    // Refill with a fresh buffer.
-                    let placeholder = self.pf.make(FlowId(vm), PacketKind::Data, 0, self.now);
-                    if let Ok(KickDecision::Kick) =
-                        self.vms[vmi].pairs[qi].rx.driver_add(placeholder)
-                    {
+                    // Refill with a fresh buffer. It carries no data until
+                    // vhost fills it, but it still draws a packet id:
+                    // `rss_queue` hashes ids, so skipping the draw would
+                    // move later packets to other queues.
+                    self.pf.make(FlowId(vm), PacketKind::Data, 0, self.now);
+                    if let Ok(KickDecision::Kick) = self.vms[vmi].pairs[qi].rx.driver_add(()) {
                         // RX refill kick (only armed when vhost starved).
                         let h = self.vms[vmi].pairs[qi].rx_h;
                         let pk = &mut self.vms[vmi].vctx[idx as usize].pending_kicks;

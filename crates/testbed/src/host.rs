@@ -86,10 +86,11 @@ impl Machine {
         // the queue (the `DEVICE_NEEDS_RESET` analog) instead of
         // panicking; every other queue — this VM's included — keeps full
         // service.
-        let verdict = {
-            let pair = &mut self.vms[vmi].pairs[qi];
-            let q = if is_tx { &mut pair.tx } else { &mut pair.rx };
-            q.device_validate()
+        let pair = &mut self.vms[vmi].pairs[qi];
+        let verdict = if is_tx {
+            pair.tx.device_validate()
+        } else {
+            pair.rx.device_validate()
         };
         if let Err(err) = verdict {
             self.quarantine_queue(vm, h, err);
@@ -127,10 +128,11 @@ impl Machine {
         let vmi = vm as usize;
         let qi = self.vms[vmi].pair_of(h);
         let is_tx = h.idx() % 2 == 0;
-        let dropped = {
-            let pair = &mut self.vms[vmi].pairs[qi];
-            let q = if is_tx { &mut pair.tx } else { &mut pair.rx };
-            q.quarantine()
+        let pair = &mut self.vms[vmi].pairs[qi];
+        let dropped = if is_tx {
+            pair.tx.quarantine()
+        } else {
+            pair.rx.quarantine()
         };
         self.vms[vmi].bp.quarantines += 1;
         self.vms[vmi].bp.quarantine_dropped += dropped as u64;
@@ -214,7 +216,7 @@ impl Machine {
         let qi = self.vms[vmi].pair_of(h);
         // Return the descriptor; raise a TX-completion interrupt only if
         // the guest armed it (ring-full backpressure).
-        let interrupt = self.vms[vmi].pairs[qi].tx.device_push_used(pkt);
+        let interrupt = self.vms[vmi].pairs[qi].tx.device_push_used(());
         if interrupt {
             let vector = self.vms[vmi].pairs[qi].tx_vector;
             self.deliver_device_msi(vm, vector);

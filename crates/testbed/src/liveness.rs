@@ -9,6 +9,7 @@
 //! sweep through [`Machine::run_checked`] and asserts the report is clean.
 
 use es2_sched::ThreadState;
+use es2_virtio::Virtqueue;
 
 use crate::machine::Machine;
 use crate::results::RunResult;
@@ -61,48 +62,8 @@ pub fn check(m: &Machine) -> LivenessReport {
             } else {
                 (format!("tx{qi}"), format!("rx{qi}"))
             };
-            for (name, q) in [(tx_name, &pair.tx), (rx_name, &pair.rx)] {
-                // A queue that is (or ever was) quarantined surrenders its
-                // conservation ledger by design: quarantine discards exposed
-                // buffers, the guest reset zeroes the counters, and a
-                // completion in flight across the reset lands unmatched. What
-                // must still hold: broken implies the reset request is
-                // surfaced to the guest (the DEVICE_NEEDS_RESET analog).
-                if q.is_broken() && !q.needs_reset() {
-                    rep.fail(format!("vm{vmi} {name}: broken without needs_reset"));
-                }
-                if q.quarantine_count() > 0 {
-                    continue;
-                }
-                let added = q.added_total();
-                let popped = q.popped_total();
-                let completed = q.completed_total();
-                let reclaimed = q.reclaimed_total();
-                if added != popped + q.avail_pending() as u64 {
-                    rep.fail(format!(
-                        "vm{vmi} {name}: added {added} != popped {popped} + avail {}",
-                        q.avail_pending()
-                    ));
-                }
-                if completed != reclaimed + q.used_pending() as u64 {
-                    rep.fail(format!(
-                        "vm{vmi} {name}: completed {completed} != reclaimed {reclaimed} + used {}",
-                        q.used_pending()
-                    ));
-                }
-                if popped < completed {
-                    rep.fail(format!(
-                        "vm{vmi} {name}: completed {completed} exceeds popped {popped}"
-                    ));
-                }
-                if popped - completed > q.config().size as u64 {
-                    rep.fail(format!(
-                        "vm{vmi} {name}: {} buffers stuck in-device (ring size {})",
-                        popped - completed,
-                        q.config().size
-                    ));
-                }
-            }
+            check_conservation(&mut rep, vmi, &tx_name, &pair.tx);
+            check_conservation(&mut rep, vmi, &rx_name, &pair.rx);
         }
 
         // Scheduler/vCPU agreement: the vCPU's own notion of running must
@@ -266,5 +227,50 @@ impl Machine {
         while self.step_one() {}
         let report = check(&self);
         (RunResult::collect(self), report)
+    }
+}
+
+/// Descriptor conservation on one ring, whatever payloads its two halves
+/// carry: the ledger is indices and counters only.
+fn check_conservation<A, U>(rep: &mut LivenessReport, vmi: usize, name: &str, q: &Virtqueue<A, U>) {
+    // A queue that is (or ever was) quarantined surrenders its
+    // conservation ledger by design: quarantine discards exposed
+    // buffers, the guest reset zeroes the counters, and a
+    // completion in flight across the reset lands unmatched. What
+    // must still hold: broken implies the reset request is
+    // surfaced to the guest (the DEVICE_NEEDS_RESET analog).
+    if q.is_broken() && !q.needs_reset() {
+        rep.fail(format!("vm{vmi} {name}: broken without needs_reset"));
+    }
+    if q.quarantine_count() > 0 {
+        return;
+    }
+    let added = q.added_total();
+    let popped = q.popped_total();
+    let completed = q.completed_total();
+    let reclaimed = q.reclaimed_total();
+    if added != popped + q.avail_pending() as u64 {
+        rep.fail(format!(
+            "vm{vmi} {name}: added {added} != popped {popped} + avail {}",
+            q.avail_pending()
+        ));
+    }
+    if completed != reclaimed + q.used_pending() as u64 {
+        rep.fail(format!(
+            "vm{vmi} {name}: completed {completed} != reclaimed {reclaimed} + used {}",
+            q.used_pending()
+        ));
+    }
+    if popped < completed {
+        rep.fail(format!(
+            "vm{vmi} {name}: completed {completed} exceeds popped {popped}"
+        ));
+    }
+    if popped - completed > q.config().size as u64 {
+        rep.fail(format!(
+            "vm{vmi} {name}: {} buffers stuck in-device (ring size {})",
+            popped - completed,
+            q.config().size
+        ));
     }
 }

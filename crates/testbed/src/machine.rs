@@ -189,8 +189,10 @@ pub(crate) struct VcpuCtx {
 pub(crate) struct QueuePair {
     pub(crate) tx_h: HandlerId,
     pub(crate) rx_h: HandlerId,
-    pub(crate) tx: Virtqueue<Packet>,
-    pub(crate) rx: Virtqueue<Packet>,
+    /// The guest posts packets; the device returns bare descriptors.
+    pub(crate) tx: Virtqueue<Packet, ()>,
+    /// The guest posts empty buffers; the device returns them filled.
+    pub(crate) rx: Virtqueue<(), Packet>,
     pub(crate) tx_handler: HybridHandler,
     pub(crate) rx_turn: u32,
     pub(crate) backlog: NicQueue,
@@ -689,9 +691,6 @@ impl Machine {
                 size: params.ring_size,
                 event_idx: true,
             };
-            // Guest pre-fills every RX ring with buffers; one factory per
-            // VM so buffer ids are contiguous across the device's queues.
-            let mut pf_init = PacketFactory::new();
             let mut pairs = Vec::with_capacity(num_pairs as usize);
             for qi in 0..num_pairs {
                 // Pair q is owned by (and its MSIs steered at) vCPU q%N.
@@ -714,16 +713,10 @@ impl Machine {
                 // Guest TX completions are reclaimed in the xmit path; TX
                 // interrupts armed only when the ring fills.
                 tx.driver_disable_interrupts();
-                // Refill kicks stay unarmed unless vhost runs out of
-                // buffers.
+                // The guest pre-fills every RX ring with empty buffers;
+                // refill kicks stay unarmed unless vhost runs out of them.
                 for _ in 0..params.ring_size {
-                    let placeholder = pf_init.make(
-                        es2_net::FlowId(vm),
-                        es2_net::PacketKind::Data,
-                        0,
-                        SimTime::ZERO,
-                    );
-                    rx.driver_add(placeholder).expect("ring has room");
+                    rx.driver_add(()).expect("ring has room");
                 }
                 rx.device_disable_notify();
 
@@ -1605,28 +1598,11 @@ impl Machine {
     fn publish_ring_corruption(&mut self, vm: u32, h: HandlerId, kind: RingCorruptionKind) {
         let vmi = vm as usize;
         let qi = self.vms[vmi].pair_of(h);
-        let is_tx = h.idx() % 2 == 0;
         let pair = &mut self.vms[vmi].pairs[qi];
-        let q = if is_tx { &mut pair.tx } else { &mut pair.rx };
-        let size = q.config().size;
-        match kind {
-            RingCorruptionKind::DescOutOfRange => q.guest_publish_desc_index(size),
-            RingCorruptionKind::AvailIdxJump => {
-                // Just past the legitimate window, well short of the
-                // wrap-around regression zone.
-                let claimed = q
-                    .device_avail_cursor()
-                    .wrapping_add(q.avail_pending() as u16)
-                    .wrapping_add(0x100);
-                q.guest_publish_avail_idx(claimed);
-            }
-            RingCorruptionKind::AvailIdxRegress => {
-                let claimed = q.device_avail_cursor().wrapping_sub(1);
-                q.guest_publish_avail_idx(claimed);
-            }
-            RingCorruptionKind::DescLoop => q.guest_publish_chain(0, 1, true),
-            RingCorruptionKind::ChainOverLength => q.guest_publish_chain(0, size + 1, false),
-            RingCorruptionKind::UsedOverflow => q.guest_claim_used_outstanding(size + 1),
+        if h.idx() % 2 == 0 {
+            publish_claim(&mut pair.tx, kind);
+        } else {
+            publish_claim(&mut pair.rx, kind);
         }
         self.tracer
             .record(self.now, "ring-corrupt", vm as u64, h.0 as u64);
@@ -2182,12 +2158,14 @@ impl Machine {
             self.vms[vmi].pairs[qi].blocked_tx_full = false;
         } else {
             // The driver pre-fills the fresh RX ring with buffers and
-            // leaves refill notifications unarmed.
+            // leaves refill notifications unarmed. Each posted buffer still
+            // draws a packet id, as the runtime refill does: `rss_queue`
+            // hashes ids, so skipping the draws would move later packets
+            // to other queues.
             for _ in 0..self.p.ring_size {
-                let placeholder =
-                    self.pf
-                        .make(es2_net::FlowId(vm), es2_net::PacketKind::Data, 0, self.now);
-                let _ = self.vms[vmi].pairs[qi].rx.driver_add(placeholder);
+                self.pf
+                    .make(es2_net::FlowId(vm), es2_net::PacketKind::Data, 0, self.now);
+                let _ = self.vms[vmi].pairs[qi].rx.driver_add(());
             }
             self.vms[vmi].pairs[qi].rx.device_disable_notify();
         }
@@ -2246,5 +2224,31 @@ impl Machine {
                 }
             }
         }
+    }
+}
+
+/// Record on `q` the corrupted ring state a hostile guest of `kind`
+/// claims to have published. TX and RX rings carry different payload
+/// types, but the claims concern indices alone.
+fn publish_claim<A, U>(q: &mut Virtqueue<A, U>, kind: RingCorruptionKind) {
+    let size = q.config().size;
+    match kind {
+        RingCorruptionKind::DescOutOfRange => q.guest_publish_desc_index(size),
+        RingCorruptionKind::AvailIdxJump => {
+            // Just past the legitimate window, well short of the
+            // wrap-around regression zone.
+            let claimed = q
+                .device_avail_cursor()
+                .wrapping_add(q.avail_pending() as u16)
+                .wrapping_add(0x100);
+            q.guest_publish_avail_idx(claimed);
+        }
+        RingCorruptionKind::AvailIdxRegress => {
+            let claimed = q.device_avail_cursor().wrapping_sub(1);
+            q.guest_publish_avail_idx(claimed);
+        }
+        RingCorruptionKind::DescLoop => q.guest_publish_chain(0, 1, true),
+        RingCorruptionKind::ChainOverLength => q.guest_publish_chain(0, size + 1, false),
+        RingCorruptionKind::UsedOverflow => q.guest_claim_used_outstanding(size + 1),
     }
 }

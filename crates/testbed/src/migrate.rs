@@ -47,7 +47,7 @@ use std::collections::VecDeque;
 
 use es2_apic::Vector;
 use es2_hypervisor::{InterruptPath, Vcpu, VcpuId};
-use es2_net::{Packet, PacketFactory};
+use es2_net::Packet;
 use es2_sim::{SimDuration, SimTime};
 use es2_virtio::{QueueId, VhostPool, Virtqueue, VirtqueueConfig};
 
@@ -1109,7 +1109,6 @@ impl Machine {
             event_idx: true,
         };
         let num_pairs = p.queues_per_vm.max(1);
-        let mut pf_init = PacketFactory::new();
         let mut pairs = Vec::with_capacity(num_pairs as usize);
         for qi in 0..num_pairs {
             let owner = qi % nv as u32;
@@ -1131,13 +1130,7 @@ impl Machine {
             tx.driver_disable_interrupts();
             if prefill_rx {
                 for _ in 0..p.ring_size {
-                    let placeholder = pf_init.make(
-                        es2_net::FlowId(vm),
-                        es2_net::PacketKind::Data,
-                        0,
-                        SimTime::ZERO,
-                    );
-                    rx.driver_add(placeholder).expect("ring has room");
+                    rx.driver_add(()).expect("ring has room");
                 }
             }
             rx.device_disable_notify();

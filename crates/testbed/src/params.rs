@@ -480,9 +480,11 @@ mod tests {
 
     #[test]
     fn worker_resolution_clamps_to_pair_count() {
-        let mut p = Params::default();
-        p.queues_per_vm = 2;
-        p.vhost_workers = 4;
+        let mut p = Params {
+            queues_per_vm: 2,
+            vhost_workers: 4,
+            ..Params::default()
+        };
         assert_eq!(p.effective_vhost_workers(), 2, "worker per pair at most");
         p.vhost_workers = 1;
         assert_eq!(p.effective_vhost_workers(), 1);

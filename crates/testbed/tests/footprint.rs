@@ -2,10 +2,13 @@
 //!
 //! A counting global allocator measures the live heap the `dense` shape
 //! (128 httperf VMs × 2 vCPUs on one host) takes to build and to run.
-//! Per-VM buffers are sized by occupancy, not by their logical bounds, so
-//! the machine costs a few KiB per VM; a buffer that goes back to
-//! preallocating its bound (ring size, backlog depth, histogram range)
-//! multiplies that and trips the budgets below.
+//! Per-VM buffers are sized by occupancy, not by their logical bounds, and
+//! each virtqueue half stores payloads only in the direction data flows
+//! (the 256 posted RX buffers are bare descriptors), so building the host
+//! takes about 0.6 MiB (~4.7 KiB per VM) and running it peaks at about
+//! 1.4 MiB. A buffer that goes back to preallocating its bound (ring
+//! size, backlog depth, histogram range), or a ring half that goes back
+//! to storing placeholder packets (+1 MiB), trips the budgets below.
 //!
 //! The file holds exactly one test, so no other test shares the counter.
 
@@ -62,10 +65,10 @@ const VMS: u32 = 128;
 const VCPUS: u32 = 2;
 const MIB: usize = 1 << 20;
 /// Live-heap growth allowed across the constructor.
-const BUILD_BUDGET: usize = 3 * MIB;
+const BUILD_BUDGET: usize = MIB;
 /// Peak live-heap growth allowed from before the constructor to the end
 /// of the run.
-const RUN_BUDGET: usize = 4 * MIB;
+const RUN_BUDGET: usize = 2 * MIB;
 
 #[test]
 fn dense_host_heap_stays_within_budget() {

@@ -1,7 +1,8 @@
 //! The split virtqueue with full notification-suppression semantics.
 //!
-//! We do not model guest physical memory — descriptors carry an opaque
-//! payload `T` (the testbed stores packet handles). What *is* modeled
+//! We do not model guest physical memory — descriptors carry opaque
+//! payloads, one type per direction (the testbed stores packet handles
+//! only in the half a packet actually travels). What *is* modeled
 //! bit-faithfully is the notification contract of the virtio 1.0 split
 //! ring, because the paper's hybrid I/O handling is built directly on it:
 //!
@@ -121,9 +122,18 @@ fn need_event(event_idx: u16, new_idx: u16, old_idx: u16) -> bool {
     new_idx.wrapping_sub(event_idx).wrapping_sub(1) < new_idx.wrapping_sub(old_idx)
 }
 
-/// A split virtqueue carrying payloads of type `T`.
+/// A split virtqueue whose avail half carries payloads of type `A` and
+/// whose used half carries payloads of type `U`.
+///
+/// A half that moves no data takes `()`: a `VecDeque<()>` never
+/// allocates, so only the direction data flows costs memory. A TX ring is
+/// `Virtqueue<Packet, ()>` — the guest posts packets, the device returns
+/// bare descriptors — and an RX ring is `Virtqueue<(), Packet>` — the
+/// guest posts empty buffers, the device returns them filled. Indices,
+/// flags, counters and the kick/interrupt decisions never look at a
+/// payload, so they are the same whatever the two types are.
 #[derive(Clone, Debug)]
-pub struct Virtqueue<T> {
+pub struct Virtqueue<A, U = A> {
     cfg: VirtqueueConfig,
     /// Host-wide identity of this queue, if attached (multi-queue
     /// devices label each ring so validation/quarantine/reset events
@@ -132,9 +142,9 @@ pub struct Virtqueue<T> {
     /// Buffers exposed by the driver, not yet consumed by the device.
     /// Both halves grow with occupancy; `num_free` bounds their sum at
     /// `cfg.size`.
-    avail: VecDeque<T>,
+    avail: VecDeque<A>,
     /// Buffers completed by the device, not yet reclaimed by the driver.
-    used: VecDeque<T>,
+    used: VecDeque<U>,
     /// Free descriptors (ring capacity not currently in flight).
     num_free: u16,
 
@@ -183,7 +193,7 @@ pub struct Virtqueue<T> {
     resets: u64,
 }
 
-impl<T> Virtqueue<T> {
+impl<A, U> Virtqueue<A, U> {
     /// A new, empty virtqueue; notifications and interrupts start enabled.
     pub fn new(cfg: VirtqueueConfig) -> Self {
         assert!(cfg.size > 0 && cfg.size.is_power_of_two(), "ring size");
@@ -254,7 +264,7 @@ impl<T> Virtqueue<T> {
     /// kick, per the current suppression state.
     ///
     /// Returns `Err(payload)` if the ring is full.
-    pub fn driver_add(&mut self, payload: T) -> Result<KickDecision, T> {
+    pub fn driver_add(&mut self, payload: A) -> Result<KickDecision, A> {
         // A quarantined queue accepts nothing: the guest sees a stopped
         // queue (as if full) until it performs the reset the device
         // requested.
@@ -291,7 +301,7 @@ impl<T> Virtqueue<T> {
 
     /// Reclaim one completed buffer from the used ring (frees a
     /// descriptor).
-    pub fn driver_take_used(&mut self) -> Option<T> {
+    pub fn driver_take_used(&mut self) -> Option<U> {
         let p = self.used.pop_front()?;
         self.last_used_idx = self.last_used_idx.wrapping_add(1);
         self.num_free += 1;
@@ -305,7 +315,7 @@ impl<T> Virtqueue<T> {
     }
 
     /// Peek the oldest unreclaimed completion without consuming it.
-    pub fn peek_used(&self) -> Option<&T> {
+    pub fn peek_used(&self) -> Option<&U> {
         self.used.front()
     }
 
@@ -351,7 +361,7 @@ impl<T> Virtqueue<T> {
     }
 
     /// Consume one exposed buffer.
-    pub fn device_pop(&mut self) -> Option<T> {
+    pub fn device_pop(&mut self) -> Option<A> {
         if self.broken {
             return None;
         }
@@ -365,7 +375,7 @@ impl<T> Virtqueue<T> {
     /// device must raise a virtual interrupt, per the suppression state.
     /// A quarantined queue silently swallows the completion (no interrupt,
     /// no used entry) — the backend stopped serving this queue.
-    pub fn device_push_used(&mut self, payload: T) -> bool {
+    pub fn device_push_used(&mut self, payload: U) -> bool {
         if self.broken {
             drop(payload);
             return false;
@@ -1135,50 +1145,134 @@ mod tests {
         assert_eq!(q.reset_count(), 0);
     }
 
+    /// Everything in a ring but its payloads: indices, occupancy,
+    /// suppression state and every counter.
+    fn ledger<A, U>(q: &Virtqueue<A, U>) -> [u64; 25] {
+        [
+            q.num_free as u64,
+            q.avail.len() as u64,
+            q.used.len() as u64,
+            q.avail_idx as u64,
+            q.used_idx as u64,
+            q.last_avail_idx as u64,
+            q.last_used_idx as u64,
+            q.used_flags_no_notify as u64,
+            q.avail_flags_no_interrupt as u64,
+            q.avail_event as u64,
+            q.used_event as u64,
+            q.kicks,
+            q.suppressed_kicks,
+            q.interrupts,
+            q.suppressed_interrupts,
+            q.added,
+            q.popped,
+            q.completed,
+            q.reclaimed,
+            q.claim.is_some() as u64,
+            q.broken as u64,
+            q.needs_reset as u64,
+            q.quarantine_dropped,
+            q.quarantines,
+            q.resets,
+        ]
+    }
+
     proptest! {
         /// Conservation: every payload added is eventually either pending,
-        /// used, or reclaimed — never dropped or duplicated; free count
-        /// mirrors in-flight count.
+        /// used, reclaimed or dropped by a quarantine — never duplicated;
+        /// free count mirrors in-flight count. The TX shape
+        /// (`Virtqueue<u64, ()>`) and the RX shape (`Virtqueue<(), u64>`)
+        /// run the same ops in lockstep with the full ring and must make
+        /// the same kick and interrupt decisions and hold the same indices,
+        /// flags and counters at every step: a payload-free half changes
+        /// storage only.
         #[test]
-        fn prop_descriptor_conservation(ops in proptest::collection::vec(0u8..4, 1..300)) {
-            let mut q: Virtqueue<u64> = Virtqueue::new(VirtqueueConfig { size: 16, event_idx: true });
+        fn prop_descriptor_conservation(ops in proptest::collection::vec(0u8..7, 1..300)) {
+            let cfg = VirtqueueConfig { size: 16, event_idx: true };
+            let mut q: Virtqueue<u64> = Virtqueue::new(cfg);
+            let mut tx: Virtqueue<u64, ()> = Virtqueue::new(cfg);
+            let mut rx: Virtqueue<(), u64> = Virtqueue::new(cfg);
             let mut next_payload = 0u64;
             let mut added = 0u64;
             let mut reclaimed = 0u64;
+            let mut dropped = 0u64;
             for op in ops {
                 match op {
                     0 => {
-                        if q.driver_add(next_payload).is_ok() {
+                        let kick = q.driver_add(next_payload).ok();
+                        prop_assert_eq!(tx.driver_add(next_payload).ok(), kick);
+                        prop_assert_eq!(rx.driver_add(()).ok(), kick);
+                        if kick.is_some() {
                             next_payload += 1;
                             added += 1;
                         }
                     }
                     1 => {
-                        if let Some(p) = q.device_pop() {
-                            q.device_push_used(p);
+                        let p = q.device_pop();
+                        prop_assert_eq!(tx.device_pop(), p);
+                        prop_assert_eq!(rx.device_pop().is_some(), p.is_some());
+                        if let Some(p) = p {
+                            let interrupt = q.device_push_used(p);
+                            prop_assert_eq!(tx.device_push_used(()), interrupt);
+                            prop_assert_eq!(rx.device_push_used(p), interrupt);
                         }
                     }
                     2 => {
-                        if q.driver_take_used().is_some() {
+                        let p = q.driver_take_used();
+                        prop_assert_eq!(tx.driver_take_used().is_some(), p.is_some());
+                        prop_assert_eq!(rx.driver_take_used(), p);
+                        if p.is_some() {
                             reclaimed += 1;
                         }
                     }
-                    _ => {
+                    3 => {
                         // Random suppression toggles must not affect data flow.
                         if next_payload % 2 == 0 {
                             q.device_disable_notify();
+                            tx.device_disable_notify();
+                            rx.device_disable_notify();
                         } else {
-                            q.device_enable_notify();
+                            let raced = q.device_enable_notify();
+                            prop_assert_eq!(tx.device_enable_notify(), raced);
+                            prop_assert_eq!(rx.device_enable_notify(), raced);
+                        }
+                    }
+                    4 => {
+                        if reclaimed % 2 == 0 {
+                            q.driver_disable_interrupts();
+                            tx.driver_disable_interrupts();
+                            rx.driver_disable_interrupts();
+                        } else {
+                            let raced = q.driver_enable_interrupts();
+                            prop_assert_eq!(tx.driver_enable_interrupts(), raced);
+                            prop_assert_eq!(rx.driver_enable_interrupts(), raced);
+                        }
+                    }
+                    5 => {
+                        let drained = q.quarantine();
+                        prop_assert_eq!(tx.quarantine(), drained);
+                        prop_assert_eq!(rx.quarantine(), drained);
+                        dropped += drained as u64;
+                    }
+                    _ => {
+                        let reset = q.guest_reset();
+                        prop_assert_eq!(tx.guest_reset(), reset);
+                        prop_assert_eq!(rx.guest_reset(), reset);
+                        if reset {
+                            added = 0;
+                            reclaimed = 0;
+                            dropped = 0;
                         }
                     }
                 }
                 let in_flight = added - reclaimed;
                 prop_assert_eq!(16 - q.num_free() as u64, in_flight);
                 prop_assert_eq!(
-                    q.avail_pending() as u64 + q.used_pending() as u64
-                        + (in_flight - q.avail_pending() as u64 - q.used_pending() as u64),
+                    q.avail_pending() as u64 + q.used_pending() as u64 + dropped,
                     in_flight
                 );
+                prop_assert_eq!(ledger(&tx), ledger(&q));
+                prop_assert_eq!(ledger(&rx), ledger(&q));
             }
         }
 
