@@ -15,278 +15,17 @@
 //! cargo run --release -p es2-bench --bin bench_gate
 //! ```
 //!
-//! Exit status is non-zero iff any row fails (missing file, missing
-//! metric, or out-of-band value).
+//! Each file is read once with `es2_metrics::json`. Exit status is
+//! non-zero iff any row fails (missing or malformed file — the reader's
+//! error and byte offset are printed —, missing metric, or out-of-band
+//! value).
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
+use std::path::Path;
 
-// ---------------------------------------------------------------------
-// Minimal JSON reader
-// ---------------------------------------------------------------------
-//
-// The workspace hand-writes its JSON artifacts (no serde anywhere), so
-// the gate hand-reads them: a small recursive-descent parser over the
-// committed files, enough for objects/arrays/strings/numbers and the
-// escape sequences our own writers emit.
-
-#[derive(Debug, Clone)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn arr(&self) -> &[Json] {
-        match self {
-            Json::Arr(v) => v,
-            _ => &[],
-        }
-    }
-
-    fn num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn str_is(&self, want: &str) -> bool {
-        matches!(self, Json::Str(s) if s == want)
-    }
-
-    fn field_num(&self, key: &str) -> Option<f64> {
-        self.get(key).and_then(Json::num)
-    }
-
-    /// Collect every numeric value bound to `key` anywhere in the
-    /// document, in document order.
-    fn collect_nums(&self, key: &str, out: &mut Vec<f64>) {
-        match self {
-            Json::Obj(fields) => {
-                for (k, v) in fields {
-                    if k == key {
-                        if let Some(n) = v.num() {
-                            out.push(n);
-                        }
-                    }
-                    v.collect_nums(key, out);
-                }
-            }
-            Json::Arr(items) => {
-                for v in items {
-                    v.collect_nums(key, out);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Maximum over every numeric occurrence of `key` in the document.
-    fn max_num(&self, key: &str) -> Option<f64> {
-        let mut all = Vec::new();
-        self.collect_nums(key, &mut all);
-        all.into_iter().fold(None, |m, v| Some(m.map_or(v, |m: f64| m.max(v))))
-    }
-
-    /// Minimum over every numeric occurrence of `key` in the document.
-    fn min_num(&self, key: &str) -> Option<f64> {
-        let mut all = Vec::new();
-        self.collect_nums(key, &mut all);
-        all.into_iter().fold(None, |m, v| Some(m.map_or(v, |m: f64| m.min(v))))
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser { b: s.as_bytes(), i: 0 }
-    }
-
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, self.i))
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        while let Some(&c) = self.b.get(self.i) {
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self.b.get(self.i).ok_or("eof in escape")?;
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            // Our writers never emit \u escapes; decode
-                            // the BMP case and move on.
-                            let hex = self.b.get(self.i..self.i + 4).ok_or("eof in \\u")?;
-                            self.i += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.i)),
-                    }
-                }
-                _ => out.push(c as char),
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or("unexpected eof")? {
-            b'{' => {
-                self.i += 1;
-                let mut fields = Vec::new();
-                if self.peek() == Some(b'}') {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.ws();
-                    let k = self.string()?;
-                    self.expect(b':')?;
-                    let v = self.value()?;
-                    fields.push((k, v));
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b'}') => {
-                            self.i += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("bad object at byte {}", self.i)),
-                    }
-                }
-            }
-            b'[' => {
-                self.i += 1;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b']') => {
-                            self.i += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("bad array at byte {}", self.i)),
-                    }
-                }
-            }
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.lit("true", Json::Bool(true)),
-            b'f' => self.lit("false", Json::Bool(false)),
-            b'n' => self.lit("null", Json::Null),
-            _ => {
-                let start = self.i;
-                while self
-                    .b
-                    .get(self.i)
-                    .is_some_and(|c| matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-                {
-                    self.i += 1;
-                }
-                let text = std::str::from_utf8(&self.b[start..self.i]).map_err(|e| e.to_string())?;
-                text.parse::<f64>()
-                    .map(Json::Num)
-                    .map_err(|_| format!("bad number '{text}' at byte {start}"))
-            }
-        }
-    }
-}
-
-pub fn parse(s: &str) -> Result<Json, String> {
-    let mut p = Parser::new(s);
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing bytes at {}", p.i));
-    }
-    Ok(v)
-}
-
-// ---------------------------------------------------------------------
-// File cache
-// ---------------------------------------------------------------------
-
-/// Lazily-parsed JSON artifacts, keyed by repo-relative path.
-pub struct Files {
-    loaded: std::cell::RefCell<Vec<(String, Option<Json>)>>,
-}
-
-impl Files {
-    fn new() -> Self {
-        Files { loaded: std::cell::RefCell::new(Vec::new()) }
-    }
-
-    /// Parse (once) and return a clone of the document, or `None` if
-    /// the file is missing or malformed.
-    fn doc(&self, path: &str) -> Option<Json> {
-        let mut cache = self.loaded.borrow_mut();
-        if let Some((_, doc)) = cache.iter().find(|(p, _)| p == path) {
-            return doc.clone();
-        }
-        let doc = fs::read_to_string(path).ok().and_then(|s| parse(&s).ok());
-        cache.push((path.to_string(), doc.clone()));
-        doc
-    }
-}
+use es2_metrics::json::{self, Json};
 
 // ---------------------------------------------------------------------
 // The gate table
@@ -310,37 +49,72 @@ impl fmt::Display for Dir {
 }
 
 struct Check {
-    /// Primary artifact; a missing file fails the row.
+    /// The artifact the row reads; a missing or malformed file fails it.
     file: &'static str,
     /// Human-readable metric name, unique within the table.
     metric: &'static str,
     dir: Dir,
     target: f64,
-    extract: fn(&Files) -> Option<f64>,
+    /// The metric, read from the parsed `file`.
+    extract: fn(&Json) -> Option<f64>,
+}
+
+/// Every number bound to `key` anywhere in `doc`, in document order.
+fn nums(doc: &Json, key: &str, out: &mut Vec<f64>) {
+    match doc {
+        Json::Obj(fields) => {
+            for (k, v) in fields {
+                if k == key {
+                    out.extend(v.as_f64());
+                }
+                nums(v, key, out);
+            }
+        }
+        Json::Arr(items) => items.iter().for_each(|v| nums(v, key, out)),
+        _ => {}
+    }
+}
+
+/// Maximum over every numeric occurrence of `key` in `doc`.
+fn max_num(doc: &Json, key: &str) -> Option<f64> {
+    let mut all = Vec::new();
+    nums(doc, key, &mut all);
+    all.into_iter().reduce(f64::max)
+}
+
+/// Minimum over every numeric occurrence of `key` in `doc`.
+fn min_num(doc: &Json, key: &str) -> Option<f64> {
+    let mut all = Vec::new();
+    nums(doc, key, &mut all);
+    all.into_iter().reduce(f64::min)
+}
+
+fn field_num(doc: &Json, key: &str) -> Option<f64> {
+    doc.get(key).and_then(Json::as_f64)
 }
 
 /// Committed full-window mq sweep: rx p99 of `policy` at the densest
 /// (128 VM) cells; extra `(key, value)` constraints narrow the cell.
 fn mq_p99(doc: &Json, policy: &str, narrow: &[(&str, f64)]) -> Option<f64> {
-    doc.get("cells")?.arr().iter().find_map(|c| {
-        let dense = c.field_num("vms") == Some(128.0);
-        let pol = c.get("policy").is_some_and(|p| p.str_is(policy));
-        let nar = narrow.iter().all(|(k, v)| c.field_num(k) == Some(*v));
-        (dense && pol && nar).then(|| c.field_num("rx_p99_us"))?
+    doc.get("cells")?.items().iter().find_map(|c| {
+        let dense = field_num(c, "vms") == Some(128.0);
+        let pol = c.get("policy").and_then(Json::as_str) == Some(policy);
+        let nar = narrow.iter().all(|(k, v)| field_num(c, k) == Some(*v));
+        (dense && pol && nar).then(|| field_num(c, "rx_p99_us"))?
     })
 }
 
 /// Sum of quarantine + reset damage on every VM except the declared
 /// hostile one, across all cells (the containment invariant).
 fn hostile_leakage(doc: &Json) -> Option<f64> {
-    let hostile = doc.field_num("hostile_vm")?;
+    let hostile = field_num(doc, "hostile_vm")?;
     let mut leaked = 0.0;
-    for cell in doc.get("cells")?.arr() {
-        for vm in cell.get("per_vm")?.arr() {
-            if vm.field_num("vm") == Some(hostile) {
+    for cell in doc.get("cells")?.items() {
+        for vm in cell.get("per_vm")?.items() {
+            if field_num(vm, "vm") == Some(hostile) {
                 continue;
             }
-            leaked += vm.field_num("quarantines")? + vm.field_num("resets")?;
+            leaked += field_num(vm, "quarantines")? + field_num(vm, "resets")?;
         }
     }
     Some(leaked)
@@ -350,11 +124,11 @@ fn hostile_leakage(doc: &Json) -> Option<f64> {
 /// annotation (the causal-attribution invariant).
 fn attributed_chaos_breaches(doc: &Json) -> Option<f64> {
     let mut attributed = 0.0;
-    for cell in doc.get("cells")?.arr() {
-        if !cell.get("topology").is_some_and(|t| t.str_is("chaos")) {
+    for cell in doc.get("cells")?.items() {
+        if cell.get("topology").and_then(Json::as_str) != Some("chaos") {
             continue;
         }
-        for b in cell.get("breaches")?.arr() {
+        for b in cell.get("breaches")?.items() {
             if !matches!(b.get("cause"), Some(Json::Null) | None) {
                 attributed += 1.0;
             }
@@ -370,10 +144,9 @@ const CHECKS: &[Check] = &[
         metric: "passthrough/mux rx p99 ratio @128 VMs",
         dir: Dir::AtMost,
         target: 1.0,
-        extract: |f| {
-            let doc = f.doc("BENCH_mq.json")?;
-            let pt = mq_p99(&doc, "passthrough", &[])?;
-            let mux = mq_p99(&doc, "mux", &[("queues", 2.0), ("workers", 1.0)])?;
+        extract: |doc| {
+            let pt = mq_p99(doc, "passthrough", &[])?;
+            let mux = mq_p99(doc, "mux", &[("queues", 2.0), ("workers", 1.0)])?;
             (mux > 0.0).then_some(pt / mux)
         },
     },
@@ -382,28 +155,28 @@ const CHECKS: &[Check] = &[
         metric: "worst blackout p99 (us)",
         dir: Dir::AtMost,
         target: 400.0,
-        extract: |f| f.doc("BENCH_migrate.json")?.max_num("blackout_p99_us"),
+        extract: |doc| max_num(doc, "blackout_p99_us"),
     },
     Check {
         file: "BENCH_migrate.json",
         metric: "worst blackout p99 > 0 (migrations ran)",
         dir: Dir::AtLeast,
         target: 1.0,
-        extract: |f| f.doc("BENCH_migrate.json")?.max_num("blackout_p99_us"),
+        extract: |doc| max_num(doc, "blackout_p99_us"),
     },
     Check {
         file: "BENCH_hostile.json",
         metric: "quarantine/reset damage leaked to neighbors",
         dir: Dir::AtMost,
         target: 0.0,
-        extract: |f| hostile_leakage(&f.doc("BENCH_hostile.json")?),
+        extract: hostile_leakage,
     },
     Check {
         file: "BENCH_telemetry.json",
         metric: "chaos SLO breaches attributed to a fault",
         dir: Dir::AtLeast,
         target: 1.0,
-        extract: |f| attributed_chaos_breaches(&f.doc("BENCH_telemetry.json")?),
+        extract: attributed_chaos_breaches,
     },
     Check {
         // The conservation invariant: after the full control-plane
@@ -414,14 +187,14 @@ const CHECKS: &[Check] = &[
         metric: "orphaned resources after churn fault diet",
         dir: Dir::AtMost,
         target: 0.0,
-        extract: |f| f.doc("BENCH_churn.json")?.max_num("orphans"),
+        extract: |doc| max_num(doc, "orphans"),
     },
     Check {
         file: "BENCH_churn.json",
         metric: "typed control-plane errors during churn",
         dir: Dir::AtMost,
         target: 0.0,
-        extract: |f| f.doc("BENCH_churn.json")?.max_num("ctl_errors"),
+        extract: |doc| max_num(doc, "ctl_errors"),
     },
     Check {
         // Transient rejections (overload, stalled boots) must be
@@ -431,7 +204,7 @@ const CHECKS: &[Check] = &[
         metric: "worst churn retry-success ratio",
         dir: Dir::AtLeast,
         target: 0.4,
-        extract: |f| f.doc("BENCH_churn.json")?.min_num("retry_success_ratio"),
+        extract: |doc| min_num(doc, "retry_success_ratio"),
     },
     Check {
         // Admission-to-boot p99 stays bounded even under brownout
@@ -440,38 +213,54 @@ const CHECKS: &[Check] = &[
         metric: "worst churn boot p99 (us)",
         dir: Dir::AtMost,
         target: 25_000.0,
-        extract: |f| f.doc("BENCH_churn.json")?.max_num("boot_p99_us"),
+        extract: |doc| max_num(doc, "boot_p99_us"),
     },
 ];
 
+/// Read and parse one artifact, or say why it could not be.
+fn load(path: impl AsRef<Path>) -> Result<Json, String> {
+    let text = fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
+    json::parse(&text).map_err(|e| format!("malformed: {e}"))
+}
+
+/// Whether one row passes over its parsed file, and its report line.
+fn verdict(c: &Check, doc: &Result<Json, String>) -> (bool, String) {
+    let v = match doc.as_ref().map(c.extract) {
+        Ok(Some(v)) => v,
+        Ok(None) => {
+            return (
+                false,
+                format!("  [FAIL] {}: {} (missing metric)", c.file, c.metric),
+            )
+        }
+        Err(e) => return (false, format!("  [FAIL] {}: {} ({e})", c.file, c.metric)),
+    };
+    let ok = match c.dir {
+        Dir::AtLeast => v >= c.target,
+        Dir::AtMost => v <= c.target,
+    };
+    let line = format!(
+        "  [{verdict}] {file}: {metric} = {v:.6} (want {dir} {bound})",
+        verdict = if ok { "PASS" } else { "FAIL" },
+        file = c.file,
+        metric = c.metric,
+        dir = c.dir,
+        bound = c.target,
+    );
+    (ok, line)
+}
+
 fn main() {
-    let files = Files::new();
+    let mut docs = BTreeMap::new();
+    for c in CHECKS {
+        docs.entry(c.file).or_insert_with(|| load(c.file));
+    }
     let mut fatal = 0u32;
     println!("bench gate: {} checks over committed BENCH_*.json", CHECKS.len());
     for c in CHECKS {
-        match (c.extract)(&files) {
-            Some(v) => {
-                let ok = match c.dir {
-                    Dir::AtLeast => v >= c.target,
-                    Dir::AtMost => v <= c.target,
-                };
-                if !ok {
-                    fatal += 1;
-                }
-                println!(
-                    "  [{verdict}] {file}: {metric} = {v:.6} (want {dir} {bound})",
-                    verdict = if ok { "PASS" } else { "FAIL" },
-                    file = c.file,
-                    metric = c.metric,
-                    dir = c.dir,
-                    bound = c.target,
-                );
-            }
-            None => {
-                fatal += 1;
-                println!("  [FAIL] {}: {} (missing file or metric)", c.file, c.metric);
-            }
-        }
+        let (ok, line) = verdict(c, &docs[c.file]);
+        fatal += u32::from(!ok);
+        println!("{line}");
     }
     if fatal > 0 {
         eprintln!("bench gate: {fatal} fatal violation(s)");
@@ -484,21 +273,8 @@ fn main() {
 mod tests {
     use super::*;
 
-    #[test]
-    fn parses_scalars_and_nesting() {
-        let doc = parse(r#"{"a": [1, 2.5, {"b": "x", "c": null, "d": true}], "e": -3e2}"#).unwrap();
-        assert_eq!(doc.get("e").unwrap().num(), Some(-300.0));
-        let arr = doc.get("a").unwrap().arr();
-        assert_eq!(arr[1].num(), Some(2.5));
-        assert!(arr[2].get("b").unwrap().str_is("x"));
-        assert!(matches!(arr[2].get("c"), Some(Json::Null)));
-        assert!(matches!(arr[2].get("d"), Some(Json::Bool(true))));
-    }
-
-    #[test]
-    fn rejects_trailing_garbage() {
-        assert!(parse("{} extra").is_err());
-        assert!(parse("[1,]").is_err());
+    fn parse(text: &str) -> Json {
+        json::parse(text).unwrap()
     }
 
     #[test]
@@ -509,8 +285,7 @@ mod tests {
                 {"vm": 1, "quarantines": 9, "resets": 9},
                 {"vm": 2, "quarantines": 1, "resets": 0}
             ]}]}"#,
-        )
-        .unwrap();
+        );
         assert_eq!(hostile_leakage(&doc), Some(1.0));
     }
 
@@ -523,8 +298,48 @@ mod tests {
                 ]},
                 {"topology": "mq", "breaches": [{"cause": {"kind": "x"}}]}
             ]}"#,
-        )
-        .unwrap();
+        );
         assert_eq!(attributed_chaos_breaches(&doc), Some(1.0));
+    }
+
+    #[test]
+    fn malformed_artifact_fails_with_the_byte_offset() {
+        let doc = json::parse(r#"{"cells": [1,]}"#).map_err(|e| format!("malformed: {e}"));
+        let (ok, line) = verdict(&CHECKS[0], &doc);
+        assert!(!ok);
+        assert!(
+            line.contains("malformed: expected a value at byte 13"),
+            "{line}"
+        );
+        let (ok, line) = verdict(&CHECKS[0], &load("no/such/BENCH_mq.json"));
+        assert!(!ok);
+        assert!(line.contains("cannot read"), "{line}");
+    }
+
+    /// Every committed artifact is in the writer's canonical form (so a
+    /// hand edit or a stale layout fails here), and every gate row
+    /// passes over the real files.
+    #[test]
+    fn committed_artifacts_are_canonical_and_pass_the_gate() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut names: Vec<String> = fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+            .collect();
+        names.sort();
+        assert_eq!(names.len(), 7, "{names:?}");
+        for name in &names {
+            let text = fs::read_to_string(root.join(name)).unwrap();
+            let doc = json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(
+                format!("{doc}\n") == text,
+                "{name} is not in canonical form"
+            );
+        }
+        for c in CHECKS {
+            let (ok, line) = verdict(c, &load(root.join(c.file)));
+            assert!(ok, "{line}");
+        }
     }
 }

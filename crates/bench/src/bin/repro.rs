@@ -82,9 +82,13 @@
 //! clobbers the committed full-window `BENCH_*.json`.
 //!
 //! An argument that is none of the above exits with status 2 before
-//! anything runs.
+//! anything runs. A report that cannot write its JSON exits with status
+//! 1; with `--fast` a missing `target/` is caught before simulating.
+
+use std::path::Path;
 
 use es2_bench::*;
+use es2_metrics::json::Json;
 use es2_sim::SimDuration;
 use es2_testbed::Params;
 
@@ -97,7 +101,7 @@ fn dump_ev_profile() {
 
 /// A report subcommand: runs at `(params, seed, fast)` and returns its
 /// deterministic stdout report, its JSON and an optional Chrome trace.
-type Report = fn(Params, u64, bool) -> (String, String, Option<String>);
+type Report = fn(Params, u64, bool) -> (String, Json, Option<Json>);
 
 /// The report subcommands: flag, stem of the `BENCH_<stem>.json` they
 /// write, and the report they run. The first flag present wins.
@@ -180,22 +184,31 @@ fn main() {
             params.warmup = SimDuration::from_millis(50);
             params.measure = SimDuration::from_millis(200);
         }
-        let (report, json, chrome) = run(params, SEED, fast);
-        print!("{report}");
         let path = if fast {
             format!("target/BENCH_{stem}_fast.json")
         } else {
             format!("BENCH_{stem}.json")
         };
+        // Fail before simulating when the artifact has nowhere to land.
+        if fast && !Path::new("target").is_dir() {
+            eprintln!("repro: cannot write {path}: no target/ directory here");
+            std::process::exit(1);
+        }
+        let (report, json, chrome) = run(params, SEED, fast);
+        print!("{report}");
         let chrome = chrome.map(|c| (format!("target/BENCH_{stem}_chrome.json"), c));
-        for (p, content) in std::iter::once((path, json)).chain(chrome) {
-            match std::fs::write(&p, content) {
+        let mut failed = false;
+        for (p, doc) in std::iter::once((path, json)).chain(chrome) {
+            match std::fs::write(&p, format!("{doc}\n")) {
                 Ok(()) => eprintln!("wrote {p}"),
-                Err(e) => eprintln!("could not write {p}: {e}"),
+                Err(e) => {
+                    eprintln!("could not write {p}: {e}");
+                    failed = true;
+                }
             }
         }
         dump_ev_profile();
-        return;
+        std::process::exit(i32::from(failed));
     }
 
     let mut what: Vec<&str> = args

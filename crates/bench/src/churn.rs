@@ -19,13 +19,12 @@
 //! `BENCH_churn.json` for full windows) carries the same cells.
 
 use es2_core::EventPathConfig;
+use es2_metrics::json::Json;
 use es2_sim::{FaultPlan, SimDuration, SimTime};
 use es2_testbed::{
     ChurnSpec, Cluster, ClusterResult, ClusterSpec, Params, PlannedMove, WorkloadSpec,
 };
 use es2_workloads::NetperfSpec;
-
-use crate::json_f;
 
 const HOSTS: u32 = 4;
 const CAP_VMS_PER_HOST: u32 = 3;
@@ -117,7 +116,7 @@ fn reclaimed_total(r: &ClusterResult) -> u32 {
 
 /// Run the churn sweep over Baseline / PI / ES2 and return
 /// `(deterministic_report, json)`.
-pub fn churn_report(params: Params, seed: u64, fast: bool) -> (String, String) {
+pub fn churn_report(params: Params, seed: u64, fast: bool) -> (String, Json) {
     use es2_metrics::Table;
 
     let run_secs = (params.warmup + params.measure).as_secs_f64();
@@ -201,100 +200,54 @@ pub fn churn_report(params: Params, seed: u64, fast: bool) -> (String, String) {
         ));
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"harness\": \"repro --churn\",\n");
-    json.push_str(&format!("  \"fast\": {fast},\n"));
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!(
-        "  \"hosts\": {HOSTS},\n  \"cap_vms_per_host\": {CAP_VMS_PER_HOST},\n  \"fleet\": \
-         {FLEET},\n  \"arrivals\": {arrivals},\n"
-    ));
-    json.push_str("  \"cells\": [\n");
-    for (i, (name, r, s)) in cells.iter().enumerate() {
-        let c = r.churn.as_ref().unwrap();
-        json.push_str("    {\n");
-        json.push_str(&format!("      \"config\": \"{name}\",\n"));
-        json.push_str(&format!("      \"arrivals\": {},\n", c.arrivals));
-        json.push_str(&format!("      \"admitted\": {},\n", c.admitted));
-        json.push_str(&format!(
-            "      \"admits_per_sec\": {},\n",
-            json_f(c.admitted as f64 / run_secs)
-        ));
-        json.push_str(&format!(
-            "      \"rejection_ratio\": {},\n",
-            json_f(c.rejection_ratio())
-        ));
-        json.push_str(&format!("      \"rejected_final\": {},\n", c.rejected_final));
-        json.push_str(&format!("      \"abandoned\": {},\n", c.abandoned));
-        json.push_str(&format!("      \"retried\": {},\n", c.retried));
-        json.push_str(&format!(
-            "      \"retry_successes\": {},\n",
-            c.retry_successes
-        ));
-        json.push_str(&format!(
-            "      \"retry_success_ratio\": {},\n",
-            json_f(c.retry_success_ratio())
-        ));
-        json.push_str(&format!(
-            "      \"boot_p50_us\": {},\n",
-            json_f(c.boot_wait_percentile_us(0.5))
-        ));
-        json.push_str(&format!(
-            "      \"boot_p99_us\": {},\n",
-            json_f(c.boot_wait_percentile_us(0.99))
-        ));
-        json.push_str(&format!(
-            "      \"place_fail_faults\": {},\n",
-            c.place_fail_faults
-        ));
-        json.push_str(&format!(
-            "      \"boot_stall_faults\": {},\n",
-            c.boot_stall_faults
-        ));
-        json.push_str(&format!(
-            "      \"boot_timeouts\": {},\n",
-            r.ledger.boot_timeouts
-        ));
-        json.push_str(&format!(
-            "      \"brownout_deferrals\": {},\n",
-            c.brownout_deferrals
-        ));
-        json.push_str(&format!("      \"destroy_races\": {},\n", c.destroy_races));
-        json.push_str(&format!(
-            "      \"replaced_on_crash\": {},\n",
-            c.replaced_on_crash
-        ));
-        json.push_str(&format!("      \"departures\": {},\n", c.departures));
-        json.push_str(&format!(
-            "      \"reclaimed_slots\": {},\n",
-            reclaimed_total(r)
-        ));
-        json.push_str(&format!(
-            "      \"ctl_errors\": {},\n",
-            r.ledger.ctl_errors.len()
-        ));
-        json.push_str(&format!("      \"orphans\": {},\n", r.orphans()));
-        json.push_str(&format!(
-            "      \"churn_rx_p99_us\": {},\n",
-            r.worst_rx_p99_us()
-        ));
-        json.push_str(&format!(
-            "      \"static_rx_p99_us\": {},\n",
-            s.worst_rx_p99_us()
-        ));
-        json.push_str(&format!("      \"events\": {},\n", events_total(r)));
-        json.push_str(&format!(
-            "      \"liveness\": \"{}\"\n",
-            if r.liveness.ok() && s.liveness.ok() {
-                "pass"
-            } else {
-                "fail"
-            }
-        ));
-        json.push_str(if i + 1 < cells.len() { "    },\n" } else { "    }\n" });
-    }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
+    let json_cells: Json = cells
+        .iter()
+        .map(|(name, r, s)| {
+            let c = r.churn.as_ref().unwrap();
+            Json::object()
+                .with("config", *name)
+                .with("arrivals", c.arrivals)
+                .with("admitted", c.admitted)
+                .with("admits_per_sec", c.admitted as f64 / run_secs)
+                .with("rejection_ratio", c.rejection_ratio())
+                .with("rejected_final", c.rejected_final)
+                .with("abandoned", c.abandoned)
+                .with("retried", c.retried)
+                .with("retry_successes", c.retry_successes)
+                .with("retry_success_ratio", c.retry_success_ratio())
+                .with("boot_p50_us", c.boot_wait_percentile_us(0.5))
+                .with("boot_p99_us", c.boot_wait_percentile_us(0.99))
+                .with("place_fail_faults", c.place_fail_faults)
+                .with("boot_stall_faults", c.boot_stall_faults)
+                .with("boot_timeouts", r.ledger.boot_timeouts)
+                .with("brownout_deferrals", c.brownout_deferrals)
+                .with("destroy_races", c.destroy_races)
+                .with("replaced_on_crash", c.replaced_on_crash)
+                .with("departures", c.departures)
+                .with("reclaimed_slots", reclaimed_total(r))
+                .with("ctl_errors", r.ledger.ctl_errors.len())
+                .with("orphans", r.orphans())
+                .with("churn_rx_p99_us", r.worst_rx_p99_us())
+                .with("static_rx_p99_us", s.worst_rx_p99_us())
+                .with("events", events_total(r))
+                .with(
+                    "liveness",
+                    if r.liveness.ok() && s.liveness.ok() {
+                        "pass"
+                    } else {
+                        "fail"
+                    },
+                )
+        })
+        .collect();
+    let json = Json::object()
+        .with("harness", "repro --churn")
+        .with("fast", fast)
+        .with("seed", seed)
+        .with("hosts", HOSTS)
+        .with("cap_vms_per_host", CAP_VMS_PER_HOST)
+        .with("fleet", FLEET)
+        .with("arrivals", arrivals)
+        .with("cells", json_cells);
     (report, json)
 }

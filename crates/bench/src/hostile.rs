@@ -15,12 +15,11 @@
 //! for downstream diffing.
 
 use es2_core::EventPathConfig;
+use es2_metrics::json::Json;
 use es2_sim::FaultPlan;
 use es2_testbed::experiments::{self};
 use es2_testbed::{BackpressureParams, Machine, Params, RunResult, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
-
-use crate::json_f;
 
 /// The VM index that misbehaves (VM 0 is the measured victim).
 const HOSTILE_VM: u32 = 1;
@@ -78,7 +77,7 @@ fn run_pair(cfg: EventPathConfig, params: Params, seed: u64) -> HostileCell {
 }
 
 /// Run the blast-radius sweep and return `(deterministic_report, json)`.
-pub fn hostile_report(params: Params, seed: u64, fast: bool) -> (String, String) {
+pub fn hostile_report(params: Params, seed: u64, fast: bool) -> (String, Json) {
     use es2_metrics::Table;
 
     let params = Params {
@@ -159,94 +158,52 @@ pub fn hostile_report(params: Params, seed: u64, fast: bool) -> (String, String)
         ));
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"harness\": \"repro --hostile\",\n");
-    json.push_str(&format!("  \"fast\": {fast},\n"));
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"hostile_vm\": {HOSTILE_VM},\n"));
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let bp = &c.hostile.backpressure;
-        json.push_str("    {\n");
-        json.push_str(&format!("      \"config\": \"{}\",\n", c.config));
-        json.push_str(&format!(
-            "      \"victim_goodput_clean_gbps\": {},\n",
-            json_f(c.clean.goodput_gbps)
-        ));
-        json.push_str(&format!(
-            "      \"victim_goodput_hostile_gbps\": {},\n",
-            json_f(c.hostile.goodput_gbps)
-        ));
-        json.push_str(&format!(
-            "      \"victim_goodput_retained_percent\": {},\n",
-            json_f(c.retained_percent())
-        ));
-        json.push_str(&format!(
-            "      \"victim_rx_p99_clean_us\": {},\n",
-            c.clean.rx_p99_us_per_vm[0]
-        ));
-        json.push_str(&format!(
-            "      \"victim_rx_p99_hostile_us\": {},\n",
-            c.hostile.rx_p99_us_per_vm[0]
-        ));
-        json.push_str(&format!(
-            "      \"victim_rx_p99_ratio\": {},\n",
-            json_f(c.p99_ratio())
-        ));
-        json.push_str(&format!(
-            "      \"ring_corruptions\": {},\n",
-            c.hostile.fault_stats.ring_corruptions
-        ));
-        json.push_str(&format!(
-            "      \"storm_kicks\": {},\n",
-            c.hostile.fault_stats.storm_kicks
-        ));
-        json.push_str(&format!(
-            "      \"storm_eois\": {},\n",
-            c.hostile.fault_stats.storm_eois
-        ));
-        json.push_str(&format!("      \"quarantines\": {},\n", bp.quarantines));
-        json.push_str(&format!("      \"queue_resets\": {},\n", bp.resets));
-        json.push_str(&format!(
-            "      \"throttled_kicks\": {},\n",
-            bp.throttled_kicks
-        ));
-        json.push_str(&format!(
-            "      \"budget_deferrals\": {},\n",
-            bp.budget_deferrals
-        ));
-        json.push_str(&format!(
-            "      \"quarantine_dropped\": {},\n",
-            bp.quarantine_dropped
-        ));
-        json.push_str("      \"per_vm\": [\n");
-        for (vm, b) in c.hostile.backpressure_per_vm.iter().enumerate() {
-            json.push_str(&format!(
-                "        {{\"vm\": {vm}, \"spurious_kicks\": {}, \"spurious_eois\": {}, \
-                 \"throttled_kicks\": {}, \"quarantines\": {}, \"resets\": {}, \
-                 \"rx_p99_us\": {}}}{}\n",
-                b.spurious_kicks,
-                b.spurious_eois,
-                b.throttled_kicks,
-                b.quarantines,
-                b.resets,
-                c.hostile.rx_p99_us_per_vm[vm],
-                if vm + 1 < c.hostile.backpressure_per_vm.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        json.push_str("      ],\n");
-        json.push_str(&format!(
-            "      \"liveness\": \"{}\"\n",
-            if c.liveness_ok { "pass" } else { "fail" }
-        ));
-        json.push_str(if i + 1 < cells.len() { "    },\n" } else { "    }\n" });
-    }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
+    let json_cells: Json = cells
+        .iter()
+        .map(|c| {
+            let bp = &c.hostile.backpressure;
+            let per_vm: Json = c
+                .hostile
+                .backpressure_per_vm
+                .iter()
+                .zip(&c.hostile.rx_p99_us_per_vm)
+                .enumerate()
+                .map(|(vm, (b, &rx_p99_us))| {
+                    Json::object()
+                        .with("vm", vm)
+                        .with("spurious_kicks", b.spurious_kicks)
+                        .with("spurious_eois", b.spurious_eois)
+                        .with("throttled_kicks", b.throttled_kicks)
+                        .with("quarantines", b.quarantines)
+                        .with("resets", b.resets)
+                        .with("rx_p99_us", rx_p99_us)
+                })
+                .collect();
+            Json::object()
+                .with("config", c.config)
+                .with("victim_goodput_clean_gbps", c.clean.goodput_gbps)
+                .with("victim_goodput_hostile_gbps", c.hostile.goodput_gbps)
+                .with("victim_goodput_retained_percent", c.retained_percent())
+                .with("victim_rx_p99_clean_us", c.clean.rx_p99_us_per_vm[0])
+                .with("victim_rx_p99_hostile_us", c.hostile.rx_p99_us_per_vm[0])
+                .with("victim_rx_p99_ratio", c.p99_ratio())
+                .with("ring_corruptions", c.hostile.fault_stats.ring_corruptions)
+                .with("storm_kicks", c.hostile.fault_stats.storm_kicks)
+                .with("storm_eois", c.hostile.fault_stats.storm_eois)
+                .with("quarantines", bp.quarantines)
+                .with("queue_resets", bp.resets)
+                .with("throttled_kicks", bp.throttled_kicks)
+                .with("budget_deferrals", bp.budget_deferrals)
+                .with("quarantine_dropped", bp.quarantine_dropped)
+                .with("per_vm", per_vm)
+                .with("liveness", if c.liveness_ok { "pass" } else { "fail" })
+        })
+        .collect();
+    let json = Json::object()
+        .with("harness", "repro --hostile")
+        .with("fast", fast)
+        .with("seed", seed)
+        .with("hostile_vm", HOSTILE_VM)
+        .with("cells", json_cells);
     (report, json)
 }

@@ -15,11 +15,10 @@
 //! `BENCH_migrate.json` for full windows) carries the same cells.
 
 use es2_core::EventPathConfig;
+use es2_metrics::json::Json;
 use es2_sim::{FaultPlan, SimDuration, SimTime};
 use es2_testbed::{Cluster, ClusterResult, ClusterSpec, Params, PlannedMove, WorkloadSpec};
 use es2_workloads::NetperfSpec;
-
-use crate::json_f;
 
 const HOSTS: u32 = 4;
 const CAP_VMS_PER_HOST: u32 = 2;
@@ -82,7 +81,7 @@ fn events_total(r: &ClusterResult) -> u64 {
 
 /// Run the consolidation sweep + recovery cells and return
 /// `(deterministic_report, json)`.
-pub fn migrate_report(params: Params, seed: u64, fast: bool) -> (String, String) {
+pub fn migrate_report(params: Params, seed: u64, fast: bool) -> (String, Json) {
     use es2_metrics::Table;
 
     let levels: &[u32] = if fast { &[2, 8] } else { &[2, 4, 6, 8] };
@@ -163,72 +162,54 @@ pub fn migrate_report(params: Params, seed: u64, fast: bool) -> (String, String)
         if abort.liveness.ok() { "PASS" } else { "FAIL" },
     ));
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"harness\": \"repro --migrate\",\n");
-    json.push_str(&format!("  \"fast\": {fast},\n"));
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!(
-        "  \"hosts\": {HOSTS},\n  \"cap_vms_per_host\": {CAP_VMS_PER_HOST},\n  \"fleet\": {FLEET},\n"
-    ));
-    json.push_str("  \"consolidation\": [\n");
-    for (i, (l, r)) in cells.iter().enumerate() {
-        json.push_str("    {\n");
-        json.push_str(&format!("      \"target_vms_on_host0\": {l},\n"));
-        json.push_str(&format!(
-            "      \"final_vms_on_host0\": {},\n",
-            vms_on_host(r, 0)
-        ));
-        json.push_str(&format!(
-            "      \"host0_density\": {},\n",
-            json_f(*l as f64 / CAP_VMS_PER_HOST as f64)
-        ));
-        json.push_str(&format!(
-            "      \"packing_density\": {},\n",
-            json_f(r.packing_density())
-        ));
-        json.push_str(&format!("      \"migrations\": {},\n", r.ledger.out));
-        json.push_str(&format!("      \"msi_retargets\": {},\n", r.ledger.retargets));
-        json.push_str(&format!(
-            "      \"blackout_p50_us\": {},\n",
-            json_f(r.blackout_percentile_us(0.5))
-        ));
-        json.push_str(&format!(
-            "      \"blackout_p99_us\": {},\n",
-            json_f(r.blackout_percentile_us(0.99))
-        ));
-        json.push_str(&format!(
-            "      \"host0_rx_p99_us\": {},\n",
-            host_rx_p99_us(r, 0)
-        ));
-        json.push_str(&format!(
-            "      \"worst_rx_p99_us\": {},\n",
-            r.worst_rx_p99_us()
-        ));
-        json.push_str(&format!("      \"events\": {},\n", events_total(r)));
-        json.push_str(&format!(
-            "      \"liveness\": \"{}\"\n",
-            if r.liveness.ok() { "pass" } else { "fail" }
-        ));
-        json.push_str(if i + 1 < cells.len() { "    },\n" } else { "    }\n" });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"recovery\": {\n");
-    json.push_str(&format!(
-        "    \"host_crash\": {{\"restarts\": {}, \"worst_rx_p99_us\": {}, \"liveness\": \"{}\"}},\n",
-        crash.ledger.restarts,
-        crash.worst_rx_p99_us(),
-        if crash.liveness.ok() { "pass" } else { "fail" }
-    ));
-    json.push_str(&format!(
-        "    \"aborted_migration\": {{\"aborts\": {}, \"vm_back_on_source\": {}, \
-         \"blackout_us\": {}, \"liveness\": \"{}\"}}\n",
-        abort.ledger.aborts,
-        abort.final_host[2] == Some(1),
-        json_f(abort.blackout_percentile_us(0.5)),
-        if abort.liveness.ok() { "pass" } else { "fail" }
-    ));
-    json.push_str("  }\n");
-    json.push_str("}\n");
+    let consolidation: Json = cells
+        .iter()
+        .map(|(l, r)| {
+            Json::object()
+                .with("target_vms_on_host0", *l)
+                .with("final_vms_on_host0", vms_on_host(r, 0))
+                .with("host0_density", *l as f64 / CAP_VMS_PER_HOST as f64)
+                .with("packing_density", r.packing_density())
+                .with("migrations", r.ledger.out)
+                .with("msi_retargets", r.ledger.retargets)
+                .with("blackout_p50_us", r.blackout_percentile_us(0.5))
+                .with("blackout_p99_us", r.blackout_percentile_us(0.99))
+                .with("host0_rx_p99_us", host_rx_p99_us(r, 0))
+                .with("worst_rx_p99_us", r.worst_rx_p99_us())
+                .with("events", events_total(r))
+                .with("liveness", if r.liveness.ok() { "pass" } else { "fail" })
+        })
+        .collect();
+    let recovery = Json::object()
+        .with(
+            "host_crash",
+            Json::object()
+                .with("restarts", crash.ledger.restarts)
+                .with("worst_rx_p99_us", crash.worst_rx_p99_us())
+                .with(
+                    "liveness",
+                    if crash.liveness.ok() { "pass" } else { "fail" },
+                ),
+        )
+        .with(
+            "aborted_migration",
+            Json::object()
+                .with("aborts", abort.ledger.aborts)
+                .with("vm_back_on_source", abort.final_host[2] == Some(1))
+                .with("blackout_us", abort.blackout_percentile_us(0.5))
+                .with(
+                    "liveness",
+                    if abort.liveness.ok() { "pass" } else { "fail" },
+                ),
+        );
+    let json = Json::object()
+        .with("harness", "repro --migrate")
+        .with("fast", fast)
+        .with("seed", seed)
+        .with("hosts", HOSTS)
+        .with("cap_vms_per_host", CAP_VMS_PER_HOST)
+        .with("fleet", FLEET)
+        .with("consolidation", consolidation)
+        .with("recovery", recovery);
     (report, json)
 }

@@ -24,11 +24,10 @@
 //! at the densest cell.
 
 use es2_core::EventPathConfig;
+use es2_metrics::json::Json;
 use es2_sim::FaultPlan;
 use es2_testbed::{Machine, Params, RunResult, ShardPolicy, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
-
-use crate::json_f;
 
 /// vCPUs per VM in the sweep — matches the consolidation sweep's
 /// two-vCPU tenants, so `q2` is exactly one TX/RX pair per vCPU.
@@ -112,7 +111,7 @@ fn run_cell(
 }
 
 /// Run the multi-queue sweep and return `(deterministic_report, json)`.
-pub fn mq_report(params: Params, seed: u64, fast: bool) -> (String, String) {
+pub fn mq_report(params: Params, seed: u64, fast: bool) -> (String, Json) {
     use es2_metrics::Table;
 
     let vm_counts: &[u32] = if fast { &[8, 16] } else { &[64, 128] };
@@ -193,72 +192,44 @@ pub fn mq_report(params: Params, seed: u64, fast: bool) -> (String, String) {
         mux.result.mean_rx_latency_us,
     ));
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"harness\": \"repro --mq\",\n");
-    json.push_str(&format!("  \"fast\": {fast},\n"));
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"vcpus_per_vm\": {MQ_VCPUS_PER_VM},\n"));
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let r = &c.result;
-        json.push_str("    {\n");
-        json.push_str(&format!("      \"vms\": {},\n", c.vms));
-        json.push_str(&format!("      \"queues\": {},\n", c.queues));
-        json.push_str(&format!("      \"workers\": {},\n", c.workers));
-        json.push_str(&format!(
-            "      \"effective_workers\": {},\n",
-            c.effective_workers
-        ));
-        json.push_str(&format!("      \"policy\": \"{}\",\n", c.policy.label()));
-        json.push_str(&format!(
-            "      \"goodput_gbps\": {},\n",
-            json_f(r.goodput_gbps)
-        ));
-        json.push_str(&format!(
-            "      \"exit_rate_per_sec\": {},\n",
-            json_f(r.total_exit_rate())
-        ));
-        json.push_str(&format!(
-            "      \"rx_p99_us\": {},\n",
-            r.rx_p99_us_per_vm[0]
-        ));
-        json.push_str(&format!(
-            "      \"rx_mean_us\": {},\n",
-            json_f(r.mean_rx_latency_us)
-        ));
-        json.push_str(&format!("      \"kicks\": {},\n", r.kicks_total));
-        json.push_str(&format!(
-            "      \"rx_interrupts\": {},\n",
-            r.rx_interrupts_total
-        ));
-        json.push_str(&format!(
-            "      \"host_ctx_switches\": {},\n",
-            r.host_ctx_switches
-        ));
-        json.push_str(&format!(
-            "      \"polling_entries\": {},\n",
-            r.polling_entries
-        ));
-        json.push_str(&format!(
-            "      \"device_irqs_per_vcpu\": {:?},\n",
-            r.device_irqs_per_vcpu
-        ));
-        json.push_str(&format!(
-            "      \"vhost_pending_hwm_per_worker\": {:?},\n",
-            r.vhost_pending_hwm_per_worker
-        ));
-        json.push_str(&format!(
-            "      \"events_simulated\": {},\n",
-            r.events_simulated
-        ));
-        json.push_str(&format!(
-            "      \"liveness\": \"{}\"\n",
-            if c.liveness_ok { "pass" } else { "fail" }
-        ));
-        json.push_str(if i + 1 < cells.len() { "    },\n" } else { "    }\n" });
-    }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
+    let json_cells: Json = cells
+        .iter()
+        .map(|c| {
+            let r = &c.result;
+            Json::object()
+                .with("vms", c.vms)
+                .with("queues", c.queues)
+                .with("workers", c.workers)
+                .with("effective_workers", c.effective_workers)
+                .with("policy", c.policy.label())
+                .with("goodput_gbps", r.goodput_gbps)
+                .with("exit_rate_per_sec", r.total_exit_rate())
+                .with("rx_p99_us", r.rx_p99_us_per_vm[0])
+                .with("rx_mean_us", r.mean_rx_latency_us)
+                .with("kicks", r.kicks_total)
+                .with("rx_interrupts", r.rx_interrupts_total)
+                .with("host_ctx_switches", r.host_ctx_switches)
+                .with("polling_entries", r.polling_entries)
+                .with(
+                    "device_irqs_per_vcpu",
+                    r.device_irqs_per_vcpu.iter().copied().collect::<Json>(),
+                )
+                .with(
+                    "vhost_pending_hwm_per_worker",
+                    r.vhost_pending_hwm_per_worker
+                        .iter()
+                        .copied()
+                        .collect::<Json>(),
+                )
+                .with("events_simulated", r.events_simulated)
+                .with("liveness", if c.liveness_ok { "pass" } else { "fail" })
+        })
+        .collect();
+    let json = Json::object()
+        .with("harness", "repro --mq")
+        .with("fast", fast)
+        .with("seed", seed)
+        .with("vcpus_per_vm", MQ_VCPUS_PER_VM)
+        .with("cells", json_cells);
     (report, json)
 }

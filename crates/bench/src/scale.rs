@@ -6,10 +6,9 @@
 //! byte-identical at any `ES2_THREADS`; host-time performance of this
 //! many-VM regime is measured by perfbench's `dense` workload.
 
+use es2_metrics::json::Json;
 use es2_testbed::experiments::{self, RunSpec};
 use es2_testbed::{Params, RunResult};
-
-use crate::json_f;
 
 /// One (VM count, configuration) cell of the consolidation sweep.
 struct ScaleCell {
@@ -20,7 +19,7 @@ struct ScaleCell {
 
 /// Run the many-VM consolidation sweep and return
 /// `(deterministic_report, json)`.
-pub fn scale_report(params: Params, seed: u64, fast: bool) -> (String, String) {
+pub fn scale_report(params: Params, seed: u64, fast: bool) -> (String, Json) {
     use es2_metrics::Table;
 
     let vm_counts: &[u32] = if fast { &[64] } else { &[32, 64, 128] };
@@ -85,40 +84,25 @@ pub fn scale_report(params: Params, seed: u64, fast: bool) -> (String, String) {
         }
     ));
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"harness\": \"repro --scale\",\n");
-    json.push_str(&format!("  \"fast\": {fast},\n"));
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"httperf_rate\": {},\n", json_f(rate)));
-    json.push_str(&format!(
-        "  \"vcpus_per_vm\": {},\n",
-        experiments::SCALE_VCPUS_PER_VM
-    ));
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        json.push_str("    {\n");
-        json.push_str(&format!("      \"vms\": {},\n", c.vms));
-        json.push_str(&format!("      \"config\": \"{}\",\n", c.config));
-        json.push_str(&format!(
-            "      \"events_simulated\": {},\n",
-            c.result.events_simulated
-        ));
-        json.push_str(&format!(
-            "      \"conns_established\": {},\n",
-            c.result.conns_established
-        ));
-        json.push_str(&format!(
-            "      \"mean_conn_time_ms\": {}\n",
-            json_f(c.result.mean_conn_time_ms)
-        ));
-        json.push_str(if i + 1 < cells.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
+    let json = Json::object()
+        .with("harness", "repro --scale")
+        .with("fast", fast)
+        .with("seed", seed)
+        .with("httperf_rate", rate)
+        .with("vcpus_per_vm", experiments::SCALE_VCPUS_PER_VM)
+        .with(
+            "cells",
+            cells
+                .iter()
+                .map(|c| {
+                    Json::object()
+                        .with("vms", c.vms)
+                        .with("config", c.config)
+                        .with("events_simulated", c.result.events_simulated)
+                        .with("conns_established", c.result.conns_established)
+                        .with("mean_conn_time_ms", c.result.mean_conn_time_ms)
+                })
+                .collect::<Json>(),
+        );
     (report, json)
 }

@@ -21,15 +21,14 @@
 //! `target/BENCH_telemetry_chrome.json`.
 
 use es2_core::EventPathConfig;
-use es2_metrics::{SloMetric, SloSpec, TelemetryReport};
+use es2_metrics::json::Json;
+use es2_metrics::{Annotation, SloMetric, SloSpec, TelemetryReport};
 use es2_sim::{FaultPlan, SimDuration, SimTime};
 use es2_testbed::{
     experiments, Cluster, ClusterSpec, Machine, Params, PlannedMove, ShardPolicy, Topology,
     WorkloadSpec,
 };
 use es2_workloads::NetperfSpec;
-
-use crate::json_f;
 
 /// Attribution horizon: a breach blames the latest annotation at most
 /// this far before its onset.
@@ -304,7 +303,7 @@ fn ms(ns: u64) -> f64 {
 }
 
 /// Run every cell and return `(deterministic_report, json, chrome)`.
-pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, String, String) {
+pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, Json, Json) {
     use es2_metrics::Table;
 
     let mut cells: Vec<TelCell> = Vec::new();
@@ -484,120 +483,83 @@ pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, Strin
     report.push_str(&tt.render());
 
     // ---- JSON ----
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"harness\": \"repro --telemetry\",\n");
-    json.push_str(&format!("  \"fast\": {fast},\n"));
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!(
-        "  \"window_ns\": {},\n",
-        params.telemetry_window.as_nanos()
-    ));
-    json.push_str(&format!("  \"horizon_ns\": {HORIZON},\n"));
-    json.push_str("  \"cells\": [\n");
-    for (i, ((c, breaches), alerts)) in cells
+    let annotation = |a: &Annotation| {
+        Json::object()
+            .with("at_ns", a.at_ns)
+            .with("vm", a.vm)
+            .with("kind", a.kind)
+            .with("arg", a.arg)
+    };
+    let json_cells: Json = cells
         .iter()
         .zip(&all_breaches)
         .zip(&all_alerts)
-        .enumerate()
-    {
-        let rep = &c.report;
-        json.push_str("    {\n");
-        json.push_str(&format!("      \"topology\": \"{}\",\n", c.topology));
-        json.push_str(&format!("      \"config\": \"{}\",\n", c.config));
-        json.push_str(&format!("      \"windows\": {},\n", rep.windows.len()));
-        json.push_str(&format!("      \"ann_total\": {},\n", rep.annotations.len()));
-        json.push_str(&format!("      \"ann_dropped\": {},\n", rep.ann_dropped));
-        let series = fleet_series(rep, MAX_POINTS);
-        let col = |f: &dyn Fn(&SeriesPoint) -> String| {
-            series.iter().map(f).collect::<Vec<_>>().join(", ")
-        };
-        json.push_str("      \"series\": {\n");
-        json.push_str(&format!(
-            "        \"idx\": [{}],\n",
-            col(&|p: &SeriesPoint| p.idx.to_string())
-        ));
-        json.push_str(&format!(
-            "        \"len\": [{}],\n",
-            col(&|p: &SeriesPoint| p.len.to_string())
-        ));
-        json.push_str(&format!(
-            "        \"tig_pct\": [{}],\n",
-            col(&|p: &SeriesPoint| json_f(p.tig_pct))
-        ));
-        json.push_str(&format!(
-            "        \"exits_per_sec\": [{}],\n",
-            col(&|p: &SeriesPoint| json_f(p.exits_per_sec))
-        ));
-        json.push_str(&format!(
-            "        \"rx_p99_us\": [{}],\n",
-            col(&|p: &SeriesPoint| json_f(p.rx_p99_us))
-        ));
-        json.push_str(&format!(
-            "        \"goodput_bytes\": [{}],\n",
-            col(&|p: &SeriesPoint| p.goodput_bytes.to_string())
-        ));
-        json.push_str(&format!(
-            "        \"pending_hwm\": [{}],\n",
-            col(&|p: &SeriesPoint| p.pending_hwm.to_string())
-        ));
-        json.push_str(&format!(
-            "        \"occupancy_pct\": [{}]\n",
-            col(&|p: &SeriesPoint| json_f(p.occupancy_pct))
-        ));
-        json.push_str("      },\n");
-        json.push_str("      \"annotations\": [");
-        for (k, a) in rep.annotations.iter().take(MAX_ANNS).enumerate() {
-            if k > 0 {
-                json.push_str(", ");
-            }
-            json.push_str(&format!(
-                "{{\"at_ns\": {}, \"vm\": {}, \"kind\": \"{}\", \"arg\": {}}}",
-                a.at_ns, a.vm, a.kind, a.arg
-            ));
-        }
-        json.push_str("],\n");
-        json.push_str("      \"breaches\": [");
-        for (k, b) in breaches.iter().enumerate() {
-            if k > 0 {
-                json.push_str(", ");
-            }
-            let cause = match &b.cause {
-                Some(a) => format!(
-                    "{{\"at_ns\": {}, \"vm\": {}, \"kind\": \"{}\", \"arg\": {}}}",
-                    a.at_ns, a.vm, a.kind, a.arg
-                ),
-                None => "null".to_string(),
-            };
-            json.push_str(&format!(
-                "{{\"slo\": \"{}\", \"start_ns\": {}, \"end_ns\": {}, \"worst\": {}, \
-                 \"cause\": {}}}",
-                b.slo,
-                b.start_ns,
-                b.end_ns,
-                json_f(b.worst),
-                cause
-            ));
-        }
-        json.push_str("],\n");
-        json.push_str("      \"burn_alerts\": [");
-        for (k, a) in alerts.iter().enumerate() {
-            if k > 0 {
-                json.push_str(", ");
-            }
-            json.push_str(&format!(
-                "{{\"slo\": \"{}\", \"at_ns\": {}, \"short_frac\": {}, \"long_frac\": {}}}",
-                a.slo,
-                a.at_ns,
-                json_f(a.short_frac),
-                json_f(a.long_frac)
-            ));
-        }
-        json.push_str("]\n");
-        json.push_str(if i + 1 < cells.len() { "    },\n" } else { "    }\n" });
-    }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
+        .map(|((c, breaches), alerts)| {
+            let rep = &c.report;
+            let series = fleet_series(rep, MAX_POINTS);
+            let col = |f: fn(&SeriesPoint) -> Json| series.iter().map(f).collect::<Json>();
+            Json::object()
+                .with("topology", c.topology)
+                .with("config", c.config)
+                .with("windows", rep.windows.len())
+                .with("ann_total", rep.annotations.len())
+                .with("ann_dropped", rep.ann_dropped)
+                .with(
+                    "series",
+                    Json::object()
+                        .with("idx", col(|p| p.idx.into()))
+                        .with("len", col(|p| p.len.into()))
+                        .with("tig_pct", col(|p| p.tig_pct.into()))
+                        .with("exits_per_sec", col(|p| p.exits_per_sec.into()))
+                        .with("rx_p99_us", col(|p| p.rx_p99_us.into()))
+                        .with("goodput_bytes", col(|p| p.goodput_bytes.into()))
+                        .with("pending_hwm", col(|p| p.pending_hwm.into()))
+                        .with("occupancy_pct", col(|p| p.occupancy_pct.into())),
+                )
+                .with(
+                    "annotations",
+                    rep.annotations
+                        .iter()
+                        .take(MAX_ANNS)
+                        .map(annotation)
+                        .collect::<Json>(),
+                )
+                .with(
+                    "breaches",
+                    breaches
+                        .iter()
+                        .map(|b| {
+                            Json::object()
+                                .with("slo", b.slo)
+                                .with("start_ns", b.start_ns)
+                                .with("end_ns", b.end_ns)
+                                .with("worst", b.worst)
+                                .with("cause", b.cause.as_ref().map(annotation))
+                        })
+                        .collect::<Json>(),
+                )
+                .with(
+                    "burn_alerts",
+                    alerts
+                        .iter()
+                        .map(|a| {
+                            Json::object()
+                                .with("slo", a.slo)
+                                .with("at_ns", a.at_ns)
+                                .with("short_frac", a.short_frac)
+                                .with("long_frac", a.long_frac)
+                        })
+                        .collect::<Json>(),
+                )
+        })
+        .collect();
+    let json = Json::object()
+        .with("harness", "repro --telemetry")
+        .with("fast", fast)
+        .with("seed", seed)
+        .with("window_ns", params.telemetry_window.as_nanos())
+        .with("horizon_ns", HORIZON)
+        .with("cells", json_cells);
 
     let chrome = es2_chaos.report.merged_chrome_trace(es2_chaos.spans.as_ref());
     (report, json, chrome)

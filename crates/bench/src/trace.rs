@@ -11,13 +11,12 @@
 //! Chrome-trace export (`chrome://tracing` / Perfetto).
 
 use es2_core::{EventPathConfig, HybridParams};
+use es2_metrics::json::Json;
 use es2_metrics::{SpanReport, Stage, Table};
 use es2_sim::FaultPlan;
 use es2_testbed::experiments::{run_specs, RunSpec};
 use es2_testbed::{Params, RunResult, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
-
-use crate::json_f;
 
 /// Event-log capacity for the Chrome-trace export run (bounded so the
 /// export stays viewer-sized regardless of window length).
@@ -28,9 +27,9 @@ pub struct TraceOutput {
     /// Deterministic stdout report (stage tables + sched-delay summary).
     pub report: String,
     /// `BENCH_trace.json` content (deterministic).
-    pub json: String,
+    pub json: Json,
     /// Chrome-trace JSON from the bounded-log ES2 run.
-    pub chrome: String,
+    pub chrome: Json,
 }
 
 /// The three event-path configurations the trace compares.
@@ -100,12 +99,7 @@ pub fn trace_report(mut params: Params, seed: u64, fast: bool) -> TraceOutput {
     let results = run_specs(&specs);
 
     let mut report = String::new();
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"harness\": \"repro --trace\",\n");
-    json.push_str(&format!("  \"fast\": {fast},\n"));
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str("  \"scenarios\": [\n");
+    let mut scenarios_json = Vec::new();
 
     for (si, &(key, desc, ..)) in scenarios.iter().enumerate() {
         let runs: Vec<&RunResult> = results[si * configs.len()..(si + 1) * configs.len()]
@@ -153,8 +147,8 @@ pub fn trace_report(mut params: Params, seed: u64, fast: bool) -> TraceOutput {
         report.push_str(&format!(
             "sched-delay ({key}): mean {} -> {} µs, max {} -> {} µs \
              (es2 removes {:.1}% of mean sched-delay)\n",
-            json_f(base_sd.mean() / 1_000.0),
-            json_f(es2_sd.mean() / 1_000.0),
+            Json::from(base_sd.mean() / 1_000.0),
+            Json::from(es2_sd.mean() / 1_000.0),
             us(base_sd.max()),
             us(es2_sd.max()),
             reduction,
@@ -172,98 +166,72 @@ pub fn trace_report(mut params: Params, seed: u64, fast: bool) -> TraceOutput {
             reps[2].notes.coalesced_kicks,
         ));
 
-        json.push_str("    {\n");
-        json.push_str(&format!("      \"name\": \"{key}\",\n"));
-        json.push_str(&format!("      \"workload\": \"{desc}\",\n"));
-        json.push_str("      \"configs\": [\n");
-        for (ci, &(ckey, _)) in configs.iter().enumerate() {
-            let rep = reps[ci];
-            json.push_str("        {\n");
-            json.push_str(&format!("          \"config\": \"{ckey}\",\n"));
-            json.push_str(&format!("          \"label\": \"{}\",\n", runs[ci].config));
-            json.push_str("          \"stages\": [\n");
-            for (i, s) in Stage::ALL.iter().enumerate() {
-                let h = rep.stage(0, *s);
-                json.push_str(&format!(
-                    "            {{\"stage\": \"{}\", \"direction\": \"{}\", \
-                     \"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-                     \"mean_ns\": {}, \"max_ns\": {}}}{}\n",
-                    s.name(),
-                    s.direction(),
-                    h.count(),
-                    h.median(),
-                    h.p99(),
-                    json_f(h.mean()),
-                    h.max(),
-                    if i + 1 < Stage::COUNT { "," } else { "" }
-                ));
-            }
-            json.push_str("          ],\n");
-            let n = rep.notes;
-            json.push_str("          \"notes\": {\n");
-            let note_fields: [(&str, u64); 15] = [
-                ("irqs_opened", n.irqs_opened),
-                ("irqs_closed", n.irqs_closed),
-                ("redirected", n.redirected),
-                ("parked", n.parked),
-                ("migrated", n.migrated),
-                ("coalesced_irqs", n.coalesced_irqs),
-                ("watchdog_reraises", n.watchdog_reraises),
-                ("degradations", n.degradations),
-                ("reqs_opened", n.reqs_opened),
-                ("reqs_closed", n.reqs_closed),
-                ("coalesced_kicks", n.coalesced_kicks),
-                ("delayed_kicks", n.delayed_kicks),
-                ("watchdog_rekicks", n.watchdog_rekicks),
-                ("unclosed_irqs", n.unclosed_irqs),
-                ("unclosed_reqs", n.unclosed_reqs),
-            ];
-            for (i, (name, v)) in note_fields.iter().enumerate() {
-                json.push_str(&format!(
-                    "            \"{name}\": {v}{}\n",
-                    if i + 1 < note_fields.len() { "," } else { "" }
-                ));
-            }
-            json.push_str("          }\n");
-            json.push_str(if ci + 1 < configs.len() {
-                "        },\n"
-            } else {
-                "        }\n"
-            });
-        }
-        json.push_str("      ],\n");
-        json.push_str("      \"sched_delay\": {\n");
-        json.push_str(&format!(
-            "        \"baseline_mean_ns\": {},\n",
-            json_f(base_sd.mean())
-        ));
-        json.push_str(&format!(
-            "        \"es2_mean_ns\": {},\n",
-            json_f(es2_sd.mean())
-        ));
-        json.push_str(&format!(
-            "        \"baseline_p99_ns\": {},\n",
-            base_sd.p99()
-        ));
-        json.push_str(&format!("        \"es2_p99_ns\": {},\n", es2_sd.p99()));
-        json.push_str(&format!(
-            "        \"baseline_max_ns\": {},\n",
-            base_sd.max()
-        ));
-        json.push_str(&format!("        \"es2_max_ns\": {},\n", es2_sd.max()));
-        json.push_str(&format!(
-            "        \"reduction_percent\": {}\n",
-            json_f(reduction)
-        ));
-        json.push_str("      }\n");
-        json.push_str(if si + 1 < scenarios.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
+        let configs_json: Json = configs
+            .iter()
+            .zip(&runs)
+            .zip(&reps)
+            .map(|((&(ckey, _), run), rep)| {
+                let stages: Json = Stage::ALL
+                    .iter()
+                    .map(|&s| {
+                        let h = rep.stage(0, s);
+                        Json::object()
+                            .with("stage", s.name())
+                            .with("direction", s.direction())
+                            .with("count", h.count())
+                            .with("p50_ns", h.median())
+                            .with("p99_ns", h.p99())
+                            .with("mean_ns", h.mean())
+                            .with("max_ns", h.max())
+                    })
+                    .collect();
+                let n = rep.notes;
+                let notes = Json::object()
+                    .with("irqs_opened", n.irqs_opened)
+                    .with("irqs_closed", n.irqs_closed)
+                    .with("redirected", n.redirected)
+                    .with("parked", n.parked)
+                    .with("migrated", n.migrated)
+                    .with("coalesced_irqs", n.coalesced_irqs)
+                    .with("watchdog_reraises", n.watchdog_reraises)
+                    .with("degradations", n.degradations)
+                    .with("reqs_opened", n.reqs_opened)
+                    .with("reqs_closed", n.reqs_closed)
+                    .with("coalesced_kicks", n.coalesced_kicks)
+                    .with("delayed_kicks", n.delayed_kicks)
+                    .with("watchdog_rekicks", n.watchdog_rekicks)
+                    .with("unclosed_irqs", n.unclosed_irqs)
+                    .with("unclosed_reqs", n.unclosed_reqs);
+                Json::object()
+                    .with("config", ckey)
+                    .with("label", run.config.to_string())
+                    .with("stages", stages)
+                    .with("notes", notes)
+            })
+            .collect();
+        scenarios_json.push(
+            Json::object()
+                .with("name", key)
+                .with("workload", desc)
+                .with("configs", configs_json)
+                .with(
+                    "sched_delay",
+                    Json::object()
+                        .with("baseline_mean_ns", base_sd.mean())
+                        .with("es2_mean_ns", es2_sd.mean())
+                        .with("baseline_p99_ns", base_sd.p99())
+                        .with("es2_p99_ns", es2_sd.p99())
+                        .with("baseline_max_ns", base_sd.max())
+                        .with("es2_max_ns", es2_sd.max())
+                        .with("reduction_percent", reduction),
+                ),
+        );
     }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
+    let json = Json::object()
+        .with("harness", "repro --trace")
+        .with("fast", fast)
+        .with("seed", seed)
+        .with("scenarios", Json::Arr(scenarios_json));
 
     // Chrome export: one ES2 run of the interrupt-path scenario with the
     // bounded event log on. Kept out of the grid so the grid's reports

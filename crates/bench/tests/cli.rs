@@ -1,6 +1,7 @@
 //! `repro` rejects arguments it does not know before it simulates
 //! anything: a typo must not silently fall back to running `all` at full
-//! windows, and must not report success.
+//! windows, and must not report success. Nor may a report that cannot
+//! write its JSON artifact.
 
 use std::process::Command;
 
@@ -24,4 +25,20 @@ fn unknown_arguments_exit_2_without_simulating() {
             "{stderr}"
         );
     }
+}
+
+#[test]
+fn unwritable_artifact_exits_1_without_simulating() {
+    let dir = std::env::temp_dir().join(format!("es2-cli-no-target-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", "--fast"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn repro");
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "simulated before checking: {stderr}");
+    assert!(stderr.contains("target/BENCH_scale_fast.json"), "{stderr}");
 }

@@ -19,6 +19,9 @@
 //!   burn-rate engine and the causal annotation stream (`repro
 //!   --telemetry`),
 //! * [`table`] — plain-text table rendering for the repro binaries,
+//! * [`json`] — the JSON value type, writer and reader behind every
+//!   `BENCH_*.json` artifact, the Chrome-trace exports and the CI
+//!   bench gate,
 //! * [`backpressure`] — the per-VM overload-control ledger (shed kicks,
 //!   deferred poll budget, quarantines) for the hostile-guest experiments.
 
@@ -26,6 +29,7 @@ pub mod backpressure;
 pub mod counter;
 pub mod ev_profile;
 pub mod histogram;
+pub mod json;
 pub mod modes;
 pub mod span;
 pub mod summary;

@@ -17,6 +17,7 @@
 //! feeds back into the simulation, which is what lets `verify.sh` demand
 //! that traced and untraced runs produce byte-identical figures.
 
+use crate::json::Json;
 use crate::Histogram;
 
 /// One attributable stage of the event path. The first four cover the
@@ -281,42 +282,44 @@ impl SpanReport {
     }
 
     /// Render the bounded event log in the Chrome tracing (`chrome://
-    /// tracing`, Perfetto) JSON array format. Timestamps are sim-time
+    /// tracing`, Perfetto) JSON format. Timestamps are sim-time
     /// microseconds; `pid` is the VM, `tid` the track within it.
-    pub fn chrome_trace_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-        for (i, ev) in self.events.iter().enumerate() {
-            let ph = if ev.dur_ns == 0 { "i" } else { "X" };
-            out.push_str(&format!(
-                "  {{\"name\": \"{}\", \"ph\": \"{}\", \"ts\": {}.{:03}, ",
-                ev.name,
-                ph,
-                ev.at_ns / 1_000,
-                ev.at_ns % 1_000,
-            ));
-            if ev.dur_ns > 0 {
-                out.push_str(&format!(
-                    "\"dur\": {}.{:03}, ",
-                    ev.dur_ns / 1_000,
-                    ev.dur_ns % 1_000
-                ));
-            }
-            if ph == "i" {
-                out.push_str("\"s\": \"t\", ");
-            }
-            out.push_str(&format!(
-                "\"pid\": {}, \"tid\": {}, \"args\": {{\"corr\": {}, \"arg\": {}}}}}{}\n",
-                ev.vm,
-                ev.track,
-                ev.corr,
-                ev.arg,
-                if i + 1 < self.events.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("]}\n");
-        out
+    pub fn chrome_trace_json(&self) -> Json {
+        chrome_trace(self.events.iter().map(SpanEvent::chrome).collect())
     }
+}
+
+impl SpanEvent {
+    /// This event as one Chrome-trace slice (`"ph": "X"`) or, when it has
+    /// no duration, thread-scoped instant (`"ph": "i"`).
+    pub(crate) fn chrome(&self) -> Json {
+        let e = Json::object()
+            .with("name", self.name)
+            .with("ph", if self.dur_ns == 0 { "i" } else { "X" })
+            .with("ts", chrome_us(self.at_ns));
+        let e = if self.dur_ns > 0 {
+            e.with("dur", chrome_us(self.dur_ns))
+        } else {
+            e.with("s", "t")
+        };
+        e.with("pid", self.vm).with("tid", self.track).with(
+            "args",
+            Json::object().with("corr", self.corr).with("arg", self.arg),
+        )
+    }
+}
+
+/// Sim-time nanoseconds as Chrome-trace microseconds, written exactly
+/// (`µs.nnn`) rather than through a float.
+pub(crate) fn chrome_us(ns: u64) -> Json {
+    Json::Num(format!("{}.{:03}", ns / 1_000, ns % 1_000))
+}
+
+/// A Chrome-trace document around `events`.
+pub(crate) fn chrome_trace(events: Vec<Json>) -> Json {
+    Json::object()
+        .with("displayTimeUnit", "ms")
+        .with("traceEvents", Json::Arr(events))
 }
 
 #[cfg(test)]
@@ -391,14 +394,14 @@ mod tests {
             dur_ns: 0,
             arg: 42,
         });
-        let json = r.into_report().chrome_trace_json();
+        let json = r.into_report().chrome_trace_json().to_string();
         assert!(json.contains("\"name\": \"irq-rx\""), "{json}");
         assert!(json.contains("\"ph\": \"X\""), "{json}");
         assert!(json.contains("\"dur\": 2.500"), "{json}");
         assert!(json.contains("\"ph\": \"i\""), "{json}");
         assert!(json.contains("\"ts\": 1.234"), "{json}");
         assert!(json.contains("\"arg\": 42"), "{json}");
-        assert!(json.ends_with("]}\n"), "{json}");
+        assert!(json.ends_with("]\n}"), "{json}");
     }
 
     #[test]

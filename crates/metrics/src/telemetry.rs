@@ -17,7 +17,8 @@
 //! `(time, vm, kind, arg)`, so the merged report is a pure function of
 //! the run spec.
 
-use crate::span::SpanReport;
+use crate::json::Json;
+use crate::span::{chrome_trace, chrome_us, SpanReport};
 
 /// Number of fixed log-2 rx-latency buckets per window (upper edges
 /// 2, 4, 8, 16, 32, 64, 128, 256 µs, then +inf).
@@ -804,97 +805,49 @@ impl TelemetryReport {
     /// file, counter track alongside the span tracks. Fleet counters go
     /// on pid 0 / tid 9000; per-VM counters are emitted only for fleets
     /// of at most 8 VMs to bound the file.
-    pub fn merged_chrome_trace(&self, spans: Option<&SpanReport>) -> String {
-        let mut entries: Vec<String> = Vec::new();
-        if let Some(rep) = spans {
-            for ev in &rep.events {
-                let ph = if ev.dur_ns == 0 { "i" } else { "X" };
-                let mut e = format!(
-                    "  {{\"name\": \"{}\", \"ph\": \"{}\", \"ts\": {}.{:03}, ",
-                    ev.name,
-                    ph,
-                    ev.at_ns / 1_000,
-                    ev.at_ns % 1_000,
-                );
-                if ev.dur_ns > 0 {
-                    e.push_str(&format!(
-                        "\"dur\": {}.{:03}, ",
-                        ev.dur_ns / 1_000,
-                        ev.dur_ns % 1_000
-                    ));
-                }
-                if ph == "i" {
-                    e.push_str("\"s\": \"t\", ");
-                }
-                e.push_str(&format!(
-                    "\"pid\": {}, \"tid\": {}, \"args\": {{\"corr\": {}, \"arg\": {}}}}}",
-                    ev.vm, ev.track, ev.corr, ev.arg,
-                ));
-                entries.push(e);
-            }
-        }
-        let counter = |entries: &mut Vec<String>, name: &str, ts_ns: u64, pid: u32, v: f64| {
-            entries.push(format!(
-                "  {{\"name\": \"{}\", \"ph\": \"C\", \"ts\": {}.{:03}, \"pid\": {}, \"tid\": 9000, \"args\": {{\"value\": {:.3}}}}}",
-                name,
-                ts_ns / 1_000,
-                ts_ns % 1_000,
-                pid,
-                v,
-            ));
+    pub fn merged_chrome_trace(&self, spans: Option<&SpanReport>) -> Json {
+        let mut events: Vec<Json> = spans
+            .map(|rep| rep.events.iter().map(|ev| ev.chrome()).collect())
+            .unwrap_or_default();
+        let mut counter = |name: &str, ts_ns: u64, pid: u32, v: f64| {
+            events.push(
+                Json::object()
+                    .with("name", name)
+                    .with("ph", "C")
+                    .with("ts", chrome_us(ts_ns))
+                    .with("pid", pid)
+                    .with("tid", 9000u32)
+                    .with("args", Json::object().with("value", Json::fixed(v, 3))),
+            );
         };
         let per_vm = self.geom.num_vms <= 8;
         for w in &self.windows {
             let ts = w.idx * self.geom.width_ns;
-            counter(&mut entries, "fleet-tig-pct", ts, 0, self.fleet_tig_pct(w));
-            counter(
-                &mut entries,
-                "fleet-exits-per-sec",
-                ts,
-                0,
-                self.fleet_exits_per_sec(w),
-            );
-            counter(
-                &mut entries,
-                "fleet-rx-p99-us",
-                ts,
-                0,
-                self.fleet_rx_quantile_us(w, 0.99),
-            );
-            counter(
-                &mut entries,
-                "fleet-pending-hwm",
-                ts,
-                0,
-                self.fleet_pending_hwm(w) as f64,
-            );
+            counter("fleet-tig-pct", ts, 0, self.fleet_tig_pct(w));
+            counter("fleet-exits-per-sec", ts, 0, self.fleet_exits_per_sec(w));
+            counter("fleet-rx-p99-us", ts, 0, self.fleet_rx_quantile_us(w, 0.99));
+            counter("fleet-pending-hwm", ts, 0, self.fleet_pending_hwm(w) as f64);
             if per_vm {
                 for (vm, row) in w.vms.iter().enumerate() {
-                    let tig =
-                        100.0 * row.guest_ns as f64 / self.geom.width_ns as f64;
-                    counter(&mut entries, "vm-tig-pct", ts, vm as u32, tig);
+                    let tig = 100.0 * row.guest_ns as f64 / self.geom.width_ns as f64;
+                    counter("vm-tig-pct", ts, vm as u32, tig);
                 }
             }
         }
         // Annotations ride along as instant events on the counter track.
         for a in &self.annotations {
-            entries.push(format!(
-                "  {{\"name\": \"{}\", \"ph\": \"i\", \"ts\": {}.{:03}, \"s\": \"t\", \"pid\": {}, \"tid\": 9001, \"args\": {{\"arg\": {}}}}}",
-                a.kind,
-                a.at_ns / 1_000,
-                a.at_ns % 1_000,
-                a.vm,
-                a.arg,
-            ));
+            events.push(
+                Json::object()
+                    .with("name", a.kind)
+                    .with("ph", "i")
+                    .with("ts", chrome_us(a.at_ns))
+                    .with("s", "t")
+                    .with("pid", a.vm)
+                    .with("tid", 9001u32)
+                    .with("args", Json::object().with("arg", a.arg)),
+            );
         }
-        let mut out = String::new();
-        out.push_str("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-        for (i, e) in entries.iter().enumerate() {
-            out.push_str(e);
-            out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("]}\n");
-        out
+        chrome_trace(events)
     }
 }
 
@@ -1185,12 +1138,12 @@ mod tests {
         r.record_rx_latency(0, 100, 10_000);
         r.annotate(200_000, 0, "migrate-start", 3);
         let rep = r.finish();
-        let json = rep.merged_chrome_trace(None);
+        let json = rep.merged_chrome_trace(None).to_string();
         assert!(json.contains("\"ph\": \"C\""), "{json}");
         assert!(json.contains("fleet-tig-pct"), "{json}");
         assert!(json.contains("vm-tig-pct"), "{json}");
         assert!(json.contains("\"name\": \"migrate-start\""), "{json}");
-        assert!(json.ends_with("]}\n"), "{json}");
+        assert!(json.ends_with("]\n}"), "{json}");
     }
 
     #[test]

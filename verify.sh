@@ -67,33 +67,37 @@ cmp /tmp/es2_untraced.txt /tmp/es2_traced.txt
 cmp /tmp/es2_untraced.txt /tmp/es2_traced.txt
 rm -f /tmp/es2_untraced.txt /tmp/es2_traced.txt
 
-# Hostile-guest determinism + containment: the blast-radius report is
-# built from simulation-determined quantities only, so it must be
-# byte-identical serial vs default threads; the run must stay
+# Hostile-guest determinism + containment: the blast-radius report (and
+# its JSON) is built from simulation-determined quantities only, so it
+# must be byte-identical serial vs default threads; the run must stay
 # liveness-clean and the storm/quarantine damage must land on the
 # hostile VM alone.
 ES2_THREADS=1 ./target/release/repro --hostile --fast > /tmp/es2_hostile_serial.txt
+cp target/BENCH_hostile_fast.json /tmp/es2_hostile_serial.json
 ./target/release/repro --hostile --fast > /tmp/es2_hostile_default.txt
 cmp /tmp/es2_hostile_serial.txt /tmp/es2_hostile_default.txt
+cmp /tmp/es2_hostile_serial.json target/BENCH_hostile_fast.json
 grep -q "liveness: PASS" /tmp/es2_hostile_serial.txt
 grep -q "leaked to neighbors: 0" /tmp/es2_hostile_serial.txt
-rm -f /tmp/es2_hostile_serial.txt /tmp/es2_hostile_default.txt
+rm -f /tmp/es2_hostile_serial.txt /tmp/es2_hostile_default.txt /tmp/es2_hostile_serial.json
 
 # Multi-host cell determinism: the consolidation/migration report runs
 # N host machines on one serial event merge with live migrations,
-# crashes and aborts crossing between them, and must be byte-identical
-# serial (ES2_THREADS=1) vs the default thread count.
+# crashes and aborts crossing between them; it and its JSON must be
+# byte-identical serial (ES2_THREADS=1) vs the default thread count.
 # Every migration in the sweep must resume, and the report must stay
 # liveness-clean.
 ES2_THREADS=1 ./target/release/repro --migrate --fast > /tmp/es2_migrate_serial.txt
+cp target/BENCH_migrate_fast.json /tmp/es2_migrate_serial.json
 ./target/release/repro --migrate --fast > /tmp/es2_migrate_default.txt
 cmp /tmp/es2_migrate_serial.txt /tmp/es2_migrate_default.txt
+cmp /tmp/es2_migrate_serial.json target/BENCH_migrate_fast.json
 grep -q "PASS" /tmp/es2_migrate_serial.txt
 if grep -q "FAIL" /tmp/es2_migrate_serial.txt; then
     echo "migrate sweep reported a liveness failure" >&2
     exit 1
 fi
-rm -f /tmp/es2_migrate_serial.txt /tmp/es2_migrate_default.txt
+rm -f /tmp/es2_migrate_serial.txt /tmp/es2_migrate_default.txt /tmp/es2_migrate_serial.json
 
 # Non-migration byte-identity: plans that never touch the host-fault
 # family must render the exact bytes they did before multi-host cells
@@ -107,19 +111,22 @@ rm -f /tmp/es2_chaos_now.txt
 
 # Tenant-churn determinism: the churn control-plane report (admission
 # rates, retry/backoff outcomes, boot p99, conservation results) is
-# built from simulation-determined quantities only, so it must be
-# byte-identical serial (ES2_THREADS=1) vs the default thread count.
+# built from simulation-determined quantities only, so it (and its
+# JSON) must be byte-identical serial (ES2_THREADS=1) vs the default
+# thread count.
 # The report must stay liveness-clean with zero orphaned resources in
 # every cell.
 ES2_THREADS=1 ./target/release/repro --churn --fast > /tmp/es2_churn_serial.txt
+cp target/BENCH_churn_fast.json /tmp/es2_churn_serial.json
 ./target/release/repro --churn --fast > /tmp/es2_churn_default.txt
 cmp /tmp/es2_churn_serial.txt /tmp/es2_churn_default.txt
+cmp /tmp/es2_churn_serial.json target/BENCH_churn_fast.json
 grep -q "PASS" /tmp/es2_churn_serial.txt
 if grep -q "FAIL" /tmp/es2_churn_serial.txt; then
     echo "churn sweep reported a liveness failure" >&2
     exit 1
 fi
-rm -f /tmp/es2_churn_serial.txt /tmp/es2_churn_default.txt
+rm -f /tmp/es2_churn_serial.txt /tmp/es2_churn_default.txt /tmp/es2_churn_serial.json
 
 # Churn-off byte-identity: with no ChurnSpec in play, the chaos report
 # (whose plans never enable churn) must still reproduce the committed
@@ -163,8 +170,8 @@ for pin in "1 sweep 7293ff7c6422dac9" "1 dense 524da1bc611269a3" "1 cell e7455fd
 done
 rm -f /tmp/es2_perfbench.txt
 
-# Multi-queue determinism: the sharded-vhost sweep report must be
-# byte-identical serial (ES2_THREADS=1) vs the default thread count at
+# Multi-queue determinism: the sharded-vhost sweep report and its JSON
+# must be byte-identical serial (ES2_THREADS=1) vs the default thread count at
 # every ES2_VHOST_WORKERS setting — worker count and shard policy are
 # model parameters, so reports are only compared within one setting,
 # never across two. At one worker the report must also match the
@@ -173,9 +180,11 @@ rm -f /tmp/es2_perfbench.txt
 for vw in 1 4; do
     ES2_VHOST_WORKERS=$vw ES2_THREADS=1 \
         ./target/release/repro --mq --fast > /tmp/es2_mq_serial.txt
+    cp target/BENCH_mq_fast.json /tmp/es2_mq_serial.json
     ES2_VHOST_WORKERS=$vw \
         ./target/release/repro --mq --fast > /tmp/es2_mq_default.txt
     cmp /tmp/es2_mq_serial.txt /tmp/es2_mq_default.txt
+    cmp /tmp/es2_mq_serial.json target/BENCH_mq_fast.json
     if [ "$vw" = 1 ]; then
         cmp ci/golden_mq_fast.txt /tmp/es2_mq_serial.txt
     fi
@@ -185,7 +194,7 @@ for vw in 1 4; do
         exit 1
     fi
 done
-rm -f /tmp/es2_mq_serial.txt /tmp/es2_mq_default.txt
+rm -f /tmp/es2_mq_serial.txt /tmp/es2_mq_default.txt /tmp/es2_mq_serial.json
 
 # Single-queue/single-worker byte-identity: with the sharded pool forced
 # to one worker, the chaos report (whose params run one queue per VM)
