@@ -37,9 +37,6 @@ fn main() {
         _ => Topology::micro(),
     };
     let mut params = Params::default();
-    if let Ok(w) = std::env::var("ES2_TCP_WINDOW") {
-        params.tcp_window = w.parse().unwrap();
-    }
     if wl == "ping" {
         params.measure = es2_sim::SimDuration::from_secs(30);
     }

@@ -14,8 +14,8 @@
 //! per cell and gated fatally by `ci/bench_gate.rs`.
 //!
 //! Everything in the stdout report is simulation-determined, so its
-//! bytes must not depend on `ES2_THREADS` — `verify.sh` diffs the
-//! serial and default-thread outputs. The JSON (committed as
+//! bytes must not depend on the thread count — `repro selfcheck`
+//! compares the serial and N-thread outputs. The JSON (committed as
 //! `BENCH_churn.json` for full windows) carries the same cells.
 
 use es2_core::EventPathConfig;
@@ -115,8 +115,8 @@ fn reclaimed_total(r: &ClusterResult) -> u32 {
 }
 
 /// Run the churn sweep over Baseline / PI / ES2 and return
-/// `(deterministic_report, json)`.
-pub fn churn_report(params: Params, seed: u64, fast: bool) -> (String, Json) {
+/// `(deterministic_report, json, None)`.
+pub fn churn_report(params: Params, seed: u64, fast: bool) -> (String, Json, Option<Json>) {
     use es2_metrics::Table;
 
     let run_secs = (params.warmup + params.measure).as_secs_f64();
@@ -249,5 +249,5 @@ pub fn churn_report(params: Params, seed: u64, fast: bool) -> (String, Json) {
         .with("fleet", FLEET)
         .with("arrivals", arrivals)
         .with("cells", json_cells);
-    (report, json)
+    (report, json, None)
 }

@@ -9,8 +9,8 @@
 //! containment ledger proving the damage landed on the hostile VM alone.
 //!
 //! Everything in the stdout report is simulation-determined, so its
-//! bytes must not depend on `ES2_THREADS` — `verify.sh` diffs the
-//! serial and default-thread outputs. The JSON (committed as
+//! bytes must not depend on the thread count — `repro selfcheck`
+//! compares the serial and N-thread outputs. The JSON (committed as
 //! `BENCH_hostile.json` for full windows) carries the same cells keyed
 //! for downstream diffing.
 
@@ -76,8 +76,8 @@ fn run_pair(cfg: EventPathConfig, params: Params, seed: u64) -> HostileCell {
     }
 }
 
-/// Run the blast-radius sweep and return `(deterministic_report, json)`.
-pub fn hostile_report(params: Params, seed: u64, fast: bool) -> (String, Json) {
+/// Run the blast-radius sweep and return `(deterministic_report, json, None)`.
+pub fn hostile_report(params: Params, seed: u64, fast: bool) -> (String, Json, Option<Json>) {
     use es2_metrics::Table;
 
     let params = Params {
@@ -205,5 +205,5 @@ pub fn hostile_report(params: Params, seed: u64, fast: bool) -> (String, Json) {
         .with("seed", seed)
         .with("hostile_vm", HOSTILE_VM)
         .with("cells", json_cells);
-    (report, json)
+    (report, json, None)
 }

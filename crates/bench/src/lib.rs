@@ -7,10 +7,12 @@
 //! tests assert the *shapes* (who wins, by what factor).
 
 pub mod churn;
+pub mod cli;
 pub mod hostile;
 pub mod migrate;
 pub mod mq;
 pub mod scale;
+pub mod selfcheck;
 pub mod telemetry;
 pub mod trace;
 
@@ -349,9 +351,9 @@ pub fn render_fig9(params: Params, seed: u64, rates: &[f64]) -> String {
 
 /// Chaos report: the acceptance fault plan swept across the paper's
 /// workload shapes, rendered with **only deterministic quantities** (no
-/// wall-clock) so two invocations at different `ES2_THREADS` can be
-/// `cmp`-ed byte-for-byte — that comparison *is* the reproducibility
-/// check `verify.sh` runs.
+/// wall-clock) so runs at different thread counts can be compared
+/// byte-for-byte — that comparison *is* the reproducibility check
+/// `repro selfcheck` runs.
 pub fn render_chaos(params: Params, seed: u64) -> String {
     use es2_core::EventPathConfig;
     use es2_testbed::experiments::RunSpec;

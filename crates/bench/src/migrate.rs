@@ -10,8 +10,8 @@
 //! migration aborted mid-copy with rollback.
 //!
 //! Everything in the stdout report is simulation-determined, so its
-//! bytes must not depend on `ES2_THREADS` — `verify.sh` diffs the
-//! serial and default-thread outputs. The JSON (committed as
+//! bytes must not depend on the thread count — `repro selfcheck`
+//! compares the serial and N-thread outputs. The JSON (committed as
 //! `BENCH_migrate.json` for full windows) carries the same cells.
 
 use es2_core::EventPathConfig;
@@ -80,8 +80,8 @@ fn events_total(r: &ClusterResult) -> u64 {
 }
 
 /// Run the consolidation sweep + recovery cells and return
-/// `(deterministic_report, json)`.
-pub fn migrate_report(params: Params, seed: u64, fast: bool) -> (String, Json) {
+/// `(deterministic_report, json, None)`.
+pub fn migrate_report(params: Params, seed: u64, fast: bool) -> (String, Json, Option<Json>) {
     use es2_metrics::Table;
 
     let levels: &[u32] = if fast { &[2, 8] } else { &[2, 4, 6, 8] };
@@ -211,5 +211,5 @@ pub fn migrate_report(params: Params, seed: u64, fast: bool) -> (String, Json) {
         .with("fleet", FLEET)
         .with("consolidation", consolidation)
         .with("recovery", recovery);
-    (report, json)
+    (report, json, None)
 }

@@ -13,15 +13,14 @@
 //! * `q2/w2 affine` — sharded workers, per-vCPU affine placement;
 //! * `q2/w2 passthrough` — each queue owns a worker and skips the
 //!   shared dispatch hop entirely (the optimal-event-path analog: no
-//!   intermediate multiplexing stage between kick and service);
-//! * `q2/w=env affine` — worker count resolved from
-//!   `ES2_VHOST_WORKERS`, proving the env knob reaches the pool.
+//!   intermediate multiplexing stage between kick and service).
 //!
-//! Stdout is simulation-determined (no wall-clock), so `verify.sh`
-//! diffs it across `ES2_THREADS`/`ES2_VHOST_WORKERS` combinations; the
-//! committed `BENCH_mq.json` carries the full-window cells, including
-//! the headline comparison: passthrough rx p99 vs the single-worker mux
-//! at the densest cell.
+//! Every cell sets its worker count in `Params::vhost_workers`.
+//! Stdout is simulation-determined (no wall-clock), so `repro
+//! selfcheck` compares it across thread counts and against
+//! `ci/golden_mq_fast.txt`; the committed `BENCH_mq.json` carries the
+//! full-window cells, including the headline comparison: passthrough
+//! rx p99 vs the single-worker mux at the densest cell.
 
 use es2_core::EventPathConfig;
 use es2_metrics::json::Json;
@@ -37,10 +36,10 @@ const MQ_VCPUS_PER_VM: u32 = 2;
 pub struct MqCell {
     pub vms: u32,
     pub queues: u32,
-    /// Configured worker count (0 = resolved from `ES2_VHOST_WORKERS`).
+    /// Configured worker count.
     pub workers: u32,
     pub policy: ShardPolicy,
-    /// Worker count the run actually used after resolution/clamping.
+    /// Worker count the run actually used after clamping to the pairs.
     pub effective_workers: u32,
     pub result: RunResult,
     pub liveness_ok: bool,
@@ -49,22 +48,17 @@ pub struct MqCell {
 impl MqCell {
     /// Row label, e.g. `q2/w2 passthrough`.
     pub fn label(&self) -> String {
-        if self.workers == 0 {
-            format!("q{}/w=env {}", self.queues, self.policy.label())
-        } else {
-            format!("q{}/w{} {}", self.queues, self.workers, self.policy.label())
-        }
+        format!("q{}/w{} {}", self.queues, self.workers, self.policy.label())
     }
 }
 
 /// The cell grid at one VM count.
-fn cell_plan() -> [(u32, u32, ShardPolicy); 5] {
+fn cell_plan() -> [(u32, u32, ShardPolicy); 4] {
     [
         (1, 1, ShardPolicy::Mux),
         (2, 1, ShardPolicy::Mux),
         (2, 2, ShardPolicy::Affine),
         (2, 2, ShardPolicy::Passthrough),
-        (2, 0, ShardPolicy::Affine),
     ]
 }
 
@@ -110,8 +104,8 @@ fn run_cell(
     }
 }
 
-/// Run the multi-queue sweep and return `(deterministic_report, json)`.
-pub fn mq_report(params: Params, seed: u64, fast: bool) -> (String, Json) {
+/// Run the multi-queue sweep and return `(deterministic_report, json, None)`.
+pub fn mq_report(params: Params, seed: u64, fast: bool) -> (String, Json, Option<Json>) {
     use es2_metrics::Table;
 
     let vm_counts: &[u32] = if fast { &[8, 16] } else { &[64, 128] };
@@ -231,5 +225,5 @@ pub fn mq_report(params: Params, seed: u64, fast: bool) -> (String, Json) {
         .with("seed", seed)
         .with("vcpus_per_vm", MQ_VCPUS_PER_VM)
         .with("cells", json_cells);
-    (report, json)
+    (report, json, None)
 }

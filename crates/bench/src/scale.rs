@@ -18,8 +18,8 @@ struct ScaleCell {
 }
 
 /// Run the many-VM consolidation sweep and return
-/// `(deterministic_report, json)`.
-pub fn scale_report(params: Params, seed: u64, fast: bool) -> (String, Json) {
+/// `(deterministic_report, json, None)`.
+pub fn scale_report(params: Params, seed: u64, fast: bool) -> (String, Json, Option<Json>) {
     use es2_metrics::Table;
 
     let vm_counts: &[u32] = if fast { &[64] } else { &[32, 64, 128] };
@@ -104,5 +104,5 @@ pub fn scale_report(params: Params, seed: u64, fast: bool) -> (String, Json) {
                 })
                 .collect::<Json>(),
         );
-    (report, json)
+    (report, json, None)
 }

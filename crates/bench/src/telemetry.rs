@@ -9,8 +9,8 @@
 //! fault/migration/quarantine annotation inside the horizon), and
 //! multi-window burn-rate alerts.
 //!
-//! Stdout is simulation-determined only (no wall-clock): `verify.sh`
-//! diffs it across `ES2_THREADS`, which also proves the telemetry
+//! Stdout is simulation-determined only (no wall-clock): `repro
+//! selfcheck` compares it across thread counts, which also proves the telemetry
 //! pipeline merges hosts byte-identically. The JSON lands in
 //! `BENCH_telemetry.json` (`target/BENCH_telemetry_fast.json` with
 //! `--fast`) and carries the per-window fleet series (downsampled to a
@@ -302,8 +302,8 @@ fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
-/// Run every cell and return `(deterministic_report, json, chrome)`.
-pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, Json, Json) {
+/// Run every cell and return `(deterministic_report, json, Some(chrome))`.
+pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, Json, Option<Json>) {
     use es2_metrics::Table;
 
     let mut cells: Vec<TelCell> = Vec::new();
@@ -562,5 +562,5 @@ pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, Json,
         .with("cells", json_cells);
 
     let chrome = es2_chaos.report.merged_chrome_trace(es2_chaos.spans.as_ref());
-    (report, json, chrome)
+    (report, json, Some(chrome))
 }

@@ -6,8 +6,8 @@
 //! send, where the kick/pickup stages dominate) — under Baseline, PI,
 //! and full ES2, with the span tracer on. The stdout report and
 //! `BENCH_trace.json` contain only sim-time-derived quantities, so both
-//! are byte-identical at any `ES2_THREADS`; `verify.sh` diffs exactly
-//! that. A separate ES2 run with a bounded event log produces the
+//! are byte-identical at any thread count; `repro selfcheck` compares
+//! exactly that. A separate ES2 run with a bounded event log produces the
 //! Chrome-trace export (`chrome://tracing` / Perfetto).
 
 use es2_core::{EventPathConfig, HybridParams};
@@ -21,16 +21,6 @@ use es2_workloads::NetperfSpec;
 /// Event-log capacity for the Chrome-trace export run (bounded so the
 /// export stays viewer-sized regardless of window length).
 pub const CHROME_EVENT_CAPACITY: u32 = 20_000;
-
-/// Everything `repro --trace` produces.
-pub struct TraceOutput {
-    /// Deterministic stdout report (stage tables + sched-delay summary).
-    pub report: String,
-    /// `BENCH_trace.json` content (deterministic).
-    pub json: Json,
-    /// Chrome-trace JSON from the bounded-log ES2 run.
-    pub chrome: Json,
-}
 
 /// The three event-path configurations the trace compares.
 fn trace_configs() -> [(&'static str, EventPathConfig); 3] {
@@ -74,8 +64,10 @@ fn stage_cell(rep: &SpanReport, s: Stage) -> String {
     }
 }
 
-/// Run the traced grid and render the report, JSON, and Chrome export.
-pub fn trace_report(mut params: Params, seed: u64, fast: bool) -> TraceOutput {
+/// Run the traced grid and return the deterministic report (stage
+/// tables + sched-delay summary), `BENCH_trace.json` and the Chrome
+/// trace of the bounded-log ES2 run.
+pub fn trace_report(mut params: Params, seed: u64, fast: bool) -> (String, Json, Option<Json>) {
     params.trace = true;
     params.trace_events = 0;
 
@@ -258,9 +250,5 @@ pub fn trace_report(mut params: Params, seed: u64, fast: bool) -> TraceOutput {
     ));
     let chrome = chrome_rep.chrome_trace_json();
 
-    TraceOutput {
-        report,
-        json,
-        chrome,
-    }
+    (report, json, Some(chrome))
 }

@@ -14,8 +14,8 @@
 //! nanoseconds — never the wall clock, never an RNG — so its output is a
 //! pure function of the run spec and is bitwise identical at any
 //! `ES2_THREADS`. It is also strictly observational: nothing in here
-//! feeds back into the simulation, which is what lets `verify.sh` demand
-//! that traced and untraced runs produce byte-identical figures.
+//! feeds back into the simulation, which is what lets `repro selfcheck`
+//! demand that traced and untraced runs produce byte-identical figures.
 
 use crate::json::Json;
 use crate::Histogram;

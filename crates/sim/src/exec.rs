@@ -20,6 +20,10 @@
 //! `ES2_THREADS=1` (or `set_threads(Some(1))`) forces the fully serial
 //! path — no threads are spawned at all, which is also the fallback when
 //! there is only one input.
+//!
+//! The thread count is the only setting this module reads from the
+//! environment, and it changes wall time, never results: everything
+//! that shapes the simulated model lives in `Params`.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,45 +31,6 @@ use std::sync::OnceLock;
 
 /// Programmatic thread-count override; 0 means "unset".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Programmatic vhost-worker-count override; 0 means "unset".
-static VHOST_WORKER_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Override the number of vhost workers each device's backend is
-/// sharded into. `None` restores the default resolution (the
-/// `ES2_VHOST_WORKERS` environment variable, then 1). Unlike the thread
-/// count, this is a *model* parameter:
-/// it changes how queue handlers are partitioned across backend
-/// threads, so results are comparable only at equal worker counts. The
-/// default of 1 is the legacy single-worker mux.
-pub fn set_vhost_workers(n: Option<usize>) {
-    VHOST_WORKER_OVERRIDE.store(n.unwrap_or(0), Ordering::SeqCst);
-}
-
-/// The number of vhost workers a device with `pairs` queue pairs runs:
-/// the [`set_vhost_workers`] override, else `ES2_VHOST_WORKERS`, else 1
-/// — clamped to the pair count (a worker must own at least one pair to
-/// ever run).
-pub fn effective_vhost_workers(pairs: usize) -> usize {
-    let configured = match VHOST_WORKER_OVERRIDE.load(Ordering::SeqCst) {
-        0 => env_vhost_workers(),
-        n => n,
-    };
-    configured.clamp(1, pairs.max(1))
-}
-
-/// `ES2_VHOST_WORKERS` resolution, parsed once per process (same
-/// rationale as [`env_threads`]).
-fn env_vhost_workers() -> usize {
-    static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| match std::env::var("ES2_VHOST_WORKERS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => 1,
-        },
-        Err(_) => 1,
-    })
-}
 
 /// Override the number of worker threads [`sweep`] uses. `Some(1)` forces
 /// serial execution; `None` restores the default resolution
@@ -217,20 +182,6 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(sweep(&empty, |&x| x).is_empty());
         assert_eq!(sweep(&[7u32], |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn vhost_worker_override_caps_at_pair_count() {
-        let _g = OVERRIDE_LOCK.lock().unwrap();
-        set_vhost_workers(Some(4));
-        assert_eq!(effective_vhost_workers(8), 4);
-        assert_eq!(effective_vhost_workers(2), 2);
-        assert_eq!(effective_vhost_workers(0), 1);
-        set_vhost_workers(None);
-        if std::env::var("ES2_VHOST_WORKERS").is_err() {
-            // Default: the legacy single-worker mux.
-            assert_eq!(effective_vhost_workers(8), 1);
-        }
     }
 
     #[test]

@@ -21,6 +21,11 @@
 //!    on the emulated path; PI replaces them with a ~250 ns microcode
 //!    sync. Scheduling latencies come from the CFS model, not from
 //!    constants here.
+//!
+//! [`Params`] is the whole model: nothing that shapes a run is read
+//! from the environment, so two runs with equal `Params` and seed
+//! simulate the same system. (`ES2_THREADS` only sets how many sweep
+//! runs go at once.)
 
 use es2_hypervisor::ExitCosts;
 use es2_sched::SchedParams;
@@ -243,9 +248,9 @@ pub struct Params {
     /// per vCPU is the canonical setting). 1 = the legacy
     /// single-queue device, byte-identical to pre-multi-queue runs.
     pub queues_per_vm: u32,
-    /// vhost workers per VM's backend. 0 = resolve from
-    /// `ES2_VHOST_WORKERS` via [`es2_sim::exec::effective_vhost_workers`]
-    /// (default 1, the legacy single-worker mux).
+    /// vhost workers per VM's backend (default 1, the legacy
+    /// single-worker mux). A model parameter like the others: results
+    /// compare only at equal worker counts.
     pub vhost_workers: u32,
     /// How queue pairs are assigned to workers.
     pub shard_policy: es2_virtio::ShardPolicy,
@@ -308,7 +313,7 @@ pub struct Params {
     /// correlation-ID spans with per-stage latency histograms, returned
     /// in `RunResult::spans`. Observational and sim-time only — a traced
     /// run's figures are bitwise identical to an untraced run's
-    /// (`verify.sh` cmp-checks exactly that).
+    /// (`repro selfcheck` compares exactly that).
     pub trace: bool,
     /// Capacity of the flight recorder's bounded Chrome-trace event log
     /// (0 = stage histograms only, no event log).
@@ -318,8 +323,8 @@ pub struct Params {
     /// per-VM/per-queue/per-worker gauges plus the causal annotation
     /// stream, returned in `RunResult::telemetry`. Observational and
     /// sim-time only — a telemetered run's figures are bitwise
-    /// identical to an untelemetered run's (`verify.sh` cmp-checks
-    /// exactly that).
+    /// identical to an untelemetered run's (`repro selfcheck`
+    /// compares exactly that).
     pub telemetry: bool,
     /// Telemetry window width (sim time). Windows are assigned at
     /// record time (`window = now / width`); no boundary events are
@@ -368,7 +373,7 @@ impl Default for Params {
             host_backlog: 512,
 
             queues_per_vm: 1,
-            vhost_workers: 0,
+            vhost_workers: 1,
             shard_policy: es2_virtio::ShardPolicy::Mux,
 
             tcp_window: 85,
@@ -411,17 +416,11 @@ impl Params {
         }
     }
 
-    /// The resolved vhost worker count for this parameter set: the
-    /// explicit `vhost_workers` if non-zero, else the `ES2_VHOST_WORKERS`
-    /// environment default — always clamped to the pair count so every
-    /// worker owns at least one potential pair.
+    /// The vhost worker count a device runs: `vhost_workers` clamped
+    /// to `[1, pairs]`, so every worker owns at least one potential pair.
     pub fn effective_vhost_workers(&self) -> usize {
         let pairs = self.queues_per_vm.max(1) as usize;
-        if self.vhost_workers > 0 {
-            (self.vhost_workers as usize).min(pairs.max(1))
-        } else {
-            es2_sim::exec::effective_vhost_workers(pairs)
-        }
+        (self.vhost_workers as usize).clamp(1, pairs)
     }
 
     /// Size-dependent cost helper: `base + ns_per_kb · bytes / 1024`.
@@ -474,7 +473,7 @@ mod tests {
         assert!(p.warmup < p.measure);
         // Multi-queue defaults are the legacy single-queue mux device.
         assert_eq!(p.queues_per_vm, 1);
-        assert_eq!(p.vhost_workers, 0, "0 = env-resolved, default 1");
+        assert_eq!(p.vhost_workers, 1);
         assert_eq!(p.shard_policy, es2_virtio::ShardPolicy::Mux);
     }
 
@@ -491,6 +490,8 @@ mod tests {
         p.queues_per_vm = 8;
         p.vhost_workers = 3;
         assert_eq!(p.effective_vhost_workers(), 3);
+        p.vhost_workers = 0;
+        assert_eq!(p.effective_vhost_workers(), 1, "a worker at least");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! only constructed when `Params::telemetry` is set, consumes *sim-time*
 //! nanoseconds only, never touches the RNG, and schedules no events —
 //! windows are assigned at record time — so telemetered runs are
-//! bitwise identical to plain ones (`verify.sh` cmp-checks that).
+//! bitwise identical to plain ones (`repro selfcheck` compares that).
 
 use es2_metrics::telemetry::{TelemetryGeometry, TelemetryRecorder, TelemetryReport};
 

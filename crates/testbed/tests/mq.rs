@@ -14,7 +14,7 @@ use es2_testbed::{Machine, Params, RunResult, ShardPolicy, Topology, WorkloadSpe
 use es2_workloads::NetperfSpec;
 
 /// Fast params with `queues` TX/RX pairs per VM and `workers` sharded
-/// vhost workers (pinned, so `ES2_VHOST_WORKERS` cannot perturb tests).
+/// vhost workers.
 fn mq_params(queues: u32, workers: u32, policy: ShardPolicy) -> Params {
     Params {
         queues_per_vm: queues,
@@ -180,8 +180,8 @@ fn hostile_queue_quarantines_only_that_queue() {
 #[test]
 fn sharded_runs_are_identical_at_any_thread_count() {
     // Every sharding policy must stay byte-deterministic under the
-    // parallel runner — the same discipline verify.sh enforces for the
-    // single-worker path.
+    // parallel runner — the same discipline `repro selfcheck` enforces
+    // for the single-worker path.
     for policy in [ShardPolicy::Affine, ShardPolicy::Passthrough] {
         let specs: Vec<RunSpec> = (0..3)
             .map(|i| RunSpec {
