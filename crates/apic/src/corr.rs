@@ -56,11 +56,6 @@ impl VectorCorrMap {
             .find(|&&(v, _)| v == vector)
             .map_or(0, |&(_, c)| c)
     }
-
-    /// Whether no vector currently carries an ID.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -74,7 +69,7 @@ mod tests {
         assert_eq!(m.peek(0x42), 7);
         assert_eq!(m.take(0x42), 7);
         assert_eq!(m.take(0x42), 0);
-        assert!(m.is_empty());
+        assert!(m.entries.is_empty());
     }
 
     #[test]

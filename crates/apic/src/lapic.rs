@@ -23,16 +23,10 @@ use crate::vectors::Vector;
 pub struct EmulatedLapic {
     irr: IrrIsr256,
     isr: IrrIsr256,
-    /// Task Priority Register (class 0–15 in bits 7:4). Guests in this
-    /// reproduction leave it at 0 (Linux does not use TPR-based masking on
-    /// x86-64), but arbitration honors it.
-    tpr: u8,
-    delivered_total: u64,
-    eoi_total: u64,
 }
 
 impl EmulatedLapic {
-    /// A reset APIC: no pending or in-service interrupts, TPR 0.
+    /// A reset APIC: no pending or in-service interrupts.
     pub fn new() -> Self {
         Self::default()
     }
@@ -55,10 +49,10 @@ impl EmulatedLapic {
     }
 
     /// Processor Priority Register: the class the CPU is currently working
-    /// at — max of TPR and the highest in-service vector's class.
-    pub fn ppr(&self) -> u8 {
-        let isr_class = self.isr.highest().map_or(0, |v| v & 0xf0);
-        self.tpr.max(isr_class)
+    /// at — the highest in-service vector's class. The Task Priority
+    /// Register is not modelled: Linux guests on x86-64 leave it at 0.
+    fn ppr(&self) -> u8 {
+        self.isr.highest().map_or(0, |v| v & 0xf0)
     }
 
     /// The pending vector that would be delivered next, if it out-prioritizes
@@ -79,7 +73,6 @@ impl EmulatedLapic {
         let v = self.next_deliverable()?;
         self.irr.clear(v);
         self.isr.set(v);
-        self.delivered_total += 1;
         Some(v)
     }
 
@@ -90,19 +83,8 @@ impl EmulatedLapic {
         let retired = self.isr.highest();
         if let Some(v) = retired {
             self.isr.clear(v);
-            self.eoi_total += 1;
         }
         (retired, self.next_deliverable().is_some())
-    }
-
-    /// Set the Task Priority Register.
-    pub fn set_tpr(&mut self, tpr: u8) {
-        self.tpr = tpr;
-    }
-
-    /// Number of pending interrupts.
-    pub fn pending_count(&self) -> u32 {
-        self.irr.count()
     }
 
     /// True if any interrupt is in service (handler running, EOI not yet
@@ -110,16 +92,6 @@ impl EmulatedLapic {
     /// is descheduled in this state (§II-C).
     pub fn in_service(&self) -> bool {
         !self.isr.is_empty()
-    }
-
-    /// Lifetime count of delivered (acked) interrupts.
-    pub fn delivered_total(&self) -> u64 {
-        self.delivered_total
-    }
-
-    /// Lifetime count of EOI writes.
-    pub fn eoi_total(&self) -> u64 {
-        self.eoi_total
     }
 }
 
@@ -139,8 +111,6 @@ mod tests {
         assert_eq!(retired, Some(0x41));
         assert!(!more);
         assert!(!apic.in_service());
-        assert_eq!(apic.delivered_total(), 1);
-        assert_eq!(apic.eoi_total(), 1);
     }
 
     #[test]
@@ -148,7 +118,9 @@ mod tests {
         let mut apic = EmulatedLapic::new();
         assert!(apic.set_irr(0x41));
         assert!(!apic.set_irr(0x41));
-        assert_eq!(apic.pending_count(), 1);
+        assert_eq!(apic.ack(), Some(0x41));
+        apic.eoi();
+        assert_eq!(apic.ack(), None, "one pending bit, one delivery");
     }
 
     #[test]
@@ -177,22 +149,11 @@ mod tests {
     }
 
     #[test]
-    fn tpr_masks_low_classes() {
-        let mut apic = EmulatedLapic::new();
-        apic.set_tpr(0x50);
-        apic.set_irr(0x41);
-        assert_eq!(apic.ack(), None);
-        apic.set_irr(0x61);
-        assert_eq!(apic.ack(), Some(0x61));
-    }
-
-    #[test]
     fn eoi_with_nothing_in_service_is_spurious() {
         let mut apic = EmulatedLapic::new();
         let (retired, more) = apic.eoi();
         assert_eq!(retired, None);
         assert!(!more);
-        assert_eq!(apic.eoi_total(), 0);
     }
 
     #[test]
@@ -233,7 +194,7 @@ mod tests {
             let want: Vec<u8> = injected.into_iter().collect();
             prop_assert_eq!(handled, want);
             prop_assert!(!apic.in_service());
-            prop_assert_eq!(apic.pending_count(), 0);
+            prop_assert!(apic.irr.is_empty());
         }
     }
 }

@@ -13,11 +13,11 @@
 //! * [`msi::MsiMessage`] — Message-Signaled-Interrupt routing, the form in
 //!   which KVM's `kvm_set_msi_irq` sees a virtual device interrupt and the
 //!   point where ES2 intercepts and redirects (§V-C).
-//! * [`vectors`] — Linux's interrupt-vector allocation map, which ES2 uses
-//!   to distinguish redirectable device vectors from per-vCPU vectors such
-//!   as the timer.
-//! * [`regs::IrrIsr256`] — the underlying 256-bit pending/in-service
-//!   register file shared by both APIC models.
+//! * [`vectors`] — the vector layout of Linux's interrupt map, which ES2
+//!   uses to distinguish redirectable device vectors from per-vCPU vectors
+//!   such as the timer.
+//! * `regs` — the underlying 256-bit pending/in-service register file
+//!   shared by both APIC models.
 //! * [`corr::VectorCorrMap`] — observational correlation-ID sidecar that
 //!   pairs pending vectors with flight-recorder spans.
 
@@ -25,12 +25,11 @@ pub mod corr;
 pub mod lapic;
 pub mod msi;
 pub mod pi;
-pub mod regs;
+mod regs;
 pub mod vectors;
 
 pub use corr::VectorCorrMap;
 pub use lapic::EmulatedLapic;
 pub use msi::{DeliveryMode, DestMode, MsiMessage};
 pub use pi::{PiDescriptor, VApicPage};
-pub use regs::IrrIsr256;
-pub use vectors::{Vector, VectorClass};
+pub use vectors::Vector;

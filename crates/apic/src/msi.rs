@@ -9,8 +9,8 @@
 //! function called `kvm_set_msi_irq`, and modifies the destination vCPU to
 //! the selected target."*
 //!
-//! The address/data encoding below follows the Intel SDM layout so the
-//! router sees exactly the fields real KVM parses.
+//! [`MsiMessage`] holds the fields real KVM decodes from the Intel SDM
+//! address/data layout: destination, destination mode and delivery mode.
 
 use crate::vectors::Vector;
 
@@ -49,9 +49,6 @@ pub struct MsiMessage {
 }
 
 impl MsiMessage {
-    /// MSI address base (upper bits of the 32-bit address dword).
-    pub const ADDRESS_BASE: u32 = 0xfee0_0000;
-
     /// A fixed-mode, physically addressed message — the common shape for a
     /// virtio queue interrupt bound to one vCPU.
     pub fn fixed(dest_id: u8, vector: Vector) -> Self {
@@ -73,55 +70,11 @@ impl MsiMessage {
             vector,
         }
     }
-
-    /// Encode into the architectural (address, data) dword pair.
-    pub fn encode(&self) -> (u32, u16) {
-        let mut addr = Self::ADDRESS_BASE | ((self.dest_id as u32) << 12);
-        if self.dest_mode == DestMode::Logical {
-            addr |= 1 << 2;
-        }
-        if self.delivery_mode == DeliveryMode::LowestPriority {
-            addr |= 1 << 3; // redirection hint accompanies lowest-priority
-        }
-        let mut data = self.vector as u16;
-        if self.delivery_mode == DeliveryMode::LowestPriority {
-            data |= 0b001 << 8;
-        }
-        (addr, data)
-    }
-
-    /// Decode from the architectural (address, data) pair.
-    pub fn decode(addr: u32, data: u16) -> Self {
-        let dest_id = ((addr >> 12) & 0xff) as u8;
-        let dest_mode = if addr & (1 << 2) != 0 {
-            DestMode::Logical
-        } else {
-            DestMode::Physical
-        };
-        let delivery_mode = if (data >> 8) & 0b111 == 0b001 {
-            DeliveryMode::LowestPriority
-        } else {
-            DeliveryMode::Fixed
-        };
-        MsiMessage {
-            dest_id,
-            dest_mode,
-            delivery_mode,
-            vector: (data & 0xff) as u8,
-        }
-    }
-
-    /// Return a copy with the destination replaced — the redirection write
-    /// ES2 performs inside `kvm_set_msi_irq`.
-    pub fn with_dest(&self, dest_id: u8) -> Self {
-        MsiMessage { dest_id, ..*self }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn fixed_message_shape() {
@@ -132,49 +85,10 @@ mod tests {
     }
 
     #[test]
-    fn encode_matches_sdm_layout() {
-        let (addr, data) = MsiMessage::fixed(3, 0x55).encode();
-        assert_eq!(addr & 0xfff0_0000, MsiMessage::ADDRESS_BASE);
-        assert_eq!((addr >> 12) & 0xff, 3);
-        assert_eq!(addr & (1 << 2), 0, "physical mode");
-        assert_eq!(data & 0xff, 0x55);
-        assert_eq!((data >> 8) & 0b111, 0, "fixed mode");
-    }
-
-    #[test]
     fn lowest_priority_sets_mode_bits() {
-        let (addr, data) = MsiMessage::lowest_priority(0b1111, 0x61).encode();
-        assert_ne!(addr & (1 << 2), 0, "logical mode");
-        assert_ne!(addr & (1 << 3), 0, "redirection hint");
-        assert_eq!((data >> 8) & 0b111, 0b001);
-    }
-
-    #[test]
-    fn redirection_rewrites_only_destination() {
-        let m = MsiMessage::lowest_priority(0b0001, 0x41);
-        let r = m.with_dest(0b0100);
-        assert_eq!(r.dest_id, 0b0100);
-        assert_eq!(r.vector, m.vector);
-        assert_eq!(r.delivery_mode, m.delivery_mode);
-    }
-
-    proptest! {
-        /// encode/decode round-trips every field.
-        #[test]
-        fn prop_encode_decode_roundtrip(
-            dest in any::<u8>(),
-            vector in any::<u8>(),
-            logical in any::<bool>(),
-            lowpri in any::<bool>(),
-        ) {
-            let m = MsiMessage {
-                dest_id: dest,
-                dest_mode: if logical { DestMode::Logical } else { DestMode::Physical },
-                delivery_mode: if lowpri { DeliveryMode::LowestPriority } else { DeliveryMode::Fixed },
-                vector,
-            };
-            let (addr, data) = m.encode();
-            prop_assert_eq!(MsiMessage::decode(addr, data), m);
-        }
+        let m = MsiMessage::lowest_priority(0b1111, 0x61);
+        assert_eq!(m.dest_mode, DestMode::Logical);
+        assert_eq!(m.delivery_mode, DeliveryMode::LowestPriority);
+        assert_eq!((m.dest_id, m.vector), (0b1111, 0x61));
     }
 }

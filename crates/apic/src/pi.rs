@@ -33,8 +33,6 @@ pub struct PiDescriptor {
     /// Suppress-notification bit (SN): set by the hypervisor while the vCPU
     /// is not in guest mode so that posting does not fire useless IPIs.
     sn: bool,
-    posted_total: u64,
-    notifications_total: u64,
 }
 
 /// What the poster must do after posting an interrupt.
@@ -62,12 +60,10 @@ impl PiDescriptor {
     /// send a notification IPI.
     pub fn post(&mut self, vector: Vector) -> PostOutcome {
         self.pir.set(vector);
-        self.posted_total += 1;
         if self.on || self.sn {
             PostOutcome::NoNotification
         } else {
             self.on = true;
-            self.notifications_total += 1;
             PostOutcome::SendNotification
         }
     }
@@ -86,11 +82,6 @@ impl PiDescriptor {
     /// True if any interrupt is posted but not yet synchronized.
     pub fn has_pending(&self) -> bool {
         !self.pir.is_empty()
-    }
-
-    /// Number of posted-but-unsynchronized vectors.
-    pub fn pending_count(&self) -> u32 {
-        self.pir.count()
     }
 
     /// Withdraw a posted-but-unsynchronized vector (ES2's re-redirection:
@@ -120,16 +111,6 @@ impl PiDescriptor {
         self.on = false;
         vs
     }
-
-    /// Lifetime count of posted interrupts.
-    pub fn posted_total(&self) -> u64 {
-        self.posted_total
-    }
-
-    /// Lifetime count of notification IPIs requested.
-    pub fn notifications_total(&self) -> u64 {
-        self.notifications_total
-    }
 }
 
 /// The hardware virtual-APIC page: virtual IRR/ISR with exit-less EOI.
@@ -137,8 +118,6 @@ impl PiDescriptor {
 pub struct VApicPage {
     virr: IrrIsr256,
     visr: IrrIsr256,
-    delivered_total: u64,
-    eoi_total: u64,
 }
 
 impl VApicPage {
@@ -164,7 +143,6 @@ impl VApicPage {
         }
         self.virr.clear(v);
         self.visr.set(v);
-        self.delivered_total += 1;
         Some(v)
     }
 
@@ -174,7 +152,6 @@ impl VApicPage {
         let retired = self.visr.highest();
         if let Some(v) = retired {
             self.visr.clear(v);
-            self.eoi_total += 1;
         }
         (retired, self.virr.highest().is_some())
     }
@@ -182,11 +159,6 @@ impl VApicPage {
     /// True if a vector is pending in the virtual IRR.
     pub fn has_pending(&self) -> bool {
         !self.virr.is_empty()
-    }
-
-    /// Number of pending vectors.
-    pub fn pending_count(&self) -> u32 {
-        self.virr.count()
     }
 
     /// Drain pending-but-undelivered vectors from the virtual IRR
@@ -204,16 +176,6 @@ impl VApicPage {
     pub fn in_service(&self) -> bool {
         !self.visr.is_empty()
     }
-
-    /// Lifetime exit-less deliveries.
-    pub fn delivered_total(&self) -> u64 {
-        self.delivered_total
-    }
-
-    /// Lifetime exit-less EOIs.
-    pub fn eoi_total(&self) -> u64 {
-        self.eoi_total
-    }
 }
 
 #[cfg(test)]
@@ -228,8 +190,7 @@ mod tests {
         assert_eq!(d.post(0x41), PostOutcome::SendNotification);
         // Second post while notification outstanding: coalesced.
         assert_eq!(d.post(0x42), PostOutcome::NoNotification);
-        assert_eq!(d.pending_count(), 2);
-        assert_eq!(d.notifications_total(), 1);
+        assert_eq!(d.take_pending(), [0x41, 0x42]);
     }
 
     #[test]
@@ -237,7 +198,6 @@ mod tests {
         let mut d = PiDescriptor::new(); // SN set by default
         assert_eq!(d.post(0x41), PostOutcome::NoNotification);
         assert!(d.has_pending());
-        assert_eq!(d.notifications_total(), 0);
     }
 
     #[test]
@@ -249,7 +209,7 @@ mod tests {
         let mut v = VApicPage::new();
         assert_eq!(v.sync_from(&mut d), 2);
         assert!(!d.has_pending());
-        assert_eq!(v.pending_count(), 2);
+        assert_eq!(v.take_pending(), [0x41, 0x91]);
         // After sync, a new post requests a fresh notification.
         assert_eq!(d.post(0x43), PostOutcome::SendNotification);
     }
@@ -266,8 +226,6 @@ mod tests {
         let (retired, more) = v.eoi();
         assert_eq!(retired, Some(0x41));
         assert!(!more);
-        assert_eq!(v.delivered_total(), 1);
-        assert_eq!(v.eoi_total(), 1);
     }
 
     #[test]
@@ -289,8 +247,7 @@ mod tests {
         let mut d = PiDescriptor::new();
         d.post(0x41);
         d.post(0x41);
-        assert_eq!(d.pending_count(), 1);
-        assert_eq!(d.posted_total(), 2);
+        assert_eq!(d.take_pending(), [0x41]);
     }
 
     proptest! {

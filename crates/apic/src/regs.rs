@@ -6,19 +6,14 @@
 
 /// A 256-bit, vector-indexed bitmap.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IrrIsr256 {
+pub(crate) struct IrrIsr256 {
     words: [u64; 4],
 }
 
 impl IrrIsr256 {
-    /// All-clear register.
-    pub const fn new() -> Self {
-        IrrIsr256 { words: [0; 4] }
-    }
-
     /// Set the bit for `vector`. Returns `true` if it was newly set.
     #[inline]
-    pub fn set(&mut self, vector: u8) -> bool {
+    pub(crate) fn set(&mut self, vector: u8) -> bool {
         let (w, b) = (vector as usize / 64, vector as usize % 64);
         let mask = 1u64 << b;
         let was = self.words[w] & mask != 0;
@@ -28,7 +23,7 @@ impl IrrIsr256 {
 
     /// Clear the bit for `vector`. Returns `true` if it was set.
     #[inline]
-    pub fn clear(&mut self, vector: u8) -> bool {
+    pub(crate) fn clear(&mut self, vector: u8) -> bool {
         let (w, b) = (vector as usize / 64, vector as usize % 64);
         let mask = 1u64 << b;
         let was = self.words[w] & mask != 0;
@@ -38,7 +33,7 @@ impl IrrIsr256 {
 
     /// Test the bit for `vector`.
     #[inline]
-    pub fn get(&self, vector: u8) -> bool {
+    pub(crate) fn get(&self, vector: u8) -> bool {
         let (w, b) = (vector as usize / 64, vector as usize % 64);
         self.words[w] & (1u64 << b) != 0
     }
@@ -48,7 +43,7 @@ impl IrrIsr256 {
     /// APIC arbitration services the highest vector first (higher vector =
     /// higher priority class).
     #[inline]
-    pub fn highest(&self) -> Option<u8> {
+    pub(crate) fn highest(&self) -> Option<u8> {
         for w in (0..4).rev() {
             if self.words[w] != 0 {
                 let b = 63 - self.words[w].leading_zeros() as usize;
@@ -60,21 +55,15 @@ impl IrrIsr256 {
 
     /// True if no bit is set.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Number of set bits.
-    #[inline]
-    pub fn count(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
     }
 
     /// OR another register into this one, clearing the source — the
     /// hardware PIR→vIRR synchronization step of posted-interrupt
     /// processing (atomically drains PIR into the virtual IRR).
     #[inline]
-    pub fn drain_into(&mut self, dst: &mut IrrIsr256) -> u32 {
+    pub(crate) fn drain_into(&mut self, dst: &mut IrrIsr256) -> u32 {
         let mut moved = 0;
         for w in 0..4 {
             moved += self.words[w].count_ones();
@@ -85,12 +74,12 @@ impl IrrIsr256 {
     }
 
     /// Clear everything.
-    pub fn clear_all(&mut self) {
+    pub(crate) fn clear_all(&mut self) {
         self.words = [0; 4];
     }
 
     /// Iterate set vectors in ascending order.
-    pub fn iter_set(&self) -> impl Iterator<Item = u8> + '_ {
+    pub(crate) fn iter_set(&self) -> impl Iterator<Item = u8> + '_ {
         (0u16..256).filter(|&v| self.get(v as u8)).map(|v| v as u8)
     }
 }
@@ -102,7 +91,7 @@ mod tests {
 
     #[test]
     fn set_get_clear() {
-        let mut r = IrrIsr256::new();
+        let mut r = IrrIsr256::default();
         assert!(r.set(0x41));
         assert!(!r.set(0x41), "second set reports already-set");
         assert!(r.get(0x41));
@@ -113,7 +102,7 @@ mod tests {
 
     #[test]
     fn highest_prefers_high_vectors() {
-        let mut r = IrrIsr256::new();
+        let mut r = IrrIsr256::default();
         assert_eq!(r.highest(), None);
         r.set(0x21);
         r.set(0xef);
@@ -125,20 +114,20 @@ mod tests {
 
     #[test]
     fn boundary_vectors() {
-        let mut r = IrrIsr256::new();
+        let mut r = IrrIsr256::default();
         r.set(0);
         r.set(63);
         r.set(64);
         r.set(255);
-        assert_eq!(r.count(), 4);
+        assert_eq!(r.iter_set().count(), 4);
         assert_eq!(r.highest(), Some(255));
         assert!(r.get(63) && r.get(64));
     }
 
     #[test]
     fn drain_moves_and_clears() {
-        let mut pir = IrrIsr256::new();
-        let mut virr = IrrIsr256::new();
+        let mut pir = IrrIsr256::default();
+        let mut virr = IrrIsr256::default();
         pir.set(0x30);
         pir.set(0xa0);
         virr.set(0x30); // overlap: OR semantics
@@ -146,12 +135,12 @@ mod tests {
         assert_eq!(moved, 2);
         assert!(pir.is_empty());
         assert!(virr.get(0x30) && virr.get(0xa0));
-        assert_eq!(virr.count(), 2);
+        assert_eq!(virr.iter_set().count(), 2);
     }
 
     #[test]
     fn iter_set_ascending() {
-        let mut r = IrrIsr256::new();
+        let mut r = IrrIsr256::default();
         for v in [5u8, 200, 64, 63] {
             r.set(v);
         }
@@ -160,10 +149,10 @@ mod tests {
     }
 
     proptest! {
-        /// count/highest/is_empty agree with a model HashSet.
+        /// highest/is_empty/iter_set agree with a model set.
         #[test]
         fn prop_matches_set_model(ops in proptest::collection::vec((any::<u8>(), any::<bool>()), 0..200)) {
-            let mut r = IrrIsr256::new();
+            let mut r = IrrIsr256::default();
             let mut model = std::collections::BTreeSet::new();
             for (v, set) in ops {
                 if set {
@@ -174,7 +163,7 @@ mod tests {
                     model.remove(&v);
                 }
             }
-            prop_assert_eq!(r.count() as usize, model.len());
+            prop_assert_eq!(r.iter_set().count(), model.len());
             prop_assert_eq!(r.highest(), model.iter().next_back().copied());
             prop_assert_eq!(r.is_empty(), model.is_empty());
             let got: Vec<u8> = r.iter_set().collect();

@@ -5,7 +5,7 @@
 //! distinguish device interrupts from the others and perform the correct
 //! redirection."* Redirecting a per-vCPU vector (e.g. the local timer) to a
 //! different vCPU would crash the guest, so the redirection engine consults
-//! [`VectorClass`] before touching an interrupt.
+//! [`is_redirectable_device_vector`] before touching an interrupt.
 //!
 //! The constants mirror `arch/x86/include/asm/irq_vectors.h` of the 4.x
 //! kernels the paper used.
@@ -34,87 +34,14 @@ pub const SPURIOUS_APIC_VECTOR: Vector = 0xff;
 /// `POSTED_INTR_VECTOR`, 0xf2 on the kernels in question).
 pub const POSTED_INTR_NOTIFICATION_VECTOR: Vector = 0xf2;
 
-/// Classification of a vector per Linux's allocation map.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum VectorClass {
-    /// 0x00–0x1f: CPU exceptions; never delivered as external interrupts.
-    Exception,
-    /// 0x20–0x30: legacy/ISA range (includes the legacy timer IRQ0).
-    Legacy,
-    /// 0x31–0xeb: dynamically allocated device vectors (MSI/MSI-X). These
-    /// are the only vectors ES2 is allowed to redirect.
-    Device,
-    /// 0xec–0xff: system vectors — local timer, IPIs, spurious. Generated
-    /// for a *specific* vCPU; redirecting them is forbidden.
-    System,
-}
-
-/// Classify a vector.
-#[inline]
-pub fn classify(v: Vector) -> VectorClass {
-    if v < FIRST_EXTERNAL_VECTOR {
-        VectorClass::Exception
-    } else if v <= ISA_IRQ_VECTOR_BASE {
-        VectorClass::Legacy
-    } else if v < FIRST_SYSTEM_VECTOR {
-        VectorClass::Device
-    } else {
-        VectorClass::System
-    }
-}
-
-/// True if ES2 may redirect this vector to a different vCPU (§V-C).
+/// True if ES2 may redirect this vector to a different vCPU (§V-C): only
+/// the dynamically allocated MSI/MSI-X device range `0x31–0xeb` qualifies.
+/// Exceptions (`0x00–0x1f`), the legacy/ISA range (`0x20–0x30`, with the
+/// legacy timer IRQ0) and the system vectors (`0xec–0xff`: local timer,
+/// IPIs, spurious) are generated for a *specific* vCPU.
 #[inline]
 pub fn is_redirectable_device_vector(v: Vector) -> bool {
-    classify(v) == VectorClass::Device
-}
-
-/// A Linux-style per-VM dynamic vector allocator for MSI/MSI-X devices.
-///
-/// Hands out device vectors spread across the device range the way
-/// `vector_allocation_domain` does, so tests exercising multiple queues get
-/// realistic, distinct vectors.
-#[derive(Clone, Debug)]
-pub struct VectorAllocator {
-    next: Vector,
-    allocated: Vec<Vector>,
-}
-
-impl Default for VectorAllocator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl VectorAllocator {
-    /// A fresh allocator starting at the bottom of the device range.
-    pub fn new() -> Self {
-        VectorAllocator {
-            next: FIRST_DEVICE_VECTOR,
-            allocated: Vec::new(),
-        }
-    }
-
-    /// Allocate the next free device vector, or `None` if exhausted.
-    pub fn alloc(&mut self) -> Option<Vector> {
-        // Linux allocates vectors stride-16 first to spread priority
-        // classes; we keep the simple ascending policy but skip system
-        // vectors — distribution details don't affect redirection logic.
-        while self.next < FIRST_SYSTEM_VECTOR {
-            let v = self.next;
-            self.next += 1;
-            if !self.allocated.contains(&v) {
-                self.allocated.push(v);
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    /// All vectors handed out so far.
-    pub fn allocated(&self) -> &[Vector] {
-        &self.allocated
-    }
+    (FIRST_DEVICE_VECTOR..FIRST_SYSTEM_VECTOR).contains(&v)
 }
 
 #[cfg(test)]
@@ -124,17 +51,15 @@ mod tests {
 
     #[test]
     fn well_known_vectors_classify_correctly() {
-        assert_eq!(classify(0x0e), VectorClass::Exception); // page fault
-        assert_eq!(classify(0x20), VectorClass::Legacy);
-        assert_eq!(classify(0x31), VectorClass::Device);
-        assert_eq!(classify(0xa5), VectorClass::Device);
-        assert_eq!(classify(LOCAL_TIMER_VECTOR), VectorClass::System);
-        assert_eq!(classify(RESCHEDULE_VECTOR), VectorClass::System);
-        assert_eq!(classify(SPURIOUS_APIC_VECTOR), VectorClass::System);
-        assert_eq!(
-            classify(POSTED_INTR_NOTIFICATION_VECTOR),
-            VectorClass::System
-        );
+        assert!(!is_redirectable_device_vector(0x0e)); // page fault
+        assert!(!is_redirectable_device_vector(0x20)); // legacy
+        assert!(!is_redirectable_device_vector(ISA_IRQ_VECTOR_BASE));
+        assert!(is_redirectable_device_vector(FIRST_DEVICE_VECTOR));
+        assert!(is_redirectable_device_vector(0xa5));
+        assert!(!is_redirectable_device_vector(SPURIOUS_APIC_VECTOR));
+        assert!(!is_redirectable_device_vector(
+            POSTED_INTR_NOTIFICATION_VECTOR
+        ));
     }
 
     #[test]
@@ -144,33 +69,14 @@ mod tests {
         assert!(is_redirectable_device_vector(0x41));
     }
 
-    #[test]
-    fn allocator_returns_distinct_device_vectors() {
-        let mut a = VectorAllocator::new();
-        let mut seen = std::collections::BTreeSet::new();
-        while let Some(v) = a.alloc() {
-            assert!(is_redirectable_device_vector(v), "vector {v:#x}");
-            assert!(seen.insert(v), "duplicate vector {v:#x}");
-        }
-        assert_eq!(
-            seen.len(),
-            (FIRST_SYSTEM_VECTOR - FIRST_DEVICE_VECTOR) as usize
-        );
-    }
-
     proptest! {
-        /// Every vector falls in exactly one class and the class boundaries
-        /// are exhaustive.
+        /// Exactly the device range `0x31–0xeb` is redirectable.
         #[test]
         fn prop_classification_total(v in any::<u8>()) {
-            let c = classify(v);
-            let expected = match v {
-                0x00..=0x1f => VectorClass::Exception,
-                0x20..=0x30 => VectorClass::Legacy,
-                0x31..=0xeb => VectorClass::Device,
-                _ => VectorClass::System,
-            };
-            prop_assert_eq!(c, expected);
+            prop_assert_eq!(
+                is_redirectable_device_vector(v),
+                matches!(v, 0x31..=0xeb)
+            );
         }
     }
 }

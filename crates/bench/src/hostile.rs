@@ -25,7 +25,7 @@ use es2_workloads::NetperfSpec;
 const HOSTILE_VM: u32 = 1;
 
 /// One configuration's clean-vs-hostile pair.
-pub struct HostileCell {
+pub(crate) struct HostileCell {
     pub config: &'static str,
     pub clean: RunResult,
     pub hostile: RunResult,
@@ -34,7 +34,7 @@ pub struct HostileCell {
 
 impl HostileCell {
     /// Victim goodput retained under attack, in percent.
-    pub fn retained_percent(&self) -> f64 {
+    pub(crate) fn retained_percent(&self) -> f64 {
         if self.clean.goodput_gbps <= 0.0 {
             return 0.0;
         }
@@ -42,7 +42,7 @@ impl HostileCell {
     }
 
     /// Victim receive p99 under attack over clean, as a ratio.
-    pub fn p99_ratio(&self) -> f64 {
+    pub(crate) fn p99_ratio(&self) -> f64 {
         let c = self.clean.rx_p99_us_per_vm[0].max(1) as f64;
         self.hostile.rx_p99_us_per_vm[0].max(1) as f64 / c
     }

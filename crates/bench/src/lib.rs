@@ -26,10 +26,11 @@ use es2_testbed::{Params, RunResult};
 pub const SEED: u64 = 20170814; // ICPP'17 conference date
 
 fn exit_cells(r: &RunResult) -> [String; 5] {
-    let other = r.rate(ExitReason::EptViolation)
-        + r.rate(ExitReason::PendingInterrupt)
-        + r.rate(ExitReason::Hlt)
-        + r.rate(ExitReason::Other);
+    let other: f64 = ExitReason::all()
+        .into_iter()
+        .filter(|e| e.is_other_group())
+        .map(|e| r.rate(e))
+        .sum();
     [
         fmt_rate(r.rate(ExitReason::ExternalInterrupt)),
         fmt_rate(r.rate(ExitReason::ApicAccess)),

@@ -33,7 +33,7 @@ use es2_workloads::NetperfSpec;
 const MQ_VCPUS_PER_VM: u32 = 2;
 
 /// One sweep cell: a (vm count, queue, worker, policy) configuration.
-pub struct MqCell {
+pub(crate) struct MqCell {
     pub vms: u32,
     pub queues: u32,
     /// Configured worker count.

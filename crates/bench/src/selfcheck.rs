@@ -74,7 +74,7 @@ pub(crate) const CHECKS: &[Check] = &[
 ];
 
 /// A change to the params a run uses on top of the command line's.
-pub type Tweak = fn(Params) -> Params;
+pub(crate) type Tweak = fn(Params) -> Params;
 
 /// Run `repro <args> --fast` in-process on `threads` sweep threads with
 /// its params passed through `tweak`: its stdout and, for a report, its

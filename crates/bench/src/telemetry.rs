@@ -43,7 +43,7 @@ const MAX_POINTS: usize = 120;
 const MAX_ANNS: usize = 200;
 
 /// One telemetry cell: a (topology, event path) run's report.
-pub struct TelCell {
+pub(crate) struct TelCell {
     pub topology: &'static str,
     pub config: &'static str,
     pub report: TelemetryReport,
@@ -52,7 +52,7 @@ pub struct TelCell {
 }
 
 /// The declarative objective set evaluated over every cell.
-pub fn slo_specs() -> Vec<SloSpec> {
+pub(crate) fn slo_specs() -> Vec<SloSpec> {
     vec![
         SloSpec {
             name: "vm0-rx-p99",

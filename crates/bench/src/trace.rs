@@ -20,7 +20,7 @@ use es2_workloads::NetperfSpec;
 
 /// Event-log capacity for the Chrome-trace export run (bounded so the
 /// export stays viewer-sized regardless of window length).
-pub const CHROME_EVENT_CAPACITY: u32 = 20_000;
+pub(crate) const CHROME_EVENT_CAPACITY: u32 = 20_000;
 
 /// The three event-path configurations the trace compares.
 fn trace_configs() -> [(&'static str, EventPathConfig); 3] {

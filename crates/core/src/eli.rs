@@ -17,10 +17,10 @@
 //!
 //! [`EliSharedApic`] makes those hazards concrete and countable: it is a
 //! physical LAPIC whose in-service/pending state follows the *core*, driven
-//! by the same scheduler switch events ES2 consumes. The unit tests (and
-//! the `es2-bench` ablations) demonstrate exactly the two corruption modes
-//! above — which is the quantitative justification for building ES2 on
-//! hardware-posted interrupts instead.
+//! by the same scheduler switch events ES2 consumes. Its unit tests
+//! demonstrate exactly the two corruption modes above — which is the
+//! quantitative justification for building ES2 on hardware-posted
+//! interrupts instead.
 
 use es2_apic::{EmulatedLapic, Vector};
 

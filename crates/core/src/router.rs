@@ -32,17 +32,12 @@ impl Es2Router {
     }
 
     /// A router serving one host of a multi-host cell.
-    pub fn on_host(engine: RedirectionEngine, host: u32) -> Self {
+    pub(crate) fn on_host(engine: RedirectionEngine, host: u32) -> Self {
         Es2Router {
             engine,
             affinity: AffinityRouter,
             host,
         }
-    }
-
-    /// The host this router (and its scheduler-state channel) belongs to.
-    pub fn host(&self) -> u32 {
-        self.host
     }
 
     /// Re-tag an existing router with its host id (used when a machine
@@ -181,13 +176,12 @@ mod tests {
         let mut a = Es2Router::on_host(RedirectionEngine::new(1, 4), 0);
         let mut b = Es2Router::on_host(RedirectionEngine::new(1, 4), 1);
         a.on_sched_change(VcpuId::new(0, 2), true);
-        assert!(a.engine().is_online(0, 2));
-        assert!(!b.engine().is_online(0, 2), "host B sees its own lists only");
 
         let online = [false, false, true, false];
         let load = [0; 4];
         let on_a = a.route_explained(&MsiMessage::fixed(0, 0x41), &ctx(&online, &load));
         assert_eq!(on_a.host, 0);
+        assert_eq!(on_a.target.idx, 2, "A's online vCPU wins");
         assert!(on_a.redirected);
         let none_online = [false; 4];
         let on_b = b.route_explained(&MsiMessage::fixed(0, 0x41), &ctx(&none_online, &load));
@@ -197,10 +191,15 @@ mod tests {
 
     #[test]
     fn sched_notifications_flow_into_engine() {
+        // Observed through routing, which reads only the engine's lists.
         let mut r = Es2Router::new(RedirectionEngine::new(1, 2));
+        let msi = MsiMessage::fixed(0, 0x41);
+        let load = [0; 2];
         r.on_sched_change(VcpuId::new(0, 1), true);
-        assert!(r.engine().is_online(0, 1));
+        let routed = r.route_explained(&msi, &ctx(&[false, true], &load));
+        assert_eq!(routed.target.idx, 1, "sched-in put vCPU 1 online");
         r.on_sched_change(VcpuId::new(0, 1), false);
-        assert!(!r.engine().is_online(0, 1));
+        let routed = r.route_explained(&msi, &ctx(&[false; 2], &load));
+        assert_eq!(routed.target.idx, 0, "sched-out cleared the sticky target");
     }
 }

@@ -125,11 +125,6 @@ impl ExitStats {
         self.total[reason.idx()]
     }
 
-    /// Windowed count for a reason.
-    pub fn windowed(&self, reason: ExitReason) -> u64 {
-        self.windowed[reason.idx()]
-    }
-
     /// Windowed exits per second for a reason.
     pub fn rate(&self, reason: ExitReason) -> f64 {
         if self.window_len.is_zero() {
@@ -142,16 +137,6 @@ impl ExitStats {
     /// Windowed total exits per second.
     pub fn total_rate(&self) -> f64 {
         ExitReason::all().iter().map(|&r| self.rate(r)).sum()
-    }
-
-    /// Windowed share of a reason among all exits, in percent.
-    pub fn percent(&self, reason: ExitReason) -> f64 {
-        let total: u64 = self.windowed.iter().sum();
-        if total == 0 {
-            0.0
-        } else {
-            100.0 * self.windowed[reason.idx()] as f64 / total as f64
-        }
     }
 
     /// Sum of windowed counts.
@@ -268,10 +253,9 @@ mod tests {
         }
         s.close_window(t(500)); // 0.5s
         assert_eq!(s.total(ExitReason::IoInstruction), 501);
-        assert_eq!(s.windowed(ExitReason::IoInstruction), 500);
+        assert_eq!(s.windowed[ExitReason::IoInstruction.idx()], 500);
         assert!((s.rate(ExitReason::IoInstruction) - 1000.0).abs() < 1e-9);
         assert!((s.total_rate() - 1500.0).abs() < 1e-9);
-        assert!((s.percent(ExitReason::IoInstruction) - 66.666).abs() < 0.01);
         assert_eq!(s.windowed_total(), 750);
     }
 
@@ -286,7 +270,7 @@ mod tests {
         a.close_window(t(100));
         b.close_window(t(100));
         a.merge(&b);
-        assert_eq!(a.windowed(ExitReason::Hlt), 2);
+        assert_eq!(a.windowed[ExitReason::Hlt.idx()], 2);
     }
 
     #[test]
@@ -307,6 +291,6 @@ mod tests {
     fn empty_stats_report_zero() {
         let s = ExitStats::new();
         assert_eq!(s.total_rate(), 0.0);
-        assert_eq!(s.percent(ExitReason::IoInstruction), 0.0);
+        assert_eq!(s.windowed_total(), 0);
     }
 }

@@ -19,7 +19,6 @@ pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
     sum: u128,
-    min: u64,
     max: u64,
 }
 
@@ -64,7 +63,6 @@ impl Histogram {
             buckets: Vec::new(),
             count: 0,
             sum: 0,
-            min: u64::MAX,
             max: 0,
         }
     }
@@ -79,22 +77,12 @@ impl Histogram {
         self.buckets[i] += 1;
         self.count += 1;
         self.sum += value as u128;
-        self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
 
     /// Number of samples.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Smallest recorded sample (0 if empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
     }
 
     /// Largest recorded sample.
@@ -114,7 +102,7 @@ impl Histogram {
     /// The value at quantile `q` in `[0, 1]`, with bucket resolution.
     ///
     /// Returns 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -139,32 +127,6 @@ impl Histogram {
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
-
-    /// Merge another histogram into this one (the buckets extend to the
-    /// longer of the two).
-    pub fn merge(&mut self, other: &Histogram) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-
-    /// Reset all state.
-    pub fn clear(&mut self) {
-        self.buckets.clear();
-        self.count = 0;
-        self.sum = 0;
-        self.min = u64::MAX;
-        self.max = 0;
-    }
 }
 
 #[cfg(test)]
@@ -176,7 +138,6 @@ mod tests {
     fn empty_histogram_is_benign() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.quantile(0.5), 0);
@@ -188,7 +149,6 @@ mod tests {
         for v in 0..32 {
             h.record(v);
         }
-        assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 31);
         assert_eq!(h.quantile(1.0), 31);
         assert_eq!(h.quantile(0.0), 0);
@@ -237,7 +197,6 @@ mod tests {
             for q in [0.0, 0.5, 0.99, 1.0] {
                 assert_eq!(h.quantile(q), v, "v={v} q={q}");
             }
-            assert_eq!(h.min(), v);
             assert_eq!(h.max(), v);
         }
     }
@@ -253,14 +212,12 @@ mod tests {
             assert_eq!(h.quantile(1.0), v, "v={v}");
         }
         // 64 and 65 share a bucket whose representative is 65: quantiles
-        // overestimate within the documented ~3% bucket resolution while
-        // min() stays exact.
+        // overestimate within the documented ~3% bucket resolution.
         let mut h = Histogram::new();
         h.record(64);
         h.record(65);
         assert_eq!(h.quantile(0.0), 65);
         assert_eq!(h.quantile(1.0), 65);
-        assert_eq!(h.min(), 64);
     }
 
     #[test]
@@ -273,7 +230,6 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.quantile(0.0), u64::MAX);
         assert_eq!(h.quantile(1.0), u64::MAX);
-        assert_eq!(h.min(), u64::MAX - 1);
     }
 
     #[test]
@@ -289,27 +245,6 @@ mod tests {
         // Out-of-range q is clamped, not an error.
         assert_eq!(h.quantile(-1.0), 1);
         assert_eq!(h.quantile(2.0), 20);
-    }
-
-    #[test]
-    fn merge_combines_counts_and_extrema() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(10);
-        b.record(1_000_000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), 10);
-        assert_eq!(a.max(), 1_000_000);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut h = Histogram::new();
-        h.record(5);
-        h.clear();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.max(), 0);
     }
 
     #[test]
@@ -338,7 +273,6 @@ mod tests {
     fn assert_same(lazy: &Histogram, full: &Histogram) {
         assert_eq!(lazy.count(), full.count());
         assert_eq!(lazy.sum, full.sum);
-        assert_eq!(lazy.min(), full.min());
         assert_eq!(lazy.max(), full.max());
         assert_eq!(lazy.mean().to_bits(), full.mean().to_bits());
         for q in [0.0, 0.5, 0.99, 1.0] {
@@ -379,8 +313,7 @@ mod tests {
         }
 
         /// Buckets grown on demand answer exactly like buckets allocated
-        /// up front: after recording, after merging in either direction
-        /// between histograms of different lengths, and after clearing.
+        /// up front, for short and for range-spanning bucket vectors.
         #[test]
         fn prop_lazy_buckets_match_presized(
             small in proptest::collection::vec(0u64..10_000, 0..40),
@@ -399,29 +332,9 @@ mod tests {
             }
             assert_same(&ls, &fs);
             assert_same(&lw, &fw);
-
-            let (mut l_sw, mut f_sw) = (ls.clone(), fs.clone());
-            l_sw.merge(&lw);
-            f_sw.merge(&fw);
-            assert_same(&l_sw, &f_sw);
-            let (mut l_ws, mut f_ws) = (lw.clone(), fw.clone());
-            l_ws.merge(&ls);
-            f_ws.merge(&fs);
-            assert_same(&l_ws, &f_ws);
-            assert_same(&l_ws, &f_sw);
-
-            l_sw.clear();
-            f_sw.clear();
-            assert_same(&l_sw, &f_sw);
-            assert_same(&l_sw, &Histogram::new());
-            for &v in &wide {
-                l_sw.record(v);
-                f_sw.record(v);
-            }
-            assert_same(&l_sw, &f_sw);
         }
 
-        /// max/min/count survive arbitrary sequences.
+        /// max/count survive arbitrary sequences.
         #[test]
         fn prop_extrema(values in proptest::collection::vec(any::<u64>(), 1..100)) {
             let mut h = Histogram::new();
@@ -429,7 +342,6 @@ mod tests {
                 h.record(v);
             }
             prop_assert_eq!(h.count(), values.len() as u64);
-            prop_assert_eq!(h.min(), *values.iter().min().unwrap());
             prop_assert_eq!(h.max(), *values.iter().max().unwrap());
         }
     }

@@ -46,7 +46,7 @@ impl Json {
 
     /// `x` with `decimals` digits after the point, or `null` when `x` is
     /// not finite.
-    pub fn fixed(x: f64, decimals: usize) -> Json {
+    pub(crate) fn fixed(x: f64, decimals: usize) -> Json {
         if x.is_finite() {
             Json::Num(format!("{x:.decimals$}"))
         } else {

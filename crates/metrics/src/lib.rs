@@ -3,15 +3,14 @@
 //! This crate reproduces the *measurement methodology* of the paper's
 //! evaluation (§VI):
 //!
-//! * [`counter`] — event counters and per-second rates (the `perf-kvm`
-//!   style exit statistics of Table I / Fig. 5),
 //! * [`tig`] — time-in-guest accounting ("calculated by summing up the time
 //!   of each VM entry and exit, and then dividing the result by the total
 //!   elapsed time"),
 //! * [`histogram`] — log-linear latency histograms (ping RTT, connection
 //!   times),
-//! * [`summary`] — streaming mean/variance/min/max (Welford),
-//! * [`timeseries`] — sampled `(time, value)` series (Fig. 7's RTT trace),
+//! * [`summary`] — streaming mean and maximum (Welford's running mean),
+//! * [`modes`] — per-VM interrupt delivery-mode accounting (posted vs
+//!   emulated, and the degradations between them),
 //! * [`span`] — the event-path flight recorder: per-interrupt causal
 //!   spans with stage-level latency attribution (`repro --trace`),
 //! * [`telemetry`] — the windowed telemetry pipeline: fixed-width
@@ -23,10 +22,11 @@
 //!   `BENCH_*.json` artifact, the Chrome-trace exports and the CI
 //!   bench gate,
 //! * [`backpressure`] — the per-VM overload-control ledger (shed kicks,
-//!   deferred poll budget, quarantines) for the hostile-guest experiments.
+//!   deferred poll budget, quarantines) for the hostile-guest experiments,
+//! * [`ev_profile`] — the per-event-kind host-time dispatch profile behind
+//!   the testbed's `ev-profile` feature.
 
 pub mod backpressure;
-pub mod counter;
 pub mod ev_profile;
 pub mod histogram;
 pub mod json;
@@ -36,10 +36,8 @@ pub mod summary;
 pub mod table;
 pub mod telemetry;
 pub mod tig;
-pub mod timeseries;
 
 pub use backpressure::BackpressureStats;
-pub use counter::{Counter, RateWindow};
 pub use histogram::Histogram;
 pub use modes::{ModeAccounting, VmModeCounts};
 pub use span::{SpanNotes, SpanRecorder, SpanReport, Stage};
@@ -50,4 +48,3 @@ pub use telemetry::{
     TelemetryReport,
 };
 pub use tig::TigAccount;
-pub use timeseries::TimeSeries;

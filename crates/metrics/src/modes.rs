@@ -60,11 +60,6 @@ impl ModeAccounting {
         self.per_vm.get(vm).copied().unwrap_or_default()
     }
 
-    /// Number of VMs tracked.
-    pub fn num_vms(&self) -> usize {
-        self.per_vm.len()
-    }
-
     /// Sum over all VMs.
     pub fn totals(&self) -> VmModeCounts {
         let mut t = VmModeCounts::default();
@@ -135,7 +130,7 @@ mod tests {
     fn out_of_range_vm_grows_the_ledger() {
         let mut m = ModeAccounting::new(1);
         m.note_emulated(5);
-        assert_eq!(m.num_vms(), 6);
+        assert_eq!(m.per_vm.len(), 6);
         assert_eq!(m.vm(5).emulated, 1);
         assert_eq!(m.vm(9), VmModeCounts::default(), "reads never grow");
     }

@@ -54,7 +54,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages.
-    pub const COUNT: usize = 9;
+    pub(crate) const COUNT: usize = 9;
 
     /// Every stage, in path order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -71,7 +71,7 @@ impl Stage {
 
     /// Histogram index.
     #[inline]
-    pub fn idx(self) -> usize {
+    pub(crate) fn idx(self) -> usize {
         self as usize
     }
 
@@ -177,7 +177,7 @@ impl Default for StageHists {
 
 impl StageHists {
     /// The histogram for one stage.
-    pub fn stage(&self, s: Stage) -> &Histogram {
+    pub(crate) fn stage(&self, s: Stage) -> &Histogram {
         &self.hists[s.idx()]
     }
 
@@ -272,15 +272,6 @@ impl SpanReport {
         self.vms[vm].stage(s)
     }
 
-    /// One stage merged across every VM.
-    pub fn merged_stage(&self, s: Stage) -> Histogram {
-        let mut h = Histogram::new();
-        for vm in &self.vms {
-            h.merge(vm.stage(s));
-        }
-        h
-    }
-
     /// Render the bounded event log in the Chrome tracing (`chrome://
     /// tracing`, Perfetto) JSON format. Timestamps are sim-time
     /// microseconds; `pid` is the VM, `tid` the track within it.
@@ -346,9 +337,6 @@ mod tests {
         assert_eq!(rep.stage(1, Stage::Delivery).count(), 1);
         assert_eq!(rep.stage(1, Stage::Eoi).count(), 1);
         assert_eq!(rep.stage(1, Stage::Eoi).max(), 0);
-        let merged = rep.merged_stage(Stage::Delivery);
-        assert_eq!(merged.count(), 3);
-        assert!(merged.max() >= 9_000);
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! Streaming summary statistics (Welford's online algorithm).
+//! Streaming mean and maximum (Welford's running-mean update).
 
-/// Streaming mean / variance / extrema accumulator.
+/// Streaming mean / maximum accumulator.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Summary {
     n: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
     max: f64,
 }
 
@@ -16,8 +14,6 @@ impl Summary {
         Summary {
             n: 0,
             mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
     }
@@ -28,14 +24,7 @@ impl Summary {
         self.n += 1;
         let d = x - self.mean;
         self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
     }
 
     /// Arithmetic mean (0 if empty).
@@ -47,29 +36,6 @@ impl Summary {
         }
     }
 
-    /// Population variance (0 if fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (0 if empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
     /// Largest sample (0 if empty).
     pub fn max(&self) -> f64 {
         if self.n == 0 {
@@ -77,26 +43,6 @@ impl Summary {
         } else {
             self.max
         }
-    }
-
-    /// Merge two accumulators (parallel Welford / Chan et al.).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let d = other.mean - self.mean;
-        let mean = self.mean + d * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + d * d * self.n as f64 * other.n as f64 / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -108,10 +54,7 @@ mod tests {
     #[test]
     fn empty_summary_is_benign() {
         let s = Summary::new();
-        assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
     }
 
@@ -122,46 +65,17 @@ mod tests {
             s.add(x);
         }
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
     }
 
-    #[test]
-    fn single_sample_has_zero_variance() {
-        let mut s = Summary::new();
-        s.add(3.5);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.mean(), 3.5);
-    }
-
     proptest! {
-        /// Merging two halves equals accumulating the whole.
-        #[test]
-        fn prop_merge_equals_sequential(
-            xs in proptest::collection::vec(-1e6f64..1e6, 1..50),
-            ys in proptest::collection::vec(-1e6f64..1e6, 1..50),
-        ) {
-            let mut a = Summary::new();
-            let mut b = Summary::new();
-            let mut whole = Summary::new();
-            for &x in &xs { a.add(x); whole.add(x); }
-            for &y in &ys { b.add(y); whole.add(y); }
-            a.merge(&b);
-            prop_assert_eq!(a.count(), whole.count());
-            prop_assert!((a.mean() - whole.mean()).abs() < 1e-6);
-            prop_assert!((a.variance() - whole.variance()).abs() < 1e-3);
-            prop_assert_eq!(a.min(), whole.min());
-            prop_assert_eq!(a.max(), whole.max());
-        }
-
         /// Mean lies between min and max.
         #[test]
         fn prop_mean_bounded(xs in proptest::collection::vec(-1e9f64..1e9, 1..100)) {
             let mut s = Summary::new();
             for &x in &xs { s.add(x); }
-            prop_assert!(s.mean() >= s.min() - 1e-6);
+            let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
+            prop_assert!(s.mean() >= min - 1e-6);
             prop_assert!(s.mean() <= s.max() + 1e-6);
         }
     }

@@ -34,17 +34,6 @@ impl Table {
         self
     }
 
-    /// Convenience: append a row of displayable cells.
-    pub fn row_display<D: std::fmt::Display>(&mut self, cells: &[D]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render the table to a string.
     pub fn render(&self) -> String {
         let ncols = self.header.len();
@@ -115,14 +104,6 @@ mod tests {
     fn rejects_wrong_arity() {
         let mut t = Table::new("x", &["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn row_display_accepts_numbers() {
-        let mut t = Table::new("", &["a", "b"]);
-        t.row_display(&[1.5, 2.25]);
-        assert_eq!(t.num_rows(), 1);
-        assert!(t.render().contains("2.25"));
     }
 
     #[test]

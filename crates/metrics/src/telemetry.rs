@@ -30,7 +30,7 @@ pub const RX_BUCKET_EDGES_US: [u64; RX_BUCKETS] = [2, 4, 8, 16, 32, 64, 128, 256
 
 /// The bucket index a latency (in nanoseconds) falls into.
 #[inline]
-pub fn rx_bucket(lat_ns: u64) -> usize {
+pub(crate) fn rx_bucket(lat_ns: u64) -> usize {
     for (i, &edge_us) in RX_BUCKET_EDGES_US[..RX_BUCKETS - 1].iter().enumerate() {
         if lat_ns <= edge_us * 1_000 {
             return i;
@@ -42,7 +42,12 @@ pub fn rx_bucket(lat_ns: u64) -> usize {
 /// Nearest-rank `q`-quantile (in µs) from a window's bucket counts.
 /// Falls back to `max_ns` when the rank lands in the unbounded bucket;
 /// returns 0.0 for an empty window.
-pub fn quantile_from_buckets(buckets: &[u64; RX_BUCKETS], count: u64, max_ns: u64, q: f64) -> f64 {
+pub(crate) fn quantile_from_buckets(
+    buckets: &[u64; RX_BUCKETS],
+    count: u64,
+    max_ns: u64,
+    q: f64,
+) -> f64 {
     if count == 0 {
         return 0.0;
     }
@@ -208,11 +213,6 @@ impl TelemetryRecorder {
             ann_capacity,
             ann_dropped: 0,
         }
-    }
-
-    /// The recorder's geometry.
-    pub fn geometry(&self) -> TelemetryGeometry {
-        self.geom
     }
 
     fn blank_window(geom: &TelemetryGeometry, idx: u64) -> Window {
@@ -526,19 +526,19 @@ impl TelemetryReport {
     /// Fleet TIG % for one window: total guest time over total
     /// `num_vms * width` (vCPU count folds out when every VM has the
     /// same vCPU count; for mixed fleets this is a per-VM-slot average).
-    pub fn fleet_tig_pct(&self, w: &Window) -> f64 {
+    pub(crate) fn fleet_tig_pct(&self, w: &Window) -> f64 {
         let guest: u64 = w.vms.iter().map(|v| v.guest_ns).sum();
         100.0 * guest as f64 / (self.geom.num_vms as f64 * self.geom.width_ns as f64)
     }
 
     /// Fleet exits/sec for one window.
-    pub fn fleet_exits_per_sec(&self, w: &Window) -> f64 {
+    pub(crate) fn fleet_exits_per_sec(&self, w: &Window) -> f64 {
         let exits: u64 = w.vms.iter().map(|v| v.exits_total()).sum();
         exits as f64 / (self.geom.width_ns as f64 / 1e9)
     }
 
     /// Fleet rx p-quantile (µs) for one window, from summed buckets.
-    pub fn fleet_rx_quantile_us(&self, w: &Window, q: f64) -> f64 {
+    pub(crate) fn fleet_rx_quantile_us(&self, w: &Window, q: f64) -> f64 {
         let mut buckets = [0u64; RX_BUCKETS];
         let mut count = 0u64;
         let mut max_ns = 0u64;
@@ -552,23 +552,9 @@ impl TelemetryReport {
         quantile_from_buckets(&buckets, count, max_ns, q)
     }
 
-    /// Fleet rx+tx goodput (bytes) for one window.
-    pub fn fleet_goodput_bytes(&self, w: &Window) -> u64 {
-        w.vms.iter().map(|v| v.rx_bytes + v.tx_bytes).sum()
-    }
-
     /// Deepest vhost backlog across all workers in one window.
-    pub fn fleet_pending_hwm(&self, w: &Window) -> u64 {
+    pub(crate) fn fleet_pending_hwm(&self, w: &Window) -> u64 {
         w.workers.iter().map(|r| r.pending_hwm).max().unwrap_or(0)
-    }
-
-    /// Mean vhost worker occupancy % across all workers in one window.
-    pub fn fleet_worker_occupancy_pct(&self, w: &Window) -> f64 {
-        if w.workers.is_empty() {
-            return 0.0;
-        }
-        let on: u64 = w.workers.iter().map(|r| r.on_core_ns).sum();
-        100.0 * on as f64 / (w.workers.len() as f64 * self.geom.width_ns as f64)
     }
 
     // ------------------------------------------------------------------
@@ -579,7 +565,7 @@ impl TelemetryReport {
     /// index span (missing windows count as zero). Returns the absolute
     /// index of the first rolling span and one value per position, or
     /// `None` when the report has no windows.
-    pub fn slo_values(&self, spec: &SloSpec) -> Option<(u64, Vec<f64>)> {
+    pub(crate) fn slo_values(&self, spec: &SloSpec) -> Option<(u64, Vec<f64>)> {
         let (lo, hi) = self.index_span()?;
         let n = spec.windows.max(1) as u64;
         let total = hi - lo + 1;
@@ -736,7 +722,7 @@ impl TelemetryReport {
 
     /// The latest annotation at or before `at_ns` and within
     /// `horizon_ns` of it — the causal join used for breach attribution.
-    pub fn attribute(&self, at_ns: u64, horizon_ns: u64) -> Option<&Annotation> {
+    pub(crate) fn attribute(&self, at_ns: u64, horizon_ns: u64) -> Option<&Annotation> {
         self.annotations
             .iter()
             .rev()
@@ -1160,6 +1146,5 @@ mod tests {
         assert_eq!(rep.windows[0].workers[slot].pending_hwm, 3);
         assert_eq!(rep.windows[0].workers[slot].turns, 1);
         assert_eq!(rep.fleet_pending_hwm(&rep.windows[0]), 3);
-        assert!(rep.fleet_worker_occupancy_pct(&rep.windows[0]) > 0.0);
     }
 }

@@ -17,7 +17,6 @@ use es2_sim::{SimDuration, SimTime};
 #[derive(Clone, Debug)]
 pub struct TigAccount {
     in_guest_since: Option<SimTime>,
-    guest_time: SimDuration,
     window_open: Option<SimTime>,
     window_guest: SimDuration,
     window_len: SimDuration,
@@ -34,7 +33,6 @@ impl TigAccount {
     pub fn new() -> Self {
         TigAccount {
             in_guest_since: None,
-            guest_time: SimDuration::ZERO,
             window_open: None,
             window_guest: SimDuration::ZERO,
             window_len: SimDuration::ZERO,
@@ -56,8 +54,8 @@ impl TigAccount {
     /// Close the measurement window at `now`.
     pub fn close_window(&mut self, now: SimTime) {
         if self.in_guest_since.is_some() {
-            // Flush the open interval up to `now`, then re-open it so
-            // lifetime accounting stays correct.
+            // Flush the open interval up to `now` into the window; the
+            // vCPU stays in guest mode.
             self.leave_guest(now);
             self.enter_guest(now);
         }
@@ -79,22 +77,10 @@ impl TigAccount {
     /// VM exit (or the vCPU thread is descheduled) at `now`.
     pub fn leave_guest(&mut self, now: SimTime) {
         if let Some(since) = self.in_guest_since.take() {
-            let span = now.saturating_since(since);
-            self.guest_time += span;
             if self.window_open.is_some() {
-                self.window_guest += span;
+                self.window_guest += now.saturating_since(since);
             }
         }
-    }
-
-    /// Lifetime guest-mode time.
-    pub fn guest_time(&self) -> SimDuration {
-        self.guest_time
-    }
-
-    /// Guest-mode time within the (closed) window.
-    pub fn windowed_guest_time(&self) -> SimDuration {
-        self.window_guest
     }
 
     /// TIG percentage within the (closed) window, in `[0, 100]`.
@@ -136,7 +122,6 @@ mod tests {
         }
         a.close_window(t(300));
         assert!((a.tig_percent() - 70.0).abs() < 1e-9);
-        assert_eq!(a.windowed_guest_time(), SimDuration::from_micros(210));
     }
 
     #[test]
@@ -149,7 +134,6 @@ mod tests {
         a.leave_guest(t(150));
         a.close_window(t(200));
         assert!((a.tig_percent() - 50.0).abs() < 1e-9);
-        assert_eq!(a.guest_time(), SimDuration::from_micros(150));
     }
 
     #[test]
@@ -170,9 +154,10 @@ mod tests {
         a.enter_guest(t(0));
         a.close_window(t(80));
         assert!((a.tig_percent() - 100.0).abs() < 1e-9);
-        // Still in guest mode afterwards for lifetime purposes.
+        // Still in guest mode afterwards; time after the close is not
+        // charged to the closed window.
         a.leave_guest(t(100));
-        assert_eq!(a.guest_time(), SimDuration::from_micros(100));
+        assert!((a.tig_percent() - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -16,15 +16,13 @@
 //!   "the external interrupt exit is triggered due to the virtual interrupt
 //!   injection, notifying the tested VM of ingress ACK packets"), and the
 //!   fluctuating I/O load of ACK-clocked sending is why TCP needs a smaller
-//!   quota than UDP (§VI-B),
-//! * [`udp`] — unidirectional, connectionless stream helpers ("UDP traffic
-//!   is unidirectional and connectionless, bringing a consecutive high I/O
-//!   load").
+//!   quota than UDP (§VI-B). UDP needs no flow model: "UDP traffic is
+//!   unidirectional and connectionless, bringing a consecutive high I/O
+//!   load", so a UDP stream is plain [`packet::PacketKind::Data`] frames.
 
 pub mod nic;
 pub mod packet;
 pub mod tcp;
-pub mod udp;
 pub mod wire;
 
 pub use nic::{rss_queue, NicQueue};

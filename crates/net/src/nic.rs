@@ -33,7 +33,6 @@ pub struct NicQueue {
     /// drop bound, not a preallocation.
     q: VecDeque<Packet>,
     capacity: usize,
-    enqueued: u64,
     dropped: u64,
 }
 
@@ -44,7 +43,6 @@ impl NicQueue {
         NicQueue {
             q: VecDeque::new(),
             capacity,
-            enqueued: 0,
             dropped: 0,
         }
     }
@@ -56,7 +54,6 @@ impl NicQueue {
             false
         } else {
             self.q.push_back(p);
-            self.enqueued += 1;
             true
         }
     }
@@ -64,11 +61,6 @@ impl NicQueue {
     /// Dequeue the oldest packet.
     pub fn pop(&mut self) -> Option<Packet> {
         self.q.pop_front()
-    }
-
-    /// Peek at the oldest packet.
-    pub fn peek(&self) -> Option<&Packet> {
-        self.q.front()
     }
 
     /// Packets currently queued.
@@ -81,29 +73,9 @@ impl NicQueue {
         self.q.is_empty()
     }
 
-    /// True if at capacity.
-    pub fn is_full(&self) -> bool {
-        self.q.len() >= self.capacity
-    }
-
-    /// Lifetime accepted packets.
-    pub fn enqueued_total(&self) -> u64 {
-        self.enqueued
-    }
-
     /// Lifetime tail-drops.
     pub fn dropped_total(&self) -> u64 {
         self.dropped
-    }
-
-    /// Drop rate over everything offered.
-    pub fn drop_fraction(&self) -> f64 {
-        let offered = self.enqueued + self.dropped;
-        if offered == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / offered as f64
-        }
     }
 }
 
@@ -136,11 +108,9 @@ mod tests {
         let mut q = NicQueue::new(2);
         assert!(q.push(pkt(&mut f)));
         assert!(q.push(pkt(&mut f)));
-        assert!(q.is_full());
         assert!(!q.push(pkt(&mut f)));
         assert_eq!(q.dropped_total(), 1);
-        assert_eq!(q.enqueued_total(), 2);
-        assert!((q.drop_fraction() - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(q.len(), 2);
     }
 
     #[test]
@@ -152,14 +122,12 @@ mod tests {
         for _ in 0..capacity {
             assert!(q.push(pkt(&mut f)));
         }
-        assert!(q.is_full());
         let last = pkt(&mut f);
         assert!(!q.push(last));
         assert_eq!(q.len(), capacity);
         assert_eq!(q.dropped_total(), 1);
-        assert_eq!(q.enqueued_total(), capacity as u64);
         assert!(
-            q.peek().unwrap().id < last.id,
+            q.pop().unwrap().id < last.id,
             "the dropped packet is the new one"
         );
     }
@@ -176,19 +144,9 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_consume() {
-        let mut f = PacketFactory::new();
-        let mut q = NicQueue::new(2);
-        let a = pkt(&mut f);
-        q.push(a);
-        assert_eq!(q.peek().unwrap().id, a.id);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
     fn empty_drop_fraction_is_zero() {
         let q = NicQueue::new(1);
-        assert_eq!(q.drop_fraction(), 0.0);
+        assert_eq!(q.dropped_total(), 0);
         assert!(q.is_empty());
     }
 

@@ -49,7 +49,7 @@ pub struct Packet {
 pub const HEADER_BYTES: u32 = 66;
 /// Default MTU (the paper: "The Maximum Transmission Unit (MTU) is set to
 /// its default size of 1500 bytes").
-pub const MTU: u32 = 1500;
+pub(crate) const MTU: u32 = 1500;
 /// Maximum TCP segment payload under the default MTU.
 pub const MSS: u32 = MTU - 40;
 
@@ -101,11 +101,6 @@ impl PacketFactory {
             meta,
         }
     }
-
-    /// Total packets created.
-    pub fn created(&self) -> u64 {
-        self.next_id
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +113,6 @@ mod tests {
         let a = f.make(FlowId(0), PacketKind::Data, 100, SimTime::ZERO);
         let b = f.make(FlowId(0), PacketKind::Ack, 0, SimTime::ZERO);
         assert!(b.id > a.id);
-        assert_eq!(f.created(), 2);
     }
 
     #[test]

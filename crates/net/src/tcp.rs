@@ -21,12 +21,10 @@ pub struct TcpFlow {
     inflight: u32,
     sent_total: u64,
     acked_total: u64,
-    stalls: u64,
     // Receiver-side delayed-ACK state.
     ack_every: u32,
     unacked_rx: u32,
     received_total: u64,
-    acks_generated: u64,
 }
 
 impl TcpFlow {
@@ -40,11 +38,9 @@ impl TcpFlow {
             inflight: 0,
             sent_total: 0,
             acked_total: 0,
-            stalls: 0,
             ack_every: 2,
             unacked_rx: 0,
             received_total: 0,
-            acks_generated: 0,
         }
     }
 
@@ -63,11 +59,10 @@ impl TcpFlow {
         self.inflight < self.window
     }
 
-    /// Record a segment handed to the device. Returns `false` (and counts a
-    /// stall) if the window is exhausted — the caller must wait for ACKs.
+    /// Record a segment handed to the device. Returns `false` if the
+    /// window is exhausted — the caller must wait for ACKs.
     pub fn on_segment_sent(&mut self) -> bool {
         if !self.can_send() {
-            self.stalls += 1;
             return false;
         }
         self.inflight += 1;
@@ -92,7 +87,6 @@ impl TcpFlow {
         if self.unacked_rx >= self.ack_every {
             let covered = self.unacked_rx;
             self.unacked_rx = 0;
-            self.acks_generated += 1;
             Some(covered)
         } else {
             None
@@ -104,7 +98,6 @@ impl TcpFlow {
         if self.unacked_rx > 0 {
             let covered = self.unacked_rx;
             self.unacked_rx = 0;
-            self.acks_generated += 1;
             Some(covered)
         } else {
             None
@@ -125,16 +118,6 @@ impl TcpFlow {
     pub fn received_total(&self) -> u64 {
         self.received_total
     }
-
-    /// ACK packets generated (receiver side).
-    pub fn acks_generated(&self) -> u64 {
-        self.acks_generated
-    }
-
-    /// Times the sender found the window exhausted.
-    pub fn stall_count(&self) -> u64 {
-        self.stalls
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +134,7 @@ mod tests {
         assert!(!f.can_send());
         assert!(!f.on_segment_sent());
         assert_eq!(f.inflight(), 4);
-        assert_eq!(f.stall_count(), 1);
+        assert_eq!(f.sent_total(), 4);
     }
 
     #[test]
@@ -181,7 +164,6 @@ mod tests {
         assert_eq!(f.on_data_received(), Some(2));
         assert_eq!(f.on_data_received(), None);
         assert_eq!(f.on_data_received(), Some(2));
-        assert_eq!(f.acks_generated(), 2);
         assert_eq!(f.received_total(), 4);
     }
 

@@ -29,26 +29,16 @@ pub struct Link {
     propagation: SimDuration,
     /// When the transmitter becomes free.
     next_free: SimTime,
-    tx_packets: u64,
-    tx_bytes: u64,
-    dropped: u64,
-    duplicated: u64,
-    reordered: u64,
 }
 
 impl Link {
     /// A link with the given bandwidth and propagation delay.
-    pub fn new(bits_per_sec: u64, propagation: SimDuration) -> Self {
+    pub(crate) fn new(bits_per_sec: u64, propagation: SimDuration) -> Self {
         assert!(bits_per_sec > 0);
         Link {
             bits_per_sec,
             propagation,
             next_free: SimTime::ZERO,
-            tx_packets: 0,
-            tx_bytes: 0,
-            dropped: 0,
-            duplicated: 0,
-            reordered: 0,
         }
     }
 
@@ -58,7 +48,7 @@ impl Link {
     }
 
     /// Serialization time for a frame of `bytes`.
-    pub fn serialization(&self, bytes: u32) -> SimDuration {
+    pub(crate) fn serialization(&self, bytes: u32) -> SimDuration {
         SimDuration::from_nanos(
             (bytes as u64 * 8).saturating_mul(1_000_000_000) / self.bits_per_sec,
         )
@@ -67,7 +57,7 @@ impl Link {
     /// Transmit a frame at `now`; returns its arrival time at the far end.
     ///
     /// If the transmitter is busy the frame queues behind earlier ones.
-    pub fn transmit(&mut self, now: SimTime, bytes: u32) -> SimTime {
+    pub(crate) fn transmit(&mut self, now: SimTime, bytes: u32) -> SimTime {
         let start = if self.next_free > now {
             self.next_free
         } else {
@@ -75,14 +65,12 @@ impl Link {
         };
         let done = start + self.serialization(bytes);
         self.next_free = done;
-        self.tx_packets += 1;
-        self.tx_bytes += bytes as u64;
         done + self.propagation
     }
 
     /// Transmit a frame subject to an injected fault decision.
     ///
-    /// With [`PacketFault::Deliver`] this is exactly [`Link::transmit`].
+    /// With [`PacketFault::Deliver`] this is exactly `Link::transmit`.
     /// Faults act on the *flight*, not the transmitter: serialization and
     /// FIFO occupancy are charged identically in all cases, so enabling
     /// fault hooks does not perturb the timing of unaffected frames.
@@ -95,58 +83,12 @@ impl Link {
         let arrival = self.transmit(now, bytes);
         match fault {
             PacketFault::Deliver => FaultedArrival::One(arrival),
-            PacketFault::Drop => {
-                self.dropped += 1;
-                FaultedArrival::Dropped
-            }
+            PacketFault::Drop => FaultedArrival::Dropped,
+            // The copy trails the original by one serialization slot.
             PacketFault::Duplicate => {
-                self.duplicated += 1;
-                // The copy trails the original by one serialization slot.
                 FaultedArrival::Two(arrival, arrival + self.serialization(bytes))
             }
-            PacketFault::Delay(extra) => {
-                self.reordered += 1;
-                FaultedArrival::One(arrival + extra)
-            }
-        }
-    }
-
-    /// Current queueing delay a new frame would see.
-    pub fn backlog(&self, now: SimTime) -> SimDuration {
-        self.next_free.saturating_since(now)
-    }
-
-    /// Frames transmitted.
-    pub fn tx_packets(&self) -> u64 {
-        self.tx_packets
-    }
-
-    /// Bytes transmitted.
-    pub fn tx_bytes(&self) -> u64 {
-        self.tx_bytes
-    }
-
-    /// Frames lost to injected faults.
-    pub fn dropped_frames(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Frames duplicated by injected faults.
-    pub fn duplicated_frames(&self) -> u64 {
-        self.duplicated
-    }
-
-    /// Frames delayed past later traffic by injected faults.
-    pub fn reordered_frames(&self) -> u64 {
-        self.reordered
-    }
-
-    /// Achieved throughput over an elapsed span, in Gb/s.
-    pub fn throughput_gbps(&self, elapsed: SimDuration) -> f64 {
-        if elapsed.is_zero() {
-            0.0
-        } else {
-            self.tx_bytes as f64 * 8.0 / elapsed.as_secs_f64() / 1e9
+            PacketFault::Delay(extra) => FaultedArrival::One(arrival + extra),
         }
     }
 }
@@ -183,7 +125,7 @@ mod tests {
             SimDuration::from_nanos(300),
             "b serializes after a"
         );
-        assert_eq!(l.backlog(t(0)), SimDuration::from_nanos(600));
+        assert_eq!(l.next_free, t(600), "the wire is busy until both are out");
     }
 
     #[test]
@@ -197,14 +139,10 @@ mod tests {
     #[test]
     fn counters_and_throughput() {
         let mut l = Link::forty_gbe();
-        for _ in 0..1000 {
-            l.transmit(t(0), 1250);
-        }
-        assert_eq!(l.tx_packets(), 1000);
-        assert_eq!(l.tx_bytes(), 1_250_000);
-        // 1.25MB in 1ms = 10 Gb/s.
-        let g = l.throughput_gbps(SimDuration::from_millis(1));
-        assert!((g - 10.0).abs() < 1e-9, "{g}");
+        let last = (0..1000).map(|_| l.transmit(t(0), 1250)).last();
+        // 1.25 MB back to back at 40 Gb/s keeps the wire busy 250 µs; the
+        // last frame lands one propagation delay later.
+        assert_eq!(last, Some(t(250_000 + 1000)));
     }
 
     #[test]
@@ -216,7 +154,6 @@ mod tests {
             let faulted = b.transmit_faulted(t(i * 100), 1500, PacketFault::Deliver);
             assert_eq!(faulted, FaultedArrival::One(plain));
         }
-        assert_eq!(b.dropped_frames(), 0);
     }
 
     #[test]
@@ -238,10 +175,6 @@ mod tests {
         let delayed =
             l.transmit_faulted(t(20_000), 1500, PacketFault::Delay(SimDuration::from_micros(5)));
         assert_eq!(delayed, FaultedArrival::One(t(20_000 + 300 + 1000 + 5_000)));
-        assert_eq!(
-            (l.dropped_frames(), l.duplicated_frames(), l.reordered_frames()),
-            (1, 1, 1)
-        );
     }
 
     #[test]

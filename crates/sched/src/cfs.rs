@@ -105,11 +105,6 @@ impl RunQueue {
     fn is_empty(&self) -> bool {
         self.desc.is_empty()
     }
-
-    /// Queued entities, leftmost first.
-    fn iter(&self) -> impl Iterator<Item = &(u64, ThreadId)> {
-        self.desc.iter().rev()
-    }
 }
 
 #[derive(Clone, Debug, Default)]
@@ -146,11 +141,6 @@ impl CfsScheduler {
             threads: Vec::new(),
             cores: vec![CoreRq::default(); num_cores],
         }
-    }
-
-    /// The configured parameters.
-    pub fn params(&self) -> &SchedParams {
-        &self.params
     }
 
     /// Number of managed cores.
@@ -444,18 +434,6 @@ impl CfsScheduler {
         self.put_prev(core, cur, now);
         Some(self.pick_next(core, now, Some(cur)))
     }
-
-    /// All threads pinned to `core` that are currently runnable or running
-    /// (diagnostics / stacking statistics).
-    pub fn active_on_core(&self, core: CoreId) -> Vec<ThreadId> {
-        let rq = &self.cores[core.idx()];
-        let mut out: Vec<ThreadId> = rq.queue.iter().map(|&(_, t)| t).collect();
-        if let Some(c) = rq.current {
-            out.push(c);
-        }
-        out.sort_unstable();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -715,7 +693,7 @@ mod tests {
         assert_eq!(s.current(CoreId(0)), Some(a));
         assert_eq!(s.current(CoreId(1)), Some(b));
         assert_eq!(s.nr_running(CoreId(0)), 1);
-        assert_eq!(s.active_on_core(CoreId(1)), vec![b]);
+        assert_eq!(s.nr_running(CoreId(1)), 1);
     }
 
     #[test]
@@ -799,7 +777,7 @@ mod tests {
                 }
                 prop_assert_eq!(rq.leftmost(), model.first().copied());
                 prop_assert_eq!(rq.is_empty(), model.is_empty());
-                prop_assert!(rq.iter().eq(model.iter()));
+                prop_assert!(rq.desc.iter().rev().eq(model.iter()));
             }
         }
     }

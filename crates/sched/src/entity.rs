@@ -62,7 +62,7 @@ pub struct SchedEntity {
 
 impl SchedEntity {
     /// A new sleeping entity pinned to `core` with the given weight.
-    pub fn new(weight: u32, core: CoreId) -> Self {
+    pub(crate) fn new(weight: u32, core: CoreId) -> Self {
         SchedEntity {
             weight,
             vruntime: 0,

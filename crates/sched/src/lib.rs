@@ -28,8 +28,7 @@
 
 pub mod cfs;
 pub mod entity;
-pub mod weights;
+mod weights;
 
 pub use cfs::{CfsScheduler, SchedParams, Switch};
 pub use entity::{CoreId, ThreadId, ThreadState};
-pub use weights::{nice_to_weight, NICE_0_WEIGHT};

@@ -6,7 +6,7 @@
 //! the I/O threads' share.
 
 /// The weight of a nice-0 task.
-pub const NICE_0_WEIGHT: u32 = 1024;
+pub(crate) const NICE_0_WEIGHT: u32 = 1024;
 
 /// Linux's `sched_prio_to_weight[40]`, indexed by `nice + 20`.
 const PRIO_TO_WEIGHT: [u32; 40] = [
@@ -21,7 +21,7 @@ const PRIO_TO_WEIGHT: [u32; 40] = [
 ];
 
 /// Map a nice value (clamped to `[-20, 19]`) to its CFS load weight.
-pub fn nice_to_weight(nice: i8) -> u32 {
+pub(crate) fn nice_to_weight(nice: i8) -> u32 {
     let n = nice.clamp(-20, 19) as i32 + 20;
     PRIO_TO_WEIGHT[n as usize]
 }
@@ -31,7 +31,7 @@ pub fn nice_to_weight(nice: i8) -> u32 {
 /// `delta_vruntime = delta_exec * NICE_0_WEIGHT / weight`, the CFS
 /// `calc_delta_fair` rule (nice-0 tasks age 1:1).
 #[inline]
-pub fn scale_delta(delta_ns: u64, weight: u32) -> u64 {
+pub(crate) fn scale_delta(delta_ns: u64, weight: u32) -> u64 {
     // u128 to avoid overflow for long deltas with tiny weights.
     ((delta_ns as u128 * NICE_0_WEIGHT as u128) / weight as u128) as u64
 }

@@ -80,7 +80,7 @@ pub struct HostileKick {
 
 impl HostileKick {
     /// The well-behaved decision: no storm, no corruption.
-    pub const NONE: HostileKick = HostileKick {
+    pub(crate) const NONE: HostileKick = HostileKick {
         extra_kicks: 0,
         corruption: None,
     };
@@ -296,7 +296,7 @@ impl FaultPlan {
     /// Whether any churn control-plane fault class is enabled. Existing
     /// chaos/hostile/host plans leave the whole family zero, so their
     /// runs and reports are untouched by the churn machinery.
-    pub fn churn_fault_active(&self) -> bool {
+    pub(crate) fn churn_fault_active(&self) -> bool {
         self.churn_place_fail_p > 0.0
             || self.churn_place_fail_nth > 0
             || self.churn_boot_stall_p > 0.0
@@ -306,7 +306,7 @@ impl FaultPlan {
     /// Whether any host-fault class is enabled. Single-host plans (all
     /// existing chaos/hostile plans) leave the whole family zero, so their
     /// runs and reports are untouched by the cluster machinery.
-    pub fn host_fault_active(&self) -> bool {
+    pub(crate) fn host_fault_active(&self) -> bool {
         (self.host_crash_mask != 0 && !self.host_crash_at.is_zero())
             || self.host_crash_p > 0.0
             || (self.host_degraded_storm_mask != 0
@@ -317,12 +317,12 @@ impl FaultPlan {
     }
 
     /// Whether host `h` is deterministically scheduled to crash.
-    pub fn crashes_host(&self, h: usize) -> bool {
+    pub(crate) fn crashes_host(&self, h: usize) -> bool {
         h < 64 && !self.host_crash_at.is_zero() && self.host_crash_mask & (1u64 << h) != 0
     }
 
     /// Whether host `h` runs degraded (forced-preemption storms).
-    pub fn degrades_host(&self, h: usize) -> bool {
+    pub(crate) fn degrades_host(&self, h: usize) -> bool {
         h < 64
             && self.host_degraded_storm_p > 0.0
             && !self.host_degraded_storm_period.is_zero()
@@ -360,7 +360,7 @@ impl FaultPlan {
     /// Whether any hostile-guest fault class is enabled. Existing chaos
     /// plans leave all of these zero, so their runs (and reports) are
     /// untouched by the hostile machinery.
-    pub fn hostile_active(&self) -> bool {
+    pub(crate) fn hostile_active(&self) -> bool {
         self.ring_corrupt_at_kick > 0
             || (self.kick_storm_p > 0.0 && self.kick_storm_burst > 0)
             || (self.eoi_storm_p > 0.0 && self.eoi_storm_burst > 0)
@@ -497,11 +497,6 @@ impl FaultInjector {
             boots_started: 0,
             stats: FaultStats::default(),
         }
-    }
-
-    /// An injector that never injects anything.
-    pub fn inert() -> Self {
-        FaultInjector::new(FaultPlan::none(), 0)
     }
 
     /// The plan this injector executes.
@@ -836,7 +831,7 @@ mod tests {
 
     #[test]
     fn inert_injector_never_injects_and_never_draws() {
-        let mut inj = FaultInjector::inert();
+        let mut inj = FaultInjector::new(FaultPlan::none(), 0);
         let before = format!("{:?}", inj.kick_rng);
         for _ in 0..1000 {
             assert_eq!(inj.on_guest_kick(), DeliveryFault::Deliver);

@@ -213,13 +213,6 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// The instant of the most recently popped event (the queue's notion of
-    /// "now").
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.last_popped
-    }
-
     /// Total number of events ever pushed (diagnostics). At most 2^40:
     /// [`EventQueue::push`] panics before it would pass that.
     #[inline]
@@ -262,10 +255,10 @@ mod tests {
     #[test]
     fn now_tracks_last_pop() {
         let mut q = EventQueue::new();
-        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.last_popped, SimTime::ZERO);
         q.push(t(7), ());
         q.pop();
-        assert_eq!(q.now(), t(7));
+        assert_eq!(q.last_popped, t(7));
     }
 
     #[test]

@@ -75,16 +75,9 @@ impl SimRng {
         (m >> 64) as u64
     }
 
-    /// Uniform in `[lo, hi)`.
-    #[inline]
-    pub fn gen_range_in(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range");
-        lo + self.gen_range(hi - lo)
-    }
-
     /// Uniform float in `[0, 1)` with 53 bits of precision.
     #[inline]
-    pub fn gen_f64(&mut self) -> f64 {
+    pub(crate) fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -103,14 +96,6 @@ impl SimRng {
         // 1 - U in (0, 1] so ln() is finite.
         let u = 1.0 - self.gen_f64();
         -mean * u.ln()
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.gen_range(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 
     /// Pick a uniformly random element index, or `None` if empty.
@@ -191,17 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SimRng::new(17);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(xs, (0..50).collect::<Vec<_>>(), "astronomically unlikely");
-    }
-
-    #[test]
     fn choose_index_handles_empty() {
         let mut r = SimRng::new(19);
         assert_eq!(r.choose_index(0), None);
@@ -215,17 +189,6 @@ mod tests {
             let mut r = SimRng::new(seed);
             for _ in 0..100 {
                 prop_assert!(r.gen_range(bound) < bound);
-            }
-        }
-
-        /// gen_range_in stays within [lo, hi).
-        #[test]
-        fn prop_gen_range_in_interval(seed in any::<u64>(), lo in 0u64..1000, span in 1u64..1000) {
-            let mut r = SimRng::new(seed);
-            let hi = lo + span;
-            for _ in 0..50 {
-                let v = r.gen_range_in(lo, hi);
-                prop_assert!(v >= lo && v < hi);
             }
         }
 

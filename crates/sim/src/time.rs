@@ -18,8 +18,6 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);
-    /// The largest representable instant (used as an "infinitely far" sentinel).
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from raw nanoseconds.
     #[inline]
@@ -57,8 +55,6 @@ impl SimTime {
 impl SimDuration {
     /// The empty span.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable span.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Construct from raw nanoseconds.
     #[inline]
@@ -124,24 +120,6 @@ impl SimDuration {
     #[inline]
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Checked subtraction.
-    #[inline]
-    pub fn checked_sub(self, rhs: SimDuration) -> Option<SimDuration> {
-        self.0.checked_sub(rhs.0).map(SimDuration)
-    }
-
-    /// Smaller of two spans.
-    #[inline]
-    pub fn min(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(rhs.0))
-    }
-
-    /// Larger of two spans.
-    #[inline]
-    pub fn max(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(rhs.0))
     }
 }
 
@@ -310,8 +288,6 @@ mod tests {
         let b = SimDuration::from_nanos(7);
         assert_eq!(a.saturating_sub(b), SimDuration::ZERO);
         assert_eq!(b.saturating_sub(a).as_nanos(), 2);
-        assert_eq!(a.checked_sub(b), None);
-        assert_eq!(b.checked_sub(a), Some(SimDuration::from_nanos(2)));
     }
 
     #[test]

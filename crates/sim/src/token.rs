@@ -18,12 +18,6 @@ impl GenToken {
         GenToken(0)
     }
 
-    /// The current generation, to be captured into a scheduled event.
-    #[inline]
-    pub fn current(&self) -> u64 {
-        self.0
-    }
-
     /// Invalidate all events that captured earlier generations and return
     /// the new generation.
     #[inline]
@@ -46,13 +40,13 @@ mod tests {
     #[test]
     fn fresh_token_validates_its_own_generation() {
         let t = GenToken::new();
-        assert!(t.is_current(t.current()));
+        assert!(t.is_current(t.0));
     }
 
     #[test]
     fn bump_invalidates_prior_generations() {
         let mut t = GenToken::new();
-        let g0 = t.current();
+        let g0 = t.0;
         let g1 = t.bump();
         assert!(!t.is_current(g0));
         assert!(t.is_current(g1));
@@ -62,7 +56,7 @@ mod tests {
     #[test]
     fn repeated_bumps_stay_monotone() {
         let mut t = GenToken::new();
-        let mut prev = t.current();
+        let mut prev = t.0;
         for _ in 0..100 {
             let g = t.bump();
             assert!(g > prev);

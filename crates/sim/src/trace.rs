@@ -10,7 +10,7 @@ use crate::time::SimTime;
 
 /// One trace record: an instant, a static tag, and two free-form operands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceRecord {
+pub(crate) struct TraceRecord {
     /// When the record was made.
     pub at: SimTime,
     /// A static label, e.g. `"vmexit"`, `"sched_in"`.
@@ -21,7 +21,7 @@ pub struct TraceRecord {
     pub b: u64,
 }
 
-/// A fixed-capacity ring buffer of [`TraceRecord`]s.
+/// A fixed-capacity ring buffer of `TraceRecord`s.
 pub struct Tracer {
     /// Retained records; grows to `cap` as records arrive, then wraps.
     buf: Vec<TraceRecord>,
@@ -50,11 +50,6 @@ impl Tracer {
         self.enabled = enabled;
     }
 
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Record one event (no-op while disabled).
     #[inline]
     pub fn record(&mut self, at: SimTime, tag: &'static str, a: u64, b: u64) {
@@ -73,7 +68,7 @@ impl Tracer {
     }
 
     /// Records in chronological order (oldest retained first).
-    pub fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
         let cap = self.buf.len();
         let start = if self.len == cap { self.head } else { 0 };
         (0..self.len).map(move |i| &self.buf[(start + i) % cap.max(1)])

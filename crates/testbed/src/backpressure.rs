@@ -21,7 +21,7 @@ use crate::params::BackpressureParams;
 
 /// Outcome of one admission test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Admission {
+pub(crate) enum Admission {
     /// The kick conforms: deliver it now.
     Pass,
     /// The kick is over-rate: deliver one coalesced wake at this sim-time
@@ -31,7 +31,7 @@ pub enum Admission {
 
 /// GCRA state for one VM's kick stream.
 #[derive(Clone, Copy, Debug)]
-pub struct KickBucket {
+pub(crate) struct KickBucket {
     /// Theoretical arrival time of the next conforming kick (ns).
     tat: u64,
     /// Nanoseconds per kick at the sustained rate.
@@ -43,7 +43,7 @@ pub struct KickBucket {
 impl KickBucket {
     /// A bucket from the run parameters; starts full (a burst passes
     /// immediately).
-    pub fn new(p: &BackpressureParams) -> Self {
+    pub(crate) fn new(p: &BackpressureParams) -> Self {
         let increment = (1e9 / p.kick_rate).max(1.0) as u64;
         KickBucket {
             tat: 0,
@@ -53,8 +53,8 @@ impl KickBucket {
     }
 
     /// Admission-test a kick arriving at sim-time `now_ns`.
-    pub fn admit(&mut self, now_ns: u64) -> Admission {
-        let conforming_at = self.tat.saturating_sub(self.tolerance);
+    pub(crate) fn admit(&mut self, now_ns: u64) -> Admission {
+        let conforming_at = self.conforming_at();
         if now_ns >= conforming_at {
             self.tat = self.tat.max(now_ns) + self.increment;
             Admission::Pass
@@ -66,9 +66,8 @@ impl KickBucket {
         }
     }
 
-    /// The earliest instant a kick would currently conform (for tests and
-    /// introspection).
-    pub fn conforming_at(&self) -> u64 {
+    /// The earliest instant a kick would currently conform.
+    fn conforming_at(&self) -> u64 {
         self.tat.saturating_sub(self.tolerance)
     }
 }

@@ -17,7 +17,7 @@
 //! Each placement attempt is overload-aware: a host's free capacity is
 //! its admission cap minus booted tenants minus boots still in flight,
 //! and a host at its pending-depth limit (or dead) reports zero. The
-//! winner is chosen by the same [`best_fit`] rule as static admission.
+//! winner is chosen by the same `best_fit` rule as static admission.
 //! Rejected arrivals re-enter a bounded exponential-backoff retry queue
 //! (`retry_backoff · 2^(attempt-1)` plus deterministic jitter from the
 //! churn retry stream), exhausting into a permanently-rejected ledger.

@@ -17,7 +17,7 @@
 //!
 //! # Placement
 //!
-//! Admission is best-fit by CPU demand ([`best_fit`]): each arriving
+//! Admission is best-fit by CPU demand (`best_fit`): each arriving
 //! VM lands on the host with the least remaining capacity that still
 //! fits (ties to the lowest id), which packs hosts tightly and leaves
 //! whole hosts empty for consolidation. VMs that fit nowhere are
@@ -31,7 +31,7 @@
 //! guest↔peer traffic crosses hosts continuously in both directions.
 //! [`Cluster::run`] drives every host through the serial
 //! [`run_lanes`] min-merge — one seeded event loop for the whole cell.
-//! Every message lands at least [`CROSS_LANE_LOOKAHEAD`] after the
+//! Every message lands at least `CROSS_LANE_LOOKAHEAD` after the
 //! event that sends it, which the lane [`Outbox`] asserts. Every cluster
 //! decision — placement, crash times, abort draws, blackout lengths,
 //! message timestamps — is a pure function of `(spec, seed)`.
@@ -60,7 +60,7 @@ use crate::workload::WorkloadSpec;
 /// (`Link::forty_gbe()` — 1 µs). A packet, stale MSI or snapshot leaving
 /// a host at `t` reaches another host no earlier than `t + 1 µs`; every
 /// host lane declares it as its lookahead.
-pub const CROSS_LANE_LOOKAHEAD: SimDuration = SimDuration::from_micros(1);
+pub(crate) const CROSS_LANE_LOOKAHEAD: SimDuration = SimDuration::from_micros(1);
 
 /// A requested live migration: pause `vm` at `at` and move it to host
 /// `to`. The source is wherever the VM lives at `at`.
@@ -127,7 +127,7 @@ impl ClusterSpec {
 
 /// Best-fit admission: the host with the least free capacity that still
 /// fits `demand` (ties to the lowest id). `None` if nothing fits.
-pub fn best_fit(demand: u32, free: &[u32]) -> Option<usize> {
+pub(crate) fn best_fit(demand: u32, free: &[u32]) -> Option<usize> {
     let mut best: Option<usize> = None;
     for (h, &f) in free.iter().enumerate() {
         if f >= demand && best.is_none_or(|b| f < free[b]) {

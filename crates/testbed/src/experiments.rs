@@ -542,29 +542,6 @@ pub fn ablation_mc_quota(params: Params, seed: u64, quotas: &[u32]) -> Vec<(u32,
     quotas.iter().copied().zip(run_specs(&specs)).collect()
 }
 
-/// The vCPU-stacking statistic motivating §IV-C: fraction of ping probes
-/// that found no tested-VM vCPU online (the offline-prediction rate).
-pub fn stacking_probability(params: Params, seed: u64) -> f64 {
-    stacking_probability_on(Topology::multiplexed(), params, seed)
-}
-
-/// Same statistic on an arbitrary topology. §IV-C cites [Sukwong & Kim,
-/// EuroSys'11]: with **two four-vCPU VMs on a four-core host** the
-/// probability of vCPU stacking exceeds 40 % — reproducible here with
-/// `Topology { num_vms: 2, vcpus_per_vm: 4 }` (note the statistic measured
-/// is the complementary all-offline fraction seen by interrupts, which
-/// rises with the number of co-located VMs).
-pub fn stacking_probability_on(topo: Topology, params: Params, seed: u64) -> f64 {
-    let r = run_one(
-        EventPathConfig::pi_h_r(HybridParams::TCP_QUOTA),
-        topo,
-        WorkloadSpec::Ping,
-        params,
-        seed,
-    );
-    offline_fraction(&r)
-}
-
 /// Fraction of routed interrupts that found every tested-VM vCPU offline.
 fn offline_fraction(r: &RunResult) -> f64 {
     let total = r.redirections + r.offline_predictions;
@@ -575,9 +552,15 @@ fn offline_fraction(r: &RunResult) -> f64 {
     }
 }
 
-/// Sweep the all-offline probability over VM counts (1, 2, 3, 4 co-located
-/// four-vCPU VMs on four cores) — the denser the stacking, the more often
-/// the offline-list prediction is what saves an interrupt's latency.
+/// The vCPU-stacking statistic motivating §IV-C — the fraction of ping
+/// interrupts that found no tested-VM vCPU online (the offline-prediction
+/// rate) — swept over VM counts (1, 2, 3, 4 co-located four-vCPU VMs on
+/// four cores): the denser the stacking, the more often the offline-list
+/// prediction is what saves an interrupt's latency. §IV-C cites [Sukwong
+/// & Kim, EuroSys'11]: with **two four-vCPU VMs on a four-core host** the
+/// probability of vCPU stacking exceeds 40 % — the `2` row here (note the
+/// statistic measured is the complementary all-offline fraction seen by
+/// interrupts, which rises with the number of co-located VMs).
 pub fn stacking_sweep(params: Params, seed: u64) -> Vec<(u32, f64)> {
     let specs: Vec<RunSpec> = (1..=4)
         .map(|n| RunSpec {
@@ -647,10 +630,10 @@ pub fn scale_specs(num_vms: u32, mut params: Params, seed: u64) -> Vec<RunSpec> 
 /// Per-tenant connection rate in the all-active consolidation cell —
 /// lower than [`SCALE_HTTPERF_RATE`] because *every* tenant serves it
 /// concurrently, keeping total offered load within the modeled host.
-pub const SCALE_ACTIVE_RATE: f64 = 200.0;
+pub(crate) const SCALE_ACTIVE_RATE: f64 = 200.0;
 
 /// The all-active companion to [`scale_specs`]: every tenant serves
-/// httperf at [`SCALE_ACTIVE_RATE`] under full ES2, so event work is
+/// httperf at `SCALE_ACTIVE_RATE` under full ES2, so event work is
 /// spread across all VMs instead of concentrated on VM 0.
 pub fn scale_active_spec(num_vms: u32, mut params: Params, seed: u64) -> RunSpec {
     params.num_cores = SCALE_VCPUS_PER_VM + num_vms;

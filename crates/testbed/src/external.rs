@@ -7,10 +7,9 @@
 use es2_net::{FlowId, Packet, PacketKind};
 use es2_sim::SimDuration;
 
-use crate::guest::{META_HTTP_GET, META_HTTP_GET_SMALL, META_MC_GET, META_MC_SET};
+use crate::guest::{META_HTTP_GET, META_HTTP_GET_SMALL};
 use crate::machine::{Ev, Machine};
 use crate::workload::{encode_mc_op, ExtWl};
-use es2_workloads::McOp;
 
 impl Machine {
     /// Schedule the initial external traffic for every VM.
@@ -288,21 +287,12 @@ impl Machine {
                 ops_windowed,
             } => {
                 if pkt.kind == PacketKind::Response {
-                    let op = if pkt.meta == META_MC_GET {
-                        McOp::Get
-                    } else {
-                        McOp::Set
-                    };
-                    let next = client.on_response(op);
+                    let next = client.on_response();
                     if window_open {
                         *ops_windowed += 1;
                     }
                     let bytes = next.request_bytes();
-                    let meta = if next == McOp::Get {
-                        META_MC_GET
-                    } else {
-                        META_MC_SET
-                    };
+                    let meta = encode_mc_op(next);
                     let req =
                         self.pf
                             .make_meta(pkt.flow, PacketKind::Request, bytes, self.now, meta);

@@ -11,7 +11,7 @@ use es2_hypervisor::{ExitReason, InterruptPath};
 use es2_net::{FaultedArrival, FlowId, Packet, PacketKind};
 use es2_sim::SimDuration;
 use es2_virtio::KickDecision;
-use es2_workloads::{NetperfDirection, NetperfProto};
+use es2_workloads::{McOp, NetperfDirection, NetperfProto};
 
 use crate::machine::{AfterExit, AppStep, IrqKind, Machine, SegKind};
 use crate::workload::{AppRequest, GuestWl, ServerOp};
@@ -332,11 +332,8 @@ impl Machine {
     /// pair `qi`. Returns whether a kick is needed.
     fn enqueue_response(&mut self, vm: u32, qi: usize, req: AppRequest) -> bool {
         let (count, bytes) = match req.op {
-            ServerOp::McGet => (
-                1,
-                es2_workloads::memaslap::KEY_BYTES + es2_workloads::memaslap::VALUE_BYTES + 32,
-            ),
-            ServerOp::McSet => (1, 8),
+            ServerOp::McGet => (1, McOp::Get.response_bytes()),
+            ServerOp::McSet => (1, McOp::Set.response_bytes()),
             ServerOp::HttpGet => (6, 1365),
             ServerOp::HttpGetSmall => (1, 1024),
         };

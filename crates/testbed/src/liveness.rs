@@ -49,7 +49,7 @@ impl LivenessReport {
 }
 
 /// Check every liveness/consistency invariant on a finished machine.
-pub fn check(m: &Machine) -> LivenessReport {
+pub(crate) fn check(m: &Machine) -> LivenessReport {
     let mut rep = LivenessReport::default();
 
     for (vmi, vm) in m.vms.iter().enumerate() {

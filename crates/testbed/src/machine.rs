@@ -28,7 +28,7 @@ use es2_sim::{
     DeliveryFault, EventQueue, FaultInjector, FaultPlan, GenToken, RingCorruptionKind, SimDuration,
     SimRng, SimTime,
 };
-use es2_virtio::{HandlerId, QueueId, VhostPool, Virtqueue, VirtqueueConfig};
+use es2_virtio::{HandlerId, VhostPool, Virtqueue, VirtqueueConfig};
 
 use crate::params::Params;
 use crate::results::RunResult;
@@ -696,20 +696,8 @@ impl Machine {
                 // Pair q is owned by (and its MSIs steered at) vCPU q%N.
                 let owner = qi % topo.vcpus_per_vm;
                 let (tx_h, rx_h) = worker.register_pair(qi, owner);
-                let mut tx = Virtqueue::with_id(
-                    vq_cfg,
-                    QueueId {
-                        vm,
-                        vq: (2 * qi) as u16,
-                    },
-                );
-                let mut rx = Virtqueue::with_id(
-                    vq_cfg,
-                    QueueId {
-                        vm,
-                        vq: (2 * qi + 1) as u16,
-                    },
-                );
+                let mut tx = Virtqueue::new(vq_cfg);
+                let mut rx = Virtqueue::new(vq_cfg);
                 // Guest TX completions are reclaimed in the xmit path; TX
                 // interrupts armed only when the ring fills.
                 tx.driver_disable_interrupts();
@@ -930,7 +918,7 @@ impl Machine {
     }
 
     /// Render a diagnostic snapshot of the world state (probe tooling).
-    pub fn debug_snapshot(&self) -> String {
+    pub(crate) fn debug_snapshot(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
         let _ = writeln!(s, "now={:?} events_pending={}", self.now, self.q.len());

@@ -49,7 +49,7 @@ use es2_apic::Vector;
 use es2_hypervisor::{InterruptPath, Vcpu, VcpuId};
 use es2_net::Packet;
 use es2_sim::{SimDuration, SimTime};
-use es2_virtio::{QueueId, VhostPool, Virtqueue, VirtqueueConfig};
+use es2_virtio::{VhostPool, Virtqueue, VirtqueueConfig};
 
 use es2_core::HybridHandler;
 use es2_metrics::VmModeCounts;
@@ -122,7 +122,7 @@ pub struct MigLedger {
 
 impl MigLedger {
     /// Fold another host's ledger into this one (cluster-level report).
-    pub fn merge(&mut self, o: &MigLedger) {
+    pub(crate) fn merge(&mut self, o: &MigLedger) {
         self.out += o.out;
         self.resumed += o.resumed;
         self.aborts += o.aborts;
@@ -340,7 +340,7 @@ impl Machine {
     }
 
     /// The migration ledger, if this machine is a cluster member.
-    pub fn mig_ledger(&self) -> Option<&MigLedger> {
+    pub(crate) fn mig_ledger(&self) -> Option<&MigLedger> {
         self.mig.as_ref().map(|m| &m.ledger)
     }
 
@@ -1113,20 +1113,8 @@ impl Machine {
         for qi in 0..num_pairs {
             let owner = qi % nv as u32;
             let (tx_h, rx_h) = worker.register_pair(qi, owner);
-            let mut tx = Virtqueue::with_id(
-                vq_cfg,
-                QueueId {
-                    vm,
-                    vq: (2 * qi) as u16,
-                },
-            );
-            let mut rx = Virtqueue::with_id(
-                vq_cfg,
-                QueueId {
-                    vm,
-                    vq: (2 * qi + 1) as u16,
-                },
-            );
+            let mut tx = Virtqueue::new(vq_cfg);
+            let mut rx = Virtqueue::new(vq_cfg);
             tx.driver_disable_interrupts();
             if prefill_rx {
                 for _ in 0..p.ring_size {

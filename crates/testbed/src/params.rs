@@ -424,23 +424,23 @@ impl Params {
     }
 
     /// Size-dependent cost helper: `base + ns_per_kb · bytes / 1024`.
-    pub fn size_cost(base: SimDuration, ns_per_kb: u64, bytes: u32) -> SimDuration {
+    pub(crate) fn size_cost(base: SimDuration, ns_per_kb: u64, bytes: u32) -> SimDuration {
         base + SimDuration::from_nanos(ns_per_kb * bytes as u64 / 1024)
     }
 
     /// vhost TX cost for a frame of `bytes`.
-    pub fn vhost_tx_cost(&self, bytes: u32) -> SimDuration {
+    pub(crate) fn vhost_tx_cost(&self, bytes: u32) -> SimDuration {
         Self::size_cost(self.vhost_tx_base, self.vhost_tx_ns_per_kb, bytes)
     }
 
     /// vhost RX cost for a frame of `bytes`.
-    pub fn vhost_rx_cost(&self, bytes: u32) -> SimDuration {
+    pub(crate) fn vhost_rx_cost(&self, bytes: u32) -> SimDuration {
         Self::size_cost(self.vhost_rx_base, self.vhost_rx_ns_per_kb, bytes)
     }
 
     /// Guest TX path cost for one message of `payload` bytes in `segs`
     /// segments (excluding kick exits).
-    pub fn guest_tx_cost(&self, tcp: bool, payload: u32, segs: u32) -> SimDuration {
+    pub(crate) fn guest_tx_cost(&self, tcp: bool, payload: u32, segs: u32) -> SimDuration {
         let base = if tcp {
             self.guest_tcp_msg
         } else {
@@ -454,7 +454,7 @@ impl Params {
     }
 
     /// Guest NAPI cost for one received frame.
-    pub fn guest_rx_cost(&self, bytes: u32) -> SimDuration {
+    pub(crate) fn guest_rx_cost(&self, bytes: u32) -> SimDuration {
         Self::size_cost(self.guest_rx_pkt, self.guest_rx_ns_per_kb, bytes)
     }
 }

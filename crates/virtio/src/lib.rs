@@ -26,13 +26,13 @@
 //!    polling, so virtual interrupt rates are far below packet rates
 //!    (§VI-C observes ~15k interrupts/s for a full-rate TCP stream).
 //!
-//! [`vhost::VhostWorker`] models the in-kernel vhost I/O thread: a work
-//! list of per-virtqueue handlers, woken by guest kicks, executed in FIFO
-//! order — the structure ES2's Algorithm 1 schedules its polling handlers
-//! on.
+//! [`vhost::VhostPool`] models the in-kernel vhost I/O threads: each
+//! worker keeps a work list of per-virtqueue handlers, woken by guest
+//! kicks, executed in FIFO order — the structure ES2's Algorithm 1
+//! schedules its polling handlers on.
 
 pub mod queue;
 pub mod vhost;
 
 pub use queue::{KickDecision, RingError, Virtqueue, VirtqueueConfig};
-pub use vhost::{HandlerId, QueueId, ShardPolicy, VhostPool, VhostWorker};
+pub use vhost::{HandlerId, ShardPolicy, VhostPool};

@@ -17,8 +17,6 @@
 
 use std::collections::VecDeque;
 
-use crate::vhost::QueueId;
-
 /// Configuration of one virtqueue.
 #[derive(Clone, Copy, Debug)]
 pub struct VirtqueueConfig {
@@ -135,10 +133,6 @@ fn need_event(event_idx: u16, new_idx: u16, old_idx: u16) -> bool {
 #[derive(Clone, Debug)]
 pub struct Virtqueue<A, U = A> {
     cfg: VirtqueueConfig,
-    /// Host-wide identity of this queue, if attached (multi-queue
-    /// devices label each ring so validation/quarantine/reset events
-    /// name the exact queue).
-    id: Option<QueueId>,
     /// Buffers exposed by the driver, not yet consumed by the device.
     /// Both halves grow with occupancy; `num_free` bounds their sum at
     /// `cfg.size`.
@@ -168,9 +162,7 @@ pub struct Virtqueue<A, U = A> {
 
     // --- statistics ---
     kicks: u64,
-    suppressed_kicks: u64,
     interrupts: u64,
-    suppressed_interrupts: u64,
     // --- conservation counters (liveness checking) ---
     added: u64,
     popped: u64,
@@ -185,8 +177,6 @@ pub struct Virtqueue<A, U = A> {
     broken: bool,
     /// Surfaced to the guest: the device requires a reset.
     needs_reset: bool,
-    /// Avail entries discarded when the queue was quarantined.
-    quarantine_dropped: u64,
     /// Lifetime quarantine count (survives resets).
     quarantines: u64,
     /// Lifetime reset count.
@@ -199,7 +189,6 @@ impl<A, U> Virtqueue<A, U> {
         assert!(cfg.size > 0 && cfg.size.is_power_of_two(), "ring size");
         Virtqueue {
             cfg,
-            id: None,
             avail: VecDeque::new(),
             used: VecDeque::new(),
             num_free: cfg.size,
@@ -212,9 +201,7 @@ impl<A, U> Virtqueue<A, U> {
             avail_event: 0,
             used_event: 0,
             kicks: 0,
-            suppressed_kicks: 0,
             interrupts: 0,
-            suppressed_interrupts: 0,
             added: 0,
             popped: 0,
             completed: 0,
@@ -222,27 +209,14 @@ impl<A, U> Virtqueue<A, U> {
             claim: None,
             broken: false,
             needs_reset: false,
-            quarantine_dropped: 0,
             quarantines: 0,
             resets: 0,
         }
     }
 
-    /// A new, empty virtqueue carrying the host-wide identity `id`.
-    pub fn with_id(cfg: VirtqueueConfig, id: QueueId) -> Self {
-        let mut q = Self::new(cfg);
-        q.id = Some(id);
-        q
-    }
-
     /// Ring configuration.
     pub fn config(&self) -> VirtqueueConfig {
         self.cfg
-    }
-
-    /// The host-wide identity of this queue, if attached.
-    pub fn id(&self) -> Option<QueueId> {
-        self.id
     }
 
     // ------------------------------------------------------------------
@@ -252,12 +226,6 @@ impl<A, U> Virtqueue<A, U> {
     /// Free descriptors available to the driver.
     pub fn num_free(&self) -> u16 {
         self.num_free
-    }
-
-    /// True if the driver cannot expose another buffer until it reclaims
-    /// used entries.
-    pub fn is_full(&self) -> bool {
-        self.num_free == 0
     }
 
     /// Expose one buffer to the device. Returns whether the driver must
@@ -294,7 +262,6 @@ impl<A, U> Virtqueue<A, U> {
             self.kicks += 1;
             Ok(KickDecision::Kick)
         } else {
-            self.suppressed_kicks += 1;
             Ok(KickDecision::NoKick)
         }
     }
@@ -398,8 +365,6 @@ impl<A, U> Virtqueue<A, U> {
         };
         if interrupt {
             self.interrupts += 1;
-        } else {
-            self.suppressed_interrupts += 1;
         }
         interrupt
     }
@@ -471,11 +436,6 @@ impl<A, U> Virtqueue<A, U> {
         self.claim = Some(GuestClaim::UsedOutstanding(claimed));
     }
 
-    /// True while a guest claim awaits device validation.
-    pub fn has_pending_claim(&self) -> bool {
-        self.claim.is_some()
-    }
-
     /// Device-side validation of any pending guest claim, called by the
     /// backend before it processes the avail ring. Geometrically valid
     /// claims clear silently; invalid ones return the typed violation
@@ -541,7 +501,6 @@ impl<A, U> Virtqueue<A, U> {
     pub fn quarantine(&mut self) -> usize {
         let drained = self.avail.len();
         self.avail.clear();
-        self.quarantine_dropped += drained as u64;
         self.claim = None;
         self.broken = true;
         self.needs_reset = true;
@@ -608,11 +567,6 @@ impl<A, U> Virtqueue<A, U> {
         self.resets
     }
 
-    /// Avail entries discarded across all quarantines.
-    pub fn quarantine_dropped_total(&self) -> u64 {
-        self.quarantine_dropped
-    }
-
     // ------------------------------------------------------------------
     // Statistics
     // ------------------------------------------------------------------
@@ -622,19 +576,9 @@ impl<A, U> Virtqueue<A, U> {
         self.kicks
     }
 
-    /// Buffer exposures that needed no kick.
-    pub fn suppressed_kick_count(&self) -> u64 {
-        self.suppressed_kicks
-    }
-
     /// Interrupts the device was told to raise.
     pub fn interrupt_count(&self) -> u64 {
         self.interrupts
-    }
-
-    /// Completions that needed no interrupt.
-    pub fn suppressed_interrupt_count(&self) -> u64 {
-        self.suppressed_interrupts
     }
 
     // ------------------------------------------------------------------
@@ -696,7 +640,6 @@ mod tests {
         assert_eq!(q.driver_add(2).unwrap(), KickDecision::NoKick);
         assert_eq!(q.driver_add(3).unwrap(), KickDecision::NoKick);
         assert_eq!(q.kick_count(), 1);
-        assert_eq!(q.suppressed_kick_count(), 2);
     }
 
     #[test]
@@ -743,12 +686,12 @@ mod tests {
         for i in 0..8 {
             q.driver_add(i).unwrap();
         }
-        assert!(q.is_full());
+        assert_eq!(q.num_free(), 0);
         assert!(q.driver_add(99).is_err());
         // Descriptors free only when the driver reclaims used entries.
         let p = q.device_pop().unwrap();
         q.device_push_used(p);
-        assert!(q.is_full(), "still full until driver reclaims");
+        assert_eq!(q.num_free(), 0, "still full until driver reclaims");
         assert_eq!(q.driver_take_used(), Some(0));
         assert_eq!(q.num_free(), 1);
         q.driver_add(99).unwrap();
@@ -767,7 +710,6 @@ mod tests {
         let p = q.device_pop().unwrap();
         assert!(!q.device_push_used(p), "second coalesces");
         assert_eq!(q.interrupt_count(), 1);
-        assert_eq!(q.suppressed_interrupt_count(), 1);
     }
 
     #[test]
@@ -965,7 +907,7 @@ mod tests {
             q.guest_publish_avail_idx(claimed);
             assert_eq!(q.device_validate(), Ok(()), "claimed={claimed}");
         }
-        assert!(!q.has_pending_claim());
+        assert!(q.claim.is_none());
         assert!(!q.is_broken());
     }
 
@@ -1086,7 +1028,6 @@ mod tests {
         assert!(q.is_broken());
         assert!(q.needs_reset());
         assert_eq!(q.quarantine_count(), 1);
-        assert_eq!(q.quarantine_dropped_total(), 3);
 
         // Broken queue refuses service on every path.
         assert!(q.driver_add(99).is_err(), "quarantined queue accepts nothing");
@@ -1108,32 +1049,12 @@ mod tests {
         assert_eq!(q.reclaimed_total(), 0);
         // Lifetime quarantine ledger survives the reset.
         assert_eq!(q.quarantine_count(), 1);
-        assert_eq!(q.quarantine_dropped_total(), 3);
 
         // Full service resumes: first add kicks like a fresh queue.
         assert_eq!(q.driver_add(1).unwrap(), KickDecision::Kick);
         let p = q.device_pop().unwrap();
         assert!(q.device_push_used(p));
         assert_eq!(q.driver_take_used(), Some(1));
-    }
-
-    #[test]
-    fn queue_identity_survives_quarantine_and_reset() {
-        let id = QueueId { vm: 9, vq: 3 };
-        let mut q: Virtqueue<u32> = Virtqueue::with_id(
-            VirtqueueConfig {
-                size: 8,
-                event_idx: true,
-            },
-            id,
-        );
-        assert_eq!(q.id(), Some(id));
-        q.quarantine();
-        assert_eq!(q.id(), Some(id), "identity is not ring state");
-        assert!(q.guest_reset());
-        assert_eq!(q.id(), Some(id), "identity survives the reset");
-        let anon = vq(true);
-        assert_eq!(anon.id(), None);
     }
 
     #[test]
@@ -1147,7 +1068,7 @@ mod tests {
 
     /// Everything in a ring but its payloads: indices, occupancy,
     /// suppression state and every counter.
-    fn ledger<A, U>(q: &Virtqueue<A, U>) -> [u64; 25] {
+    fn ledger<A, U>(q: &Virtqueue<A, U>) -> [u64; 22] {
         [
             q.num_free as u64,
             q.avail.len() as u64,
@@ -1161,9 +1082,7 @@ mod tests {
             q.avail_event as u64,
             q.used_event as u64,
             q.kicks,
-            q.suppressed_kicks,
             q.interrupts,
-            q.suppressed_interrupts,
             q.added,
             q.popped,
             q.completed,
@@ -1171,7 +1090,6 @@ mod tests {
             q.claim.is_some() as u64,
             q.broken as u64,
             q.needs_reset as u64,
-            q.quarantine_dropped,
             q.quarantines,
             q.resets,
         ]

@@ -26,23 +26,16 @@ impl HandlerId {
 
 /// A vhost worker's pending-work state.
 #[derive(Clone, Debug, Default)]
-pub struct VhostWorker {
+pub(crate) struct VhostWorker {
     work: VecDeque<HandlerId>,
     queued: Vec<bool>,
     /// Per-handler quarantine bits: a quarantined handler's kicks are
-    /// refused (counted, not panicked on) until `release` — the worker-side
-    /// half of queue quarantine.
+    /// refused (not panicked on) until `release` — the worker-side half of
+    /// queue quarantine.
     quarantined: Vec<bool>,
-    wakeups: u64,
-    dispatches: u64,
     /// Deepest the work list has ever been — the backlog high-water
     /// mark. Purely a ledger: nothing in the dispatch logic reads it.
     pending_hwm: usize,
-    /// Kicks naming a handler id that was never registered — a
-    /// guest-controlled value the worker must survive, not index with.
-    rejected_kicks: u64,
-    /// Kicks refused because the target handler was quarantined.
-    quarantined_kicks: u64,
     /// Flight-recorder correlation ID riding with each handler's pending
     /// kick (0 = none). Observational only: the work-list logic never
     /// reads it, and it stays zero unless span tracing is on.
@@ -51,22 +44,17 @@ pub struct VhostWorker {
 
 impl VhostWorker {
     /// A worker with no registered handlers.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Register a handler; returns its id.
-    pub fn register_handler(&mut self) -> HandlerId {
+    pub(crate) fn register_handler(&mut self) -> HandlerId {
         let id = HandlerId(self.queued.len() as u32);
         self.queued.push(false);
         self.quarantined.push(false);
         self.kick_corr.push(0);
         id
-    }
-
-    /// Number of registered handlers.
-    pub fn num_handlers(&self) -> usize {
-        self.queued.len()
     }
 
     /// Queue `h` for execution (a guest kick or an ES2 requeue).
@@ -80,51 +68,42 @@ impl VhostWorker {
     /// whatever the list looked like at the time.
     ///
     /// The handler id is guest-influenced (it arrives with a kick), so an
-    /// unregistered id is refused and counted — never indexed with.
+    /// unregistered id is refused — never indexed with.
     /// A quarantined handler's kicks are likewise refused: its queue is
     /// broken and the worker stopped serving it.
-    pub fn queue_work(&mut self, h: HandlerId) -> bool {
+    pub(crate) fn queue_work(&mut self, h: HandlerId) -> bool {
         let Some(queued) = self.queued.get_mut(h.idx()) else {
-            self.rejected_kicks += 1;
             return false;
         };
-        if self.quarantined[h.idx()] {
-            self.quarantined_kicks += 1;
-            return false;
-        }
-        if *queued {
+        if *queued || self.quarantined[h.idx()] {
             return false;
         }
         let was_idle = self.work.is_empty();
         *queued = true;
         self.work.push_back(h);
         self.pending_hwm = self.pending_hwm.max(self.work.len());
-        if was_idle {
-            self.wakeups += 1;
-        }
         was_idle
     }
 
     /// Pop the next handler to run, or `None` (worker sleeps).
-    pub fn next_work(&mut self) -> Option<HandlerId> {
+    pub(crate) fn next_work(&mut self) -> Option<HandlerId> {
         let h = self.work.pop_front()?;
         self.queued[h.idx()] = false;
-        self.dispatches += 1;
         Some(h)
     }
 
     /// True if any handler is queued.
-    pub fn has_work(&self) -> bool {
+    pub(crate) fn has_work(&self) -> bool {
         !self.work.is_empty()
     }
 
     /// Number of queued handlers.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.work.len()
     }
 
     /// True if `h` is currently queued (false for unregistered ids).
-    pub fn is_queued(&self, h: HandlerId) -> bool {
+    pub(crate) fn is_queued(&self, h: HandlerId) -> bool {
         self.queued.get(h.idx()).copied().unwrap_or(false)
     }
 
@@ -135,7 +114,7 @@ impl VhostWorker {
     /// Quarantine `h`: drop any queued invocation, refuse further kicks
     /// until [`release`](Self::release). Returns `true` if an invocation
     /// was pending (and was discarded). Unregistered ids are a no-op.
-    pub fn quarantine(&mut self, h: HandlerId) -> bool {
+    pub(crate) fn quarantine(&mut self, h: HandlerId) -> bool {
         let Some(q) = self.quarantined.get_mut(h.idx()) else {
             return false;
         };
@@ -152,39 +131,14 @@ impl VhostWorker {
     /// Lift the quarantine on `h` (the guest performed its queue reset).
     /// Kicks are accepted again; the handler is *not* requeued — the next
     /// real kick does that.
-    pub fn release(&mut self, h: HandlerId) {
+    pub(crate) fn release(&mut self, h: HandlerId) {
         if let Some(q) = self.quarantined.get_mut(h.idx()) {
             *q = false;
         }
     }
 
-    /// True if `h` is quarantined.
-    pub fn is_quarantined(&self, h: HandlerId) -> bool {
-        self.quarantined.get(h.idx()).copied().unwrap_or(false)
-    }
-
-    /// Kicks refused because they named an unregistered handler.
-    pub fn rejected_kick_count(&self) -> u64 {
-        self.rejected_kicks
-    }
-
-    /// Kicks refused because the target handler was quarantined.
-    pub fn quarantined_kick_count(&self) -> u64 {
-        self.quarantined_kicks
-    }
-
-    /// Times the worker transitioned idle→busy.
-    pub fn wakeup_count(&self) -> u64 {
-        self.wakeups
-    }
-
-    /// Handler invocations dispatched.
-    pub fn dispatch_count(&self) -> u64 {
-        self.dispatches
-    }
-
     /// Deepest the work list has ever been (backlog high-water mark).
-    pub fn pending_high_water(&self) -> usize {
+    pub(crate) fn pending_high_water(&self) -> usize {
         self.pending_hwm
     }
 
@@ -192,7 +146,7 @@ impl VhostWorker {
     /// Returns `true` if stored; `false` if a kick already owns the slot
     /// (the signals coalesced — first kick keeps the span) or the id is
     /// unregistered.
-    pub fn note_kick_corr(&mut self, h: HandlerId, corr: u64) -> bool {
+    pub(crate) fn note_kick_corr(&mut self, h: HandlerId, corr: u64) -> bool {
         match self.kick_corr.get_mut(h.idx()) {
             Some(slot) if *slot == 0 => {
                 *slot = corr;
@@ -204,44 +158,17 @@ impl VhostWorker {
 
     /// The correlation ID currently riding with `h`'s pending kick
     /// (0 if none), without consuming it.
-    pub fn kick_corr(&self, h: HandlerId) -> u64 {
+    pub(crate) fn kick_corr(&self, h: HandlerId) -> u64 {
         self.kick_corr.get(h.idx()).copied().unwrap_or(0)
     }
 
     /// Remove and return the correlation ID riding with `h`'s pending
     /// kick (0 if none) — called when a handler turn begins.
-    pub fn take_kick_corr(&mut self, h: HandlerId) -> u64 {
+    pub(crate) fn take_kick_corr(&mut self, h: HandlerId) -> u64 {
         self.kick_corr
             .get_mut(h.idx())
             .map(std::mem::take)
             .unwrap_or(0)
-    }
-}
-
-/// Identity of one virtqueue in the host-wide queue namespace: VM slot
-/// plus virtqueue index within the VM (`vq = 2*pair` for TX, `2*pair+1`
-/// for RX, matching the virtio-net queue layout). Threaded through ring
-/// validation, quarantine and reset so every trust-boundary event names
-/// the exact queue, not just the VM.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct QueueId {
-    /// Owning VM slot.
-    pub vm: u32,
-    /// Virtqueue index within the VM.
-    pub vq: u16,
-}
-
-impl QueueId {
-    /// The queue pair this virtqueue belongs to.
-    #[inline]
-    pub fn pair(self) -> u16 {
-        self.vq / 2
-    }
-
-    /// True for the TX half of the pair.
-    #[inline]
-    pub fn is_tx(self) -> bool {
-        self.vq % 2 == 0
     }
 }
 
@@ -265,7 +192,7 @@ pub enum ShardPolicy {
 impl ShardPolicy {
     /// The worker index serving `pair` of `vm` under this policy.
     /// `workers` must be >= 1; results are always in `0..workers`.
-    pub fn worker_for(self, pair: u32, owner_vcpu: u32, workers: u32) -> u32 {
+    pub(crate) fn worker_for(self, pair: u32, owner_vcpu: u32, workers: u32) -> u32 {
         let w = workers.max(1);
         match self {
             ShardPolicy::Mux => 0,
@@ -290,9 +217,9 @@ impl ShardPolicy {
 /// Every handler is registered on every worker so [`HandlerId`] arena
 /// indices stay valid wherever a (guest-influenced) id shows up, but a
 /// handler is only ever *queued* on its assigned worker — the FIFO
-/// invariants of [`VhostWorker`] hold per worker, and cross-worker state
+/// invariants of `VhostWorker` hold per worker, and cross-worker state
 /// never mixes. With one worker and [`ShardPolicy::Mux`] the pool is
-/// operationally identical to a bare [`VhostWorker`].
+/// operationally identical to a bare `VhostWorker`.
 ///
 /// The pool keeps a cached `pending_total` so host-wide pending-work
 /// checks are O(1) instead of a sum over workers; the counter is
@@ -342,11 +269,6 @@ impl VhostPool {
         self.workers.len()
     }
 
-    /// The sharding policy.
-    pub fn policy(&self) -> ShardPolicy {
-        self.policy
-    }
-
     /// True when queues own their workers and the dispatch hop is
     /// elided (see [`ShardPolicy::Passthrough`]).
     pub fn is_passthrough(&self) -> bool {
@@ -354,14 +276,9 @@ impl VhostPool {
     }
 
     /// The worker assigned to `h` (worker 0 for unregistered ids, whose
-    /// kicks that worker refuses and counts).
-    pub fn worker_of(&self, h: HandlerId) -> usize {
+    /// kicks that worker refuses).
+    pub(crate) fn worker_of(&self, h: HandlerId) -> usize {
         self.assign.get(h.idx()).copied().unwrap_or(0) as usize
-    }
-
-    /// Read-only view of worker `w`'s ledger.
-    pub fn worker(&self, w: usize) -> &VhostWorker {
-        &self.workers[w]
     }
 
     /// Queue `h` on its assigned worker. Returns the worker index and
@@ -390,12 +307,6 @@ impl VhostPool {
         self.workers[w].has_work()
     }
 
-    /// True if any worker has queued handlers — O(1) via the cached
-    /// counter.
-    pub fn has_work(&self) -> bool {
-        self.pending_total > 0
-    }
-
     /// Total queued handlers across all workers, O(1).
     pub fn pending_total(&self) -> usize {
         self.pending_total
@@ -416,7 +327,7 @@ impl VhostPool {
         self.workers[self.worker_of(h)].is_queued(h)
     }
 
-    /// Quarantine `h` on its worker; see [`VhostWorker::quarantine`].
+    /// Quarantine `h` on its worker; see `VhostWorker::quarantine`.
     pub fn quarantine(&mut self, h: HandlerId) -> bool {
         let w = self.worker_of(h);
         let was_pending = self.workers[w].quarantine(h);
@@ -426,39 +337,14 @@ impl VhostPool {
         was_pending
     }
 
-    /// Lift the quarantine on `h`; see [`VhostWorker::release`].
+    /// Lift the quarantine on `h`; see `VhostWorker::release`.
     pub fn release(&mut self, h: HandlerId) {
         let w = self.worker_of(h);
         self.workers[w].release(h);
     }
 
-    /// True if `h` is quarantined.
-    pub fn is_quarantined(&self, h: HandlerId) -> bool {
-        self.workers[self.worker_of(h)].is_quarantined(h)
-    }
-
-    /// Kicks refused across all workers for naming unregistered ids.
-    pub fn rejected_kick_count(&self) -> u64 {
-        self.workers.iter().map(|w| w.rejected_kick_count()).sum()
-    }
-
-    /// Kicks refused across all workers for naming quarantined handlers.
-    pub fn quarantined_kick_count(&self) -> u64 {
-        self.workers.iter().map(|w| w.quarantined_kick_count()).sum()
-    }
-
-    /// Idle→busy transitions across all workers.
-    pub fn wakeup_count(&self) -> u64 {
-        self.workers.iter().map(|w| w.wakeup_count()).sum()
-    }
-
-    /// Handler invocations dispatched across all workers.
-    pub fn dispatch_count(&self) -> u64 {
-        self.workers.iter().map(|w| w.dispatch_count()).sum()
-    }
-
     /// Attach a flight-recorder correlation id to `h`'s pending kick on
-    /// its assigned worker; see [`VhostWorker::note_kick_corr`].
+    /// its assigned worker; see `VhostWorker::note_kick_corr`.
     pub fn note_kick_corr(&mut self, h: HandlerId, corr: u64) -> bool {
         let w = self.worker_of(h);
         self.workers[w].note_kick_corr(h, corr)
@@ -480,6 +366,7 @@ impl VhostPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RingError, Virtqueue, VirtqueueConfig};
 
     #[test]
     fn queue_reports_idle_transition() {
@@ -499,7 +386,7 @@ mod tests {
         let mut w = VhostWorker::new();
         let a = w.register_handler();
         assert!(w.queue_work(a));
-        assert_eq!(w.wakeup_count(), 1);
+        assert_eq!(w.pending(), 1);
     }
 
     #[test]
@@ -513,7 +400,6 @@ mod tests {
         let a = w.register_handler();
         w.queued[a.idx()] = true;
         assert!(!w.queue_work(a), "duplicate must never report a wake-up");
-        assert_eq!(w.wakeup_count(), 0);
         assert_eq!(w.pending(), 0, "no list entry added");
     }
 
@@ -524,7 +410,6 @@ mod tests {
         let b = w.register_handler();
         assert!(w.queue_work(a));
         assert!(!w.queue_work(b), "worker already awake");
-        assert_eq!(w.wakeup_count(), 1);
         assert_eq!(w.pending(), 2);
     }
 
@@ -534,7 +419,6 @@ mod tests {
         let a = w.register_handler();
         assert!(w.queue_work(a));
         assert!(!w.queue_work(a));
-        assert_eq!(w.wakeup_count(), 1);
         assert_eq!(w.pending(), 1);
     }
 
@@ -594,11 +478,10 @@ mod tests {
         let a = w.register_handler();
         w.queue_work(a);
         // A kick naming a handler that was never registered is hostile
-        // input: it must be counted and dropped, never panic.
+        // input: it must be dropped, never panic.
         assert!(!w.queue_work(HandlerId(7)));
-        assert_eq!(w.rejected_kick_count(), 1);
         assert!(!w.is_queued(HandlerId(7)));
-        assert!(!w.is_quarantined(HandlerId(7)));
+        assert!(!w.quarantine(HandlerId(7)), "no-op for unregistered ids");
         assert!(!w.note_kick_corr(HandlerId(7), 9));
         assert_eq!(w.kick_corr(HandlerId(7)), 0);
         assert_eq!(w.take_kick_corr(HandlerId(7)), 0);
@@ -607,18 +490,31 @@ mod tests {
 
     #[test]
     fn quarantine_drops_pending_work_and_refuses_kicks() {
+        let mut vq: Virtqueue<u32> = Virtqueue::new(VirtqueueConfig {
+            size: 8,
+            event_idx: true,
+        });
         let mut w = VhostWorker::new();
         let a = w.register_handler();
         let b = w.register_handler();
         w.queue_work(a);
         w.queue_work(b);
+        // A hostile descriptor index fails validation with a typed error,
+        // and the backend quarantines the queue's handler.
+        vq.guest_publish_desc_index(999);
+        assert_eq!(
+            vq.device_validate(),
+            Err(RingError::DescOutOfRange {
+                index: 999,
+                size: 8
+            })
+        );
         assert!(w.quarantine(a), "pending invocation discarded");
-        assert!(w.is_quarantined(a));
         assert!(!w.is_queued(a));
         assert_eq!(w.pending(), 1);
         assert!(!w.queue_work(a), "quarantined kicks refused");
-        assert_eq!(w.quarantined_kick_count(), 1);
-        // The neighbor keeps full service.
+        assert!(!w.is_queued(a), "a refused kick queues nothing");
+        // The neighbor keeps full service; `a` is never dispatched.
         assert_eq!(w.next_work(), Some(b));
         assert_eq!(w.next_work(), None);
     }
@@ -630,7 +526,6 @@ mod tests {
         w.queue_work(a);
         w.quarantine(a);
         w.release(a);
-        assert!(!w.is_quarantined(a));
         assert!(!w.has_work(), "release does not requeue by itself");
         assert!(w.queue_work(a), "next real kick wakes the worker again");
         assert_eq!(w.next_work(), Some(a));
@@ -649,17 +544,18 @@ mod tests {
 
     #[test]
     fn counters() {
+        // Each idle→busy transition reports exactly one wake-up, and each
+        // queued invocation is dispatched exactly once.
         let mut w = VhostWorker::new();
         let a = w.register_handler();
         let b = w.register_handler();
-        w.queue_work(a); // wakeup 1
-        w.queue_work(b);
-        w.next_work();
-        w.next_work();
-        w.queue_work(a); // wakeup 2
-        w.next_work();
-        assert_eq!(w.wakeup_count(), 2);
-        assert_eq!(w.dispatch_count(), 3);
+        assert!(w.queue_work(a), "wake-up 1");
+        assert!(!w.queue_work(b));
+        assert_eq!(w.next_work(), Some(a));
+        assert_eq!(w.next_work(), Some(b));
+        assert!(w.queue_work(a), "wake-up 2");
+        assert_eq!(w.next_work(), Some(a));
+        assert_eq!(w.next_work(), None);
         assert!(!w.has_work());
     }
 
@@ -737,7 +633,8 @@ mod tests {
         // Quarantined handler refuses kicks until release; release does
         // not requeue on its own.
         assert_eq!(pool.queue_work(tx2), (2, false));
-        assert_eq!(pool.worker(2).quarantined_kick_count(), 1);
+        assert!(!pool.is_queued(tx2), "refused kick queues nothing");
+        assert_eq!(pool.next_work(2), None, "nothing dispatched");
         pool.release(tx2);
         assert!(!pool.has_work_on(2));
         assert_eq!(pool.queue_work(tx2), (2, true), "post-release kick wakes");
@@ -778,7 +675,6 @@ mod tests {
                 audit(&pool);
             }
         }
-        assert!(!pool.has_work());
         assert_eq!(pool.pending_total(), 0);
     }
 
@@ -800,15 +696,5 @@ mod tests {
         w.queue_work(a);
         w.queue_work(b);
         assert_eq!(w.pending_high_water(), 3, "deeper backlog raises it");
-    }
-
-    #[test]
-    fn queue_id_halves() {
-        let tx = QueueId { vm: 3, vq: 4 };
-        let rx = QueueId { vm: 3, vq: 5 };
-        assert_eq!(tx.pair(), 2);
-        assert_eq!(rx.pair(), 2);
-        assert!(tx.is_tx());
-        assert!(!rx.is_tx());
     }
 }

@@ -19,36 +19,28 @@ pub const REQUEST_BYTES: u32 = 120;
 #[derive(Clone, Debug)]
 pub struct AbClient {
     concurrency: u32,
-    page_bytes: u32,
     outstanding: u32,
-    completed: u64,
 }
 
 impl AbClient {
-    /// The paper's configuration: 16 concurrent, 8 KB pages.
+    /// The paper's configuration: 16 concurrent transactions (of
+    /// [`PAGE_BYTES`] pages).
     pub fn paper_config() -> Self {
-        Self::new(16, PAGE_BYTES)
+        Self::new(16)
     }
 
-    /// A custom configuration.
-    pub fn new(concurrency: u32, page_bytes: u32) -> Self {
-        assert!(concurrency > 0 && page_bytes > 0);
+    /// A client keeping `concurrency` transactions outstanding.
+    pub(crate) fn new(concurrency: u32) -> Self {
+        assert!(concurrency > 0);
         AbClient {
             concurrency,
-            page_bytes,
             outstanding: 0,
-            completed: 0,
         }
     }
 
     /// Configured concurrency.
     pub fn concurrency(&self) -> u32 {
         self.concurrency
-    }
-
-    /// Page size of each transaction.
-    pub fn page_bytes(&self) -> u32 {
-        self.page_bytes
     }
 
     /// Number of new transactions to start right now (fills the window).
@@ -63,32 +55,7 @@ impl AbClient {
     /// symmetry with rate-limited clients).
     pub fn on_complete(&mut self) -> bool {
         debug_assert!(self.outstanding > 0);
-        self.completed += 1;
         true
-    }
-
-    /// Completed transactions.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Requests per second over `secs`.
-    pub fn requests_per_sec(&self, secs: f64) -> f64 {
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.completed as f64 / secs
-        }
-    }
-
-    /// Transferred payload throughput in Gb/s over `secs` (page bodies
-    /// only, as `ab` reports "Transfer rate").
-    pub fn transfer_gbps(&self, secs: f64) -> f64 {
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.completed as f64 * self.page_bytes as f64 * 8.0 / secs / 1e9
-        }
     }
 }
 
@@ -111,21 +78,10 @@ mod tests {
 
     #[test]
     fn closed_loop_counts() {
-        let mut c = AbClient::new(2, 8192);
+        let mut c = AbClient::new(2);
         c.issue();
         assert!(c.on_complete());
         assert!(c.on_complete());
-        assert_eq!(c.completed(), 2);
-        assert!((c.requests_per_sec(2.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn transfer_rate() {
-        let mut c = AbClient::new(1, 1_250_000); // 10 Mbit page
-        c.issue();
-        for _ in 0..100 {
-            c.on_complete();
-        }
-        assert!((c.transfer_gbps(1.0) - 1.0).abs() < 1e-9);
+        assert_eq!(c.issue(), 0, "each completion refills its own slot");
     }
 }

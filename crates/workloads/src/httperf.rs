@@ -16,8 +16,6 @@ pub struct HttperfClient {
     rng: SimRng,
     next_conn_id: u64,
     started: Vec<(u64, SimTime)>,
-    conn_times: Vec<SimDuration>,
-    completed: u64,
 }
 
 impl HttperfClient {
@@ -29,14 +27,7 @@ impl HttperfClient {
             rng: SimRng::new(seed),
             next_conn_id: 0,
             started: Vec::new(),
-            conn_times: Vec::new(),
-            completed: 0,
         }
-    }
-
-    /// The configured rate.
-    pub fn rate(&self) -> f64 {
-        self.rate_per_sec
     }
 
     /// Delay until the next connection attempt (exponential interarrival —
@@ -54,47 +45,11 @@ impl HttperfClient {
     }
 
     /// The SYN/ACK for `id` arrived at `now` — the connection is
-    /// established; records the connection time.
+    /// established; returns the connection time.
     pub fn on_established(&mut self, id: u64, now: SimTime) -> Option<SimDuration> {
         let pos = self.started.iter().position(|&(c, _)| c == id)?;
         let (_, at) = self.started.swap_remove(pos);
-        let d = now.since(at);
-        self.conn_times.push(d);
-        self.completed += 1;
-        Some(d)
-    }
-
-    /// Connections initiated.
-    pub fn initiated(&self) -> u64 {
-        self.next_conn_id
-    }
-
-    /// Connections established.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Connections still waiting for SYN/ACK.
-    pub fn pending(&self) -> usize {
-        self.started.len()
-    }
-
-    /// Mean connection-establishment time in milliseconds (the Fig. 9
-    /// metric).
-    pub fn mean_conn_time_ms(&self) -> f64 {
-        if self.conn_times.is_empty() {
-            return 0.0;
-        }
-        self.conn_times
-            .iter()
-            .map(|d| d.as_millis_f64())
-            .sum::<f64>()
-            / self.conn_times.len() as f64
-    }
-
-    /// Maximum observed connection time.
-    pub fn max_conn_time(&self) -> Option<SimDuration> {
-        self.conn_times.iter().max().copied()
+        Some(now.since(at))
     }
 }
 
@@ -121,9 +76,7 @@ mod tests {
         let id = c.start_connection(t(0));
         let d = c.on_established(id, t(750)).unwrap();
         assert_eq!(d, SimDuration::from_micros(750));
-        assert!((c.mean_conn_time_ms() - 0.75).abs() < 1e-9);
-        assert_eq!(c.pending(), 0);
-        assert_eq!(c.completed(), 1);
+        assert!(c.started.is_empty(), "no longer pending");
     }
 
     #[test]
@@ -132,25 +85,15 @@ mod tests {
         for i in 0..10 {
             c.start_connection(t(i * 10));
         }
-        assert_eq!(c.pending(), 10);
-        assert_eq!(c.initiated(), 10);
+        assert_eq!(c.started.len(), 10);
+        assert_eq!(c.next_conn_id, 10);
         c.on_established(3, t(500));
-        assert_eq!(c.pending(), 9);
+        assert_eq!(c.started.len(), 9);
     }
 
     #[test]
     fn unknown_connection_ignored() {
         let mut c = HttperfClient::new(100.0, 3);
         assert_eq!(c.on_established(7, t(1)), None);
-    }
-
-    #[test]
-    fn max_conn_time() {
-        let mut c = HttperfClient::new(100.0, 4);
-        let a = c.start_connection(t(0));
-        let b = c.start_connection(t(0));
-        c.on_established(a, t(100));
-        c.on_established(b, t(900));
-        assert_eq!(c.max_conn_time(), Some(SimDuration::from_micros(900)));
     }
 }

@@ -17,9 +17,9 @@ pub enum McOp {
 }
 
 /// Default key size (bytes).
-pub const KEY_BYTES: u32 = 64;
+pub(crate) const KEY_BYTES: u32 = 64;
 /// Default value size (bytes).
-pub const VALUE_BYTES: u32 = 1024;
+pub(crate) const VALUE_BYTES: u32 = 1024;
 
 impl McOp {
     /// Request payload bytes on the wire.
@@ -49,9 +49,6 @@ pub struct MemaslapClient {
     concurrency: u32,
     get_ratio: f64,
     outstanding: u32,
-    completed: u64,
-    completed_gets: u64,
-    completed_sets: u64,
     rng: SimRng,
 }
 
@@ -62,23 +59,15 @@ impl MemaslapClient {
     }
 
     /// A custom configuration.
-    pub fn new(concurrency: u32, get_ratio: f64, seed: u64) -> Self {
+    pub(crate) fn new(concurrency: u32, get_ratio: f64, seed: u64) -> Self {
         assert!(concurrency > 0);
         assert!((0.0..=1.0).contains(&get_ratio));
         MemaslapClient {
             concurrency,
             get_ratio,
             outstanding: 0,
-            completed: 0,
-            completed_gets: 0,
-            completed_sets: 0,
             rng: SimRng::new(seed),
         }
-    }
-
-    /// Configured concurrency.
-    pub fn concurrency(&self) -> u32 {
-        self.concurrency
     }
 
     /// Draw the next operation type per the get/set ratio.
@@ -98,41 +87,12 @@ impl MemaslapClient {
         (0..n).map(|_| self.draw_op()).collect()
     }
 
-    /// A response for `op` arrived; the closed loop immediately wants the
-    /// next request, which this returns.
-    pub fn on_response(&mut self, op: McOp) -> McOp {
+    /// A response arrived; the closed loop immediately wants the next
+    /// request, which this returns.
+    pub fn on_response(&mut self) -> McOp {
         debug_assert!(self.outstanding > 0);
-        self.completed += 1;
-        match op {
-            McOp::Get => self.completed_gets += 1,
-            McOp::Set => self.completed_sets += 1,
-        }
         // Window slot freed and instantly reused.
         self.draw_op()
-    }
-
-    /// Completed operations.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Completed gets.
-    pub fn completed_gets(&self) -> u64 {
-        self.completed_gets
-    }
-
-    /// Completed sets.
-    pub fn completed_sets(&self) -> u64 {
-        self.completed_sets
-    }
-
-    /// Operations per second over `secs`.
-    pub fn ops_per_sec(&self, secs: f64) -> f64 {
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.completed as f64 / secs
-        }
     }
 }
 
@@ -153,11 +113,10 @@ mod tests {
         let mut c = MemaslapClient::new(4, 0.9, 2);
         let burst = c.issue();
         assert_eq!(burst.len(), 4);
-        let next = c.on_response(burst[0]);
+        let next = c.on_response();
         // One slot freed, instantly refilled by `next`.
         let _ = next;
         assert!(c.issue().is_empty());
-        assert_eq!(c.completed(), 1);
     }
 
     #[test]
@@ -172,7 +131,7 @@ mod tests {
             total += 1;
         }
         for _ in 0..10_000 {
-            let op = c.on_response(McOp::Get);
+            let op = c.on_response();
             if op == McOp::Get {
                 gets += 1;
             }
@@ -186,17 +145,6 @@ mod tests {
     fn op_sizes_are_asymmetric() {
         assert!(McOp::Get.request_bytes() < McOp::Get.response_bytes());
         assert!(McOp::Set.request_bytes() > McOp::Set.response_bytes());
-    }
-
-    #[test]
-    fn ops_per_sec() {
-        let mut c = MemaslapClient::new(1, 1.0, 4);
-        let b = c.issue();
-        let mut op = b[0];
-        for _ in 0..500 {
-            op = c.on_response(op);
-        }
-        assert!((c.ops_per_sec(0.5) - 1000.0).abs() < 1e-9);
     }
 
     #[test]

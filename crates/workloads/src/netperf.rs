@@ -102,15 +102,6 @@ impl NetperfSpec {
     pub fn payload_per_segment(&self) -> u32 {
         self.msg_bytes / self.segments_per_msg()
     }
-
-    /// Goodput in Gb/s for `messages` delivered over `secs` seconds.
-    pub fn goodput_gbps(&self, messages: u64, secs: f64) -> f64 {
-        if secs <= 0.0 {
-            0.0
-        } else {
-            messages as f64 * self.msg_bytes as f64 * 8.0 / secs / 1e9
-        }
-    }
 }
 
 #[cfg(test)]
@@ -128,14 +119,6 @@ mod tests {
         let s = NetperfSpec::tcp_send(4096);
         assert_eq!(s.segments_per_msg(), 3); // 4096 / 1460 -> 3
         assert_eq!(s.payload_per_segment(), 1365);
-    }
-
-    #[test]
-    fn goodput_arithmetic() {
-        let s = NetperfSpec::tcp_send(1250);
-        // 100k messages x 1250B x 8 = 1 Gbit in 1 s.
-        assert!((s.goodput_gbps(100_000, 1.0) - 1.0).abs() < 1e-12);
-        assert_eq!(s.goodput_gbps(1, 0.0), 0.0);
     }
 
     #[test]

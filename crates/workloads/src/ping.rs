@@ -54,28 +54,6 @@ impl PingProbe {
     pub fn rtts(&self) -> &[(SimTime, SimDuration)] {
         &self.rtts
     }
-
-    /// Requests with no reply yet.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding.len()
-    }
-
-    /// Largest recorded RTT.
-    pub fn max_rtt(&self) -> Option<SimDuration> {
-        self.rtts.iter().map(|&(_, r)| r).max()
-    }
-
-    /// Mean RTT in milliseconds.
-    pub fn mean_rtt_ms(&self) -> f64 {
-        if self.rtts.is_empty() {
-            return 0.0;
-        }
-        self.rtts
-            .iter()
-            .map(|&(_, r)| r.as_millis_f64())
-            .sum::<f64>()
-            / self.rtts.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -90,10 +68,10 @@ mod tests {
     fn rtt_round_trip() {
         let mut p = PingProbe::new(SimDuration::from_secs(1));
         let s = p.send(t(0));
-        assert_eq!(p.outstanding(), 1);
+        assert_eq!(p.outstanding.len(), 1);
         let rtt = p.on_reply(s, t(3)).unwrap();
         assert_eq!(rtt, SimDuration::from_millis(3));
-        assert_eq!(p.outstanding(), 0);
+        assert_eq!(p.outstanding.len(), 0);
         assert_eq!(p.rtts().len(), 1);
     }
 
@@ -113,8 +91,8 @@ mod tests {
             let s = p.send(t(send_ms));
             p.on_reply(s, t(send_ms + rtt_ms));
         }
-        assert_eq!(p.max_rtt(), Some(SimDuration::from_millis(18)));
-        assert!((p.mean_rtt_ms() - 7.0).abs() < 1e-9);
+        assert_eq!(p.rtts()[1], (t(1018), SimDuration::from_millis(18)));
+        assert_eq!(p.rtts().len(), 3);
     }
 
     #[test]
