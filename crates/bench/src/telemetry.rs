@@ -22,6 +22,7 @@
 
 use es2_core::EventPathConfig;
 use es2_metrics::json::Json;
+use es2_metrics::telemetry::WINDOW_NS;
 use es2_metrics::{Annotation, SloMetric, SloSpec, TelemetryReport};
 use es2_sim::{FaultPlan, SimDuration, SimTime};
 use es2_testbed::{
@@ -324,7 +325,7 @@ pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, Json,
         format!(
             "Fleet telemetry — {} ms windows, Baseline/PI/ES2 across chaos + migrate + mq \
              (seed {seed})",
-            params.telemetry_window.as_millis_f64()
+            WINDOW_NS as f64 / 1e6
         ),
         &[
             "cell",
@@ -557,7 +558,7 @@ pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, Json,
         .with("harness", "repro --telemetry")
         .with("fast", fast)
         .with("seed", seed)
-        .with("window_ns", params.telemetry_window.as_nanos())
+        .with("window_ns", WINDOW_NS)
         .with("horizon_ns", HORIZON)
         .with("cells", json_cells);
 

@@ -6,14 +6,12 @@ use es2_apic::MsiMessage;
 use es2_core::{
     Es2Router, EventPathConfig, HybridHandler, HybridParams, PollDecision, RedirectionEngine,
 };
-use es2_hypervisor::{
-    DeliveryOutcome, ExitReason, InterruptPath, MsiRouter, RouteCtx, Vcpu, VcpuId, VmId,
-};
+use es2_hypervisor::{DeliveryOutcome, InterruptPath, MsiRouter, RouteCtx, Vcpu, VcpuId, VmId};
 use es2_virtio::{KickDecision, Virtqueue, VirtqueueConfig};
 
 /// The full guest→host direction: a guest enqueues requests, the hybrid
-/// handler serves them, and the exit ledger records exactly the kicks the
-/// virtqueue demanded.
+/// handler serves them without losing one, and notification suppression
+/// keeps the kicks (I/O-instruction exits) far below the requests.
 #[test]
 fn guest_to_host_direction_end_to_end() {
     let mut vq: Virtqueue<u32> = Virtqueue::new(VirtqueueConfig::default());
@@ -31,7 +29,6 @@ fn guest_to_host_direction_end_to_end() {
             if vq.driver_add(round * 5 + i).unwrap() == KickDecision::Kick {
                 // A kick is an I/O-instruction exit on the vCPU.
                 vcpu.vm_exit();
-                vcpu.exits.record(ExitReason::IoInstruction);
                 vcpu.vm_entry();
                 kicks += 1;
             }
@@ -56,11 +53,6 @@ fn guest_to_host_direction_end_to_end() {
         }
     }
     assert_eq!(served, 50, "no request lost across turns");
-    assert_eq!(
-        vcpu.exits.total(ExitReason::IoInstruction),
-        kicks as u64,
-        "exit ledger matches virtqueue kicks"
-    );
     // Once the first turn disabled notifications, same-round refills were
     // silent: far fewer kicks than requests.
     assert!(kicks <= 10, "kicks={kicks}");
@@ -114,11 +106,6 @@ fn host_to_guest_direction_with_redirection() {
             assert_eq!(vec, 0x41);
             v.eoi();
         }
-    }
-    // No exits were recorded anywhere: the whole direction was exit-less.
-    for v in &vcpus {
-        assert_eq!(v.exits.total(ExitReason::ExternalInterrupt), 0);
-        assert_eq!(v.exits.total(ExitReason::ApicAccess), 0);
     }
     // All 20 interrupts were handled by the online pair.
     let handled: u64 = vcpus.iter().map(|v| v.interrupts_handled()).sum();

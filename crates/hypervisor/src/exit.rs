@@ -1,6 +1,6 @@
 //! VM-exit reasons, statistics and the calibrated cost model.
 
-use es2_sim::{SimDuration, SimTime};
+use es2_sim::SimDuration;
 
 /// Cause of a VM exit, following the categories the paper reports
 /// (§VI-C: "the three most-frequent exit causes involved in the virtual I/O
@@ -82,75 +82,37 @@ impl ExitReason {
     }
 }
 
-/// Per-reason exit counters with an explicit measurement window
-/// (`perf-kvm stat` over the steady-state part of the run).
-#[derive(Clone, Debug, Default)]
+/// Per-reason exit counts of one VM, lifetime and inside the measurement
+/// window (`perf-kvm stat` over the steady-state part of the run). A
+/// plain value: the testbed's per-VM ledger fills it in as exits happen.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExitStats {
-    total: [u64; ExitReason::COUNT],
-    windowed: [u64; ExitReason::COUNT],
-    window_open: Option<SimTime>,
-    window_len: SimDuration,
+    /// Exits per reason over the whole run (index = [`ExitReason::idx`]).
+    pub lifetime: [u64; ExitReason::COUNT],
+    /// Exits per reason inside the measurement window.
+    pub windowed: [u64; ExitReason::COUNT],
+    /// Length of the measurement window (zero until it closes).
+    pub window: SimDuration,
 }
 
 impl ExitStats {
-    /// Zeroed statistics, window closed.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one exit.
-    #[inline]
-    pub fn record(&mut self, reason: ExitReason) {
-        self.total[reason.idx()] += 1;
-        if self.window_open.is_some() {
-            self.windowed[reason.idx()] += 1;
-        }
-    }
-
-    /// Open the measurement window (after warm-up).
-    pub fn open_window(&mut self, now: SimTime) {
-        self.window_open = Some(now);
-        self.windowed = [0; ExitReason::COUNT];
-    }
-
-    /// Close the measurement window.
-    pub fn close_window(&mut self, now: SimTime) {
-        if let Some(open) = self.window_open.take() {
-            self.window_len = now.since(open);
-        }
-    }
-
     /// Lifetime count for a reason.
     pub fn total(&self, reason: ExitReason) -> u64 {
-        self.total[reason.idx()]
+        self.lifetime[reason.idx()]
     }
 
     /// Windowed exits per second for a reason.
     pub fn rate(&self, reason: ExitReason) -> f64 {
-        if self.window_len.is_zero() {
+        if self.window.is_zero() {
             0.0
         } else {
-            self.windowed[reason.idx()] as f64 / self.window_len.as_secs_f64()
+            self.windowed[reason.idx()] as f64 / self.window.as_secs_f64()
         }
     }
 
     /// Windowed total exits per second.
     pub fn total_rate(&self) -> f64 {
         ExitReason::all().iter().map(|&r| self.rate(r)).sum()
-    }
-
-    /// Sum of windowed counts.
-    pub fn windowed_total(&self) -> u64 {
-        self.windowed.iter().sum()
-    }
-
-    /// Merge another stats object (e.g. across vCPUs of a VM).
-    pub fn merge(&mut self, other: &ExitStats) {
-        for i in 0..ExitReason::COUNT {
-            self.total[i] += other.total[i];
-            self.windowed[i] += other.windowed[i];
-        }
-        self.window_len = self.window_len.max(other.window_len);
     }
 }
 
@@ -217,10 +179,6 @@ impl ExitCosts {
 mod tests {
     use super::*;
 
-    fn t(ms: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::from_millis(ms)
-    }
-
     #[test]
     fn indices_are_dense_and_distinct() {
         let mut seen = [false; ExitReason::COUNT];
@@ -242,35 +200,16 @@ mod tests {
 
     #[test]
     fn windowed_rates() {
-        let mut s = ExitStats::new();
-        s.record(ExitReason::IoInstruction); // warm-up, excluded
-        s.open_window(t(0));
-        for _ in 0..500 {
-            s.record(ExitReason::IoInstruction);
-        }
-        for _ in 0..250 {
-            s.record(ExitReason::ApicAccess);
-        }
-        s.close_window(t(500)); // 0.5s
+        let mut s = ExitStats {
+            window: SimDuration::from_millis(500),
+            ..ExitStats::default()
+        };
+        s.lifetime[ExitReason::IoInstruction.idx()] = 501; // one in warm-up
+        s.windowed[ExitReason::IoInstruction.idx()] = 500;
+        s.windowed[ExitReason::ApicAccess.idx()] = 250;
         assert_eq!(s.total(ExitReason::IoInstruction), 501);
-        assert_eq!(s.windowed[ExitReason::IoInstruction.idx()], 500);
         assert!((s.rate(ExitReason::IoInstruction) - 1000.0).abs() < 1e-9);
         assert!((s.total_rate() - 1500.0).abs() < 1e-9);
-        assert_eq!(s.windowed_total(), 750);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = ExitStats::new();
-        let mut b = ExitStats::new();
-        a.open_window(t(0));
-        b.open_window(t(0));
-        a.record(ExitReason::Hlt);
-        b.record(ExitReason::Hlt);
-        a.close_window(t(100));
-        b.close_window(t(100));
-        a.merge(&b);
-        assert_eq!(a.windowed[ExitReason::Hlt.idx()], 2);
     }
 
     #[test]
@@ -289,8 +228,10 @@ mod tests {
 
     #[test]
     fn empty_stats_report_zero() {
-        let s = ExitStats::new();
+        let mut s = ExitStats::default();
         assert_eq!(s.total_rate(), 0.0);
-        assert_eq!(s.windowed_total(), 0);
+        // Counts without a closed window have no rate.
+        s.windowed[ExitReason::Hlt.idx()] = 3;
+        assert_eq!(s.rate(ExitReason::Hlt), 0.0);
     }
 }

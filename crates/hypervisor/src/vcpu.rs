@@ -19,9 +19,6 @@
 
 use es2_apic::pi::PostOutcome;
 use es2_apic::{EmulatedLapic, PiDescriptor, VApicPage, Vector};
-use es2_metrics::TigAccount;
-
-use crate::exit::ExitStats;
 
 /// Identifier of a VM.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -88,10 +85,6 @@ pub struct Vcpu {
     pub in_guest: bool,
     /// True while scheduled on a physical core (online in ES2 terms).
     pub running: bool,
-    /// Exit statistics for this vCPU.
-    pub exits: ExitStats,
-    /// Time-in-guest accounting.
-    pub tig: TigAccount,
     /// Flight-recorder correlation IDs for vectors pending on this vCPU.
     /// Observational only: the delivery path never reads it, and it stays
     /// empty unless span tracing is on.
@@ -110,8 +103,6 @@ impl Vcpu {
             vapic: VApicPage::new(),
             in_guest: false,
             running: false,
-            exits: ExitStats::new(),
-            tig: TigAccount::new(),
             corr: es2_apic::VectorCorrMap::new(),
             interrupts_handled: 0,
         }
@@ -460,17 +451,5 @@ mod tests {
             DeliveryOutcome::EmulatedKick,
             "post-degradation deliveries take the kick-IPI path"
         );
-    }
-
-    #[test]
-    fn tig_accounting_integrates_with_entries() {
-        use es2_sim::{SimDuration, SimTime};
-        let mut v = vcpu(InterruptPath::Posted);
-        let t0 = SimTime::ZERO;
-        v.tig.open_window(t0);
-        v.tig.enter_guest(t0);
-        v.tig.leave_guest(t0 + SimDuration::from_micros(90));
-        v.tig.close_window(t0 + SimDuration::from_micros(100));
-        assert!((v.tig.tig_percent() - 90.0).abs() < 1e-9);
     }
 }

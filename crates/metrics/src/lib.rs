@@ -6,10 +6,11 @@
 //! * [`tig`] — time-in-guest accounting ("calculated by summing up the time
 //!   of each VM entry and exit, and then dividing the result by the total
 //!   elapsed time"),
-//! * [`histogram`] — log-linear latency histograms (ping RTT, connection
-//!   times),
-//! * [`summary`] — streaming mean and maximum (Welford's running mean),
-//! * [`modes`] — per-VM interrupt delivery-mode accounting (posted vs
+//! * [`histogram`] — log-linear latency histograms (span stages, and the
+//!   quantiles of a [`summary`]),
+//! * [`summary`] — latency summary: histogram quantiles beside an exact
+//!   mean and maximum (rx latency),
+//! * [`modes`] — per-VM interrupt delivery-mode counts (posted vs
 //!   emulated, and the degradations between them),
 //! * [`span`] — the event-path flight recorder: per-interrupt causal
 //!   spans with stage-level latency attribution (`repro --trace`),
@@ -41,10 +42,10 @@ pub use backpressure::BackpressureStats;
 pub use histogram::Histogram;
 pub use modes::{ModeAccounting, VmModeCounts};
 pub use span::{SpanNotes, SpanRecorder, SpanReport, Stage};
-pub use summary::Summary;
+pub use summary::LatencySummary;
 pub use table::Table;
 pub use telemetry::{
     Annotation, BurnAlert, SloBreach, SloMetric, SloSpec, TelemetryGeometry, TelemetryRecorder,
     TelemetryReport,
 };
-pub use tig::TigAccount;
+pub use tig::GuestTime;

@@ -20,6 +20,11 @@
 use crate::json::Json;
 use crate::span::{chrome_trace, chrome_us, SpanReport};
 
+/// Width of the windows the testbed records into, in sim-time
+/// nanoseconds (1 ms). A geometry may name any width; every run uses
+/// this one.
+pub const WINDOW_NS: u64 = 1_000_000;
+
 /// Number of fixed log-2 rx-latency buckets per window (upper edges
 /// 2, 4, 8, 16, 32, 64, 128, 256 µs, then +inf).
 pub const RX_BUCKETS: usize = 9;

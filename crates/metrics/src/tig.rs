@@ -7,89 +7,81 @@
 //! time of each VM entry and exit, and then dividing the result by the total
 //! elapsed time."*
 //!
-//! [`TigAccount`] integrates guest-mode intervals for a vCPU against a
-//! measurement window; the testbed calls [`TigAccount::enter_guest`] /
-//! [`TigAccount::leave_guest`] on VM entries/exits and on context switches.
+//! [`GuestTime`] integrates the guest-mode intervals of one VM's vCPUs
+//! against a measurement window its owner keeps: the testbed's per-VM
+//! ledger calls [`GuestTime::enter`] / [`GuestTime::leave`] on VM entries,
+//! exits and context switches, and passes the window's start in.
 
 use es2_sim::{SimDuration, SimTime};
 
-/// Per-vCPU guest-mode time integrator.
+/// Guest-mode time integrator for the vCPUs of one VM.
 #[derive(Clone, Debug)]
-pub struct TigAccount {
-    in_guest_since: Option<SimTime>,
-    window_open: Option<SimTime>,
-    window_guest: SimDuration,
-    window_len: SimDuration,
+pub struct GuestTime {
+    /// Per vCPU: start of the guest-mode interval in progress.
+    since: Vec<Option<SimTime>>,
+    /// Per vCPU: guest-mode time inside the window.
+    in_window: Vec<SimDuration>,
 }
 
-impl Default for TigAccount {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TigAccount {
-    /// A fresh account outside guest mode with no open window.
-    pub fn new() -> Self {
-        TigAccount {
-            in_guest_since: None,
-            window_open: None,
-            window_guest: SimDuration::ZERO,
-            window_len: SimDuration::ZERO,
+impl GuestTime {
+    /// `vcpus` vCPUs, all outside guest mode.
+    pub fn new(vcpus: usize) -> Self {
+        GuestTime {
+            since: vec![None; vcpus],
+            in_window: vec![SimDuration::ZERO; vcpus],
         }
     }
 
-    /// Open the measurement window at `now` (after warm-up).
-    pub fn open_window(&mut self, now: SimTime) {
-        self.window_open = Some(now);
-        self.window_guest = SimDuration::ZERO;
-        // If currently in guest mode, only the part after `now` counts.
-        if let Some(since) = self.in_guest_since {
-            if since < now {
-                self.in_guest_since = Some(now);
-            }
-        }
-    }
-
-    /// Close the measurement window at `now`.
-    pub fn close_window(&mut self, now: SimTime) {
-        if self.in_guest_since.is_some() {
-            // Flush the open interval up to `now` into the window; the
-            // vCPU stays in guest mode.
-            self.leave_guest(now);
-            self.enter_guest(now);
-        }
-        if let Some(open) = self.window_open.take() {
-            self.window_len = now.since(open);
-        }
-    }
-
-    /// VM entry: the vCPU starts running guest code at `now`.
+    /// VM entry: vCPU `idx` starts running guest code at `now`.
     ///
-    /// Idempotent: entering while already in guest mode is a no-op (can
-    /// happen when a context switch and an entry coincide).
-    pub fn enter_guest(&mut self, now: SimTime) {
-        if self.in_guest_since.is_none() {
-            self.in_guest_since = Some(now);
-        }
+    /// Idempotent: entering with an interval already in progress keeps
+    /// the earlier start.
+    pub fn enter(&mut self, idx: usize, now: SimTime) {
+        self.since[idx].get_or_insert(now);
     }
 
-    /// VM exit (or the vCPU thread is descheduled) at `now`.
-    pub fn leave_guest(&mut self, now: SimTime) {
-        if let Some(since) = self.in_guest_since.take() {
-            if self.window_open.is_some() {
-                self.window_guest += now.saturating_since(since);
+    /// VM exit (or the vCPU thread is descheduled) at `now`. The part of
+    /// the interval after `window` (the open window's start, `None` when
+    /// no window is open) counts. Returns the interval's start, or `None`
+    /// when none was in progress.
+    pub fn leave(&mut self, idx: usize, now: SimTime, window: Option<SimTime>) -> Option<SimTime> {
+        let since = self.since[idx].take()?;
+        if let Some(open) = window {
+            self.in_window[idx] += now.saturating_since(since.max(open));
+        }
+        Some(since)
+    }
+
+    /// The window opened at `open` closes at `now`: intervals in progress
+    /// count up to `now` and stay in progress.
+    pub fn close_window(&mut self, open: SimTime, now: SimTime) {
+        for (since, ns) in self.since.iter().zip(&mut self.in_window) {
+            if let Some(since) = *since {
+                *ns += now.saturating_since(since.max(open));
             }
         }
     }
 
-    /// TIG percentage within the (closed) window, in `[0, 100]`.
-    pub fn tig_percent(&self) -> f64 {
-        if self.window_len.is_zero() {
-            0.0
-        } else {
-            100.0 * self.window_guest.as_secs_f64() / self.window_len.as_secs_f64()
-        }
+    /// Starts of the intervals still in progress.
+    pub fn in_progress(&self) -> impl Iterator<Item = SimTime> + '_ {
+        self.since.iter().flatten().copied()
+    }
+
+    /// Mean TIG percentage across the vCPUs over a closed window of
+    /// length `window`, in `[0, 100]` (0 for an empty window).
+    pub fn percent(&self, window: SimDuration) -> f64 {
+        let sum: f64 = self
+            .in_window
+            .iter()
+            .map(|g| {
+                if window.is_zero() {
+                    0.0
+                } else {
+                    100.0 * g.as_secs_f64() / window.as_secs_f64()
+                }
+            })
+            .sum();
+        sum / self.in_window.len() as f64
     }
 }
 
@@ -101,82 +93,82 @@ mod tests {
         SimTime::ZERO + SimDuration::from_micros(us)
     }
 
+    fn us(us: u64) -> SimDuration {
+        SimDuration::from_micros(us)
+    }
+
     #[test]
     fn full_guest_time_is_100_percent() {
-        let mut a = TigAccount::new();
-        a.open_window(t(0));
-        a.enter_guest(t(0));
-        a.leave_guest(t(1000));
-        a.close_window(t(1000));
-        assert!((a.tig_percent() - 100.0).abs() < 1e-9);
+        let mut g = GuestTime::new(1);
+        g.enter(0, t(0));
+        g.leave(0, t(1000), Some(t(0)));
+        g.close_window(t(0), t(1000));
+        assert!((g.percent(us(1000)) - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn alternating_guest_host() {
-        let mut a = TigAccount::new();
-        a.open_window(t(0));
-        // 3 x (70us guest + 30us host)
+        let mut g = GuestTime::new(2);
+        // vCPU 0: 3 x (70us guest + 30us host); vCPU 1 always in guest.
+        g.enter(1, t(0));
         for i in 0..3 {
-            a.enter_guest(t(i * 100));
-            a.leave_guest(t(i * 100 + 70));
+            g.enter(0, t(i * 100));
+            g.leave(0, t(i * 100 + 70), Some(t(0)));
         }
-        a.close_window(t(300));
-        assert!((a.tig_percent() - 70.0).abs() < 1e-9);
+        g.close_window(t(0), t(300));
+        assert!((g.percent(us(300)) - 85.0).abs() < 1e-9, "mean over vCPUs");
     }
 
     #[test]
     fn warmup_is_excluded() {
-        let mut a = TigAccount::new();
-        a.enter_guest(t(0));
-        a.leave_guest(t(100)); // before window
-        a.open_window(t(100));
-        a.enter_guest(t(100));
-        a.leave_guest(t(150));
-        a.close_window(t(200));
-        assert!((a.tig_percent() - 50.0).abs() < 1e-9);
+        let mut g = GuestTime::new(1);
+        g.enter(0, t(0));
+        g.leave(0, t(100), None); // before the window
+        g.enter(0, t(100));
+        g.leave(0, t(150), Some(t(100)));
+        g.close_window(t(100), t(200));
+        assert!((g.percent(us(100)) - 50.0).abs() < 1e-9);
     }
 
     #[test]
     fn window_opening_mid_guest_interval_truncates() {
-        let mut a = TigAccount::new();
-        a.enter_guest(t(0));
-        a.open_window(t(50));
-        a.leave_guest(t(100));
-        a.close_window(t(150));
+        let mut g = GuestTime::new(1);
+        g.enter(0, t(0));
+        assert_eq!(g.leave(0, t(100), Some(t(50))), Some(t(0)));
+        g.close_window(t(50), t(150));
         // Only 50us of the guest interval falls inside the window.
-        assert!((a.tig_percent() - 50.0).abs() < 1e-9);
+        assert!((g.percent(us(100)) - 50.0).abs() < 1e-9);
     }
 
     #[test]
     fn close_window_flushes_open_interval() {
-        let mut a = TigAccount::new();
-        a.open_window(t(0));
-        a.enter_guest(t(0));
-        a.close_window(t(80));
-        assert!((a.tig_percent() - 100.0).abs() < 1e-9);
+        let mut g = GuestTime::new(1);
+        g.enter(0, t(0));
+        g.close_window(t(0), t(80));
+        assert!((g.percent(us(80)) - 100.0).abs() < 1e-9);
+        assert_eq!(g.in_progress().collect::<Vec<_>>(), vec![t(0)]);
         // Still in guest mode afterwards; time after the close is not
         // charged to the closed window.
-        a.leave_guest(t(100));
-        assert!((a.tig_percent() - 100.0).abs() < 1e-9);
+        assert_eq!(g.leave(0, t(100), None), Some(t(0)));
+        assert!((g.percent(us(80)) - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn double_enter_is_idempotent() {
-        let mut a = TigAccount::new();
-        a.open_window(t(0));
-        a.enter_guest(t(0));
-        a.enter_guest(t(10)); // ignored
-        a.leave_guest(t(20));
-        a.close_window(t(20));
-        assert!((a.tig_percent() - 100.0).abs() < 1e-9);
+        let mut g = GuestTime::new(1);
+        g.enter(0, t(0));
+        g.enter(0, t(10)); // ignored
+        assert_eq!(g.leave(0, t(20), Some(t(0))), Some(t(0)));
+        g.close_window(t(0), t(20));
+        assert!((g.percent(us(20)) - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn leave_without_enter_is_noop() {
-        let mut a = TigAccount::new();
-        a.open_window(t(0));
-        a.leave_guest(t(10));
-        a.close_window(t(10));
-        assert_eq!(a.tig_percent(), 0.0);
+        let mut g = GuestTime::new(1);
+        assert_eq!(g.leave(0, t(10), Some(t(0))), None);
+        g.close_window(t(0), t(10));
+        assert_eq!(g.percent(us(10)), 0.0);
+        assert_eq!(g.in_progress().count(), 0);
     }
 }

@@ -696,6 +696,6 @@ mod tests {
         let b = run_one(EventPathConfig::pi(), Topology::micro(), spec, fast(), 7);
         assert_eq!(a.goodput_gbps, b.goodput_gbps);
         assert_eq!(a.kicks_total, b.kicks_total);
-        assert_eq!(a.exits.windowed_total(), b.exits.windowed_total());
+        assert_eq!(a.exits, b.exits);
     }
 }

@@ -530,13 +530,7 @@ impl Machine {
     /// Apply the protocol effect of one received packet (inside NAPI).
     fn guest_rx_effect(&mut self, vm: u32, idx: u32, pkt: Packet) {
         let vmi = vm as usize;
-        let us = self.now.saturating_since(pkt.created_at).as_micros_f64();
-        self.vms[vmi].rx_latency.add(us);
-        self.vms[vmi].rx_hist.record(us as u64);
-        if let Some(t) = self.tel.as_deref_mut() {
-            let lat_ns = self.now.saturating_since(pkt.created_at).as_nanos();
-            t.on_rx_latency(vm, self.now.as_nanos(), lat_ns);
-        }
+        self.note_rx_latency(vm, self.now.saturating_since(pkt.created_at).as_nanos());
         match pkt.kind {
             PacketKind::Data => {
                 let win = self.window_open;

@@ -89,7 +89,7 @@ pub(crate) fn check(m: &Machine) -> LivenessReport {
         // the watchdog's spurious re-raises coalesce in the IRR, so they
         // must never manufacture extra handled interrupts).
         let handled: u64 = vm.vcpus.iter().map(|v| v.interrupts_handled()).sum();
-        let counts = m.modes.vm(vmi);
+        let counts = vm.ledger.modes;
         let delivered = counts.posted + counts.emulated;
         if handled > delivered {
             rep.fail(format!(

@@ -21,7 +21,6 @@ use es2_hypervisor::{
     AffinityRouter, DeliveryOutcome, ExitReason, InterruptPath, MsiRouter, RouteCtx, Vcpu, VcpuId,
     VmId,
 };
-use es2_metrics::ModeAccounting;
 use es2_net::{Link, NicQueue, Packet, PacketFactory};
 use es2_sched::{CfsScheduler, CoreId, Switch, ThreadId, ThreadState};
 use es2_sim::{
@@ -238,8 +237,6 @@ pub(crate) struct VmState {
     /// Diagnostics: interrupts parked on offline vCPUs / later migrated.
     pub(crate) parked_count: u64,
     pub(crate) migrated_count: u64,
-    /// One-way latency from packet creation to guest NAPI consumption.
-    pub(crate) rx_latency: es2_metrics::Summary,
     /// Posted-interrupt hardware failed for this VM (graceful-degradation
     /// state: all further deliveries take the emulated path).
     pub(crate) pi_failed: bool,
@@ -251,9 +248,9 @@ pub(crate) struct VmState {
     pub(crate) guest_rtos: u64,
     /// Per-VM overload-control ledger (throttle/budget/quarantine events).
     pub(crate) bp: es2_metrics::BackpressureStats,
-    /// Per-VM RX one-way latency histogram (the blast-radius p99 source;
-    /// `rx_latency` keeps the streaming mean for existing reports).
-    pub(crate) rx_hist: es2_metrics::Histogram,
+    /// Exits, guest time, delivery modes and rx latency, each recorded
+    /// once (`Machine::note_*`); travels with the VM on migration.
+    pub(crate) ledger: crate::telemetry::VmLedger,
     /// Device interrupts (TX-clean + RX, not timers) handled per vCPU —
     /// the per-queue MSI steering ledger. Observational only.
     pub(crate) device_irqs_per_vcpu: Vec<u64>,
@@ -545,8 +542,6 @@ pub struct Machine {
     /// Deterministic fault decision engine (inert for the empty plan: the
     /// clean path performs zero extra RNG draws and schedules no events).
     pub(crate) faults: FaultInjector,
-    /// Per-VM delivery-mode ledger (posted vs emulated, degradations).
-    pub(crate) modes: ModeAccounting,
     /// Event-path flight recorder (`Params::trace`). Strictly
     /// observational: `None` unless tracing is on, and every hook is
     /// gated on that so the untraced hot path pays one pointer test.
@@ -752,13 +747,12 @@ impl Machine {
                 parked_irqs: Vec::new(),
                 parked_count: 0,
                 migrated_count: 0,
-                rx_latency: es2_metrics::Summary::new(),
                 pi_failed: false,
                 watchdog_rekicks: 0,
                 watchdog_reraises: 0,
                 guest_rtos: 0,
                 bp: es2_metrics::BackpressureStats::default(),
-                rx_hist: es2_metrics::Histogram::new(),
+                ledger: crate::telemetry::VmLedger::new(topo.vcpus_per_vm as usize),
                 device_irqs_per_vcpu: vec![0; topo.vcpus_per_vm as usize],
             });
         }
@@ -806,7 +800,6 @@ impl Machine {
             window_open: false,
             end_time,
             faults: FaultInjector::new(plan, seed),
-            modes: ModeAccounting::new(topo.num_vms as usize),
             spans: if params.trace {
                 Some(Box::new(crate::spans::SpanTracker::new(
                     topo.num_vms as usize,
@@ -817,13 +810,11 @@ impl Machine {
                 None
             },
             tel: if params.telemetry {
-                let vcpu_counts = vec![topo.vcpus_per_vm; topo.num_vms as usize];
                 Some(Box::new(crate::telemetry::TelemetryHooks::new(
-                    &vcpu_counts,
+                    topo.num_vms as usize,
                     num_workers,
                     num_pairs as usize,
                     ExitReason::COUNT,
-                    params.telemetry_window.as_nanos().max(1),
                 )))
             } else {
                 None
@@ -1214,22 +1205,14 @@ impl Machine {
             Ev::PiFail => self.on_pi_fail(),
             Ev::OpenWindow => {
                 self.window_open = true;
-                let now = self.now;
                 for vm in &mut self.vms {
-                    for v in &mut vm.vcpus {
-                        v.exits.open_window(now);
-                        v.tig.open_window(now);
-                    }
+                    vm.ledger.open_window(self.now);
                 }
             }
             Ev::CloseWindow => {
                 self.window_open = false;
-                let now = self.now;
                 for vm in &mut self.vms {
-                    for v in &mut vm.vcpus {
-                        v.exits.close_window(now);
-                        v.tig.close_window(now);
-                    }
+                    vm.ledger.close_window(self.now);
                 }
             }
             Ev::MigrateStart { vm } => self.on_migrate_start(vm),
@@ -1332,15 +1315,10 @@ impl Machine {
             if vcpu.in_guest {
                 // Preemption forces a world switch out of guest mode.
                 vcpu.vm_exit();
-                vcpu.exits.record(ExitReason::Other);
-                vcpu.tig.leave_guest(now);
             }
             vcpu.sched_out();
             if preempted_in_guest {
-                if let Some(t) = self.tel.as_deref_mut() {
-                    t.on_exit(vm, ExitReason::Other.idx(), now.as_nanos());
-                    t.on_leave_guest(vm, idx, now.as_nanos());
-                }
+                self.note_exit(vm, idx, ExitReason::Other);
             }
             if let Some(r) = &mut self.router {
                 r.on_sched_change(VcpuId::new(vm, idx), false);
@@ -1448,35 +1426,24 @@ impl Machine {
 
     /// Record an exit of `reason` and transition the vCPU to root mode.
     pub(crate) fn do_vm_exit(&mut self, vm: u32, idx: u32, reason: ExitReason) {
-        let now = self.now;
         let vcpu = &mut self.vms[vm as usize].vcpus[idx as usize];
         debug_assert!(vcpu.in_guest);
         vcpu.vm_exit();
-        vcpu.exits.record(reason);
-        vcpu.tig.leave_guest(now);
         self.vms[vm as usize].vctx[idx as usize].cache_cold = true;
-        if let Some(t) = self.tel.as_deref_mut() {
-            t.on_exit(vm, reason.idx(), now.as_nanos());
-            t.on_leave_guest(vm, idx, now.as_nanos());
-        }
+        self.note_exit(vm, idx, reason);
     }
 
     /// VM entry: transition to guest mode, then dispatch what the guest
     /// does next — an injected/pending interrupt handler, a resumed
     /// interrupted segment, or fresh application work.
     pub(crate) fn vm_entry_and_dispatch(&mut self, vm: u32, idx: u32) {
-        let now = self.now;
         let tid = self.vms[vm as usize].vcpu_tids[idx as usize];
         let injected = {
             let vcpu = &mut self.vms[vm as usize].vcpus[idx as usize];
             debug_assert!(!vcpu.in_guest);
-            let injected = vcpu.vm_entry();
-            vcpu.tig.enter_guest(now);
-            injected
+            vcpu.vm_entry()
         };
-        if let Some(t) = self.tel.as_deref_mut() {
-            t.on_enter_guest(vm, idx, now.as_nanos());
-        }
+        self.note_guest_enter(vm, idx);
         // Emulated path: the entry injected at most one vector. Posted
         // path: the entry synchronized PIR→vIRR; take from the vAPIC.
         // Keyed off the vCPU's *current* path, not the static config: a
@@ -1614,21 +1581,8 @@ impl Machine {
     /// device MSI), performing the configured delivery machinery.
     pub(crate) fn deliver_to_vcpu(&mut self, vm: u32, idx: u32, vector: Vector) {
         let outcome = self.vms[vm as usize].vcpus[idx as usize].deliver(vector);
-        match outcome {
-            DeliveryOutcome::EmulatedKick | DeliveryOutcome::EmulatedPendingEntry => {
-                self.modes.note_emulated(vm as usize);
-            }
-            DeliveryOutcome::PiNotify | DeliveryOutcome::PiPosted => {
-                self.modes.note_posted(vm as usize);
-            }
-        }
-        if let Some(t) = self.tel.as_deref_mut() {
-            let posted = matches!(
-                outcome,
-                DeliveryOutcome::PiNotify | DeliveryOutcome::PiPosted
-            );
-            t.on_msi(vm, self.now.as_nanos(), posted);
-        }
+        let posted = matches!(outcome, DeliveryOutcome::PiNotify | DeliveryOutcome::PiPosted);
+        self.note_msi(vm, posted);
         match outcome {
             DeliveryOutcome::EmulatedKick => {
                 self.q.push(
@@ -1924,13 +1878,8 @@ impl Machine {
             return false;
         }
         self.vms[vmi].vctx[idx as usize].pending_spurious_eois -= 1;
-        self.vms[vmi].vcpus[idx as usize]
-            .exits
-            .record(ExitReason::ApicAccess);
         self.vms[vmi].vctx[idx as usize].cache_cold = true;
-        if let Some(t) = self.tel.as_deref_mut() {
-            t.on_exit(vm, ExitReason::ApicAccess.idx(), self.now.as_nanos());
-        }
+        self.note_exit(vm, idx, ExitReason::ApicAccess);
         self.tracer
             .record(self.now, "eoi-storm", vm as u64, idx as u64);
         let tid = self.vms[vmi].vcpu_tids[idx as usize];
@@ -2183,7 +2132,7 @@ impl Machine {
                 }
                 self.vms[vmi].vcpus[idx].degrade_to_emulated();
                 self.faults.note_pi_degradation();
-                self.modes.note_degradation(vmi);
+                self.vms[vmi].ledger.modes.degradations += 1;
                 self.tracer
                     .record(self.now, "pi-degrade", vmi as u64, idx as u64);
                 if let Some(t) = self.tel.as_deref_mut() {

@@ -52,7 +52,6 @@ use es2_sim::{SimDuration, SimTime};
 use es2_virtio::{VhostPool, Virtqueue, VirtqueueConfig};
 
 use es2_core::HybridHandler;
-use es2_metrics::VmModeCounts;
 use es2_sched::{ThreadId, ThreadState};
 
 use crate::machine::{Ev, Machine, QueuePair, Segment, VcpuCtx, VmState};
@@ -185,8 +184,6 @@ pub(crate) struct VmSnapshot {
     pub(crate) vhost_segs: Vec<Option<Segment>>,
     /// Which vhost workers were running/runnable at pause.
     pub(crate) vhost_active: Vec<bool>,
-    /// The VM's delivery-mode ledger row (travels with the VM).
-    pub(crate) modes: VmModeCounts,
     /// Full blackout for this move (pause + copy + resume).
     pub(crate) blackout: SimDuration,
     pub(crate) resume_cost: SimDuration,
@@ -527,7 +524,6 @@ impl Machine {
             + SimDuration::from_nanos(costs.copy_per_unit.as_nanos().saturating_mul(dirty));
         let blackout = costs.pause + copy_cost + costs.resume;
 
-        let modes = self.modes.take_vm(vmi);
         let spec = std::mem::replace(&mut self.specs[vmi], WorkloadSpec::IdleQuiet);
         let fresh = Self::blank_vm_state(
             &self.p,
@@ -570,7 +566,6 @@ impl Machine {
             vcpu_active,
             vhost_segs,
             vhost_active,
-            modes,
             blackout,
             resume_cost: costs.resume,
         })
@@ -598,7 +593,6 @@ impl Machine {
         }
         self.vms[vmi] = st;
         self.specs[vmi] = snap.spec;
-        self.modes.merge_vm(vmi, snap.modes);
 
         for (i, seg) in snap.vcpu_segs.into_iter().enumerate() {
             let tid = vcpu_tids[i];
@@ -1161,13 +1155,12 @@ impl Machine {
             parked_irqs: Vec::new(),
             parked_count: 0,
             migrated_count: 0,
-            rx_latency: es2_metrics::Summary::new(),
             pi_failed: false,
             watchdog_rekicks: 0,
             watchdog_reraises: 0,
             guest_rtos: 0,
             bp: es2_metrics::BackpressureStats::default(),
-            rx_hist: es2_metrics::Histogram::new(),
+            ledger: crate::telemetry::VmLedger::new(nv),
             device_irqs_per_vcpu: vec![0; nv],
         }
     }

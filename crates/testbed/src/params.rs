@@ -319,17 +319,13 @@ pub struct Params {
     /// (0 = stage histograms only, no event log).
     pub trace_events: u32,
     /// Enable the windowed telemetry pipeline
-    /// (`es2_metrics::telemetry`): fixed-width sim-time windows of
+    /// (`es2_metrics::telemetry`): 1 ms sim-time windows of
     /// per-VM/per-queue/per-worker gauges plus the causal annotation
     /// stream, returned in `RunResult::telemetry`. Observational and
     /// sim-time only — a telemetered run's figures are bitwise
     /// identical to an untelemetered run's (`repro selfcheck`
     /// compares exactly that).
     pub telemetry: bool,
-    /// Telemetry window width (sim time). Windows are assigned at
-    /// record time (`window = now / width`); no boundary events are
-    /// scheduled.
-    pub telemetry_window: SimDuration,
 }
 
 impl Default for Params {
@@ -401,7 +397,6 @@ impl Default for Params {
             trace: false,
             trace_events: 0,
             telemetry: false,
-            telemetry_window: SimDuration::from_millis(1),
         }
     }
 }

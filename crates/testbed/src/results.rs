@@ -12,7 +12,7 @@ use crate::workload::{ExtWl, GuestWl, WorkloadSpec};
 pub struct RunResult {
     /// Configuration label ("Baseline", "PI", ...).
     pub config: &'static str,
-    /// Merged exit statistics across the tested VM's vCPUs (windowed).
+    /// The tested VM's exit counts per reason, lifetime and windowed.
     pub exits: ExitStats,
     /// Mean time-in-guest percentage across the tested VM's vCPUs.
     pub tig_percent: f64,
@@ -48,9 +48,10 @@ pub struct RunResult {
     /// Parked interrupts migrated to a sibling that came online sooner.
     pub migrated_irqs: u64,
     /// Mean one-way latency from packet creation (external host or guest)
-    /// to guest NAPI consumption, in microseconds.
+    /// to guest NAPI consumption inside the window, in microseconds.
     pub mean_rx_latency_us: f64,
-    /// Maximum observed one-way receive latency, in microseconds.
+    /// Maximum one-way receive latency inside the window, in
+    /// microseconds.
     pub max_rx_latency_us: f64,
     /// Total events the run pushed through the simulation queue
     /// (lifetime; the denominator for events/sec perf reporting).
@@ -58,8 +59,9 @@ pub struct RunResult {
     /// Faults the plan actually injected over this run (all zeros for the
     /// empty plan).
     pub fault_stats: es2_sim::FaultStats,
-    /// Per-VM interrupt delivery-mode ledger (posted vs emulated counts
-    /// and degradation events — the graceful-degradation audit trail).
+    /// Per-VM interrupt delivery-mode counts (posted vs emulated
+    /// deliveries and degradation events, lifetime — the
+    /// graceful-degradation audit trail).
     pub modes: es2_metrics::ModeAccounting,
     /// Lost kicks re-issued by the liveness watchdog (tested VM).
     pub watchdog_rekicks: u64,
@@ -77,8 +79,8 @@ pub struct RunResult {
     /// The same ledger broken out per VM (index = VM id) — the
     /// blast-radius evidence that only the hostile VM paid.
     pub backpressure_per_vm: Vec<es2_metrics::BackpressureStats>,
-    /// Per-VM p99 one-way receive latency in microseconds (0 for VMs
-    /// that received nothing).
+    /// Per-VM p99 one-way receive latency inside the window, in
+    /// microseconds (0 for VMs that received nothing).
     pub rx_p99_us_per_vm: Vec<u64>,
     /// Queue quarantine episodes across all VMs (tx + rx, lifetime).
     pub quarantines_total: u64,
@@ -129,15 +131,8 @@ impl RunResult {
 
     pub(crate) fn collect(mut m: Machine) -> RunResult {
         let spans = m.spans.take().map(|tr| tr.finish());
-        let telemetry = m.tel.take().map(|t| t.finish(m.now.as_nanos()));
+        let telemetry = m.finish_telemetry();
         let vm0 = &m.vms[0];
-        let mut exits = ExitStats::new();
-        let mut tig_sum = 0.0;
-        for v in &vm0.vcpus {
-            exits.merge(&v.exits);
-            tig_sum += v.tig.tig_percent();
-        }
-        let tig_percent = tig_sum / vm0.vcpus.len() as f64;
         let window = m.p.measure;
         let secs = window.as_secs_f64();
 
@@ -212,7 +207,7 @@ impl RunResult {
         for vm in &m.vms {
             backpressure.merge(&vm.bp);
             backpressure_per_vm.push(vm.bp);
-            rx_p99_us_per_vm.push(vm.rx_hist.p99());
+            rx_p99_us_per_vm.push(vm.ledger.rx.p99_us());
             for pair in &vm.pairs {
                 quarantines_total += pair.tx.quarantine_count() + pair.rx.quarantine_count();
                 queue_resets_total += pair.tx.reset_count() + pair.rx.reset_count();
@@ -229,8 +224,8 @@ impl RunResult {
 
         RunResult {
             config: m.cfg.label(),
-            exits,
-            tig_percent,
+            exits: vm0.ledger.exits.clone(),
+            tig_percent: vm0.ledger.tig_percent(),
             window,
             goodput_gbps,
             ops_per_sec,
@@ -250,11 +245,13 @@ impl RunResult {
             polling_entries: vm0.pairs.iter().map(|p| p.tx_handler.polling_entries()).sum(),
             parked_irqs: vm0.parked_count,
             migrated_irqs: vm0.migrated_count,
-            mean_rx_latency_us: vm0.rx_latency.mean(),
-            max_rx_latency_us: vm0.rx_latency.max(),
+            mean_rx_latency_us: vm0.ledger.rx.mean_us(),
+            max_rx_latency_us: vm0.ledger.rx.max_us(),
             events_simulated: m.q.pushed_total(),
             fault_stats: m.faults.stats(),
-            modes: m.modes.clone(),
+            modes: es2_metrics::ModeAccounting {
+                per_vm: m.vms.iter().map(|vm| vm.ledger.modes).collect(),
+            },
             watchdog_rekicks: vm0.watchdog_rekicks,
             watchdog_reraises: vm0.watchdog_reraises,
             guest_rtos: vm0.guest_rtos,

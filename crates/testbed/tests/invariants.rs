@@ -6,8 +6,12 @@
 
 use es2_core::EventPathConfig;
 use es2_hypervisor::ExitReason;
-use es2_sim::SimDuration;
-use es2_testbed::{experiments, Params, Topology, WorkloadSpec};
+use es2_metrics::telemetry::WINDOW_NS;
+use es2_sim::{SimDuration, SimTime};
+use es2_testbed::{
+    experiments, Cluster, ClusterSpec, Machine, Params, PlannedMove, RunResult, Topology,
+    WorkloadSpec,
+};
 use es2_workloads::NetperfSpec;
 
 fn fast() -> Params {
@@ -213,4 +217,94 @@ fn all_active_scale_cell_stays_live() {
     };
     let (_, live) = experiments::scale_active_spec(8, params, 7).run_checked();
     assert!(live.ok(), "liveness violations: {:?}", live.violations);
+}
+
+/// The per-VM ledger and the telemetry series record the same calls, so
+/// for the tested VM (slot 0) the ledger's windowed exits per reason,
+/// in-window guest time and rx-latency mean and maximum equal the series
+/// summed over the windows inside `[warmup, warmup + measure)`. Warm-up
+/// samples in the ledger's rx figures break the equality. In the
+/// migration cell slot 0 moves from host 0 to host 1 mid-window: the
+/// series splits it across the two hosts, and the ledger travels whole.
+#[test]
+fn ledger_matches_the_series_inside_the_window() {
+    let params = Params {
+        warmup: SimDuration::from_millis(20),
+        measure: SimDuration::from_millis(100),
+        telemetry: true,
+        ..Params::default()
+    };
+    let tcp = || WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024));
+    let single = |cfg: EventPathConfig, topo: Topology, spec: WorkloadSpec| -> Vec<RunResult> {
+        vec![Machine::new(cfg, topo, spec, params, 3).run()]
+    };
+    let migrate = || -> Vec<RunResult> {
+        let cfg = EventPathConfig::pi_h_r(es2_core::HybridParams::TCP_QUOTA);
+        let mut spec = ClusterSpec::new(cfg, 2, vec![tcp(), tcp(), tcp()], 2, 2, params, 11);
+        spec.moves = vec![PlannedMove {
+            vm: 0,
+            to: 1,
+            at: SimTime::ZERO + SimDuration::from_millis(60),
+        }];
+        let r = Cluster::new(spec).run();
+        assert_eq!(r.final_host[0], Some(1), "slot 0 did not move");
+        r.per_host.into_iter().map(|h| h.result).collect()
+    };
+    let cells: [(&str, Vec<RunResult>); 3] = [
+        (
+            "baseline tcp send",
+            single(EventPathConfig::baseline(), Topology::micro(), tcp()),
+        ),
+        (
+            "es2 memcached, multiplexed",
+            single(
+                EventPathConfig::pi_h_r(es2_core::HybridParams::TCP_QUOTA),
+                Topology::multiplexed(),
+                WorkloadSpec::Memcached,
+            ),
+        ),
+        ("migration", migrate()),
+    ];
+
+    let lo = params.warmup.as_nanos() / WINDOW_NS;
+    let hi = (params.warmup + params.measure).as_nanos() / WINDOW_NS;
+    let window_ns = params.measure.as_nanos() as f64;
+    for (name, hosts) in cells {
+        let mut ledger_exits = [0u64; ExitReason::COUNT];
+        let mut ledger_guest_ns = 0.0;
+        let mut ledger_rx = Vec::new();
+        let mut series_exits = [0u64; ExitReason::COUNT];
+        let (mut series_guest_ns, mut count, mut sum_ns, mut max_ns) = (0u64, 0u64, 0u64, 0u64);
+        for r in &hosts {
+            for (k, n) in r.exits.windowed.iter().enumerate() {
+                ledger_exits[k] += n;
+            }
+            // One device-IRQ counter per vCPU of the tested VM.
+            let vcpus = r.device_irqs_per_vcpu.len() as f64;
+            ledger_guest_ns += r.tig_percent / 100.0 * vcpus * window_ns;
+            if r.max_rx_latency_us > 0.0 {
+                ledger_rx.push((r.mean_rx_latency_us, r.max_rx_latency_us));
+            }
+            let series = r.telemetry.as_ref().expect("telemetry on");
+            for w in series.windows.iter().filter(|w| (lo..hi).contains(&w.idx)) {
+                let vm = &w.vms[0];
+                for (k, n) in vm.exits.iter().enumerate() {
+                    series_exits[k] += n;
+                }
+                series_guest_ns += vm.guest_ns;
+                count += vm.rx_lat_count;
+                sum_ns += vm.rx_lat_sum_ns;
+                max_ns = max_ns.max(vm.rx_lat_max_ns);
+            }
+        }
+        assert_eq!(ledger_exits, series_exits, "{name}: windowed exits");
+        assert!(series_exits.iter().sum::<u64>() > 0, "{name}: no exits");
+        assert!(
+            (ledger_guest_ns - series_guest_ns as f64).abs() < 1.0,
+            "{name}: guest ns {ledger_guest_ns} vs {series_guest_ns}"
+        );
+        assert!(count > 0, "{name}: no rx samples in the window");
+        let series_rx = (sum_ns as f64 / count as f64 / 1e3, max_ns as f64 / 1e3);
+        assert_eq!(ledger_rx, vec![series_rx], "{name}: rx (mean, max) µs");
+    }
 }

@@ -229,7 +229,7 @@ fn runs_are_deterministic_per_seed_across_configs() {
         let a = experiments::run_one(cfg, Topology::micro(), spec, fast(), 99);
         let b = experiments::run_one(cfg, Topology::micro(), spec, fast(), 99);
         assert_eq!(a.goodput_gbps, b.goodput_gbps, "{}", cfg.label());
-        assert_eq!(a.exits.windowed_total(), b.exits.windowed_total());
+        assert_eq!(a.exits, b.exits);
         assert_eq!(a.kicks_total, b.kicks_total);
     }
 }

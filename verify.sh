@@ -47,8 +47,8 @@ fi
 # instead of passing as a speed-up. Each pin is "seed workload digest".
 # ES2_THREADS is cleared, as perfbench/run.py does.
 cargo build --release --offline -q --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
-for pin in "1 sweep 7293ff7c6422dac9" "1 dense 524da1bc611269a3" "1 cell e7455fdb3b68525b" \
-           "7 sweep 8f1578681ea69c2c" "7 dense 5c97631da708c398" "7 cell e0775717bd7a1495"; do
+for pin in "1 sweep 7b99ca24416e2e7a" "1 dense bfce23d0dabb6151" "1 cell eb7bcb5cc9f8d13a" \
+           "7 sweep aac36da692208e35" "7 dense e3c4f7a15bd02235" "7 cell 0a9ab96c5786c2c8"; do
     set -- $pin
     env -u ES2_THREADS \
         target/perfbench/release/perfbench --workload "$2" --seed "$1" --seconds 0.1 \
