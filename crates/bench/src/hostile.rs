@@ -16,7 +16,7 @@
 
 use es2_core::EventPathConfig;
 use es2_metrics::json::Json;
-use es2_sim::FaultPlan;
+use es2_sim::{exec, FaultPlan};
 use es2_testbed::experiments::{self};
 use es2_testbed::{BackpressureParams, Machine, Params, RunResult, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
@@ -48,32 +48,21 @@ impl HostileCell {
     }
 }
 
-fn run_pair(cfg: EventPathConfig, params: Params, seed: u64) -> HostileCell {
+/// One run of the victim/hostile pair of VMs under `cfg`, with the
+/// hostile plan or without it: the result and whether liveness held.
+fn run_one(cfg: EventPathConfig, params: Params, seed: u64, hostile: bool) -> (RunResult, bool) {
     let topo = Topology::multiplexed();
-    let specs = || {
-        let mut v = vec![WorkloadSpec::Idle; topo.num_vms as usize];
-        v[0] = WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024));
-        v[HOSTILE_VM as usize] = WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024));
-        v
+    let mut specs = vec![WorkloadSpec::Idle; topo.num_vms as usize];
+    specs[0] = WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024));
+    specs[HOSTILE_VM as usize] = WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024));
+    let plan = if hostile {
+        experiments::hostile_plan(HOSTILE_VM)
+    } else {
+        FaultPlan::none()
     };
-    let (clean, clean_live) =
-        Machine::with_specs_faulted(cfg, topo, specs(), params, seed, FaultPlan::none())
-            .run_checked();
-    let (hostile, hostile_live) = Machine::with_specs_faulted(
-        cfg,
-        topo,
-        specs(),
-        params,
-        seed,
-        experiments::hostile_plan(HOSTILE_VM),
-    )
-    .run_checked();
-    HostileCell {
-        config: cfg.label(),
-        clean,
-        hostile,
-        liveness_ok: clean_live.ok() && hostile_live.ok(),
-    }
+    let (result, live) =
+        Machine::with_specs_faulted(cfg, topo, specs, params, seed, plan).run_checked();
+    (result, live.ok())
 }
 
 /// Run the blast-radius sweep and return `(deterministic_report, json, None)`.
@@ -93,10 +82,23 @@ pub fn hostile_report(params: Params, seed: u64, fast: bool) -> (String, Json, O
             EventPathConfig::pi_h(4),
         ]
     };
-    let cells: Vec<HostileCell> = configs
+    // Every clean and hostile run is an independent cell of one sweep,
+    // which returns them in input order.
+    let grid: Vec<(EventPathConfig, bool)> = configs
         .iter()
-        .map(|&cfg| run_pair(cfg, params, seed))
+        .flat_map(|&cfg| [(cfg, false), (cfg, true)])
         .collect();
+    let mut runs = exec::sweep(&grid, |&(cfg, hostile)| run_one(cfg, params, seed, hostile))
+        .into_iter();
+    let mut cells: Vec<HostileCell> = Vec::new();
+    while let (Some((clean, clean_ok)), Some((hostile, hostile_ok))) = (runs.next(), runs.next()) {
+        cells.push(HostileCell {
+            config: clean.config,
+            clean,
+            hostile,
+            liveness_ok: clean_ok && hostile_ok,
+        });
+    }
 
     let mut t = Table::new(
         format!(

@@ -27,8 +27,8 @@ pub(crate) struct Check {
     args: &'static [&'static str],
     /// Compare the serial run against N threads (stdout and JSON).
     threads: bool,
-    /// Compare the serial run against runs with `Params::trace` and
-    /// with `Params::telemetry` on (stdout and JSON).
+    /// Compare the serial run against runs with `Params::trace` on,
+    /// with `Params::telemetry` on, and with both on (stdout and JSON).
     recorders: bool,
     /// Substrings the serial stdout must contain.
     contains: &'static [&'static str],
@@ -127,6 +127,11 @@ impl Check {
         if self.recorders {
             others.push(("trace on".into(), 1, |p| Params { trace: true, ..p }));
             others.push(("telemetry on".into(), 1, |p| Params {
+                telemetry: true,
+                ..p
+            }));
+            others.push(("trace + telemetry on".into(), 1, |p| Params {
+                trace: true,
                 telemetry: true,
                 ..p
             }));

@@ -24,7 +24,7 @@ use es2_core::EventPathConfig;
 use es2_metrics::json::Json;
 use es2_metrics::telemetry::WINDOW_NS;
 use es2_metrics::{Annotation, SloMetric, SloSpec, TelemetryReport};
-use es2_sim::{FaultPlan, SimDuration, SimTime};
+use es2_sim::{exec, FaultPlan, SimDuration, SimTime};
 use es2_testbed::{
     experiments, Cluster, ClusterSpec, Machine, Params, PlannedMove, ShardPolicy, Topology,
     WorkloadSpec,
@@ -307,16 +307,15 @@ fn ms(ns: u64) -> f64 {
 pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, Json, Option<Json>) {
     use es2_metrics::Table;
 
-    let mut cells: Vec<TelCell> = Vec::new();
-    for cfg in configs() {
-        cells.push(run_chaos(cfg, params, seed));
-    }
-    for cfg in configs() {
-        cells.push(run_migrate(cfg, params, seed));
-    }
-    for cfg in configs() {
-        cells.push(run_mq(cfg, params, seed));
-    }
+    // Nine independent (topology, event path) cells on one sweep; it
+    // returns them in this order whatever the thread count.
+    type Run = fn(EventPathConfig, Params, u64) -> TelCell;
+    let runs: [Run; 3] = [run_chaos, run_migrate, run_mq];
+    let grid: Vec<(Run, EventPathConfig)> = runs
+        .iter()
+        .flat_map(|&run| configs().map(|cfg| (run, cfg)))
+        .collect();
+    let cells = exec::sweep(&grid, |&(run, cfg)| run(cfg, params, seed));
 
     let specs = slo_specs();
 

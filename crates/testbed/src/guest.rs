@@ -364,23 +364,10 @@ impl Machine {
     /// Start the guest handler for `vector` on a vCPU in guest mode.
     pub(crate) fn begin_irq(&mut self, vm: u32, idx: u32, vector: u8) {
         let vmi = vm as usize;
-        if self.spans.is_some() {
-            // Injection point: a traced span (timer vectors never carry
-            // one) closes its delivery stages here; every handler enters
-            // the tracker's nesting ledger either way.
-            let corr = self.vms[vmi].vcpus[idx as usize].corr.take(vector);
-            let w = self.window_open;
-            if let Some(tr) = self.spans.as_deref_mut() {
-                tr.on_irq_begin(vm, idx, corr, self.now.as_nanos(), w);
-            }
-        }
+        let pair = self.vms[vmi].vector_pair(vector);
+        self.note_irq_begin(vm, idx, vector, pair.is_some());
         let tid = self.vms[vmi].vcpu_tids[idx as usize];
-        if self.vms[vmi].vector_pair(vector).is_some() {
-            // Steering ledger: which vCPU ended up handling each device
-            // interrupt (observational; timer vectors excluded).
-            self.vms[vmi].device_irqs_per_vcpu[idx as usize] += 1;
-        }
-        let (kind, dur) = match self.vms[vmi].vector_pair(vector) {
+        let (kind, dur) = match pair {
             Some((qi, false)) => {
                 // NAPI: mask further RX interrupts on this pair, poll a
                 // batch.
@@ -488,9 +475,7 @@ impl Machine {
     /// after a mid-run posted→emulated degradation the very same handler
     /// completes through the emulated EOI machinery.
     fn eoi_sequence(&mut self, vm: u32, idx: u32) {
-        if let Some(tr) = self.spans.as_deref_mut() {
-            tr.on_handler_end(vm, idx, self.now.as_nanos(), self.window_open);
-        }
+        self.note_handler_end(vm, idx);
         // Hostile-guest hook: the plan's target VM may follow the real EOI
         // with a burst of spurious EOI writes. The vAPIC absorbs them
         // exit-free; on the emulated path each write is one more
@@ -498,7 +483,7 @@ impl Machine {
         // Well-behaved VMs take the zero fast path with zero RNG draws.
         let storm = self.faults.on_hostile_eoi(vm);
         if storm > 0 {
-            self.vms[vm as usize].bp.spurious_eois += storm as u64;
+            self.note_eoi_storm(vm, idx, storm);
             if self.vms[vm as usize].vcpus[idx as usize].path != InterruptPath::Posted {
                 self.vms[vm as usize].vctx[idx as usize].pending_spurious_eois += storm;
             }
@@ -511,9 +496,7 @@ impl Machine {
             };
             // Virtual-APIC EOI is exit-less and instantaneous in the
             // model: the span closes with a zero-length EOI stage.
-            if let Some(tr) = self.spans.as_deref_mut() {
-                tr.on_eoi_done(vm, idx, self.now.as_nanos(), self.window_open);
-            }
+            self.note_eoi(vm, idx);
             match next {
                 Some(v) => self.begin_irq(vm, idx, v),
                 None => self.resume_or_fresh(vm, idx),
@@ -638,7 +621,7 @@ impl Machine {
                 // Ring full: drop (cumulative ACKs tolerate this; data
                 // responses are protected by the room checks in
                 // select_app_step).
-                self.vms[vmi].dropped_tx += 1;
+                self.note_tx_drop(vm);
             }
         }
     }
@@ -700,7 +683,7 @@ impl Machine {
             }
         }
         if fired {
-            self.vms[vmi].guest_rtos += 1;
+            self.note_guest_rto(vm);
             self.guest_app_wakeup(vm);
         }
         self.q.push(

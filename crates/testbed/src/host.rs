@@ -26,14 +26,9 @@ impl Machine {
         };
         let vmi = vm as usize;
         let wi = w as usize;
-        if self.spans.is_some() && self.vms[vmi].cur_handler[wi].is_some() {
-            let slot = self.turn_slot(vm, w);
-            let win = self.window_open;
-            if let Some(tr) = self.spans.as_deref_mut() {
-                tr.on_turn_end(vm, slot, self.now.as_nanos(), win);
-            }
+        if self.vms[vmi].cur_handler[wi].take().is_some() {
+            self.note_turn_end(vm, w);
         }
-        self.vms[vmi].cur_handler[wi] = None;
         match self.vms[vmi].worker.next_work(wi) {
             Some(h) => {
                 if self.vms[vmi].worker.is_passthrough() {
@@ -62,23 +57,8 @@ impl Machine {
     /// Dispatch overhead done: begin the handler's turn on worker `w`.
     pub(crate) fn vhost_begin_turn(&mut self, vm: u32, w: u32, h: HandlerId) {
         let vmi = vm as usize;
-        if self.spans.is_some() {
-            // Consume the correlation ID riding with the pending kick (if
-            // any): the signal→pickup stage of the request span ends here.
-            let corr = self.vms[vmi].worker.take_kick_corr(h);
-            let slot = self.turn_slot(vm, w);
-            let win = self.window_open;
-            if let Some(tr) = self.spans.as_deref_mut() {
-                tr.on_turn_begin(vm, slot, corr, self.now.as_nanos(), win);
-            }
-        }
+        self.note_turn_begin(vm, w, h);
         self.vms[vmi].cur_handler[w as usize] = Some(h);
-        if self.tel.is_some() {
-            let pending = self.vms[vmi].worker.pending_on(w as usize) as u64;
-            if let Some(t) = self.tel.as_deref_mut() {
-                t.on_worker_turn(vm, w as usize, self.now.as_nanos(), pending);
-            }
-        }
         let qi = self.vms[vmi].pair_of(h);
         let is_tx = h.idx() % 2 == 0;
         // Guest trust boundary: validate any ring state the guest claims
@@ -134,21 +114,8 @@ impl Machine {
         } else {
             pair.rx.quarantine()
         };
-        self.vms[vmi].bp.quarantines += 1;
-        self.vms[vmi].bp.quarantine_dropped += dropped as u64;
         self.vms[vmi].worker.quarantine(h);
-        let label = match err {
-            es2_virtio::RingError::DescOutOfRange { .. } => "quarantine:desc-oob",
-            es2_virtio::RingError::AvailIdxJump { .. } => "quarantine:avail-jump",
-            es2_virtio::RingError::AvailIdxRegress { .. } => "quarantine:avail-regress",
-            es2_virtio::RingError::DescChainLoop { .. } => "quarantine:desc-loop",
-            es2_virtio::RingError::ChainTooLong { .. } => "quarantine:chain-long",
-            es2_virtio::RingError::UsedOverflow { .. } => "quarantine:used-overflow",
-        };
-        self.tracer.record(self.now, label, vm as u64, h.0 as u64);
-        if let Some(t) = self.tel.as_deref_mut() {
-            t.on_quarantine(vm, self.now.as_nanos(), h.0 as u64);
-        }
+        self.note_quarantine(vm, h, err, dropped);
         self.q.push(
             self.now + self.p.quarantine_reset_delay,
             Ev::GuestQueueReset { vm, h },
@@ -183,10 +150,7 @@ impl Machine {
                 // queue is deferred — the worker immediately serves
                 // other handlers or sleeps.
                 let h = pair.tx_h;
-                self.vms[vmi].bp.budget_deferrals += 1;
-                if let Some(t) = self.tel.as_deref_mut() {
-                    t.on_budget_deferral(vm, self.now.as_nanos());
-                }
+                self.note_budget_deferral(vm);
                 let wns = self
                     .p
                     .backpressure
@@ -221,9 +185,7 @@ impl Machine {
             let vector = self.vms[vmi].pairs[qi].tx_vector;
             self.deliver_device_msi(vm, vector);
         }
-        if let Some(t) = self.tel.as_deref_mut() {
-            t.on_tx(vm, self.now.as_nanos(), pkt.bytes as u64);
-        }
+        self.note_tx(vm, pkt.bytes);
         let fault = self.faults.on_packet();
         match self.link_to_ext.transmit_faulted(self.now, pkt.bytes, fault) {
             FaultedArrival::Dropped => {}
@@ -287,9 +249,7 @@ impl Machine {
         let h = self.vms[vmi].cur_handler[w as usize].expect("RX completion without a turn");
         let qi = self.vms[vmi].pair_of(h);
         self.vms[vmi].pairs[qi].rx_turn += 1;
-        if let Some(t) = self.tel.as_deref_mut() {
-            t.on_rx(vm, self.now.as_nanos(), qi, pkt.bytes as u64);
-        }
+        self.note_rx(vm, qi, pkt.bytes);
         let interrupt = self.vms[vmi].pairs[qi].rx.device_push_used(pkt);
         if interrupt {
             let vector = self.vms[vmi].pairs[qi].rx_vector;
@@ -311,7 +271,6 @@ impl Machine {
             // The VF model stays single-queue: pair 0 is the VF ring.
             if self.vms[vmi].pairs[0].rx.device_pop().is_none() {
                 // VF RX ring out of buffers: hardware drop.
-                self.vms[vmi].vf_drops += 1;
                 return;
             }
             let interrupt = self.vms[vmi].pairs[0].rx.device_push_used(pkt);
@@ -334,12 +293,7 @@ impl Machine {
         if self.vms[vmi].pairs[qi].backlog.push(pkt) {
             let h = self.vms[vmi].pairs[qi].rx_h;
             let (w, _) = self.vms[vmi].worker.queue_work(h);
-            if self.tel.is_some() {
-                let pending = self.vms[vmi].worker.pending_on(w) as u64;
-                if let Some(t) = self.tel.as_deref_mut() {
-                    t.on_worker_pending(vm, w, self.now.as_nanos(), pending);
-                }
-            }
+            self.note_worker_queued(vm, w as u32);
             let tid = self.vms[vmi].vhost_tids[w];
             self.wake_thread(tid);
         }

@@ -7,6 +7,11 @@
 //! on every virtqueue, scheduler/vCPU consistency, interrupt-delivery
 //! accounting, and forward progress. The chaos suite runs every faulted
 //! sweep through [`Machine::run_checked`] and asserts the report is clean.
+//!
+//! The checker reads the per-VM ledger for delivery counts. When an
+//! invariant trips, the report carries the breadcrumb ring that the
+//! `Machine::note_*` probes write under an active fault plan, then the
+//! machine's debug snapshot.
 
 use es2_sched::ThreadState;
 use es2_virtio::Virtqueue;
@@ -200,21 +205,15 @@ pub(crate) fn check(m: &Machine) -> LivenessReport {
     }
 
     // Auto-dump on violation: the last breadcrumbs (kicks, MSIs, watchdog
-    // recoveries, degradations) plus the world snapshot. Captured only on
-    // failure so the passing path allocates nothing.
+    // recoveries, containment, degradations, control-plane steps) plus the
+    // world snapshot. Captured only on failure so the passing path
+    // allocates nothing.
     if !rep.ok() {
-        use std::fmt::Write as _;
-        let mut d = String::new();
-        let _ = writeln!(
-            d,
-            "--- tracer ring (last {} of {} records) ---",
-            m.tracer.len(),
-            m.tracer.recorded_total()
+        rep.diagnostics = format!(
+            "{}--- debug snapshot ---\n{}",
+            m.ring_dump(),
+            m.debug_snapshot()
         );
-        d.push_str(&m.tracer.dump());
-        let _ = writeln!(d, "--- debug snapshot ---");
-        d.push_str(&m.debug_snapshot());
-        rep.diagnostics = d;
     }
 
     rep
@@ -272,5 +271,49 @@ fn check_conservation<A, U>(rep: &mut LivenessReport, vmi: usize, name: &str, q:
             popped - completed,
             q.config().size
         ));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::telemetry::KickOrigin;
+    use crate::{experiments, Params, Topology, WorkloadSpec};
+    use es2_core::EventPathConfig;
+    use es2_workloads::NetperfSpec;
+
+    #[test]
+    fn a_broken_invariant_is_reported_with_the_breadcrumb_ring() {
+        let spec = WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024));
+        let mut m = Machine::new_faulted(
+            EventPathConfig::pi_h_r(4),
+            Topology::micro(),
+            spec,
+            Params::fast_test(),
+            1,
+            experiments::chaos_plan(),
+        );
+        while m.step_one() {}
+        let sound = check(&m);
+        assert!(sound.ok(), "{:?}", sound.violations);
+        assert!(sound.diagnostics.is_empty());
+
+        // A watchdog re-kick recorded through its probe reaches the
+        // ledger and the ring in one call.
+        let h = m.vms[0].pairs[0].tx_h;
+        let rekicks = m.vms[0].ledger.watchdog_rekicks;
+        m.note_kick_signal(0, h, KickOrigin::Watchdog);
+        assert_eq!(m.vms[0].ledger.watchdog_rekicks, rekicks + 1);
+        // The vCPU claims a core the scheduler does not give it.
+        let running = m.vms[0].vcpus[0].running;
+        m.vms[0].vcpus[0].running = !running;
+
+        let rep = check(&m);
+        let mismatch = |v: &String| v.starts_with("vm0 vcpu0: vcpu.running=");
+        assert!(rep.violations.iter().any(mismatch), "{:?}", rep.violations);
+        let d = &rep.diagnostics;
+        assert!(d.starts_with("--- tracer ring (last 256 of "), "{d}");
+        assert!(d.contains(&format!(" wd-rekick a=0 b={}\n", h.0)), "{d}");
+        assert!(d.contains("--- debug snapshot ---\nnow="), "{d}");
     }
 }

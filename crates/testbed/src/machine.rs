@@ -27,10 +27,11 @@ use es2_sim::{
     DeliveryFault, EventQueue, FaultInjector, FaultPlan, GenToken, RingCorruptionKind, SimDuration,
     SimRng, SimTime,
 };
-use es2_virtio::{HandlerId, VhostPool, Virtqueue, VirtqueueConfig};
+use es2_virtio::{HandlerId, VhostPool, Virtqueue};
 
 use crate::params::Params;
 use crate::results::RunResult;
+use crate::telemetry::{KickOrigin, MsiOrigin};
 use crate::workload::{AppRequest, GuestWl, WorkloadSpec};
 
 /// Placement of VMs onto the host.
@@ -225,35 +226,17 @@ pub(crate) struct VmState {
     /// burn script.
     pub(crate) guest_idles: bool,
     pub(crate) wl: GuestWl,
-    /// TX enqueues dropped on a full ring from IRQ context.
-    pub(crate) dropped_tx: u64,
-    /// Frames dropped by an out-of-buffers assigned VF RX ring.
-    pub(crate) vf_drops: u64,
     /// Device interrupts delivered to an *offline* vCPU via the
     /// offline-list prediction, still awaiting that vCPU; if a sibling
     /// comes online first, ES2 migrates them ("keep searching ... and
     /// redirecting", §IV-C).
     pub(crate) parked_irqs: Vec<(u32, Vector)>,
-    /// Diagnostics: interrupts parked on offline vCPUs / later migrated.
-    pub(crate) parked_count: u64,
-    pub(crate) migrated_count: u64,
     /// Posted-interrupt hardware failed for this VM (graceful-degradation
     /// state: all further deliveries take the emulated path).
     pub(crate) pi_failed: bool,
-    /// Lost kicks re-issued by the liveness watchdog.
-    pub(crate) watchdog_rekicks: u64,
-    /// Lost device interrupts re-raised by the liveness watchdog.
-    pub(crate) watchdog_reraises: u64,
-    /// Guest-side TCP retransmission timeouts fired (packet-loss recovery).
-    pub(crate) guest_rtos: u64,
-    /// Per-VM overload-control ledger (throttle/budget/quarantine events).
-    pub(crate) bp: es2_metrics::BackpressureStats,
-    /// Exits, guest time, delivery modes and rx latency, each recorded
-    /// once (`Machine::note_*`); travels with the VM on migration.
+    /// Every event count of this VM, each recorded once
+    /// (`Machine::note_*`); travels with the VM on migration.
     pub(crate) ledger: crate::telemetry::VmLedger,
-    /// Device interrupts (TX-clean + RX, not timers) handled per vCPU —
-    /// the per-queue MSI steering ledger. Observational only.
-    pub(crate) device_irqs_per_vcpu: Vec<u64>,
 }
 
 impl VmState {
@@ -423,8 +406,8 @@ pub(crate) enum Ev {
         vm: u32,
     },
     /// Tenant churn: a control-plane decision (admit/reject) joins the
-    /// observability stream. Strictly observational: tracer + telemetry
-    /// annotation only, never touches RNG or VM state.
+    /// observability stream. Strictly observational: breadcrumb ring and
+    /// telemetry annotation only, never touches RNG or VM state.
     ChurnNote {
         vm: u32,
         kind: &'static str,
@@ -542,18 +525,10 @@ pub struct Machine {
     /// Deterministic fault decision engine (inert for the empty plan: the
     /// clean path performs zero extra RNG draws and schedules no events).
     pub(crate) faults: FaultInjector,
-    /// Event-path flight recorder (`Params::trace`). Strictly
-    /// observational: `None` unless tracing is on, and every hook is
-    /// gated on that so the untraced hot path pays one pointer test.
-    pub(crate) spans: Option<Box<crate::spans::SpanTracker>>,
-    /// Windowed telemetry collector (`Params::telemetry`). Same
-    /// discipline as the flight recorder: `None` unless telemetry is
-    /// on, every hook gated on that, sim-time only, zero events, zero
-    /// RNG — telemetered runs are byte-identical to plain ones.
-    pub(crate) tel: Option<Box<crate::telemetry::TelemetryHooks>>,
-    /// Breadcrumb ring for post-mortem dumps, enabled only under an
-    /// active fault plan (the liveness checker dumps it on violation).
-    pub(crate) tracer: es2_sim::trace::Tracer,
+    /// The breadcrumb ring, the telemetry series and the span tracker,
+    /// fed only through the `note_*` probes (`telemetry.rs`). Strictly
+    /// observational: sim-time only, zero events, zero RNG.
+    pub(crate) rec: crate::telemetry::Recorders,
     /// Reusable routing scratch (vCPU online flags), refilled per MSI so
     /// the delivery hot path never allocates.
     route_online: Vec<bool>,
@@ -641,18 +616,10 @@ impl Machine {
         let mut sched = CfsScheduler::new(params.num_cores as usize, params.sched);
         let mut threads = Vec::new();
         let mut vms = Vec::new();
-        let path = if cfg.use_pi {
-            InterruptPath::Posted
-        } else {
-            InterruptPath::Emulated
-        };
-
         for vm in 0..topo.num_vms {
-            let mut vcpus = Vec::new();
+            // vCPU j of every VM pinned to core j: VMs time-share.
             let mut vcpu_tids = Vec::new();
-            let mut vctx = Vec::new();
             for idx in 0..topo.vcpus_per_vm {
-                // vCPU j of every VM pinned to core j: VMs time-share.
                 let tid = sched.add_thread(0, CoreId(idx));
                 threads.push(ThreadInfo {
                     body: Body::Vcpu { vm, idx },
@@ -662,8 +629,6 @@ impl Machine {
                 });
                 debug_assert_eq!(tid.idx() + 1, threads.len());
                 vcpu_tids.push(tid);
-                vcpus.push(Vcpu::new(VcpuId::new(vm, idx), path));
-                vctx.push(VcpuCtx::default());
             }
             // vhost workers on the cores after the vCPU block. All of a
             // VM's workers time-share that VM's vhost core, exactly like
@@ -680,81 +645,9 @@ impl Machine {
                 });
                 vhost_tids.push(tid);
             }
-
-            let mut worker = VhostPool::new(num_workers, params.shard_policy);
-            let vq_cfg = VirtqueueConfig {
-                size: params.ring_size,
-                event_idx: true,
-            };
-            let mut pairs = Vec::with_capacity(num_pairs as usize);
-            for qi in 0..num_pairs {
-                // Pair q is owned by (and its MSIs steered at) vCPU q%N.
-                let owner = qi % topo.vcpus_per_vm;
-                let (tx_h, rx_h) = worker.register_pair(qi, owner);
-                let mut tx = Virtqueue::new(vq_cfg);
-                let mut rx = Virtqueue::new(vq_cfg);
-                // Guest TX completions are reclaimed in the xmit path; TX
-                // interrupts armed only when the ring fills.
-                tx.driver_disable_interrupts();
-                // The guest pre-fills every RX ring with empty buffers;
-                // refill kicks stay unarmed unless vhost runs out of them.
-                for _ in 0..params.ring_size {
-                    rx.driver_add(()).expect("ring has room");
-                }
-                rx.device_disable_notify();
-
-                let mut tx_handler = match cfg.hybrid {
-                    Some(h) => HybridHandler::new(h),
-                    None => HybridHandler::stock(),
-                };
-                if let Some(bp) = params.backpressure {
-                    tx_handler.set_service_budget(bp.service_budget);
-                }
-
-                pairs.push(QueuePair {
-                    tx_h,
-                    rx_h,
-                    tx,
-                    rx,
-                    tx_handler,
-                    rx_turn: 0,
-                    backlog: NicQueue::new(params.host_backlog),
-                    tx_vector: 0x41 + (2 * qi) as u8,
-                    rx_vector: 0x42 + (2 * qi) as u8,
-                    affinity_vcpu: owner,
-                    blocked_tx_full: false,
-                    kick_bucket: params
-                        .backpressure
-                        .as_ref()
-                        .map(crate::backpressure::KickBucket::new),
-                    throttle_armed: [false; 2],
-                    budget_window_idx: 0,
-                });
-            }
-
-            vms.push(VmState {
-                vcpus,
-                vcpu_tids,
-                vctx,
-                vhost_tids,
-                worker,
-                cur_handler: vec![None; num_workers],
-                pairs,
-                guest_idles: specs[vm as usize].guest_idles(),
-                wl: GuestWl::for_spec(&specs[vm as usize], params.tcp_window),
-                dropped_tx: 0,
-                vf_drops: 0,
-                parked_irqs: Vec::new(),
-                parked_count: 0,
-                migrated_count: 0,
-                pi_failed: false,
-                watchdog_rekicks: 0,
-                watchdog_reraises: 0,
-                guest_rtos: 0,
-                bp: es2_metrics::BackpressureStats::default(),
-                ledger: crate::telemetry::VmLedger::new(topo.vcpus_per_vm as usize),
-                device_irqs_per_vcpu: vec![0; topo.vcpus_per_vm as usize],
-            });
+            // The booting guest driver pre-fills every RX ring.
+            let spec = &specs[vm as usize];
+            vms.push(Self::blank_vm_state(&params, &cfg, vm, spec, true, vcpu_tids, vhost_tids));
         }
 
         let router = if cfg.redirect {
@@ -800,30 +693,13 @@ impl Machine {
             window_open: false,
             end_time,
             faults: FaultInjector::new(plan, seed),
-            spans: if params.trace {
-                Some(Box::new(crate::spans::SpanTracker::new(
-                    topo.num_vms as usize,
-                    num_workers,
-                    params.trace_events as usize,
-                )))
-            } else {
-                None
-            },
-            tel: if params.telemetry {
-                Some(Box::new(crate::telemetry::TelemetryHooks::new(
-                    topo.num_vms as usize,
-                    num_workers,
-                    num_pairs as usize,
-                    ExitReason::COUNT,
-                )))
-            } else {
-                None
-            },
-            tracer: {
-                let mut t = es2_sim::trace::Tracer::new(256);
-                t.set_enabled(plan_active);
-                t
-            },
+            rec: crate::telemetry::Recorders::new(
+                &params,
+                topo.num_vms as usize,
+                num_workers,
+                num_pairs as usize,
+                plan_active,
+            ),
             route_online: Vec::with_capacity(topo.vcpus_per_vm as usize),
             route_load: Vec::with_capacity(topo.vcpus_per_vm as usize),
             // bootstrap() pushes every chain, so all start armed.
@@ -931,7 +807,7 @@ impl Machine {
                 p0.blocked_tx_full,
                 p0.tx_handler.mode(),
                 vm.worker.pending_total(),
-                vm.dropped_tx,
+                vm.ledger.dropped_tx,
             );
             // Extra queue pairs (multi-queue devices only; a single-queue
             // device prints exactly the legacy snapshot).
@@ -1170,23 +1046,9 @@ impl Machine {
                 let vector = self.vms[vm as usize].pairs[0].rx_vector;
                 self.deliver_device_msi(vm, vector);
             }
-            Ev::HandlerRequeue { vm, h } => {
-                let vmi = vm as usize;
-                self.trace_kick_signal(vm, h, crate::spans::KickOrigin::Requeue);
-                let (w, _) = self.vms[vmi].worker.queue_work(h);
-                let tid = self.vms[vmi].vhost_tids[w];
-                self.wake_thread(tid);
-            }
-            Ev::DelayedKick { vm, h } => {
-                let vmi = vm as usize;
-                self.tracer
-                    .record(self.now, "delay-kick", vm as u64, h.0 as u64);
-                self.trace_kick_signal(vm, h, crate::spans::KickOrigin::Delayed);
-                let (w, _) = self.vms[vmi].worker.queue_work(h);
-                let tid = self.vms[vmi].vhost_tids[w];
-                self.wake_thread(tid);
-            }
-            Ev::DelayedMsi { vm, vector } => self.route_and_deliver_msi(vm, vector),
+            Ev::HandlerRequeue { vm, h } => self.signal_kick(vm, h, KickOrigin::Requeue),
+            Ev::DelayedKick { vm, h } => self.signal_kick(vm, h, KickOrigin::Delayed),
+            Ev::DelayedMsi { vm, vector } => self.route_and_deliver_msi(vm, vector, MsiOrigin::Device),
             Ev::ThrottledKick { vm, h } => {
                 // The coalesced wake for every kick deferred since it was
                 // scheduled. Re-enters admission: the bucket charges the
@@ -1194,8 +1056,6 @@ impl Machine {
                 let vmi = vm as usize;
                 let q = self.vms[vmi].pair_of(h);
                 self.vms[vmi].pairs[q].throttle_armed[h.idx() % 2] = false;
-                self.tracer
-                    .record(self.now, "throttled-kick", vm as u64, h.0 as u64);
                 self.kick_vhost(vm, h);
             }
             Ev::GuestQueueReset { vm, h } => self.on_guest_queue_reset(vm, h),
@@ -1224,7 +1084,7 @@ impl Machine {
             Ev::VmBoot { vm } => self.on_vm_boot(vm),
             Ev::VmDepart { vm } => self.on_vm_depart(vm),
             Ev::BootTimeout { vm } => self.on_boot_timeout(vm),
-            Ev::ChurnNote { vm, kind, arg } => self.on_churn_note(vm, kind, arg),
+            Ev::ChurnNote { vm, kind, arg } => self.note_control(vm, kind, arg),
         }
     }
 
@@ -1303,28 +1163,20 @@ impl Machine {
 
     fn on_sched_out(&mut self, tid: ThreadId) {
         self.save_active(tid);
-        if let Body::Vhost { vm, w } = self.threads[tid.idx()].body {
-            if let Some(t) = self.tel.as_deref_mut() {
-                t.on_worker_off_core(vm, w as usize, self.now.as_nanos());
-            }
-        }
-        if let Body::Vcpu { vm, idx } = self.threads[tid.idx()].body {
-            let now = self.now;
-            let vcpu = &mut self.vms[vm as usize].vcpus[idx as usize];
-            let preempted_in_guest = vcpu.in_guest;
-            if vcpu.in_guest {
-                // Preemption forces a world switch out of guest mode.
-                vcpu.vm_exit();
-            }
-            vcpu.sched_out();
-            if preempted_in_guest {
-                self.note_exit(vm, idx, ExitReason::Other);
-            }
-            if let Some(r) = &mut self.router {
-                r.on_sched_change(VcpuId::new(vm, idx), false);
-            }
-            if let Some(tr) = self.spans.as_deref_mut() {
-                tr.on_vcpu_sched_out(vm, idx, now.as_nanos());
+        match self.threads[tid.idx()].body {
+            Body::Vhost { vm, w } => self.note_worker_off_core(vm, w),
+            Body::Vcpu { vm, idx } => {
+                let vcpu = &mut self.vms[vm as usize].vcpus[idx as usize];
+                let preempted_in_guest = vcpu.in_guest;
+                if vcpu.in_guest {
+                    // Preemption forces a world switch out of guest mode.
+                    vcpu.vm_exit();
+                }
+                vcpu.sched_out();
+                self.note_vcpu_sched_out(vm, idx, preempted_in_guest);
+                if let Some(r) = &mut self.router {
+                    r.on_sched_change(VcpuId::new(vm, idx), false);
+                }
             }
         }
     }
@@ -1333,9 +1185,7 @@ impl Machine {
         match self.threads[tid.idx()].body {
             Body::Vcpu { vm, idx } => {
                 self.vms[vm as usize].vcpus[idx as usize].sched_in();
-                if let Some(tr) = self.spans.as_deref_mut() {
-                    tr.on_vcpu_sched_in(vm, idx, self.now.as_nanos());
-                }
+                self.note_vcpu_sched_in(vm, idx);
                 if let Some(r) = &mut self.router {
                     r.on_sched_change(VcpuId::new(vm, idx), true);
                     self.migrate_parked_irqs(vm, idx);
@@ -1357,9 +1207,7 @@ impl Machine {
                 }
             }
             Body::Vhost { vm, w } => {
-                if let Some(t) = self.tel.as_deref_mut() {
-                    t.on_worker_on_core(vm, w as usize, self.now.as_nanos());
-                }
+                self.note_worker_on_core(vm, w);
                 if self.threads[tid.idx()].seg.is_some() {
                     self.resume_saved(tid, true);
                 } else {
@@ -1367,14 +1215,6 @@ impl Machine {
                 }
             }
         }
-    }
-
-    /// Span-tracker turn slot for vhost worker `w` of `vm`: one slot per
-    /// (VM, worker), `vm * workers + w`. With a single worker this is
-    /// just `vm`, matching the legacy per-VM indexing.
-    #[inline]
-    pub(crate) fn turn_slot(&self, vm: u32, w: u32) -> usize {
-        vm as usize * self.vms[vm as usize].worker.num_workers() + w as usize
     }
 
     /// Wake a thread; apply any resulting context switch and re-arm any
@@ -1491,13 +1331,7 @@ impl Machine {
             self.vms[vm as usize].vctx[idx as usize].pending_storm_kicks += hostile.extra_kicks;
         }
         self.kick_vhost(vm, h);
-        if self.spans.is_some() {
-            let cost = self.p.costs.exit_cost(ExitReason::IoInstruction).as_nanos();
-            let w = self.window_open;
-            if let Some(tr) = self.spans.as_deref_mut() {
-                tr.on_kick_exit(vm, cost, w);
-            }
-        }
+        self.note_kick_exit(vm);
         self.begin_exit(vm, idx, ExitReason::IoInstruction, AfterExit::Resume);
     }
 
@@ -1506,8 +1340,6 @@ impl Machine {
     /// stays exposed (that is what the watchdog re-kick recovers), and a
     /// kick exit the guest already paid for is still charged by the caller.
     pub(crate) fn kick_vhost(&mut self, vm: u32, h: HandlerId) {
-        self.tracer
-            .record(self.now, "kick", vm as u64, h.0 as u64);
         // Per-queue kick throttle (off by default): an over-rate kick is
         // not lost — one coalesced wake is scheduled for the first
         // conforming instant, and only this queue waits for it.
@@ -1517,10 +1349,7 @@ impl Machine {
                 crate::backpressure::Admission::Pass => {}
                 crate::backpressure::Admission::DeferUntil(at_ns) => {
                     let vmi = vm as usize;
-                    self.vms[vmi].bp.throttled_kicks += 1;
-                    if let Some(t) = self.tel.as_deref_mut() {
-                        t.on_throttled_kick(vm, self.now.as_nanos());
-                    }
+                    self.note_kick_throttled(vm, h);
                     if !self.vms[vmi].pairs[qi].throttle_armed[h.idx() % 2] {
                         self.vms[vmi].pairs[qi].throttle_armed[h.idx() % 2] = true;
                         self.q.push(
@@ -1533,14 +1362,8 @@ impl Machine {
             }
         }
         match self.faults.on_guest_kick() {
-            DeliveryFault::Deliver => {
-                let vmi = vm as usize;
-                self.trace_kick_signal(vm, h, crate::spans::KickOrigin::Kick);
-                let (w, _) = self.vms[vmi].worker.queue_work(h);
-                let vhost_tid = self.vms[vmi].vhost_tids[w];
-                self.wake_thread(vhost_tid);
-            }
-            DeliveryFault::Drop => {}
+            DeliveryFault::Deliver => self.signal_kick(vm, h, KickOrigin::Kick),
+            DeliveryFault::Drop => self.note_breadcrumb(vm, "kick-drop", h.0 as u64),
             DeliveryFault::Delay(extra) => {
                 self.q.push(self.now + extra, Ev::DelayedKick { vm, h });
             }
@@ -1559,22 +1382,16 @@ impl Machine {
         } else {
             publish_claim(&mut pair.rx, kind);
         }
-        self.tracer
-            .record(self.now, "ring-corrupt", vm as u64, h.0 as u64);
+        self.note_breadcrumb(vm, "ring-corrupt", h.0 as u64);
     }
 
-    /// Flight-recorder hook: a kick signal for `(vm, h)` is being queued.
-    #[inline]
-    fn trace_kick_signal(&mut self, vm: u32, h: HandlerId, origin: crate::spans::KickOrigin) {
-        if let Some(tr) = self.spans.as_deref_mut() {
-            tr.on_kick_signal(
-                vm,
-                &mut self.vms[vm as usize].worker,
-                h,
-                origin,
-                self.now.as_nanos(),
-            );
-        }
+    /// Queue handler `h` of `vm` on its vhost worker and wake the worker.
+    fn signal_kick(&mut self, vm: u32, h: HandlerId, origin: KickOrigin) {
+        let vmi = vm as usize;
+        self.note_kick_signal(vm, h, origin);
+        let (w, _) = self.vms[vmi].worker.queue_work(h);
+        let tid = self.vms[vmi].vhost_tids[w];
+        self.wake_thread(tid);
     }
 
     /// Deliver a virtual interrupt to a specific vCPU (timer, or a routed
@@ -1613,7 +1430,7 @@ impl Machine {
     /// is routed against the vCPU online-state of its *arrival* time.
     pub(crate) fn deliver_device_msi(&mut self, vm: u32, vector: Vector) {
         match self.faults.on_msi() {
-            DeliveryFault::Deliver => self.route_and_deliver_msi(vm, vector),
+            DeliveryFault::Deliver => self.route_and_deliver_msi(vm, vector, MsiOrigin::Device),
             DeliveryFault::Drop => {}
             DeliveryFault::Delay(extra) => {
                 self.q.push(self.now + extra, Ev::DelayedMsi { vm, vector });
@@ -1621,16 +1438,9 @@ impl Machine {
         }
     }
 
-    /// Route a device MSI through the configured router and deliver it.
-    pub(crate) fn route_and_deliver_msi(&mut self, vm: u32, vector: Vector) {
-        self.route_and_deliver_msi_from(vm, vector, false);
-    }
-
-    /// [`Self::route_and_deliver_msi`] with provenance: `watchdog` marks
-    /// a liveness re-raise so the flight recorder can annotate it.
-    pub(crate) fn route_and_deliver_msi_from(&mut self, vm: u32, vector: Vector, watchdog: bool) {
-        self.tracer
-            .record(self.now, "msi", vm as u64, vector as u64);
+    /// Route a device MSI of `origin` through the configured router and
+    /// deliver it.
+    pub(crate) fn route_and_deliver_msi(&mut self, vm: u32, vector: Vector, origin: MsiOrigin) {
         // Per-queue steering: the MSI's affinity hint is the vCPU that
         // owns the queue raising this vector (per-VM hint == pair 0 in
         // the single-queue device).
@@ -1665,67 +1475,14 @@ impl Machine {
             }
             None => (AffinityRouter.route(&msg, &ctx).idx, false),
         };
-        if self.cfg.redirect && !self.vms[vm as usize].vcpus[target as usize].running {
+        let parked = self.cfg.redirect && !self.vms[vm as usize].vcpus[target as usize].running;
+        if parked {
             // Offline prediction: remember the parked interrupt so it can
             // migrate if another sibling comes online sooner.
             self.vms[vm as usize].parked_irqs.push((target, vector));
-            self.vms[vm as usize].parked_count += 1;
         }
-        if redirected {
-            if let Some(t) = self.tel.as_deref_mut() {
-                t.on_msi_redirected(vm, self.now.as_nanos());
-            }
-        }
-        if self.spans.is_some() {
-            self.trace_msi_raise(vm, target, vector, redirected, watchdog);
-        }
+        self.note_msi_raise(vm, target, vector, redirected, parked, origin);
         self.deliver_to_vcpu(vm, target, vector);
-    }
-
-    /// Flight-recorder hook: an MSI for `vector` is about to be delivered
-    /// to `(vm, target)`. Opens an interrupt span keyed by a correlation
-    /// ID stashed in the target's vector sidecar — unless one is already
-    /// pending there (IRR coalescing: the first raise owns the span).
-    /// Runs *before* [`Self::deliver_to_vcpu`] because delivery can chain
-    /// synchronously all the way into `begin_irq`, which closes the
-    /// delivery stage by taking the ID back out.
-    fn trace_msi_raise(
-        &mut self,
-        vm: u32,
-        target: u32,
-        vector: Vector,
-        redirected: bool,
-        watchdog: bool,
-    ) {
-        let vmi = vm as usize;
-        if self.vms[vmi].vcpus[target as usize].corr.peek(vector) != 0 {
-            if let Some(tr) = self.spans.as_deref_mut() {
-                tr.on_msi_coalesced(watchdog);
-            }
-            return;
-        }
-        let running = self.vms[vmi].vcpus[target as usize].running;
-        let tid = self.vms[vmi].vcpu_tids[target as usize];
-        let off_core_ns = self
-            .sched
-            .descheduled_since(tid)
-            .map(|t| self.now.saturating_since(t).as_nanos())
-            .unwrap_or(0);
-        let now_ns = self.now.as_nanos();
-        let corr = match self.spans.as_deref_mut() {
-            Some(tr) => tr.on_msi_raised(
-                vm,
-                target,
-                vector,
-                redirected,
-                running,
-                watchdog,
-                off_core_ns,
-                now_ns,
-            ),
-            None => return,
-        };
-        self.vms[vmi].vcpus[target as usize].corr.set(vector, corr);
     }
 
     /// A vCPU of `vm` just came online: migrate any parked device
@@ -1743,24 +1500,11 @@ impl Machine {
             let still_pending = !self.vms[vmi].vcpus[tgt as usize].running
                 && self.vms[vmi].vcpus[tgt as usize].rescind(vector);
             if still_pending {
-                self.vms[vmi].migrated_count += 1;
                 if let Some(r) = &mut self.router {
                     // Keep the engine's per-vCPU accounting in step.
                     r.engine_mut().select_target(vmi, vector, online_idx);
                 }
-                if self.spans.is_some() {
-                    // Move the span's correlation ID to the new target and
-                    // close its parked interval: the vCPU it now waits on
-                    // is being scheduled in at this very instant.
-                    let corr = self.vms[vmi].vcpus[tgt as usize].corr.take(vector);
-                    if corr != 0 {
-                        let now_ns = self.now.as_nanos();
-                        if let Some(tr) = self.spans.as_deref_mut() {
-                            tr.on_migrated(corr, online_idx, now_ns);
-                        }
-                        self.vms[vmi].vcpus[online_idx as usize].corr.set(vector, corr);
-                    }
-                }
+                self.note_irq_migrated(vm, tgt, online_idx, vector);
                 self.deliver_to_vcpu(vm, online_idx, vector);
             }
         }
@@ -1836,9 +1580,7 @@ impl Machine {
                 }
                 AfterExit::Eoi => {
                     self.vms[vm as usize].vcpus[idx as usize].eoi();
-                    if let Some(tr) = self.spans.as_deref_mut() {
-                        tr.on_eoi_done(vm, idx, self.now.as_nanos(), self.window_open);
-                    }
+                    self.note_eoi(vm, idx);
                     if self.begin_spurious_eoi(vm, idx) {
                         return;
                     }
@@ -1880,8 +1622,6 @@ impl Machine {
         self.vms[vmi].vctx[idx as usize].pending_spurious_eois -= 1;
         self.vms[vmi].vctx[idx as usize].cache_cold = true;
         self.note_exit(vm, idx, ExitReason::ApicAccess);
-        self.tracer
-            .record(self.now, "eoi-storm", vm as u64, idx as u64);
         let tid = self.vms[vmi].vcpu_tids[idx as usize];
         let dur = self.p.costs.exit_cost(ExitReason::ApicAccess);
         self.start_segment(
@@ -1906,7 +1646,7 @@ impl Machine {
             // The kick signal itself is what the admission throttle and
             // the worker's already-queued dedup absorb.
             self.vms[vm as usize].vctx[idx as usize].pending_storm_kicks -= 1;
-            self.vms[vm as usize].bp.spurious_kicks += 1;
+            self.note_spurious_kick(vm, idx);
             if let Some(seg) = self.clear_seg(tid) {
                 self.vms[vm as usize].vctx[idx as usize].stack.push(seg);
             }
@@ -1964,8 +1704,8 @@ impl Machine {
 
     /// One VM's watchdog pass. Factored out so migration resume can run
     /// the identical stale-state scan on the target host: a re-raise
-    /// issued here goes through [`Machine::route_and_deliver_msi_from`]
-    /// with watchdog provenance — the reliable path stale MSIs are
+    /// issued here goes through [`Machine::route_and_deliver_msi`]
+    /// with watchdog origin — the reliable path stale MSIs are
     /// retargeted over after a move.
     pub(crate) fn watchdog_scan_vm(&mut self, vm: u32) {
         let vmi = vm as usize;
@@ -1982,16 +1722,7 @@ impl Machine {
                 && !self.vms[vmi].worker.is_queued(tx_h)
                 && !self.vms[vmi].cur_handler.contains(&Some(tx_h));
             if tx_stuck {
-                self.vms[vmi].watchdog_rekicks += 1;
-                self.tracer
-                    .record(self.now, "wd-rekick", vm as u64, tx_h.0 as u64);
-                if let Some(t) = self.tel.as_deref_mut() {
-                    t.annotate(self.now.as_nanos(), vm, "wd-rekick", tx_h.0 as u64);
-                }
-                self.trace_kick_signal(vm, tx_h, crate::spans::KickOrigin::Watchdog);
-                let (w, _) = self.vms[vmi].worker.queue_work(tx_h);
-                let tid = self.vms[vmi].vhost_tids[w];
-                self.wake_thread(tid);
+                self.signal_kick(vm, tx_h, KickOrigin::Watchdog);
             }
             // Lost RX refill kick: ingress backlog waiting, guest buffers
             // available, but the RX handler was never requeued.
@@ -2002,16 +1733,7 @@ impl Machine {
                 && !self.vms[vmi].worker.is_queued(rx_h)
                 && !self.vms[vmi].cur_handler.contains(&Some(rx_h));
             if rx_stuck {
-                self.vms[vmi].watchdog_rekicks += 1;
-                self.tracer
-                    .record(self.now, "wd-rekick", vm as u64, rx_h.0 as u64);
-                if let Some(t) = self.tel.as_deref_mut() {
-                    t.annotate(self.now.as_nanos(), vm, "wd-rekick", rx_h.0 as u64);
-                }
-                self.trace_kick_signal(vm, rx_h, crate::spans::KickOrigin::Watchdog);
-                let (w, _) = self.vms[vmi].worker.queue_work(rx_h);
-                let tid = self.vms[vmi].vhost_tids[w];
-                self.wake_thread(tid);
+                self.signal_kick(vm, rx_h, KickOrigin::Watchdog);
             }
             // Lost RX interrupt: published packets with interrupts armed
             // and no handler running. Re-raising merely sets an IRR bit
@@ -2021,14 +1743,8 @@ impl Machine {
                 && self.vms[vmi].pairs[qi].rx.used_pending() > 0
                 && !self.vms[vmi].pairs[qi].rx.interrupts_disabled()
             {
-                self.vms[vmi].watchdog_reraises += 1;
                 let vector = self.vms[vmi].pairs[qi].rx_vector;
-                self.tracer
-                    .record(self.now, "wd-reraise", vm as u64, vector as u64);
-                if let Some(t) = self.tel.as_deref_mut() {
-                    t.annotate(self.now.as_nanos(), vm, "wd-reraise", vector as u64);
-                }
-                self.route_and_deliver_msi_from(vm, vector, true);
+                self.route_and_deliver_msi(vm, vector, MsiOrigin::Watchdog);
             }
             // Lost TX-completion interrupt: the guest blocked on a full
             // ring, completions are back, interrupts are armed — but the
@@ -2038,14 +1754,8 @@ impl Machine {
                 && self.vms[vmi].pairs[qi].tx.used_pending() > 0
                 && !self.vms[vmi].pairs[qi].tx.interrupts_disabled()
             {
-                self.vms[vmi].watchdog_reraises += 1;
                 let vector = self.vms[vmi].pairs[qi].tx_vector;
-                self.tracer
-                    .record(self.now, "wd-reraise", vm as u64, vector as u64);
-                if let Some(t) = self.tel.as_deref_mut() {
-                    t.annotate(self.now.as_nanos(), vm, "wd-reraise", vector as u64);
-                }
-                self.route_and_deliver_msi_from(vm, vector, true);
+                self.route_and_deliver_msi(vm, vector, MsiOrigin::Watchdog);
             }
         }
     }
@@ -2081,12 +1791,7 @@ impl Machine {
         if !reset {
             return; // stale event: no reset outstanding
         }
-        self.vms[vmi].bp.resets += 1;
-        self.tracer
-            .record(self.now, "queue-reset", vm as u64, h.0 as u64);
-        if let Some(t) = self.tel.as_deref_mut() {
-            t.on_reset(vm, self.now.as_nanos(), h.0 as u64);
-        }
+        self.note_queue_reset(vm, h);
         if is_tx {
             // Re-initialization mirrors construction: TX completions are
             // reclaimed in the xmit path, interrupts armed only when the
@@ -2131,16 +1836,7 @@ impl Machine {
                     continue;
                 }
                 self.vms[vmi].vcpus[idx].degrade_to_emulated();
-                self.faults.note_pi_degradation();
-                self.vms[vmi].ledger.modes.degradations += 1;
-                self.tracer
-                    .record(self.now, "pi-degrade", vmi as u64, idx as u64);
-                if let Some(t) = self.tel.as_deref_mut() {
-                    t.annotate(self.now.as_nanos(), vmi as u32, "pi-degrade", idx as u64);
-                }
-                if let Some(tr) = self.spans.as_deref_mut() {
-                    tr.on_degraded(vmi as u32, idx as u32, self.now.as_nanos());
-                }
+                self.note_pi_degradation(vmi as u32, idx as u32);
                 // Vectors that were pending in the posted descriptor now
                 // sit in the emulated IRR; arrange their injection the way
                 // the emulated path would have.

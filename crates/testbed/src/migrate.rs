@@ -55,6 +55,7 @@ use es2_core::HybridHandler;
 use es2_sched::{ThreadId, ThreadState};
 
 use crate::machine::{Ev, Machine, QueuePair, Segment, VcpuCtx, VmState};
+use crate::telemetry::MsiOrigin;
 use crate::workload::{GuestWl, WorkloadSpec};
 
 /// Cost model for one migration's blackout window. All sim-time
@@ -302,7 +303,7 @@ impl Machine {
     }
 
     /// Schedule an observational control-plane note (admit/reject) at
-    /// `at`: tracer + telemetry annotation only.
+    /// `at`: breadcrumb ring and telemetry annotation only.
     pub(crate) fn schedule_churn_note(&mut self, at: SimTime, vm: u32, kind: &'static str, arg: u64) {
         self.q.push(at, Ev::ChurnNote { vm, kind, arg });
     }
@@ -490,22 +491,6 @@ impl Machine {
             vhost_segs.push(self.threads[tid.idx()].seg.take());
         }
 
-        // Flight-recorder correlation IDs reference the *source*
-        // recorder's ledgers; they cannot complete on another host.
-        // Observational state only, zero in untraced runs.
-        let vectors: Vec<(Vector, Vector)> = self.vms[vmi]
-            .pairs
-            .iter()
-            .map(|p| (p.tx_vector, p.rx_vector))
-            .collect();
-        for v in &mut self.vms[vmi].vcpus {
-            for &(tx_vec, rx_vec) in &vectors {
-                v.corr.take(tx_vec);
-                v.corr.take(rx_vec);
-            }
-            v.corr.take(es2_apic::vectors::LOCAL_TIMER_VECTOR);
-        }
-
         let costs = self.mig.as_ref().unwrap().costs;
         let dirty = {
             let s = &self.vms[vmi];
@@ -523,6 +508,7 @@ impl Machine {
         let copy_cost = costs.copy_base
             + SimDuration::from_nanos(costs.copy_per_unit.as_nanos().saturating_mul(dirty));
         let blackout = costs.pause + copy_cost + costs.resume;
+        self.note_mig_pause(vm, dirty, costs.pause, copy_cost);
 
         let spec = std::mem::replace(&mut self.specs[vmi], WorkloadSpec::IdleQuiet);
         let fresh = Self::blank_vm_state(
@@ -535,24 +521,6 @@ impl Machine {
             vhost_tids,
         );
         let state = std::mem::replace(&mut self.vms[vmi], fresh);
-
-        self.tracer.record(self.now, "mig-pause", vm as u64, dirty);
-        if let Some(sp) = self.spans.as_mut() {
-            sp.migration_phase(
-                vm,
-                "mig-pause",
-                self.now.as_nanos(),
-                costs.pause.as_nanos(),
-                dirty,
-            );
-            sp.migration_phase(
-                vm,
-                "mig-copy",
-                (self.now + costs.pause).as_nanos(),
-                copy_cost.as_nanos(),
-                dirty,
-            );
-        }
         {
             let m = self.mig.as_mut().unwrap();
             m.ledger.pause_ns.push(costs.pause.as_nanos());
@@ -617,16 +585,7 @@ impl Machine {
             m.incoming[vmi].take()
         };
 
-        self.tracer.record(self.now, "mig-resume", vm as u64, 0);
-        if let Some(sp) = self.spans.as_mut() {
-            sp.migration_phase(
-                vm,
-                "mig-resume",
-                self.now.as_nanos(),
-                snap.resume_cost.as_nanos(),
-                snap.blackout.as_nanos(),
-            );
-        }
+        self.note_mig_resume(vm, snap.resume_cost, snap.blackout);
 
         // Wake what was active at pause. sched_in notifications rebuild
         // this host's online list; parked IRQs flush on the first wake.
@@ -643,7 +602,7 @@ impl Machine {
 
         // Stale-state scan: the exact watchdog pass, run synchronously.
         // Re-kicks stuck handlers and re-raises lost MSIs through
-        // route_and_deliver_msi_from — resolving against the *target*
+        // route_and_deliver_msi — resolving against the *target*
         // router's freshly rebuilt lists.
         self.watchdog_scan_vm(vm);
 
@@ -704,24 +663,12 @@ impl Machine {
         // the reliable path, then packets in arrival order.
         if let Some(buf) = buf {
             for vector in buf.msis {
-                self.note_retarget(vm, vector);
+                self.on_retarget_msi(vm, vector);
             }
             for pkt in buf.pkts {
                 self.on_arrive_host(vm, pkt);
             }
         }
-    }
-
-    /// Re-raise a stale MSI on this host over the reliable watchdog
-    /// path, resolved against this host's own online/offline lists.
-    fn note_retarget(&mut self, vm: u32, vector: Vector) {
-        self.mig_mut().ledger.retargets += 1;
-        self.tracer
-            .record(self.now, "mig-retarget", vm as u64, vector as u64);
-        if let Some(sp) = self.spans.as_mut() {
-            sp.migration_phase(vm, "mig-retarget", self.now.as_nanos(), 0, vector as u64);
-        }
-        self.route_and_deliver_msi_from(vm, vector, true);
     }
 
     // -----------------------------------------------------------------
@@ -735,7 +682,7 @@ impl Machine {
     /// promotes every recorded entry to a fatal violation instead (the
     /// same discipline as the vhost panic audit).
     fn ctl_error(&mut self, vm: u32, msg: String) {
-        self.tracer.record(self.now, "ctl-error", vm as u64, 0);
+        self.note_breadcrumb(vm, "ctl-error", 0);
         self.mig_mut().ledger.ctl_errors.push(msg);
     }
 
@@ -751,19 +698,16 @@ impl Machine {
         let snap = self.pause_vm(vm);
         let blackout = snap.blackout;
         let at = self.now + blackout;
-        if let Some(t) = self.tel.as_deref_mut() {
-            let kind = if planned.abort {
-                "mig-abort"
-            } else {
-                "migrate-start"
-            };
-            t.annotate(self.now.as_nanos(), vm, kind, blackout.as_nanos());
-        }
+        let kind = if planned.abort {
+            "mig-abort"
+        } else {
+            "migrate-start"
+        };
+        self.note_control(vm, kind, blackout.as_nanos());
         if planned.abort {
             // Mid-copy failure: the move rolls back. The source keeps
             // the snapshot, rides out the same blackout locally (pause +
             // attempted copy + resume), and resumes in place.
-            self.tracer.record(self.now, "mig-abort", vm as u64, 0);
             let m = self.mig_mut();
             m.ledger.aborts += 1;
             m.incoming[vmi] = Some(IncomingBuf::default());
@@ -785,9 +729,7 @@ impl Machine {
                 return;
             }
         };
-        if let Some(t) = self.tel.as_deref_mut() {
-            t.annotate(self.now.as_nanos(), vm, "migrate-arrive", 0);
-        }
+        self.note_control(vm, "migrate-arrive", 0);
         self.resume_vm(vm, snap);
     }
 
@@ -796,9 +738,12 @@ impl Machine {
         m.incoming[vm as usize].get_or_insert_with(IncomingBuf::default);
     }
 
+    /// Re-raise a stale MSI on this host over the reliable watchdog
+    /// path, resolved against this host's own online/offline lists (the
+    /// gate already forwarded or buffered it if the slot is not local).
     pub(crate) fn on_retarget_msi(&mut self, vm: u32, vector: Vector) {
-        // The gate already forwarded/buffered if the slot is not local.
-        self.note_retarget(vm, vector);
+        self.mig_mut().ledger.retargets += 1;
+        self.route_and_deliver_msi(vm, vector, MsiOrigin::Retarget);
     }
 
     pub(crate) fn on_ext_retire(&mut self, vm: u32) {
@@ -806,7 +751,7 @@ impl Machine {
         // rebuilt the peer there; this orphan goes quiet (its pending
         // sends no-op on the Idle workload).
         self.ext[vm as usize] = crate::workload::ExtWl::Idle;
-        self.tracer.record(self.now, "ext-retire", vm as u64, 0);
+        self.note_breadcrumb(vm, "ext-retire", 0);
     }
 
     /// A crash victim cold-restarts here: fresh VM state, fresh rings,
@@ -856,15 +801,6 @@ impl Machine {
     pub(crate) fn on_boot_timeout(&mut self, vm: u32) {
         if self.teardown_vm(vm, "boot-timeout") {
             self.mig_mut().ledger.boot_timeouts += 1;
-        }
-    }
-
-    /// Observational control-plane note (admit/reject): tracer and
-    /// telemetry annotation only — never touches RNG or VM state.
-    pub(crate) fn on_churn_note(&mut self, vm: u32, kind: &'static str, arg: u64) {
-        self.tracer.record(self.now, kind, vm as u64, arg);
-        if let Some(t) = self.tel.as_deref_mut() {
-            t.annotate(self.now.as_nanos(), vm, kind, arg);
         }
     }
 
@@ -919,10 +855,7 @@ impl Machine {
             m.incoming[vmi] = None;
             m.reclaimed[vmi] = false;
         }
-        self.tracer.record(self.now, label, vm as u64, 0);
-        if let Some(t) = self.tel.as_deref_mut() {
-            t.annotate(self.now.as_nanos(), vm, label, 0);
-        }
+        self.note_control(vm, label, 0);
 
         // Boot the guest exactly like bootstrap does: staggered
         // vruntimes, woken vCPUs, external kick-off, recovery chains.
@@ -991,10 +924,7 @@ impl Machine {
             m.incoming[vmi] = None;
             m.reclaimed[vmi] = false;
         }
-        self.tracer.record(self.now, "vm-boot-stuck", vm as u64, 1);
-        if let Some(t) = self.tel.as_deref_mut() {
-            t.annotate(self.now.as_nanos(), vm, "vm-boot", 1);
-        }
+        self.note_control(vm, "vm-boot", 1);
         let latency = self.p.sched.sched_latency.as_nanos();
         for &tid in &vcpu_tids {
             let nudge = self.rng.gen_range(latency);
@@ -1059,10 +989,7 @@ impl Machine {
             // same slot on this host may already be staged.
             m.reclaimed[vmi] = true;
         }
-        self.tracer.record(self.now, label, vm as u64, 0);
-        if let Some(t) = self.tel.as_deref_mut() {
-            t.annotate(self.now.as_nanos(), vm, label, 0);
-        }
+        self.note_control(vm, label, 0);
         true
     }
 
@@ -1070,11 +997,12 @@ impl Machine {
     // State construction
     // -----------------------------------------------------------------
 
-    /// A freshly-initialized [`VmState`] for slot `vm`, mirroring the
-    /// constructor's per-VM block but reusing the slot's existing
-    /// threads. `prefill_rx` pre-fills the RX ring like a booting guest
-    /// driver (cold restart); a dormant vacated slot keeps empty rings
-    /// so ring-conservation invariants hold trivially.
+    /// A freshly-initialized [`VmState`] for slot `vm` on the given
+    /// threads: the constructor builds every VM with it, and a cold
+    /// restart, churn boot, teardown or migration pause rebuilds a slot
+    /// with it. `prefill_rx` pre-fills the RX ring like a booting guest
+    /// driver; a dormant vacated slot keeps empty rings so
+    /// ring-conservation invariants hold trivially.
     pub(crate) fn blank_vm_state(
         p: &crate::params::Params,
         cfg: &es2_core::EventPathConfig,
@@ -1105,10 +1033,14 @@ impl Machine {
         let num_pairs = p.queues_per_vm.max(1);
         let mut pairs = Vec::with_capacity(num_pairs as usize);
         for qi in 0..num_pairs {
+            // Pair q is owned by (and its MSIs steered at) vCPU q%N.
             let owner = qi % nv as u32;
             let (tx_h, rx_h) = worker.register_pair(qi, owner);
             let mut tx = Virtqueue::new(vq_cfg);
             let mut rx = Virtqueue::new(vq_cfg);
+            // Guest TX completions are reclaimed in the xmit path; TX
+            // interrupts armed only when the ring fills. RX refill kicks
+            // stay unarmed unless vhost runs out of buffers.
             tx.driver_disable_interrupts();
             if prefill_rx {
                 for _ in 0..p.ring_size {
@@ -1150,18 +1082,9 @@ impl Machine {
             pairs,
             guest_idles: spec.guest_idles(),
             wl: GuestWl::for_spec(spec, p.tcp_window),
-            dropped_tx: 0,
-            vf_drops: 0,
             parked_irqs: Vec::new(),
-            parked_count: 0,
-            migrated_count: 0,
             pi_failed: false,
-            watchdog_rekicks: 0,
-            watchdog_reraises: 0,
-            guest_rtos: 0,
-            bp: es2_metrics::BackpressureStats::default(),
             ledger: crate::telemetry::VmLedger::new(nv),
-            device_irqs_per_vcpu: vec![0; nv],
         }
     }
 }

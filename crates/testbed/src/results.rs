@@ -130,8 +130,7 @@ impl RunResult {
     }
 
     pub(crate) fn collect(mut m: Machine) -> RunResult {
-        let spans = m.spans.take().map(|tr| tr.finish());
-        let telemetry = m.finish_telemetry();
+        let (spans, telemetry) = m.finish_recorders();
         let vm0 = &m.vms[0];
         let window = m.p.measure;
         let secs = window.as_secs_f64();
@@ -205,8 +204,8 @@ impl RunResult {
             .as_ref()
             .map_or(0, |mg| mg.reclaimed.iter().filter(|r| **r).count() as u32);
         for vm in &m.vms {
-            backpressure.merge(&vm.bp);
-            backpressure_per_vm.push(vm.bp);
+            backpressure.merge(&vm.ledger.bp);
+            backpressure_per_vm.push(vm.ledger.bp);
             rx_p99_us_per_vm.push(vm.ledger.rx.p99_us());
             for pair in &vm.pairs {
                 quarantines_total += pair.tx.quarantine_count() + pair.rx.quarantine_count();
@@ -243,8 +242,8 @@ impl RunResult {
             backlog_drops: vm0.pairs.iter().map(|p| p.backlog.dropped_total()).sum(),
             host_ctx_switches,
             polling_entries: vm0.pairs.iter().map(|p| p.tx_handler.polling_entries()).sum(),
-            parked_irqs: vm0.parked_count,
-            migrated_irqs: vm0.migrated_count,
+            parked_irqs: vm0.ledger.parked_irqs,
+            migrated_irqs: vm0.ledger.migrated_irqs,
             mean_rx_latency_us: vm0.ledger.rx.mean_us(),
             max_rx_latency_us: vm0.ledger.rx.max_us(),
             events_simulated: m.q.pushed_total(),
@@ -252,9 +251,9 @@ impl RunResult {
             modes: es2_metrics::ModeAccounting {
                 per_vm: m.vms.iter().map(|vm| vm.ledger.modes).collect(),
             },
-            watchdog_rekicks: vm0.watchdog_rekicks,
-            watchdog_reraises: vm0.watchdog_reraises,
-            guest_rtos: vm0.guest_rtos,
+            watchdog_rekicks: vm0.ledger.watchdog_rekicks,
+            watchdog_reraises: vm0.ledger.watchdog_reraises,
+            guest_rtos: vm0.ledger.guest_rtos,
             spans,
             backpressure,
             backpressure_per_vm,
@@ -262,7 +261,7 @@ impl RunResult {
             quarantines_total,
             queue_resets_total,
             reclaimed_slots,
-            device_irqs_per_vcpu: vm0.device_irqs_per_vcpu.clone(),
+            device_irqs_per_vcpu: vm0.ledger.device_irqs_per_vcpu.clone(),
             vhost_pending_hwm_per_worker: (0..vm0.worker.num_workers())
                 .map(|w| vm0.worker.pending_hwm_on(w) as u64)
                 .collect(),

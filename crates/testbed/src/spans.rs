@@ -9,16 +9,18 @@
 //! output is deterministic and bitwise-reproducible under any
 //! `ES2_THREADS`.
 //!
-//! The tracker is strictly observational: it is only constructed when
-//! `Params::trace` is set, all of its state lives outside the simulation
-//! (the correlation-ID sidecars it uses — `Vcpu::corr`,
-//! `VhostWorker::kick_corr` — stay zero when tracing is off), and it never
-//! touches the RNG. Open spans live in small linear-scan vectors; the
-//! population at any instant is bounded by in-flight interrupts, not by
-//! run length.
+//! The tracker is one consumer of the `Machine::note_*` probes in
+//! `telemetry.rs`, and nothing else calls it. It exists only when
+//! `Params::trace` is set; the probes own the correlation-ID sidecars it
+//! keys spans by (`Vcpu::corr`, the vhost pool's kick slot), which stay
+//! zero when tracing is off. It never touches the RNG. Open spans live in
+//! small linear-scan vectors; the population at any instant is bounded by
+//! in-flight interrupts, not by run length.
 
 use es2_metrics::span::{SpanEvent, SpanRecorder, SpanReport, Stage};
 use es2_virtio::{HandlerId, VhostPool};
+
+use crate::telemetry::KickOrigin;
 
 /// Synthetic Chrome-trace `tid` for vhost-worker turn slices, placed well
 /// above any vCPU index.
@@ -26,20 +28,6 @@ const VHOST_TRACK: u32 = 1000;
 
 /// Synthetic Chrome-trace `tid` for live-migration phase slices.
 const MIG_TRACK: u32 = 2000;
-
-/// How a handler kick was signalled — decides which pickup stage closes
-/// the request span and which annotations it carries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum KickOrigin {
-    /// A plain guest kick (I/O-instruction exit or PI doorbell).
-    Kick,
-    /// A kick deferred by fault injection (`FaultPlan::kick_delay`).
-    Delayed,
-    /// A watchdog re-kick covering a dropped notification.
-    Watchdog,
-    /// An ES2 polling self-requeue: the next pickup is a polled one.
-    Requeue,
-}
 
 /// Where an interrupt span is along the host→guest path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -415,8 +403,7 @@ impl SpanTracker {
     /// "mig-resume", "mig-retarget", "mig-abort"). Rendered on its own
     /// track so `repro --trace` attributes the blackout window per phase;
     /// `arg` carries the phase's context (dirty units, blackout ns,
-    /// vector). Purely observational — callers gate on `spans.is_some()`
-    /// so traced and untraced runs stay byte-identical.
+    /// vector).
     pub(crate) fn migration_phase(
         &mut self,
         vm: u32,

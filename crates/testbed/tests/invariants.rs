@@ -7,10 +7,10 @@
 use es2_core::EventPathConfig;
 use es2_hypervisor::ExitReason;
 use es2_metrics::telemetry::WINDOW_NS;
-use es2_sim::{SimDuration, SimTime};
+use es2_sim::{FaultPlan, SimDuration, SimTime};
 use es2_testbed::{
-    experiments, Cluster, ClusterSpec, Machine, Params, PlannedMove, RunResult, Topology,
-    WorkloadSpec,
+    experiments, BackpressureParams, Cluster, ClusterSpec, Machine, Params, PlannedMove,
+    RunResult, Topology, WorkloadSpec,
 };
 use es2_workloads::NetperfSpec;
 
@@ -307,4 +307,54 @@ fn ledger_matches_the_series_inside_the_window() {
         let series_rx = (sum_ns as f64 / count as f64 / 1e3, max_ns as f64 / 1e3);
         assert_eq!(ledger_rx, vec![series_rx], "{name}: rx (mean, max) µs");
     }
+}
+
+/// Each containment and watchdog event is recorded by one probe that
+/// feeds both the ledger and the series: on a backpressured hostile
+/// cell with lost kicks and MSIs, the ledger's lifetime counts equal the
+/// series summed over every window, and every watchdog action of the
+/// tested VM is one annotation.
+#[test]
+fn containment_and_watchdog_counts_match_the_series() {
+    let params = Params {
+        backpressure: Some(BackpressureParams {
+            kick_rate: 20_000.0,
+            kick_burst: 8,
+            service_budget: 64,
+            ..BackpressureParams::default()
+        }),
+        telemetry: true,
+        ..fast()
+    };
+    let plan = FaultPlan {
+        kick_drop_p: 0.02,
+        msi_drop_p: 0.02,
+        ..experiments::hostile_plan(1)
+    };
+    let tcp = WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024));
+    let mut specs = vec![WorkloadSpec::Idle; 4];
+    specs[0] = tcp;
+    specs[1] = tcp;
+    let cfg = EventPathConfig::pi_h(4);
+    let r = Machine::with_specs_faulted(cfg, Topology::multiplexed(), specs, params, 5, plan).run();
+    let series = r.telemetry.as_ref().expect("telemetry on");
+    assert_eq!(series.ann_dropped, 0);
+    let vms = || series.windows.iter().flat_map(|w| &w.vms);
+    let bp = r.backpressure;
+    let ledger = [bp.throttled_kicks, bp.budget_deferrals, bp.quarantines, bp.resets];
+    let summed = [
+        vms().map(|v| v.throttled_kicks).sum::<u64>(),
+        vms().map(|v| v.budget_deferrals).sum(),
+        vms().map(|v| v.quarantines).sum(),
+        vms().map(|v| v.resets).sum(),
+    ];
+    assert_eq!(ledger, summed, "throttled, deferred, quarantined, reset");
+    assert!(ledger.iter().all(|&n| n > 0), "a containment sink saw nothing: {ledger:?}");
+    let annotations = |kind: &str| {
+        let of_vm0 = series.annotations.iter().filter(|a| a.vm == 0);
+        of_vm0.filter(|a| a.kind == kind).count() as u64
+    };
+    let watchdog = [r.watchdog_rekicks, r.watchdog_reraises];
+    assert_eq!(watchdog, [annotations("wd-rekick"), annotations("wd-reraise")]);
+    assert!(watchdog.iter().all(|&n| n > 0), "the watchdog never acted: {watchdog:?}");
 }
