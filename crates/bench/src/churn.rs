@@ -20,7 +20,7 @@
 
 use es2_core::EventPathConfig;
 use es2_metrics::json::Json;
-use es2_sim::{FaultPlan, SimDuration, SimTime};
+use es2_sim::{exec, FaultPlan, SimDuration, SimTime};
 use es2_testbed::{
     ChurnSpec, Cluster, ClusterResult, ClusterSpec, Params, PlannedMove, WorkloadSpec,
 };
@@ -61,7 +61,6 @@ fn churn_spec(fast: bool) -> ChurnSpec {
         } else {
             SimDuration::from_millis(40)
         },
-        ..ChurnSpec::default()
     }
 }
 
@@ -85,7 +84,7 @@ fn diet(params: &Params) -> FaultPlan {
 /// One churn cell: the static fleet plus the arrival stream under the
 /// full fault diet, with one fleet migration planned a quarter into
 /// the window (which the diet aborts mid-copy).
-fn churn_cell(cfg: EventPathConfig, params: Params, seed: u64, fast: bool) -> ClusterResult {
+fn churn_cell(cfg: EventPathConfig, params: Params, seed: u64, fast: bool) -> ClusterSpec {
     let mut spec = ClusterSpec::new(cfg, 1, fleet(), HOSTS, CAP_VMS_PER_HOST, params, seed);
     spec.plan = diet(&params);
     spec.moves = vec![PlannedMove {
@@ -95,15 +94,14 @@ fn churn_cell(cfg: EventPathConfig, params: Params, seed: u64, fast: bool) -> Cl
             + SimDuration::from_nanos(params.warmup.as_nanos() + params.measure.as_nanos() / 4),
     }];
     spec.churn = Some(churn_spec(fast));
-    Cluster::new(spec).run()
+    spec
 }
 
 /// The static comparison cell: same fleet, same cell, no churn, no
 /// faults — the "what the fleet's tail looks like without tenant
 /// churn" reference for the post-churn rx p99 column.
-fn static_cell(cfg: EventPathConfig, params: Params, seed: u64) -> ClusterResult {
-    let spec = ClusterSpec::new(cfg, 1, fleet(), HOSTS, CAP_VMS_PER_HOST, params, seed);
-    Cluster::new(spec).run()
+fn static_cell(cfg: EventPathConfig, params: Params, seed: u64) -> ClusterSpec {
+    ClusterSpec::new(cfg, 1, fleet(), HOSTS, CAP_VMS_PER_HOST, params, seed)
 }
 
 fn events_total(r: &ClusterResult) -> u64 {
@@ -120,14 +118,25 @@ pub fn churn_report(params: Params, seed: u64, fast: bool) -> (String, Json, Opt
     use es2_metrics::Table;
 
     let run_secs = (params.warmup + params.measure).as_secs_f64();
-    let cells: Vec<(&'static str, ClusterResult, ClusterResult)> = configs()
+    // Each config's churn and static cells are independent cells of
+    // one sweep, which returns them in this order whatever the thread
+    // count.
+    let specs: Vec<ClusterSpec> = configs()
         .into_iter()
-        .map(|(name, cfg)| {
-            (
-                name,
+        .flat_map(|(_, cfg)| {
+            [
                 churn_cell(cfg, params, seed, fast),
                 static_cell(cfg, params, seed),
-            )
+            ]
+        })
+        .collect();
+    let mut runs = exec::sweep(&specs, |s| Cluster::new(s.clone()).run()).into_iter();
+    let cells: Vec<(&'static str, ClusterResult, ClusterResult)> = configs()
+        .into_iter()
+        .map(|(name, _)| {
+            let churn = runs.next().expect("churn cell");
+            let fixed = runs.next().expect("static cell");
+            (name, churn, fixed)
         })
         .collect();
 

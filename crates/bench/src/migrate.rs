@@ -16,7 +16,7 @@
 
 use es2_core::EventPathConfig;
 use es2_metrics::json::Json;
-use es2_sim::{FaultPlan, SimDuration, SimTime};
+use es2_sim::{exec, FaultPlan, SimDuration, SimTime};
 use es2_testbed::{Cluster, ClusterResult, ClusterSpec, Params, PlannedMove, WorkloadSpec};
 use es2_workloads::NetperfSpec;
 
@@ -47,7 +47,7 @@ fn base_spec(params: Params, seed: u64) -> ClusterSpec {
 /// One packing level of the sweep: every VM beyond the first
 /// `CAP_VMS_PER_HOST` that should end on host 0 is live-migrated there,
 /// staggered 2 ms apart so the blackouts do not overlap.
-fn consolidation_cell(packed: u32, params: Params, seed: u64) -> ClusterResult {
+fn consolidation_cell(packed: u32, params: Params, seed: u64) -> ClusterSpec {
     let mut spec = base_spec(params, seed);
     let t0 = first_move_at(&params);
     spec.moves = (CAP_VMS_PER_HOST..packed)
@@ -58,7 +58,36 @@ fn consolidation_cell(packed: u32, params: Params, seed: u64) -> ClusterResult {
             at: t0 + SimDuration::from_millis(2 * i as u64),
         })
         .collect();
-    Cluster::new(spec).run()
+    spec
+}
+
+/// Recovery cell: host 1 crashes halfway through the window and its
+/// VMs cold-restart on the survivors.
+fn crash_cell(params: Params, seed: u64) -> ClusterSpec {
+    let mut spec = base_spec(params, seed);
+    spec.plan = FaultPlan {
+        host_crash_mask: 0b10,
+        host_crash_at: SimDuration::from_nanos(
+            params.warmup.as_nanos() + params.measure.as_nanos() / 2,
+        ),
+        ..FaultPlan::none()
+    };
+    spec
+}
+
+/// Recovery cell: VM 2's move to host 0 aborts mid-copy and rolls back.
+fn abort_cell(params: Params, seed: u64) -> ClusterSpec {
+    let mut spec = base_spec(params, seed);
+    spec.plan = FaultPlan {
+        migration_abort_nth: 1,
+        ..FaultPlan::none()
+    };
+    spec.moves = vec![PlannedMove {
+        vm: 2,
+        to: 0,
+        at: first_move_at(&params),
+    }];
+    spec
 }
 
 fn vms_on_host(r: &ClusterResult, host: u32) -> u32 {
@@ -84,11 +113,20 @@ fn events_total(r: &ClusterResult) -> u64 {
 pub fn migrate_report(params: Params, seed: u64, fast: bool) -> (String, Json, Option<Json>) {
     use es2_metrics::Table;
 
+    // The packing levels and the two recovery cells are independent
+    // cells of one sweep, which returns them in this order whatever the
+    // thread count.
     let levels: &[u32] = if fast { &[2, 8] } else { &[2, 4, 6, 8] };
-    let cells: Vec<(u32, ClusterResult)> = levels
+    let mut specs: Vec<ClusterSpec> = levels
         .iter()
-        .map(|&l| (l, consolidation_cell(l, params, seed)))
+        .map(|&l| consolidation_cell(l, params, seed))
         .collect();
+    specs.push(crash_cell(params, seed));
+    specs.push(abort_cell(params, seed));
+    let mut runs = exec::sweep(&specs, |s| Cluster::new(s.clone()).run());
+    let abort = runs.pop().expect("abort cell");
+    let crash = runs.pop().expect("crash cell");
+    let cells: Vec<(u32, ClusterResult)> = levels.iter().copied().zip(runs).collect();
 
     let mut t = Table::new(
         format!(
@@ -124,29 +162,6 @@ pub fn migrate_report(params: Params, seed: u64, fast: bool) -> (String, Json, O
     report.push('\n');
 
     // --- Recovery cells: host crash + evacuation, and an aborted move. ---
-    let mid = SimDuration::from_nanos(params.warmup.as_nanos() + params.measure.as_nanos() / 2);
-    let crash = {
-        let mut spec = base_spec(params, seed);
-        spec.plan = FaultPlan {
-            host_crash_mask: 0b10,
-            host_crash_at: mid,
-            ..FaultPlan::none()
-        };
-        Cluster::new(spec).run()
-    };
-    let abort = {
-        let mut spec = base_spec(params, seed);
-        spec.plan = FaultPlan {
-            migration_abort_nth: 1,
-            ..FaultPlan::none()
-        };
-        spec.moves = vec![PlannedMove {
-            vm: 2,
-            to: 0,
-            at: first_move_at(&params),
-        }];
-        Cluster::new(spec).run()
-    };
     report.push_str(&format!(
         "host crash: host 1 dies mid-run -> {} cold restarts, survivors' worst rx p99 {} us, \
          liveness {}\n",

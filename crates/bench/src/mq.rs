@@ -24,7 +24,7 @@
 
 use es2_core::EventPathConfig;
 use es2_metrics::json::Json;
-use es2_sim::FaultPlan;
+use es2_sim::{exec, FaultPlan};
 use es2_testbed::{Machine, Params, RunResult, ShardPolicy, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
 
@@ -108,13 +108,16 @@ fn run_cell(
 pub fn mq_report(params: Params, seed: u64, fast: bool) -> (String, Json, Option<Json>) {
     use es2_metrics::Table;
 
+    // The grid's cells are independent cells of one sweep, which
+    // returns them in this order whatever the thread count.
     let vm_counts: &[u32] = if fast { &[8, 16] } else { &[64, 128] };
-    let mut cells: Vec<MqCell> = Vec::new();
-    for &vms in vm_counts {
-        for (q, w, policy) in cell_plan() {
-            cells.push(run_cell(vms, q, w, policy, params, seed));
-        }
-    }
+    let grid: Vec<(u32, u32, u32, ShardPolicy)> = vm_counts
+        .iter()
+        .flat_map(|&vms| cell_plan().map(|(q, w, policy)| (vms, q, w, policy)))
+        .collect();
+    let cells = exec::sweep(&grid, |&(vms, q, w, policy)| {
+        run_cell(vms, q, w, policy, params, seed)
+    });
 
     let mut t = Table::new(
         format!(

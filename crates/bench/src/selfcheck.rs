@@ -25,7 +25,8 @@ pub(crate) enum Golden {
 pub(crate) struct Check {
     /// The `repro` arguments the row runs; `--fast` is implied.
     args: &'static [&'static str],
-    /// Compare the serial run against N threads (stdout and JSON).
+    /// Compare the serial run against N threads (stdout and JSON). The
+    /// N-thread run must hand at least two jobs to worker threads.
     threads: bool,
     /// Compare the serial run against runs with `Params::trace` on,
     /// with `Params::telemetry` on, and with both on (stdout and JSON).
@@ -95,6 +96,18 @@ pub fn render(args: &[&str], threads: usize, tweak: Tweak) -> (String, Option<Ar
     )
 }
 
+/// `Err` unless a run handed at least two jobs to worker threads: with
+/// fewer, comparing it against the serial run shows nothing.
+fn parallel_enough(dispatched: usize) -> Result<(), String> {
+    if dispatched >= 2 {
+        Ok(())
+    } else {
+        Err(format!(
+            "it handed {dispatched} job(s) to worker threads; a thread comparison needs 2"
+        ))
+    }
+}
+
 /// `Err` naming the first line where `got` departs from `want`.
 fn same(want_label: &str, want: &str, got_label: &str, got: &str) -> Result<(), String> {
     let (w, g): (Vec<&str>, Vec<&str>) = (want.split('\n').collect(), got.split('\n').collect());
@@ -137,7 +150,11 @@ impl Check {
             }));
         }
         for (label, threads, tweak) in others {
+            let before = exec::dispatched();
             let (other, other_artifacts) = render(self.args, threads, tweak);
+            if threads > 1 {
+                parallel_enough(exec::dispatched() - before).map_err(|e| format!("{label}: {e}"))?;
+            }
             same("serial", &stdout, &label, &other).map_err(|e| format!("stdout {e}"))?;
             same("serial", &serial_json, &label, &json(&other_artifacts))
                 .map_err(|e| format!("JSON {e}"))?;
@@ -174,4 +191,16 @@ pub fn run() -> Result<(), String> {
         println!("selfcheck {name}: ok");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_thread_comparison_that_dispatched_one_job_fails() {
+        assert!(parallel_enough(0).is_err());
+        assert!(parallel_enough(1).is_err());
+        assert!(parallel_enough(2).is_ok());
+    }
 }

@@ -24,13 +24,29 @@
 //! The thread count is the only setting this module reads from the
 //! environment, and it changes wall time, never results: everything
 //! that shapes the simulated model lives in `Params`.
+//!
+//! [`dispatched`] counts the jobs each thread's sweeps handed to worker
+//! threads, so a check that compares a serial run against a parallel
+//! one can tell whether the parallel run was parallel at all.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Programmatic thread-count override; 0 means "unset".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Jobs the [`sweep`] calls made on this thread handed to workers.
+    static DISPATCHED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// How many jobs the [`sweep`] calls made on the calling thread have
+/// handed to worker threads so far. A serial sweep (one thread, or at
+/// most one input) hands over none.
+pub fn dispatched() -> usize {
+    DISPATCHED.with(Cell::get)
+}
 
 /// Override the number of worker threads [`sweep`] uses. `Some(1)` forces
 /// serial execution; `None` restores the default resolution
@@ -120,6 +136,7 @@ where
         return specs.iter().map(f).collect();
     }
 
+    DISPATCHED.with(|d| d.set(d.get() + specs.len()));
     let next = AtomicUsize::new(0);
     let slots = Slots::new(specs.len());
 
@@ -182,6 +199,21 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(sweep(&empty, |&x| x).is_empty());
         assert_eq!(sweep(&[7u32], |&x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn only_parallel_sweeps_count_as_dispatched() {
+        let _g = OVERRIDE_LOCK.lock().unwrap();
+        set_threads(Some(2));
+        let before = dispatched();
+        sweep(&[1u32], |&x| x);
+        assert_eq!(dispatched(), before, "one input runs on the caller");
+        sweep(&[1u32, 2, 3], |&x| x);
+        assert_eq!(dispatched(), before + 3);
+        set_threads(Some(1));
+        sweep(&[1u32, 2, 3], |&x| x);
+        assert_eq!(dispatched(), before + 3, "one thread runs on the caller");
+        set_threads(None);
     }
 
     #[test]

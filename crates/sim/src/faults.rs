@@ -107,9 +107,6 @@ pub enum PacketFault {
 /// that support both.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultPlan {
-    /// Extra salt mixed into the run seed so distinct plans with the same
-    /// run seed draw from unrelated streams.
-    pub salt: u64,
     /// P(guest kick is lost) per kick I/O exit.
     pub kick_drop_p: f64,
     /// P(guest kick is delayed) per kick, evaluated after the drop draw.
@@ -179,16 +176,9 @@ pub struct FaultPlan {
     /// Bitmask of host indices that crash outright (bit *h* = host *h*).
     /// Deterministic — no RNG draw — so a test can pin the failing host.
     pub host_crash_mask: u64,
-    /// When, relative to run start, the masked (or drawn) hosts crash.
-    /// `ZERO` disables the deterministic mask.
+    /// When, relative to run start, the masked hosts crash. `ZERO`
+    /// disables the mask.
     pub host_crash_at: SimDuration,
-    /// P(a given host crashes) drawn once per host at admission time from
-    /// the host stream. Crashed hosts fail at `host_crash_at` plus a
-    /// uniform draw in `[0, host_crash_jitter]`.
-    pub host_crash_p: f64,
-    /// Uniform jitter window added to a *drawn* crash time so drawn
-    /// crashes spread out instead of failing in lockstep.
-    pub host_crash_jitter: SimDuration,
     /// Bitmask of hosts that run degraded (bit *h* = host *h*): their
     /// cores suffer forced-preemption storms for the whole run, modeling a
     /// sick-but-alive hypervisor. Projection maps this onto the existing
@@ -198,13 +188,9 @@ pub struct FaultPlan {
     pub host_degraded_storm_p: f64,
     /// Storm tick period on degraded hosts; `ZERO` disables degradation.
     pub host_degraded_storm_period: SimDuration,
-    /// P(a planned live migration aborts mid-copy and rolls back to the
-    /// source host), drawn once per planned move from the migration
-    /// stream.
-    pub migration_abort_p: f64,
-    /// Deterministically abort the N-th planned migration (1-based; 0
-    /// disables) — outranks the probabilistic draw for that move so tests
-    /// can pin the rollback to an exact move.
+    /// Abort the N-th planned live migration mid-copy and roll it back
+    /// to the source host (1-based; 0 disables). Deterministic — no RNG
+    /// draw — so a test can pin the rollback to an exact move.
     pub migration_abort_nth: u64,
 
     // ---- churn control-plane family ----
@@ -217,10 +203,6 @@ pub struct FaultPlan {
     /// though capacity exists), drawn once per attempt from the churn
     /// fault stream. The arrival re-enters the retry queue.
     pub churn_place_fail_p: f64,
-    /// Deterministically fail the N-th placement attempt (1-based; 0
-    /// disables) — outranks the probabilistic draw for that attempt so
-    /// tests can pin a transient rejection to an exact arrival.
-    pub churn_place_fail_nth: u64,
     /// P(a boot sticks mid-handshake: vCPUs come up but the virtio
     /// feature negotiation never completes), drawn once per boot from the
     /// churn fault stream. The control plane times the boot out, tears
@@ -235,7 +217,6 @@ impl FaultPlan {
     /// The empty plan: no faults, injector stays inert.
     pub const fn none() -> Self {
         FaultPlan {
-            salt: 0,
             kick_drop_p: 0.0,
             kick_delay_p: 0.0,
             kick_delay: SimDuration::ZERO,
@@ -262,15 +243,11 @@ impl FaultPlan {
             desc_loop_p: 0.0,
             host_crash_mask: 0,
             host_crash_at: SimDuration::ZERO,
-            host_crash_p: 0.0,
-            host_crash_jitter: SimDuration::ZERO,
             host_degraded_storm_mask: 0,
             host_degraded_storm_p: 0.0,
             host_degraded_storm_period: SimDuration::ZERO,
-            migration_abort_p: 0.0,
             migration_abort_nth: 0,
             churn_place_fail_p: 0.0,
-            churn_place_fail_nth: 0,
             churn_boot_stall_p: 0.0,
             churn_boot_stall_nth: 0,
         }
@@ -298,7 +275,6 @@ impl FaultPlan {
     /// runs and reports are untouched by the churn machinery.
     pub(crate) fn churn_fault_active(&self) -> bool {
         self.churn_place_fail_p > 0.0
-            || self.churn_place_fail_nth > 0
             || self.churn_boot_stall_p > 0.0
             || self.churn_boot_stall_nth > 0
     }
@@ -308,11 +284,9 @@ impl FaultPlan {
     /// runs and reports are untouched by the cluster machinery.
     pub(crate) fn host_fault_active(&self) -> bool {
         (self.host_crash_mask != 0 && !self.host_crash_at.is_zero())
-            || self.host_crash_p > 0.0
             || (self.host_degraded_storm_mask != 0
                 && self.host_degraded_storm_p > 0.0
                 && !self.host_degraded_storm_period.is_zero())
-            || self.migration_abort_p > 0.0
             || self.migration_abort_nth > 0
     }
 
@@ -343,15 +317,11 @@ impl FaultPlan {
         }
         p.host_crash_mask = 0;
         p.host_crash_at = SimDuration::ZERO;
-        p.host_crash_p = 0.0;
-        p.host_crash_jitter = SimDuration::ZERO;
         p.host_degraded_storm_mask = 0;
         p.host_degraded_storm_p = 0.0;
         p.host_degraded_storm_period = SimDuration::ZERO;
-        p.migration_abort_p = 0.0;
         p.migration_abort_nth = 0;
         p.churn_place_fail_p = 0.0;
-        p.churn_place_fail_nth = 0;
         p.churn_boot_stall_p = 0.0;
         p.churn_boot_stall_nth = 0;
         p
@@ -400,7 +370,7 @@ pub struct FaultStats {
     pub storm_kicks: u64,
     /// Spurious EOI writes fired by EOI storms.
     pub storm_eois: u64,
-    /// Hosts crashed (deterministic mask plus probabilistic draws).
+    /// Hosts crashed by the plan's crash mask.
     pub host_crashes: u64,
     /// Planned live migrations aborted mid-copy.
     pub migration_aborts: u64,
@@ -446,19 +416,14 @@ pub struct FaultInjector {
     storm_rng: SimRng,
     hostile_kick_rng: SimRng,
     hostile_eoi_rng: SimRng,
-    host_rng: SimRng,
-    mig_rng: SimRng,
     churn_arrival_rng: SimRng,
     churn_retry_rng: SimRng,
     churn_fault_rng: SimRng,
     /// Kick exits seen from the hostile VM (drives the deterministic
     /// corrupt-at-Nth-kick trigger).
     hostile_kicks_seen: u64,
-    /// Planned migrations seen (drives the deterministic abort-the-Nth
-    /// trigger).
+    /// Planned migrations seen (drives the abort-the-Nth trigger).
     moves_planned: u64,
-    /// Churn placement attempts seen (drives fail-the-Nth).
-    placements_tried: u64,
     /// Churn boots started (drives stall-the-Nth).
     boots_started: u64,
     stats: FaultStats,
@@ -466,34 +431,43 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// Build an injector for `plan`, deriving per-point streams from
-    /// `seed ^ plan.salt`. An inactive plan produces an inert injector
-    /// (every decision is `Deliver`/`None` with zero RNG draws).
+    /// `seed`. An inactive plan produces an inert injector (every
+    /// decision is `Deliver`/`None` with zero RNG draws).
     pub fn new(plan: FaultPlan, seed: u64) -> Self {
-        let mut root = SimRng::new(seed ^ plan.salt ^ 0xFA17_FA17_FA17_FA17);
+        let mut root = SimRng::new(seed ^ 0xFA17_FA17_FA17_FA17);
         let active = plan.is_active();
         // Fork order is part of the determinism contract: the hostile
         // streams fork *after* every pre-existing stream so adding them
-        // left the seeds of the older injection points unchanged, the
-        // host-fault streams fork after the hostile pair for the same
-        // reason, and the three churn streams fork after the host pair.
+        // left the seeds of the older injection points unchanged, and
+        // the three churn streams fork after the hostile pair for the
+        // same reason.
+        let kick_rng = root.fork();
+        let stall_rng = root.fork();
+        let msi_rng = root.fork();
+        let pkt_rng = root.fork();
+        let storm_rng = root.fork();
+        let hostile_kick_rng = root.fork();
+        let hostile_eoi_rng = root.fork();
+        // Two retired streams (drawn host crashes, drawn migration
+        // aborts): nothing draws from them, but their forks keep the
+        // churn streams' seeds unchanged.
+        root.fork();
+        root.fork();
         FaultInjector {
             plan,
             active,
-            kick_rng: root.fork(),
-            stall_rng: root.fork(),
-            msi_rng: root.fork(),
-            pkt_rng: root.fork(),
-            storm_rng: root.fork(),
-            hostile_kick_rng: root.fork(),
-            hostile_eoi_rng: root.fork(),
-            host_rng: root.fork(),
-            mig_rng: root.fork(),
+            kick_rng,
+            stall_rng,
+            msi_rng,
+            pkt_rng,
+            storm_rng,
+            hostile_kick_rng,
+            hostile_eoi_rng,
             churn_arrival_rng: root.fork(),
             churn_retry_rng: root.fork(),
             churn_fault_rng: root.fork(),
             hostile_kicks_seen: 0,
             moves_planned: 0,
-            placements_tried: 0,
             boots_started: 0,
             stats: FaultStats::default(),
         }
@@ -652,50 +626,25 @@ impl FaultInjector {
     }
 
     /// Decide, at cluster construction, whether (and when) host `host`
-    /// crashes. The deterministic mask outranks the probabilistic draw
-    /// and performs no draw at all; the probabilistic class draws exactly
-    /// one Bernoulli per host (plus one jitter draw per *crashing* host)
-    /// from the host stream, so host admission order — not event
-    /// interleaving — is the only thing that shapes the sequence.
+    /// crashes: the plan's crash mask decides, with no draw.
     pub fn on_host_admission(&mut self, host: usize) -> Option<SimDuration> {
-        if !self.active {
+        if !self.plan.crashes_host(host) {
             return None;
         }
-        if self.plan.crashes_host(host) {
-            self.stats.host_crashes += 1;
-            return Some(self.plan.host_crash_at);
-        }
-        if self.plan.host_crash_p > 0.0 && self.host_rng.gen_bool(self.plan.host_crash_p) {
-            let jitter = self.host_rng.gen_range(self.plan.host_crash_jitter.as_nanos() + 1);
-            self.stats.host_crashes += 1;
-            return Some(self.plan.host_crash_at + SimDuration::from_nanos(jitter));
-        }
-        None
+        self.stats.host_crashes += 1;
+        Some(self.plan.host_crash_at)
     }
 
     /// Decide, at cluster construction, whether the next planned live
-    /// migration aborts mid-copy. Deterministic abort-the-Nth outranks
-    /// (and suppresses the draw for) that move.
+    /// migration aborts mid-copy: only the plan's N-th one does, with
+    /// no draw.
     pub fn on_migration_planned(&mut self) -> bool {
-        if !self.active {
-            return false;
-        }
         self.moves_planned += 1;
-        if self.plan.migration_abort_nth > 0 {
-            if self.moves_planned == self.plan.migration_abort_nth {
-                self.stats.migration_aborts += 1;
-                return true;
-            }
-            if self.plan.migration_abort_p <= 0.0 {
-                return false;
-            }
-        }
-        if self.plan.migration_abort_p > 0.0 && self.mig_rng.gen_bool(self.plan.migration_abort_p)
-        {
+        let abort = self.moves_planned == self.plan.migration_abort_nth;
+        if abort {
             self.stats.migration_aborts += 1;
-            return true;
         }
-        false
+        abort
     }
 
     /// Shape of the bounded-Pareto churn draws: `α = 2` gives the
@@ -743,26 +692,13 @@ impl FaultInjector {
     }
 
     /// Decide whether the next churn placement attempt fails transiently
-    /// at the control plane. Deterministic fail-the-Nth outranks (and
-    /// suppresses the draw for) that attempt, mirroring
-    /// [`on_migration_planned`](Self::on_migration_planned).
+    /// at the control plane: one draw from the churn fault stream per
+    /// attempt, and none while the plan's probability is zero.
     pub fn on_churn_placement(&mut self) -> bool {
-        if !self.active {
+        if !self.active || self.plan.churn_place_fail_p <= 0.0 {
             return false;
         }
-        self.placements_tried += 1;
-        if self.plan.churn_place_fail_nth > 0 {
-            if self.placements_tried == self.plan.churn_place_fail_nth {
-                self.stats.churn_place_fails += 1;
-                return true;
-            }
-            if self.plan.churn_place_fail_p <= 0.0 {
-                return false;
-            }
-        }
-        if self.plan.churn_place_fail_p > 0.0
-            && self.churn_fault_rng.gen_bool(self.plan.churn_place_fail_p)
-        {
+        if self.churn_fault_rng.gen_bool(self.plan.churn_place_fail_p) {
             self.stats.churn_place_fails += 1;
             return true;
         }
@@ -1075,7 +1011,7 @@ mod tests {
             host_degraded_storm_mask: 0b100,
             host_degraded_storm_p: 0.25,
             host_degraded_storm_period: SimDuration::from_millis(2),
-            migration_abort_p: 0.5,
+            migration_abort_nth: 2,
             kick_drop_p: 0.05,
             ..FaultPlan::none()
         };
@@ -1099,15 +1035,12 @@ mod tests {
             ..FaultPlan::none()
         };
         let mut inj = FaultInjector::new(plan, 11);
-        let before = format!("{:?}", inj.host_rng);
         assert_eq!(inj.on_host_admission(0), Some(SimDuration::from_millis(30)));
         assert_eq!(inj.on_host_admission(1), None);
         assert_eq!(inj.on_host_admission(2), Some(SimDuration::from_millis(30)));
         assert!(!inj.on_migration_planned());
         assert!(inj.on_migration_planned(), "second planned move aborts");
         assert!(!inj.on_migration_planned());
-        // Deterministic triggers draw nothing from either host stream.
-        assert_eq!(before, format!("{:?}", inj.host_rng));
         assert_eq!(inj.stats().host_crashes, 2);
         assert_eq!(inj.stats().migration_aborts, 1);
     }
@@ -1115,13 +1048,13 @@ mod tests {
     #[test]
     fn host_streams_are_isolated_from_existing_points() {
         // Enabling the host family must not shift any pre-existing stream:
-        // the two new forks happen after every older stream.
+        // its decisions draw nothing.
         let mut plain = FaultInjector::new(chaos_plan(), 13);
         let mut with_hosts = FaultInjector::new(
             FaultPlan {
-                host_crash_p: 0.5,
-                host_crash_jitter: SimDuration::from_millis(5),
-                migration_abort_p: 0.25,
+                host_crash_mask: 0b1010,
+                host_crash_at: SimDuration::from_millis(5),
+                migration_abort_nth: 3,
                 ..chaos_plan()
             },
             13,
@@ -1139,32 +1072,12 @@ mod tests {
     }
 
     #[test]
-    fn drawn_crashes_land_inside_the_jitter_window() {
-        let plan = FaultPlan {
-            host_crash_p: 1.0,
-            host_crash_at: SimDuration::from_millis(100),
-            host_crash_jitter: SimDuration::from_millis(10),
-            ..FaultPlan::none()
-        };
-        let mut inj = FaultInjector::new(plan, 21);
-        for h in 0..32 {
-            let at = inj.on_host_admission(h).expect("p=1 must crash");
-            assert!(at >= SimDuration::from_millis(100) && at <= SimDuration::from_millis(110));
-        }
-        assert_eq!(inj.stats().host_crashes, 32);
-    }
-
-    #[test]
     fn churn_fields_activate_the_plan() {
         assert!(!chaos_plan().churn_fault_active(), "chaos plan must stay churn-free");
         assert!(!hostile_plan().churn_fault_active());
         for plan in [
             FaultPlan {
                 churn_place_fail_p: 0.1,
-                ..FaultPlan::none()
-            },
-            FaultPlan {
-                churn_place_fail_nth: 2,
                 ..FaultPlan::none()
             },
             FaultPlan {
@@ -1185,7 +1098,6 @@ mod tests {
     fn for_single_host_zeroes_the_churn_family() {
         let plan = FaultPlan {
             churn_place_fail_p: 0.2,
-            churn_place_fail_nth: 3,
             churn_boot_stall_p: 0.1,
             churn_boot_stall_nth: 1,
             kick_drop_p: 0.05,
@@ -1199,21 +1111,20 @@ mod tests {
     #[test]
     fn deterministic_churn_triggers_draw_nothing() {
         let plan = FaultPlan {
-            churn_place_fail_nth: 2,
             churn_boot_stall_nth: 3,
             ..FaultPlan::none()
         };
         let mut inj = FaultInjector::new(plan, 11);
         let before = format!("{:?}", inj.churn_fault_rng);
-        assert!(!inj.on_churn_placement());
-        assert!(inj.on_churn_placement(), "second placement attempt fails");
-        assert!(!inj.on_churn_placement());
+        for _ in 0..3 {
+            assert!(!inj.on_churn_placement(), "no placement fault planned");
+        }
         assert!(!inj.on_churn_boot());
         assert!(!inj.on_churn_boot());
         assert!(inj.on_churn_boot(), "third boot stalls");
         assert!(!inj.on_churn_boot());
         assert_eq!(before, format!("{:?}", inj.churn_fault_rng));
-        assert_eq!(inj.stats().churn_place_fails, 1);
+        assert_eq!(inj.stats().churn_place_fails, 0);
         assert_eq!(inj.stats().churn_boot_stalls, 1);
     }
 
@@ -1281,14 +1192,25 @@ mod tests {
     }
 
     #[test]
-    fn salt_changes_the_stream() {
-        let base = chaos_plan();
-        let salted = FaultPlan { salt: 1, ..base };
-        let mut a = FaultInjector::new(base, 42);
-        let mut b = FaultInjector::new(salted, 42);
-        let same = (0..1000)
-            .filter(|_| a.on_packet() == b.on_packet())
-            .count();
-        assert!(same < 1000, "salt had no effect");
+    fn churn_streams_draw_their_pinned_values() {
+        // The churn streams fork after every other stream, two retired
+        // ones included; these values pin their seeds at seed 1, so
+        // dropping or adding a fork before them fails here.
+        let plan = FaultPlan {
+            churn_place_fail_p: 0.5,
+            churn_boot_stall_p: 0.5,
+            ..FaultPlan::none()
+        };
+        let mut inj = FaultInjector::new(plan, 1);
+        let gaps: Vec<u64> = (0..3)
+            .map(|_| inj.churn_interarrival(SimDuration::from_millis(4)).as_nanos())
+            .collect();
+        assert_eq!(gaps, [2_632_483, 2_245_341, 2_260_305]);
+        let jitter: Vec<u64> = (0..3)
+            .map(|_| inj.churn_retry_jitter(SimDuration::from_micros(200)).as_nanos())
+            .collect();
+        assert_eq!(jitter, [146_442, 120_854, 187_283]);
+        let fails: Vec<bool> = (0..8).map(|_| inj.on_churn_placement()).collect();
+        assert_eq!(fails, [false, false, true, true, true, true, true, false]);
     }
 }

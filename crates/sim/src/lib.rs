@@ -38,7 +38,6 @@
 
 pub mod exec;
 pub mod faults;
-pub mod lane;
 pub mod queue;
 pub mod rng;
 pub mod time;

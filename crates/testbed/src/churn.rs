@@ -4,13 +4,15 @@
 //!
 //! # Model
 //!
-//! A [`ChurnSpec`] pre-allocates one global slot per arrival after the
-//! static fleet (every host builds every slot; a slot is a HLT-parked
-//! dormant VM until a boot installs real state). Arrival inter-gaps and
-//! tenant lifetimes are heavy-tailed (bounded Pareto) draws from the
-//! churn RNG streams — forked after the nine existing fault streams, so
-//! enabling churn never shifts a draw any other consumer sees, and a
-//! disabled churn spec draws nothing at all.
+//! A [`ChurnSpec`](crate::ChurnSpec) pre-allocates one global slot per
+//! arrival after the static fleet (every host builds every slot; a slot
+//! is a HLT-parked dormant VM until a boot installs real state).
+//! Arrival inter-gaps and tenant lifetimes are heavy-tailed (bounded
+//! Pareto) draws from the churn RNG streams — forked after every other
+//! fault stream, so enabling churn never shifts a draw any other
+//! consumer sees, and a disabled churn spec draws nothing at all. A
+//! spec sets only the arrival count and the lifetime scale; the rest of
+//! the control plane is the constants below.
 //!
 //! # Admission
 //!
@@ -19,16 +21,16 @@
 //! and a host at its pending-depth limit (or dead) reports zero. The
 //! winner is chosen by the same `best_fit` rule as static admission.
 //! Rejected arrivals re-enter a bounded exponential-backoff retry queue
-//! (`retry_backoff · 2^(attempt-1)` plus deterministic jitter from the
+//! (`RETRY_BACKOFF · 2^(attempt-1)` plus deterministic jitter from the
 //! churn retry stream), exhausting into a permanently-rejected ledger.
-//! A brownout defers the boot by `brownout_hold` when the admission
-//! would push the host to `brownout_util` utilization — and lifts
+//! A brownout defers the boot by `BROWNOUT_HOLD` when the admission
+//! would push the host to `BROWNOUT_UTIL` utilization — and lifts
 //! deterministically when the deferred boot lands.
 //!
 //! # Lifecycle state machine
 //!
 //! ```text
-//! Waiting ──place──▶ Booting ──boot_delay──▶ Resident ──lifetime──▶ Departed
+//! Waiting ──place──▶ Booting ──BOOT_DELAY──▶ Resident ──lifetime──▶ Departed
 //!    ▲                  │  │
 //!    │   stall timeout  │  └─host crash──▶ re-placed via evacuation
 //!    └──────────────────┘      (fresh boot on the spread target)
@@ -57,10 +59,41 @@ use std::collections::BinaryHeap;
 use es2_sim::{FaultInjector, SimDuration, SimTime};
 
 use crate::cluster::{
-    best_fit, evacuation_target, percentile_ns, ClusterSpec, PlannedMove, Timeline, CROSS_LANE_LOOKAHEAD,
+    best_fit, evacuation_target, percentile_ns, ClusterSpec, PlannedMove, Timeline,
+    CROSS_LANE_LOOKAHEAD, RESTART_DELAY,
 };
-use crate::params::ChurnSpec;
 use crate::workload::WorkloadSpec;
+
+/// Workload each churn tenant runs once booted.
+const TENANT_SPEC: WorkloadSpec = WorkloadSpec::Ping;
+/// When the first arrival lands, relative to run start.
+const FIRST_ARRIVAL: SimDuration = SimDuration::from_millis(5);
+/// Scale of the heavy-tailed gap between consecutive arrivals.
+const MEAN_INTERARRIVAL: SimDuration = SimDuration::from_millis(4);
+/// Control-plane latency from a successful placement to the boot
+/// landing on the host.
+const BOOT_DELAY: SimDuration = SimDuration::from_millis(1);
+/// How long a partial boot (stuck mid-handshake) may sit before the
+/// control plane rolls it back and retries the arrival.
+const BOOT_TIMEOUT: SimDuration = SimDuration::from_millis(4);
+/// Placement attempts per arrival before it lands in the
+/// permanently-rejected ledger (first attempt + `MAX_RETRIES` retries).
+const MAX_RETRIES: u32 = 4;
+/// Base retry backoff; attempt `k` waits `RETRY_BACKOFF · 2^k` plus
+/// jitter.
+const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(1);
+/// Uniform jitter window added to each backoff (deterministic: drawn
+/// from the dedicated retry stream).
+const RETRY_JITTER: SimDuration = SimDuration::from_micros(200);
+/// Maximum boots in flight per host; a host at this depth is skipped
+/// by placement even if it has slot capacity.
+const PENDING_DEPTH: u32 = 2;
+/// Host-utilization threshold (resident + pending over capacity) at or
+/// above which new boots on that host are deferred (brownout).
+const BROWNOUT_UTIL: f64 = 0.9;
+/// How long a brownout defers each affected boot; lifts
+/// deterministically after this hold.
+const BROWNOUT_HOLD: SimDuration = SimDuration::from_millis(2);
 
 /// Everything the churn control plane accounts for over one compile.
 /// Entirely construction-time state, surfaced on `ClusterResult` and in
@@ -261,11 +294,9 @@ struct Compiler<'a> {
     fleet_n: usize,
     cap: u32,
     end: SimTime,
-    restart_delay: SimDuration,
     max_blackout: SimDuration,
-    churn: Option<ChurnSpec>,
     injector: &'a mut FaultInjector,
-    /// Planned moves with original index and predrawn abort, sorted by
+    /// Planned moves with original index and abort decision, sorted by
     /// `(at, index)` exactly like the legacy compiler.
     moves: Vec<(usize, PlannedMove, bool)>,
     guest_tl: Vec<Vec<(SimTime, u32)>>,
@@ -289,8 +320,8 @@ struct Compiler<'a> {
 
 /// Compile the full control schedule — crashes, moves, churn lifecycle
 /// — into location timelines and per-host machine calls. `aborts` are
-/// the predrawn per-move abort decisions (cluster migration stream);
-/// churn draws happen here, on the churn streams only.
+/// the per-move abort decisions, made upfront by the fault plan; churn
+/// draws happen here, on the churn streams only.
 pub(crate) fn compile(
     spec: &ClusterSpec,
     placement: &[Option<u32>],
@@ -306,7 +337,7 @@ pub(crate) fn compile(
 
     let mut slot_specs = spec.fleet.clone();
     if let Some(c) = spec.churn {
-        slot_specs.extend((0..c.arrivals).map(|_| c.spec));
+        slot_specs.extend((0..c.arrivals).map(|_| TENANT_SPEC));
     }
 
     let mut guest_tl: Vec<Vec<(SimTime, u32)>> = placement
@@ -342,9 +373,7 @@ pub(crate) fn compile(
         fleet_n,
         cap: spec.cap_vms_per_host,
         end,
-        restart_delay: spec.restart_delay,
         max_blackout,
-        churn: spec.churn,
         injector,
         moves,
         guest_tl,
@@ -372,10 +401,10 @@ pub(crate) fn compile(
     // stream: the draw count depends only on `arrivals`, never on what
     // the run does with them.
     if let Some(c) = spec.churn {
-        let mut t = SimTime::ZERO + c.first_arrival;
+        let mut t = SimTime::ZERO + FIRST_ARRIVAL;
         for ci in 0..c.arrivals as usize {
             if ci > 0 {
-                t += cc.injector.churn_interarrival(c.mean_interarrival);
+                t += cc.injector.churn_interarrival(MEAN_INTERARRIVAL);
             }
             let lifetime = cc.injector.churn_lifetime(c.mean_lifetime);
             cc.ctl.push(SlotCtl {
@@ -415,10 +444,6 @@ pub(crate) fn compile(
 }
 
 impl Compiler<'_> {
-    fn churn(&self) -> ChurnSpec {
-        self.churn.expect("churn control event without a churn spec")
-    }
-
     fn on_move(&mut self, idx: usize) {
         let (_, m, abort) = self.moves[idx];
         let vmi = m.vm as usize;
@@ -503,7 +528,7 @@ impl Compiler<'_> {
 
     fn on_crash(&mut self, tc: SimTime, h: usize) {
         self.alive[h] = false;
-        let restart_at = tc + self.restart_delay;
+        let restart_at = tc + RESTART_DELAY;
         // Occupancy right now, for evacuation spreading: static slots
         // from the timeline (legacy byte-identity), churn slots from
         // the state machine — the timeline's pre-first-segment
@@ -595,11 +620,10 @@ impl Compiler<'_> {
             self.pending[target] += 1;
             self.guest_tl[g].push((restart_at, target as u32));
             self.ext_tl[g].push((restart_at, target as u32));
-            let spec = self.churn().spec;
             self.calls[target].push(Call::Boot {
                 at: restart_at,
                 vm: g as u32,
-                spec,
+                spec: TENANT_SPEC,
                 stuck: false,
             });
             self.ctl[ci].st = St::Booting {
@@ -616,7 +640,6 @@ impl Compiler<'_> {
     }
 
     fn on_attempt(&mut self, at: SimTime, ci: usize) {
-        let c = self.churn();
         let g = (self.fleet_n + ci) as u32;
         debug_assert!(matches!(self.ctl[ci].st, St::Waiting));
         if self.injector.on_churn_placement() {
@@ -630,7 +653,7 @@ impl Compiler<'_> {
         // depth reports zero.
         let free: Vec<u32> = (0..self.hosts)
             .map(|h| {
-                if self.alive[h] && self.pending[h] < c.pending_depth {
+                if self.alive[h] && self.pending[h] < PENDING_DEPTH {
                     self.cap.saturating_sub(self.occ[h] + self.pending[h])
                 } else {
                     0
@@ -642,13 +665,13 @@ impl Compiler<'_> {
             self.retry_or_reject(at, ci);
             return;
         };
-        let mut boot_at = at + c.boot_delay;
+        let mut boot_at = at + BOOT_DELAY;
         // Brownout: if this admission pushes the host to the
         // utilization threshold, the boot defers by a fixed hold and
         // lifts deterministically when the deferred boot lands.
         let util = (self.occ[h] + self.pending[h] + 1) as f64 / self.cap.max(1) as f64;
-        if util >= c.brownout_util {
-            boot_at += c.brownout_hold;
+        if util >= BROWNOUT_UTIL {
+            boot_at += BROWNOUT_HOLD;
             self.ledger.brownout_deferrals += 1;
         }
         let stuck = self.injector.on_churn_boot();
@@ -673,12 +696,12 @@ impl Compiler<'_> {
         self.calls[h].push(Call::Boot {
             at: boot_at,
             vm: g,
-            spec: c.spec,
+            spec: TENANT_SPEC,
             stuck,
         });
         let epoch = self.ctl[ci].epoch;
         if stuck {
-            let to = boot_at + c.boot_timeout;
+            let to = boot_at + BOOT_TIMEOUT;
             if to < self.end {
                 self.calls[h].push(Call::BootTimeout { at: to, vm: g });
                 self.sched
@@ -778,11 +801,10 @@ impl Compiler<'_> {
     /// deterministic jitter and retry, or exhaust into the permanent
     /// ledger.
     fn retry_or_reject(&mut self, now: SimTime, ci: usize) {
-        let c = self.churn();
         let g = (self.fleet_n + ci) as u32;
         self.ctl[ci].attempts += 1;
         let attempts = self.ctl[ci].attempts;
-        if attempts > c.max_retries {
+        if attempts > MAX_RETRIES {
             self.ctl[ci].st = St::Rejected;
             self.ledger.rejected_final += 1;
             if now < self.end {
@@ -799,8 +821,8 @@ impl Compiler<'_> {
         }
         let shift = (attempts - 1).min(16);
         let backoff =
-            SimDuration::from_nanos(c.retry_backoff.as_nanos().saturating_mul(1u64 << shift));
-        let jitter = self.injector.churn_retry_jitter(c.retry_jitter);
+            SimDuration::from_nanos(RETRY_BACKOFF.as_nanos().saturating_mul(1u64 << shift));
+        let jitter = self.injector.churn_retry_jitter(RETRY_JITTER);
         let retry_at = now + backoff + jitter;
         if retry_at >= self.end {
             self.ledger.abandoned += 1;

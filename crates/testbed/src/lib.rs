@@ -50,7 +50,7 @@ pub use churn::ChurnLedger;
 pub use cluster::{Cluster, ClusterResult, ClusterSpec, PlannedMove};
 pub use liveness::LivenessReport;
 pub use machine::{Machine, Topology, EV_KIND_NAMES};
-pub use migrate::{MigCosts, MigLedger};
+pub use migrate::MigLedger;
 pub use es2_virtio::ShardPolicy;
 pub use params::{BackpressureParams, ChurnSpec, Params};
 pub use results::RunResult;

@@ -586,9 +586,9 @@ impl Machine {
     }
 
     /// Build a testbed with an explicit per-VM workload list and a fault
-    /// plan. The injector's streams are derived from `(seed, plan.salt)`
-    /// independently of the machine RNG, so the empty plan is bit-identical
-    /// to the unfaulted constructors.
+    /// plan. The injector's streams are derived from `seed` independently
+    /// of the machine RNG, so the empty plan is bit-identical to the
+    /// unfaulted constructors.
     pub fn with_specs_faulted(
         cfg: EventPathConfig,
         topo: Topology,
@@ -928,8 +928,8 @@ impl Machine {
     /// Pop and dispatch exactly one event. Returns `false` once the run
     /// is over — queue drained or the first event past `end_time`
     /// reached (the clock still advances to that event, exactly as the
-    /// old inline run loop behaved). This is the single-step form the
-    /// cluster's lane merge drives; the run loops above are its trivial
+    /// old inline run loop behaved). This is the single-step form
+    /// `Cluster::run` drives; the run loops above are its trivial
     /// clients, so standalone and multi-host execution share one
     /// event-dispatch semantics by construction.
     pub(crate) fn step_one(&mut self) -> bool {
@@ -948,15 +948,16 @@ impl Machine {
         }
     }
 
-    /// Time of the next pending event, if any (lane scheduling).
+    /// Time of the next pending event, if any (the cluster's merge
+    /// picks the host whose next step is earliest).
     pub(crate) fn next_event_time(&self) -> Option<SimTime> {
         self.q.peek_time()
     }
 
-    /// Accept a packet arriving from another lane at `at`: it enters
+    /// Accept a packet arriving from another host at `at`: it enters
     /// this machine's world exactly like a wire arrival, queued for the
-    /// local `vm`'s host backlog. The lane executor guarantees `at` is
-    /// not in this machine's past and delivers same-time arrivals in a
+    /// local `vm`'s host backlog. `Cluster::run` guarantees `at` is not
+    /// in this machine's past and delivers same-time arrivals in a
     /// deterministic `(time, sender, sender_seq)` order.
     pub(crate) fn receive_cross(&mut self, at: SimTime, vm: u32, pkt: Packet) {
         self.q.push(at, Ev::ArriveAtHost { vm, pkt });
@@ -982,8 +983,8 @@ impl Machine {
 
     pub(crate) fn dispatch(&mut self, ev: Ev) {
         // Cluster gate: on a multi-host member, events addressed to a VM
-        // that lives elsewhere (or is mid-blackout) are forwarded across
-        // the lane mailbox, buffered, or dropped before the single-host
+        // that lives elsewhere (or is mid-blackout) are forwarded to
+        // another host, buffered, or dropped before the single-host
         // handlers ever see them. Single-host machines skip the call.
         let ev = if self.mig.is_some() {
             match self.mig_gate(ev) {

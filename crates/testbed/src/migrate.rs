@@ -16,8 +16,8 @@
 //!    hybrid-handler mode, quarantine and backpressure ledgers — plus
 //!    every thread's saved segment is packed into a `VmSnapshot`. The
 //!    vacated slot becomes a fresh dormant (HLT-idle) VM.
-//! 2. **Copy** (wire, `[t_p, t_p + D)`): the snapshot crosses the lane
-//!    mailbox with arrival time `t_p + D`, where the blackout
+//! 2. **Copy** (wire, `[t_p, t_p + D)`): the snapshot crosses to the
+//!    target host with arrival time `t_p + D`, where the blackout
 //!    `D = pause + copy_base + copy_per_unit · dirty + resume` scales
 //!    with the dirty unit count (ring occupancy + backlog depth) — the
 //!    dirty-page analog. `D` always exceeds the cross-lane lookahead.
@@ -32,14 +32,14 @@
 //!
 //! During `[t_p, t_p + D)` the target buffers the slot's arrivals
 //! (replayed in order at resume); traffic addressed to a slot that lives
-//! elsewhere is forwarded across the mailbox with the finite lookahead.
+//! elsewhere is forwarded to its host with the finite lookahead.
 //! The external peer never moves on migration — post-move guest↔peer
 //! traffic permanently crosses hosts in both directions.
 //!
-//! **Abort** (mid-copy failure, decided by the fault plan's migration
-//! stream): the source keeps the snapshot, buffers its own arrivals for
-//! the same blackout, and resumes the VM locally — a rollback, not a
-//! loss. **Host crash**: the lane freezes at the crash instant; victims
+//! **Abort** (mid-copy failure, the move the fault plan's
+//! `migration_abort_nth` names): the source keeps the snapshot, buffers
+//! its own arrivals for the same blackout, and resumes the VM locally —
+//! a rollback, not a loss. **Host crash**: the host freezes at the crash instant; victims
 //! cold-restart on surviving hosts with fresh state (see
 //! `Machine::on_cold_restart`).
 
@@ -58,30 +58,16 @@ use crate::machine::{Ev, Machine, QueuePair, Segment, VcpuCtx, VmState};
 use crate::telemetry::MsiOrigin;
 use crate::workload::{GuestWl, WorkloadSpec};
 
-/// Cost model for one migration's blackout window. All sim-time
-/// constants, so the blackout is a pure function of the paused state.
-#[derive(Clone, Copy, Debug)]
-pub struct MigCosts {
-    /// Fixed pause-phase cost (deschedule + device quiesce).
-    pub pause: SimDuration,
-    /// Fixed copy-phase floor (control channel round trips).
-    pub copy_base: SimDuration,
-    /// Copy cost per dirty unit (one ring entry or backlog packet).
-    pub copy_per_unit: SimDuration,
-    /// Fixed resume-phase cost (install + re-arm on the target).
-    pub resume: SimDuration,
-}
-
-impl Default for MigCosts {
-    fn default() -> Self {
-        MigCosts {
-            pause: SimDuration::from_micros(30),
-            copy_base: SimDuration::from_micros(80),
-            copy_per_unit: SimDuration::from_nanos(150),
-            resume: SimDuration::from_micros(40),
-        }
-    }
-}
+// Cost model for one migration's blackout window. All sim-time
+// constants, so the blackout is a pure function of the paused state.
+/// Fixed pause-phase cost (deschedule + device quiesce).
+pub(crate) const MIG_PAUSE: SimDuration = SimDuration::from_micros(30);
+/// Fixed copy-phase floor (control channel round trips).
+pub(crate) const MIG_COPY_BASE: SimDuration = SimDuration::from_micros(80);
+/// Copy cost per dirty unit (one ring entry or backlog packet).
+pub(crate) const MIG_COPY_PER_UNIT: SimDuration = SimDuration::from_nanos(150);
+/// Fixed resume-phase cost (install + re-arm on the target).
+pub(crate) const MIG_RESUME: SimDuration = SimDuration::from_micros(40);
 
 /// Everything one migration (or crash recovery) run accounts for on one
 /// host. Sim-time quantities, recorded unconditionally (traced and
@@ -142,7 +128,7 @@ impl MigLedger {
 /// One planned out-migration, popped in order by [`Ev::MigrateStart`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PlannedOut {
-    /// Predrawn mid-copy abort decision (fault plan migration stream).
+    /// Mid-copy abort decision, made upfront by the fault plan.
     pub(crate) abort: bool,
 }
 
@@ -154,9 +140,9 @@ pub(crate) struct IncomingBuf {
     pub(crate) msis: Vec<Vector>,
 }
 
-/// A cross-host emission staged by the event gate; the owning lane
-/// drains these after every step and routes them via the shared
-/// location timeline.
+/// A cross-host emission staged by the event gate; `Cluster::run`
+/// drains these after every step and routes them via the location
+/// timeline.
 pub(crate) enum CrossOut {
     /// Guest-bound wire arrival for a slot that lives on another host.
     GuestPkt { vm: u32, at: SimTime, pkt: Packet },
@@ -219,9 +205,8 @@ pub(crate) struct MigState {
     /// invariant: zero retained threads, ring entries, vectors, or
     /// vhost work.
     pub(crate) reclaimed: Vec<bool>,
-    /// Cross-host emissions staged by the gate, drained by the lane.
+    /// Cross-host emissions staged by the gate, drained by the cluster.
     pub(crate) cross_out: Vec<CrossOut>,
-    pub(crate) costs: MigCosts,
     pub(crate) ledger: MigLedger,
 }
 
@@ -229,7 +214,7 @@ impl Machine {
     /// Turn this machine into host `host` of a multi-host cell. Called
     /// once right after construction; every slot starts fully local
     /// (bit-identical behavior until `mark_remote`/schedule calls).
-    pub(crate) fn enable_cluster(&mut self, host: u32, costs: MigCosts) {
+    pub(crate) fn enable_cluster(&mut self, host: u32) {
         let n = self.topo.num_vms as usize;
         if let Some(r) = self.router.as_mut() {
             r.set_host(host);
@@ -244,7 +229,6 @@ impl Machine {
             boots: vec![VecDeque::new(); n],
             reclaimed: vec![false; n],
             cross_out: Vec::new(),
-            costs,
             ledger: MigLedger::default(),
         }));
     }
@@ -261,7 +245,7 @@ impl Machine {
     }
 
     /// Schedule an out-migration of `vm` pausing at `at`. `abort` is the
-    /// predrawn mid-copy failure decision for this move.
+    /// mid-copy failure decision for this move, made upfront.
     pub(crate) fn schedule_migration_out(&mut self, at: SimTime, vm: u32, abort: bool) {
         self.mig_mut().out_plan[vm as usize].push_back(PlannedOut { abort });
         self.q.push(at, Ev::MigrateStart { vm });
@@ -348,7 +332,7 @@ impl Machine {
 
     /// Filter one event through the cluster gate (only called when
     /// `mig` is `Some`). Returns the event to process locally, or `None`
-    /// if it was forwarded across the mailbox, buffered for resume, or
+    /// if it was forwarded to another host, buffered for resume, or
     /// dropped (re-armed at resume by construction).
     pub(crate) fn mig_gate(&mut self, ev: Ev) -> Option<Ev> {
         match ev {
@@ -491,7 +475,6 @@ impl Machine {
             vhost_segs.push(self.threads[tid.idx()].seg.take());
         }
 
-        let costs = self.mig.as_ref().unwrap().costs;
         let dirty = {
             let s = &self.vms[vmi];
             s.pairs
@@ -505,10 +488,10 @@ impl Machine {
                 })
                 .sum::<u64>()
         };
-        let copy_cost = costs.copy_base
-            + SimDuration::from_nanos(costs.copy_per_unit.as_nanos().saturating_mul(dirty));
-        let blackout = costs.pause + copy_cost + costs.resume;
-        self.note_mig_pause(vm, dirty, costs.pause, copy_cost);
+        let copy_cost = MIG_COPY_BASE
+            + SimDuration::from_nanos(MIG_COPY_PER_UNIT.as_nanos().saturating_mul(dirty));
+        let blackout = MIG_PAUSE + copy_cost + MIG_RESUME;
+        self.note_mig_pause(vm, dirty, MIG_PAUSE, copy_cost);
 
         let spec = std::mem::replace(&mut self.specs[vmi], WorkloadSpec::IdleQuiet);
         let fresh = Self::blank_vm_state(
@@ -523,7 +506,7 @@ impl Machine {
         let state = std::mem::replace(&mut self.vms[vmi], fresh);
         {
             let m = self.mig.as_mut().unwrap();
-            m.ledger.pause_ns.push(costs.pause.as_nanos());
+            m.ledger.pause_ns.push(MIG_PAUSE.as_nanos());
             m.ledger.copy_ns.push(copy_cost.as_nanos());
         }
 
@@ -535,7 +518,7 @@ impl Machine {
             vhost_segs,
             vhost_active,
             blackout,
-            resume_cost: costs.resume,
+            resume_cost: MIG_RESUME,
         })
     }
 

@@ -31,8 +31,6 @@ use es2_hypervisor::ExitCosts;
 use es2_sched::SchedParams;
 use es2_sim::SimDuration;
 
-use crate::workload::WorkloadSpec;
-
 /// The device model serving the VMs.
 ///
 /// The paper's design is paravirtual (virtio/vhost); §VII argues the same
@@ -88,64 +86,24 @@ impl Default for BackpressureParams {
 /// means churn is off, the churn RNG streams are never drawn from, and
 /// the run is byte-identical to a pre-churn cluster. Inter-arrival gaps
 /// and resident lifetimes are heavy-tailed (bounded Pareto, drawn
-/// upfront from dedicated fault-injector streams forked after the nine
-/// pre-existing ones).
+/// upfront from dedicated fault-injector streams forked after every
+/// other one). The tenant workload, arrival timing scale, boot and
+/// retry timing, pending depth and brownout threshold are constants of
+/// the control plane (see the churn module).
 #[derive(Clone, Copy, Debug)]
 pub struct ChurnSpec {
     /// Churn arrivals to generate (each gets its own global VM slot
     /// appended after the static fleet).
     pub arrivals: u32,
-    /// Workload each churn tenant runs once booted.
-    pub spec: WorkloadSpec,
-    /// When the first arrival lands, relative to run start.
-    pub first_arrival: SimDuration,
-    /// Scale of the heavy-tailed gap between consecutive arrivals.
-    pub mean_interarrival: SimDuration,
     /// Scale of the heavy-tailed resident lifetime (boot → departure).
     pub mean_lifetime: SimDuration,
-    /// Control-plane latency from a successful placement to the boot
-    /// landing on the host.
-    pub boot_delay: SimDuration,
-    /// How long a partial boot (stuck mid-handshake) may sit before the
-    /// control plane rolls it back and retries the arrival.
-    pub boot_timeout: SimDuration,
-    /// Placement attempts per arrival before it lands in the
-    /// permanently-rejected ledger (first attempt + `max_retries`
-    /// retries).
-    pub max_retries: u32,
-    /// Base retry backoff; attempt `k` waits `retry_backoff · 2^k` plus
-    /// jitter.
-    pub retry_backoff: SimDuration,
-    /// Uniform jitter window added to each backoff (deterministic: drawn
-    /// from the dedicated retry stream).
-    pub retry_jitter: SimDuration,
-    /// Maximum boots in flight per host; a host at this depth is skipped
-    /// by placement even if it has slot capacity.
-    pub pending_depth: u32,
-    /// Host-utilization threshold (resident + pending over capacity) at
-    /// or above which new boots on that host are deferred (brownout).
-    pub brownout_util: f64,
-    /// How long a brownout defers each affected boot; lifts
-    /// deterministically after this hold.
-    pub brownout_hold: SimDuration,
 }
 
 impl Default for ChurnSpec {
     fn default() -> Self {
         ChurnSpec {
             arrivals: 8,
-            spec: WorkloadSpec::Ping,
-            first_arrival: SimDuration::from_millis(5),
-            mean_interarrival: SimDuration::from_millis(4),
             mean_lifetime: SimDuration::from_millis(40),
-            boot_delay: SimDuration::from_millis(1),
-            boot_timeout: SimDuration::from_millis(4),
-            max_retries: 4,
-            retry_backoff: SimDuration::from_millis(1),
-            retry_jitter: SimDuration::from_micros(200),
-            pending_depth: 2,
-            brownout_util: 0.9,
-            brownout_hold: SimDuration::from_millis(2),
         }
     }
 }

@@ -178,23 +178,23 @@ fn crash_during_admit_replaces_via_evacuation() {
 /// leak, no panic, counted as a destroy race.
 ///
 /// The race is aimed deterministically: the first arrival's boot time
-/// is fixed (`first_arrival + boot_delay`, no draw), and its lifetime
-/// draw is replayed here on a fresh injector (the churn streams are
-/// dedicated, so the first lifetime draw is the first value on that
-/// stream) — the move is then planned 2 µs before the known depart
-/// instant, squarely inside the migration's blackout window.
+/// is fixed (the control plane's constants land it at 5 ms and boot it
+/// 1 ms later, no draw), and its lifetime draw is replayed here on a
+/// fresh injector (the churn streams are dedicated, so the first
+/// lifetime draw is the first value on that stream) — the move is then
+/// planned 2 µs before the known depart instant, squarely inside the
+/// migration's blackout window.
 #[test]
 fn depart_racing_migration_defers_and_reclaims() {
     let churn = ChurnSpec {
         arrivals: 1,
         mean_lifetime: SimDuration::from_millis(20),
-        ..ChurnSpec::default()
     };
     let mut hit = false;
     for seed in 0..8u64 {
         let lifetime = es2_sim::FaultInjector::new(FaultPlan::none(), seed)
             .churn_lifetime(churn.mean_lifetime);
-        let boot_at = SimTime::ZERO + churn.first_arrival + churn.boot_delay;
+        let boot_at = at_ms(6);
         let depart_at = boot_at + lifetime;
         if depart_at >= at_ms(100) {
             continue; // heavy tail outlived the run; try the next seed
@@ -255,7 +255,6 @@ fn full_fault_diet_churn_cell_is_leak_free_and_deterministic() {
         spec.churn = Some(ChurnSpec {
             arrivals: 8,
             mean_lifetime: SimDuration::from_millis(15),
-            ..ChurnSpec::default()
         });
         Cluster::new(spec)
     };
