@@ -52,7 +52,8 @@ fn main() {
         let rs = es2_testbed::experiments::scale_specs(n, params, es2_bench::SEED)[idx];
         let mut per_vm = vec![WorkloadSpec::IdleQuiet; n as usize];
         per_vm[0] = rs.spec;
-        es2_testbed::Machine::with_specs(rs.cfg, rs.topo, per_vm, rs.params, rs.seed)
+        let plan = es2_sim::FaultPlan::none();
+        es2_testbed::Machine::with_specs_faulted(rs.cfg, rs.topo, per_vm, rs.params, rs.seed, plan)
             .run_with_snapshot()
     } else {
         es2_testbed::Machine::new(cfg, topo, spec, params, 1).run_with_snapshot()

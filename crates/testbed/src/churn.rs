@@ -38,10 +38,10 @@
 //!    └─retries exhausted──▶ Rejected (final)
 //! ```
 //!
-//! Every transition compiles to per-host machine calls (boot, depart,
-//! timeout rollback, observational note) with times strictly inside the
-//! run window, so the runtime side is an ordinary deterministic event
-//! diet.
+//! Every transition compiles to per-host machine events that carry their
+//! own payloads (boot, depart, timeout rollback, observational note) with
+//! times strictly inside the run window, so the runtime side is an
+//! ordinary deterministic event diet.
 //!
 //! # Compilation order
 //!
@@ -51,7 +51,7 @@
 //! events settle state (boot completions, departures, timeouts) before
 //! new placement attempts observe it. With churn disabled the heap
 //! degenerates to exactly the old crash/move merge — same asserts, same
-//! calls, same timeline, byte-identical cells.
+//! events, same timeline, byte-identical cells.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -62,6 +62,7 @@ use crate::cluster::{
     best_fit, evacuation_target, percentile_ns, ClusterSpec, PlannedMove, Timeline,
     CROSS_LANE_LOOKAHEAD, RESTART_DELAY,
 };
+use crate::machine::Ev;
 use crate::workload::WorkloadSpec;
 
 /// Workload each churn tenant runs once booted.
@@ -191,25 +192,14 @@ impl ChurnLedger {
     }
 }
 
-/// Per-host machine calls compiled from the control schedule, applied
-/// to each machine after build (in push order, which is chronological).
-pub(crate) enum Call {
-    Out { at: SimTime, vm: u32, abort: bool },
-    In { at: SimTime, vm: u32 },
-    Restart { at: SimTime, vm: u32 },
-    ExtRetire { at: SimTime, vm: u32 },
-    Boot { at: SimTime, vm: u32, spec: WorkloadSpec, stuck: bool },
-    Depart { at: SimTime, vm: u32 },
-    BootTimeout { at: SimTime, vm: u32 },
-    Note { at: SimTime, vm: u32, kind: &'static str, arg: u64 },
-}
-
-/// The compiled control schedule: location timelines, per-host call
-/// lists, the full slot-spec table, and the churn ledger (when on).
+/// The compiled control schedule: location timelines, per-host control
+/// events (each carrying its own payload, pushed onto the host's queue
+/// in emission order), the full slot-spec table, and the churn ledger
+/// (when on).
 pub(crate) struct Compiled {
     pub(crate) guest_tl: Vec<Vec<(SimTime, u32)>>,
     pub(crate) ext_tl: Vec<Vec<(SimTime, u32)>>,
-    pub(crate) calls: Vec<Vec<Call>>,
+    pub(crate) events: Vec<Vec<(SimTime, Ev)>>,
     pub(crate) slot_specs: Vec<WorkloadSpec>,
     pub(crate) churn: Option<ChurnLedger>,
 }
@@ -305,7 +295,7 @@ struct Compiler<'a> {
     last_move_at: Vec<Option<SimTime>>,
     /// Per-slot blackout window of the latest move (destroy-race gate).
     move_until: Vec<Option<SimTime>>,
-    calls: Vec<Vec<Call>>,
+    events: Vec<Vec<(SimTime, Ev)>>,
     /// Incremental per-host occupancy in VM units, for churn admission
     /// and brownout only. Legacy evacuation spreading recomputes
     /// occupancy from the timeline instead — byte-identity with the
@@ -319,7 +309,7 @@ struct Compiler<'a> {
 }
 
 /// Compile the full control schedule — crashes, moves, churn lifecycle
-/// — into location timelines and per-host machine calls. `aborts` are
+/// — into location timelines and per-host machine events. `aborts` are
 /// the per-move abort decisions, made upfront by the fault plan; churn
 /// draws happen here, on the churn streams only.
 pub(crate) fn compile(
@@ -381,7 +371,7 @@ pub(crate) fn compile(
         alive: vec![true; hosts],
         last_move_at: vec![None; n_total],
         move_until: vec![None; n_total],
-        calls: (0..hosts).map(|_| Vec::new()).collect(),
+        events: (0..hosts).map(|_| Vec::new()).collect(),
         occ,
         pending: vec![0u32; hosts],
         ctl: Vec::new(),
@@ -437,7 +427,7 @@ pub(crate) fn compile(
     Compiled {
         guest_tl: cc.guest_tl,
         ext_tl: cc.ext_tl,
-        calls: cc.calls,
+        events: cc.events,
         slot_specs,
         churn: spec.churn.map(|_| cc.ledger),
     }
@@ -473,13 +463,9 @@ impl Compiler<'_> {
             }
             self.last_move_at[vmi] = Some(m.at);
             self.move_until[vmi] = Some(m.at + self.max_blackout + CROSS_LANE_LOOKAHEAD);
-            self.calls[from as usize].push(Call::Out {
-                at: m.at,
-                vm: m.vm,
-                abort,
-            });
+            self.events[from as usize].push((m.at, Ev::MigrateStart { vm: m.vm, abort }));
             if !abort {
-                self.calls[m.to as usize].push(Call::In { at: m.at, vm: m.vm });
+                self.events[m.to as usize].push((m.at, Ev::MigrateExpect { vm: m.vm }));
                 self.guest_tl[vmi].push((m.at, m.to));
                 self.occ[from as usize] = self.occ[from as usize].saturating_sub(1);
                 self.occ[m.to as usize] += 1;
@@ -509,13 +495,9 @@ impl Compiler<'_> {
         };
         self.last_move_at[vmi] = Some(m.at);
         self.move_until[vmi] = Some(m.at + self.max_blackout + CROSS_LANE_LOOKAHEAD);
-        self.calls[from].push(Call::Out {
-            at: m.at,
-            vm: m.vm,
-            abort,
-        });
+        self.events[from].push((m.at, Ev::MigrateStart { vm: m.vm, abort }));
         if !abort {
-            self.calls[m.to as usize].push(Call::In { at: m.at, vm: m.vm });
+            self.events[m.to as usize].push((m.at, Ev::MigrateExpect { vm: m.vm }));
             self.guest_tl[vmi].push((m.at, m.to));
             self.occ[from] = self.occ[from].saturating_sub(1);
             self.occ[m.to as usize] += 1;
@@ -570,17 +552,11 @@ impl Compiler<'_> {
             self.guest_tl[g].push((restart_at, target as u32));
             let old_ext = Timeline::host_at(&self.ext_tl[g], tc) as usize;
             self.ext_tl[g].push((restart_at, target as u32));
-            self.calls[target].push(Call::Restart {
-                at: restart_at,
-                vm: g as u32,
-            });
+            self.events[target].push((restart_at, Ev::ColdRestart { vm: g as u32 }));
             // The restart rebuilds the external peer next to the
             // guest; a surviving old peer host retires its copy.
             if old_ext != h && old_ext != target && self.alive[old_ext] {
-                self.calls[old_ext].push(Call::ExtRetire {
-                    at: restart_at,
-                    vm: g as u32,
-                });
+                self.events[old_ext].push((restart_at, Ev::ExtRetire { vm: g as u32 }));
             }
             self.occ[target] += 1;
             if g >= self.fleet_n {
@@ -620,12 +596,8 @@ impl Compiler<'_> {
             self.pending[target] += 1;
             self.guest_tl[g].push((restart_at, target as u32));
             self.ext_tl[g].push((restart_at, target as u32));
-            self.calls[target].push(Call::Boot {
-                at: restart_at,
-                vm: g as u32,
-                spec: TENANT_SPEC,
-                stuck: false,
-            });
+            let vm = g as u32;
+            self.events[target].push((restart_at, Ev::VmBoot { vm, stuck: false }));
             self.ctl[ci].st = St::Booting {
                 host: target,
                 boot_at: restart_at,
@@ -678,12 +650,12 @@ impl Compiler<'_> {
         if stuck {
             self.ledger.boot_stall_faults += 1;
         }
-        self.calls[h].push(Call::Note {
-            at,
+        let note = Ev::ChurnNote {
             vm: g,
             kind: "vm-admit",
             arg: h as u64,
-        });
+        };
+        self.events[h].push((at, note));
         if boot_at >= self.end {
             self.ledger.abandoned += 1;
             return;
@@ -693,17 +665,12 @@ impl Compiler<'_> {
         self.ctl[ci].st = St::Booting { host: h, boot_at };
         self.guest_tl[g as usize].push((boot_at, h as u32));
         self.ext_tl[g as usize].push((boot_at, h as u32));
-        self.calls[h].push(Call::Boot {
-            at: boot_at,
-            vm: g,
-            spec: TENANT_SPEC,
-            stuck,
-        });
+        self.events[h].push((boot_at, Ev::VmBoot { vm: g, stuck }));
         let epoch = self.ctl[ci].epoch;
         if stuck {
             let to = boot_at + BOOT_TIMEOUT;
             if to < self.end {
-                self.calls[h].push(Call::BootTimeout { at: to, vm: g });
+                self.events[h].push((to, Ev::BootTimeout { vm: g }));
                 self.sched
                     .push(to, PRIO_TIMEOUT, Ctrl::StallTimeout { ci, epoch });
             }
@@ -750,7 +717,7 @@ impl Compiler<'_> {
         let St::Booting { host, .. } = self.ctl[ci].st else {
             return;
         };
-        // The machine-side rollback (Call::BootTimeout) was emitted at
+        // The machine-side rollback (`Ev::BootTimeout`) was emitted at
         // placement; here the control plane frees the pending slot and
         // re-enters admission like any transient rejection.
         self.pending[host] = self.pending[host].saturating_sub(1);
@@ -786,11 +753,11 @@ impl Compiler<'_> {
             }
         }
         debug_assert!(self.alive[host], "depart on a dead host");
-        self.calls[host].push(Call::Depart { at, vm: g as u32 });
+        self.events[host].push((at, Ev::VmDepart { vm: g as u32 }));
         // A live-migrated tenant's peer stayed home; retire it there.
         let ext_host = Timeline::host_at(&self.ext_tl[g], at) as usize;
         if ext_host != host && self.alive[ext_host] {
-            self.calls[ext_host].push(Call::ExtRetire { at, vm: g as u32 });
+            self.events[ext_host].push((at, Ev::ExtRetire { vm: g as u32 }));
         }
         self.occ[host] = self.occ[host].saturating_sub(1);
         self.ctl[ci].st = St::Departed;
@@ -809,12 +776,12 @@ impl Compiler<'_> {
             self.ledger.rejected_final += 1;
             if now < self.end {
                 if let Some(h) = self.alive.iter().position(|a| *a) {
-                    self.calls[h].push(Call::Note {
-                        at: now,
+                    let note = Ev::ChurnNote {
                         vm: g,
                         kind: "vm-reject",
                         arg: attempts as u64,
-                    });
+                    };
+                    self.events[h].push((now, note));
                 }
             }
             return;

@@ -58,7 +58,7 @@ use std::collections::BinaryHeap;
 use es2_core::EventPathConfig;
 use es2_sim::{FaultInjector, FaultPlan, SimDuration, SimTime};
 
-use crate::churn::{self, Call, ChurnLedger};
+use crate::churn::{self, ChurnLedger};
 use crate::liveness::{self, LivenessReport};
 use crate::machine::{Machine, Topology};
 use crate::migrate::{
@@ -501,7 +501,8 @@ impl ClusterResult {
 
     /// Orphaned-resource count: conservation-invariant violations (a
     /// reclaimed slot retaining threads, ring entries, vectors, vhost
-    /// work, or staged control state). Zero is the leak-proof gate.
+    /// work, a blackout buffer or a staged snapshot). Zero is the
+    /// leak-proof gate.
     pub fn orphans(&self) -> usize {
         self.liveness
             .violations
@@ -584,7 +585,7 @@ impl Cluster {
 
         // --- Compile the control schedule: moves, crash evacuations,
         //     and (when enabled) the churn lifecycle — chronologically,
-        //     into the location timeline and per-host call lists. ---
+        //     into the location timeline and per-host control events. ---
         // The worst blackout any move can produce bounds how close two
         // moves of the same VM may be scheduled.
         let dirty_cap = 4 * spec.params.ring_size as u64 + spec.params.host_backlog as u64;
@@ -642,7 +643,7 @@ impl Cluster {
                 host_seed(spec.seed, h),
                 spec.plan.for_single_host(h),
             );
-            m.enable_cluster(h as u32);
+            m.enable_cluster(h as u32, compiled.slot_specs.clone());
             for (g, p) in placement.iter().enumerate() {
                 match p {
                     Some(home) if *home != h as u32 => m.mark_remote(g as u32),
@@ -655,19 +656,10 @@ impl Cluster {
             for g in n..n_total {
                 m.mark_remote(g as u32);
             }
-            for call in &compiled.calls[h] {
-                match *call {
-                    Call::Out { at, vm, abort } => m.schedule_migration_out(at, vm, abort),
-                    Call::In { at, vm } => m.schedule_migration_in(at, vm),
-                    Call::Restart { at, vm } => {
-                        m.schedule_cold_restart(at, vm, compiled.slot_specs[vm as usize])
-                    }
-                    Call::ExtRetire { at, vm } => m.schedule_ext_retire(at, vm),
-                    Call::Boot { at, vm, spec, stuck } => m.schedule_vm_boot(at, vm, spec, stuck),
-                    Call::Depart { at, vm } => m.schedule_vm_depart(at, vm),
-                    Call::BootTimeout { at, vm } => m.schedule_boot_timeout(at, vm),
-                    Call::Note { at, vm, kind, arg } => m.schedule_churn_note(at, vm, kind, arg),
-                }
+            // In emission order, which keeps the `(time, seq)` order of
+            // the host's queue a function of the compiled schedule.
+            for &(at, ev) in &compiled.events[h] {
+                m.q.push(at, ev);
             }
             lanes.push(HostLane {
                 m,

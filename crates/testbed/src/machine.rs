@@ -355,9 +355,12 @@ pub(crate) enum Ev {
     OpenWindow,
     CloseWindow,
     /// Live migration: pause `vm` on this (source) host, snapshot it, and
-    /// hand the snapshot to the cluster layer (or stage an abort rollback).
+    /// hand the snapshot to the cluster layer — or, when `abort` (the
+    /// fault plan's mid-copy failure, decided upfront), stage a local
+    /// rollback.
     MigrateStart {
         vm: u32,
+        abort: bool,
     },
     /// Live migration: a staged snapshot for slot `vm` finishes its copy
     /// phase — install and resume it here (target host, or source on an
@@ -384,7 +387,8 @@ pub(crate) enum Ev {
         vm: u32,
     },
     /// A crashed host's victim VM cold-restarts on this host after the
-    /// evacuation delay (placement re-placed it; state starts fresh).
+    /// evacuation delay (placement re-placed it; state starts fresh, with
+    /// the slot's workload from the cell's slot table).
     ColdRestart {
         vm: u32,
     },
@@ -394,6 +398,7 @@ pub(crate) enum Ev {
     /// virtio device never comes up — and waits for its timeout.
     VmBoot {
         vm: u32,
+        stuck: bool,
     },
     /// Tenant churn: slot `vm`'s lifetime ended — tear the VM down and
     /// reclaim every resource it held (threads, rings, vectors, peer).
@@ -455,6 +460,10 @@ pub const EV_KIND_NAMES: &[&str] = &[
 // A kind past the profiler's table would land in its overflow bucket
 // unattributed: grow `MAX_KINDS` with the enum.
 const _: () = assert!(EV_KIND_NAMES.len() <= es2_metrics::ev_profile::MAX_KINDS);
+// Every queued event is as large as the largest variant: a payload
+// added to a variant must fit beside its fields (control flags sit next
+// to `vm`).
+const _: () = assert!(std::mem::size_of::<Ev>() <= 40);
 
 impl Ev {
     /// Dense kind index into [`EV_KIND_NAMES`] (profiling).
@@ -557,38 +566,15 @@ impl Machine {
         params: Params,
         seed: u64,
     ) -> Self {
-        Self::new_faulted(cfg, topo, spec, params, seed, FaultPlan::none())
-    }
-
-    /// Like [`Machine::new`], with a fault plan scheduled over the run.
-    pub fn new_faulted(
-        cfg: EventPathConfig,
-        topo: Topology,
-        spec: WorkloadSpec,
-        params: Params,
-        seed: u64,
-        plan: FaultPlan,
-    ) -> Self {
         let mut specs = vec![WorkloadSpec::Idle; topo.num_vms as usize];
         specs[0] = spec;
-        Self::with_specs_faulted(cfg, topo, specs, params, seed, plan)
-    }
-
-    /// Build a testbed with an explicit per-VM workload list.
-    pub fn with_specs(
-        cfg: EventPathConfig,
-        topo: Topology,
-        specs: Vec<WorkloadSpec>,
-        params: Params,
-        seed: u64,
-    ) -> Self {
         Self::with_specs_faulted(cfg, topo, specs, params, seed, FaultPlan::none())
     }
 
     /// Build a testbed with an explicit per-VM workload list and a fault
-    /// plan. The injector's streams are derived from `seed` independently
-    /// of the machine RNG, so the empty plan is bit-identical to the
-    /// unfaulted constructors.
+    /// plan ([`FaultPlan::none`] for a clean run). The injector's streams
+    /// are derived from `seed` independently of the machine RNG, so the
+    /// empty plan draws nothing and schedules nothing.
     pub fn with_specs_faulted(
         cfg: EventPathConfig,
         topo: Topology,
@@ -732,20 +718,10 @@ impl Machine {
                 );
             }
         }
-        // Wake every vCPU thread (guests boot busy: the burn scripts).
-        // Initial vruntimes are staggered randomly so per-core rotations
-        // start out of phase, as on any real host; otherwise equal-weight
-        // vCPU threads on different cores rotate in lockstep and a VM is
-        // always either fully online or fully offline — the degenerate
-        // co-scheduling case §IV-C argues is rare.
-        let latency = self.p.sched.sched_latency.as_nanos();
-        for vm in 0..self.vms.len() {
-            for i in 0..self.vms[vm].vcpu_tids.len() {
-                let tid = self.vms[vm].vcpu_tids[i];
-                let nudge = self.rng.gen_range(latency);
-                self.sched.nudge_vruntime(tid, nudge);
-                self.wake_thread(tid);
-            }
+        // Wake every vCPU thread (guests boot busy: the burn scripts),
+        // every VM before any external kick-off.
+        for vm in 0..self.topo.num_vms {
+            self.boot_vcpus(vm);
         }
         // External traffic kick-off.
         self.bootstrap_external();
@@ -762,26 +738,44 @@ impl Machine {
             if plan.pi_unavailable_mask != 0 {
                 self.q.push(SimTime::ZERO + plan.pi_fail_after, Ev::PiFail);
             }
-            // Guest-side retransmission timers for TCP senders: under
-            // injected packet loss the ACK clock can stall outright; the
-            // RTO clears the in-flight accounting so sending resumes.
-            for vm in 0..self.vms.len() as u32 {
-                let tcp_sender = matches!(
-                    &self.vms[vm as usize].wl,
-                    GuestWl::NetperfSend { spec, .. }
-                        if spec.proto == es2_workloads::NetperfProto::Tcp
-                );
-                if tcp_sender {
-                    self.q.push(
-                        SimTime::ZERO + self.p.guest_rto_check,
-                        Ev::GuestTcpTimeout { vm },
-                    );
-                }
+            for vm in 0..self.topo.num_vms {
+                self.arm_guest_rto(vm);
             }
         }
         // Measurement window.
         self.q.push(SimTime::ZERO + self.p.warmup, Ev::OpenWindow);
         self.q.push(self.end_time, Ev::CloseWindow);
+    }
+
+    /// Wake `vm`'s vCPU threads as a booting guest. Initial vruntimes
+    /// are staggered randomly so per-core rotations start out of phase,
+    /// as on any real host; otherwise equal-weight vCPU threads on
+    /// different cores rotate in lockstep and a VM is always either fully
+    /// online or fully offline — the degenerate co-scheduling case §IV-C
+    /// argues is rare.
+    pub(crate) fn boot_vcpus(&mut self, vm: u32) {
+        let latency = self.p.sched.sched_latency.as_nanos();
+        for i in 0..self.vms[vm as usize].vcpu_tids.len() {
+            let tid = self.vms[vm as usize].vcpu_tids[i];
+            let nudge = self.rng.gen_range(latency);
+            self.sched.nudge_vruntime(tid, nudge);
+            self.wake_thread(tid);
+        }
+    }
+
+    /// Arm `vm`'s guest-side retransmission timer if it is a TCP sender
+    /// under an active fault plan: injected packet loss can stall the
+    /// ACK clock outright, and the RTO clears the in-flight accounting
+    /// so sending resumes.
+    pub(crate) fn arm_guest_rto(&mut self, vm: u32) {
+        let tcp_sender = matches!(
+            &self.vms[vm as usize].wl,
+            GuestWl::NetperfSend { spec, .. } if spec.proto == es2_workloads::NetperfProto::Tcp
+        );
+        if tcp_sender && self.faults.is_active() {
+            self.q
+                .push(self.now + self.p.guest_rto_check, Ev::GuestTcpTimeout { vm });
+        }
     }
 
     /// Render a diagnostic snapshot of the world state (probe tooling).
@@ -1076,13 +1070,13 @@ impl Machine {
                     vm.ledger.close_window(self.now);
                 }
             }
-            Ev::MigrateStart { vm } => self.on_migrate_start(vm),
+            Ev::MigrateStart { vm, abort } => self.on_migrate_start(vm, abort),
             Ev::MigrateArrive { vm } => self.on_migrate_arrive(vm),
             Ev::MigrateExpect { vm } => self.on_migrate_expect(vm),
             Ev::RetargetMsi { vm, vector } => self.on_retarget_msi(vm, vector),
             Ev::ExtRetire { vm } => self.on_ext_retire(vm),
             Ev::ColdRestart { vm } => self.on_cold_restart(vm),
-            Ev::VmBoot { vm } => self.on_vm_boot(vm),
+            Ev::VmBoot { vm, stuck } => self.on_vm_boot(vm, stuck),
             Ev::VmDepart { vm } => self.on_vm_depart(vm),
             Ev::BootTimeout { vm } => self.on_boot_timeout(vm),
             Ev::ChurnNote { vm, kind, arg } => self.note_control(vm, kind, arg),

@@ -43,8 +43,6 @@
 //! cold-restart on surviving hosts with fresh state (see
 //! `Machine::on_cold_restart`).
 
-use std::collections::VecDeque;
-
 use es2_apic::Vector;
 use es2_hypervisor::{InterruptPath, Vcpu, VcpuId};
 use es2_net::Packet;
@@ -56,7 +54,7 @@ use es2_sched::{ThreadId, ThreadState};
 
 use crate::machine::{Ev, Machine, QueuePair, Segment, VcpuCtx, VmState};
 use crate::telemetry::MsiOrigin;
-use crate::workload::{GuestWl, WorkloadSpec};
+use crate::workload::{ExtWl, GuestWl, WorkloadSpec};
 
 // Cost model for one migration's blackout window. All sim-time
 // constants, so the blackout is a pure function of the paused state.
@@ -92,9 +90,9 @@ pub struct MigLedger {
     /// Stuck boots rolled back here after their handshake timeout.
     pub boot_timeouts: u64,
     /// Control-plane operations that arrived against a slot in the wrong
-    /// state (stale plan entry, missing snapshot/spec, teardown of a
-    /// non-resident slot). Each is a typed error recorded instead of a
-    /// panic; `liveness` promotes any entry to a fatal violation.
+    /// state (a missing snapshot, a teardown of a non-resident slot).
+    /// Each is a typed error recorded instead of a panic; `liveness`
+    /// promotes any entry to a fatal violation.
     pub ctl_errors: Vec<String>,
     /// Full blackout per resume landing here (nanoseconds).
     pub blackout_ns: Vec<u64>,
@@ -123,13 +121,6 @@ impl MigLedger {
         self.copy_ns.extend_from_slice(&o.copy_ns);
         self.resume_ns.extend_from_slice(&o.resume_ns);
     }
-}
-
-/// One planned out-migration, popped in order by [`Ev::MigrateStart`].
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PlannedOut {
-    /// Mid-copy abort decision, made upfront by the fault plan.
-    pub(crate) abort: bool,
 }
 
 /// Arrivals buffered while a slot is mid-blackout, replayed at resume
@@ -187,16 +178,9 @@ pub(crate) struct MigState {
     pub(crate) incoming: Vec<Option<IncomingBuf>>,
     /// Snapshots staged for an [`Ev::MigrateArrive`] at this host.
     pub(crate) staged: Vec<Option<Box<VmSnapshot>>>,
-    /// Planned out-moves per slot, popped by [`Ev::MigrateStart`].
-    pub(crate) out_plan: Vec<VecDeque<PlannedOut>>,
-    /// Cold-restart specs per slot, popped by [`Ev::ColdRestart`]. A
-    /// queue, not an option: one slot can crash-restart here more than
-    /// once in a run.
-    pub(crate) restarts: Vec<VecDeque<WorkloadSpec>>,
-    /// Churn boot specs per slot (`spec`, `stuck`), popped by
-    /// [`Ev::VmBoot`] — a retried arrival can boot on the same host
-    /// twice, so staging must queue, not overwrite.
-    pub(crate) boots: Vec<VecDeque<(WorkloadSpec, bool)>>,
+    /// The cell's workload per global slot: what a cold restart or a
+    /// clean churn boot installs.
+    slot_specs: Vec<WorkloadSpec>,
     /// Slot was torn down on this host at least once (departure or
     /// boot-timeout rollback). A reclaimed, non-resident slot drops
     /// tenant-bound traffic at the host edge instead of forwarding it
@@ -210,11 +194,30 @@ pub(crate) struct MigState {
     pub(crate) ledger: MigLedger,
 }
 
+/// What [`Machine::rebuild_slot`] turns a slot into.
+#[derive(Clone, Copy)]
+enum Rebuild {
+    /// Fully live with fresh state: RX rings pre-filled, a fresh
+    /// external peer rebuilt locally, the guest booted like bootstrap
+    /// (cold restarts and clean churn boots).
+    Live(WorkloadSpec),
+    /// A stuck boot: the vCPUs come up (firmware spin, then halt) but the
+    /// virtio handshake never completes — no device, no external peer,
+    /// no traffic. The slot counts against its host's capacity until the
+    /// handshake timeout tears it back down.
+    Stuck,
+    /// Torn down and reclaimed: a dormant slot with empty rings that
+    /// holds nothing (departures and boot-timeout rollbacks).
+    Dormant,
+}
+
 impl Machine {
-    /// Turn this machine into host `host` of a multi-host cell. Called
+    /// Turn this machine into host `host` of a multi-host cell, whose
+    /// global slot `g` runs `slot_specs[g]` wherever it boots. Called
     /// once right after construction; every slot starts fully local
-    /// (bit-identical behavior until `mark_remote`/schedule calls).
-    pub(crate) fn enable_cluster(&mut self, host: u32) {
+    /// (bit-identical behavior until `mark_remote` and the first control
+    /// event).
+    pub(crate) fn enable_cluster(&mut self, host: u32, slot_specs: Vec<WorkloadSpec>) {
         let n = self.topo.num_vms as usize;
         if let Some(r) = self.router.as_mut() {
             r.set_host(host);
@@ -224,9 +227,7 @@ impl Machine {
             ext_local: vec![true; n],
             incoming: (0..n).map(|_| None).collect(),
             staged: (0..n).map(|_| None).collect(),
-            out_plan: vec![VecDeque::new(); n],
-            restarts: vec![VecDeque::new(); n],
-            boots: vec![VecDeque::new(); n],
+            slot_specs,
             reclaimed: vec![false; n],
             cross_out: Vec::new(),
             ledger: MigLedger::default(),
@@ -242,54 +243,6 @@ impl Machine {
         let m = self.mig_mut();
         m.guest_local[vm as usize] = false;
         m.ext_local[vm as usize] = false;
-    }
-
-    /// Schedule an out-migration of `vm` pausing at `at`. `abort` is the
-    /// mid-copy failure decision for this move, made upfront.
-    pub(crate) fn schedule_migration_out(&mut self, at: SimTime, vm: u32, abort: bool) {
-        self.mig_mut().out_plan[vm as usize].push_back(PlannedOut { abort });
-        self.q.push(at, Ev::MigrateStart { vm });
-    }
-
-    /// Schedule the target-side expectation of an inbound move pausing
-    /// at `at` (starts the blackout buffer here).
-    pub(crate) fn schedule_migration_in(&mut self, at: SimTime, vm: u32) {
-        self.q.push(at, Ev::MigrateExpect { vm });
-    }
-
-    /// Schedule a crash victim's cold restart here at `at`.
-    pub(crate) fn schedule_cold_restart(&mut self, at: SimTime, vm: u32, spec: WorkloadSpec) {
-        self.mig_mut().restarts[vm as usize].push_back(spec);
-        self.q.push(at, Ev::ColdRestart { vm });
-    }
-
-    /// Schedule the retirement of `vm`'s external peer here at `at` (its
-    /// guest crash-restarted on another host, which rebuilt the peer).
-    pub(crate) fn schedule_ext_retire(&mut self, at: SimTime, vm: u32) {
-        self.q.push(at, Ev::ExtRetire { vm });
-    }
-
-    /// Schedule a churn arrival's boot in slot `vm` here at `at`. A
-    /// `stuck` boot parks mid-handshake and waits for its timeout.
-    pub(crate) fn schedule_vm_boot(&mut self, at: SimTime, vm: u32, spec: WorkloadSpec, stuck: bool) {
-        self.mig_mut().boots[vm as usize].push_back((spec, stuck));
-        self.q.push(at, Ev::VmBoot { vm });
-    }
-
-    /// Schedule the end of churn tenant `vm`'s lifetime here at `at`.
-    pub(crate) fn schedule_vm_depart(&mut self, at: SimTime, vm: u32) {
-        self.q.push(at, Ev::VmDepart { vm });
-    }
-
-    /// Schedule the handshake-timeout rollback of a stuck boot at `at`.
-    pub(crate) fn schedule_boot_timeout(&mut self, at: SimTime, vm: u32) {
-        self.q.push(at, Ev::BootTimeout { vm });
-    }
-
-    /// Schedule an observational control-plane note (admit/reject) at
-    /// `at`: breadcrumb ring and telemetry annotation only.
-    pub(crate) fn schedule_churn_note(&mut self, at: SimTime, vm: u32, kind: &'static str, arg: u64) {
-        self.q.push(at, Ev::ChurnNote { vm, kind, arg });
     }
 
     /// Whether any cross-host emission is staged since the last step.
@@ -335,80 +288,35 @@ impl Machine {
     /// if it was forwarded to another host, buffered for resume, or
     /// dropped (re-armed at resume by construction).
     pub(crate) fn mig_gate(&mut self, ev: Ev) -> Option<Ev> {
-        match ev {
-            Ev::ArriveAtHost { vm, pkt } => {
-                let now = self.now;
-                let m = self.mig.as_mut().unwrap();
-                let vmi = vm as usize;
-                if let Some(buf) = m.incoming[vmi].as_mut() {
+        let at = self.now + crate::cluster::CROSS_LANE_LOOKAHEAD;
+        let m = self.mig.as_mut().unwrap();
+        let (vm, fwd) = match ev {
+            Ev::ArriveAtHost { vm, pkt } => match m.incoming[vm as usize].as_mut() {
+                Some(buf) => {
                     buf.pkts.push(pkt);
-                    None
-                } else if !m.guest_local[vmi] {
-                    if m.reclaimed[vmi] {
-                        // The tenant was torn down here; its old flows
-                        // drop at the host edge rather than bouncing
-                        // against the stale location timeline.
-                        return None;
-                    }
-                    let at = now + crate::cluster::CROSS_LANE_LOOKAHEAD;
-                    m.cross_out.push(CrossOut::GuestPkt { vm, at, pkt });
-                    None
-                } else {
-                    Some(ev)
+                    return None;
                 }
-            }
-            Ev::ArriveAtExt { vm, pkt } => {
-                let now = self.now;
-                let m = self.mig.as_mut().unwrap();
-                if !m.ext_local[vm as usize] {
-                    if m.reclaimed[vm as usize] {
-                        return None;
-                    }
-                    let at = now + crate::cluster::CROSS_LANE_LOOKAHEAD;
-                    m.cross_out.push(CrossOut::ExtPkt { vm, at, pkt });
-                    None
-                } else {
-                    Some(ev)
-                }
-            }
-            Ev::DelayedMsi { vm, vector } | Ev::RetargetMsi { vm, vector } => {
-                let now = self.now;
-                let m = self.mig.as_mut().unwrap();
-                let vmi = vm as usize;
-                if let Some(buf) = m.incoming[vmi].as_mut() {
-                    buf.msis.push(vector);
-                    None
-                } else if !m.guest_local[vmi] {
-                    if m.reclaimed[vmi] {
-                        return None;
-                    }
-                    let at = now + crate::cluster::CROSS_LANE_LOOKAHEAD;
-                    m.cross_out.push(CrossOut::StaleMsi { vm, at, vector });
-                    None
-                } else {
-                    Some(ev)
-                }
+                None if m.guest_local[vm as usize] => return Some(ev),
+                None => (vm, CrossOut::GuestPkt { vm, at, pkt }),
+            },
+            Ev::ArriveAtExt { vm, pkt } if !m.ext_local[vm as usize] => {
+                (vm, CrossOut::ExtPkt { vm, at, pkt })
             }
             // A legacy assigned-device IRQ is a device MSI in flight: it
-            // follows the VM like one (buffered or forwarded as the RX
-            // vector over the reliable path).
-            Ev::VfIrq { vm } => {
-                let vector = self.vms[vm as usize].pairs[0].rx_vector;
-                let now = self.now;
-                let m = self.mig.as_mut().unwrap();
-                let vmi = vm as usize;
-                if let Some(buf) = m.incoming[vmi].as_mut() {
-                    buf.msis.push(vector);
-                    None
-                } else if !m.guest_local[vmi] {
-                    if m.reclaimed[vmi] {
+            // follows the VM like one, as the RX vector over the reliable
+            // path.
+            Ev::DelayedMsi { vm, .. } | Ev::RetargetMsi { vm, .. } | Ev::VfIrq { vm } => {
+                let vector = match ev {
+                    Ev::DelayedMsi { vector, .. } | Ev::RetargetMsi { vector, .. } => vector,
+                    _ => self.vms[vm as usize].pairs[0].rx_vector,
+                };
+                match m.incoming[vm as usize].as_mut() {
+                    Some(buf) => {
+                        buf.msis.push(vector);
                         return None;
                     }
-                    let at = now + crate::cluster::CROSS_LANE_LOOKAHEAD;
-                    m.cross_out.push(CrossOut::StaleMsi { vm, at, vector });
-                    None
-                } else {
-                    Some(ev)
+                    None if m.guest_local[vm as usize] => return Some(ev),
+                    None => (vm, CrossOut::StaleMsi { vm, at, vector }),
                 }
             }
             // Guest-side chains whose state travels inside the snapshot:
@@ -422,16 +330,17 @@ impl Machine {
             | Ev::GuestQueueReset { vm, .. }
             | Ev::AckFlush { vm }
             | Ev::GuestTcpTimeout { vm } => {
-                let m = self.mig.as_ref().unwrap();
                 let vmi = vm as usize;
-                if !m.guest_local[vmi] || m.incoming[vmi].is_some() {
-                    None
-                } else {
-                    Some(ev)
-                }
+                return (m.guest_local[vmi] && m.incoming[vmi].is_none()).then_some(ev);
             }
-            _ => Some(ev),
+            _ => return Some(ev),
+        };
+        // The tenant was torn down here: its old flows drop at the host
+        // edge rather than bouncing against the stale location timeline.
+        if !m.reclaimed[vm as usize] {
+            m.cross_out.push(fwd);
         }
+        None
     }
 
     // -----------------------------------------------------------------
@@ -630,17 +539,7 @@ impl Machine {
             self.q
                 .push(self.now + self.p.delayed_ack_timeout, Ev::AckFlush { vm });
         }
-        if self.faults.is_active() {
-            let tcp_sender = matches!(
-                &self.vms[vmi].wl,
-                GuestWl::NetperfSend { spec, .. }
-                    if spec.proto == es2_workloads::NetperfProto::Tcp
-            );
-            if tcp_sender {
-                self.q
-                    .push(self.now + self.p.guest_rto_check, Ev::GuestTcpTimeout { vm });
-            }
-        }
+        self.arm_guest_rto(vm);
 
         // Replay the blackout's buffered arrivals: stale MSIs first over
         // the reliable path, then packets in arrival order.
@@ -659,35 +558,24 @@ impl Machine {
     // -----------------------------------------------------------------
 
     /// Record a control-plane typed error: an operation arrived against
-    /// a slot in the wrong state (stale plan entry, missing snapshot or
-    /// spec, teardown of a non-resident slot). Once slots free mid-run
-    /// these paths are reachable, so they must not panic — `liveness`
-    /// promotes every recorded entry to a fatal violation instead (the
-    /// same discipline as the vhost panic audit).
+    /// a slot in the wrong state (a snapshot missing at its arrival, a
+    /// teardown of a non-resident slot). Once slots free mid-run these
+    /// paths are reachable, so they must not panic — `liveness` promotes
+    /// every recorded entry to a fatal violation instead (the same
+    /// discipline as the vhost panic audit).
     fn ctl_error(&mut self, vm: u32, msg: String) {
         self.note_breadcrumb(vm, "ctl-error", 0);
         self.mig_mut().ledger.ctl_errors.push(msg);
     }
 
-    pub(crate) fn on_migrate_start(&mut self, vm: u32) {
+    pub(crate) fn on_migrate_start(&mut self, vm: u32, abort: bool) {
         let vmi = vm as usize;
-        let planned = match self.mig_mut().out_plan[vmi].pop_front() {
-            Some(p) => p,
-            None => {
-                self.ctl_error(vm, format!("MigrateStart for vm{vm} without a planned move"));
-                return;
-            }
-        };
         let snap = self.pause_vm(vm);
         let blackout = snap.blackout;
         let at = self.now + blackout;
-        let kind = if planned.abort {
-            "mig-abort"
-        } else {
-            "migrate-start"
-        };
+        let kind = if abort { "mig-abort" } else { "migrate-start" };
         self.note_control(vm, kind, blackout.as_nanos());
-        if planned.abort {
+        if abort {
             // Mid-copy failure: the move rolls back. The source keeps
             // the snapshot, rides out the same blackout locally (pause +
             // attempted copy + resume), and resumes in place.
@@ -733,7 +621,7 @@ impl Machine {
         // The peer's guest crash-restarted on another host, which
         // rebuilt the peer there; this orphan goes quiet (its pending
         // sends no-op on the Idle workload).
-        self.ext[vm as usize] = crate::workload::ExtWl::Idle;
+        self.ext[vm as usize] = ExtWl::Idle;
         self.note_breadcrumb(vm, "ext-retire", 0);
     }
 
@@ -743,34 +631,24 @@ impl Machine {
     /// host is gone — this is disaster recovery, not live migration —
     /// but the restarted VM regains full forward progress.
     pub(crate) fn on_cold_restart(&mut self, vm: u32) {
-        let spec = match self.mig_mut().restarts[vm as usize].pop_front() {
-            Some(s) => s,
-            None => {
-                self.ctl_error(vm, format!("ColdRestart for vm{vm} without a spec"));
-                return;
-            }
-        };
-        self.mig_mut().ledger.restarts += 1;
-        self.boot_fresh_vm(vm, spec, "cold-restart");
+        let m = self.mig_mut();
+        m.ledger.restarts += 1;
+        let spec = m.slot_specs[vm as usize];
+        self.rebuild_slot(vm, Rebuild::Live(spec), "cold-restart");
     }
 
     /// A churn arrival's boot lands here: a clean boot is a fresh VM
     /// exactly like a cold restart; a stuck boot parks mid-handshake and
     /// occupies the slot until its timeout rolls it back.
-    pub(crate) fn on_vm_boot(&mut self, vm: u32) {
-        let (spec, stuck) = match self.mig_mut().boots[vm as usize].pop_front() {
-            Some(b) => b,
-            None => {
-                self.ctl_error(vm, format!("VmBoot for vm{vm} without a staged boot"));
-                return;
-            }
-        };
-        if stuck {
-            self.partial_boot(vm);
+    pub(crate) fn on_vm_boot(&mut self, vm: u32, stuck: bool) {
+        let m = self.mig_mut();
+        let to = if stuck {
+            Rebuild::Stuck
         } else {
-            self.mig_mut().ledger.boots += 1;
-            self.boot_fresh_vm(vm, spec, "vm-boot");
-        }
+            m.ledger.boots += 1;
+            Rebuild::Live(m.slot_specs[vm as usize])
+        };
+        self.rebuild_slot(vm, to, "vm-boot");
     }
 
     /// Churn tenant `vm`'s lifetime ended: tear it down and reclaim.
@@ -787,193 +665,67 @@ impl Machine {
         }
     }
 
-    /// Bring slot `vm` fully live with fresh state: fresh rings, fresh
-    /// external peer rebuilt locally, guest booted exactly like
-    /// bootstrap. Shared by cold restarts and clean churn boots.
-    fn boot_fresh_vm(&mut self, vm: u32, spec: WorkloadSpec, label: &'static str) {
-        let vmi = vm as usize;
-        let vcpu_tids = self.vms[vmi].vcpu_tids.clone();
-        let vhost_tids = self.vms[vmi].vhost_tids.clone();
-
-        // The dormant slot's threads may still be awake (a parked vCPU
-        // waiting for its first slice on a busy host): park them before
-        // rebooting, exactly like a teardown. No-op on sleeping threads,
-        // so a cold restart of a long-dormant slot is unchanged.
-        for &tid in &vcpu_tids {
-            if let Some(sw) = self.sched.deactivate(tid, self.now) {
-                self.apply_switch(sw);
-            }
-        }
-        for &tid in &vhost_tids {
-            if let Some(sw) = self.sched.deactivate(tid, self.now) {
-                self.apply_switch(sw);
-            }
-        }
-        for &tid in &vcpu_tids {
-            self.threads[tid.idx()].gen.bump();
-            self.threads[tid.idx()].seg = None;
-        }
-        for &tid in &vhost_tids {
-            self.threads[tid.idx()].gen.bump();
-            self.threads[tid.idx()].seg = None;
-        }
-
-        let fresh = Self::blank_vm_state(
-            &self.p,
-            &self.cfg,
-            vm,
-            &spec,
-            true,
-            vcpu_tids.clone(),
-            vhost_tids,
-        );
-        self.vms[vmi] = fresh;
-        let ext_seed = self.rng.next_u64();
-        self.ext[vmi] = crate::workload::ExtWl::for_spec(&spec, self.p.ext_tcp_window, ext_seed);
-        self.specs[vmi] = spec;
-        {
-            let m = self.mig_mut();
-            m.guest_local[vmi] = true;
-            m.ext_local[vmi] = true;
-            m.incoming[vmi] = None;
-            m.reclaimed[vmi] = false;
-        }
-        self.note_control(vm, label, 0);
-
-        // Boot the guest exactly like bootstrap does: staggered
-        // vruntimes, woken vCPUs, external kick-off, recovery chains.
-        let latency = self.p.sched.sched_latency.as_nanos();
-        for &tid in &vcpu_tids {
-            let nudge = self.rng.gen_range(latency);
-            self.sched.nudge_vruntime(tid, nudge);
-            self.wake_thread(tid);
-        }
-        self.bootstrap_external_vm(vm);
-        if self.faults.is_active() {
-            let tcp_sender = matches!(
-                &self.vms[vmi].wl,
-                GuestWl::NetperfSend { spec, .. }
-                    if spec.proto == es2_workloads::NetperfProto::Tcp
-            );
-            if tcp_sender {
-                self.q
-                    .push(self.now + self.p.guest_rto_check, Ev::GuestTcpTimeout { vm });
-            }
-        }
-    }
-
-    /// A stuck boot: the vCPUs come up (firmware spin, then halt) but
-    /// the virtio handshake never completes — no device, no external
-    /// peer, no traffic. The slot counts against its host's capacity
-    /// until the handshake timeout tears it back down.
-    fn partial_boot(&mut self, vm: u32) {
-        let vmi = vm as usize;
-        let vcpu_tids = self.vms[vmi].vcpu_tids.clone();
-        let vhost_tids = self.vms[vmi].vhost_tids.clone();
-        for &tid in &vcpu_tids {
-            if let Some(sw) = self.sched.deactivate(tid, self.now) {
-                self.apply_switch(sw);
-            }
-        }
-        for &tid in &vhost_tids {
-            if let Some(sw) = self.sched.deactivate(tid, self.now) {
-                self.apply_switch(sw);
-            }
-        }
-        for &tid in &vcpu_tids {
-            self.threads[tid.idx()].gen.bump();
-            self.threads[tid.idx()].seg = None;
-        }
-        for &tid in &vhost_tids {
-            self.threads[tid.idx()].gen.bump();
-            self.threads[tid.idx()].seg = None;
-        }
-        let fresh = Self::blank_vm_state(
-            &self.p,
-            &self.cfg,
-            vm,
-            &WorkloadSpec::IdleQuiet,
-            false,
-            vcpu_tids.clone(),
-            vhost_tids,
-        );
-        self.vms[vmi] = fresh;
-        self.specs[vmi] = WorkloadSpec::IdleQuiet;
-        self.ext[vmi] = crate::workload::ExtWl::Idle;
-        {
-            let m = self.mig_mut();
-            m.guest_local[vmi] = true;
-            m.ext_local[vmi] = false;
-            m.incoming[vmi] = None;
-            m.reclaimed[vmi] = false;
-        }
-        self.note_control(vm, "vm-boot", 1);
-        let latency = self.p.sched.sched_latency.as_nanos();
-        for &tid in &vcpu_tids {
-            let nudge = self.rng.gen_range(latency);
-            self.sched.nudge_vruntime(tid, nudge);
-            self.wake_thread(tid);
-        }
-    }
-
-    /// Tear slot `vm` down and reclaim everything it held: threads
-    /// descheduled (running vCPUs take a forced exit on the way out,
-    /// exactly like a migration pause), pending segment completions die
-    /// via the generation bump, and the slot becomes a fresh dormant VM
-    /// with empty rings — so the conservation invariant holds by
-    /// construction, and anything a teardown path misses shows up
-    /// against it. Returns `false` (with a typed error recorded) if the
-    /// slot is not resident here.
-    pub(crate) fn teardown_vm(&mut self, vm: u32, label: &'static str) -> bool {
-        let vmi = vm as usize;
-        let resident = self.mig.as_ref().is_some_and(|m| m.guest_local[vmi]);
-        if !resident {
+    /// Tear resident slot `vm` down to [`Rebuild::Dormant`]. Returns
+    /// `false` (with a typed error recorded) if the slot is not resident
+    /// here.
+    fn teardown_vm(&mut self, vm: u32, label: &'static str) -> bool {
+        if !self.mig_mut().guest_local[vm as usize] {
             self.ctl_error(vm, format!("{label} for vm{vm} that is not resident here"));
             return false;
         }
+        self.rebuild_slot(vm, Rebuild::Dormant, label);
+        true
+    }
+
+    /// Rebuild slot `vm` as `to`, the one path for every boot, stuck
+    /// boot and teardown. Every thread the slot holds is descheduled
+    /// first — running vCPUs take a forced exit on the way out, exactly
+    /// like a migration pause, and a dormant slot's vCPU may still be
+    /// awake waiting for its first slice on a busy host (a no-op on
+    /// sleeping threads) — and pending segment completions die via the
+    /// generation bump. The slot then gets fresh state, so the
+    /// conservation invariant holds by construction and anything a
+    /// teardown misses shows up against it. `label` is the control
+    /// breadcrumb (its argument is 1 for a stuck boot).
+    fn rebuild_slot(&mut self, vm: u32, to: Rebuild, label: &'static str) {
+        let vmi = vm as usize;
         let vcpu_tids = self.vms[vmi].vcpu_tids.clone();
         let vhost_tids = self.vms[vmi].vhost_tids.clone();
-        for &tid in &vcpu_tids {
+        for &tid in vcpu_tids.iter().chain(&vhost_tids) {
             if let Some(sw) = self.sched.deactivate(tid, self.now) {
                 self.apply_switch(sw);
             }
         }
-        for &tid in &vhost_tids {
-            if let Some(sw) = self.sched.deactivate(tid, self.now) {
-                self.apply_switch(sw);
-            }
-        }
-        for &tid in &vcpu_tids {
+        for &tid in vcpu_tids.iter().chain(&vhost_tids) {
             self.threads[tid.idx()].gen.bump();
             self.threads[tid.idx()].seg = None;
         }
-        for &tid in &vhost_tids {
-            self.threads[tid.idx()].gen.bump();
-            self.threads[tid.idx()].seg = None;
+        let (spec, live) = match to {
+            Rebuild::Live(spec) => (spec, true),
+            Rebuild::Stuck | Rebuild::Dormant => (WorkloadSpec::IdleQuiet, false),
+        };
+        let dormant = matches!(to, Rebuild::Dormant);
+        self.vms[vmi] =
+            Self::blank_vm_state(&self.p, &self.cfg, vm, &spec, live, vcpu_tids, vhost_tids);
+        self.ext[vmi] = if live {
+            ExtWl::for_spec(&spec, self.p.ext_tcp_window, self.rng.next_u64())
+        } else {
+            ExtWl::Idle
+        };
+        self.specs[vmi] = spec;
+        let m = self.mig_mut();
+        m.guest_local[vmi] = !dormant;
+        m.ext_local[vmi] = live;
+        m.incoming[vmi] = None;
+        m.reclaimed[vmi] = dormant;
+        self.note_control(vm, label, matches!(to, Rebuild::Stuck) as u64);
+        if !dormant {
+            self.boot_vcpus(vm);
         }
-        let fresh = Self::blank_vm_state(
-            &self.p,
-            &self.cfg,
-            vm,
-            &WorkloadSpec::IdleQuiet,
-            false,
-            vcpu_tids,
-            vhost_tids,
-        );
-        self.vms[vmi] = fresh;
-        self.specs[vmi] = WorkloadSpec::IdleQuiet;
-        self.ext[vmi] = crate::workload::ExtWl::Idle;
-        {
-            let m = self.mig_mut();
-            m.guest_local[vmi] = false;
-            m.ext_local[vmi] = false;
-            m.incoming[vmi] = None;
-            // Deliberately leave `boots[vmi]` alone: a later boot of the
-            // same slot on this host may already be staged.
-            m.reclaimed[vmi] = true;
+        if live {
+            self.bootstrap_external_vm(vm);
+            self.arm_guest_rto(vm);
         }
-        self.note_control(vm, label, 0);
-        true
     }
 
     // -----------------------------------------------------------------

@@ -29,7 +29,9 @@ fn run_checked(
     seed: u64,
     plan: FaultPlan,
 ) -> RunResult {
-    let (r, report) = Machine::new_faulted(cfg, topo, spec, fast(), seed, plan).run_checked();
+    let mut specs = vec![WorkloadSpec::Idle; topo.num_vms as usize];
+    specs[0] = spec;
+    let (r, report) = Machine::with_specs_faulted(cfg, topo, specs, fast(), seed, plan).run_checked();
     report.assert_ok();
     r
 }

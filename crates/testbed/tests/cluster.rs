@@ -160,6 +160,37 @@ fn aborted_migration_rolls_back_to_source() {
     assert_eq!(r.ledger.blackout_ns.len(), 1);
 }
 
+/// Two moves of one VM out of host 0, the first aborted and the second
+/// completed: host 0 runs both starts, and each applies its own abort
+/// decision, in schedule order. Swapping the decisions would ship the VM
+/// at the first start and roll a dormant slot back at the second.
+#[test]
+fn abort_then_complete_moves_apply_in_schedule_order() {
+    let mut spec = ClusterSpec::new(cfg(), 1, vec![tcp(), WorkloadSpec::Ping], 2, 2, tiny_params(), 5);
+    spec.moves = vec![
+        PlannedMove {
+            vm: 0,
+            to: 1,
+            at: at_ms(40),
+        },
+        PlannedMove {
+            vm: 0,
+            to: 1,
+            at: at_ms(80),
+        },
+    ];
+    spec.plan = FaultPlan {
+        migration_abort_nth: 1,
+        ..FaultPlan::none()
+    };
+    let r = Cluster::new(spec).run();
+    assert!(r.liveness.ok(), "{:?}\n{}", r.liveness.violations, r.liveness.diagnostics);
+    assert_eq!((r.ledger.out, r.ledger.aborts, r.ledger.resumed), (1, 1, 2));
+    assert_eq!(r.final_host[0], Some(1));
+    assert_eq!(r.ledger.blackout_ns.len(), 2);
+    assert!(r.ledger.ctl_errors.is_empty(), "{:?}", r.ledger.ctl_errors);
+}
+
 /// A VM can chain migrations A→B→C once each move is spaced past the
 /// worst-case blackout; every hop re-runs the full pause/copy/resume
 /// machinery against fresh host state.

@@ -16,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use es2_core::{EventPathConfig, HybridParams};
-use es2_sim::SimDuration;
+use es2_sim::{FaultPlan, SimDuration};
 use es2_testbed::{Machine, Params, Topology, WorkloadSpec};
 
 struct Counting;
@@ -89,7 +89,7 @@ fn dense_host_heap_stays_within_budget() {
         let specs = specs.clone();
         let before = LIVE.load(Relaxed);
         PEAK.store(before, Relaxed);
-        let m = Machine::with_specs(cfg, topo, specs, params, 1);
+        let m = Machine::with_specs_faulted(cfg, topo, specs, params, 1, FaultPlan::none());
         let built = LIVE.load(Relaxed).saturating_sub(before);
         assert!(
             built <= BUILD_BUDGET,

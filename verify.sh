@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 verification: release build, full test suite, clippy at zero
-# warnings over every target (tests and benches included), the
-# end-to-end self-check, the bench gate and the benchmark's model pins.
+# warnings over every target (tests and benches included) with default
+# and with all features, the end-to-end self-check, the bench gate and
+# the benchmark's model pins.
 # Run from the repository root.
 #
 # Sweep parallelism respects ES2_THREADS (default: all cores). It
@@ -12,6 +13,9 @@ set -eux
 cargo build --release
 cargo test -q
 cargo clippy -q --workspace --all-targets -- -D warnings
+# Again with every feature on: nothing else compiles the `ev-profile`
+# build (per-kind `Ev` dispatch timing), which perfbench's traced half uses.
+cargo clippy -q --workspace --all-targets --all-features -- -D warnings
 
 # Bench targets must compile: neither the build nor the tests above
 # touch crates/bench/benches, so a stale bench would otherwise rot unseen.
