@@ -46,6 +46,10 @@ const MQ_GOLDEN: Golden = Golden::Exact(
     "ci/golden_mq_fast.txt",
     include_str!("../../../ci/golden_mq_fast.txt"),
 );
+const TELEMETRY_GOLDEN: Golden = Golden::Exact(
+    "ci/golden_telemetry_fast.txt",
+    include_str!("../../../ci/golden_telemetry_fast.txt"),
+);
 
 /// A row that runs every comparison and asks nothing else.
 const ROW: Check = Check {
@@ -71,7 +75,8 @@ pub(crate) const CHECKS: &[Check] = &[
     Check { args: &["--migrate"], contains: &["PASS"], excludes: &["FAIL"], ..ROW },
     Check { args: &["--churn"], contains: &["PASS"], excludes: &["FAIL"], ..ROW },
     Check { args: &["--mq"], contains: &["PASS"], excludes: &["FAIL"], golden: MQ_GOLDEN, ..ROW },
-    Check { args: &["--telemetry"], recorders: false, contains: &["SLO breaches"], ..ROW },
+    Check { args: &["--telemetry"], recorders: false, contains: &["SLO breaches"],
+            golden: TELEMETRY_GOLDEN, ..ROW },
 ];
 
 /// A change to the params a run uses on top of the command line's.

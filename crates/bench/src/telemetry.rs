@@ -261,7 +261,7 @@ fn fleet_series(rep: &TelemetryReport, max_points: usize) -> Vec<SeriesPoint> {
                 }
             }
         }
-        let span_ns = len as f64 * g.width_ns as f64;
+        let span_ns = len as f64 * WINDOW_NS as f64;
         // Nearest-rank p99 from the bucket sums (same rule the SLO
         // engine applies).
         let rx_p99_us = {
@@ -448,8 +448,7 @@ pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, Json,
     );
     let series = fleet_series(&es2_chaos.report, 16);
     for p in &series {
-        let w = es2_chaos.report.geom.width_ns;
-        let (from_ns, to_ns) = (p.idx * w, (p.idx + p.len) * w);
+        let (from_ns, to_ns) = (p.idx * WINDOW_NS, (p.idx + p.len) * WINDOW_NS);
         let mut kinds: Vec<&'static str> = es2_chaos
             .report
             .annotations

@@ -29,6 +29,9 @@ pub enum ExitReason {
     Other,
 }
 
+// Every telemetry row counts exits per reason in a fixed array.
+const _: () = assert!(ExitReason::COUNT == es2_metrics::telemetry::EXIT_KINDS);
+
 impl ExitReason {
     /// Number of variants (array sizing).
     pub const COUNT: usize = 7;

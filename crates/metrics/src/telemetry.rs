@@ -1,29 +1,40 @@
 //! Cluster-wide windowed telemetry: fixed-width sim-time windows of
-//! per-VM / per-(vm,queue) / per-vhost-worker gauges and rates, an SLO
-//! engine with multi-window burn-rate alerts, and a causal annotation
-//! stream that names the fault or migration preceding each breach.
+//! per-VM and per-vhost-worker gauges and rates, an SLO engine with
+//! multi-window burn-rate alerts, and a causal annotation stream that
+//! names the fault or migration preceding each breach.
 //!
 //! Determinism contract (same as [`crate::span`]): the recorder consumes
 //! only sim-time nanoseconds — never the wall clock, never an RNG — and
 //! is strictly observational, so telemetry-enabled runs are byte-identical
 //! to disabled runs and the report is a pure function of the run spec.
-//! Windows are assigned *at record time* (`window = now_ns / width_ns`);
+//! Windows are assigned *at record time* (`window = now_ns / WINDOW_NS`);
 //! no window-boundary events are ever scheduled, so the event stream of
 //! the simulation is untouched.
 //!
+//! Rows are sparse: a window holds a row only for a VM (or vhost worker)
+//! that recorded something in it, and every reader takes a missing row
+//! as all zero. A host carries its cell's whole slot table but runs only
+//! the few VMs resident on it, so a window costs what those VMs record.
+//!
 //! Host merging: [`TelemetryReport::overlay`] sums the reports of a
 //! multi-host cell's hosts over their shared global VM slot table, over
-//! the *union* of window indices, and re-sorts the annotation stream by
-//! `(time, vm, kind, arg)`, so the merged report is a pure function of
-//! the run spec.
+//! the *union* of window indices and of rows, and re-sorts the
+//! annotation stream by `(time, vm, kind, arg)`, so the merged report is
+//! a pure function of the run spec.
+
+use std::cmp::Ordering;
 
 use crate::json::Json;
 use crate::span::{chrome_trace, chrome_us, SpanReport};
 
-/// Width of the windows the testbed records into, in sim-time
-/// nanoseconds (1 ms). A geometry may name any width; every run uses
-/// this one.
+/// Width of every telemetry window, in sim-time nanoseconds (1 ms). A
+/// constant, so placing a record in its window is a division by a
+/// constant.
 pub const WINDOW_NS: u64 = 1_000_000;
+
+/// Exit-reason kinds a row counts: `es2_hypervisor::ExitReason::COUNT`,
+/// which asserts the two agree (that crate depends on this one).
+pub const EXIT_KINDS: usize = 7;
 
 /// Number of fixed log-2 rx-latency buckets per window (upper edges
 /// 2, 4, 8, 16, 32, 64, 128, 256 µs, then +inf).
@@ -70,32 +81,81 @@ pub(crate) fn quantile_from_buckets(
     max_ns as f64 / 1e3
 }
 
-/// Static geometry of one recorder: window width plus the shape of the
-/// per-window row vectors. Host merges ([`TelemetryReport::overlay`])
-/// require all of it to match.
+/// The slot table one recorder covers. Host merges
+/// ([`TelemetryReport::overlay`]) require it to match.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TelemetryGeometry {
-    /// Window width in sim-time nanoseconds.
-    pub width_ns: u64,
     /// VMs covered by this recorder (the host's whole slot table).
     pub num_vms: usize,
-    /// Vhost workers per VM (worker rows per VM per window).
+    /// Vhost workers per VM.
     pub workers_per_vm: usize,
-    /// TX/RX queue pairs per VM (per-queue rx counters per VM row).
-    pub queues_per_vm: usize,
-    /// Exit-reason kinds (length of each row's `exits` vector).
-    pub exit_kinds: usize,
+}
+
+/// A per-window row keyed by the slot it belongs to. A window keeps its
+/// rows sorted by key; two rows of one key merge with `add`.
+trait Row: Copy {
+    fn key(&self) -> u32;
+    fn blank(key: u32) -> Self;
+    fn add(&mut self, other: &Self);
+}
+
+/// The row of `key`, inserted blank in key order if it is missing.
+fn row_mut<R: Row>(rows: &mut Vec<R>, key: u32) -> &mut R {
+    let i = match rows.binary_search_by_key(&key, R::key) {
+        Ok(i) => i,
+        Err(i) => {
+            rows.insert(i, R::blank(key));
+            i
+        }
+    };
+    &mut rows[i]
+}
+
+/// The union of two lists sorted by `key`; items of equal key combine
+/// through `both`.
+fn union_by<T, K: Ord>(
+    a: Vec<T>,
+    b: Vec<T>,
+    key: impl Fn(&T) -> K,
+    mut both: impl FnMut(T, T) -> T,
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(a.len().max(b.len()));
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    loop {
+        let ord = match (a.peek(), b.peek()) {
+            (None, None) => break,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(x), Some(y)) => key(x).cmp(&key(y)),
+        };
+        match ord {
+            Ordering::Less => out.extend(a.next()),
+            Ordering::Greater => out.extend(b.next()),
+            Ordering::Equal => out.extend(a.next().zip(b.next()).map(|(x, y)| both(x, y))),
+        }
+    }
+    out
+}
+
+/// Two key-sorted row lists summed row by row.
+fn merge_rows<R: Row>(a: Vec<R>, b: Vec<R>) -> Vec<R> {
+    union_by(a, b, R::key, |mut x, y| {
+        x.add(&y);
+        x
+    })
 }
 
 /// One VM's gauges for one window. Everything is a plain count or a
 /// nanosecond sum; rates and percentages are derived at render time.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VmWin {
+    /// The VM slot this row belongs to.
+    pub vm: u32,
     /// Sim-time nanoseconds this VM's vCPUs spent in guest mode inside
     /// the window (TIG % = `guest_ns / (vcpus * width)`).
     pub guest_ns: u64,
     /// VM exits by exit-reason kind.
-    pub exits: Vec<u64>,
+    pub exits: [u64; EXIT_KINDS],
     /// MSIs injected exit-lessly (posted interrupts).
     pub msi_posted: u64,
     /// MSIs injected via the emulated (exit-taking) path.
@@ -110,9 +170,6 @@ pub struct VmWin {
     pub tx_bytes: u64,
     /// Packets put on the wire by vhost tx service.
     pub tx_pkts: u64,
-    /// Rx packets by ingress queue pair (RSS spread), length
-    /// `queues_per_vm`.
-    pub rx_pkts_per_queue: Vec<u64>,
     /// Rx latency samples seen in the window.
     pub rx_lat_count: u64,
     /// Sum of rx latencies (ns) for the mean.
@@ -133,23 +190,54 @@ pub struct VmWin {
 }
 
 impl VmWin {
-    fn blank(exit_kinds: usize, queues: usize) -> VmWin {
-        VmWin {
-            exits: vec![0; exit_kinds],
-            rx_pkts_per_queue: vec![0; queues],
-            ..VmWin::default()
-        }
-    }
-
     /// Total exits across all kinds.
     pub fn exits_total(&self) -> u64 {
         self.exits.iter().sum()
     }
 }
 
+impl Row for VmWin {
+    fn key(&self) -> u32 {
+        self.vm
+    }
+
+    fn blank(vm: u32) -> Self {
+        VmWin {
+            vm,
+            ..VmWin::default()
+        }
+    }
+
+    fn add(&mut self, o: &Self) {
+        self.guest_ns += o.guest_ns;
+        for (x, y) in self.exits.iter_mut().zip(o.exits) {
+            *x += y;
+        }
+        self.msi_posted += o.msi_posted;
+        self.msi_emulated += o.msi_emulated;
+        self.msi_redirected += o.msi_redirected;
+        self.rx_bytes += o.rx_bytes;
+        self.rx_pkts += o.rx_pkts;
+        self.tx_bytes += o.tx_bytes;
+        self.tx_pkts += o.tx_pkts;
+        self.rx_lat_count += o.rx_lat_count;
+        self.rx_lat_sum_ns += o.rx_lat_sum_ns;
+        self.rx_lat_max_ns = self.rx_lat_max_ns.max(o.rx_lat_max_ns);
+        for (x, y) in self.rx_lat_buckets.iter_mut().zip(o.rx_lat_buckets) {
+            *x += y;
+        }
+        self.throttled_kicks += o.throttled_kicks;
+        self.budget_deferrals += o.budget_deferrals;
+        self.quarantines += o.quarantines;
+        self.resets += o.resets;
+    }
+}
+
 /// One vhost worker's gauges for one window.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerWin {
+    /// The worker slot this row belongs to: `vm * workers_per_vm + w`.
+    pub slot: u32,
     /// Sim-time nanoseconds the worker spent on-core inside the window.
     pub on_core_ns: u64,
     /// Deepest pending-work backlog observed in the window.
@@ -158,17 +246,53 @@ pub struct WorkerWin {
     pub turns: u64,
 }
 
-/// One telemetry window: gauges for every VM and worker, dense so host
-/// merges stay positional.
+impl Row for WorkerWin {
+    fn key(&self) -> u32 {
+        self.slot
+    }
+
+    fn blank(slot: u32) -> Self {
+        WorkerWin {
+            slot,
+            ..WorkerWin::default()
+        }
+    }
+
+    fn add(&mut self, o: &Self) {
+        self.on_core_ns += o.on_core_ns;
+        self.pending_hwm = self.pending_hwm.max(o.pending_hwm);
+        self.turns += o.turns;
+    }
+}
+
+/// One telemetry window: the rows of the VMs and workers that recorded
+/// something in it. A missing row reads as all zero.
 #[derive(Clone, Debug)]
 pub struct Window {
-    /// Window index (`start = idx * width_ns`).
+    /// Window index (`start = idx * WINDOW_NS`).
     pub idx: u64,
-    /// Per-VM rows, length `num_vms`.
+    /// Per-VM rows, by ascending `vm`.
     pub vms: Vec<VmWin>,
-    /// Per-worker rows, length `num_vms * workers_per_vm`, worker-major
-    /// within each VM (`vm * workers_per_vm + w`).
+    /// Per-worker rows, by ascending `slot`.
     pub workers: Vec<WorkerWin>,
+}
+
+impl Window {
+    fn new(idx: u64) -> Window {
+        Window {
+            idx,
+            vms: Vec::new(),
+            workers: Vec::new(),
+        }
+    }
+
+    /// `vm`'s row, or `None` when it recorded nothing in this window.
+    pub fn vm(&self, vm: u32) -> Option<&VmWin> {
+        self.vms
+            .binary_search_by_key(&vm, |r| r.vm)
+            .ok()
+            .map(|i| &self.vms[i])
+    }
 }
 
 /// One discrete event joined onto the window stream (fault injected,
@@ -210,7 +334,6 @@ impl TelemetryRecorder {
     /// A recorder for the given geometry with room for `ann_capacity`
     /// annotations (drops past capacity are counted, not silent).
     pub fn new(geom: TelemetryGeometry, ann_capacity: usize) -> Self {
-        assert!(geom.width_ns > 0, "telemetry window width must be nonzero");
         TelemetryRecorder {
             geom,
             windows: Vec::new(),
@@ -220,48 +343,39 @@ impl TelemetryRecorder {
         }
     }
 
-    fn blank_window(geom: &TelemetryGeometry, idx: u64) -> Window {
-        Window {
-            idx,
-            vms: (0..geom.num_vms)
-                .map(|_| VmWin::blank(geom.exit_kinds, geom.queues_per_vm))
-                .collect(),
-            workers: vec![WorkerWin::default(); geom.num_vms * geom.workers_per_vm],
-        }
-    }
-
-    /// Index of the window holding `at_ns`, creating it (and keeping the
-    /// list sorted) if needed. Appends are O(1); the rare out-of-order
-    /// touch (interval backfill) is a binary-search insert.
-    fn win_pos(&mut self, k: u64) -> usize {
-        match self.windows.last() {
-            Some(last) if last.idx == k => return self.windows.len() - 1,
-            Some(last) if last.idx < k => {
-                let w = Self::blank_window(&self.geom, k);
-                self.windows.push(w);
-                return self.windows.len() - 1;
+    /// The window of index `k`, created (keeping the list sorted) if
+    /// needed. Appends are O(1); the rare out-of-order touch (interval
+    /// backfill) is a binary-search insert.
+    fn window(&mut self, k: u64) -> &mut Window {
+        let pos = match self.windows.last() {
+            Some(last) if last.idx == k => self.windows.len() - 1,
+            Some(last) if last.idx > k => match self.windows.binary_search_by_key(&k, |w| w.idx) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.windows.insert(i, Window::new(k));
+                    i
+                }
+            },
+            _ => {
+                self.windows.push(Window::new(k));
+                self.windows.len() - 1
             }
-            None => {
-                let w = Self::blank_window(&self.geom, k);
-                self.windows.push(w);
-                return 0;
-            }
-            _ => {}
-        }
-        match self.windows.binary_search_by_key(&k, |w| w.idx) {
-            Ok(i) => i,
-            Err(i) => {
-                let w = Self::blank_window(&self.geom, k);
-                self.windows.insert(i, w);
-                i
-            }
-        }
+        };
+        &mut self.windows[pos]
     }
 
     fn vm_win(&mut self, vm: u32, at_ns: u64) -> &mut VmWin {
-        let k = at_ns / self.geom.width_ns;
-        let pos = self.win_pos(k);
-        &mut self.windows[pos].vms[vm as usize]
+        row_mut(&mut self.window(at_ns / WINDOW_NS).vms, vm)
+    }
+
+    fn worker_win(&mut self, vm: u32, worker: usize, at_ns: u64) -> &mut WorkerWin {
+        let slot = self.worker_slot(vm, worker);
+        row_mut(&mut self.window(at_ns / WINDOW_NS).workers, slot)
+    }
+
+    fn worker_slot(&self, vm: u32, worker: usize) -> u32 {
+        let wpv = self.geom.workers_per_vm;
+        (vm as usize * wpv + worker.min(wpv.saturating_sub(1))) as u32
     }
 
     /// Distribute the interval `[from_ns, to_ns)` across every window it
@@ -270,14 +384,12 @@ impl TelemetryRecorder {
         if to_ns <= from_ns {
             return;
         }
-        let width = self.geom.width_ns;
-        let mut k = from_ns / width;
-        let last_k = (to_ns - 1) / width;
+        let mut k = from_ns / WINDOW_NS;
+        let last_k = (to_ns - 1) / WINDOW_NS;
         while k <= last_k {
-            let lo = from_ns.max(k * width);
-            let hi = to_ns.min((k + 1) * width);
-            let pos = self.win_pos(k);
-            add(&mut self.windows[pos], hi - lo);
+            let lo = from_ns.max(k * WINDOW_NS);
+            let hi = to_ns.min((k + 1) * WINDOW_NS);
+            add(self.window(k), hi - lo);
             k += 1;
         }
     }
@@ -295,7 +407,7 @@ impl TelemetryRecorder {
     /// sliced across window boundaries.
     pub fn record_guest_slice(&mut self, vm: u32, from_ns: u64, to_ns: u64) {
         self.slice_interval(from_ns, to_ns, |w, ns| {
-            w.vms[vm as usize].guest_ns += ns;
+            row_mut(&mut w.vms, vm).guest_ns += ns;
         });
     }
 
@@ -317,14 +429,11 @@ impl TelemetryRecorder {
         self.vm_win(vm, at_ns).msi_redirected += 1;
     }
 
-    /// Rx completion into the guest ring: `bytes` on ingress `queue`.
-    pub fn record_rx(&mut self, vm: u32, at_ns: u64, queue: usize, bytes: u64) {
+    /// Rx completion of `bytes` into the guest ring.
+    pub fn record_rx(&mut self, vm: u32, at_ns: u64, bytes: u64) {
         let row = self.vm_win(vm, at_ns);
         row.rx_bytes += bytes;
         row.rx_pkts += 1;
-        if let Some(q) = row.rx_pkts_per_queue.get_mut(queue) {
-            *q += 1;
-        }
     }
 
     /// Tx completion onto the wire.
@@ -367,31 +476,22 @@ impl TelemetryRecorder {
     /// Worker on-core residency `[from_ns, to_ns)`, sliced across
     /// window boundaries.
     pub fn record_worker_slice(&mut self, vm: u32, worker: usize, from_ns: u64, to_ns: u64) {
-        let wpv = self.geom.workers_per_vm;
-        let slot = vm as usize * wpv + worker.min(wpv.saturating_sub(1));
+        let slot = self.worker_slot(vm, worker);
         self.slice_interval(from_ns, to_ns, |w, ns| {
-            w.workers[slot].on_core_ns += ns;
+            row_mut(&mut w.workers, slot).on_core_ns += ns;
         });
     }
 
     /// Sample the worker's pending-work depth (kept as a per-window
     /// high-water mark).
     pub fn record_worker_pending(&mut self, vm: u32, worker: usize, at_ns: u64, depth: u64) {
-        let wpv = self.geom.workers_per_vm;
-        let slot = vm as usize * wpv + worker.min(wpv.saturating_sub(1));
-        let k = at_ns / self.geom.width_ns;
-        let pos = self.win_pos(k);
-        let row = &mut self.windows[pos].workers[slot];
+        let row = self.worker_win(vm, worker, at_ns);
         row.pending_hwm = row.pending_hwm.max(depth);
     }
 
     /// One vhost handler turn begun.
     pub fn record_worker_turn(&mut self, vm: u32, worker: usize, at_ns: u64) {
-        let wpv = self.geom.workers_per_vm;
-        let slot = vm as usize * wpv + worker.min(wpv.saturating_sub(1));
-        let k = at_ns / self.geom.width_ns;
-        let pos = self.win_pos(k);
-        self.windows[pos].workers[slot].turns += 1;
+        self.worker_win(vm, worker, at_ns).turns += 1;
     }
 
     /// Join a discrete event onto the stream (bounded; drops counted).
@@ -440,69 +540,22 @@ pub struct TelemetryReport {
 impl TelemetryReport {
     /// Merge another host's report over the **same** global VM slot
     /// table (the cluster topology: every host carries every slot, a VM
-    /// is active on exactly one host at a time). Cells sum (maxima take
-    /// the max) over the union of window indices; annotations merge
-    /// without any VM offset.
+    /// is active on exactly one host at a time). Rows sum (maxima take
+    /// the max) over the union of window indices and of rows;
+    /// annotations merge without any VM offset.
     pub fn overlay(&mut self, other: TelemetryReport) {
         assert_eq!(self.geom, other.geom, "overlay requires equal geometry");
-        let geom = self.geom;
-        let mut merged = Vec::with_capacity(self.windows.len().max(other.windows.len()));
-        let mut a = std::mem::take(&mut self.windows).into_iter().peekable();
-        let mut b = other.windows.into_iter().peekable();
-        loop {
-            let take = match (a.peek(), b.peek()) {
-                (None, None) => break,
-                (Some(_), None) => 0,
-                (None, Some(_)) => 1,
-                (Some(x), Some(y)) => match x.idx.cmp(&y.idx) {
-                    std::cmp::Ordering::Less => 0,
-                    std::cmp::Ordering::Greater => 1,
-                    std::cmp::Ordering::Equal => 2,
-                },
-            };
-            match take {
-                0 => merged.push(a.next().expect("peeked")),
-                1 => merged.push(b.next().expect("peeked")),
-                _ => {
-                    let mut wa = a.next().expect("peeked");
-                    let wb = b.next().expect("peeked");
-                    for (va, vb) in wa.vms.iter_mut().zip(wb.vms) {
-                        va.guest_ns += vb.guest_ns;
-                        for (x, y) in va.exits.iter_mut().zip(vb.exits) {
-                            *x += y;
-                        }
-                        va.msi_posted += vb.msi_posted;
-                        va.msi_emulated += vb.msi_emulated;
-                        va.msi_redirected += vb.msi_redirected;
-                        va.rx_bytes += vb.rx_bytes;
-                        va.rx_pkts += vb.rx_pkts;
-                        va.tx_bytes += vb.tx_bytes;
-                        va.tx_pkts += vb.tx_pkts;
-                        for (x, y) in va.rx_pkts_per_queue.iter_mut().zip(vb.rx_pkts_per_queue) {
-                            *x += y;
-                        }
-                        va.rx_lat_count += vb.rx_lat_count;
-                        va.rx_lat_sum_ns += vb.rx_lat_sum_ns;
-                        va.rx_lat_max_ns = va.rx_lat_max_ns.max(vb.rx_lat_max_ns);
-                        for (x, y) in va.rx_lat_buckets.iter_mut().zip(vb.rx_lat_buckets) {
-                            *x += y;
-                        }
-                        va.throttled_kicks += vb.throttled_kicks;
-                        va.budget_deferrals += vb.budget_deferrals;
-                        va.quarantines += vb.quarantines;
-                        va.resets += vb.resets;
-                    }
-                    for (x, y) in wa.workers.iter_mut().zip(wb.workers) {
-                        x.on_core_ns += y.on_core_ns;
-                        x.pending_hwm = x.pending_hwm.max(y.pending_hwm);
-                        x.turns += y.turns;
-                    }
-                    merged.push(wa);
-                }
-            }
-        }
-        self.windows = merged;
-        self.geom = geom;
+        let windows = std::mem::take(&mut self.windows);
+        self.windows = union_by(
+            windows,
+            other.windows,
+            |w| w.idx,
+            |mut a, b| {
+                a.vms = merge_rows(a.vms, b.vms);
+                a.workers = merge_rows(a.workers, b.workers);
+                a
+            },
+        );
         self.annotations.extend(other.annotations);
         self.annotations.sort_by_key(|an| an.sort_key());
         self.ann_dropped += other.ann_dropped;
@@ -533,13 +586,13 @@ impl TelemetryReport {
     /// same vCPU count; for mixed fleets this is a per-VM-slot average).
     pub(crate) fn fleet_tig_pct(&self, w: &Window) -> f64 {
         let guest: u64 = w.vms.iter().map(|v| v.guest_ns).sum();
-        100.0 * guest as f64 / (self.geom.num_vms as f64 * self.geom.width_ns as f64)
+        100.0 * guest as f64 / (self.geom.num_vms as f64 * WINDOW_NS as f64)
     }
 
     /// Fleet exits/sec for one window.
     pub(crate) fn fleet_exits_per_sec(&self, w: &Window) -> f64 {
         let exits: u64 = w.vms.iter().map(|v| v.exits_total()).sum();
-        exits as f64 / (self.geom.width_ns as f64 / 1e9)
+        exits as f64 / (WINDOW_NS as f64 / 1e9)
     }
 
     /// Fleet rx p-quantile (µs) for one window, from summed buckets.
@@ -577,7 +630,7 @@ impl TelemetryReport {
         if total < n {
             return Some((lo, Vec::new()));
         }
-        let width_s = self.geom.width_ns as f64 / 1e9;
+        let width_s = WINDOW_NS as f64 / 1e9;
         let span_positions = (total - n + 1) as usize;
         let mut out = Vec::with_capacity(span_positions);
         for p in 0..span_positions {
@@ -589,7 +642,7 @@ impl TelemetryReport {
                     let mut max_ns = 0u64;
                     for k in start..start + n {
                         if let Some(w) = self.window_at(k) {
-                            for vm in self.scope_rows(w, spec) {
+                            for vm in scope_rows(w, spec) {
                                 for (b, c) in buckets.iter_mut().zip(vm.rx_lat_buckets.iter()) {
                                     *b += c;
                                 }
@@ -604,43 +657,34 @@ impl TelemetryReport {
                     let mut guest = 0u64;
                     for k in start..start + n {
                         if let Some(w) = self.window_at(k) {
-                            guest += self
-                                .scope_rows(w, spec)
-                                .map(|vm| vm.guest_ns)
-                                .sum::<u64>();
+                            guest += scope_rows(w, spec).map(|vm| vm.guest_ns).sum::<u64>();
                         }
                     }
                     let slots = match spec.vm {
                         Some(_) => 1.0,
                         None => self.geom.num_vms as f64,
                     };
-                    100.0 * guest as f64 / (slots * n as f64 * self.geom.width_ns as f64)
+                    100.0 * guest as f64 / (slots * n as f64 * WINDOW_NS as f64)
                 }
                 SloMetric::ExitsPerSec => {
                     let mut exits = 0u64;
                     for k in start..start + n {
                         if let Some(w) = self.window_at(k) {
-                            exits += self
-                                .scope_rows(w, spec)
-                                .map(|vm| vm.exits_total())
-                                .sum::<u64>();
+                            exits += scope_rows(w, spec).map(|vm| vm.exits_total()).sum::<u64>();
                         }
                     }
                     exits as f64 / (n as f64 * width_s)
                 }
                 SloMetric::WorkerPendingHwm => {
+                    let wpv = self.geom.workers_per_vm as u32;
                     let mut hwm = 0u64;
                     for k in start..start + n {
                         if let Some(w) = self.window_at(k) {
-                            let it: Box<dyn Iterator<Item = &WorkerWin>> = match spec.vm {
-                                Some(vm) => {
-                                    let wpv = self.geom.workers_per_vm;
-                                    let lo = vm as usize * wpv;
-                                    Box::new(w.workers[lo..lo + wpv].iter())
+                            for r in &w.workers {
+                                if spec.vm.is_none_or(|vm| r.slot / wpv == vm) {
+                                    hwm = hwm.max(r.pending_hwm);
                                 }
-                                None => Box::new(w.workers.iter()),
-                            };
-                            hwm = hwm.max(it.map(|r| r.pending_hwm).max().unwrap_or(0));
+                            }
                         }
                     }
                     hwm as f64
@@ -649,17 +693,6 @@ impl TelemetryReport {
             out.push(v);
         }
         Some((lo, out))
-    }
-
-    fn scope_rows<'a>(
-        &self,
-        w: &'a Window,
-        spec: &SloSpec,
-    ) -> Box<dyn Iterator<Item = &'a VmWin> + 'a> {
-        match spec.vm {
-            Some(vm) => Box::new(w.vms.get(vm as usize).into_iter()),
-            None => Box::new(w.vms.iter()),
-        }
     }
 
     /// Evaluate `specs`, returning every breach (a maximal run of
@@ -714,8 +747,8 @@ impl TelemetryReport {
         worst: f64,
         horizon_ns: u64,
     ) -> SloBreach {
-        let start_ns = (lo + s as u64) * self.geom.width_ns;
-        let end_ns = (lo + e as u64 + n) * self.geom.width_ns;
+        let start_ns = (lo + s as u64) * WINDOW_NS;
+        let end_ns = (lo + e as u64 + n) * WINDOW_NS;
         SloBreach {
             slo: spec.name,
             start_ns,
@@ -776,7 +809,7 @@ impl TelemetryReport {
             if fire && !firing {
                 out.push(BurnAlert {
                     slo: spec.name,
-                    at_ns: (lo + p as u64) * self.geom.width_ns,
+                    at_ns: (lo + p as u64) * WINDOW_NS,
                     short_frac: sf,
                     long_frac: lf,
                 });
@@ -795,7 +828,8 @@ impl TelemetryReport {
     /// the same JSON format as [`SpanReport::chrome_trace_json`] — one
     /// file, counter track alongside the span tracks. Fleet counters go
     /// on pid 0 / tid 9000; per-VM counters are emitted only for fleets
-    /// of at most 8 VMs to bound the file.
+    /// of at most 8 VMs to bound the file, one per slot and window (0
+    /// where the window has no row for the VM).
     pub fn merged_chrome_trace(&self, spans: Option<&SpanReport>) -> Json {
         let mut events: Vec<Json> = spans
             .map(|rep| rep.events.iter().map(|ev| ev.chrome()).collect())
@@ -813,15 +847,20 @@ impl TelemetryReport {
         };
         let per_vm = self.geom.num_vms <= 8;
         for w in &self.windows {
-            let ts = w.idx * self.geom.width_ns;
+            let ts = w.idx * WINDOW_NS;
             counter("fleet-tig-pct", ts, 0, self.fleet_tig_pct(w));
             counter("fleet-exits-per-sec", ts, 0, self.fleet_exits_per_sec(w));
             counter("fleet-rx-p99-us", ts, 0, self.fleet_rx_quantile_us(w, 0.99));
             counter("fleet-pending-hwm", ts, 0, self.fleet_pending_hwm(w) as f64);
             if per_vm {
-                for (vm, row) in w.vms.iter().enumerate() {
-                    let tig = 100.0 * row.guest_ns as f64 / self.geom.width_ns as f64;
-                    counter("vm-tig-pct", ts, vm as u32, tig);
+                for vm in 0..self.geom.num_vms as u32 {
+                    let guest_ns = w.vm(vm).map_or(0, |r| r.guest_ns);
+                    counter(
+                        "vm-tig-pct",
+                        ts,
+                        vm,
+                        100.0 * guest_ns as f64 / WINDOW_NS as f64,
+                    );
                 }
             }
         }
@@ -840,6 +879,14 @@ impl TelemetryReport {
         }
         chrome_trace(events)
     }
+}
+
+/// The rows of `w` in `spec`'s scope: every VM's, or the one VM's.
+fn scope_rows<'a>(w: &'a Window, spec: &SloSpec) -> impl Iterator<Item = &'a VmWin> {
+    let scope = spec.vm;
+    w.vms
+        .iter()
+        .filter(move |r| scope.is_none_or(|vm| r.vm == vm))
 }
 
 /// The windowed metric an SLO constrains.
@@ -910,12 +957,15 @@ mod tests {
 
     fn geom(vms: usize) -> TelemetryGeometry {
         TelemetryGeometry {
-            width_ns: 1_000_000,
             num_vms: vms,
             workers_per_vm: 2,
-            queues_per_vm: 2,
-            exit_kinds: 3,
         }
+    }
+
+    /// The row of worker `slot` in `w`, all zero when it has none.
+    fn worker(w: &Window, slot: u32) -> WorkerWin {
+        let row = w.workers.iter().find(|r| r.slot == slot);
+        row.copied().unwrap_or(WorkerWin::blank(slot))
     }
 
     #[test]
@@ -993,8 +1043,11 @@ mod tests {
         assert_eq!(rep.windows[1].vms[0].guest_ns, 500_000);
         assert_eq!(rep.windows[0].vms[0].exits[0], 1);
         assert_eq!(rep.windows[1].vms[0].exits[0], 1);
-        assert_eq!(rep.windows[0].workers[1].pending_hwm, 5);
-        assert_eq!(rep.windows[1].workers[1].pending_hwm, 3);
+        assert_eq!(worker(&rep.windows[0], 1).pending_hwm, 5);
+        assert_eq!(worker(&rep.windows[1], 1).pending_hwm, 3);
+        // VM 1 recorded nothing: no row, and it reads as zero.
+        assert!(rep.windows[0].vm(1).is_none());
+        assert_eq!(rep.windows[0].vms.len(), 1);
         assert_eq!(rep.annotations[0].kind, "migrate-start");
         assert_eq!(rep.annotations[1].kind, "migrate-arrive");
     }
@@ -1146,10 +1199,270 @@ mod tests {
         r.record_worker_turn(1, 1, 950_000);
         let rep = r.finish();
         let slot = 2 + 1; // vm 1 * workers_per_vm 2 + worker 1
-        assert_eq!(rep.windows[0].workers[slot].on_core_ns, 100_000);
-        assert_eq!(rep.windows[1].workers[slot].on_core_ns, 200_000);
-        assert_eq!(rep.windows[0].workers[slot].pending_hwm, 3);
-        assert_eq!(rep.windows[0].workers[slot].turns, 1);
+        assert_eq!(worker(&rep.windows[0], slot).on_core_ns, 100_000);
+        assert_eq!(worker(&rep.windows[1], slot).on_core_ns, 200_000);
+        assert_eq!(worker(&rep.windows[0], slot).pending_hwm, 3);
+        assert_eq!(worker(&rep.windows[0], slot).turns, 1);
+        assert_eq!(
+            rep.windows[0].workers.len(),
+            1,
+            "only the worker that recorded has a row"
+        );
         assert_eq!(rep.fleet_pending_hwm(&rep.windows[0]), 3);
+    }
+
+    /// One record call for the property test: `(hook, vm, at_ns, arg)`,
+    /// where `arg` is an interval length, a latency, a byte count, a
+    /// depth or a worker index, by hook.
+    type Op = (u8, u32, u64, u64);
+
+    fn record(r: &mut TelemetryRecorder, (hook, vm, at, arg): Op) {
+        let w = (arg % 3) as usize; // the recorder clamps it to the last worker
+        match hook {
+            0 => r.record_exit(vm, (arg % EXIT_KINDS as u64) as usize, at),
+            1 => r.record_guest_slice(vm, at, at + arg),
+            2 => r.record_msi(vm, at, arg % 2 == 0),
+            3 => r.record_msi_redirected(vm, at),
+            4 => r.record_rx(vm, at, arg % 1500),
+            5 => r.record_tx(vm, at, arg % 1500),
+            6 => r.record_rx_latency(vm, at, arg),
+            7 => r.record_throttled_kick(vm, at),
+            8 => r.record_budget_deferral(vm, at),
+            9 => r.record_quarantine(vm, at),
+            10 => r.record_reset(vm, at),
+            11 => r.record_worker_slice(vm, w, at, at + arg),
+            12 => r.record_worker_pending(vm, w, at, arg % 40),
+            _ => r.record_worker_turn(vm, w, at),
+        }
+    }
+
+    /// The naive reference: every window a call touches holds a row for
+    /// every VM and every worker slot.
+    struct Dense {
+        geom: TelemetryGeometry,
+        windows: std::collections::BTreeMap<u64, Window>,
+    }
+
+    impl Dense {
+        fn window(&mut self, k: u64) -> &mut Window {
+            let g = self.geom;
+            self.windows.entry(k).or_insert_with(|| Window {
+                idx: k,
+                vms: (0..g.num_vms as u32).map(VmWin::blank).collect(),
+                workers: (0..(g.num_vms * g.workers_per_vm) as u32)
+                    .map(WorkerWin::blank)
+                    .collect(),
+            })
+        }
+
+        fn vm(&mut self, vm: u32, at: u64) -> &mut VmWin {
+            &mut self.window(at / WINDOW_NS).vms[vm as usize]
+        }
+
+        fn worker(&mut self, slot: usize, at: u64) -> &mut WorkerWin {
+            &mut self.window(at / WINDOW_NS).workers[slot]
+        }
+
+        /// `add(window, overlap)` for each window `[from, to)` overlaps.
+        fn slice(&mut self, from: u64, to: u64, mut add: impl FnMut(&mut Window, u64)) {
+            if from < to {
+                for k in from / WINDOW_NS..=(to - 1) / WINDOW_NS {
+                    let overlap = to.min((k + 1) * WINDOW_NS) - from.max(k * WINDOW_NS);
+                    add(self.window(k), overlap);
+                }
+            }
+        }
+
+        fn record(&mut self, (hook, vm, at, arg): Op) {
+            let wpv = self.geom.workers_per_vm;
+            let slot = vm as usize * wpv + (arg % 3).min(wpv as u64 - 1) as usize;
+            let v = vm as usize;
+            match hook {
+                0 => self.vm(vm, at).exits[(arg % EXIT_KINDS as u64) as usize] += 1,
+                1 => self.slice(at, at + arg, |w, ns| w.vms[v].guest_ns += ns),
+                2 if arg % 2 == 0 => self.vm(vm, at).msi_posted += 1,
+                2 => self.vm(vm, at).msi_emulated += 1,
+                3 => self.vm(vm, at).msi_redirected += 1,
+                4 => {
+                    self.vm(vm, at).rx_bytes += arg % 1500;
+                    self.vm(vm, at).rx_pkts += 1;
+                }
+                5 => {
+                    self.vm(vm, at).tx_bytes += arg % 1500;
+                    self.vm(vm, at).tx_pkts += 1;
+                }
+                6 => {
+                    let row = self.vm(vm, at);
+                    row.rx_lat_count += 1;
+                    row.rx_lat_sum_ns += arg;
+                    row.rx_lat_max_ns = row.rx_lat_max_ns.max(arg);
+                    let b = RX_BUCKET_EDGES_US
+                        .iter()
+                        .position(|&e| arg <= e.saturating_mul(1_000));
+                    row.rx_lat_buckets[b.unwrap_or(RX_BUCKETS - 1)] += 1;
+                }
+                7 => self.vm(vm, at).throttled_kicks += 1,
+                8 => self.vm(vm, at).budget_deferrals += 1,
+                9 => self.vm(vm, at).quarantines += 1,
+                10 => self.vm(vm, at).resets += 1,
+                11 => self.slice(at, at + arg, |w, ns| w.workers[slot].on_core_ns += ns),
+                12 => {
+                    let row = self.worker(slot, at);
+                    row.pending_hwm = row.pending_hwm.max(arg % 40);
+                }
+                _ => self.worker(slot, at).turns += 1,
+            }
+        }
+
+        /// `spec`'s rolling values, summed by slot position over every
+        /// window index in the span (an untouched index adds nothing).
+        fn slo_values(&self, spec: &SloSpec) -> Option<(u64, Vec<f64>)> {
+            let (&lo, &hi) = (self.windows.keys().next()?, self.windows.keys().last()?);
+            let n = spec.windows.max(1) as u64;
+            let wpv = self.geom.workers_per_vm;
+            let in_scope = |vm: usize| spec.vm.is_none_or(|s| s as usize == vm);
+            let mut out = Vec::new();
+            for start in lo..(hi + 2).saturating_sub(n) {
+                let (mut guest, mut exits, mut hwm) = (0u64, 0u64, 0u64);
+                let (mut buckets, mut count, mut max_ns) = ([0u64; RX_BUCKETS], 0u64, 0u64);
+                for w in (start..start + n).filter_map(|k| self.windows.get(&k)) {
+                    for (_, row) in w.vms.iter().enumerate().filter(|&(vm, _)| in_scope(vm)) {
+                        guest += row.guest_ns;
+                        exits += row.exits.iter().sum::<u64>();
+                        for (b, c) in buckets.iter_mut().zip(row.rx_lat_buckets) {
+                            *b += c;
+                        }
+                        count += row.rx_lat_count;
+                        max_ns = max_ns.max(row.rx_lat_max_ns);
+                    }
+                    for (slot, row) in w.workers.iter().enumerate() {
+                        if in_scope(slot / wpv) {
+                            hwm = hwm.max(row.pending_hwm);
+                        }
+                    }
+                }
+                let slots = if spec.vm.is_some() {
+                    1.0
+                } else {
+                    self.geom.num_vms as f64
+                };
+                out.push(match spec.metric {
+                    SloMetric::RxP99Us => quantile_from_buckets(&buckets, count, max_ns, 0.99),
+                    SloMetric::TigPct => {
+                        100.0 * guest as f64 / (slots * n as f64 * WINDOW_NS as f64)
+                    }
+                    SloMetric::ExitsPerSec => exits as f64 / (n as f64 * (WINDOW_NS as f64 / 1e9)),
+                    SloMetric::WorkerPendingHwm => hwm as f64,
+                });
+            }
+            Some((lo, out))
+        }
+    }
+
+    /// `sparse` holds the rows of `dense` that are not blank, and its
+    /// readers give what the reference computes over all rows.
+    fn assert_same(sparse: &TelemetryReport, dense: &Dense) {
+        let idx: Vec<u64> = sparse.windows.iter().map(|w| w.idx).collect();
+        assert!(idx.iter().eq(dense.windows.keys()), "window indices");
+        let g = dense.geom;
+        for (s, d) in sparse.windows.iter().zip(dense.windows.values()) {
+            assert!(
+                s.vms.windows(2).all(|p| p[0].vm < p[1].vm),
+                "VM rows out of order"
+            );
+            assert!(
+                s.workers.windows(2).all(|p| p[0].slot < p[1].slot),
+                "worker rows out of order"
+            );
+            for row in &d.vms {
+                let got = s.vm(row.vm).copied().unwrap_or(VmWin::blank(row.vm));
+                assert_eq!(got, *row, "window {} VM {}", d.idx, row.vm);
+            }
+            for row in &d.workers {
+                assert_eq!(
+                    worker(s, row.slot),
+                    *row,
+                    "window {} worker {}",
+                    d.idx,
+                    row.slot
+                );
+            }
+            let guest: u64 = d.vms.iter().map(|r| r.guest_ns).sum();
+            let tig = 100.0 * guest as f64 / (g.num_vms as f64 * WINDOW_NS as f64);
+            assert_eq!(sparse.fleet_tig_pct(s), tig);
+            let exits: u64 = d.vms.iter().flat_map(|r| r.exits).sum();
+            assert_eq!(
+                sparse.fleet_exits_per_sec(s),
+                exits as f64 / (WINDOW_NS as f64 / 1e9)
+            );
+            let mut buckets = [0u64; RX_BUCKETS];
+            for r in &d.vms {
+                for (b, c) in buckets.iter_mut().zip(r.rx_lat_buckets) {
+                    *b += c;
+                }
+            }
+            let count = d.vms.iter().map(|r| r.rx_lat_count).sum();
+            let max_ns = d.vms.iter().map(|r| r.rx_lat_max_ns).max().unwrap_or(0);
+            for q in [0.0, 0.5, 0.99, 1.0] {
+                let want = quantile_from_buckets(&buckets, count, max_ns, q);
+                assert_eq!(sparse.fleet_rx_quantile_us(s, q), want);
+            }
+            let hwm = d.workers.iter().map(|r| r.pending_hwm).max().unwrap_or(0);
+            assert_eq!(sparse.fleet_pending_hwm(s), hwm);
+        }
+        let metrics = [
+            SloMetric::RxP99Us,
+            SloMetric::TigPct,
+            SloMetric::ExitsPerSec,
+            SloMetric::WorkerPendingHwm,
+        ];
+        for metric in metrics {
+            for vm in [None, Some(0), Some(3)] {
+                for windows in [1, 3] {
+                    let spec = SloSpec {
+                        name: "prop",
+                        metric,
+                        vm,
+                        threshold: 0.0,
+                        above_is_bad: true,
+                        windows,
+                    };
+                    assert_eq!(
+                        sparse.slo_values(&spec),
+                        dense.slo_values(&spec),
+                        "{spec:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Random record calls over four VMs and eight windows, in random
+        /// time order (so intervals backfill earlier windows), give the
+        /// sparse recorder and the dense reference the same readings;
+        /// split across two hosts and overlaid, they still do.
+        #[test]
+        fn prop_sparse_rows_read_like_dense_rows(
+            ops in proptest::collection::vec(
+                (0u8..14, 0u32..4, 0u64..8_000_000, 0u64..3_000_000),
+                0..80,
+            ),
+        ) {
+            let g = geom(4);
+            let mut dense = Dense { geom: g, windows: Default::default() };
+            let mut one = TelemetryRecorder::new(g, 0);
+            let mut hosts = [TelemetryRecorder::new(g, 0), TelemetryRecorder::new(g, 0)];
+            for (i, &op) in ops.iter().enumerate() {
+                dense.record(op);
+                record(&mut one, op);
+                record(&mut hosts[i % 2], op);
+            }
+            assert_same(&one.finish(), &dense);
+            let [a, b] = hosts;
+            let mut merged = a.finish();
+            merged.overlay(b.finish());
+            assert_same(&merged, &dense);
+        }
     }
 }

@@ -249,7 +249,7 @@ impl Machine {
         let h = self.vms[vmi].cur_handler[w as usize].expect("RX completion without a turn");
         let qi = self.vms[vmi].pair_of(h);
         self.vms[vmi].pairs[qi].rx_turn += 1;
-        self.note_rx(vm, qi, pkt.bytes);
+        self.note_rx(vm, pkt.bytes);
         let interrupt = self.vms[vmi].pairs[qi].rx.device_push_used(pkt);
         if interrupt {
             let vector = self.vms[vmi].pairs[qi].rx_vector;

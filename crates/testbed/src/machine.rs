@@ -683,7 +683,6 @@ impl Machine {
                 &params,
                 topo.num_vms as usize,
                 num_workers,
-                num_pairs as usize,
                 plan_active,
             ),
             route_online: Vec::with_capacity(topo.vcpus_per_vm as usize),

@@ -28,7 +28,7 @@
 
 use es2_apic::Vector;
 use es2_hypervisor::{ExitReason, ExitStats};
-use es2_metrics::telemetry::{TelemetryGeometry, TelemetryRecorder, TelemetryReport, WINDOW_NS};
+use es2_metrics::telemetry::{TelemetryGeometry, TelemetryRecorder, TelemetryReport};
 use es2_metrics::{BackpressureStats, GuestTime, LatencySummary, SpanReport, VmModeCounts};
 use es2_sim::trace::Tracer;
 use es2_sim::{SimDuration, SimTime};
@@ -174,15 +174,12 @@ pub(crate) struct TelemetryHooks {
 }
 
 impl TelemetryHooks {
-    /// A collector for `num_vms` VMs with the given per-VM shape.
-    fn new(num_vms: usize, workers_per_vm: usize, queues_per_vm: usize, exit_kinds: usize) -> Self {
+    /// A collector for `num_vms` VMs of `workers_per_vm` vhost workers.
+    fn new(num_vms: usize, workers_per_vm: usize) -> Self {
         let workers = workers_per_vm.max(1);
         let geom = TelemetryGeometry {
-            width_ns: WINDOW_NS,
             num_vms,
             workers_per_vm: workers,
-            queues_per_vm: queues_per_vm.max(1),
-            exit_kinds,
         };
         TelemetryHooks {
             rec: TelemetryRecorder::new(geom, ANN_CAPACITY),
@@ -223,14 +220,14 @@ pub(crate) struct Recorders {
 impl Recorders {
     /// The recorders `p` asks for over `num_vms` VMs of the given shape;
     /// the ring records only under an active fault plan.
-    pub(crate) fn new(p: &Params, num_vms: usize, workers: usize, pairs: usize, plan_active: bool) -> Self {
+    pub(crate) fn new(p: &Params, num_vms: usize, workers: usize, plan_active: bool) -> Self {
         let mut ring = Tracer::new(RING_CAPACITY);
         ring.set_enabled(plan_active);
         Recorders {
             ring,
             tel: p
                 .telemetry
-                .then(|| Box::new(TelemetryHooks::new(num_vms, workers, pairs, ExitReason::COUNT))),
+                .then(|| Box::new(TelemetryHooks::new(num_vms, workers))),
             spans: p
                 .trace
                 .then(|| Box::new(SpanTracker::new(num_vms, workers, p.trace_events as usize))),
@@ -497,10 +494,10 @@ impl Machine {
         }
     }
 
-    /// An RX packet of `bytes` landed in `vm`'s ring on queue `qi`.
-    pub(crate) fn note_rx(&mut self, vm: u32, qi: usize, bytes: u32) {
+    /// An RX packet of `bytes` landed in `vm`'s ring.
+    pub(crate) fn note_rx(&mut self, vm: u32, bytes: u32) {
         if let Some(t) = self.rec.tel.as_deref_mut() {
-            t.rec.record_rx(vm, self.now.as_nanos(), qi, bytes as u64);
+            t.rec.record_rx(vm, self.now.as_nanos(), bytes as u64);
         }
     }
 
@@ -749,14 +746,16 @@ mod tests {
 
     #[test]
     fn finish_closes_open_intervals() {
-        let mut t = TelemetryHooks::new(2, 2, 1, 4);
+        let mut t = TelemetryHooks::new(2, 2);
         let slot = t.worker_slot(0, 1);
         t.on_core_since[slot] = Some(800_000);
         let rep = t.finish(1_200_000);
         assert_eq!(rep.windows.len(), 2);
-        // Worker (0,1) on-core 0.2ms + 0.2ms.
-        assert_eq!(rep.windows[0].workers[1].on_core_ns, 200_000);
-        assert_eq!(rep.windows[1].workers[1].on_core_ns, 200_000);
+        // Worker (0,1) on-core 0.2ms + 0.2ms; no other worker has a row.
+        for w in &rep.windows {
+            assert_eq!(w.workers.len(), 1);
+            assert_eq!((w.workers[0].slot, w.workers[0].on_core_ns), (1, 200_000));
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Heap footprint of a consolidated host.
+//! Heap footprint of a consolidated host, and heap traffic of the
+//! telemetry recorder.
 //!
 //! A counting global allocator measures the live heap the `dense` shape
 //! (128 httperf VMs × 2 vCPUs on one host) takes to build and to run.
@@ -10,21 +11,41 @@
 //! size, backlog depth, histogram range), or a ring half that goes back
 //! to storing placeholder packets (+1 MiB), trips the budgets below.
 //!
-//! The file holds exactly one test, so no other test shares the counter.
+//! It also counts the allocator calls the benchmark's `cell` shape makes
+//! in `run()` with telemetry on and off. A window holds rows only for the
+//! VMs that record in it, so telemetry adds about 0.65 calls for every
+//! call the run makes without it (~460 to ~720). A recorder that goes
+//! back to a zeroed row, with its own heap vectors, for each of a host's
+//! 18 slots in every window adds ~16 (~11 300).
+//!
+//! The tests take turns on one lock, so no two share the counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard};
 
 use es2_core::{EventPathConfig, HybridParams};
-use es2_sim::{FaultPlan, SimDuration};
-use es2_testbed::{Machine, Params, Topology, WorkloadSpec};
+use es2_sim::{FaultPlan, SimDuration, SimTime};
+use es2_testbed::{
+    ChurnSpec, Cluster, ClusterSpec, Machine, Params, PlannedMove, Topology, WorkloadSpec,
+};
+use es2_workloads::NetperfSpec;
 
 struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Allocator calls that hand out or grow a block.
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Hold the counters alone until the guard drops.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn grow(by: usize) {
+    CALLS.fetch_add(1, Relaxed);
     let now = LIVE.fetch_add(by, Relaxed) + by;
     PEAK.fetch_max(now, Relaxed);
 }
@@ -52,6 +73,7 @@ unsafe impl GlobalAlloc for Counting {
         if new_size >= layout.size() {
             grow(new_size - layout.size());
         } else {
+            CALLS.fetch_add(1, Relaxed);
             LIVE.fetch_sub(layout.size() - new_size, Relaxed);
         }
         System.realloc(ptr, layout, new_size)
@@ -72,6 +94,7 @@ const RUN_BUDGET: usize = 2 * MIB;
 
 #[test]
 fn dense_host_heap_stays_within_budget() {
+    let _turn = serial();
     // The benchmark's `dense` windows.
     let params = Params {
         num_cores: VCPUS + VMS,
@@ -109,6 +132,74 @@ fn dense_host_heap_stays_within_budget() {
             result.events_simulated > 0,
             "{}: the run did nothing",
             cfg.label()
+        );
+    }
+}
+
+/// Telemetry may at most double the allocator calls of the `cell` run.
+const TELEMETRY_CALLS_PER_PLAIN_CALL: usize = 2;
+
+/// The benchmark's `cell` job: 4 hosts of 3 VMs, 6 static TCP/ping VMs
+/// and 12 churn arrivals, one migration aborted mid-copy, a host crash
+/// halfway through the window, placement failures and stuck boots.
+fn cell_spec(cfg: EventPathConfig, telemetry: bool) -> ClusterSpec {
+    let (warmup, measure) = (SimDuration::from_millis(20), SimDuration::from_millis(80));
+    let params = Params {
+        warmup,
+        measure,
+        telemetry,
+        ..Params::default()
+    };
+    let into_window =
+        |frac: u64| SimDuration::from_nanos(warmup.as_nanos() + measure.as_nanos() / frac);
+    let fleet = (0..6)
+        .map(|i| match i % 2 {
+            0 => WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024)),
+            _ => WorkloadSpec::Ping,
+        })
+        .collect();
+    let mut spec = ClusterSpec::new(cfg, 1, fleet, 4, 3, params, 1);
+    spec.plan = FaultPlan {
+        churn_place_fail_p: 0.10,
+        churn_boot_stall_p: 0.10,
+        host_crash_mask: 0b1000,
+        host_crash_at: into_window(2),
+        migration_abort_nth: 1,
+        ..FaultPlan::none()
+    };
+    spec.moves = vec![PlannedMove {
+        vm: 0,
+        to: 1,
+        at: SimTime::ZERO + into_window(4),
+    }];
+    spec.churn = Some(ChurnSpec {
+        arrivals: 12,
+        mean_lifetime: SimDuration::from_millis(20),
+    });
+    spec
+}
+
+#[test]
+fn telemetry_allocates_in_proportion_to_the_vms_that_record() {
+    let _turn = serial();
+    let calls_in_run = |spec: ClusterSpec| {
+        let cell = Cluster::new(spec);
+        let before = CALLS.load(Relaxed);
+        drop(cell.run()); // frees count no calls
+        CALLS.load(Relaxed) - before
+    };
+    for cfg in [
+        EventPathConfig::baseline(),
+        EventPathConfig::pi(),
+        EventPathConfig::pi_h_r(HybridParams::TCP_QUOTA),
+    ] {
+        let plain = calls_in_run(cell_spec(cfg, false));
+        let on = calls_in_run(cell_spec(cfg, true));
+        let added = on.saturating_sub(plain);
+        assert!(
+            added <= TELEMETRY_CALLS_PER_PLAIN_CALL * plain,
+            "{}: telemetry added {added} allocator calls to the {plain} of the plain run",
+            cfg.label(),
         );
     }
 }
