@@ -14,7 +14,6 @@ use crate::cli::{self, Artifacts, Command};
 
 /// A golden file a row's serial stdout is held to: `(path, contents)`.
 pub(crate) enum Golden {
-    None,
     /// The file is a prefix of stdout, which may append to it.
     Prefix(&'static str, &'static str),
     /// The file is all of stdout.
@@ -38,45 +37,48 @@ pub(crate) struct Check {
     golden: Golden,
 }
 
-const CHAOS_GOLDEN: Golden = Golden::Prefix(
-    "ci/golden_chaos_fast.txt",
-    include_str!("../../../ci/golden_chaos_fast.txt"),
-);
-const MQ_GOLDEN: Golden = Golden::Exact(
-    "ci/golden_mq_fast.txt",
-    include_str!("../../../ci/golden_mq_fast.txt"),
-);
-const TELEMETRY_GOLDEN: Golden = Golden::Exact(
-    "ci/golden_telemetry_fast.txt",
-    include_str!("../../../ci/golden_telemetry_fast.txt"),
-);
+/// The golden `ci/golden_<stem>_fast.txt`, held as `Exact` or `Prefix`.
+macro_rules! golden {
+    ($kind:ident, $stem:literal) => {
+        Golden::$kind(
+            concat!("ci/golden_", $stem, "_fast.txt"),
+            include_str!(concat!("../../../ci/golden_", $stem, "_fast.txt")),
+        )
+    };
+}
 
-/// A row that runs every comparison and asks nothing else.
-const ROW: Check = Check {
-    args: &[],
-    threads: true,
-    recorders: true,
-    contains: &[],
-    excludes: &[],
-    golden: Golden::None,
-};
+/// A row that runs every comparison and holds stdout to `golden`.
+const fn row(args: &'static [&'static str], golden: Golden) -> Check {
+    Check {
+        args,
+        threads: true,
+        recorders: true,
+        contains: &[],
+        excludes: &[],
+        golden,
+    }
+}
 
 /// The table `repro selfcheck` runs, in order. `--trace` and
 /// `--telemetry` turn one recorder on themselves, so they skip that
 /// comparison; `table1 fig4` leaves threads to `parallel_determinism.rs`.
 #[rustfmt::skip]
 pub(crate) const CHECKS: &[Check] = &[
-    Check { args: &["chaos"], contains: &["liveness: PASS", "cell liveness: PASS"],
-            golden: CHAOS_GOLDEN, ..ROW },
-    Check { args: &["table1", "fig4"], threads: false, ..ROW },
-    Check { args: &["--scale"], contains: &["PASS (0 violations)"], ..ROW },
-    Check { args: &["--trace"], recorders: false, contains: &["sched-delay"], ..ROW },
-    Check { args: &["--hostile"], contains: &["liveness: PASS", "leaked to neighbors: 0"], ..ROW },
-    Check { args: &["--migrate"], contains: &["PASS"], excludes: &["FAIL"], ..ROW },
-    Check { args: &["--churn"], contains: &["PASS"], excludes: &["FAIL"], ..ROW },
-    Check { args: &["--mq"], contains: &["PASS"], excludes: &["FAIL"], golden: MQ_GOLDEN, ..ROW },
-    Check { args: &["--telemetry"], recorders: false, contains: &["SLO breaches"],
-            golden: TELEMETRY_GOLDEN, ..ROW },
+    Check { contains: &["liveness: PASS", "cell liveness: PASS"],
+            ..row(&["chaos"], golden!(Prefix, "chaos")) },
+    Check { threads: false, ..row(&["table1", "fig4"], golden!(Exact, "table1_fig4")) },
+    Check { contains: &["PASS (0 violations)"], ..row(&["--scale"], golden!(Exact, "scale")) },
+    Check { recorders: false, contains: &["sched-delay"],
+            ..row(&["--trace"], golden!(Exact, "trace")) },
+    Check { contains: &["liveness: PASS", "leaked to neighbors: 0"],
+            ..row(&["--hostile"], golden!(Exact, "hostile")) },
+    Check { contains: &["PASS"], excludes: &["FAIL"],
+            ..row(&["--migrate"], golden!(Exact, "migrate")) },
+    Check { contains: &["PASS"], excludes: &["FAIL"],
+            ..row(&["--churn"], golden!(Exact, "churn")) },
+    Check { contains: &["PASS"], excludes: &["FAIL"], ..row(&["--mq"], golden!(Exact, "mq")) },
+    Check { recorders: false, contains: &["SLO breaches"],
+            ..row(&["--telemetry"], golden!(Exact, "telemetry")) },
 ];
 
 /// A change to the params a run uses on top of the command line's.
@@ -173,7 +175,6 @@ impl Check {
             }
         }
         let (path, text, lines) = match self.golden {
-            Golden::None => return Ok(()),
             Golden::Prefix(path, text) => (path, text, text.lines().count()),
             Golden::Exact(path, text) => (path, text, usize::MAX),
         };

@@ -63,7 +63,7 @@ impl Es2Router {
     pub fn route_explained(
         &mut self,
         msg: &es2_apic::MsiMessage,
-        ctx: &RouteCtx<'_>,
+        ctx: &RouteCtx,
     ) -> RoutedMsi {
         let affinity = self.affinity.route(msg, ctx);
         let chosen = self
@@ -95,7 +95,7 @@ pub struct RoutedMsi {
 }
 
 impl MsiRouter for Es2Router {
-    fn route(&mut self, msg: &es2_apic::MsiMessage, ctx: &RouteCtx<'_>) -> VcpuId {
+    fn route(&mut self, msg: &es2_apic::MsiMessage, ctx: &RouteCtx) -> VcpuId {
         self.route_explained(msg, ctx).target
     }
 
@@ -115,12 +115,10 @@ mod tests {
     use es2_apic::MsiMessage;
     use es2_hypervisor::VmId;
 
-    fn ctx<'a>(online: &'a [bool], load: &'a [u64]) -> RouteCtx<'a> {
+    fn ctx(num_vcpus: u32) -> RouteCtx {
         RouteCtx {
             vm: VmId(0),
-            num_vcpus: online.len() as u32,
-            online,
-            irq_load: load,
+            num_vcpus,
         }
     }
 
@@ -128,9 +126,7 @@ mod tests {
     fn device_msi_redirected_to_online_vcpu() {
         let mut r = Es2Router::new(RedirectionEngine::new(1, 4));
         r.on_sched_change(VcpuId::new(0, 2), true);
-        let online = [false, false, true, false];
-        let load = [0; 4];
-        let dst = r.route(&MsiMessage::fixed(0, 0x41), &ctx(&online, &load));
+        let dst = r.route(&MsiMessage::fixed(0, 0x41), &ctx(4));
         assert_eq!(dst, VcpuId::new(0, 2));
         assert_eq!(r.engine().redirection_count(), 1);
     }
@@ -139,12 +135,7 @@ mod tests {
     fn timer_msi_passes_through() {
         let mut r = Es2Router::new(RedirectionEngine::new(1, 4));
         r.on_sched_change(VcpuId::new(0, 2), true);
-        let online = [false, false, true, false];
-        let load = [0; 4];
-        let dst = r.route(
-            &MsiMessage::fixed(0, LOCAL_TIMER_VECTOR),
-            &ctx(&online, &load),
-        );
+        let dst = r.route(&MsiMessage::fixed(0, LOCAL_TIMER_VECTOR), &ctx(4));
         assert_eq!(dst, VcpuId::new(0, 0), "affinity respected");
     }
 
@@ -152,17 +143,12 @@ mod tests {
     fn route_explained_reports_provenance() {
         let mut r = Es2Router::new(RedirectionEngine::new(1, 4));
         r.on_sched_change(VcpuId::new(0, 2), true);
-        let online = [false, false, true, false];
-        let load = [0; 4];
-        let routed = r.route_explained(&MsiMessage::fixed(0, 0x41), &ctx(&online, &load));
+        let routed = r.route_explained(&MsiMessage::fixed(0, 0x41), &ctx(4));
         assert_eq!(routed.target, VcpuId::new(0, 2));
         assert_eq!(routed.affinity, VcpuId::new(0, 0));
         assert!(routed.redirected);
 
-        let timer = r.route_explained(
-            &MsiMessage::fixed(0, LOCAL_TIMER_VECTOR),
-            &ctx(&online, &load),
-        );
+        let timer = r.route_explained(&MsiMessage::fixed(0, LOCAL_TIMER_VECTOR), &ctx(4));
         assert_eq!(timer.target, timer.affinity);
         assert!(!timer.redirected);
     }
@@ -177,14 +163,11 @@ mod tests {
         let mut b = Es2Router::on_host(RedirectionEngine::new(1, 4), 1);
         a.on_sched_change(VcpuId::new(0, 2), true);
 
-        let online = [false, false, true, false];
-        let load = [0; 4];
-        let on_a = a.route_explained(&MsiMessage::fixed(0, 0x41), &ctx(&online, &load));
+        let on_a = a.route_explained(&MsiMessage::fixed(0, 0x41), &ctx(4));
         assert_eq!(on_a.host, 0);
         assert_eq!(on_a.target.idx, 2, "A's online vCPU wins");
         assert!(on_a.redirected);
-        let none_online = [false; 4];
-        let on_b = b.route_explained(&MsiMessage::fixed(0, 0x41), &ctx(&none_online, &load));
+        let on_b = b.route_explained(&MsiMessage::fixed(0, 0x41), &ctx(4));
         assert_eq!(on_b.host, 1);
         assert_eq!(on_b.target.idx, 0, "B predicts from its own offline list");
     }
@@ -194,12 +177,11 @@ mod tests {
         // Observed through routing, which reads only the engine's lists.
         let mut r = Es2Router::new(RedirectionEngine::new(1, 2));
         let msi = MsiMessage::fixed(0, 0x41);
-        let load = [0; 2];
         r.on_sched_change(VcpuId::new(0, 1), true);
-        let routed = r.route_explained(&msi, &ctx(&[false, true], &load));
+        let routed = r.route_explained(&msi, &ctx(2));
         assert_eq!(routed.target.idx, 1, "sched-in put vCPU 1 online");
         r.on_sched_change(VcpuId::new(0, 1), false);
-        let routed = r.route_explained(&msi, &ctx(&[false; 2], &load));
+        let routed = r.route_explained(&msi, &ctx(2));
         assert_eq!(routed.target.idx, 0, "sched-out cleared the sticky target");
     }
 }

@@ -119,63 +119,39 @@ impl ExitStats {
     }
 }
 
-/// The cost model for guest/host transitions.
+/// Hardware VMX transition (exit + entry round trip) without handling.
+const WORLD_SWITCH: SimDuration = SimDuration::from_nanos(800);
+/// Host-side handling of an I/O-instruction (kick) exit: eventfd signal
+/// + vhost worker wakeup.
+const IO_INSTRUCTION_HANDLING: SimDuration = SimDuration::from_nanos(2200);
+/// Host-side handling of an external-interrupt (kick IPI) exit.
+const EXTERNAL_INTERRUPT_HANDLING: SimDuration = SimDuration::from_nanos(1200);
+/// Host-side handling of an APIC-access (EOI) exit.
+const APIC_ACCESS_HANDLING: SimDuration = SimDuration::from_nanos(1200);
+/// Host-side handling of other exits.
+const OTHER_HANDLING: SimDuration = SimDuration::from_nanos(1500);
+/// Cost of sending an IPI from the host side.
+pub const IPI_SEND: SimDuration = SimDuration::from_nanos(300);
+/// Hardware posted-interrupt notification processing on the target core
+/// while in guest mode (microcode PIR→vIRR sync; no exit).
+pub const PI_NOTIFICATION: SimDuration = SimDuration::from_nanos(250);
+
+/// Total vCPU-side cost of one exit of the given reason.
 ///
 /// §II-B: *"This kind of guest/host context switch takes hundreds or
-/// thousands of cycles and may cause serious cache pollution."* The numbers
-/// here are the end-to-end costs charged to the vCPU per exit — the
-/// hardware world switch **plus** KVM's software handling for that exit
-/// type — calibrated so the Baseline configuration lands at the paper's
-/// absolute rates (~130 k exits/s at 70 % TIG for TCP send, Table I).
-#[derive(Clone, Copy, Debug)]
-pub struct ExitCosts {
-    /// Hardware VMX transition (exit + entry round trip) without handling.
-    pub world_switch: SimDuration,
-    /// Host-side handling of an I/O-instruction (kick) exit: eventfd signal
-    /// + vhost worker wakeup.
-    pub io_instruction_handling: SimDuration,
-    /// Host-side handling of an external-interrupt (kick IPI) exit.
-    pub external_interrupt_handling: SimDuration,
-    /// Host-side handling of an APIC-access (EOI) exit.
-    pub apic_access_handling: SimDuration,
-    /// Host-side handling of other exits.
-    pub other_handling: SimDuration,
-    /// Extra VM-entry work when injecting an event (emulated path).
-    pub event_injection: SimDuration,
-    /// Cost of sending an IPI from the host side.
-    pub ipi_send: SimDuration,
-    /// Hardware posted-interrupt notification processing on the target
-    /// core while in guest mode (microcode PIR→vIRR sync; no exit).
-    pub pi_notification: SimDuration,
-}
-
-impl Default for ExitCosts {
-    fn default() -> Self {
-        ExitCosts {
-            world_switch: SimDuration::from_nanos(800),
-            io_instruction_handling: SimDuration::from_nanos(2200),
-            external_interrupt_handling: SimDuration::from_nanos(1200),
-            apic_access_handling: SimDuration::from_nanos(1200),
-            other_handling: SimDuration::from_nanos(1500),
-            event_injection: SimDuration::from_nanos(400),
-            ipi_send: SimDuration::from_nanos(300),
-            pi_notification: SimDuration::from_nanos(250),
-        }
-    }
-}
-
-impl ExitCosts {
-    /// Total vCPU-side cost of one exit of the given reason (world switch +
-    /// handling), excluding injection.
-    pub fn exit_cost(&self, reason: ExitReason) -> SimDuration {
-        let handling = match reason {
-            ExitReason::IoInstruction => self.io_instruction_handling,
-            ExitReason::ExternalInterrupt => self.external_interrupt_handling,
-            ExitReason::ApicAccess => self.apic_access_handling,
-            _ => self.other_handling,
-        };
-        self.world_switch + handling
-    }
+/// thousands of cycles and may cause serious cache pollution."* The cost
+/// is end-to-end — the hardware world switch **plus** KVM's software
+/// handling for that exit type — calibrated so the Baseline
+/// configuration lands at the paper's absolute rates (~130 k exits/s at
+/// 70 % TIG for TCP send, Table I).
+pub fn exit_cost(reason: ExitReason) -> SimDuration {
+    let handling = match reason {
+        ExitReason::IoInstruction => IO_INSTRUCTION_HANDLING,
+        ExitReason::ExternalInterrupt => EXTERNAL_INTERRUPT_HANDLING,
+        ExitReason::ApicAccess => APIC_ACCESS_HANDLING,
+        _ => OTHER_HANDLING,
+    };
+    WORLD_SWITCH + handling
 }
 
 #[cfg(test)]
@@ -217,13 +193,12 @@ mod tests {
 
     #[test]
     fn cost_model_totals() {
-        let c = ExitCosts::default();
-        let io = c.exit_cost(ExitReason::IoInstruction);
+        let io = exit_cost(ExitReason::IoInstruction);
         assert_eq!(io, SimDuration::from_nanos(3000));
-        assert!(c.exit_cost(ExitReason::ApicAccess) < io);
+        assert!(exit_cost(ExitReason::ApicAccess) < io);
         // An exit is "hundreds or thousands of cycles": 0.5us..5us.
         for r in ExitReason::all() {
-            let cost = c.exit_cost(r);
+            let cost = exit_cost(r);
             assert!(cost >= SimDuration::from_nanos(500));
             assert!(cost <= SimDuration::from_micros(5));
         }

@@ -27,12 +27,12 @@
 //!
 //! Timing is owned by the discrete-event testbed: this crate reports *what
 //! happens* (which exits, which IPIs); the testbed charges the costs from
-//! [`exit::ExitCosts`].
+//! [`exit::exit_cost`], [`exit::IPI_SEND`] and [`exit::PI_NOTIFICATION`].
 
 pub mod exit;
 pub mod router;
 pub mod vcpu;
 
-pub use exit::{ExitCosts, ExitReason, ExitStats};
+pub use exit::{exit_cost, ExitReason, ExitStats, IPI_SEND, PI_NOTIFICATION};
 pub use router::{AffinityRouter, MsiRouter, RouteCtx};
 pub use vcpu::{DeliveryOutcome, InterruptPath, Vcpu, VcpuId, VmId};

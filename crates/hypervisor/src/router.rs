@@ -13,24 +13,21 @@ use es2_apic::MsiMessage;
 
 use crate::vcpu::{VcpuId, VmId};
 
-/// Scheduling-status view the router may consult, supplied by the caller
-/// per delivery.
-#[derive(Clone, Debug)]
-pub struct RouteCtx<'a> {
+/// The VM a delivery targets, supplied by the caller per delivery. A
+/// router that follows scheduling status keeps its own view of it, fed by
+/// [`MsiRouter::on_sched_change`].
+#[derive(Clone, Copy, Debug)]
+pub struct RouteCtx {
     /// Target VM.
     pub vm: VmId,
     /// Number of vCPUs in the VM.
     pub num_vcpus: u32,
-    /// Per-vCPU "currently scheduled on a core" flags, indexed by vCPU.
-    pub online: &'a [bool],
-    /// Per-vCPU handled-interrupt counts (load balancing input).
-    pub irq_load: &'a [u64],
 }
 
 /// Decides the destination vCPU for a device MSI.
 pub trait MsiRouter {
     /// Route `msg` for `ctx.vm`; returns the destination vCPU.
-    fn route(&mut self, msg: &MsiMessage, ctx: &RouteCtx<'_>) -> VcpuId;
+    fn route(&mut self, msg: &MsiMessage, ctx: &RouteCtx) -> VcpuId;
 
     /// Notification that a vCPU changed scheduling state (for stateful
     /// routers; default no-op).
@@ -44,7 +41,7 @@ pub trait MsiRouter {
 pub struct AffinityRouter;
 
 impl MsiRouter for AffinityRouter {
-    fn route(&mut self, msg: &MsiMessage, ctx: &RouteCtx<'_>) -> VcpuId {
+    fn route(&mut self, msg: &MsiMessage, ctx: &RouteCtx) -> VcpuId {
         // Physical destination: the APIC id is the vCPU index. Logical
         // (lowest-priority) destinations pick the first vCPU in the mask —
         // KVM's arbitration for an all-CPUs mask favors low ids.
@@ -63,42 +60,33 @@ impl MsiRouter for AffinityRouter {
 mod tests {
     use super::*;
 
-    fn ctx<'a>(online: &'a [bool], load: &'a [u64]) -> RouteCtx<'a> {
+    fn ctx(num_vcpus: u32) -> RouteCtx {
         RouteCtx {
             vm: VmId(3),
-            num_vcpus: online.len() as u32,
-            online,
-            irq_load: load,
+            num_vcpus,
         }
     }
 
     #[test]
     fn physical_destination_is_honored() {
+        // Stock routing never looks at scheduling status: vCPU 1 gets
+        // the MSI whether or not it is on a core.
         let mut r = AffinityRouter;
-        let online = [false, false, true, false];
-        let load = [0; 4];
-        let got = r.route(&MsiMessage::fixed(1, 0x41), &ctx(&online, &load));
+        let got = r.route(&MsiMessage::fixed(1, 0x41), &ctx(4));
         assert_eq!(got, VcpuId::new(3, 1), "affinity followed even if offline");
     }
 
     #[test]
     fn logical_mask_picks_lowest_set_bit() {
         let mut r = AffinityRouter;
-        let online = [true; 4];
-        let load = [0; 4];
-        let got = r.route(
-            &MsiMessage::lowest_priority(0b1100, 0x41),
-            &ctx(&online, &load),
-        );
+        let got = r.route(&MsiMessage::lowest_priority(0b1100, 0x41), &ctx(4));
         assert_eq!(got.idx, 2);
     }
 
     #[test]
     fn destination_clamped_to_vm_size() {
         let mut r = AffinityRouter;
-        let online = [true, true];
-        let load = [0; 2];
-        let got = r.route(&MsiMessage::fixed(9, 0x41), &ctx(&online, &load));
+        let got = r.route(&MsiMessage::fixed(9, 0x41), &ctx(2));
         assert_eq!(got.idx, 1);
     }
 }

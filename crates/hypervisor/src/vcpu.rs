@@ -89,7 +89,6 @@ pub struct Vcpu {
     /// Observational only: the delivery path never reads it, and it stays
     /// empty unless span tracing is on.
     pub corr: es2_apic::VectorCorrMap,
-    interrupts_handled: u64,
 }
 
 impl Vcpu {
@@ -104,7 +103,6 @@ impl Vcpu {
             in_guest: false,
             running: false,
             corr: es2_apic::VectorCorrMap::new(),
-            interrupts_handled: 0,
         }
     }
 
@@ -184,11 +182,7 @@ impl Vcpu {
         if self.path != InterruptPath::Posted {
             return None;
         }
-        let v = self.vapic.ack();
-        if v.is_some() {
-            self.interrupts_handled += 1;
-        }
-        v
+        self.vapic.ack()
     }
 
     /// Synchronize the PI descriptor into the vAPIC page (the hardware
@@ -204,7 +198,6 @@ impl Vcpu {
     pub fn eoi(&mut self) -> bool {
         match self.path {
             InterruptPath::Emulated => {
-                self.interrupts_handled += 1;
                 if self.vapic.in_service() {
                     // The handler entered service exit-lessly before a
                     // mid-run PI→emulated degradation: retire it where
@@ -273,12 +266,6 @@ impl Vcpu {
             InterruptPath::Posted => self.vapic.has_pending() || self.pi_desc.has_pending(),
         }
     }
-
-    /// Interrupts fully handled by the guest (ES2's per-vCPU load metric
-    /// for target selection).
-    pub fn interrupts_handled(&self) -> u64 {
-        self.interrupts_handled
-    }
 }
 
 #[cfg(test)]
@@ -298,9 +285,10 @@ mod tests {
         // Kick: target exits, then re-enters with injection.
         v.vm_exit();
         assert_eq!(v.vm_entry(), Some(0x41));
-        // EOI completes the cycle.
+        // EOI completes the cycle: nothing in service or pending.
         assert!(!v.eoi());
-        assert_eq!(v.interrupts_handled(), 1);
+        assert!(!v.lapic.in_service());
+        assert!(!v.has_deliverable());
     }
 
     #[test]
@@ -332,8 +320,10 @@ mod tests {
         // Hardware: sync + exit-less delivery.
         assert_eq!(v.pi_notification_sync(), 1);
         assert_eq!(v.take_posted_interrupt(), Some(0x41));
+        assert!(v.vapic.in_service());
         assert!(!v.eoi(), "exit-less EOI");
-        assert_eq!(v.interrupts_handled(), 1);
+        assert!(!v.vapic.in_service());
+        assert!(!v.has_deliverable());
     }
 
     #[test]
@@ -381,16 +371,17 @@ mod tests {
     }
 
     #[test]
-    fn emulated_eoi_counts_handled_interrupts() {
+    fn emulated_eoi_retires_each_injected_interrupt() {
         let mut v = vcpu(InterruptPath::Emulated);
         for vec in [0x41u8, 0x51, 0x61] {
             v.deliver(vec);
-            let injected = v.vm_entry();
-            assert!(injected.is_some());
-            v.eoi();
+            assert_eq!(v.vm_entry(), Some(vec));
+            assert!(v.lapic.in_service());
+            assert!(!v.eoi(), "nothing else pending");
+            assert!(!v.lapic.in_service());
             v.vm_exit();
         }
-        assert_eq!(v.interrupts_handled(), 3);
+        assert!(!v.has_deliverable());
     }
 
     #[test]

@@ -64,7 +64,7 @@ use crate::machine::{Machine, Topology};
 use crate::migrate::{
     CrossOut, MigLedger, VmSnapshot, MIG_COPY_BASE, MIG_COPY_PER_UNIT, MIG_PAUSE, MIG_RESUME,
 };
-use crate::params::{ChurnSpec, Params};
+use crate::params::{ChurnSpec, Params, HOST_BACKLOG, RING_SIZE};
 use crate::results::RunResult;
 use crate::workload::WorkloadSpec;
 
@@ -591,7 +591,7 @@ impl Cluster {
         //     into the location timeline and per-host control events. ---
         // The worst blackout any move can produce bounds how close two
         // moves of the same VM may be scheduled.
-        let dirty_cap = 4 * spec.params.ring_size as u64 + spec.params.host_backlog as u64;
+        let dirty_cap = 4 * RING_SIZE as u64 + HOST_BACKLOG as u64;
         let max_blackout = MIG_PAUSE
             + MIG_COPY_BASE
             + SimDuration::from_nanos(MIG_COPY_PER_UNIT.as_nanos().saturating_mul(dirty_cap))

@@ -1,7 +1,7 @@
 //! The external traffic-generator server (the second Xeon of §VI-A).
 //!
 //! Bare-metal and unvirtualized, it is never the bottleneck: packets are
-//! processed with a small fixed delay (`Params::ext_pkt`), and the load
+//! processed with a small fixed delay (`EXT_PKT`), and the load
 //! generators from `es2-workloads` drive the protocol state machines.
 
 use es2_net::{FlowId, Packet, PacketKind};
@@ -9,6 +9,7 @@ use es2_sim::SimDuration;
 
 use crate::guest::{META_HTTP_GET, META_HTTP_GET_SMALL};
 use crate::machine::{Ev, Machine};
+use crate::params::EXT_PKT;
 use crate::workload::{encode_mc_op, ExtWl};
 
 impl Machine {
@@ -87,7 +88,7 @@ impl Machine {
     /// Put a packet on the generator→host wire with the generator's
     /// processing delay.
     fn transmit_to_host(&mut self, vm: u32, pkt: Packet) {
-        let at = self.now + self.p.ext_pkt;
+        let at = self.now + EXT_PKT;
         self.transmit_to_host_at(vm, pkt, at);
     }
 
@@ -119,7 +120,6 @@ impl Machine {
         }
         let vmi = vm as usize;
         let now = self.now;
-        let ext_pkt = self.p.ext_pkt;
         let action = match &mut self.ext[vmi] {
             ExtWl::TcpSource {
                 flow,
@@ -133,7 +133,7 @@ impl Machine {
                     flow.on_segment_sent();
                     let rearm = if window_ok(flow, *cwnd) {
                         *send_armed = true;
-                        Some(ext_pkt)
+                        Some(EXT_PKT)
                     } else {
                         *send_armed = false;
                         None
@@ -229,7 +229,7 @@ impl Machine {
             );
         }
         if rearm_send {
-            self.q.push(self.now + self.p.ext_pkt, Ev::ExtSend { vm });
+            self.q.push(self.now + EXT_PKT, Ev::ExtSend { vm });
         }
     }
 
@@ -273,7 +273,7 @@ impl Machine {
                     *cwnd = (*cwnd + 1).min(flow.window());
                     if !*send_armed && flow.can_send() && flow.inflight() < *cwnd {
                         *send_armed = true;
-                        self.q.push(self.now + self.p.ext_pkt, Ev::ExtSend { vm });
+                        self.q.push(self.now + EXT_PKT, Ev::ExtSend { vm });
                     }
                 }
             }

@@ -14,6 +14,12 @@ use es2_virtio::KickDecision;
 use es2_workloads::{McOp, NetperfDirection, NetperfProto};
 
 use crate::machine::{AfterExit, AppStep, IrqKind, Machine, SegKind};
+use crate::params::{
+    guest_rx_cost, guest_tx_cost, BURN_SLICE, BURST_DENOM, BURST_MIN, BURST_SPAN,
+    DELAYED_ACK_TIMEOUT, EXIT_CACHE_PENALTY, GUEST_IRQ_ENTRY, GUEST_RTO, GUEST_RTO_CHECK,
+    GUEST_TIMER_WORK, GUEST_TXCLEAN, NAPI_WEIGHT, SERVE_HTTP_PAGE, SERVE_HTTP_SMALL, SERVE_MC,
+    SRIOV_DMA,
+};
 use crate::workload::{AppRequest, GuestWl, ServerOp};
 
 /// Packet `meta` tags for request kinds.
@@ -32,7 +38,7 @@ impl Machine {
     fn guest_tx_emit(&mut self, vm: u32, qi: usize, pkt: Packet) -> Result<bool, ()> {
         let vmi = vm as usize;
         if self.p.device == crate::params::DeviceKind::AssignedVf {
-            let at = self.now + self.p.sriov_dma;
+            let at = self.now + SRIOV_DMA;
             let fault = self.faults.on_packet();
             match self.link_to_ext.transmit_faulted(at, pkt.bytes, fault) {
                 FaultedArrival::Dropped => {}
@@ -77,7 +83,7 @@ impl Machine {
             let sw = self.sched.block(tid, self.now);
             self.apply_switch(sw);
         } else {
-            self.start_segment(tid, SegKind::Burn, self.p.burn_slice);
+            self.start_segment(tid, SegKind::Burn, BURN_SLICE);
         }
     }
 
@@ -113,10 +119,8 @@ impl Machine {
                 }
                 // Softirq/socket batching: occasionally a step produces a
                 // burst of messages exposed as one batch.
-                let mut count = if self.p.burst_denom > 1
-                    && self.rng.gen_range(self.p.burst_denom as u64) == 0
-                {
-                    self.p.burst_min + self.rng.gen_range(self.p.burst_span as u64 + 1) as u32
+                let mut count = if self.rng.gen_range(BURST_DENOM as u64) == 0 {
+                    BURST_MIN + self.rng.gen_range(BURST_SPAN as u64 + 1) as u32
                 } else {
                     1
                 };
@@ -145,17 +149,17 @@ impl Machine {
                         count,
                     }
                 };
-                let mut dur = self.p.guest_tx_cost(tcp, msg_bytes, segs) * count as u64;
+                let mut dur = guest_tx_cost(tcp, msg_bytes, segs) * count as u64;
                 dur += self.take_cache_penalty(vm, idx);
                 Some((step, self.jitter(dur)))
             }
             GuestWl::Server { pending, .. } => {
                 let req = pending.pop_front()?;
                 let (segs, dur) = match req.op {
-                    ServerOp::McGet => (1, self.p.serve_mc),
-                    ServerOp::McSet => (1, self.p.serve_mc),
-                    ServerOp::HttpGet => (6, self.p.serve_http_page),
-                    ServerOp::HttpGetSmall => (1, self.p.serve_http_small),
+                    ServerOp::McGet => (1, SERVE_MC),
+                    ServerOp::McSet => (1, SERVE_MC),
+                    ServerOp::HttpGet => (6, SERVE_HTTP_PAGE),
+                    ServerOp::HttpGetSmall => (1, SERVE_HTTP_SMALL),
                 };
                 if tx_room < segs {
                     // Put it back and wait for TX completions.
@@ -178,7 +182,7 @@ impl Machine {
         let ctx = &mut self.vms[vm as usize].vctx[idx as usize];
         if ctx.cache_cold {
             ctx.cache_cold = false;
-            self.p.exit_cache_penalty
+            EXIT_CACHE_PENALTY
         } else {
             SimDuration::ZERO
         }
@@ -192,7 +196,7 @@ impl Machine {
             .peek_used()
             .map(|p| p.bytes)
             .unwrap_or(0);
-        self.p.guest_rx_cost(bytes)
+        guest_rx_cost(bytes)
     }
 
     /// ±15 % uniform jitter on guest path lengths — real guest code paths
@@ -372,22 +376,15 @@ impl Machine {
                 // NAPI: mask further RX interrupts on this pair, poll a
                 // batch.
                 self.vms[vmi].pairs[qi].rx.driver_disable_interrupts();
-                let batch =
-                    (self.vms[vmi].pairs[qi].rx.used_pending() as u32).min(self.p.napi_weight);
+                let batch = (self.vms[vmi].pairs[qi].rx.used_pending() as u32).min(NAPI_WEIGHT);
                 let per_pkt = self.guest_rx_pkt_cost(vm, qi);
                 (
                     IrqKind::Rx { vector, batch },
-                    self.p.guest_irq_entry + per_pkt * batch as u64,
+                    GUEST_IRQ_ENTRY + per_pkt * batch as u64,
                 )
             }
-            Some((_, true)) => (
-                IrqKind::TxClean { vector },
-                self.p.guest_irq_entry + self.p.guest_txclean,
-            ),
-            None => (
-                IrqKind::Timer,
-                self.p.guest_irq_entry + self.p.guest_timer_work,
-            ),
+            Some((_, true)) => (IrqKind::TxClean { vector }, GUEST_IRQ_ENTRY + GUEST_TXCLEAN),
+            None => (IrqKind::Timer, GUEST_IRQ_ENTRY + GUEST_TIMER_WORK),
         };
         self.start_segment(tid, SegKind::Irq(kind), dur);
     }
@@ -426,7 +423,7 @@ impl Machine {
                 let remaining = self.vms[vmi].pairs[qi].rx.used_pending() as u32;
                 if remaining > 0 {
                     let tid = self.vms[vmi].vcpu_tids[idx as usize];
-                    let batch = remaining.min(self.p.napi_weight);
+                    let batch = remaining.min(NAPI_WEIGHT);
                     let per_pkt = self.guest_rx_pkt_cost(vm, qi);
                     self.start_segment(
                         tid,
@@ -441,8 +438,7 @@ impl Machine {
                 if self.vms[vmi].pairs[qi].rx.driver_enable_interrupts() {
                     self.vms[vmi].pairs[qi].rx.driver_disable_interrupts();
                     let tid = self.vms[vmi].vcpu_tids[idx as usize];
-                    let batch =
-                        (self.vms[vmi].pairs[qi].rx.used_pending() as u32).min(self.p.napi_weight);
+                    let batch = (self.vms[vmi].pairs[qi].rx.used_pending() as u32).min(NAPI_WEIGHT);
                     let per_pkt = self.guest_rx_pkt_cost(vm, qi);
                     self.start_segment(
                         tid,
@@ -541,7 +537,7 @@ impl Machine {
                     }
                 }
                 if arm_flush {
-                    let at = self.now + self.p.delayed_ack_timeout;
+                    let at = self.now + DELAYED_ACK_TIMEOUT;
                     self.q.push(at, crate::machine::Ev::AckFlush { vm });
                 }
                 if let Some(covered) = ack_to_send {
@@ -667,7 +663,7 @@ impl Machine {
     pub(crate) fn on_guest_tcp_timeout(&mut self, vm: u32) {
         let vmi = vm as usize;
         let now = self.now;
-        let rto = self.p.guest_rto;
+        let rto = GUEST_RTO;
         let mut fired = false;
         if let GuestWl::NetperfSend {
             flows, last_ack_at, ..
@@ -687,7 +683,7 @@ impl Machine {
             self.guest_app_wakeup(vm);
         }
         self.q.push(
-            self.now + self.p.guest_rto_check,
+            self.now + GUEST_RTO_CHECK,
             crate::machine::Ev::GuestTcpTimeout { vm },
         );
     }

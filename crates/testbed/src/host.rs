@@ -16,6 +16,9 @@ use es2_sched::ThreadId;
 use es2_virtio::HandlerId;
 
 use crate::machine::{Body, Ev, Machine, SegKind};
+use crate::params::{
+    vhost_rx_cost, vhost_tx_cost, SRIOV_HOST_ISR, VHOST_DISPATCH, VHOST_REQUEUE_GAP, VHOST_RX_BURST,
+};
 
 impl Machine {
     /// A vhost worker thread finished a segment (or was just scheduled)
@@ -41,7 +44,7 @@ impl Machine {
                 // An injected worker stall lengthens the dispatch segment:
                 // the thread holds the handler but makes no progress (a
                 // host-side hiccup — reclaim, IRQ storm, cgroup throttle).
-                let mut dur = self.p.vhost_dispatch;
+                let mut dur = VHOST_DISPATCH;
                 if let Some(stall) = self.faults.on_worker_dispatch() {
                     dur += stall;
                 }
@@ -130,7 +133,7 @@ impl Machine {
         let pair = &mut self.vms[vmi].pairs[qi];
         match pair.tx_handler.poll_next(&mut pair.tx) {
             PollDecision::Process(pkt) => {
-                let cost = self.p.vhost_tx_cost(pkt.bytes);
+                let cost = vhost_tx_cost(pkt.bytes);
                 self.start_segment(tid, SegKind::VhostTxPkt { pkt }, cost);
             }
             PollDecision::QuotaExhausted => {
@@ -139,7 +142,7 @@ impl Machine {
                 // scheduled") and re-enters the work list; the worker
                 // meanwhile serves other handlers or sleeps.
                 let h = pair.tx_h;
-                let at = self.now + self.p.vhost_requeue_gap;
+                let at = self.now + VHOST_REQUEUE_GAP;
                 self.q
                     .push(at, crate::machine::Ev::HandlerRequeue { vm, h });
                 self.vhost_continue(tid);
@@ -155,7 +158,7 @@ impl Machine {
                     .p
                     .backpressure
                     .map(|b| b.budget_window.as_nanos())
-                    .unwrap_or(self.p.vhost_requeue_gap.as_nanos())
+                    .unwrap_or(VHOST_REQUEUE_GAP.as_nanos())
                     .max(1);
                 let next_window = (self.now.as_nanos() / wns + 1) * wns;
                 self.q.push(
@@ -203,7 +206,7 @@ impl Machine {
     fn vhost_rx_step(&mut self, vm: u32, w: u32, qi: usize) {
         let vmi = vm as usize;
         let tid = self.vms[vmi].vhost_tids[w as usize];
-        if self.vms[vmi].pairs[qi].rx_turn >= self.p.vhost_rx_burst {
+        if self.vms[vmi].pairs[qi].rx_turn >= VHOST_RX_BURST {
             // Batch quota: requeue immediately (stock vhost behaviour —
             // no ES2 cooldown on the rx batching path). The handler goes
             // back to its own (assigned) worker.
@@ -238,7 +241,7 @@ impl Machine {
             self.vhost_continue(tid);
             return;
         };
-        let cost = self.p.vhost_rx_cost(pkt.bytes);
+        let cost = vhost_rx_cost(pkt.bytes);
         self.start_segment(tid, SegKind::VhostRxPkt { pkt }, cost);
     }
 
@@ -282,8 +285,7 @@ impl Machine {
                 } else {
                     // Legacy assignment: the host fields the physical IRQ
                     // first, then injects.
-                    self.q
-                        .push(self.now + self.p.sriov_host_isr, Ev::VfIrq { vm });
+                    self.q.push(self.now + SRIOV_HOST_ISR, Ev::VfIrq { vm });
                 }
             }
             return;

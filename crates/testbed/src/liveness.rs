@@ -89,11 +89,11 @@ pub(crate) fn check(m: &Machine) -> LivenessReport {
             }
         }
 
-        // Delivery accounting: a vCPU can only handle interrupts that the
-        // mode ledger saw delivered (coalescing makes handled ≤ delivered;
+        // Delivery accounting: the guest can only take interrupts that the
+        // mode ledger saw delivered (coalescing makes taken ≤ delivered;
         // the watchdog's spurious re-raises coalesce in the IRR, so they
         // must never manufacture extra handled interrupts).
-        let handled: u64 = vm.vcpus.iter().map(|v| v.interrupts_handled()).sum();
+        let handled = vm.ledger.irqs_taken;
         let counts = vm.ledger.modes;
         let delivered = counts.posted + counts.emulated;
         if handled > delivered {

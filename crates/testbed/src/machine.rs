@@ -18,8 +18,8 @@ use es2_apic::vectors::LOCAL_TIMER_VECTOR;
 use es2_apic::Vector;
 use es2_core::{Es2Router, EventPathConfig, HybridHandler, RedirectionEngine};
 use es2_hypervisor::{
-    AffinityRouter, DeliveryOutcome, ExitReason, InterruptPath, MsiRouter, RouteCtx, Vcpu, VcpuId,
-    VmId,
+    exit_cost, AffinityRouter, DeliveryOutcome, ExitReason, InterruptPath, MsiRouter, RouteCtx,
+    Vcpu, VcpuId, VmId, IPI_SEND, PI_NOTIFICATION,
 };
 use es2_net::{Link, NicQueue, Packet, PacketFactory};
 use es2_sched::{CfsScheduler, CoreId, Switch, ThreadId, ThreadState};
@@ -29,7 +29,10 @@ use es2_sim::{
 };
 use es2_virtio::{HandlerId, VhostPool, Virtqueue};
 
-use crate::params::Params;
+use crate::params::{
+    Params, CTX_SWITCH, GUEST_RTO_CHECK, GUEST_TIMER_PERIOD, RING_SIZE, SCHED_TICK_NOISE,
+    WATCHDOG_PERIOD,
+};
 use crate::results::RunResult;
 use crate::telemetry::{KickOrigin, MsiOrigin};
 use crate::workload::{AppRequest, GuestWl, WorkloadSpec};
@@ -538,11 +541,6 @@ pub struct Machine {
     /// fed only through the `note_*` probes (`telemetry.rs`). Strictly
     /// observational: sim-time only, zero events, zero RNG.
     pub(crate) rec: crate::telemetry::Recorders,
-    /// Reusable routing scratch (vCPU online flags), refilled per MSI so
-    /// the delivery hot path never allocates.
-    route_online: Vec<bool>,
-    /// Reusable routing scratch (per-vCPU interrupt load).
-    route_load: Vec<u64>,
     /// Per-core flag: true iff an [`Ev::Tick`] for that core is pending.
     /// The tick chain parks (stops re-arming) while the core has nothing
     /// runnable — the NOHZ idle analog — and re-arms on the next wake.
@@ -654,7 +652,7 @@ impl Machine {
 
         let ext = specs
             .iter()
-            .map(|s| crate::workload::ExtWl::for_spec(s, params.ext_tcp_window, rng.next_u64()))
+            .map(|s| crate::workload::ExtWl::for_spec(s, rng.next_u64()))
             .collect();
 
         let end_time = SimTime::ZERO + params.warmup + params.measure;
@@ -685,8 +683,6 @@ impl Machine {
                 num_workers,
                 plan_active,
             ),
-            route_online: Vec::with_capacity(topo.vcpus_per_vm as usize),
-            route_load: Vec::with_capacity(topo.vcpus_per_vm as usize),
             // bootstrap() pushes every chain, so all start armed.
             tick_armed: vec![true; params.num_cores as usize],
             guest_timer_armed: vec![true; (topo.num_vms * topo.vcpus_per_vm) as usize],
@@ -712,7 +708,7 @@ impl Machine {
                     101 * (vm as u64 * self.topo.vcpus_per_vm as u64 + v as u64 + 1),
                 );
                 self.q.push(
-                    SimTime::ZERO + self.p.guest_timer_period + off,
+                    SimTime::ZERO + GUEST_TIMER_PERIOD + off,
                     Ev::GuestTimer { vm, vcpu: v },
                 );
             }
@@ -728,8 +724,7 @@ impl Machine {
         // clean path pushes an identical event sequence.
         if self.faults.is_active() {
             let plan = *self.faults.plan();
-            self.q
-                .push(SimTime::ZERO + self.p.watchdog_period, Ev::Watchdog);
+            self.q.push(SimTime::ZERO + WATCHDOG_PERIOD, Ev::Watchdog);
             if !plan.preempt_storm_period.is_zero() && plan.preempt_storm_p > 0.0 {
                 self.q
                     .push(SimTime::ZERO + plan.preempt_storm_period, Ev::PreemptStorm);
@@ -773,7 +768,7 @@ impl Machine {
         );
         if tcp_sender && self.faults.is_active() {
             self.q
-                .push(self.now + self.p.guest_rto_check, Ev::GuestTcpTimeout { vm });
+                .push(self.now + GUEST_RTO_CHECK, Ev::GuestTcpTimeout { vm });
         }
     }
 
@@ -996,9 +991,7 @@ impl Machine {
                     self.tick_armed[core.idx()] = false;
                     return;
                 }
-                let noise = self
-                    .rng_tick
-                    .gen_range(self.p.sched_tick_noise.as_nanos().max(1));
+                let noise = self.rng_tick.gen_range(SCHED_TICK_NOISE.as_nanos());
                 if let Some(sw) = self.sched.tick_with_noise(core, self.now, noise) {
                     self.apply_switch(sw);
                 }
@@ -1024,10 +1017,8 @@ impl Machine {
                     return;
                 }
                 self.deliver_to_vcpu(vm, vcpu, LOCAL_TIMER_VECTOR);
-                self.q.push(
-                    self.now + self.p.guest_timer_period,
-                    Ev::GuestTimer { vm, vcpu },
-                );
+                self.q
+                    .push(self.now + GUEST_TIMER_PERIOD, Ev::GuestTimer { vm, vcpu });
             }
             Ev::KickIpi { vm, vcpu } => self.on_kick_ipi(vm, vcpu),
             Ev::PiNotifyIpi { vm, vcpu } => self.on_pi_notify_ipi(vm, vcpu),
@@ -1108,7 +1099,7 @@ impl Machine {
     /// context-switch cost (scheduler switches only; IRQ returns and VM
     /// entries resume for free — their costs are modeled explicitly).
     fn resume_saved(&mut self, tid: ThreadId, charge_ctx: bool) {
-        let ctx_cost = self.p.ctx_switch;
+        let ctx_cost = CTX_SWITCH;
         let t = &mut self.threads[tid.idx()];
         let seg = t.seg.as_mut().expect("resume without saved segment");
         if charge_ctx {
@@ -1242,7 +1233,7 @@ impl Machine {
             if !self.guest_timer_armed[slot] {
                 self.guest_timer_armed[slot] = true;
                 self.q.push(
-                    self.now + self.p.guest_timer_period,
+                    self.now + GUEST_TIMER_PERIOD,
                     Ev::GuestTimer { vm, vcpu: idx },
                 );
             }
@@ -1303,7 +1294,7 @@ impl Machine {
     pub(crate) fn begin_exit(&mut self, vm: u32, idx: u32, reason: ExitReason, then: AfterExit) {
         self.do_vm_exit(vm, idx, reason);
         let tid = self.vms[vm as usize].vcpu_tids[idx as usize];
-        let dur = self.p.costs.exit_cost(reason);
+        let dur = exit_cost(reason);
         self.start_segment(tid, SegKind::Exit { reason, then }, dur);
     }
 
@@ -1396,16 +1387,12 @@ impl Machine {
         self.note_msi(vm, posted);
         match outcome {
             DeliveryOutcome::EmulatedKick => {
-                self.q.push(
-                    self.now + self.p.costs.ipi_send,
-                    Ev::KickIpi { vm, vcpu: idx },
-                );
+                self.q
+                    .push(self.now + IPI_SEND, Ev::KickIpi { vm, vcpu: idx });
             }
             DeliveryOutcome::PiNotify => {
-                self.q.push(
-                    self.now + self.p.costs.ipi_send,
-                    Ev::PiNotifyIpi { vm, vcpu: idx },
-                );
+                self.q
+                    .push(self.now + IPI_SEND, Ev::PiNotifyIpi { vm, vcpu: idx });
             }
             DeliveryOutcome::EmulatedPendingEntry | DeliveryOutcome::PiPosted => {
                 // Waits for the next VM entry (possibly after scheduling
@@ -1442,23 +1429,10 @@ impl Machine {
             Some((qi, _)) => self.vms[vm as usize].pairs[qi].affinity_vcpu,
             None => self.vms[vm as usize].pairs[0].affinity_vcpu,
         };
-        // Refill the reusable scratch buffers instead of allocating fresh
-        // snapshot vectors per MSI — this path fires once per device
-        // interrupt and dominated the allocator profile.
-        let want_load = self.router.is_some();
-        self.route_online.clear();
-        self.route_load.clear();
-        for v in &self.vms[vm as usize].vcpus {
-            self.route_online.push(v.running);
-            self.route_load
-                .push(if want_load { v.interrupts_handled() } else { 0 });
-        }
         let msg = es2_apic::MsiMessage::fixed(affinity as u8, vector);
         let ctx = RouteCtx {
             vm: VmId(vm),
             num_vcpus: self.topo.vcpus_per_vm,
-            online: &self.route_online,
-            irq_load: &self.route_load,
         };
         let (target, redirected) = match &mut self.router {
             // `MsiRouter::route` delegates to `route_explained`, so the
@@ -1536,7 +1510,7 @@ impl Machine {
                 self.vms[vm as usize].vctx[idx as usize].stack.push(seg);
             }
         }
-        self.start_segment(tid, SegKind::PiSync, self.p.costs.pi_notification);
+        self.start_segment(tid, SegKind::PiSync, PI_NOTIFICATION);
     }
 
     // -----------------------------------------------------------------
@@ -1617,7 +1591,7 @@ impl Machine {
         self.vms[vmi].vctx[idx as usize].cache_cold = true;
         self.note_exit(vm, idx, ExitReason::ApicAccess);
         let tid = self.vms[vmi].vcpu_tids[idx as usize];
-        let dur = self.p.costs.exit_cost(ExitReason::ApicAccess);
+        let dur = exit_cost(ExitReason::ApicAccess);
         self.start_segment(
             tid,
             SegKind::Exit {
@@ -1693,7 +1667,7 @@ impl Machine {
         for vm in 0..self.vms.len() as u32 {
             self.watchdog_scan_vm(vm);
         }
-        self.q.push(self.now + self.p.watchdog_period, Ev::Watchdog);
+        self.q.push(self.now + WATCHDOG_PERIOD, Ev::Watchdog);
     }
 
     /// One VM's watchdog pass. Factored out so migration resume can run
@@ -1798,7 +1772,7 @@ impl Machine {
             // draws a packet id, as the runtime refill does: `rss_queue`
             // hashes ids, so skipping the draws would move later packets
             // to other queues.
-            for _ in 0..self.p.ring_size {
+            for _ in 0..RING_SIZE {
                 self.pf
                     .make(es2_net::FlowId(vm), es2_net::PacketKind::Data, 0, self.now);
                 let _ = self.vms[vmi].pairs[qi].rx.driver_add(());
@@ -1838,7 +1812,7 @@ impl Machine {
                 if v.has_deliverable() {
                     if v.in_guest && v.running {
                         self.q.push(
-                            self.now + self.p.costs.ipi_send,
+                            self.now + IPI_SEND,
                             Ev::KickIpi {
                                 vm: vmi as u32,
                                 vcpu: idx as u32,

@@ -53,6 +53,7 @@ use es2_core::HybridHandler;
 use es2_sched::{ThreadId, ThreadState};
 
 use crate::machine::{Ev, Machine, QueuePair, Segment, VcpuCtx, VmState};
+use crate::params::{DELAYED_ACK_TIMEOUT, HOST_BACKLOG, RING_SIZE};
 use crate::telemetry::MsiOrigin;
 use crate::workload::{ExtWl, GuestWl, WorkloadSpec};
 
@@ -537,7 +538,7 @@ impl Machine {
             }
         ) {
             self.q
-                .push(self.now + self.p.delayed_ack_timeout, Ev::AckFlush { vm });
+                .push(self.now + DELAYED_ACK_TIMEOUT, Ev::AckFlush { vm });
         }
         self.arm_guest_rto(vm);
 
@@ -708,7 +709,7 @@ impl Machine {
         self.vms[vmi] =
             Self::blank_vm_state(&self.p, &self.cfg, vm, &spec, live, vcpu_tids, vhost_tids);
         self.ext[vmi] = if live {
-            ExtWl::for_spec(&spec, self.p.ext_tcp_window, self.rng.next_u64())
+            ExtWl::for_spec(&spec, self.rng.next_u64())
         } else {
             ExtWl::Idle
         };
@@ -762,7 +763,7 @@ impl Machine {
         }
         let mut worker = VhostPool::new(num_workers, p.shard_policy);
         let vq_cfg = VirtqueueConfig {
-            size: p.ring_size,
+            size: RING_SIZE,
             event_idx: true,
         };
         let num_pairs = p.queues_per_vm.max(1);
@@ -778,7 +779,7 @@ impl Machine {
             // stay unarmed unless vhost runs out of buffers.
             tx.driver_disable_interrupts();
             if prefill_rx {
-                for _ in 0..p.ring_size {
+                for _ in 0..RING_SIZE {
                     rx.driver_add(()).expect("ring has room");
                 }
             }
@@ -797,7 +798,7 @@ impl Machine {
                 rx,
                 tx_handler,
                 rx_turn: 0,
-                backlog: es2_net::NicQueue::new(p.host_backlog),
+                backlog: es2_net::NicQueue::new(HOST_BACKLOG),
                 tx_vector: 0x41 + (2 * qi) as u8,
                 rx_vector: 0x42 + (2 * qi) as u8,
                 affinity_vcpu: owner,
@@ -816,7 +817,7 @@ impl Machine {
             cur_handler: vec![None; num_workers],
             pairs,
             guest_idles: spec.guest_idles(),
-            wl: GuestWl::for_spec(spec, p.tcp_window),
+            wl: GuestWl::for_spec(spec),
             parked_irqs: Vec::new(),
             pi_failed: false,
             ledger: crate::telemetry::VmLedger::new(nv),

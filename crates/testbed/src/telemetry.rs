@@ -27,7 +27,7 @@
 //! are bitwise identical to plain ones (`repro selfcheck` compares that).
 
 use es2_apic::Vector;
-use es2_hypervisor::{ExitReason, ExitStats};
+use es2_hypervisor::{exit_cost, ExitReason, ExitStats};
 use es2_metrics::telemetry::{TelemetryGeometry, TelemetryRecorder, TelemetryReport};
 use es2_metrics::{BackpressureStats, GuestTime, LatencySummary, SpanReport, VmModeCounts};
 use es2_sim::trace::Tracer;
@@ -113,6 +113,9 @@ pub(crate) struct VmLedger {
     /// Device interrupts (TX-clean + RX, not timers) handled per vCPU:
     /// the per-queue MSI steering ledger.
     pub(crate) device_irqs_per_vcpu: Vec<u64>,
+    /// Interrupt handlers the guest entered, timers included: every
+    /// vector it took from the emulated or the posted path.
+    pub(crate) irqs_taken: u64,
 }
 
 impl VmLedger {
@@ -132,6 +135,7 @@ impl VmLedger {
             guest_rtos: 0,
             dropped_tx: 0,
             device_irqs_per_vcpu: vec![0; vcpus],
+            irqs_taken: 0,
         }
     }
 
@@ -351,7 +355,7 @@ impl Machine {
     /// root-mode cost is the span's kick-exit stage.
     pub(crate) fn note_kick_exit(&mut self, vm: u32) {
         if let Some(tr) = self.rec.spans.as_deref_mut() {
-            let cost = self.p.costs.exit_cost(ExitReason::IoInstruction).as_nanos();
+            let cost = exit_cost(ExitReason::IoInstruction).as_nanos();
             tr.on_kick_exit(vm, cost, self.window_open);
         }
     }
@@ -594,6 +598,7 @@ impl Machine {
     /// span closes its delivery stages here.
     pub(crate) fn note_irq_begin(&mut self, vm: u32, idx: u32, vector: Vector, device: bool) {
         let vmi = vm as usize;
+        self.vms[vmi].ledger.irqs_taken += 1;
         if device {
             self.vms[vmi].ledger.device_irqs_per_vcpu[idx as usize] += 1;
         }

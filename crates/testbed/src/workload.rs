@@ -6,6 +6,7 @@ use es2_net::TcpFlow;
 use es2_workloads::{AbClient, HttperfClient, McOp, MemaslapClient, NetperfSpec, PingProbe};
 
 use crate::guest::{META_MC_GET, META_MC_SET};
+use crate::params::{EXT_TCP_WINDOW, TCP_WINDOW};
 
 impl WorkloadSpec {
     /// Whether the guest's vCPUs HLT when idle. Server workloads
@@ -119,18 +120,18 @@ pub(crate) enum GuestWl {
 
 impl GuestWl {
     /// Construct the guest-side state for a spec.
-    pub(crate) fn for_spec(spec: &WorkloadSpec, tcp_window: u32) -> GuestWl {
+    pub(crate) fn for_spec(spec: &WorkloadSpec) -> GuestWl {
         match spec {
             WorkloadSpec::Netperf(np) => match np.direction {
                 es2_workloads::NetperfDirection::Send => GuestWl::NetperfSend {
                     spec: *np,
-                    flows: (0..np.threads).map(|_| TcpFlow::new(tcp_window)).collect(),
+                    flows: (0..np.threads).map(|_| TcpFlow::new(TCP_WINDOW)).collect(),
                     sent_msgs: 0,
                     last_ack_at: vec![es2_sim::SimTime::ZERO; np.threads as usize],
                 },
                 es2_workloads::NetperfDirection::Receive => GuestWl::NetperfRecv {
                     spec: *np,
-                    flow: TcpFlow::new(tcp_window),
+                    flow: TcpFlow::new(TCP_WINDOW),
                     received_segs: 0,
                     ack_flush_pending: false,
                 },
@@ -216,18 +217,18 @@ pub(crate) enum ExtWl {
 
 impl ExtWl {
     /// Build the external-side state for a workload spec.
-    pub(crate) fn for_spec(spec: &WorkloadSpec, tcp_window: u32, seed: u64) -> ExtWl {
+    pub(crate) fn for_spec(spec: &WorkloadSpec, seed: u64) -> ExtWl {
         use es2_sim::SimDuration;
         use es2_workloads::{NetperfDirection, NetperfProto};
         match spec {
             WorkloadSpec::Netperf(np) => match (np.direction, np.proto) {
                 (NetperfDirection::Send, NetperfProto::Tcp) => ExtWl::TcpSink {
-                    flow: TcpFlow::new(tcp_window),
+                    flow: TcpFlow::new(EXT_TCP_WINDOW),
                     received_segs: 0,
                 },
                 (NetperfDirection::Send, NetperfProto::Udp) => ExtWl::UdpSink { received: 0 },
                 (NetperfDirection::Receive, NetperfProto::Tcp) => ExtWl::TcpSource {
-                    flow: TcpFlow::new(tcp_window),
+                    flow: TcpFlow::new(EXT_TCP_WINDOW),
                     cwnd: 64,
                     last_ack_at: es2_sim::SimTime::ZERO,
                     seg_bytes: np.payload_per_segment(),
@@ -277,20 +278,19 @@ mod tests {
 
     #[test]
     fn guest_state_matches_spec() {
-        let send = GuestWl::for_spec(
-            &WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024).with_threads(4)),
-            64,
-        );
+        let send = GuestWl::for_spec(&WorkloadSpec::Netperf(
+            NetperfSpec::tcp_send(1024).with_threads(4),
+        ));
         match send {
             GuestWl::NetperfSend { flows, .. } => assert_eq!(flows.len(), 4),
             other => panic!("{other:?}"),
         }
         assert!(matches!(
-            GuestWl::for_spec(&WorkloadSpec::Memcached, 64),
+            GuestWl::for_spec(&WorkloadSpec::Memcached),
             GuestWl::Server { .. }
         ));
         assert!(matches!(
-            GuestWl::for_spec(&WorkloadSpec::Ping, 64),
+            GuestWl::for_spec(&WorkloadSpec::Ping),
             GuestWl::Passive
         ));
     }
