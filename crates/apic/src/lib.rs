@@ -18,17 +18,16 @@
 //!   such as the timer.
 //! * `regs` — the underlying 256-bit pending/in-service register file
 //!   shared by both APIC models.
-//! * [`corr::VectorCorrMap`] — observational correlation-ID sidecar that
-//!   pairs pending vectors with flight-recorder spans.
+//!
+//! The models hold interrupt state only. Which flight-recorder span a
+//! pending vector belongs to is the testbed's span tracker's business.
 
-pub mod corr;
 pub mod lapic;
 pub mod msi;
 pub mod pi;
 mod regs;
 pub mod vectors;
 
-pub use corr::VectorCorrMap;
 pub use lapic::EmulatedLapic;
 pub use msi::{DeliveryMode, DestMode, MsiMessage};
 pub use pi::{PiDescriptor, VApicPage};

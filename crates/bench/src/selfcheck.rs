@@ -5,19 +5,24 @@
 //! [`crate::cli`] path as the command line, on one sweep thread, and
 //! holds it to what the row asks. The first failure stops the table,
 //! naming the row and the first differing line. A report row writes its
-//! serial JSON where `repro <flag> --fast` does.
+//! serial JSON where `repro <flag> --fast` does, and holds it byte for
+//! byte to a golden.
 
 use es2_sim::exec;
 use es2_testbed::Params;
 
 use crate::cli::{self, Artifacts, Command};
 
-/// A golden file a row's serial stdout is held to: `(path, contents)`.
-pub(crate) enum Golden {
-    /// The file is a prefix of stdout, which may append to it.
-    Prefix(&'static str, &'static str),
-    /// The file is all of stdout.
-    Exact(&'static str, &'static str),
+/// The golden files a row's serial output is held to, each as
+/// `(path, contents)`.
+pub(crate) struct Golden {
+    /// `ci/golden_<stem>_fast.txt`, held to stdout.
+    stdout: (&'static str, &'static str),
+    /// Stdout may append to the file: it is a prefix, not all of stdout.
+    prefix: bool,
+    /// `ci/golden_<stem>_fast.json`, held to the JSON a report row
+    /// writes. A row that writes JSON must have one.
+    json: Option<(&'static str, &'static str)>,
 }
 
 /// One row of the self-check table.
@@ -37,13 +42,28 @@ pub(crate) struct Check {
     golden: Golden,
 }
 
-/// The golden `ci/golden_<stem>_fast.txt`, held as `Exact` or `Prefix`.
+/// The goldens `ci/golden_<stem>_fast.*` of a row: `Prefix` and
+/// `Exact` hold stdout to the `.txt` as a prefix or all of it; `Report`
+/// holds all of stdout to the `.txt` and the JSON to the `.json`.
 macro_rules! golden {
-    ($kind:ident, $stem:literal) => {
-        Golden::$kind(
-            concat!("ci/golden_", $stem, "_fast.txt"),
-            include_str!(concat!("../../../ci/golden_", $stem, "_fast.txt")),
+    (@file $stem:literal, $ext:literal) => {
+        (
+            concat!("ci/golden_", $stem, "_fast.", $ext),
+            include_str!(concat!("../../../ci/golden_", $stem, "_fast.", $ext)),
         )
+    };
+    (Prefix, $stem:literal) => {
+        Golden { stdout: golden!(@file $stem, "txt"), prefix: true, json: None }
+    };
+    (Exact, $stem:literal) => {
+        Golden { stdout: golden!(@file $stem, "txt"), prefix: false, json: None }
+    };
+    (Report, $stem:literal) => {
+        Golden {
+            stdout: golden!(@file $stem, "txt"),
+            prefix: false,
+            json: Some(golden!(@file $stem, "json")),
+        }
     };
 }
 
@@ -67,18 +87,18 @@ pub(crate) const CHECKS: &[Check] = &[
     Check { contains: &["liveness: PASS", "cell liveness: PASS"],
             ..row(&["chaos"], golden!(Prefix, "chaos")) },
     Check { threads: false, ..row(&["table1", "fig4"], golden!(Exact, "table1_fig4")) },
-    Check { contains: &["PASS (0 violations)"], ..row(&["--scale"], golden!(Exact, "scale")) },
+    Check { contains: &["PASS (0 violations)"], ..row(&["--scale"], golden!(Report, "scale")) },
     Check { recorders: false, contains: &["sched-delay"],
-            ..row(&["--trace"], golden!(Exact, "trace")) },
+            ..row(&["--trace"], golden!(Report, "trace")) },
     Check { contains: &["liveness: PASS", "leaked to neighbors: 0"],
-            ..row(&["--hostile"], golden!(Exact, "hostile")) },
+            ..row(&["--hostile"], golden!(Report, "hostile")) },
     Check { contains: &["PASS"], excludes: &["FAIL"],
-            ..row(&["--migrate"], golden!(Exact, "migrate")) },
+            ..row(&["--migrate"], golden!(Report, "migrate")) },
     Check { contains: &["PASS"], excludes: &["FAIL"],
-            ..row(&["--churn"], golden!(Exact, "churn")) },
-    Check { contains: &["PASS"], excludes: &["FAIL"], ..row(&["--mq"], golden!(Exact, "mq")) },
+            ..row(&["--churn"], golden!(Report, "churn")) },
+    Check { contains: &["PASS"], excludes: &["FAIL"], ..row(&["--mq"], golden!(Report, "mq")) },
     Check { recorders: false, contains: &["SLO breaches"],
-            ..row(&["--telemetry"], golden!(Exact, "telemetry")) },
+            ..row(&["--telemetry"], golden!(Report, "telemetry")) },
 ];
 
 /// A change to the params a run uses on top of the command line's.
@@ -174,12 +194,20 @@ impl Check {
                 return Err(format!("stdout line {} contains `{s}`: {line}", n + 1));
             }
         }
-        let (path, text, lines) = match self.golden {
-            Golden::Prefix(path, text) => (path, text, text.lines().count()),
-            Golden::Exact(path, text) => (path, text, usize::MAX),
+        let (path, text) = self.golden.stdout;
+        let lines = if self.golden.prefix {
+            text.lines().count()
+        } else {
+            usize::MAX
         };
         let head: String = stdout.split_inclusive('\n').take(lines).collect();
-        same(path, text, "stdout", &head).map_err(|e| format!("golden {e}"))
+        same(path, text, "stdout", &head).map_err(|e| format!("golden {e}"))?;
+        match self.golden.json {
+            Some((path, text)) => same(path, text, "JSON", &format!("{serial_json}\n"))
+                .map_err(|e| format!("golden {e}")),
+            None if artifacts.is_some() => Err("wrote JSON that no golden holds".into()),
+            None => Ok(()),
+        }
     }
 }
 

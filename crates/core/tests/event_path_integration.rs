@@ -16,7 +16,7 @@ use es2_virtio::{KickDecision, Virtqueue, VirtqueueConfig};
 fn guest_to_host_direction_end_to_end() {
     let mut vq: Virtqueue<u32> = Virtqueue::new(VirtqueueConfig::default());
     let mut handler = HybridHandler::new(HybridParams::with_quota(4));
-    let mut vcpu = Vcpu::new(VcpuId::new(0, 0), InterruptPath::Posted);
+    let mut vcpu = Vcpu::new(InterruptPath::Posted);
     vcpu.sched_in();
     vcpu.vm_entry();
 
@@ -63,9 +63,7 @@ fn guest_to_host_direction_end_to_end() {
 /// matches what the vCPUs took.
 #[test]
 fn host_to_guest_direction_with_redirection() {
-    let mut vcpus: Vec<Vcpu> = (0..4)
-        .map(|i| Vcpu::new(VcpuId::new(0, i), InterruptPath::Posted))
-        .collect();
+    let mut vcpus: Vec<Vcpu> = (0..4).map(|_| Vcpu::new(InterruptPath::Posted)).collect();
     let mut router = Es2Router::new(RedirectionEngine::new(1, 4));
 
     // vCPUs 1 and 2 are online and in guest mode.
@@ -117,9 +115,7 @@ fn host_to_guest_direction_with_redirection() {
 /// delivers via the pending-entry path.
 #[test]
 fn deschedule_handover_and_offline_prediction() {
-    let mut vcpus: Vec<Vcpu> = (0..2)
-        .map(|i| Vcpu::new(VcpuId::new(0, i), InterruptPath::Posted))
-        .collect();
+    let mut vcpus: Vec<Vcpu> = (0..2).map(|_| Vcpu::new(InterruptPath::Posted)).collect();
     let mut router = Es2Router::new(RedirectionEngine::new(1, 2));
     let msg = MsiMessage::fixed(0, 0x41);
 
@@ -165,7 +161,7 @@ fn deschedule_handover_and_offline_prediction() {
 fn emulated_and_posted_paths_deliver_the_same_set() {
     let vectors = [0x41u8, 0x52, 0x63, 0x41, 0x74];
     for path in [InterruptPath::Emulated, InterruptPath::Posted] {
-        let mut vcpu = Vcpu::new(VcpuId::new(0, 0), path);
+        let mut vcpu = Vcpu::new(path);
         vcpu.sched_in();
         let mut handled = Vec::new();
         for &v in &vectors {

@@ -71,8 +71,6 @@ pub enum DeliveryOutcome {
 /// Per-vCPU state.
 #[derive(Clone, Debug)]
 pub struct Vcpu {
-    /// Identity.
-    pub id: VcpuId,
     /// Delivery machinery in use.
     pub path: InterruptPath,
     /// Emulated LAPIC (always present; unused state under `Posted`).
@@ -85,24 +83,18 @@ pub struct Vcpu {
     pub in_guest: bool,
     /// True while scheduled on a physical core (online in ES2 terms).
     pub running: bool,
-    /// Flight-recorder correlation IDs for vectors pending on this vCPU.
-    /// Observational only: the delivery path never reads it, and it stays
-    /// empty unless span tracing is on.
-    pub corr: es2_apic::VectorCorrMap,
 }
 
 impl Vcpu {
     /// A new vCPU, descheduled and in root mode.
-    pub fn new(id: VcpuId, path: InterruptPath) -> Self {
+    pub fn new(path: InterruptPath) -> Self {
         Vcpu {
-            id,
             path,
             lapic: EmulatedLapic::new(),
             pi_desc: PiDescriptor::new(),
             vapic: VApicPage::new(),
             in_guest: false,
             running: false,
-            corr: es2_apic::VectorCorrMap::new(),
         }
     }
 
@@ -273,7 +265,7 @@ mod tests {
     use super::*;
 
     fn vcpu(path: InterruptPath) -> Vcpu {
-        Vcpu::new(VcpuId::new(0, 0), path)
+        Vcpu::new(path)
     }
 
     #[test]

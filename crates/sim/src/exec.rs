@@ -13,13 +13,16 @@
 //!
 //! Thread-count resolution, highest priority first:
 //!
-//! 1. a programmatic override via [`set_threads`],
+//! 1. the calling thread's override, set with [`set_threads`],
 //! 2. the `ES2_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
 //!
-//! `ES2_THREADS=1` (or `set_threads(Some(1))`) forces the fully serial
-//! path — no threads are spawned at all, which is also the fallback when
-//! there is only one input.
+//! The override belongs to the thread that sets it: it applies to the
+//! sweeps that thread calls, and a test setting it cannot change how a
+//! test running beside it sweeps. `ES2_THREADS=1` (or
+//! `set_threads(Some(1))`) forces the fully serial path — no threads are
+//! spawned at all, which is also the fallback when there is only one
+//! input.
 //!
 //! The thread count is the only setting this module reads from the
 //! environment, and it changes wall time, never results: everything
@@ -33,10 +36,10 @@ use std::cell::{Cell, UnsafeCell};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Programmatic thread-count override; 0 means "unset".
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
+    /// This thread's thread-count override for [`sweep`]; `None` defers
+    /// to the default resolution.
+    static OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
     /// Jobs the [`sweep`] calls made on this thread handed to workers.
     static DISPATCHED: Cell<usize> = const { Cell::new(0) };
 }
@@ -48,19 +51,18 @@ pub fn dispatched() -> usize {
     DISPATCHED.with(Cell::get)
 }
 
-/// Override the number of worker threads [`sweep`] uses. `Some(1)` forces
-/// serial execution; `None` restores the default resolution
-/// (`ES2_THREADS` env var, then available parallelism).
+/// Override the number of worker threads the [`sweep`] calls made on
+/// the calling thread use. `Some(1)` forces serial execution; `None`
+/// restores the default resolution (`ES2_THREADS` env var, then
+/// available parallelism).
 pub fn set_threads(n: Option<usize>) {
-    THREAD_OVERRIDE.store(n.unwrap_or(0), Ordering::SeqCst);
+    OVERRIDE.with(|o| o.set(n));
 }
 
-/// The number of worker threads [`sweep`] would use for `jobs` inputs.
+/// The number of worker threads a [`sweep`] of `jobs` inputs called on
+/// this thread would use.
 pub fn effective_threads(jobs: usize) -> usize {
-    let configured = match THREAD_OVERRIDE.load(Ordering::SeqCst) {
-        0 => env_threads(),
-        n => n,
-    };
+    let configured = OVERRIDE.with(Cell::get).unwrap_or_else(env_threads);
     configured.clamp(1, jobs.max(1))
 }
 
@@ -162,10 +164,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Serializes tests that mutate the global thread override.
-    static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+    use std::sync::Barrier;
 
     #[test]
     fn results_come_back_in_input_order() {
@@ -178,7 +177,6 @@ mod tests {
     fn parallel_matches_serial_exactly() {
         let specs: Vec<u64> = (0..40).rev().collect();
         // Uneven per-item work so completion order differs from input order.
-        let _g = OVERRIDE_LOCK.lock().unwrap();
         let work = |&x: &u64| -> (u64, u64) {
             let mut acc = x;
             for i in 0..(x * 1000) {
@@ -203,7 +201,6 @@ mod tests {
 
     #[test]
     fn only_parallel_sweeps_count_as_dispatched() {
-        let _g = OVERRIDE_LOCK.lock().unwrap();
         set_threads(Some(2));
         let before = dispatched();
         sweep(&[1u32], |&x| x);
@@ -218,12 +215,31 @@ mod tests {
 
     #[test]
     fn override_caps_at_job_count() {
-        let _g = OVERRIDE_LOCK.lock().unwrap();
         set_threads(Some(64));
         assert_eq!(effective_threads(3), 3);
         assert_eq!(effective_threads(0), 1);
         set_threads(Some(1));
         assert_eq!(effective_threads(100), 1);
         set_threads(None);
+    }
+
+    #[test]
+    fn the_override_belongs_to_the_thread_that_set_it() {
+        let set = Barrier::new(2);
+        std::thread::scope(|scope| {
+            let b = scope.spawn(|| {
+                set_threads(Some(2));
+                set.wait(); // A sets its own override after this
+                set.wait(); // ...and before this
+                let before = dispatched();
+                sweep(&[1u32, 2, 3], |&x| x);
+                dispatched() - before
+            });
+            set.wait();
+            set_threads(Some(1));
+            set.wait();
+            assert_eq!(b.join().unwrap(), 3, "another thread's override leaked");
+            assert_eq!(effective_threads(3), 1);
+        });
     }
 }

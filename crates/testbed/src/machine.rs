@@ -631,7 +631,7 @@ impl Machine {
             }
             // The booting guest driver pre-fills every RX ring.
             let spec = &specs[vm as usize];
-            vms.push(Self::blank_vm_state(&params, &cfg, vm, spec, true, vcpu_tids, vhost_tids));
+            vms.push(Self::blank_vm_state(&params, &cfg, spec, true, vcpu_tids, vhost_tids));
         }
 
         let router = if cfg.redirect {

@@ -44,7 +44,7 @@
 //! `Machine::on_cold_restart`).
 
 use es2_apic::Vector;
-use es2_hypervisor::{InterruptPath, Vcpu, VcpuId};
+use es2_hypervisor::{InterruptPath, Vcpu};
 use es2_net::Packet;
 use es2_sim::{SimDuration, SimTime};
 use es2_virtio::{VhostPool, Virtqueue, VirtqueueConfig};
@@ -407,13 +407,12 @@ impl Machine {
         let fresh = Self::blank_vm_state(
             &self.p,
             &self.cfg,
-            vm,
             &WorkloadSpec::IdleQuiet,
             false,
             vcpu_tids,
             vhost_tids,
         );
-        let state = std::mem::replace(&mut self.vms[vmi], fresh);
+        let state = self.replace_state(vm, fresh);
         {
             let m = self.mig.as_mut().unwrap();
             m.ledger.pause_ns.push(MIG_PAUSE.as_nanos());
@@ -442,17 +441,12 @@ impl Machine {
         let mut st = snap.state;
         st.vcpu_tids = vcpu_tids.clone();
         st.vhost_tids = vhost_tids.clone();
-        // Slot indices are global across the cell, but re-stamp the vCPU
-        // identities defensively (they feed router notifications).
-        for (i, v) in st.vcpus.iter_mut().enumerate() {
-            v.id = VcpuId::new(vm, i as u32);
-        }
         // Any coalesced throttle wake died with the source's queue; the
         // next kick re-enters admission from the carried bucket state.
         for pair in st.pairs.iter_mut() {
             pair.throttle_armed = [false; 2];
         }
-        self.vms[vmi] = st;
+        self.replace_state(vm, st);
         self.specs[vmi] = snap.spec;
 
         for (i, seg) in snap.vcpu_segs.into_iter().enumerate() {
@@ -706,8 +700,8 @@ impl Machine {
             Rebuild::Stuck | Rebuild::Dormant => (WorkloadSpec::IdleQuiet, false),
         };
         let dormant = matches!(to, Rebuild::Dormant);
-        self.vms[vmi] =
-            Self::blank_vm_state(&self.p, &self.cfg, vm, &spec, live, vcpu_tids, vhost_tids);
+        let fresh = Self::blank_vm_state(&self.p, &self.cfg, &spec, live, vcpu_tids, vhost_tids);
+        self.replace_state(vm, fresh);
         self.ext[vmi] = if live {
             ExtWl::for_spec(&spec, self.rng.next_u64())
         } else {
@@ -733,16 +727,23 @@ impl Machine {
     // State construction
     // -----------------------------------------------------------------
 
-    /// A freshly-initialized [`VmState`] for slot `vm` on the given
-    /// threads: the constructor builds every VM with it, and a cold
-    /// restart, churn boot, teardown or migration pause rebuilds a slot
-    /// with it. `prefill_rx` pre-fills the RX ring like a booting guest
-    /// driver; a dormant vacated slot keeps empty rings so
-    /// ring-conservation invariants hold trivially.
+    /// Install `state` in slot `vm` and return what the slot held: the
+    /// one path for a migration pause, a resume and a rebuild. The
+    /// pending interrupts and kicks of the old state leave with it.
+    fn replace_state(&mut self, vm: u32, state: VmState) -> VmState {
+        self.note_slot_replaced(vm);
+        std::mem::replace(&mut self.vms[vm as usize], state)
+    }
+
+    /// A freshly-initialized [`VmState`] on the given threads: the
+    /// constructor builds every VM with it, and a cold restart, churn
+    /// boot, teardown or migration pause rebuilds a slot with it.
+    /// `prefill_rx` pre-fills the RX ring like a booting guest driver; a
+    /// dormant vacated slot keeps empty rings so ring-conservation
+    /// invariants hold trivially.
     pub(crate) fn blank_vm_state(
         p: &crate::params::Params,
         cfg: &es2_core::EventPathConfig,
-        vm: u32,
         spec: &WorkloadSpec,
         prefill_rx: bool,
         vcpu_tids: Vec<ThreadId>,
@@ -757,8 +758,8 @@ impl Machine {
         let num_workers = vhost_tids.len();
         let mut vcpus = Vec::with_capacity(nv);
         let mut vctx = Vec::with_capacity(nv);
-        for idx in 0..nv {
-            vcpus.push(Vcpu::new(VcpuId::new(vm, idx as u32), path));
+        for _ in 0..nv {
+            vcpus.push(Vcpu::new(path));
             vctx.push(VcpuCtx::default());
         }
         let mut worker = VhostPool::new(num_workers, p.shard_policy);

@@ -18,8 +18,10 @@
 //!   `Params::telemetry` is set. The hooks also own the vhost workers'
 //!   on-core intervals;
 //! * the span tracker ([`SpanTracker`]), only when `Params::trace` is
-//!   set. The probes also own the correlation-ID sidecars it keys spans
-//!   by (`Vcpu::corr`, the vhost pool's kick slot).
+//!   set. It alone correlates events with open spans: the probes hand it
+//!   where an event happened (VM, vCPU, vector, handler), never an ID.
+//!   A probe that discards pending state (a quarantine, a migration
+//!   pause, a slot rebuild) tells it which spans can no longer close.
 //!
 //! No other module reads or writes a recorder. All of them consume
 //! *sim-time* only, never touch the RNG and schedule no events (series
@@ -336,7 +338,7 @@ impl Machine {
             }
         }
         if let Some(tr) = self.rec.spans.as_deref_mut() {
-            tr.on_kick_signal(vm, &mut self.vms[vm as usize].worker, h, origin, now.as_nanos());
+            tr.on_kick_signal(vm, h, origin, now.as_nanos());
         }
     }
 
@@ -422,15 +424,14 @@ impl Machine {
     }
 
     /// A handler turn for `h` begins on worker `w` of `vm`. It closes the
-    /// signal→pickup stage of the span riding on the pending kick, and
-    /// the series samples the backlog behind the turn.
+    /// signal→pickup stage of the span waiting on `h`, and the series
+    /// samples the backlog behind the turn.
     pub(crate) fn note_turn_begin(&mut self, vm: u32, w: u32, h: HandlerId) {
         let now = self.now.as_nanos();
-        let worker = &mut self.vms[vm as usize].worker;
+        let worker = &self.vms[vm as usize].worker;
         if let Some(tr) = self.rec.spans.as_deref_mut() {
-            let corr = worker.take_kick_corr(h);
             let slot = vm as usize * worker.num_workers() + w as usize;
-            tr.on_turn_begin(vm, slot, corr, now, self.window_open);
+            tr.on_turn_begin(vm, slot, h, now, self.window_open);
         }
         if let Some(t) = self.rec.tel.as_deref_mut() {
             let pending = worker.pending_on(w as usize) as u64;
@@ -457,7 +458,8 @@ impl Machine {
     }
 
     /// The queue of handler `h` failed ring validation with `err` and
-    /// was quarantined, discarding `dropped` exposed buffers.
+    /// was quarantined, discarding `dropped` exposed buffers and its
+    /// pending kick, with the request span waiting on it.
     pub(crate) fn note_quarantine(&mut self, vm: u32, h: HandlerId, err: RingError, dropped: usize) {
         let bp = &mut self.vms[vm as usize].ledger.bp;
         bp.quarantines += 1;
@@ -475,6 +477,9 @@ impl Machine {
             t.rec.record_quarantine(vm, self.now.as_nanos());
             t.rec
                 .annotate(self.now.as_nanos(), vm, "quarantine", h.0 as u64);
+        }
+        if let Some(tr) = self.rec.spans.as_deref_mut() {
+            tr.detach_req(vm, h);
         }
     }
 
@@ -549,47 +554,33 @@ impl Machine {
         if origin == MsiOrigin::Retarget {
             tr.migration_phase(vm, "mig-retarget", now.as_nanos(), 0, vector as u64);
         }
-        // The vector's sidecar carries the span of a raise still pending
-        // on it (IRR coalescing: the first raise owns the span).
-        let watchdog = origin != MsiOrigin::Device;
-        let vcpu = &self.vms[vmi].vcpus[target as usize];
-        if vcpu.corr.peek(vector) != 0 {
-            tr.on_msi_coalesced(watchdog);
-            return;
-        }
-        let running = vcpu.running;
+        let running = self.vms[vmi].vcpus[target as usize].running;
         let off_core_ns = self
             .sched
             .descheduled_since(self.vms[vmi].vcpu_tids[target as usize])
             .map_or(0, |t| now.saturating_since(t).as_nanos());
-        let corr = tr.on_msi_raised(
+        tr.on_msi_raised(
             vm,
             target,
             vector,
             redirected,
             running,
-            watchdog,
+            origin != MsiOrigin::Device,
             off_core_ns,
             now.as_nanos(),
         );
-        self.vms[vmi].vcpus[target as usize].corr.set(vector, corr);
     }
 
     /// A parked interrupt for `vector` moved from offline vCPU `from` to
     /// `to`, which is being scheduled in at this instant: its span
     /// follows it and its parked interval closes.
     pub(crate) fn note_irq_migrated(&mut self, vm: u32, from: u32, to: u32, vector: Vector) {
-        let vmi = vm as usize;
-        self.vms[vmi].ledger.migrated_irqs += 1;
+        self.vms[vm as usize].ledger.migrated_irqs += 1;
         self.rec
             .ring
             .record(self.now, "irq-migrate", vm as u64, vector as u64);
         if let Some(tr) = self.rec.spans.as_deref_mut() {
-            let corr = self.vms[vmi].vcpus[from as usize].corr.take(vector);
-            if corr != 0 {
-                tr.on_migrated(corr, to, self.now.as_nanos());
-                self.vms[vmi].vcpus[to as usize].corr.set(vector, corr);
-            }
+            tr.on_migrated(vm, from, to, vector, self.now.as_nanos());
         }
     }
 
@@ -603,8 +594,7 @@ impl Machine {
             self.vms[vmi].ledger.device_irqs_per_vcpu[idx as usize] += 1;
         }
         if let Some(tr) = self.rec.spans.as_deref_mut() {
-            let corr = self.vms[vmi].vcpus[idx as usize].corr.take(vector);
-            tr.on_irq_begin(vm, idx, corr, self.now.as_nanos(), self.window_open);
+            tr.on_irq_begin(vm, idx, vector, self.now.as_nanos(), self.window_open);
         }
     }
 
@@ -643,29 +633,25 @@ impl Machine {
     // ---------------- migration and control plane ----------------
 
     /// `vm` pauses for a live migration: a `pause`, then a `copy` of
-    /// `dirty` units. Its span IDs reference this host's tracker and
-    /// cannot complete elsewhere (another tracker may have issued the
-    /// same IDs), so its vector and kick sidecars are cleared.
+    /// `dirty` units.
     pub(crate) fn note_mig_pause(&mut self, vm: u32, dirty: u64, pause: SimDuration, copy: SimDuration) {
         let now = self.now;
         self.rec.ring.record(now, "mig-pause", vm as u64, dirty);
-        let Some(sp) = self.rec.spans.as_deref_mut() else {
-            return;
-        };
-        let state = &mut self.vms[vm as usize];
-        for p in &state.pairs {
-            state.worker.take_kick_corr(p.tx_h);
-            state.worker.take_kick_corr(p.rx_h);
+        if let Some(sp) = self.rec.spans.as_deref_mut() {
+            sp.migration_phase(vm, "mig-pause", now.as_nanos(), pause.as_nanos(), dirty);
+            sp.migration_phase(vm, "mig-copy", (now + pause).as_nanos(), copy.as_nanos(), dirty);
         }
-        for v in &mut state.vcpus {
-            for p in &state.pairs {
-                v.corr.take(p.tx_vector);
-                v.corr.take(p.rx_vector);
-            }
-            v.corr.take(es2_apic::vectors::LOCAL_TIMER_VECTOR);
+    }
+
+    /// The state of slot `vm` is about to be replaced: packed for a
+    /// migration, installed from one, or rebuilt. The pending interrupts
+    /// and kicks it holds leave with it, so no span of the VM open here
+    /// can close; a span that travels elsewhere could not close there
+    /// either, since another tracker may have issued the same IDs.
+    pub(crate) fn note_slot_replaced(&mut self, vm: u32) {
+        if let Some(sp) = self.rec.spans.as_deref_mut() {
+            sp.detach_vm(vm);
         }
-        sp.migration_phase(vm, "mig-pause", now.as_nanos(), pause.as_nanos(), dirty);
-        sp.migration_phase(vm, "mig-copy", (now + pause).as_nanos(), copy.as_nanos(), dirty);
     }
 
     /// A migrated `vm` resumes here, `resume` long, after a `blackout`.
@@ -729,24 +715,6 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_micros(us)
-    }
-
-    #[test]
-    fn a_migration_pause_clears_every_span_sidecar() {
-        use crate::{Topology, WorkloadSpec};
-        let params = Params {
-            trace: true,
-            ..Params::fast_test()
-        };
-        let cfg = es2_core::EventPathConfig::pi_h_r(4);
-        let mut m = Machine::new(cfg, Topology::micro(), WorkloadSpec::Idle, params, 1);
-        let (h, vector) = (m.vms[0].pairs[0].tx_h, m.vms[0].pairs[0].rx_vector);
-        m.note_kick_signal(0, h, KickOrigin::Kick);
-        m.vms[0].vcpus[0].corr.set(vector, 7);
-        assert_ne!(m.vms[0].worker.kick_corr(h), 0);
-        m.note_mig_pause(0, 0, SimDuration::ZERO, SimDuration::ZERO);
-        assert_eq!(m.vms[0].worker.kick_corr(h), 0);
-        assert_eq!(m.vms[0].vcpus[0].corr.peek(vector), 0);
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //! traced-vs-untraced byte-identity gate.
 
 use es2_core::EventPathConfig;
+use es2_metrics::{SpanNotes, Stage};
 use es2_sim::{FaultPlan, SimDuration, SimTime};
 use es2_testbed::experiments::hostile_plan;
-use es2_testbed::{Cluster, ClusterSpec, Machine, Params, PlannedMove, Topology, WorkloadSpec};
+use es2_testbed::{
+    ChurnSpec, Cluster, ClusterSpec, Machine, Params, PlannedMove, Topology, WorkloadSpec,
+};
 use es2_workloads::NetperfSpec;
 
 fn tiny_params() -> Params {
@@ -434,4 +437,132 @@ fn traced_cell_run_is_byte_identical_to_untraced() {
     let untraced = mk(false).run().digest();
     let traced = mk(true).run().digest();
     assert_eq!(untraced, traced, "tracing perturbed the simulation");
+}
+
+/// What the flight recorder sees across every multi-host lifecycle
+/// event in one traced cell: a live move, an aborted move, a host crash
+/// with evacuation, churn boots and departures, and a hostile VM's ring
+/// quarantines. Spans a pause or a
+/// slot rebuild strands stay open and count as unclosed; the pinned
+/// notes and per-stage sample counts hold each host's recorder to its
+/// exact lifecycle accounting.
+#[test]
+fn traced_lifecycle_cell_pins_each_hosts_span_record() {
+    let mut params = tiny_params();
+    params.trace = true;
+    params.trace_events = 64;
+    let mut spec = ClusterSpec::new(
+        cfg(),
+        2,
+        vec![tcp(), WorkloadSpec::Ping, tcp()],
+        3,
+        3,
+        params,
+        33,
+    );
+    spec.plan = FaultPlan {
+        host_crash_mask: 0b1,
+        host_crash_at: SimDuration::from_millis(70),
+        migration_abort_nth: 2,
+        ..hostile_plan(0)
+    };
+    spec.moves = vec![
+        PlannedMove {
+            vm: 0,
+            to: 2,
+            at: at_ms(40),
+        },
+        PlannedMove {
+            vm: 2,
+            to: 1,
+            at: at_ms(45),
+        },
+    ];
+    spec.churn = Some(ChurnSpec {
+        arrivals: 4,
+        mean_lifetime: SimDuration::from_millis(30),
+    });
+    let r = Cluster::new(spec).run();
+    assert!(r.liveness.ok(), "{}", r.liveness.diagnostics);
+    // Every lifecycle event the test names happened.
+    let l = &r.ledger;
+    assert_eq!((l.out, l.resumed, l.aborts, l.restarts), (1, 2, 1, 2));
+    assert_eq!((l.boots, l.departs), (4, 4));
+    assert!(r.per_host[0].crashed.is_some());
+    assert_eq!(r.per_host[2].result.backpressure.quarantines, 4);
+
+    let want = [
+        (
+            SpanNotes {
+                irqs_opened: 1151,
+                irqs_closed: 1150,
+                redirected: 95,
+                parked: 1,
+                migrated: 1,
+                coalesced_irqs: 13,
+                watchdog_reraises: 14,
+                degradations: 0,
+                reqs_opened: 1405,
+                reqs_closed: 1405,
+                coalesced_kicks: 32,
+                delayed_kicks: 0,
+                watchdog_rekicks: 2,
+                unclosed_irqs: 1,
+                unclosed_reqs: 0,
+            },
+            [278, 282, 585, 1897, 729, 729, 729, 730, 730],
+        ),
+        (
+            SpanNotes {
+                irqs_opened: 695,
+                irqs_closed: 694,
+                redirected: 359,
+                parked: 3,
+                migrated: 0,
+                coalesced_irqs: 52,
+                watchdog_reraises: 53,
+                degradations: 0,
+                reqs_opened: 749,
+                reqs_closed: 749,
+                coalesced_kicks: 0,
+                delayed_kicks: 0,
+                watchdog_rekicks: 1,
+                unclosed_irqs: 1,
+                unclosed_reqs: 0,
+            },
+            [84, 85, 662, 1996, 692, 692, 692, 692, 692],
+        ),
+        (
+            SpanNotes {
+                irqs_opened: 1118,
+                irqs_closed: 1118,
+                redirected: 0,
+                parked: 0,
+                migrated: 0,
+                coalesced_irqs: 2,
+                watchdog_reraises: 2,
+                degradations: 0,
+                reqs_opened: 1257,
+                reqs_closed: 1257,
+                coalesced_kicks: 47,
+                delayed_kicks: 0,
+                watchdog_rekicks: 2,
+                unclosed_irqs: 0,
+                unclosed_reqs: 0,
+            },
+            [448, 575, 681, 2378, 1117, 1117, 1117, 1117, 1117],
+        ),
+    ];
+    assert_eq!(r.per_host.len(), want.len());
+    for (h, (notes, counts)) in r.per_host.iter().zip(want) {
+        let s = h.result.spans.as_ref().unwrap();
+        assert_eq!(s.notes, notes, "host {} notes", h.host);
+        // Samples per stage, in `Stage::ALL` order, summed over VMs.
+        let got = Stage::ALL.map(|st| {
+            (0..s.vms.len())
+                .map(|vm| s.stage(vm, st).count())
+                .sum::<u64>()
+        });
+        assert_eq!(got, counts, "host {} stage counts", h.host);
+    }
 }

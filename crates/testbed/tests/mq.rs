@@ -194,9 +194,7 @@ fn sharded_runs_are_identical_at_any_thread_count() {
                 fill: WorkloadSpec::Idle,
             })
             .collect();
-        es2_sim::exec::set_threads(Some(1));
-        let serial = experiments::run_specs(&specs);
-        es2_sim::exec::set_threads(None);
+        let serial: Vec<RunResult> = specs.iter().map(RunSpec::run).collect();
         let parallel = experiments::run_specs(&specs);
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(

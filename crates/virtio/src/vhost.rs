@@ -36,10 +36,6 @@ pub(crate) struct VhostWorker {
     /// Deepest the work list has ever been — the backlog high-water
     /// mark. Purely a ledger: nothing in the dispatch logic reads it.
     pending_hwm: usize,
-    /// Flight-recorder correlation ID riding with each handler's pending
-    /// kick (0 = none). Observational only: the work-list logic never
-    /// reads it, and it stays zero unless span tracing is on.
-    kick_corr: Vec<u64>,
 }
 
 impl VhostWorker {
@@ -53,7 +49,6 @@ impl VhostWorker {
         let id = HandlerId(self.queued.len() as u32);
         self.queued.push(false);
         self.quarantined.push(false);
-        self.kick_corr.push(0);
         id
     }
 
@@ -119,7 +114,6 @@ impl VhostWorker {
             return false;
         };
         *q = true;
-        self.kick_corr[h.idx()] = 0;
         let was_pending = self.queued[h.idx()];
         if was_pending {
             self.queued[h.idx()] = false;
@@ -140,35 +134,6 @@ impl VhostWorker {
     /// Deepest the work list has ever been (backlog high-water mark).
     pub(crate) fn pending_high_water(&self) -> usize {
         self.pending_hwm
-    }
-
-    /// Attach a flight-recorder correlation ID to `h`'s pending kick.
-    /// Returns `true` if stored; `false` if a kick already owns the slot
-    /// (the signals coalesced — first kick keeps the span) or the id is
-    /// unregistered.
-    pub(crate) fn note_kick_corr(&mut self, h: HandlerId, corr: u64) -> bool {
-        match self.kick_corr.get_mut(h.idx()) {
-            Some(slot) if *slot == 0 => {
-                *slot = corr;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// The correlation ID currently riding with `h`'s pending kick
-    /// (0 if none), without consuming it.
-    pub(crate) fn kick_corr(&self, h: HandlerId) -> u64 {
-        self.kick_corr.get(h.idx()).copied().unwrap_or(0)
-    }
-
-    /// Remove and return the correlation ID riding with `h`'s pending
-    /// kick (0 if none) — called when a handler turn begins.
-    pub(crate) fn take_kick_corr(&mut self, h: HandlerId) -> u64 {
-        self.kick_corr
-            .get_mut(h.idx())
-            .map(std::mem::take)
-            .unwrap_or(0)
     }
 }
 
@@ -342,25 +307,6 @@ impl VhostPool {
         let w = self.worker_of(h);
         self.workers[w].release(h);
     }
-
-    /// Attach a flight-recorder correlation id to `h`'s pending kick on
-    /// its assigned worker; see `VhostWorker::note_kick_corr`.
-    pub fn note_kick_corr(&mut self, h: HandlerId, corr: u64) -> bool {
-        let w = self.worker_of(h);
-        self.workers[w].note_kick_corr(h, corr)
-    }
-
-    /// The correlation id riding with `h`'s pending kick (0 if none).
-    pub fn kick_corr(&self, h: HandlerId) -> u64 {
-        self.workers[self.worker_of(h)].kick_corr(h)
-    }
-
-    /// Remove and return the correlation id riding with `h`'s pending
-    /// kick (0 if none).
-    pub fn take_kick_corr(&mut self, h: HandlerId) -> u64 {
-        let w = self.worker_of(h);
-        self.workers[w].take_kick_corr(h)
-    }
 }
 
 #[cfg(test)]
@@ -461,18 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn kick_corr_rides_with_the_pending_kick() {
-        let mut w = VhostWorker::new();
-        let a = w.register_handler();
-        let b = w.register_handler();
-        assert!(w.note_kick_corr(a, 5), "empty slot stores");
-        assert!(!w.note_kick_corr(a, 6), "coalesced kick keeps first span");
-        assert_eq!(w.take_kick_corr(a), 5);
-        assert_eq!(w.take_kick_corr(a), 0, "taken once");
-        assert_eq!(w.take_kick_corr(b), 0, "independent slots");
-    }
-
-    #[test]
     fn unregistered_handler_kick_is_refused_not_indexed() {
         let mut w = VhostWorker::new();
         let a = w.register_handler();
@@ -482,9 +416,6 @@ mod tests {
         assert!(!w.queue_work(HandlerId(7)));
         assert!(!w.is_queued(HandlerId(7)));
         assert!(!w.quarantine(HandlerId(7)), "no-op for unregistered ids");
-        assert!(!w.note_kick_corr(HandlerId(7), 9));
-        assert_eq!(w.kick_corr(HandlerId(7)), 0);
-        assert_eq!(w.take_kick_corr(HandlerId(7)), 0);
         assert_eq!(w.pending(), 1, "valid work untouched");
     }
 
@@ -529,17 +460,6 @@ mod tests {
         assert!(!w.has_work(), "release does not requeue by itself");
         assert!(w.queue_work(a), "next real kick wakes the worker again");
         assert_eq!(w.next_work(), Some(a));
-    }
-
-    #[test]
-    fn quarantine_clears_riding_kick_corr() {
-        let mut w = VhostWorker::new();
-        let a = w.register_handler();
-        w.queue_work(a);
-        w.note_kick_corr(a, 42);
-        w.quarantine(a);
-        w.release(a);
-        assert_eq!(w.take_kick_corr(a), 0, "stale span must not resurface");
     }
 
     #[test]
