@@ -256,7 +256,10 @@ fn main() {
         docs.entry(c.file).or_insert_with(|| load(c.file));
     }
     let mut fatal = 0u32;
-    println!("bench gate: {} checks over committed BENCH_*.json", CHECKS.len());
+    println!(
+        "bench gate: {} checks over committed BENCH_*.json",
+        CHECKS.len()
+    );
     for c in CHECKS {
         let (ok, line) = verdict(c, &docs[c.file]);
         fatal += u32::from(!ok);

@@ -88,7 +88,11 @@ fn hot_seq(handlers: &[es2_virtio::HandlerId]) -> Vec<es2_virtio::HandlerId> {
         .collect()
 }
 
-fn bench_mix(c: &mut Criterion, mix: &str, seq_of: fn(&[es2_virtio::HandlerId]) -> Vec<es2_virtio::HandlerId>) {
+fn bench_mix(
+    c: &mut Criterion,
+    mix: &str,
+    seq_of: fn(&[es2_virtio::HandlerId]) -> Vec<es2_virtio::HandlerId>,
+) {
     let mut g = c.benchmark_group(&format!("vhost_shard/{mix}"));
     g.sample_size(10);
     for workers in WORKER_COUNTS {
@@ -100,15 +104,12 @@ fn bench_mix(c: &mut Criterion, mix: &str, seq_of: fn(&[es2_virtio::HandlerId]) 
             }
             let (pool0, handlers) = build(workers, policy);
             let seq = seq_of(&handlers);
-            g.bench_function(
-                &format!("{}/workers={workers}", policy.label()),
-                |b| {
-                    b.iter(|| {
-                        let mut pool = pool0.clone();
-                        black_box(run(&mut pool, &seq, 64))
-                    })
-                },
-            );
+            g.bench_function(&format!("{}/workers={workers}", policy.label()), |b| {
+                b.iter(|| {
+                    let mut pool = pool0.clone();
+                    black_box(run(&mut pool, &seq, 64))
+                })
+            });
         }
         // The legacy mux is always a single logical dispatch queue.
         if workers == 1 {

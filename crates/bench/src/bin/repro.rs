@@ -39,7 +39,10 @@ use es2_bench::cli::{self, Artifacts, Command, Selection, EXPERIMENTS, REPORTS};
 /// profile accumulated so far to stderr (stdout stays deterministic).
 fn dump_ev_profile() {
     #[cfg(feature = "ev-profile")]
-    eprintln!("{}", es2_metrics::ev_profile::render(es2_testbed::EV_KIND_NAMES));
+    eprintln!(
+        "{}",
+        es2_metrics::ev_profile::render(es2_testbed::EV_KIND_NAMES)
+    );
 }
 
 /// Exit 1 before simulating when a `--fast` artifact has no `target/`

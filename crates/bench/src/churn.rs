@@ -35,7 +35,10 @@ fn configs() -> [(&'static str, EventPathConfig); 3] {
     [
         ("Baseline", EventPathConfig::baseline()),
         ("PI", EventPathConfig::pi()),
-        ("ES2", EventPathConfig::pi_h_r(es2_core::HybridParams::TCP_QUOTA)),
+        (
+            "ES2",
+            EventPathConfig::pi_h_r(es2_core::HybridParams::TCP_QUOTA),
+        ),
     ]
 }
 

@@ -88,8 +88,8 @@ pub fn hostile_report(params: Params, seed: u64, fast: bool) -> (String, Json, O
         .iter()
         .flat_map(|&cfg| [(cfg, false), (cfg, true)])
         .collect();
-    let mut runs = exec::sweep(&grid, |&(cfg, hostile)| run_one(cfg, params, seed, hostile))
-        .into_iter();
+    let mut runs =
+        exec::sweep(&grid, |&(cfg, hostile)| run_one(cfg, params, seed, hostile)).into_iter();
     let mut cells: Vec<HostileCell> = Vec::new();
     while let (Some((clean, clean_ok)), Some((hostile, hostile_ok))) = (runs.next(), runs.next()) {
         cells.push(HostileCell {

@@ -390,16 +390,14 @@ pub fn render_chaos(params: Params, seed: u64) -> String {
     ];
     let specs: Vec<RunSpec> = shapes
         .iter()
-        .map(|&(_, cfg, topo, spec)| {
-            RunSpec {
-                cfg,
-                topo,
-                spec,
-                params,
-                seed,
-                faults: plan,
-                fill: WorkloadSpec::Idle,
-            }
+        .map(|&(_, cfg, topo, spec)| RunSpec {
+            cfg,
+            topo,
+            spec,
+            params,
+            seed,
+            faults: plan,
+            fill: WorkloadSpec::Idle,
         })
         .collect();
     let results = experiments::run_specs(&specs);
@@ -504,15 +502,7 @@ pub fn render_chaos(params: Params, seed: u64) -> String {
             )
         };
         let fleet = vec![WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024)); 6];
-        let mut spec = ClusterSpec::new(
-            EventPathConfig::pi_h_r(4),
-            1,
-            fleet,
-            3,
-            2,
-            params,
-            seed,
-        );
+        let mut spec = ClusterSpec::new(EventPathConfig::pi_h_r(4), 1, fleet, 3, 2, params, seed);
         spec.plan = FaultPlan {
             host_crash_mask: 0b10,
             host_crash_at: frac(3, 5),

@@ -91,7 +91,11 @@ fn abort_cell(params: Params, seed: u64) -> ClusterSpec {
 }
 
 fn vms_on_host(r: &ClusterResult, host: u32) -> u32 {
-    r.final_host.iter().flatten().filter(|&&h| h == host).count() as u32
+    r.final_host
+        .iter()
+        .flatten()
+        .filter(|&&h| h == host)
+        .count() as u32
 }
 
 fn host_rx_p99_us(r: &ClusterResult, host: u32) -> u64 {

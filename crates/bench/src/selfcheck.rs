@@ -180,7 +180,8 @@ impl Check {
             let before = exec::dispatched();
             let (other, other_artifacts) = render(self.args, threads, tweak);
             if threads > 1 {
-                parallel_enough(exec::dispatched() - before).map_err(|e| format!("{label}: {e}"))?;
+                parallel_enough(exec::dispatched() - before)
+                    .map_err(|e| format!("{label}: {e}"))?;
             }
             same("serial", &stdout, &label, &other).map_err(|e| format!("stdout {e}"))?;
             same("serial", &serial_json, &label, &json(&other_artifacts))

@@ -359,7 +359,10 @@ pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, Json,
             format!("{:.1}", peak(&|p| p.tig_pct)),
             format!("{:.0}", peak(&|p| p.exits_per_sec)),
             format!("{:.0}", peak(&|p| p.rx_p99_us)),
-            format!("{}", series.iter().map(|p| p.pending_hwm).max().unwrap_or(0)),
+            format!(
+                "{}",
+                series.iter().map(|p| p.pending_hwm).max().unwrap_or(0)
+            ),
             format!("{:.1}", goodput as f64 / 1e6),
             rep.annotations.len().to_string(),
             breaches.len().to_string(),
@@ -373,8 +376,13 @@ pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, Json,
 
     // ---- breach table with causal attribution ----
     let mut bt = Table::new(
-        format!("SLO breaches (attribution horizon {} ms)", HORIZON / 1_000_000),
-        &["cell", "config", "slo", "start ms", "end ms", "worst", "cause"],
+        format!(
+            "SLO breaches (attribution horizon {} ms)",
+            HORIZON / 1_000_000
+        ),
+        &[
+            "cell", "config", "slo", "start ms", "end ms", "worst", "cause",
+        ],
     );
     let mut rows = 0;
     for (c, breaches) in cells.iter().zip(&all_breaches) {
@@ -560,6 +568,8 @@ pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, Json,
         .with("horizon_ns", HORIZON)
         .with("cells", json_cells);
 
-    let chrome = es2_chaos.report.merged_chrome_trace(es2_chaos.spans.as_ref());
+    let chrome = es2_chaos
+        .report
+        .merged_chrome_trace(es2_chaos.spans.as_ref());
     (report, json, Some(chrome))
 }

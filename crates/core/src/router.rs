@@ -60,11 +60,7 @@ impl Es2Router {
     /// recorder's view of the redirection step. The trait's
     /// [`MsiRouter::route`] delegates here, so traced and untraced runs
     /// execute the identical computation (same engine state mutations).
-    pub fn route_explained(
-        &mut self,
-        msg: &es2_apic::MsiMessage,
-        ctx: &RouteCtx,
-    ) -> RoutedMsi {
+    pub fn route_explained(&mut self, msg: &es2_apic::MsiMessage, ctx: &RouteCtx) -> RoutedMsi {
         let affinity = self.affinity.route(msg, ctx);
         let chosen = self
             .engine

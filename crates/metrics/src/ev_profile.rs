@@ -117,7 +117,11 @@ mod tests {
         assert_eq!(overflow_count() - before, 2);
 
         record(MAX_KINDS - 1, 10);
-        assert_eq!(overflow_count() - before, 2, "in-range records don't overflow");
+        assert_eq!(
+            overflow_count() - before,
+            2,
+            "in-range records don't overflow"
+        );
 
         let names: Vec<&str> = (0..MAX_KINDS).map(|_| "k").collect();
         let rendered = render(&names);

@@ -1058,7 +1058,11 @@ mod tests {
         // 10 windows of good latency, then 3 of bad, then good again.
         for k in 0..20u64 {
             let at = k * 1_000_000 + 10;
-            let lat = if (10..13).contains(&k) { 150_000 } else { 10_000 };
+            let lat = if (10..13).contains(&k) {
+                150_000
+            } else {
+                10_000
+            };
             for _ in 0..50 {
                 r.record_rx_latency(0, at, lat);
             }
@@ -1161,7 +1165,10 @@ mod tests {
         for k in 0..30u64 {
             clean.record_rx_latency(0, k * 1_000_000 + 1, 4_000);
         }
-        assert!(clean.finish().burn_alerts(&spec, 3, 10, 0.01, 10.0).is_empty());
+        assert!(clean
+            .finish()
+            .burn_alerts(&spec, 3, 10, 0.01, 10.0)
+            .is_empty());
     }
 
     #[test]

@@ -172,8 +172,11 @@ mod tests {
             }
             other => panic!("expected duplicate, got {other:?}"),
         }
-        let delayed =
-            l.transmit_faulted(t(20_000), 1500, PacketFault::Delay(SimDuration::from_micros(5)));
+        let delayed = l.transmit_faulted(
+            t(20_000),
+            1500,
+            PacketFault::Delay(SimDuration::from_micros(5)),
+        );
         assert_eq!(delayed, FaultedArrival::One(t(20_000 + 300 + 1000 + 5_000)));
     }
 

@@ -512,7 +512,9 @@ mod tests {
         assert!(s.deactivate(b, t(2)).is_none());
         assert_eq!(s.nr_running(CoreId(0)), 2);
         // a is running: deactivate behaves like block and switches to c.
-        let sw = s.deactivate(a, t(3)).expect("running thread yields a switch");
+        let sw = s
+            .deactivate(a, t(3))
+            .expect("running thread yields a switch");
         assert_eq!(sw.prev, Some(a));
         assert_eq!(sw.next, Some(c));
         // b already sleeps: deactivate is a no-op.
@@ -541,7 +543,11 @@ mod tests {
         // original off-core instant (an interrupt targeting a has been
         // waiting since the block, not since the wake).
         s.wake(a, t(6));
-        assert_eq!(s.descheduled_since(a), Some(t(5)), "runnable, still off-core");
+        assert_eq!(
+            s.descheduled_since(a),
+            Some(t(5)),
+            "runnable, still off-core"
+        );
         // b leaving the core switches a in and stamps b.
         let sw = s.block(b, t(9));
         assert_eq!(sw.next, Some(a));

@@ -673,14 +673,20 @@ impl FaultInjector {
     /// schedule upfront, in arrival order), so a churn-disabled run
     /// performs zero draws from the churn streams by never calling this.
     pub fn churn_interarrival(&mut self, mean: SimDuration) -> SimDuration {
-        SimDuration::from_nanos(Self::pareto_ns(&mut self.churn_arrival_rng, mean.as_nanos()))
+        SimDuration::from_nanos(Self::pareto_ns(
+            &mut self.churn_arrival_rng,
+            mean.as_nanos(),
+        ))
     }
 
     /// Draw the heavy-tailed resident lifetime of one churn arrival,
     /// from the same stream as the inter-arrival gaps (the compiler
     /// alternates gap/lifetime draws in a fixed order).
     pub fn churn_lifetime(&mut self, mean: SimDuration) -> SimDuration {
-        SimDuration::from_nanos(Self::pareto_ns(&mut self.churn_arrival_rng, mean.as_nanos()))
+        SimDuration::from_nanos(Self::pareto_ns(
+            &mut self.churn_arrival_rng,
+            mean.as_nanos(),
+        ))
     }
 
     /// Deterministic jitter added to one retry backoff: uniform in
@@ -879,14 +885,15 @@ mod tests {
     fn hostile_fields_activate_the_plan() {
         assert!(hostile_plan().is_active());
         assert!(hostile_plan().hostile_active());
-        assert!(!chaos_plan().hostile_active(), "chaos plan must stay hostile-free");
         assert!(
-            FaultPlan {
-                ring_corrupt_at_kick: 1,
-                ..FaultPlan::none()
-            }
-            .is_active()
+            !chaos_plan().hostile_active(),
+            "chaos plan must stay hostile-free"
         );
+        assert!(FaultPlan {
+            ring_corrupt_at_kick: 1,
+            ..FaultPlan::none()
+        }
+        .is_active());
     }
 
     #[test]
@@ -984,7 +991,10 @@ mod tests {
 
     #[test]
     fn host_fault_fields_activate_the_plan() {
-        assert!(!chaos_plan().host_fault_active(), "chaos plan must stay host-fault-free");
+        assert!(
+            !chaos_plan().host_fault_active(),
+            "chaos plan must stay host-fault-free"
+        );
         assert!(!hostile_plan().host_fault_active());
         let crash = FaultPlan {
             host_crash_mask: 0b10,
@@ -1021,7 +1031,10 @@ mod tests {
         assert_eq!(healthy.preempt_storm_p, 0.0);
         assert_eq!(healthy.kick_drop_p, 0.05, "VM-level classes pass through");
         let sick = plan.for_single_host(2);
-        assert!(!sick.host_fault_active(), "host family never reaches a machine");
+        assert!(
+            !sick.host_fault_active(),
+            "host family never reaches a machine"
+        );
         assert_eq!(sick.preempt_storm_p, 0.25);
         assert_eq!(sick.preempt_storm_period, SimDuration::from_millis(2));
     }
@@ -1073,7 +1086,10 @@ mod tests {
 
     #[test]
     fn churn_fields_activate_the_plan() {
-        assert!(!chaos_plan().churn_fault_active(), "chaos plan must stay churn-free");
+        assert!(
+            !chaos_plan().churn_fault_active(),
+            "chaos plan must stay churn-free"
+        );
         assert!(!hostile_plan().churn_fault_active());
         for plan in [
             FaultPlan {
@@ -1104,7 +1120,10 @@ mod tests {
             ..FaultPlan::none()
         };
         let host = plan.for_single_host(0);
-        assert!(!host.churn_fault_active(), "churn family never reaches a machine");
+        assert!(
+            !host.churn_fault_active(),
+            "churn family never reaches a machine"
+        );
         assert_eq!(host.kick_drop_p, 0.05, "VM-level classes pass through");
     }
 
@@ -1173,7 +1192,10 @@ mod tests {
         let lo = mean.as_nanos() / 2;
         let hi = mean.as_nanos() * 32;
         for d in &draws {
-            assert!(d.as_nanos() >= lo && d.as_nanos() <= hi, "draw {d:?} out of bounds");
+            assert!(
+                d.as_nanos() >= lo && d.as_nanos() <= hi,
+                "draw {d:?} out of bounds"
+            );
         }
         let avg = draws.iter().map(|d| d.as_nanos()).sum::<u64>() / draws.len() as u64;
         assert!(
@@ -1203,11 +1225,17 @@ mod tests {
         };
         let mut inj = FaultInjector::new(plan, 1);
         let gaps: Vec<u64> = (0..3)
-            .map(|_| inj.churn_interarrival(SimDuration::from_millis(4)).as_nanos())
+            .map(|_| {
+                inj.churn_interarrival(SimDuration::from_millis(4))
+                    .as_nanos()
+            })
             .collect();
         assert_eq!(gaps, [2_632_483, 2_245_341, 2_260_305]);
         let jitter: Vec<u64> = (0..3)
-            .map(|_| inj.churn_retry_jitter(SimDuration::from_micros(200)).as_nanos())
+            .map(|_| {
+                inj.churn_retry_jitter(SimDuration::from_micros(200))
+                    .as_nanos()
+            })
             .collect();
         assert_eq!(jitter, [146_442, 120_854, 187_283]);
         let fails: Vec<bool> = (0..8).map(|_| inj.on_churn_placement()).collect();

@@ -207,16 +207,30 @@ pub(crate) struct Compiled {
 /// Control events on the compile-time schedule heap.
 #[derive(Clone, Copy)]
 enum Ctrl {
-    Crash { host: usize },
-    Move { idx: usize },
+    Crash {
+        host: usize,
+    },
+    Move {
+        idx: usize,
+    },
     /// Arrival or retry placement attempt for churn slot `fleet_n+ci`.
-    Attempt { ci: usize },
+    Attempt {
+        ci: usize,
+    },
     /// A clean boot lands (epoch-checked: crashes invalidate).
-    BootDone { ci: usize, epoch: u32 },
+    BootDone {
+        ci: usize,
+        epoch: u32,
+    },
     /// A stuck boot's handshake timeout (epoch-checked).
-    StallTimeout { ci: usize, epoch: u32 },
+    StallTimeout {
+        ci: usize,
+        epoch: u32,
+    },
     /// End of tenant lifetime.
-    Depart { ci: usize },
+    Depart {
+        ci: usize,
+    },
 }
 
 // At equal times: crashes before moves (the legacy merge loop's
@@ -248,12 +262,15 @@ impl Sched {
 
     fn push(&mut self, at: SimTime, prio: u8, c: Ctrl) {
         self.ctrls.push(c);
-        self.heap.push(Reverse((at, prio, self.seq, self.ctrls.len() - 1)));
+        self.heap
+            .push(Reverse((at, prio, self.seq, self.ctrls.len() - 1)));
         self.seq += 1;
     }
 
     fn pop(&mut self) -> Option<(SimTime, Ctrl)> {
-        self.heap.pop().map(|Reverse((at, _, _, i))| (at, self.ctrls[i]))
+        self.heap
+            .pop()
+            .map(|Reverse((at, _, _, i))| (at, self.ctrls[i]))
     }
 }
 
@@ -438,7 +455,11 @@ impl Compiler<'_> {
         let (_, m, abort) = self.moves[idx];
         let vmi = m.vm as usize;
         assert!(vmi < self.guest_tl.len(), "move of unknown VM {}", m.vm);
-        assert!((m.to as usize) < self.hosts, "move to unknown host {}", m.to);
+        assert!(
+            (m.to as usize) < self.hosts,
+            "move to unknown host {}",
+            m.to
+        );
         if vmi < self.fleet_n {
             // Static-fleet move: the legacy validation, verbatim. These
             // are plan bugs, not simulated faults.
@@ -482,8 +503,9 @@ impl Compiler<'_> {
                     && self.alive[host]
                     && self.alive[m.to as usize]
                     && m.at >= since + CROSS_LANE_LOOKAHEAD
-                    && self.last_move_at[vmi]
-                        .is_none_or(|prev| m.at >= prev + self.max_blackout + CROSS_LANE_LOOKAHEAD)
+                    && self.last_move_at[vmi].is_none_or(|prev| {
+                        m.at >= prev + self.max_blackout + CROSS_LANE_LOOKAHEAD
+                    })
                     && self.move_until[vmi].is_none_or(|w| m.at >= w) =>
             {
                 host
@@ -737,8 +759,11 @@ impl Compiler<'_> {
         if at < since + CROSS_LANE_LOOKAHEAD {
             // Evacuated mid-lifetime: the teardown must land strictly
             // after the restart does.
-            self.sched
-                .push(since + CROSS_LANE_LOOKAHEAD, PRIO_DEPART, Ctrl::Depart { ci });
+            self.sched.push(
+                since + CROSS_LANE_LOOKAHEAD,
+                PRIO_DEPART,
+                Ctrl::Depart { ci },
+            );
             return;
         }
         if let Some(w) = self.move_until[g] {
@@ -800,6 +825,7 @@ impl Compiler<'_> {
         }
         self.ledger.retries += 1;
         self.ctl[ci].st = St::Waiting;
-        self.sched.push(retry_at, PRIO_ATTEMPT, Ctrl::Attempt { ci });
+        self.sched
+            .push(retry_at, PRIO_ATTEMPT, Ctrl::Attempt { ci });
     }
 }

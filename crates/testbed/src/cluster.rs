@@ -450,7 +450,8 @@ impl ClusterResult {
                 "host{} crashed={} events={} ctx={} redir={} offline={} \
                  posted={} emul={} deg={} quar={} resets={} rx_p99=[{}]",
                 h.host,
-                h.crashed.map_or("-".to_string(), |t| t.as_nanos().to_string()),
+                h.crashed
+                    .map_or("-".to_string(), |t| t.as_nanos().to_string()),
                 r.events_simulated,
                 r.host_ctx_switches,
                 r.redirections,

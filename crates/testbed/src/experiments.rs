@@ -287,7 +287,12 @@ pub fn fig6(send: bool, msg_bytes: u32, params: Params, seed: u64) -> Vec<RunRes
 /// submitted to the executor as one batch so they parallelize across
 /// sizes, not just configurations. Returns `(msg_bytes, four results)`
 /// per size, identical to calling [`fig6`] per size.
-pub fn fig6_sweep(send: bool, sizes: &[u32], params: Params, seed: u64) -> Vec<(u32, Vec<RunResult>)> {
+pub fn fig6_sweep(
+    send: bool,
+    sizes: &[u32],
+    params: Params,
+    seed: u64,
+) -> Vec<(u32, Vec<RunResult>)> {
     let mut specs = Vec::with_capacity(sizes.len() * 4);
     for &msg_bytes in sizes {
         let np = if send {

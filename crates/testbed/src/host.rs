@@ -190,7 +190,10 @@ impl Machine {
         }
         self.note_tx(vm, pkt.bytes);
         let fault = self.faults.on_packet();
-        match self.link_to_ext.transmit_faulted(self.now, pkt.bytes, fault) {
+        match self
+            .link_to_ext
+            .transmit_faulted(self.now, pkt.bytes, fault)
+        {
             FaultedArrival::Dropped => {}
             FaultedArrival::One(at) => self.q.push(at, Ev::ArriveAtExt { vm, pkt }),
             FaultedArrival::Two(first, second) => {

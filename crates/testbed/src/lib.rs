@@ -48,10 +48,10 @@ pub mod workload;
 
 pub use churn::ChurnLedger;
 pub use cluster::{Cluster, ClusterResult, ClusterSpec, PlannedMove};
+pub use es2_virtio::ShardPolicy;
 pub use liveness::LivenessReport;
 pub use machine::{Machine, Topology, EV_KIND_NAMES};
 pub use migrate::MigLedger;
-pub use es2_virtio::ShardPolicy;
 pub use params::{BackpressureParams, ChurnSpec, Params};
 pub use results::RunResult;
 pub use workload::WorkloadSpec;

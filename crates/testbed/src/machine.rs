@@ -631,7 +631,9 @@ impl Machine {
             }
             // The booting guest driver pre-fills every RX ring.
             let spec = &specs[vm as usize];
-            vms.push(Self::blank_vm_state(&params, &cfg, spec, true, vcpu_tids, vhost_tids));
+            vms.push(Self::blank_vm_state(
+                &params, &cfg, spec, true, vcpu_tids, vhost_tids,
+            ));
         }
 
         let router = if cfg.redirect {
@@ -1033,7 +1035,9 @@ impl Machine {
             }
             Ev::HandlerRequeue { vm, h } => self.signal_kick(vm, h, KickOrigin::Requeue),
             Ev::DelayedKick { vm, h } => self.signal_kick(vm, h, KickOrigin::Delayed),
-            Ev::DelayedMsi { vm, vector } => self.route_and_deliver_msi(vm, vector, MsiOrigin::Device),
+            Ev::DelayedMsi { vm, vector } => {
+                self.route_and_deliver_msi(vm, vector, MsiOrigin::Device)
+            }
             Ev::ThrottledKick { vm, h } => {
                 // The coalesced wake for every kick deferred since it was
                 // scheduled. Re-enters admission: the bucket charges the
@@ -1383,7 +1387,10 @@ impl Machine {
     /// device MSI), performing the configured delivery machinery.
     pub(crate) fn deliver_to_vcpu(&mut self, vm: u32, idx: u32, vector: Vector) {
         let outcome = self.vms[vm as usize].vcpus[idx as usize].deliver(vector);
-        let posted = matches!(outcome, DeliveryOutcome::PiNotify | DeliveryOutcome::PiPosted);
+        let posted = matches!(
+            outcome,
+            DeliveryOutcome::PiNotify | DeliveryOutcome::PiPosted
+        );
         self.note_msi(vm, posted);
         match outcome {
             DeliveryOutcome::EmulatedKick => {

@@ -142,7 +142,11 @@ pub(crate) enum CrossOut {
     ExtPkt { vm: u32, at: SimTime, pkt: Packet },
     /// An in-flight MSI that outlived its VM's residency here; re-raised
     /// on the current host over the reliable path.
-    StaleMsi { vm: u32, at: SimTime, vector: Vector },
+    StaleMsi {
+        vm: u32,
+        at: SimTime,
+        vector: Vector,
+    },
     /// A paused VM's full state, arriving when the copy phase ends.
     Snapshot {
         vm: u32,
@@ -591,7 +595,10 @@ impl Machine {
         let snap = match self.mig_mut().staged[vm as usize].take() {
             Some(s) => s,
             None => {
-                self.ctl_error(vm, format!("MigrateArrive for vm{vm} without a staged snapshot"));
+                self.ctl_error(
+                    vm,
+                    format!("MigrateArrive for vm{vm} without a staged snapshot"),
+                );
                 return;
             }
         };
@@ -804,7 +811,10 @@ impl Machine {
                 rx_vector: 0x42 + (2 * qi) as u8,
                 affinity_vcpu: owner,
                 blocked_tx_full: false,
-                kick_bucket: p.backpressure.as_ref().map(crate::backpressure::KickBucket::new),
+                kick_bucket: p
+                    .backpressure
+                    .as_ref()
+                    .map(crate::backpressure::KickBucket::new),
                 throttle_armed: [false; 2],
                 budget_window_idx: 0,
             });

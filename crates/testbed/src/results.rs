@@ -241,7 +241,11 @@ impl RunResult {
             offline_predictions,
             backlog_drops: vm0.pairs.iter().map(|p| p.backlog.dropped_total()).sum(),
             host_ctx_switches,
-            polling_entries: vm0.pairs.iter().map(|p| p.tx_handler.polling_entries()).sum(),
+            polling_entries: vm0
+                .pairs
+                .iter()
+                .map(|p| p.tx_handler.polling_entries())
+                .sum(),
             parked_irqs: vm0.ledger.parked_irqs,
             migrated_irqs: vm0.ledger.migrated_irqs,
             mean_rx_latency_us: vm0.ledger.rx.mean_us(),

@@ -460,7 +460,13 @@ impl Machine {
     /// The queue of handler `h` failed ring validation with `err` and
     /// was quarantined, discarding `dropped` exposed buffers and its
     /// pending kick, with the request span waiting on it.
-    pub(crate) fn note_quarantine(&mut self, vm: u32, h: HandlerId, err: RingError, dropped: usize) {
+    pub(crate) fn note_quarantine(
+        &mut self,
+        vm: u32,
+        h: HandlerId,
+        err: RingError,
+        dropped: usize,
+    ) {
         let bp = &mut self.vms[vm as usize].ledger.bp;
         bp.quarantines += 1;
         bp.quarantine_dropped += dropped as u64;
@@ -634,12 +640,24 @@ impl Machine {
 
     /// `vm` pauses for a live migration: a `pause`, then a `copy` of
     /// `dirty` units.
-    pub(crate) fn note_mig_pause(&mut self, vm: u32, dirty: u64, pause: SimDuration, copy: SimDuration) {
+    pub(crate) fn note_mig_pause(
+        &mut self,
+        vm: u32,
+        dirty: u64,
+        pause: SimDuration,
+        copy: SimDuration,
+    ) {
         let now = self.now;
         self.rec.ring.record(now, "mig-pause", vm as u64, dirty);
         if let Some(sp) = self.rec.spans.as_deref_mut() {
             sp.migration_phase(vm, "mig-pause", now.as_nanos(), pause.as_nanos(), dirty);
-            sp.migration_phase(vm, "mig-copy", (now + pause).as_nanos(), copy.as_nanos(), dirty);
+            sp.migration_phase(
+                vm,
+                "mig-copy",
+                (now + pause).as_nanos(),
+                copy.as_nanos(),
+                dirty,
+            );
         }
     }
 

@@ -21,10 +21,7 @@ impl WorkloadSpec {
         // interrupt. The throughput-saturation experiments (memcached,
         // apache) follow the §VI-D "burn script in each VM" setup.
         // `IdleQuiet` tenants are HLT-idle by definition.
-        matches!(
-            self,
-            WorkloadSpec::Httperf { .. } | WorkloadSpec::IdleQuiet
-        )
+        matches!(self, WorkloadSpec::Httperf { .. } | WorkloadSpec::IdleQuiet)
     }
 }
 

@@ -31,7 +31,8 @@ fn run_checked(
 ) -> RunResult {
     let mut specs = vec![WorkloadSpec::Idle; topo.num_vms as usize];
     specs[0] = spec;
-    let (r, report) = Machine::with_specs_faulted(cfg, topo, specs, fast(), seed, plan).run_checked();
+    let (r, report) =
+        Machine::with_specs_faulted(cfg, topo, specs, fast(), seed, plan).run_checked();
     report.assert_ok();
     r
 }
@@ -119,14 +120,32 @@ fn faulted_sweep_is_identical_at_any_thread_count() {
 #[test]
 fn same_seed_reproduces_the_same_faulted_run() {
     let plan = chaos_plan();
-    let a = run_checked(EventPathConfig::pi(), Topology::micro(), tcp_send(), 42, plan);
-    let b = run_checked(EventPathConfig::pi(), Topology::micro(), tcp_send(), 42, plan);
+    let a = run_checked(
+        EventPathConfig::pi(),
+        Topology::micro(),
+        tcp_send(),
+        42,
+        plan,
+    );
+    let b = run_checked(
+        EventPathConfig::pi(),
+        Topology::micro(),
+        tcp_send(),
+        42,
+        plan,
+    );
     assert_eq!(fingerprint(&a), fingerprint(&b));
     assert_eq!(a.fault_stats, b.fault_stats);
     assert_eq!(a.modes, b.modes);
 
     // A different seed must draw a different fault schedule.
-    let c = run_checked(EventPathConfig::pi(), Topology::micro(), tcp_send(), 43, plan);
+    let c = run_checked(
+        EventPathConfig::pi(),
+        Topology::micro(),
+        tcp_send(),
+        43,
+        plan,
+    );
     assert_ne!(fingerprint(&a), fingerprint(&c), "seed had no effect");
 }
 
@@ -164,7 +183,13 @@ fn watchdog_recovers_dropped_kicks() {
         kick_drop_p: 0.3,
         ..FaultPlan::none()
     };
-    let r = run_checked(EventPathConfig::pi(), Topology::micro(), tcp_send(), 21, plan);
+    let r = run_checked(
+        EventPathConfig::pi(),
+        Topology::micro(),
+        tcp_send(),
+        21,
+        plan,
+    );
     assert!(r.fault_stats.kicks_dropped > 0, "no kicks dropped: {r:?}");
     assert!(r.watchdog_rekicks > 0, "watchdog never re-kicked: {r:?}");
     assert!(r.goodput_gbps > 0.0, "kick loss killed the run: {r:?}");
@@ -176,7 +201,13 @@ fn guest_tcp_rto_restores_liveness_under_packet_loss() {
         pkt_drop_p: 0.02,
         ..FaultPlan::none()
     };
-    let r = run_checked(EventPathConfig::pi(), Topology::micro(), tcp_send(), 33, plan);
+    let r = run_checked(
+        EventPathConfig::pi(),
+        Topology::micro(),
+        tcp_send(),
+        33,
+        plan,
+    );
     assert!(r.fault_stats.pkts_dropped > 0, "no packets dropped: {r:?}");
     assert!(r.guest_rtos > 0, "guest RTO never fired: {r:?}");
     assert!(r.goodput_gbps > 0.0, "packet loss killed the run: {r:?}");
@@ -199,8 +230,7 @@ fn pi_degradation_is_isolated_to_the_masked_vm() {
         plan,
     );
     assert_eq!(
-        r.fault_stats.pi_degradations,
-        topo.vcpus_per_vm as u64,
+        r.fault_stats.pi_degradations, topo.vcpus_per_vm as u64,
         "every VM 0 vCPU should degrade exactly once: {:?}",
         r.fault_stats
     );
@@ -214,8 +244,14 @@ fn pi_degradation_is_isolated_to_the_masked_vm() {
         r.modes
     );
     let vm0 = r.modes.vm(0);
-    assert!(vm0.emulated > 0, "VM 0 never used the emulated path: {vm0:?}");
-    assert!(vm0.posted > 0, "VM 0 should have posted before failing: {vm0:?}");
+    assert!(
+        vm0.emulated > 0,
+        "VM 0 never used the emulated path: {vm0:?}"
+    );
+    assert!(
+        vm0.posted > 0,
+        "VM 0 should have posted before failing: {vm0:?}"
+    );
     assert_eq!(vm0.degradations, topo.vcpus_per_vm as u64);
     for vm in 1..topo.num_vms as usize {
         let c = r.modes.vm(vm);

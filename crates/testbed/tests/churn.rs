@@ -77,19 +77,38 @@ fn zero_arrival_churn_is_byte_identical_to_disabled() {
 #[test]
 fn arrivals_boot_run_and_depart_cleanly() {
     let r = Cluster::new(churn_cluster(6, 3, FaultPlan::none())).run();
-    assert!(r.liveness.ok(), "{:?}\n{}", r.liveness.violations, r.liveness.diagnostics);
+    assert!(
+        r.liveness.ok(),
+        "{:?}\n{}",
+        r.liveness.violations,
+        r.liveness.diagnostics
+    );
     let c = r.churn.as_ref().expect("churn ledger missing");
     assert!(c.arrivals > 0, "no arrivals landed in the window");
-    assert_eq!(c.place_fail_faults + c.boot_stall_faults, 0, "clean plan drew faults");
+    assert_eq!(
+        c.place_fail_faults + c.boot_stall_faults,
+        0,
+        "clean plan drew faults"
+    );
     assert!(c.admitted > 0, "nothing admitted: {c:?}");
-    assert_eq!(r.ledger.boots as u32, c.admitted, "boot calls != admissions");
-    assert_eq!(r.ledger.departs as u32, c.departures, "depart calls != departures");
+    assert_eq!(
+        r.ledger.boots as u32, c.admitted,
+        "boot calls != admissions"
+    );
+    assert_eq!(
+        r.ledger.departs as u32, c.departures,
+        "depart calls != departures"
+    );
     assert_eq!(r.orphans(), 0);
     // Residents at end of run appear in final_host; departed slots
     // don't (clean plan: nothing is lost to crashes).
     let fleet_n = 2;
     let resident = r.final_host[fleet_n..].iter().flatten().count() as u32;
-    assert_eq!(resident, c.admitted - c.departures, "slot residency mismatch");
+    assert_eq!(
+        resident,
+        c.admitted - c.departures,
+        "slot residency mismatch"
+    );
 }
 
 /// A deterministically-stalled boot times out, rolls the partial boot
@@ -102,16 +121,35 @@ fn stuck_boot_times_out_rolls_back_and_retries() {
         ..FaultPlan::none()
     };
     let r = Cluster::new(churn_cluster(4, 5, plan)).run();
-    assert!(r.liveness.ok(), "{:?}\n{}", r.liveness.violations, r.liveness.diagnostics);
+    assert!(
+        r.liveness.ok(),
+        "{:?}\n{}",
+        r.liveness.violations,
+        r.liveness.diagnostics
+    );
     let c = r.churn.as_ref().unwrap();
-    assert_eq!(c.boot_stall_faults, 1, "the pinned stall did not fire: {c:?}");
-    assert_eq!(r.ledger.boot_timeouts, 1, "stall did not roll back via timeout");
-    assert!(c.retried >= 1 && c.retries >= 1, "stalled arrival never retried: {c:?}");
+    assert_eq!(
+        c.boot_stall_faults, 1,
+        "the pinned stall did not fire: {c:?}"
+    );
+    assert_eq!(
+        r.ledger.boot_timeouts, 1,
+        "stall did not roll back via timeout"
+    );
+    assert!(
+        c.retried >= 1 && c.retries >= 1,
+        "stalled arrival never retried: {c:?}"
+    );
     assert!(
         c.retry_successes >= 1,
         "retry after the rollback never admitted: {c:?}"
     );
-    assert_eq!(r.orphans(), 0, "rollback leaked: {:?}", r.liveness.violations);
+    assert_eq!(
+        r.orphans(),
+        0,
+        "rollback leaked: {:?}",
+        r.liveness.violations
+    );
 }
 
 /// With every placement attempt failing, each arrival marches through
@@ -157,7 +195,12 @@ fn crash_during_admit_replaces_via_evacuation() {
     };
     spec.churn = Some(churn_spec(3));
     let r = Cluster::new(spec).run();
-    assert!(r.liveness.ok(), "{:?}\n{}", r.liveness.violations, r.liveness.diagnostics);
+    assert!(
+        r.liveness.ok(),
+        "{:?}\n{}",
+        r.liveness.violations,
+        r.liveness.diagnostics
+    );
     let c = r.churn.as_ref().unwrap();
     assert!(
         c.replaced_on_crash >= 1,
@@ -222,13 +265,19 @@ fn depart_racing_migration_defers_and_reclaims() {
             c.destroy_races, 1,
             "seed {seed}: depart did not race the in-flight copy: {c:?}"
         );
-        assert_eq!(c.departures, 1, "seed {seed}: deferred depart never landed: {c:?}");
+        assert_eq!(
+            c.departures, 1,
+            "seed {seed}: deferred depart never landed: {c:?}"
+        );
         // The tenant migrated, then departed on the target: gone.
         assert_eq!(r.final_host[1], None, "seed {seed}: tenant still resident");
         hit = true;
         break;
     }
-    assert!(hit, "every scanned seed drew a lifetime beyond the run window");
+    assert!(
+        hit,
+        "every scanned seed drew a lifetime beyond the run window"
+    );
 }
 
 /// The full fault diet — placement failures, stuck boots, a host crash,

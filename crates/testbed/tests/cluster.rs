@@ -145,7 +145,15 @@ fn migration_preserves_state_and_redirection_resumes_on_target() {
 /// for the blackout it cost.
 #[test]
 fn aborted_migration_rolls_back_to_source() {
-    let mut spec = ClusterSpec::new(cfg(), 1, vec![tcp(), WorkloadSpec::Ping], 2, 2, tiny_params(), 5);
+    let mut spec = ClusterSpec::new(
+        cfg(),
+        1,
+        vec![tcp(), WorkloadSpec::Ping],
+        2,
+        2,
+        tiny_params(),
+        5,
+    );
     spec.moves = vec![PlannedMove {
         vm: 0,
         to: 1,
@@ -158,7 +166,11 @@ fn aborted_migration_rolls_back_to_source() {
     let r = Cluster::new(spec).run();
     assert!(r.liveness.ok(), "{}", r.liveness.diagnostics);
     assert_eq!((r.ledger.out, r.ledger.aborts, r.ledger.resumed), (0, 1, 1));
-    assert_eq!(r.final_host[0], Some(0), "abort must leave the VM on the source");
+    assert_eq!(
+        r.final_host[0],
+        Some(0),
+        "abort must leave the VM on the source"
+    );
     // The rollback still cost a blackout window.
     assert_eq!(r.ledger.blackout_ns.len(), 1);
 }
@@ -169,7 +181,15 @@ fn aborted_migration_rolls_back_to_source() {
 /// at the first start and roll a dormant slot back at the second.
 #[test]
 fn abort_then_complete_moves_apply_in_schedule_order() {
-    let mut spec = ClusterSpec::new(cfg(), 1, vec![tcp(), WorkloadSpec::Ping], 2, 2, tiny_params(), 5);
+    let mut spec = ClusterSpec::new(
+        cfg(),
+        1,
+        vec![tcp(), WorkloadSpec::Ping],
+        2,
+        2,
+        tiny_params(),
+        5,
+    );
     spec.moves = vec![
         PlannedMove {
             vm: 0,
@@ -187,7 +207,12 @@ fn abort_then_complete_moves_apply_in_schedule_order() {
         ..FaultPlan::none()
     };
     let r = Cluster::new(spec).run();
-    assert!(r.liveness.ok(), "{:?}\n{}", r.liveness.violations, r.liveness.diagnostics);
+    assert!(
+        r.liveness.ok(),
+        "{:?}\n{}",
+        r.liveness.violations,
+        r.liveness.diagnostics
+    );
     assert_eq!((r.ledger.out, r.ledger.aborts, r.ledger.resumed), (1, 1, 2));
     assert_eq!(r.final_host[0], Some(1));
     assert_eq!(r.ledger.blackout_ns.len(), 2);
@@ -199,7 +224,15 @@ fn abort_then_complete_moves_apply_in_schedule_order() {
 /// machinery against fresh host state.
 #[test]
 fn double_migration_chains_across_three_hosts() {
-    let mut spec = ClusterSpec::new(cfg(), 1, vec![tcp(), WorkloadSpec::Ping], 3, 2, tiny_params(), 13);
+    let mut spec = ClusterSpec::new(
+        cfg(),
+        1,
+        vec![tcp(), WorkloadSpec::Ping],
+        3,
+        2,
+        tiny_params(),
+        13,
+    );
     spec.moves = vec![
         PlannedMove {
             vm: 0,
@@ -250,7 +283,10 @@ fn migrate_while_quarantined_carries_reset_to_target() {
     // surface on the target.
     let src = &r.per_host[0].result;
     let dst = &r.per_host[1].result;
-    assert_eq!(src.quarantines_total, 0, "quarantine ledger left behind on the source");
+    assert_eq!(
+        src.quarantines_total, 0,
+        "quarantine ledger left behind on the source"
+    );
     assert!(dst.quarantines_total >= 1, "corruption never quarantined");
     assert!(
         dst.queue_resets_total >= 1,
@@ -290,7 +326,15 @@ fn migrate_pi_degraded_vm_keeps_emulated_path() {
 /// relocated and alive.
 #[test]
 fn host_crash_evacuates_victims_to_survivor() {
-    let mut spec = ClusterSpec::new(cfg(), 1, vec![tcp(), WorkloadSpec::Ping], 2, 2, tiny_params(), 23);
+    let mut spec = ClusterSpec::new(
+        cfg(),
+        1,
+        vec![tcp(), WorkloadSpec::Ping],
+        2,
+        2,
+        tiny_params(),
+        23,
+    );
     spec.plan = FaultPlan {
         host_crash_mask: 0b1,
         host_crash_at: SimDuration::from_millis(40),
@@ -313,7 +357,15 @@ fn host_crash_evacuates_victims_to_survivor() {
 /// the target while the source's other resident is cold-restarted.
 #[test]
 fn source_crash_during_copy_vm_survives_on_target() {
-    let mut spec = ClusterSpec::new(cfg(), 1, vec![tcp(), WorkloadSpec::Ping], 2, 2, tiny_params(), 29);
+    let mut spec = ClusterSpec::new(
+        cfg(),
+        1,
+        vec![tcp(), WorkloadSpec::Ping],
+        2,
+        2,
+        tiny_params(),
+        29,
+    );
     spec.moves = vec![PlannedMove {
         vm: 0,
         to: 1,

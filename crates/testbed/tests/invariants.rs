@@ -9,8 +9,8 @@ use es2_hypervisor::ExitReason;
 use es2_metrics::telemetry::WINDOW_NS;
 use es2_sim::{FaultPlan, SimDuration, SimTime};
 use es2_testbed::{
-    experiments, BackpressureParams, Cluster, ClusterSpec, Machine, Params, PlannedMove,
-    RunResult, Topology, WorkloadSpec,
+    experiments, BackpressureParams, Cluster, ClusterSpec, Machine, Params, PlannedMove, RunResult,
+    Topology, WorkloadSpec,
 };
 use es2_workloads::NetperfSpec;
 
@@ -341,7 +341,12 @@ fn containment_and_watchdog_counts_match_the_series() {
     assert_eq!(series.ann_dropped, 0);
     let vms = || series.windows.iter().flat_map(|w| &w.vms);
     let bp = r.backpressure;
-    let ledger = [bp.throttled_kicks, bp.budget_deferrals, bp.quarantines, bp.resets];
+    let ledger = [
+        bp.throttled_kicks,
+        bp.budget_deferrals,
+        bp.quarantines,
+        bp.resets,
+    ];
     let summed = [
         vms().map(|v| v.throttled_kicks).sum::<u64>(),
         vms().map(|v| v.budget_deferrals).sum(),
@@ -349,12 +354,21 @@ fn containment_and_watchdog_counts_match_the_series() {
         vms().map(|v| v.resets).sum(),
     ];
     assert_eq!(ledger, summed, "throttled, deferred, quarantined, reset");
-    assert!(ledger.iter().all(|&n| n > 0), "a containment sink saw nothing: {ledger:?}");
+    assert!(
+        ledger.iter().all(|&n| n > 0),
+        "a containment sink saw nothing: {ledger:?}"
+    );
     let annotations = |kind: &str| {
         let of_vm0 = series.annotations.iter().filter(|a| a.vm == 0);
         of_vm0.filter(|a| a.kind == kind).count() as u64
     };
     let watchdog = [r.watchdog_rekicks, r.watchdog_reraises];
-    assert_eq!(watchdog, [annotations("wd-rekick"), annotations("wd-reraise")]);
-    assert!(watchdog.iter().all(|&n| n > 0), "the watchdog never acted: {watchdog:?}");
+    assert_eq!(
+        watchdog,
+        [annotations("wd-rekick"), annotations("wd-reraise")]
+    );
+    assert!(
+        watchdog.iter().all(|&n| n > 0),
+        "the watchdog never acted: {watchdog:?}"
+    );
 }

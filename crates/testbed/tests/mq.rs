@@ -167,7 +167,10 @@ fn hostile_queue_quarantines_only_that_queue() {
     );
     assert!(r.queue_resets_total >= 1, "broken queue never reset: {r:?}");
     let victim = &r.backpressure_per_vm[0];
-    assert_eq!(victim.quarantines, 0, "neighbor queue quarantined: {victim:?}");
+    assert_eq!(
+        victim.quarantines, 0,
+        "neighbor queue quarantined: {victim:?}"
+    );
     assert_eq!(victim.resets, 0, "neighbor queue reset: {victim:?}");
     assert!(
         r.goodput_gbps > 0.0,

@@ -48,7 +48,11 @@ pub enum RingError {
     /// The guest's published avail idx ran ahead of the entries it
     /// actually added (`claimed` vs the device cursor, with at most
     /// `window` legitimately outstanding).
-    AvailIdxJump { claimed: u16, cursor: u16, window: u16 },
+    AvailIdxJump {
+        claimed: u16,
+        cursor: u16,
+        window: u16,
+    },
     /// The guest's published avail idx moved backwards past entries the
     /// device already consumed.
     AvailIdxRegress { claimed: u16, cursor: u16 },
@@ -64,7 +68,10 @@ impl std::fmt::Display for RingError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
             RingError::DescOutOfRange { index, size } => {
-                write!(f, "descriptor index {index} out of range (ring size {size})")
+                write!(
+                    f,
+                    "descriptor index {index} out of range (ring size {size})"
+                )
             }
             RingError::AvailIdxJump {
                 claimed,
@@ -75,16 +82,25 @@ impl std::fmt::Display for RingError {
                 "avail idx jumped to {claimed} (device cursor {cursor}, {window} outstanding)"
             ),
             RingError::AvailIdxRegress { claimed, cursor } => {
-                write!(f, "avail idx regressed to {claimed} (device cursor {cursor})")
+                write!(
+                    f,
+                    "avail idx regressed to {claimed} (device cursor {cursor})"
+                )
             }
             RingError::DescChainLoop { head } => {
                 write!(f, "descriptor chain loops back to head {head}")
             }
             RingError::ChainTooLong { len, max } => {
-                write!(f, "descriptor chain of length {len} exceeds ring size {max}")
+                write!(
+                    f,
+                    "descriptor chain of length {len} exceeds ring size {max}"
+                )
             }
             RingError::UsedOverflow { claimed, size } => {
-                write!(f, "guest claims {claimed} outstanding used entries (ring size {size})")
+                write!(
+                    f,
+                    "guest claims {claimed} outstanding used entries (ring size {size})"
+                )
             }
         }
     }
@@ -99,7 +115,11 @@ impl std::fmt::Display for RingError {
 enum GuestClaim {
     DescIndex(u16),
     AvailIdx(u16),
-    Chain { head: u16, len: u16, next_is_head: bool },
+    Chain {
+        head: u16,
+        len: u16,
+        next_is_head: bool,
+    },
     UsedOutstanding(u16),
 }
 
@@ -1010,7 +1030,10 @@ mod tests {
         q.guest_claim_used_outstanding(9);
         assert_eq!(
             q.device_validate(),
-            Err(RingError::UsedOverflow { claimed: 9, size: 8 })
+            Err(RingError::UsedOverflow {
+                claimed: 9,
+                size: 8
+            })
         );
     }
 
@@ -1030,9 +1053,15 @@ mod tests {
         assert_eq!(q.quarantine_count(), 1);
 
         // Broken queue refuses service on every path.
-        assert!(q.driver_add(99).is_err(), "quarantined queue accepts nothing");
+        assert!(
+            q.driver_add(99).is_err(),
+            "quarantined queue accepts nothing"
+        );
         assert_eq!(q.device_pop(), None);
-        assert!(!q.device_push_used(77), "completion swallowed, no interrupt");
+        assert!(
+            !q.device_push_used(77),
+            "completion swallowed, no interrupt"
+        );
 
         // Guest performs the requested reset.
         assert!(q.guest_reset());
