@@ -97,6 +97,8 @@ trait Row: Copy {
     fn key(&self) -> u32;
     fn blank(key: u32) -> Self;
     fn add(&mut self, other: &Self);
+    /// The window's list of rows of this kind.
+    fn list(w: &mut Window) -> &mut Vec<Self>;
 }
 
 /// The row of `key`, inserted blank in key order if it is missing.
@@ -208,6 +210,10 @@ impl Row for VmWin {
         }
     }
 
+    fn list(w: &mut Window) -> &mut Vec<Self> {
+        &mut w.vms
+    }
+
     fn add(&mut self, o: &Self) {
         self.guest_ns += o.guest_ns;
         for (x, y) in self.exits.iter_mut().zip(o.exits) {
@@ -256,6 +262,10 @@ impl Row for WorkerWin {
             slot,
             ..WorkerWin::default()
         }
+    }
+
+    fn list(w: &mut Window) -> &mut Vec<Self> {
+        &mut w.workers
     }
 
     fn add(&mut self, o: &Self) {
@@ -317,14 +327,71 @@ impl Annotation {
     }
 }
 
+/// The window of index `k` in `windows`, created (keeping the list
+/// sorted) if needed. Appends are O(1); an out-of-order touch is a
+/// binary-search insert.
+fn window_mut(windows: &mut Vec<Window>, k: u64) -> &mut Window {
+    let pos = match windows.last() {
+        Some(last) if last.idx == k => windows.len() - 1,
+        Some(last) if last.idx > k => match windows.binary_search_by_key(&k, |w| w.idx) {
+            Ok(i) => i,
+            Err(i) => {
+                windows.insert(i, Window::new(k));
+                i
+            }
+        },
+        _ => {
+            windows.push(Window::new(k));
+            windows.len() - 1
+        }
+    };
+    &mut windows[pos]
+}
+
+/// Sum `row`, recorded in window `k`, into `windows`.
+fn fold<R: Row>(windows: &mut Vec<Window>, k: u64, row: &R) {
+    row_mut(R::list(window_mut(windows, k)), row.key()).add(row);
+}
+
+/// The row of `key` for window `k`. `open` is that slot's row for the
+/// latest window it recorded in, kept out of `windows`: a record there
+/// is a plain field update. A later `k` folds the open row into
+/// `windows` and opens a blank one; an earlier `k` (interval backfill)
+/// goes straight to `windows`.
+fn row_at<'a, R: Row>(
+    windows: &'a mut Vec<Window>,
+    open: &'a mut Option<(u64, R)>,
+    key: u32,
+    k: u64,
+) -> &'a mut R {
+    match *open {
+        Some((j, _)) if j > k => return row_mut(R::list(window_mut(windows, k)), key),
+        Some((j, ref row)) if j < k => {
+            fold(windows, j, row);
+            *open = None;
+        }
+        _ => {}
+    }
+    &mut open.get_or_insert_with(|| (k, R::blank(key))).1
+}
+
 /// The windowed telemetry recorder. One per machine; all
 /// hooks take raw sim-time nanoseconds and update the window the instant
 /// falls into. Intervals (guest residency, worker on-core time) are
 /// sliced across every window they overlap.
+///
+/// Each VM and each worker keeps its row for the latest window it
+/// recorded in beside the window list, and folds it in when it records
+/// in a later window or at [`finish`](Self::finish): most records find
+/// their row by slot index instead of a window lookup and a row search.
 #[derive(Clone, Debug)]
 pub struct TelemetryRecorder {
     geom: TelemetryGeometry,
     windows: Vec<Window>,
+    /// Per VM: its row for the latest window it recorded in.
+    open_vms: Vec<Option<(u64, VmWin)>>,
+    /// Per worker slot: its row for the latest window it recorded in.
+    open_workers: Vec<Option<(u64, WorkerWin)>>,
     annotations: Vec<Annotation>,
     ann_capacity: usize,
     ann_dropped: u64,
@@ -337,40 +404,34 @@ impl TelemetryRecorder {
         TelemetryRecorder {
             geom,
             windows: Vec::new(),
+            open_vms: vec![None; geom.num_vms],
+            open_workers: vec![None; geom.num_vms * geom.workers_per_vm],
             annotations: Vec::new(),
             ann_capacity,
             ann_dropped: 0,
         }
     }
 
-    /// The window of index `k`, created (keeping the list sorted) if
-    /// needed. Appends are O(1); the rare out-of-order touch (interval
-    /// backfill) is a binary-search insert.
-    fn window(&mut self, k: u64) -> &mut Window {
-        let pos = match self.windows.last() {
-            Some(last) if last.idx == k => self.windows.len() - 1,
-            Some(last) if last.idx > k => match self.windows.binary_search_by_key(&k, |w| w.idx) {
-                Ok(i) => i,
-                Err(i) => {
-                    self.windows.insert(i, Window::new(k));
-                    i
-                }
-            },
-            _ => {
-                self.windows.push(Window::new(k));
-                self.windows.len() - 1
-            }
-        };
-        &mut self.windows[pos]
+    fn vm_row(&mut self, vm: u32, k: u64) -> &mut VmWin {
+        row_at(&mut self.windows, &mut self.open_vms[vm as usize], vm, k)
+    }
+
+    fn worker_row(&mut self, slot: u32, k: u64) -> &mut WorkerWin {
+        row_at(
+            &mut self.windows,
+            &mut self.open_workers[slot as usize],
+            slot,
+            k,
+        )
     }
 
     fn vm_win(&mut self, vm: u32, at_ns: u64) -> &mut VmWin {
-        row_mut(&mut self.window(at_ns / WINDOW_NS).vms, vm)
+        self.vm_row(vm, at_ns / WINDOW_NS)
     }
 
     fn worker_win(&mut self, vm: u32, worker: usize, at_ns: u64) -> &mut WorkerWin {
         let slot = self.worker_slot(vm, worker);
-        row_mut(&mut self.window(at_ns / WINDOW_NS).workers, slot)
+        self.worker_row(slot, at_ns / WINDOW_NS)
     }
 
     fn worker_slot(&self, vm: u32, worker: usize) -> u32 {
@@ -379,8 +440,13 @@ impl TelemetryRecorder {
     }
 
     /// Distribute the interval `[from_ns, to_ns)` across every window it
-    /// overlaps, calling `add(window, overlap_ns)` per window.
-    fn slice_interval<F: FnMut(&mut Window, u64)>(&mut self, from_ns: u64, to_ns: u64, mut add: F) {
+    /// overlaps, calling `add(self, window index, overlap_ns)` per window.
+    fn slice_interval<F: FnMut(&mut Self, u64, u64)>(
+        &mut self,
+        from_ns: u64,
+        to_ns: u64,
+        mut add: F,
+    ) {
         if to_ns <= from_ns {
             return;
         }
@@ -389,7 +455,7 @@ impl TelemetryRecorder {
         while k <= last_k {
             let lo = from_ns.max(k * WINDOW_NS);
             let hi = to_ns.min((k + 1) * WINDOW_NS);
-            add(self.window(k), hi - lo);
+            add(self, k, hi - lo);
             k += 1;
         }
     }
@@ -406,8 +472,8 @@ impl TelemetryRecorder {
     /// Guest-mode residency `[from_ns, to_ns)` for one of `vm`'s vCPUs,
     /// sliced across window boundaries.
     pub fn record_guest_slice(&mut self, vm: u32, from_ns: u64, to_ns: u64) {
-        self.slice_interval(from_ns, to_ns, |w, ns| {
-            row_mut(&mut w.vms, vm).guest_ns += ns;
+        self.slice_interval(from_ns, to_ns, |r, k, ns| {
+            r.vm_row(vm, k).guest_ns += ns;
         });
     }
 
@@ -477,8 +543,8 @@ impl TelemetryRecorder {
     /// window boundaries.
     pub fn record_worker_slice(&mut self, vm: u32, worker: usize, from_ns: u64, to_ns: u64) {
         let slot = self.worker_slot(vm, worker);
-        self.slice_interval(from_ns, to_ns, |w, ns| {
-            row_mut(&mut w.workers, slot).on_core_ns += ns;
+        self.slice_interval(from_ns, to_ns, |r, k, ns| {
+            r.worker_row(slot, k).on_core_ns += ns;
         });
     }
 
@@ -512,11 +578,18 @@ impl TelemetryRecorder {
     /// are sorted by `(time, vm, kind, arg)` so standalone and
     /// host-merged runs render identically.
     pub fn finish(self) -> TelemetryReport {
+        let mut windows = self.windows;
+        for (k, row) in self.open_vms.iter().flatten() {
+            fold(&mut windows, *k, row);
+        }
+        for (k, row) in self.open_workers.iter().flatten() {
+            fold(&mut windows, *k, row);
+        }
         let mut annotations = self.annotations;
         annotations.sort_by_key(|a| a.sort_key());
         TelemetryReport {
             geom: self.geom,
-            windows: self.windows,
+            windows,
             annotations,
             ann_dropped: self.ann_dropped,
         }

@@ -101,6 +101,12 @@ impl PacketFactory {
             meta,
         }
     }
+
+    /// Draw `n` ids without making their packets: the next `make` returns
+    /// what it would after `n` discarded `make` calls.
+    pub fn skip(&mut self, n: u64) {
+        self.next_id += n;
+    }
 }
 
 #[cfg(test)]
@@ -113,6 +119,23 @@ mod tests {
         let a = f.make(FlowId(0), PacketKind::Data, 100, SimTime::ZERO);
         let b = f.make(FlowId(0), PacketKind::Ack, 0, SimTime::ZERO);
         assert!(b.id > a.id);
+    }
+
+    #[test]
+    fn skip_draws_like_discarded_makes() {
+        for n in [0, 1, 256] {
+            let mut made = PacketFactory::new();
+            let mut skipped = PacketFactory::new();
+            made.make(FlowId(0), PacketKind::Data, 0, SimTime::ZERO);
+            skipped.make(FlowId(0), PacketKind::Data, 0, SimTime::ZERO);
+            for _ in 0..n {
+                made.make(FlowId(1), PacketKind::Data, 0, SimTime::ZERO);
+            }
+            skipped.skip(n);
+            let a = made.make(FlowId(1), PacketKind::Ack, 0, SimTime::ZERO);
+            let b = skipped.make(FlowId(1), PacketKind::Ack, 0, SimTime::ZERO);
+            assert_eq!(a, b, "skip({n})");
+        }
     }
 
     #[test]

@@ -598,11 +598,12 @@ impl Machine {
         // draws so its position is fixed by `seed` alone.
         let rng_tick = rng.fork();
         let mut sched = CfsScheduler::new(params.num_cores as usize, params.sched);
-        let mut threads = Vec::new();
-        let mut vms = Vec::new();
+        let per_vm = topo.vcpus_per_vm as usize + num_workers;
+        let mut threads = Vec::with_capacity(topo.num_vms as usize * per_vm);
+        let mut vms = Vec::with_capacity(topo.num_vms as usize);
         for vm in 0..topo.num_vms {
             // vCPU j of every VM pinned to core j: VMs time-share.
-            let mut vcpu_tids = Vec::new();
+            let mut vcpu_tids = Vec::with_capacity(topo.vcpus_per_vm as usize);
             for idx in 0..topo.vcpus_per_vm {
                 let tid = sched.add_thread(0, CoreId(idx));
                 threads.push(ThreadInfo {
@@ -1777,14 +1778,13 @@ impl Machine {
             // The driver pre-fills the fresh RX ring with buffers and
             // leaves refill notifications unarmed. Each posted buffer still
             // draws a packet id, as the runtime refill does: `rss_queue`
-            // hashes ids, so skipping the draws would move later packets
+            // hashes ids, so dropping the draws would move later packets
             // to other queues.
-            for _ in 0..RING_SIZE {
-                self.pf
-                    .make(es2_net::FlowId(vm), es2_net::PacketKind::Data, 0, self.now);
-                let _ = self.vms[vmi].pairs[qi].rx.driver_add(());
-            }
-            self.vms[vmi].pairs[qi].rx.device_disable_notify();
+            self.pf.skip(u64::from(RING_SIZE));
+            let rx = &mut self.vms[vmi].pairs[qi].rx;
+            rx.driver_add_n(RING_SIZE, ())
+                .expect("a reset ring is empty");
+            rx.device_disable_notify();
         }
         self.vms[vmi].worker.release(h);
         // Ingress may have piled up behind a quarantined RX queue: put the

@@ -787,9 +787,7 @@ impl Machine {
             // stay unarmed unless vhost runs out of buffers.
             tx.driver_disable_interrupts();
             if prefill_rx {
-                for _ in 0..RING_SIZE {
-                    rx.driver_add(()).expect("ring has room");
-                }
+                rx.driver_add_n(RING_SIZE, ()).expect("ring has room");
             }
             rx.device_disable_notify();
             let mut tx_handler = match cfg.hybrid {

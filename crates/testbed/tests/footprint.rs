@@ -5,18 +5,23 @@
 //! (128 httperf VMs × 2 vCPUs on one host) takes to build and to run.
 //! Per-VM buffers are sized by occupancy, not by their logical bounds, and
 //! each virtqueue half stores payloads only in the direction data flows
-//! (the 256 posted RX buffers are bare descriptors), so building the host
-//! takes about 0.6 MiB (~4.7 KiB per VM) and running it peaks at about
-//! 1.4 MiB. A buffer that goes back to preallocating its bound (ring
-//! size, backlog depth, histogram range), or a ring half that goes back
-//! to storing placeholder packets (+1 MiB), trips the budgets below.
+//! (the 256 posted RX buffers are bare descriptors, posted in one
+//! `driver_add_n`), and the constructor sizes its thread and VM tables
+//! once, so building the host takes about 0.37 MiB (~2.9 KiB per VM) and
+//! running it peaks at about 1.05 MiB. A buffer that goes back to
+//! preallocating its bound (ring size, backlog depth, histogram range),
+//! or a ring half that goes back to storing placeholder packets (+1 MiB),
+//! trips the budgets below.
 //!
 //! It also counts the allocator calls the benchmark's `cell` shape makes
 //! in `run()` with telemetry on and off. A window holds rows only for the
-//! VMs that record in it, so telemetry adds about 0.65 calls for every
-//! call the run makes without it (~460 to ~720). A recorder that goes
-//! back to a zeroed row, with its own heap vectors, for each of a host's
-//! 18 slots in every window adds ~16 (~11 300).
+//! VMs that record in it, so telemetry adds about 0.66 calls for every
+//! call the run makes without it (~475 to ~720). Each VM and worker keeps
+//! its current window's row beside the window list, so the rows recorded
+//! while the cell is built reach the list only in `run()`, which moves
+//! ~16 calls from the constructor into the run. A recorder that goes back to a zeroed row,
+//! with its own heap vectors, for each of a host's 18 slots in every
+//! window adds ~16 (~11 300).
 //!
 //! The tests take turns on one lock, so no two share the counters.
 

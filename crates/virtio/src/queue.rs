@@ -150,6 +150,12 @@ fn need_event(event_idx: u16, new_idx: u16, old_idx: u16) -> bool {
 /// guest posts empty buffers, the device returns them filled. Indices,
 /// flags, counters and the kick/interrupt decisions never look at a
 /// payload, so they are the same whatever the two types are.
+///
+/// A driver posts one buffer with [`driver_add`](Self::driver_add) or a
+/// batch with [`driver_add_n`](Self::driver_add_n); the batch form leaves
+/// the same indices, counters and avail contents in O(1) index work,
+/// which is how a booting guest (and a guest resetting a quarantined
+/// queue) fills its whole RX ring.
 #[derive(Clone, Debug)]
 pub struct Virtqueue<A, U = A> {
     cfg: VirtqueueConfig,
@@ -284,6 +290,45 @@ impl<A, U> Virtqueue<A, U> {
         } else {
             Ok(KickDecision::NoKick)
         }
+    }
+
+    /// Expose `n` copies of `payload` in one step — a driver posting a
+    /// batch of buffers and publishing the avail index once. Leaves
+    /// exactly the state `n` calls of [`driver_add`](Self::driver_add)
+    /// leave, in O(1) index and counter work, and returns how many of
+    /// those calls would have answered [`KickDecision::Kick`].
+    ///
+    /// All or nothing: `Err(payload)` if the queue is quarantined or has
+    /// fewer than `n` free descriptors, and then nothing is added.
+    pub fn driver_add_n(&mut self, n: u16, payload: A) -> Result<u16, A>
+    where
+        A: Clone,
+    {
+        if self.broken || n > self.num_free {
+            return Err(payload);
+        }
+        let old = self.avail_idx;
+        self.num_free -= n;
+        self.added += u64::from(n);
+        self.avail_idx = old.wrapping_add(n);
+        self.avail
+            .extend(std::iter::repeat_n(payload, usize::from(n)));
+
+        // Add `i` asks `need_event` about the one-step window
+        // `[old + i, old + i + 1)`, which holds `avail_event` for at most
+        // one `i`. So the `n` adds kick once iff `avail_event` lies in
+        // `[old, old + n)` — the batch window a Linux driver tests once
+        // per publish. `n` never exceeds the ring size, so the window
+        // cannot wrap onto itself.
+        let kicks = if self.used_flags_no_notify {
+            0
+        } else if self.cfg.event_idx {
+            u16::from(need_event(self.avail_event, self.avail_idx, old))
+        } else {
+            n
+        };
+        self.kicks += u64::from(kicks);
+        Ok(kicks)
     }
 
     /// Reclaim one completed buffer from the used ring (frees a
@@ -614,7 +659,8 @@ impl<A, U> Virtqueue<A, U> {
     // "popped - completed" being attributable to in-flight work.
     // ------------------------------------------------------------------
 
-    /// Buffers the driver ever exposed (successful `driver_add` calls).
+    /// Buffers the driver ever exposed (through `driver_add` or
+    /// `driver_add_n`).
     pub fn added_total(&self) -> u64 {
         self.added
     }
@@ -654,8 +700,9 @@ mod tests {
     fn adds_while_device_busy_do_not_kick() {
         let mut q = vq(true);
         q.driver_add(1).unwrap(); // kick
-                                  // Device starts processing; with EVENT_IDX it has not re-armed
-                                  // avail_event, so subsequent adds are silent.
+
+        // Device starts processing; with EVENT_IDX it has not re-armed
+        // avail_event, so subsequent adds are silent.
         q.device_pop().unwrap();
         assert_eq!(q.driver_add(2).unwrap(), KickDecision::NoKick);
         assert_eq!(q.driver_add(3).unwrap(), KickDecision::NoKick);
@@ -1242,6 +1289,98 @@ mod tests {
                 }
                 while q.driver_take_used().is_some() {}
                 prop_assert!(!q.device_enable_notify());
+            }
+        }
+
+        /// `driver_add_n(n)` is `n` calls of `driver_add` in one step.
+        /// Random prior traffic runs on a ring whose free-running indices
+        /// start up to 47 steps before the u16 wrap, so many fills cross
+        /// it. From there every fill from 0 to `num_free` (and one past
+        /// it) is tried with kicks suppressed and armed, and with
+        /// `avail_event` everywhere from a ring behind to a ring ahead of
+        /// the avail index, and parked half the index space away: before,
+        /// inside and after the filled range. The batch must leave the ring
+        /// the one-by-one adds leave, return their kick count, and make the
+        /// same decision on the next add; a refused batch changes nothing.
+        #[test]
+        fn prop_driver_add_n_matches_n_driver_adds(
+            event_idx in any::<bool>(),
+            lead in 0u16..48,
+            ops in proptest::collection::vec(0u8..6, 0..40),
+            quarantined in 0u8..4,
+        ) {
+            const SIZE: u16 = 16;
+            let mut q: Virtqueue<u32> = Virtqueue::new(VirtqueueConfig { size: SIZE, event_idx });
+            // The cursors of a ring that has already cycled `base` buffers
+            // through and re-armed both events: every round trip moves
+            // them in step.
+            let base = lead.wrapping_neg();
+            q.avail_idx = base;
+            q.used_idx = base;
+            q.last_avail_idx = base;
+            q.last_used_idx = base;
+            q.avail_event = base;
+            q.used_event = base;
+            let mut next = 0u32;
+            for op in ops {
+                match op {
+                    0 | 1 => {
+                        if q.driver_add(next).is_ok() {
+                            next += 1;
+                        }
+                    }
+                    2 => {
+                        if let Some(p) = q.device_pop() {
+                            q.device_push_used(p);
+                        }
+                    }
+                    3 => {
+                        q.driver_take_used();
+                    }
+                    4 => q.device_disable_notify(),
+                    _ => {
+                        q.device_enable_notify();
+                    }
+                }
+            }
+            if quarantined == 0 {
+                q.quarantine();
+            }
+            let placements = (-i32::from(SIZE)..=i32::from(SIZE)).chain([0x8000]);
+            for suppressed in [false, true] {
+                for d in placements.clone() {
+                    let mut start = q.clone();
+                    start.used_flags_no_notify = suppressed;
+                    start.avail_event = start.avail_idx.wrapping_add(d as u16);
+                    for n in 0..=start.num_free() + 1 {
+                        let mut one = start.clone();
+                        let mut kicks = 0;
+                        let mut refused = false;
+                        for _ in 0..n {
+                            match one.driver_add(7) {
+                                Ok(KickDecision::Kick) => kicks += 1,
+                                Ok(KickDecision::NoKick) => {}
+                                Err(_) => refused = true,
+                            }
+                        }
+                        let mut batch = start.clone();
+                        match batch.driver_add_n(n, 7) {
+                            Ok(k) => {
+                                prop_assert!(!refused);
+                                prop_assert_eq!(k, kicks, "n {} avail_event at {:+}", n, d);
+                                prop_assert_eq!(ledger(&batch), ledger(&one));
+                                prop_assert_eq!(&batch.avail, &one.avail);
+                                prop_assert_eq!(batch.driver_add(8), one.driver_add(8));
+                            }
+                            Err(p) => {
+                                prop_assert_eq!(p, 7);
+                                prop_assert!(start.broken || n > start.num_free());
+                                prop_assert_eq!(ledger(&batch), ledger(&start));
+                                prop_assert_eq!(&batch.avail, &start.avail);
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -1,14 +1,19 @@
 #!/usr/bin/env sh
-# Tier-1 verification: release build, full test suite, clippy at zero
-# warnings over every target (tests and benches included) with default
-# and with all features, the end-to-end self-check, the bench gate and
-# the benchmark's model pins.
+# Tier-1 verification: rustfmt layout, release build, full test suite,
+# clippy at zero warnings over every target (tests and benches included)
+# with default and with all features, the end-to-end self-check, the
+# bench gate and the benchmark's model pins.
 # Run from the repository root.
 #
 # Sweep parallelism respects ES2_THREADS (default: all cores). It
 # changes wall time only: results are bitwise identical at any thread
 # count, which `repro selfcheck` below checks.
 set -eux
+
+# Formatting gate: the workspace (and the vendored crates it builds) is
+# kept in rustfmt's layout. perfbench/ is a separate workspace, so this
+# step neither checks nor touches it.
+cargo fmt --all -- --check
 
 cargo build --release
 cargo test -q
