@@ -412,26 +412,19 @@ impl TelemetryRecorder {
         }
     }
 
-    fn vm_row(&mut self, vm: u32, k: u64) -> &mut VmWin {
-        row_at(&mut self.windows, &mut self.open_vms[vm as usize], vm, k)
-    }
-
-    fn worker_row(&mut self, slot: u32, k: u64) -> &mut WorkerWin {
-        row_at(
-            &mut self.windows,
-            &mut self.open_workers[slot as usize],
-            slot,
-            k,
-        )
-    }
-
     fn vm_win(&mut self, vm: u32, at_ns: u64) -> &mut VmWin {
-        self.vm_row(vm, at_ns / WINDOW_NS)
+        let open = &mut self.open_vms[vm as usize];
+        row_at(&mut self.windows, open, vm, at_ns / WINDOW_NS)
+    }
+
+    fn worker_slot_win(&mut self, slot: u32, at_ns: u64) -> &mut WorkerWin {
+        let open = &mut self.open_workers[slot as usize];
+        row_at(&mut self.windows, open, slot, at_ns / WINDOW_NS)
     }
 
     fn worker_win(&mut self, vm: u32, worker: usize, at_ns: u64) -> &mut WorkerWin {
         let slot = self.worker_slot(vm, worker);
-        self.worker_row(slot, at_ns / WINDOW_NS)
+        self.worker_slot_win(slot, at_ns)
     }
 
     fn worker_slot(&self, vm: u32, worker: usize) -> u32 {
@@ -440,7 +433,8 @@ impl TelemetryRecorder {
     }
 
     /// Distribute the interval `[from_ns, to_ns)` across every window it
-    /// overlaps, calling `add(self, window index, overlap_ns)` per window.
+    /// overlaps, calling `add(self, overlap_start_ns, overlap_ns)` per
+    /// window.
     fn slice_interval<F: FnMut(&mut Self, u64, u64)>(
         &mut self,
         from_ns: u64,
@@ -455,7 +449,7 @@ impl TelemetryRecorder {
         while k <= last_k {
             let lo = from_ns.max(k * WINDOW_NS);
             let hi = to_ns.min((k + 1) * WINDOW_NS);
-            add(self, k, hi - lo);
+            add(self, lo, hi - lo);
             k += 1;
         }
     }
@@ -472,8 +466,8 @@ impl TelemetryRecorder {
     /// Guest-mode residency `[from_ns, to_ns)` for one of `vm`'s vCPUs,
     /// sliced across window boundaries.
     pub fn record_guest_slice(&mut self, vm: u32, from_ns: u64, to_ns: u64) {
-        self.slice_interval(from_ns, to_ns, |r, k, ns| {
-            r.vm_row(vm, k).guest_ns += ns;
+        self.slice_interval(from_ns, to_ns, |r, at_ns, ns| {
+            r.vm_win(vm, at_ns).guest_ns += ns;
         });
     }
 
@@ -543,8 +537,8 @@ impl TelemetryRecorder {
     /// window boundaries.
     pub fn record_worker_slice(&mut self, vm: u32, worker: usize, from_ns: u64, to_ns: u64) {
         let slot = self.worker_slot(vm, worker);
-        self.slice_interval(from_ns, to_ns, |r, k, ns| {
-            r.worker_row(slot, k).on_core_ns += ns;
+        self.slice_interval(from_ns, to_ns, |r, at_ns, ns| {
+            r.worker_slot_win(slot, at_ns).on_core_ns += ns;
         });
     }
 
