@@ -4,9 +4,10 @@
 //! kicks (a token-bucket rate limit on I/O-instruction exits reaching the
 //! vhost worker) and vhost service (a per-window request budget in the
 //! hybrid poll loop). Work that is shed or deferred by either mechanism is
-//! counted here so experiments can show *where* an overloaded VM's
+//! reported here so experiments can show *where* an overloaded VM's
 //! excess load went — it must land on the misbehaving VM itself, never on
-//! its neighbors.
+//! its neighbors. The testbed counts each event once, in the VM's own
+//! ledger, and builds this value from it at the end of a run.
 
 /// Counters for one VM's backpressure interactions (all zero when the
 /// throttles are disabled or never triggered).

@@ -7,9 +7,7 @@
 //!   of each VM entry and exit, and then dividing the result by the total
 //!   elapsed time"),
 //! * [`histogram`] — log-linear latency histograms (span stages, and the
-//!   quantiles of a [`summary`]),
-//! * [`summary`] — latency summary: histogram quantiles beside an exact
-//!   mean and maximum (rx latency),
+//!   rx-latency p99 of the testbed's per-VM ledger),
 //! * [`modes`] — per-VM interrupt delivery-mode counts (posted vs
 //!   emulated, and the degradations between them),
 //! * [`span`] — the event-path flight recorder: per-interrupt causal
@@ -17,7 +15,9 @@
 //! * [`telemetry`] — the windowed telemetry pipeline: fixed-width
 //!   sim-time windows of per-VM/per-queue/per-worker gauges, the SLO
 //!   burn-rate engine and the causal annotation stream (`repro
-//!   --telemetry`),
+//!   --telemetry`). Its per-VM row type, [`telemetry::VmWin`], defines
+//!   how each per-VM fact changes a row; the testbed's per-VM ledger
+//!   counts in the same type,
 //! * [`table`] — plain-text table rendering for the repro binaries,
 //! * [`json`] — the JSON value type, writer and reader behind every
 //!   `BENCH_*.json` artifact, the Chrome-trace exports and the CI
@@ -33,7 +33,6 @@ pub mod histogram;
 pub mod json;
 pub mod modes;
 pub mod span;
-pub mod summary;
 pub mod table;
 pub mod telemetry;
 pub mod tig;
@@ -42,7 +41,6 @@ pub use backpressure::BackpressureStats;
 pub use histogram::Histogram;
 pub use modes::{ModeAccounting, VmModeCounts};
 pub use span::{SpanNotes, SpanRecorder, SpanReport, Stage};
-pub use summary::LatencySummary;
 pub use table::Table;
 pub use telemetry::{
     Annotation, BurnAlert, SloBreach, SloMetric, SloSpec, TelemetryGeometry, TelemetryRecorder,

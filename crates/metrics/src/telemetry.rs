@@ -196,6 +196,46 @@ impl VmWin {
     pub fn exits_total(&self) -> u64 {
         self.exits.iter().sum()
     }
+
+    /// One VM exit of kind `kind`.
+    #[inline]
+    pub fn exit(&mut self, kind: usize) {
+        self.exits[kind] += 1;
+    }
+
+    /// One MSI injection: `posted` = exit-less posted path, otherwise
+    /// the emulated (exit-taking) path.
+    #[inline]
+    pub fn msi(&mut self, posted: bool) {
+        if posted {
+            self.msi_posted += 1;
+        } else {
+            self.msi_emulated += 1;
+        }
+    }
+
+    /// One rx completion of `bytes` into the guest ring.
+    #[inline]
+    pub fn rx(&mut self, bytes: u64) {
+        self.rx_bytes += bytes;
+        self.rx_pkts += 1;
+    }
+
+    /// One tx completion of `bytes` onto the wire.
+    #[inline]
+    pub fn tx(&mut self, bytes: u64) {
+        self.tx_bytes += bytes;
+        self.tx_pkts += 1;
+    }
+
+    /// One end-to-end rx latency sample of `ns` nanoseconds.
+    #[inline]
+    pub fn rx_latency(&mut self, ns: u64) {
+        self.rx_lat_count += 1;
+        self.rx_lat_sum_ns += ns;
+        self.rx_lat_max_ns = self.rx_lat_max_ns.max(ns);
+        self.rx_lat_buckets[rx_bucket(ns)] += 1;
+    }
 }
 
 impl Row for VmWin {
@@ -375,10 +415,10 @@ fn row_at<'a, R: Row>(
     &mut open.get_or_insert_with(|| (k, R::blank(key))).1
 }
 
-/// The windowed telemetry recorder. One per machine; all
-/// hooks take raw sim-time nanoseconds and update the window the instant
-/// falls into. Intervals (guest residency, worker on-core time) are
-/// sliced across every window they overlap.
+/// The windowed telemetry recorder. One per machine. A VM fact lands in
+/// the row [`vm_row`](Self::vm_row) returns for its instant, through
+/// that row's [`VmWin`] update; intervals (guest residency, worker
+/// on-core time) are sliced across every window they overlap.
 ///
 /// Each VM and each worker keeps its row for the latest window it
 /// recorded in beside the window list, and folds it in when it records
@@ -392,6 +432,8 @@ pub struct TelemetryRecorder {
     open_vms: Vec<Option<(u64, VmWin)>>,
     /// Per worker slot: its row for the latest window it recorded in.
     open_workers: Vec<Option<(u64, WorkerWin)>>,
+    /// Per worker slot: start of the on-core interval in progress.
+    on_core_since: Vec<Option<u64>>,
     annotations: Vec<Annotation>,
     ann_capacity: usize,
     ann_dropped: u64,
@@ -401,18 +443,22 @@ impl TelemetryRecorder {
     /// A recorder for the given geometry with room for `ann_capacity`
     /// annotations (drops past capacity are counted, not silent).
     pub fn new(geom: TelemetryGeometry, ann_capacity: usize) -> Self {
+        let workers = geom.num_vms * geom.workers_per_vm;
         TelemetryRecorder {
             geom,
             windows: Vec::new(),
             open_vms: vec![None; geom.num_vms],
-            open_workers: vec![None; geom.num_vms * geom.workers_per_vm],
+            open_workers: vec![None; workers],
+            on_core_since: vec![None; workers],
             annotations: Vec::new(),
             ann_capacity,
             ann_dropped: 0,
         }
     }
 
-    fn vm_win(&mut self, vm: u32, at_ns: u64) -> &mut VmWin {
+    /// `vm`'s row for the window holding `at_ns` (sim-time ns): a fact
+    /// recorded there is one of the row's [`VmWin`] updates.
+    pub fn vm_row(&mut self, vm: u32, at_ns: u64) -> &mut VmWin {
         let open = &mut self.open_vms[vm as usize];
         row_at(&mut self.windows, open, vm, at_ns / WINDOW_NS)
     }
@@ -455,88 +501,37 @@ impl TelemetryRecorder {
     }
 
     // ------------------------------------------------------------------
-    // Gauge hooks (all sim-time ns, all strictly observational)
+    // Interval and worker hooks (all sim-time ns, all strictly
+    // observational)
     // ------------------------------------------------------------------
-
-    /// One VM exit of kind `kind` at `at_ns`.
-    pub fn record_exit(&mut self, vm: u32, kind: usize, at_ns: u64) {
-        self.vm_win(vm, at_ns).exits[kind] += 1;
-    }
 
     /// Guest-mode residency `[from_ns, to_ns)` for one of `vm`'s vCPUs,
     /// sliced across window boundaries.
     pub fn record_guest_slice(&mut self, vm: u32, from_ns: u64, to_ns: u64) {
         self.slice_interval(from_ns, to_ns, |r, at_ns, ns| {
-            r.vm_win(vm, at_ns).guest_ns += ns;
+            r.vm_row(vm, at_ns).guest_ns += ns;
         });
     }
 
-    /// One MSI injection: `posted` = exit-less posted path, otherwise
-    /// the emulated (exit-taking) path.
-    pub fn record_msi(&mut self, vm: u32, at_ns: u64, posted: bool) {
-        let row = self.vm_win(vm, at_ns);
-        if posted {
-            row.msi_posted += 1;
-        } else {
-            row.msi_emulated += 1;
+    /// Worker `worker` of `vm` went on-core at `at_ns`; a worker already
+    /// on-core keeps its earlier start.
+    pub fn worker_on_core(&mut self, vm: u32, worker: usize, at_ns: u64) {
+        let slot = self.worker_slot(vm, worker) as usize;
+        self.on_core_since[slot].get_or_insert(at_ns);
+    }
+
+    /// Worker `worker` of `vm` went off-core at `at_ns`: its on-core
+    /// interval, if one is in progress, is sliced into windows.
+    pub fn worker_off_core(&mut self, vm: u32, worker: usize, at_ns: u64) {
+        let slot = self.worker_slot(vm, worker);
+        if let Some(since) = self.on_core_since[slot as usize].take() {
+            self.worker_slice(slot, since, at_ns);
         }
     }
 
-    /// One MSI whose target was chosen by ES2 redirection (counted
-    /// separately from the injection path — a redirected MSI still
-    /// lands as posted or emulated).
-    pub fn record_msi_redirected(&mut self, vm: u32, at_ns: u64) {
-        self.vm_win(vm, at_ns).msi_redirected += 1;
-    }
-
-    /// Rx completion of `bytes` into the guest ring.
-    pub fn record_rx(&mut self, vm: u32, at_ns: u64, bytes: u64) {
-        let row = self.vm_win(vm, at_ns);
-        row.rx_bytes += bytes;
-        row.rx_pkts += 1;
-    }
-
-    /// Tx completion onto the wire.
-    pub fn record_tx(&mut self, vm: u32, at_ns: u64, bytes: u64) {
-        let row = self.vm_win(vm, at_ns);
-        row.tx_bytes += bytes;
-        row.tx_pkts += 1;
-    }
-
-    /// One end-to-end rx latency sample (ns).
-    pub fn record_rx_latency(&mut self, vm: u32, at_ns: u64, lat_ns: u64) {
-        let b = rx_bucket(lat_ns);
-        let row = self.vm_win(vm, at_ns);
-        row.rx_lat_count += 1;
-        row.rx_lat_sum_ns += lat_ns;
-        row.rx_lat_max_ns = row.rx_lat_max_ns.max(lat_ns);
-        row.rx_lat_buckets[b] += 1;
-    }
-
-    /// One kick deferred by GCRA backpressure.
-    pub fn record_throttled_kick(&mut self, vm: u32, at_ns: u64) {
-        self.vm_win(vm, at_ns).throttled_kicks += 1;
-    }
-
-    /// One vhost turn cut short by the service budget.
-    pub fn record_budget_deferral(&mut self, vm: u32, at_ns: u64) {
-        self.vm_win(vm, at_ns).budget_deferrals += 1;
-    }
-
-    /// One queue quarantined.
-    pub fn record_quarantine(&mut self, vm: u32, at_ns: u64) {
-        self.vm_win(vm, at_ns).quarantines += 1;
-    }
-
-    /// One guest queue reset completed.
-    pub fn record_reset(&mut self, vm: u32, at_ns: u64) {
-        self.vm_win(vm, at_ns).resets += 1;
-    }
-
-    /// Worker on-core residency `[from_ns, to_ns)`, sliced across
-    /// window boundaries.
-    pub fn record_worker_slice(&mut self, vm: u32, worker: usize, from_ns: u64, to_ns: u64) {
-        let slot = self.worker_slot(vm, worker);
+    /// On-core residency `[from_ns, to_ns)` of worker `slot`, sliced
+    /// across window boundaries.
+    fn worker_slice(&mut self, slot: u32, from_ns: u64, to_ns: u64) {
         self.slice_interval(from_ns, to_ns, |r, at_ns, ns| {
             r.worker_slot_win(slot, at_ns).on_core_ns += ns;
         });
@@ -568,10 +563,15 @@ impl TelemetryRecorder {
         }
     }
 
-    /// Finish recording and produce the immutable report. Annotations
-    /// are sorted by `(time, vm, kind, arg)` so standalone and
-    /// host-merged runs render identically.
-    pub fn finish(self) -> TelemetryReport {
+    /// Close every worker interval still on-core at `end_ns` and produce
+    /// the immutable report. Annotations are sorted by `(time, vm, kind,
+    /// arg)` so standalone and host-merged runs render identically.
+    pub fn finish(mut self, end_ns: u64) -> TelemetryReport {
+        for slot in 0..self.on_core_since.len() {
+            if let Some(since) = self.on_core_since[slot].take() {
+                self.worker_slice(slot as u32, since, end_ns);
+            }
+        }
         let mut windows = self.windows;
         for (k, row) in self.open_vms.iter().flatten() {
             fold(&mut windows, *k, row);
@@ -1038,9 +1038,9 @@ mod tests {
     #[test]
     fn window_assignment_is_half_open() {
         let mut r = TelemetryRecorder::new(geom(1), 16);
-        r.record_exit(0, 0, 999_999);
-        r.record_exit(0, 0, 1_000_000);
-        let rep = r.finish();
+        r.vm_row(0, 999_999).exit(0);
+        r.vm_row(0, 1_000_000).exit(0);
+        let rep = r.finish(0);
         assert_eq!(rep.windows.len(), 2);
         assert_eq!(rep.windows[0].idx, 0);
         assert_eq!(rep.windows[1].idx, 1);
@@ -1053,16 +1053,16 @@ mod tests {
         let mut r = TelemetryRecorder::new(geom(1), 16);
         // [0.5ms, 2.25ms): 0.5ms in w0, 1ms in w1, 0.25ms in w2.
         r.record_guest_slice(0, 500_000, 2_250_000);
-        let rep = r.finish();
+        let rep = r.finish(0);
         assert_eq!(rep.windows.len(), 3);
         assert_eq!(rep.windows[0].vms[0].guest_ns, 500_000);
         assert_eq!(rep.windows[1].vms[0].guest_ns, 1_000_000);
         assert_eq!(rep.windows[2].vms[0].guest_ns, 250_000);
         // Backfill after a later touch must land in the right window.
         let mut r = TelemetryRecorder::new(geom(1), 16);
-        r.record_exit(0, 1, 5_100_000);
+        r.vm_row(0, 5_100_000).exit(1);
         r.record_guest_slice(0, 4_900_000, 5_100_000);
-        let rep = r.finish();
+        let rep = r.finish(0);
         assert_eq!(rep.windows[0].idx, 4);
         assert_eq!(rep.windows[0].vms[0].guest_ns, 100_000);
         assert_eq!(rep.windows[1].vms[0].guest_ns, 100_000);
@@ -1077,10 +1077,10 @@ mod tests {
         assert_eq!(rx_bucket(1_000_000), RX_BUCKETS - 1);
         let mut r = TelemetryRecorder::new(geom(1), 16);
         for _ in 0..99 {
-            r.record_rx_latency(0, 10, 10_000); // bucket ≤16µs
+            r.vm_row(0, 10).rx_latency(10_000); // bucket ≤16µs
         }
-        r.record_rx_latency(0, 10, 700_000); // overflow bucket
-        let rep = r.finish();
+        r.vm_row(0, 10).rx_latency(700_000); // overflow bucket
+        let rep = r.finish(0);
         let w = &rep.windows[0];
         assert_eq!(w.vms[0].rx_lat_count, 100);
         assert_eq!(rep.fleet_rx_quantile_us(w, 0.5), 16.0);
@@ -1094,16 +1094,16 @@ mod tests {
         // host A until 1 ms, then on host B (the migration picture).
         let mut a = TelemetryRecorder::new(geom(2), 16);
         a.record_guest_slice(0, 0, 800_000);
-        a.record_exit(0, 0, 100);
+        a.vm_row(0, 100).exit(0);
         a.record_worker_pending(0, 1, 100, 5);
         a.annotate(900_000, 0, "migrate-start", 0);
         let mut b = TelemetryRecorder::new(geom(2), 16);
         b.record_guest_slice(0, 1_200_000, 1_700_000);
-        b.record_exit(0, 0, 1_300_000);
+        b.vm_row(0, 1_300_000).exit(0);
         b.record_worker_pending(0, 1, 1_300_000, 3);
         b.annotate(1_200_000, 0, "migrate-arrive", 0);
-        let mut rep = a.finish();
-        rep.overlay(b.finish());
+        let mut rep = a.finish(0);
+        rep.overlay(b.finish(0));
         assert_eq!(rep.geom.num_vms, 2);
         assert_eq!(rep.windows.len(), 2);
         assert_eq!(rep.windows[0].vms[0].guest_ns, 800_000);
@@ -1131,11 +1131,11 @@ mod tests {
                 10_000
             };
             for _ in 0..50 {
-                r.record_rx_latency(0, at, lat);
+                r.vm_row(0, at).rx_latency(lat);
             }
         }
         r.annotate(9_500_000, 0, "host-degraded", 7);
-        let rep = r.finish();
+        let rep = r.finish(0);
         let spec = SloSpec {
             name: "rx-p99",
             metric: SloMetric::RxP99Us,
@@ -1167,10 +1167,10 @@ mod tests {
             let at = k * 1_000_000 + 1;
             let (lat, n) = if k == 3 { (200_000, 100) } else { (4_000, 1) };
             for _ in 0..n {
-                r.record_rx_latency(0, at, lat);
+                r.vm_row(0, at).rx_latency(lat);
             }
         }
-        let rep = r.finish();
+        let rep = r.finish(0);
         let spec = SloSpec {
             name: "rx-p99-3w",
             metric: SloMetric::RxP99Us,
@@ -1192,7 +1192,7 @@ mod tests {
         r.record_guest_slice(0, 0, 900_000); // w0: 90 %
         r.record_guest_slice(0, 1_000_000, 1_100_000); // w1: 10 %
         r.record_guest_slice(0, 2_000_000, 2_950_000); // w2: 95 %
-        let rep = r.finish();
+        let rep = r.finish(0);
         let spec = SloSpec {
             name: "tig",
             metric: SloMetric::TigPct,
@@ -1213,9 +1213,9 @@ mod tests {
         for k in 0..30u64 {
             let at = k * 1_000_000 + 1;
             let lat = if (5..15).contains(&k) { 150_000 } else { 4_000 };
-            r.record_rx_latency(0, at, lat);
+            r.vm_row(0, at).rx_latency(lat);
         }
-        let rep = r.finish();
+        let rep = r.finish(0);
         let spec = SloSpec {
             name: "rx-p99",
             metric: SloMetric::RxP99Us,
@@ -1230,10 +1230,10 @@ mod tests {
         // A clean run never alerts.
         let mut clean = TelemetryRecorder::new(geom(1), 16);
         for k in 0..30u64 {
-            clean.record_rx_latency(0, k * 1_000_000 + 1, 4_000);
+            clean.vm_row(0, k * 1_000_000 + 1).rx_latency(4_000);
         }
         assert!(clean
-            .finish()
+            .finish(0)
             .burn_alerts(&spec, 3, 10, 0.01, 10.0)
             .is_empty());
     }
@@ -1244,7 +1244,7 @@ mod tests {
         for i in 0..5 {
             r.annotate(i, 0, "quarantine", i);
         }
-        let rep = r.finish();
+        let rep = r.finish(0);
         assert_eq!(rep.annotations.len(), 2);
         assert_eq!(rep.ann_dropped, 3);
     }
@@ -1253,9 +1253,9 @@ mod tests {
     fn chrome_counter_export_shape() {
         let mut r = TelemetryRecorder::new(geom(1), 16);
         r.record_guest_slice(0, 0, 500_000);
-        r.record_rx_latency(0, 100, 10_000);
+        r.vm_row(0, 100).rx_latency(10_000);
         r.annotate(200_000, 0, "migrate-start", 3);
-        let rep = r.finish();
+        let rep = r.finish(0);
         let json = rep.merged_chrome_trace(None).to_string();
         assert!(json.contains("\"ph\": \"C\""), "{json}");
         assert!(json.contains("fleet-tig-pct"), "{json}");
@@ -1267,11 +1267,13 @@ mod tests {
     #[test]
     fn worker_rows_track_occupancy_and_backlog() {
         let mut r = TelemetryRecorder::new(geom(2), 16);
-        r.record_worker_slice(1, 1, 900_000, 1_200_000);
+        r.worker_on_core(1, 1, 900_000);
+        r.worker_on_core(1, 1, 950_000); // already on-core: keeps the start
+        r.worker_off_core(1, 1, 1_200_000);
         r.record_worker_pending(1, 1, 950_000, 3);
         r.record_worker_pending(1, 1, 960_000, 1);
         r.record_worker_turn(1, 1, 950_000);
-        let rep = r.finish();
+        let rep = r.finish(0);
         let slot = 2 + 1; // vm 1 * workers_per_vm 2 + worker 1
         assert_eq!(worker(&rep.windows[0], slot).on_core_ns, 100_000);
         assert_eq!(worker(&rep.windows[1], slot).on_core_ns, 200_000);
@@ -1285,6 +1287,19 @@ mod tests {
         assert_eq!(rep.fleet_pending_hwm(&rep.windows[0]), 3);
     }
 
+    #[test]
+    fn finish_closes_open_intervals() {
+        let mut r = TelemetryRecorder::new(geom(2), 16);
+        r.worker_on_core(0, 1, 800_000);
+        let rep = r.finish(1_200_000);
+        assert_eq!(rep.windows.len(), 2);
+        // Worker (0,1) on-core 0.2ms + 0.2ms; no other worker has a row.
+        for w in &rep.windows {
+            assert_eq!(w.workers.len(), 1);
+            assert_eq!((w.workers[0].slot, w.workers[0].on_core_ns), (1, 200_000));
+        }
+    }
+
     /// One record call for the property test: `(hook, vm, at_ns, arg)`,
     /// where `arg` is an interval length, a latency, a byte count, a
     /// depth or a worker index, by hook.
@@ -1293,18 +1308,21 @@ mod tests {
     fn record(r: &mut TelemetryRecorder, (hook, vm, at, arg): Op) {
         let w = (arg % 3) as usize; // the recorder clamps it to the last worker
         match hook {
-            0 => r.record_exit(vm, (arg % EXIT_KINDS as u64) as usize, at),
+            0 => r.vm_row(vm, at).exit((arg % EXIT_KINDS as u64) as usize),
             1 => r.record_guest_slice(vm, at, at + arg),
-            2 => r.record_msi(vm, at, arg % 2 == 0),
-            3 => r.record_msi_redirected(vm, at),
-            4 => r.record_rx(vm, at, arg % 1500),
-            5 => r.record_tx(vm, at, arg % 1500),
-            6 => r.record_rx_latency(vm, at, arg),
-            7 => r.record_throttled_kick(vm, at),
-            8 => r.record_budget_deferral(vm, at),
-            9 => r.record_quarantine(vm, at),
-            10 => r.record_reset(vm, at),
-            11 => r.record_worker_slice(vm, w, at, at + arg),
+            2 => r.vm_row(vm, at).msi(arg % 2 == 0),
+            3 => r.vm_row(vm, at).msi_redirected += 1,
+            4 => r.vm_row(vm, at).rx(arg % 1500),
+            5 => r.vm_row(vm, at).tx(arg % 1500),
+            6 => r.vm_row(vm, at).rx_latency(arg),
+            7 => r.vm_row(vm, at).throttled_kicks += 1,
+            8 => r.vm_row(vm, at).budget_deferrals += 1,
+            9 => r.vm_row(vm, at).quarantines += 1,
+            10 => r.vm_row(vm, at).resets += 1,
+            11 => {
+                r.worker_on_core(vm, w, at);
+                r.worker_off_core(vm, w, at + arg);
+            }
             12 => r.record_worker_pending(vm, w, at, arg % 40),
             _ => r.record_worker_turn(vm, w, at),
         }
@@ -1532,10 +1550,10 @@ mod tests {
                 record(&mut one, op);
                 record(&mut hosts[i % 2], op);
             }
-            assert_same(&one.finish(), &dense);
+            assert_same(&one.finish(0), &dense);
             let [a, b] = hosts;
-            let mut merged = a.finish();
-            merged.overlay(b.finish());
+            let mut merged = a.finish(0);
+            merged.overlay(b.finish(0));
             assert_same(&merged, &dense);
         }
     }

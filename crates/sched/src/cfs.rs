@@ -16,28 +16,27 @@ use es2_sim::{SimDuration, SimTime};
 use crate::entity::{CoreId, SchedEntity, ThreadId, ThreadState};
 use crate::weights::{nice_to_weight, scale_delta};
 
+/// Minimal preemption granularity (Linux default for a ~8-CPU machine,
+/// the `log2(ncpus)` boot scaling included).
+const MIN_GRANULARITY: SimDuration = SimDuration::from_millis(3);
+/// Wakeup preemption hysteresis (same scaling).
+const WAKEUP_GRANULARITY: SimDuration = SimDuration::from_millis(4);
+/// Periodic tick (CONFIG_HZ=1000).
+pub const TICK_PERIOD: SimDuration = SimDuration::from_millis(1);
+
 /// Tunable scheduler parameters (defaults follow Linux 4.x on small SMP).
 #[derive(Clone, Copy, Debug)]
 pub struct SchedParams {
     /// Targeted preemption latency for CPU-bound tasks.
     pub sched_latency: SimDuration,
-    /// Minimal preemption granularity.
-    pub min_granularity: SimDuration,
-    /// Wakeup preemption hysteresis.
-    pub wakeup_granularity: SimDuration,
-    /// Periodic tick (CONFIG_HZ).
-    pub tick_period: SimDuration,
 }
 
 impl Default for SchedParams {
     fn default() -> Self {
-        // Linux defaults for a ~8-CPU machine (values already include the
-        // log2(ncpus) scaling factor the kernel applies at boot).
+        // Linux default for a ~8-CPU machine (the value already includes
+        // the log2(ncpus) scaling factor the kernel applies at boot).
         SchedParams {
             sched_latency: SimDuration::from_millis(24),
-            min_granularity: SimDuration::from_millis(3),
-            wakeup_granularity: SimDuration::from_millis(4),
-            tick_period: SimDuration::from_millis(1),
         }
     }
 }
@@ -236,7 +235,7 @@ impl CfsScheduler {
         let rq = &self.cores[core.idx()];
         let nr = rq.nr_running.max(1) as u64;
         let latency = self.params.sched_latency.as_nanos();
-        let min_gran = self.params.min_granularity.as_nanos();
+        let min_gran = MIN_GRANULARITY.as_nanos();
         let period = latency.max(min_gran * nr);
         let w = self.threads[t.idx()].weight as u64;
         let total = rq.total_weight.max(w);
@@ -309,10 +308,7 @@ impl CfsScheduler {
                 // check_preempt_wakeup: preempt if the woken entity is
                 // behind the current one by more than the (weight-scaled)
                 // wakeup granularity.
-                let gran = scale_delta(
-                    self.params.wakeup_granularity.as_nanos(),
-                    self.threads[t.idx()].weight,
-                );
+                let gran = scale_delta(WAKEUP_GRANULARITY.as_nanos(), self.threads[t.idx()].weight);
                 let cur_v = self.threads[cur.idx()].vruntime;
                 let new_v = self.threads[t.idx()].vruntime;
                 if cur_v > new_v.saturating_add(gran) {
@@ -409,7 +405,7 @@ impl CfsScheduler {
         let cur_v = self.threads[cur.idx()].vruntime;
 
         let over_slice = ran >= slice;
-        let under_min_gran = ran < self.params.min_granularity;
+        let under_min_gran = ran < MIN_GRANULARITY;
         let far_ahead = cur_v > leftmost_v.saturating_add(slice.as_nanos());
 
         if over_slice || (!under_min_gran && far_ahead) {
@@ -579,7 +575,7 @@ mod tests {
         drive_ticks(&mut s, CoreId(0), 0, 2000);
         let rh = s.entity(hog).sum_exec.as_millis_f64();
         let ri = s.entity(io).sum_exec.as_millis_f64();
-        // weight 15 vs 1024 => ~1.4% share, but min_granularity guarantees
+        // weight 15 vs 1024 => ~1.4% share, but MIN_GRANULARITY guarantees
         // the hog some slices; accept < 12%.
         let share = rh / (rh + ri);
         assert!(share < 0.12, "hog share={share}");
@@ -660,7 +656,7 @@ mod tests {
 
     #[test]
     fn min_gran_prevents_thrashing() {
-        // Immediately after a switch, a tick within min_granularity must not
+        // Immediately after a switch, a tick within MIN_GRANULARITY must not
         // switch again even if vruntimes are close.
         let mut s = CfsScheduler::new(1, SchedParams::default());
         let a = s.add_thread(NICE0, CoreId(0));

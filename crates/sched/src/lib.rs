@@ -12,8 +12,8 @@
 //!   `sched_prio_to_weight` table, so the "lowest-priority CPU-burn scripts"
 //!   of §VI consume only leftover time),
 //! * a periodic **tick** that enforces each entity's timeslice
-//!   (`sched_latency` split by weight, floored at `min_granularity`),
-//! * **wakeup preemption** with `wakeup_granularity` hysteresis and sleeper
+//!   (`sched_latency` split by weight, floored at `MIN_GRANULARITY`),
+//! * **wakeup preemption** with `WAKEUP_GRANULARITY` hysteresis and sleeper
 //!   vruntime placement, so I/O threads (vhost workers) preempt CPU hogs
 //!   promptly — the property the hybrid handler's notification mode relies
 //!   on,
@@ -30,5 +30,5 @@ pub mod cfs;
 pub mod entity;
 mod weights;
 
-pub use cfs::{CfsScheduler, SchedParams, Switch};
+pub use cfs::{CfsScheduler, SchedParams, Switch, TICK_PERIOD};
 pub use entity::{CoreId, ThreadId, ThreadState};

@@ -3,8 +3,10 @@
 //! Experiment sweeps are embarrassingly parallel: each run is a pure
 //! function of its `(config, params, seed)` spec, so independent runs can
 //! execute on different OS threads with **bitwise identical** output to
-//! the serial order — results are written into a slot per input index and
-//! reassembled in order, never in completion order.
+//! the serial order — each worker hands back its `(index, result)` pairs
+//! when it is joined, and the caller places them by index, never in
+//! completion order. A job's panic reaches the caller with its own
+//! payload.
 //!
 //! Built on `std::thread::scope` with an atomic self-scheduling work
 //! index (no external crates): each worker repeatedly claims the next
@@ -32,7 +34,7 @@
 //! threads, so a check that compares a serial run against a parallel
 //! one can tell whether the parallel run was parallel at all.
 
-use std::cell::{Cell, UnsafeCell};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -87,39 +89,6 @@ fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// A pre-allocated, write-once result slot array.
-///
-/// Each index is written by exactly one worker (the one that claimed it
-/// from the atomic work index) and read only after `thread::scope` joins
-/// every worker, so no per-slot lock is needed: claim disjointness makes
-/// the writes race-free and the scope join is the happens-before edge
-/// that publishes them to the collecting thread.
-struct Slots<R>(Vec<UnsafeCell<Option<R>>>);
-
-// SAFETY: see the invariants above — disjoint writes (unique fetch_add
-// claims), reads only after the writers have been joined.
-unsafe impl<R: Send> Sync for Slots<R> {}
-
-impl<R> Slots<R> {
-    fn new(n: usize) -> Self {
-        Slots((0..n).map(|_| UnsafeCell::new(None)).collect())
-    }
-
-    /// Store the result for slot `i`.
-    ///
-    /// SAFETY (caller): `i` must be claimed by exactly one worker, once.
-    unsafe fn put(&self, i: usize, r: R) {
-        *self.0[i].get() = Some(r);
-    }
-
-    fn into_results(self) -> impl Iterator<Item = R> {
-        self.0.into_iter().map(|c| {
-            c.into_inner()
-                .expect("worker exited without storing a result")
-        })
-    }
-}
-
 /// Run `f` over every spec in `specs`, in parallel, returning results in
 /// input order.
 ///
@@ -140,25 +109,28 @@ where
 
     DISPATCHED.with(|d| d.set(d.get() + specs.len()));
     let next = AtomicUsize::new(0);
-    let slots = Slots::new(specs.len());
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= specs.len() {
-                    break;
-                }
-                let r = f(&specs[i]);
-                // SAFETY: `i` came from a unique fetch_add claim, so no
-                // other worker writes this slot; the scope join below
-                // orders the write before any read.
-                unsafe { slots.put(i, r) };
-            });
-        }
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= specs.len() {
+                            return done;
+                        }
+                        done.push((i, f(&specs[i])));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
-
-    slots.into_results().collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -211,6 +183,22 @@ mod tests {
         sweep(&[1u32, 2, 3], |&x| x);
         assert_eq!(dispatched(), before + 3, "one thread runs on the caller");
         set_threads(None);
+    }
+
+    #[test]
+    fn a_panicking_job_panics_the_sweep_with_its_payload() {
+        set_threads(Some(2));
+        let caught = std::panic::catch_unwind(|| {
+            sweep(&[1u32, 2, 3, 4], |&x| {
+                if x == 3 {
+                    std::panic::panic_any("job 3 failed");
+                }
+                x
+            })
+        });
+        set_threads(None);
+        let payload = caught.expect_err("the sweep swallowed a panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"job 3 failed"));
     }
 
     #[test]

@@ -94,8 +94,7 @@ pub(crate) fn check(m: &Machine) -> LivenessReport {
         // the watchdog's spurious re-raises coalesce in the IRR, so they
         // must never manufacture extra handled interrupts).
         let handled = vm.ledger.irqs_taken;
-        let counts = vm.ledger.modes;
-        let delivered = counts.posted + counts.emulated;
+        let delivered = vm.ledger.life.msi_posted + vm.ledger.life.msi_emulated;
         if handled > delivered {
             rep.fail(format!(
                 "vm{vmi}: handled {handled} interrupts but only {delivered} were delivered"

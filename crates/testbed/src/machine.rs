@@ -700,7 +700,7 @@ impl Machine {
         for c in 0..self.p.num_cores {
             let off = SimDuration::from_micros(37 * (c as u64 + 1));
             self.q.push(
-                SimTime::ZERO + self.p.sched.tick_period + off,
+                SimTime::ZERO + es2_sched::TICK_PERIOD + off,
                 Ev::Tick(CoreId(c)),
             );
         }
@@ -999,7 +999,7 @@ impl Machine {
                     self.apply_switch(sw);
                 }
                 self.q
-                    .push(self.now + self.p.sched.tick_period, Ev::Tick(core));
+                    .push(self.now + es2_sched::TICK_PERIOD, Ev::Tick(core));
             }
             Ev::SegDone { tid, gen } => {
                 if self.threads[tid.idx()].gen.is_current(gen) {
@@ -1231,7 +1231,7 @@ impl Machine {
         if !self.tick_armed[core.idx()] {
             self.tick_armed[core.idx()] = true;
             self.q
-                .push(self.now + self.p.sched.tick_period, Ev::Tick(core));
+                .push(self.now + es2_sched::TICK_PERIOD, Ev::Tick(core));
         }
         if let Body::Vcpu { vm, idx } = self.threads[tid.idx()].body {
             let slot = self.timer_slot(vm, idx);

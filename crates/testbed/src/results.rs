@@ -132,6 +132,7 @@ impl RunResult {
     pub(crate) fn collect(mut m: Machine) -> RunResult {
         let (spans, telemetry) = m.finish_recorders();
         let vm0 = &m.vms[0];
+        let rx = &vm0.ledger.win;
         let window = m.p.measure;
         let secs = window.as_secs_f64();
 
@@ -204,9 +205,10 @@ impl RunResult {
             .as_ref()
             .map_or(0, |mg| mg.reclaimed.iter().filter(|r| **r).count() as u32);
         for vm in &m.vms {
-            backpressure.merge(&vm.ledger.bp);
-            backpressure_per_vm.push(vm.ledger.bp);
-            rx_p99_us_per_vm.push(vm.ledger.rx.p99_us());
+            let bp = vm.ledger.backpressure();
+            backpressure.merge(&bp);
+            backpressure_per_vm.push(bp);
+            rx_p99_us_per_vm.push(vm.ledger.rx_us.p99());
             for pair in &vm.pairs {
                 quarantines_total += pair.tx.quarantine_count() + pair.rx.quarantine_count();
                 queue_resets_total += pair.tx.reset_count() + pair.rx.reset_count();
@@ -223,7 +225,7 @@ impl RunResult {
 
         RunResult {
             config: m.cfg.label(),
-            exits: vm0.ledger.exits.clone(),
+            exits: vm0.ledger.exits(),
             tig_percent: vm0.ledger.tig_percent(),
             window,
             goodput_gbps,
@@ -248,12 +250,15 @@ impl RunResult {
                 .sum(),
             parked_irqs: vm0.ledger.parked_irqs,
             migrated_irqs: vm0.ledger.migrated_irqs,
-            mean_rx_latency_us: vm0.ledger.rx.mean_us(),
-            max_rx_latency_us: vm0.ledger.rx.max_us(),
+            mean_rx_latency_us: match rx.rx_lat_count {
+                0 => 0.0,
+                n => rx.rx_lat_sum_ns as f64 / n as f64 / 1e3,
+            },
+            max_rx_latency_us: rx.rx_lat_max_ns as f64 / 1e3,
             events_simulated: m.q.pushed_total(),
             fault_stats: m.faults.stats(),
             modes: es2_metrics::ModeAccounting {
-                per_vm: m.vms.iter().map(|vm| vm.ledger.modes).collect(),
+                per_vm: m.vms.iter().map(|vm| vm.ledger.modes()).collect(),
             },
             watchdog_rekicks: vm0.ledger.watchdog_rekicks,
             watchdog_reraises: vm0.ledger.watchdog_reraises,

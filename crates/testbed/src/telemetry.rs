@@ -13,15 +13,19 @@
 //!   backpressure counts from it, and the liveness checker reads it;
 //! * the breadcrumb ring, enabled only under an active fault plan; the
 //!   liveness checker dumps it when an invariant trips;
-//! * the windowed series and its annotation stream ([`TelemetryHooks`]
-//!   around [`es2_metrics::TelemetryRecorder`]), only when
-//!   `Params::telemetry` is set. The hooks also own the vhost workers'
-//!   on-core intervals;
+//! * the windowed series and its annotation stream
+//!   ([`es2_metrics::TelemetryRecorder`]), only when `Params::telemetry`
+//!   is set. The recorder also owns the vhost workers' on-core intervals;
 //! * the span tracker ([`SpanTracker`]), only when `Params::trace` is
 //!   set. It alone correlates events with open spans: the probes hand it
 //!   where an event happened (VM, vCPU, vector, handler), never an ID.
 //!   A probe that discards pending state (a quarantine, a migration
 //!   pause, a slot rebuild) tells it which spans can no longer close.
+//!
+//! The ledger counts in the series' own row type, [`VmWin`]: a fact both
+//! keep (an exit, an MSI, an rx-latency sample, a containment action) is
+//! one `VmWin` update, applied to each row that counts it
+//! (`Machine::count`), so the two cannot disagree on what it adds.
 //!
 //! No other module reads or writes a recorder. All of them consume
 //! *sim-time* only, never touch the RNG and schedule no events (series
@@ -30,8 +34,8 @@
 
 use es2_apic::Vector;
 use es2_hypervisor::{exit_cost, ExitReason, ExitStats};
-use es2_metrics::telemetry::{TelemetryGeometry, TelemetryRecorder, TelemetryReport};
-use es2_metrics::{BackpressureStats, GuestTime, LatencySummary, SpanReport, VmModeCounts};
+use es2_metrics::telemetry::{TelemetryGeometry, TelemetryRecorder, TelemetryReport, VmWin};
+use es2_metrics::{BackpressureStats, GuestTime, Histogram, SpanReport, VmModeCounts};
 use es2_sim::trace::Tracer;
 use es2_sim::{SimDuration, SimTime};
 use es2_virtio::{HandlerId, RingError};
@@ -78,27 +82,39 @@ pub(crate) enum MsiOrigin {
 /// One VM's always-on ledger: what `perf-kvm stat` and the run's
 /// latency probes would report for it.
 ///
-/// Exits and guest time count inside the measurement window as this VM
-/// saw it open. A VM state created mid-window (a cold restart, a churn
-/// boot, the slot a migration vacates) never sees it open: its exits
-/// and guest time have no window length to be rates of. Rx-latency
-/// samples need no length, so they count whenever the machine's window
-/// is open (`Machine::note_rx_latency`). Every other count is lifetime.
+/// It counts in two rows of the series' type. `life` counts since this
+/// state was built: exits, MSI delivery modes, throttled kicks, budget
+/// deferrals, quarantines and resets. `win` counts inside the
+/// measurement window: exits while this VM saw it open, and rx-latency
+/// samples while the machine's window is open. A VM state created
+/// mid-window (a cold restart, a churn boot, the slot a migration
+/// vacates) never sees it open: its exits and guest time have no window
+/// length to be rates of. Rx-latency samples need no length
+/// (`Machine::note_rx_latency`). Beside the rows it keeps only what no
+/// row has.
 #[derive(Clone, Debug)]
 pub(crate) struct VmLedger {
     /// Start of the measurement window while it is open for this VM.
     window_open: Option<SimTime>,
-    /// Exits per reason, lifetime and windowed, and the window length.
-    pub(crate) exits: ExitStats,
-    /// Guest-mode time per vCPU.
+    /// Length of the measurement window (zero until it closes).
+    window: SimDuration,
+    /// Counts since this state was built.
+    pub(crate) life: VmWin,
+    /// Counts inside the measurement window.
+    pub(crate) win: VmWin,
+    /// Guest-mode time per vCPU: TIG is the mean of per-vCPU
+    /// percentages, which a row's summed `guest_ns` cannot give.
     guest: GuestTime,
-    /// Delivery-mode counts.
-    pub(crate) modes: VmModeCounts,
-    /// In-window rx latencies.
-    pub(crate) rx: LatencySummary,
-    /// Throttled kicks, budget deferrals, storm writes, quarantines and
-    /// resets.
-    pub(crate) bp: BackpressureStats,
+    /// In-window rx latencies in whole µs, for the exact p99.
+    pub(crate) rx_us: Histogram,
+    /// Times a vCPU of this VM degraded posted→emulated.
+    degradations: u64,
+    /// Spurious doorbell writes of a kick storm.
+    spurious_kicks: u64,
+    /// Spurious EOI writes of an EOI storm.
+    spurious_eois: u64,
+    /// Exposed buffers discarded at quarantine time.
+    quarantine_dropped: u64,
     /// Device interrupts parked on an offline vCPU by the offline-list
     /// prediction.
     pub(crate) parked_irqs: u64,
@@ -125,11 +141,15 @@ impl VmLedger {
     pub(crate) fn new(vcpus: usize) -> Self {
         VmLedger {
             window_open: None,
-            exits: ExitStats::default(),
+            window: SimDuration::ZERO,
+            life: VmWin::default(),
+            win: VmWin::default(),
             guest: GuestTime::new(vcpus),
-            modes: VmModeCounts::default(),
-            rx: LatencySummary::new(),
-            bp: BackpressureStats::default(),
+            rx_us: Histogram::new(),
+            degradations: 0,
+            spurious_kicks: 0,
+            spurious_eois: 0,
+            quarantine_dropped: 0,
             parked_irqs: 0,
             migrated_irqs: 0,
             watchdog_rekicks: 0,
@@ -151,65 +171,55 @@ impl VmLedger {
     pub(crate) fn close_window(&mut self, now: SimTime) {
         if let Some(open) = self.window_open.take() {
             self.guest.close_window(open, now);
-            self.exits.window = now.since(open);
+            self.window = now.since(open);
         }
     }
 
+    /// One exit of `reason`, in the lifetime row and, while the window is
+    /// open for this VM, in the window row.
     fn exit(&mut self, reason: ExitReason) {
-        self.exits.lifetime[reason.idx()] += 1;
+        self.life.exit(reason.idx());
         if self.window_open.is_some() {
-            self.exits.windowed[reason.idx()] += 1;
+            self.win.exit(reason.idx());
         }
     }
 
     /// Mean time-in-guest percentage across the VM's vCPUs (0 without a
     /// closed window).
     pub(crate) fn tig_percent(&self) -> f64 {
-        self.guest.percent(self.exits.window)
+        self.guest.percent(self.window)
     }
-}
 
-/// The windowed series collector; owned by `Machine` when telemetry is
-/// on.
-#[derive(Clone, Debug)]
-pub(crate) struct TelemetryHooks {
-    rec: TelemetryRecorder,
-    /// Per-(VM, worker) on-core start instant, `vm * workers + w`.
-    on_core_since: Vec<Option<u64>>,
-    workers_per_vm: usize,
-}
-
-impl TelemetryHooks {
-    /// A collector for `num_vms` VMs of `workers_per_vm` vhost workers.
-    fn new(num_vms: usize, workers_per_vm: usize) -> Self {
-        let workers = workers_per_vm.max(1);
-        let geom = TelemetryGeometry {
-            num_vms,
-            workers_per_vm: workers,
-        };
-        TelemetryHooks {
-            rec: TelemetryRecorder::new(geom, ANN_CAPACITY),
-            on_core_since: vec![None; num_vms * workers],
-            workers_per_vm: workers,
+    /// Exit counts per reason, lifetime and windowed, with the window
+    /// length.
+    pub(crate) fn exits(&self) -> ExitStats {
+        ExitStats {
+            lifetime: self.life.exits,
+            windowed: self.win.exits,
+            window: self.window,
         }
     }
 
-    #[inline]
-    fn worker_slot(&self, vm: u32, w: u32) -> usize {
-        vm as usize * self.workers_per_vm + (w as usize).min(self.workers_per_vm - 1)
+    /// Delivery-mode counts, lifetime.
+    pub(crate) fn modes(&self) -> VmModeCounts {
+        VmModeCounts {
+            posted: self.life.msi_posted,
+            emulated: self.life.msi_emulated,
+            degradations: self.degradations,
+        }
     }
 
-    /// Close every open worker interval at `end_ns` and produce the
-    /// report.
-    fn finish(mut self, end_ns: u64) -> TelemetryReport {
-        for slot in 0..self.on_core_since.len() {
-            if let Some(since) = self.on_core_since[slot].take() {
-                let vm = (slot / self.workers_per_vm) as u32;
-                let w = slot % self.workers_per_vm;
-                self.rec.record_worker_slice(vm, w, since, end_ns);
-            }
+    /// Containment counts, lifetime.
+    pub(crate) fn backpressure(&self) -> BackpressureStats {
+        BackpressureStats {
+            throttled_kicks: self.life.throttled_kicks,
+            budget_deferrals: self.life.budget_deferrals,
+            spurious_kicks: self.spurious_kicks,
+            spurious_eois: self.spurious_eois,
+            quarantines: self.life.quarantines,
+            resets: self.life.resets,
+            quarantine_dropped: self.quarantine_dropped,
         }
-        self.rec.finish()
     }
 }
 
@@ -218,7 +228,7 @@ pub(crate) struct Recorders {
     /// Breadcrumb ring for post-mortem dumps.
     ring: Tracer,
     /// Windowed series (`Params::telemetry`).
-    tel: Option<Box<TelemetryHooks>>,
+    tel: Option<Box<TelemetryRecorder>>,
     /// Flight recorder (`Params::trace`).
     spans: Option<Box<SpanTracker>>,
 }
@@ -229,11 +239,15 @@ impl Recorders {
     pub(crate) fn new(p: &Params, num_vms: usize, workers: usize, plan_active: bool) -> Self {
         let mut ring = Tracer::new(RING_CAPACITY);
         ring.set_enabled(plan_active);
+        let geom = TelemetryGeometry {
+            num_vms,
+            workers_per_vm: workers.max(1),
+        };
         Recorders {
             ring,
             tel: p
                 .telemetry
-                .then(|| Box::new(TelemetryHooks::new(num_vms, workers))),
+                .then(|| Box::new(TelemetryRecorder::new(geom, ANN_CAPACITY))),
             spans: p
                 .trace
                 .then(|| Box::new(SpanTracker::new(num_vms, workers, p.trace_events as usize))),
@@ -242,6 +256,21 @@ impl Recorders {
 }
 
 impl Machine {
+    /// Count one fact of `vm` with `f`, the `VmWin` update that defines
+    /// it: in the ledger's lifetime row and, when telemetry is on, in the
+    /// series row.
+    fn count(&mut self, vm: u32, f: impl Fn(&mut VmWin)) {
+        f(&mut self.vms[vm as usize].ledger.life);
+        self.series(vm, f);
+    }
+
+    /// Apply `f` to `vm`'s series row when telemetry is on.
+    fn series(&mut self, vm: u32, f: impl FnOnce(&mut VmWin)) {
+        if let Some(t) = self.rec.tel.as_deref_mut() {
+            f(t.vm_row(vm, self.now.as_nanos()));
+        }
+    }
+
     // ---------------- exits, guest time, deliveries ----------------
 
     /// One VM exit of `reason` on vCPU `idx` of `vm`. It also ends the
@@ -253,10 +282,9 @@ impl Machine {
         ledger.exit(reason);
         let since = ledger.guest.leave(idx as usize, now, ledger.window_open);
         if let Some(t) = self.rec.tel.as_deref_mut() {
-            t.rec.record_exit(vm, reason.idx(), now.as_nanos());
+            t.vm_row(vm, now.as_nanos()).exit(reason.idx());
             if let Some(since) = since {
-                t.rec
-                    .record_guest_slice(vm, since.as_nanos(), now.as_nanos());
+                t.record_guest_slice(vm, since.as_nanos(), now.as_nanos());
             }
         }
     }
@@ -273,26 +301,19 @@ impl Machine {
     /// One MSI injected into `vm`: `posted` = exit-less posted path,
     /// otherwise the emulated (exit-taking) path.
     pub(crate) fn note_msi(&mut self, vm: u32, posted: bool) {
-        let modes = &mut self.vms[vm as usize].ledger.modes;
-        if posted {
-            modes.posted += 1;
-        } else {
-            modes.emulated += 1;
-        }
-        if let Some(t) = self.rec.tel.as_deref_mut() {
-            t.rec.record_msi(vm, self.now.as_nanos(), posted);
-        }
+        self.count(vm, |r| r.msi(posted));
     }
 
     /// One end-to-end rx latency sample of `vm`, counted by the ledger
-    /// only inside the measurement window.
+    /// only inside the machine's measurement window.
     pub(crate) fn note_rx_latency(&mut self, vm: u32, lat_ns: u64) {
+        let sample = |r: &mut VmWin| r.rx_latency(lat_ns);
         if self.window_open {
-            self.vms[vm as usize].ledger.rx.add(lat_ns);
+            let ledger = &mut self.vms[vm as usize].ledger;
+            ledger.rx_us.record(lat_ns / 1_000);
+            sample(&mut ledger.win);
         }
-        if let Some(t) = self.rec.tel.as_deref_mut() {
-            t.rec.record_rx_latency(vm, self.now.as_nanos(), lat_ns);
-        }
+        self.series(vm, sample);
     }
 
     /// vCPU `idx` of `vm` left its core. `preempted_in_guest` marks the
@@ -334,7 +355,7 @@ impl Machine {
         if origin == KickOrigin::Watchdog {
             self.vms[vm as usize].ledger.watchdog_rekicks += 1;
             if let Some(t) = self.rec.tel.as_deref_mut() {
-                t.rec.annotate(now.as_nanos(), vm, "wd-rekick", h.0 as u64);
+                t.annotate(now.as_nanos(), vm, "wd-rekick", h.0 as u64);
             }
         }
         if let Some(tr) = self.rec.spans.as_deref_mut() {
@@ -344,13 +365,10 @@ impl Machine {
 
     /// A guest kick for `h` deferred by the admission throttle.
     pub(crate) fn note_kick_throttled(&mut self, vm: u32, h: HandlerId) {
-        self.vms[vm as usize].ledger.bp.throttled_kicks += 1;
+        self.count(vm, |r| r.throttled_kicks += 1);
         self.rec
             .ring
             .record(self.now, "kick-throttled", vm as u64, h.0 as u64);
-        if let Some(t) = self.rec.tel.as_deref_mut() {
-            t.rec.record_throttled_kick(vm, self.now.as_nanos());
-        }
     }
 
     /// The I/O-instruction exit that carried a kick of `vm`: its
@@ -365,7 +383,7 @@ impl Machine {
     /// One spurious doorbell write of a hostile kick storm, drained on
     /// vCPU `idx` of `vm`.
     pub(crate) fn note_spurious_kick(&mut self, vm: u32, idx: u32) {
-        self.vms[vm as usize].ledger.bp.spurious_kicks += 1;
+        self.vms[vm as usize].ledger.spurious_kicks += 1;
         self.rec
             .ring
             .record(self.now, "storm-kick", vm as u64, idx as u64);
@@ -374,7 +392,7 @@ impl Machine {
     /// A hostile guest follows its EOI on vCPU `idx` with `writes`
     /// spurious EOI writes.
     pub(crate) fn note_eoi_storm(&mut self, vm: u32, idx: u32, writes: u32) {
-        self.vms[vm as usize].ledger.bp.spurious_eois += writes as u64;
+        self.vms[vm as usize].ledger.spurious_eois += writes as u64;
         self.rec
             .ring
             .record(self.now, "eoi-storm", vm as u64, idx as u64);
@@ -396,8 +414,7 @@ impl Machine {
     /// Worker `w` of `vm` went on-core.
     pub(crate) fn note_worker_on_core(&mut self, vm: u32, w: u32) {
         if let Some(t) = self.rec.tel.as_deref_mut() {
-            let slot = t.worker_slot(vm, w);
-            t.on_core_since[slot].get_or_insert(self.now.as_nanos());
+            t.worker_on_core(vm, w as usize, self.now.as_nanos());
         }
     }
 
@@ -405,11 +422,7 @@ impl Machine {
     /// into windows.
     pub(crate) fn note_worker_off_core(&mut self, vm: u32, w: u32) {
         if let Some(t) = self.rec.tel.as_deref_mut() {
-            let slot = t.worker_slot(vm, w);
-            if let Some(since) = t.on_core_since[slot].take() {
-                t.rec
-                    .record_worker_slice(vm, w as usize, since, self.now.as_nanos());
-            }
+            t.worker_off_core(vm, w as usize, self.now.as_nanos());
         }
     }
 
@@ -418,8 +431,7 @@ impl Machine {
     pub(crate) fn note_worker_queued(&mut self, vm: u32, w: u32) {
         if let Some(t) = self.rec.tel.as_deref_mut() {
             let pending = self.vms[vm as usize].worker.pending_on(w as usize) as u64;
-            t.rec
-                .record_worker_pending(vm, w as usize, self.now.as_nanos(), pending);
+            t.record_worker_pending(vm, w as usize, self.now.as_nanos(), pending);
         }
     }
 
@@ -435,8 +447,8 @@ impl Machine {
         }
         if let Some(t) = self.rec.tel.as_deref_mut() {
             let pending = worker.pending_on(w as usize) as u64;
-            t.rec.record_worker_turn(vm, w as usize, now);
-            t.rec.record_worker_pending(vm, w as usize, now, pending);
+            t.record_worker_turn(vm, w as usize, now);
+            t.record_worker_pending(vm, w as usize, now, pending);
         }
     }
 
@@ -450,11 +462,8 @@ impl Machine {
 
     /// A TX handler turn of `vm` cut short by the service budget.
     pub(crate) fn note_budget_deferral(&mut self, vm: u32) {
-        self.vms[vm as usize].ledger.bp.budget_deferrals += 1;
+        self.count(vm, |r| r.budget_deferrals += 1);
         self.rec.ring.record(self.now, "budget-defer", vm as u64, 0);
-        if let Some(t) = self.rec.tel.as_deref_mut() {
-            t.rec.record_budget_deferral(vm, self.now.as_nanos());
-        }
     }
 
     /// The queue of handler `h` failed ring validation with `err` and
@@ -467,9 +476,8 @@ impl Machine {
         err: RingError,
         dropped: usize,
     ) {
-        let bp = &mut self.vms[vm as usize].ledger.bp;
-        bp.quarantines += 1;
-        bp.quarantine_dropped += dropped as u64;
+        self.count(vm, |r| r.quarantines += 1);
+        self.vms[vm as usize].ledger.quarantine_dropped += dropped as u64;
         let tag = match err {
             RingError::DescOutOfRange { .. } => "quarantine:desc-oob",
             RingError::AvailIdxJump { .. } => "quarantine:avail-jump",
@@ -480,9 +488,7 @@ impl Machine {
         };
         self.rec.ring.record(self.now, tag, vm as u64, h.0 as u64);
         if let Some(t) = self.rec.tel.as_deref_mut() {
-            t.rec.record_quarantine(vm, self.now.as_nanos());
-            t.rec
-                .annotate(self.now.as_nanos(), vm, "quarantine", h.0 as u64);
+            t.annotate(self.now.as_nanos(), vm, "quarantine", h.0 as u64);
         }
         if let Some(tr) = self.rec.spans.as_deref_mut() {
             tr.detach_req(vm, h);
@@ -491,29 +497,23 @@ impl Machine {
 
     /// The guest reset the quarantined queue of handler `h`.
     pub(crate) fn note_queue_reset(&mut self, vm: u32, h: HandlerId) {
-        self.vms[vm as usize].ledger.bp.resets += 1;
+        self.count(vm, |r| r.resets += 1);
         self.rec
             .ring
             .record(self.now, "queue-reset", vm as u64, h.0 as u64);
         if let Some(t) = self.rec.tel.as_deref_mut() {
-            t.rec.record_reset(vm, self.now.as_nanos());
-            t.rec
-                .annotate(self.now.as_nanos(), vm, "queue-reset", h.0 as u64);
+            t.annotate(self.now.as_nanos(), vm, "queue-reset", h.0 as u64);
         }
     }
 
     /// A TX packet of `bytes` left `vm` for the wire.
     pub(crate) fn note_tx(&mut self, vm: u32, bytes: u32) {
-        if let Some(t) = self.rec.tel.as_deref_mut() {
-            t.rec.record_tx(vm, self.now.as_nanos(), bytes as u64);
-        }
+        self.series(vm, |r| r.tx(bytes as u64));
     }
 
     /// An RX packet of `bytes` landed in `vm`'s ring.
     pub(crate) fn note_rx(&mut self, vm: u32, bytes: u32) {
-        if let Some(t) = self.rec.tel.as_deref_mut() {
-            t.rec.record_rx(vm, self.now.as_nanos(), bytes as u64);
-        }
+        self.series(vm, |r| r.rx(bytes as u64));
     }
 
     // ---------------- host → guest ----------------
@@ -547,11 +547,10 @@ impl Machine {
         }
         if let Some(t) = self.rec.tel.as_deref_mut() {
             if origin == MsiOrigin::Watchdog {
-                t.rec
-                    .annotate(now.as_nanos(), vm, "wd-reraise", vector as u64);
+                t.annotate(now.as_nanos(), vm, "wd-reraise", vector as u64);
             }
             if redirected {
-                t.rec.record_msi_redirected(vm, now.as_nanos());
+                t.vm_row(vm, now.as_nanos()).msi_redirected += 1;
             }
         }
         let Some(tr) = self.rec.spans.as_deref_mut() else {
@@ -623,13 +622,13 @@ impl Machine {
     /// path.
     pub(crate) fn note_pi_degradation(&mut self, vm: u32, idx: u32) {
         self.faults.note_pi_degradation();
-        self.vms[vm as usize].ledger.modes.degradations += 1;
+        self.vms[vm as usize].ledger.degradations += 1;
         let now = self.now;
         self.rec
             .ring
             .record(now, "pi-degrade", vm as u64, idx as u64);
         if let Some(t) = self.rec.tel.as_deref_mut() {
-            t.rec.annotate(now.as_nanos(), vm, "pi-degrade", idx as u64);
+            t.annotate(now.as_nanos(), vm, "pi-degrade", idx as u64);
         }
         if let Some(tr) = self.rec.spans.as_deref_mut() {
             tr.on_degraded(vm, idx, now.as_nanos());
@@ -686,7 +685,7 @@ impl Machine {
     pub(crate) fn note_control(&mut self, vm: u32, kind: &'static str, arg: u64) {
         self.rec.ring.record(self.now, kind, vm as u64, arg);
         if let Some(t) = self.rec.tel.as_deref_mut() {
-            t.rec.annotate(self.now.as_nanos(), vm, kind, arg);
+            t.annotate(self.now.as_nanos(), vm, kind, arg);
         }
     }
 
@@ -720,7 +719,7 @@ impl Machine {
         let end = self.now.as_nanos();
         for (vm, state) in self.vms.iter().enumerate() {
             for since in state.ledger.guest.in_progress() {
-                t.rec.record_guest_slice(vm as u32, since.as_nanos(), end);
+                t.record_guest_slice(vm as u32, since.as_nanos(), end);
             }
         }
         (spans, Some(t.finish(end)))
@@ -733,20 +732,6 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_micros(us)
-    }
-
-    #[test]
-    fn finish_closes_open_intervals() {
-        let mut t = TelemetryHooks::new(2, 2);
-        let slot = t.worker_slot(0, 1);
-        t.on_core_since[slot] = Some(800_000);
-        let rep = t.finish(1_200_000);
-        assert_eq!(rep.windows.len(), 2);
-        // Worker (0,1) on-core 0.2ms + 0.2ms; no other worker has a row.
-        for w in &rep.windows {
-            assert_eq!(w.workers.len(), 1);
-            assert_eq!((w.workers[0].slot, w.workers[0].on_core_ns), (1, 200_000));
-        }
     }
 
     #[test]
@@ -770,9 +755,10 @@ mod tests {
         l.exit(ExitReason::IoInstruction);
         l.close_window(t(200));
         l.exit(ExitReason::IoInstruction); // after the close
-        assert_eq!(l.exits.total(ExitReason::IoInstruction), 3);
-        assert_eq!(l.exits.windowed[ExitReason::IoInstruction.idx()], 1);
-        assert!((l.exits.rate(ExitReason::IoInstruction) - 10_000.0).abs() < 1e-6);
+        let exits = l.exits();
+        assert_eq!(exits.total(ExitReason::IoInstruction), 3);
+        assert_eq!(exits.windowed[ExitReason::IoInstruction.idx()], 1);
+        assert!((exits.rate(ExitReason::IoInstruction) - 10_000.0).abs() < 1e-6);
     }
 
     #[test]
@@ -783,7 +769,7 @@ mod tests {
         l.guest.leave(0, t(100), l.window_open);
         l.close_window(t(200));
         assert_eq!(l.tig_percent(), 0.0);
-        assert_eq!(l.exits.total(ExitReason::ApicAccess), 1);
-        assert_eq!(l.exits.total_rate(), 0.0);
+        assert_eq!(l.exits().total(ExitReason::ApicAccess), 1);
+        assert_eq!(l.exits().total_rate(), 0.0);
     }
 }

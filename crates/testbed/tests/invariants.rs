@@ -4,15 +4,18 @@
 //! simulation's bookkeeping is self-consistent, independent of whether the
 //! numbers match the paper.
 
+use std::sync::OnceLock;
+
 use es2_core::EventPathConfig;
 use es2_hypervisor::ExitReason;
 use es2_metrics::telemetry::WINDOW_NS;
+use es2_sim::exec::sweep;
 use es2_sim::{FaultPlan, SimDuration, SimTime};
 use es2_testbed::{
     experiments, BackpressureParams, Cluster, ClusterSpec, Machine, Params, PlannedMove, RunResult,
     Topology, WorkloadSpec,
 };
-use es2_workloads::NetperfSpec;
+use es2_workloads::{NetperfDirection, NetperfProto, NetperfSpec};
 
 fn fast() -> Params {
     let mut p = Params::fast_test();
@@ -44,10 +47,36 @@ fn all_cases() -> Vec<(EventPathConfig, Topology, WorkloadSpec)> {
     v
 }
 
+/// A cell of `all_cases()` with its run.
+type Run = ((EventPathConfig, Topology, WorkloadSpec), RunResult);
+
+/// Every `all_cases()` cell run once, at seed 5 with `fast()`, through
+/// the sweep executor: the per-run checks below all read these runs.
+fn all_runs() -> &'static [Run] {
+    static RUNS: OnceLock<Vec<Run>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let cases = all_cases();
+        let runs = sweep(&cases, |&(cfg, topo, spec)| {
+            experiments::run_one(cfg, topo, spec, fast(), 5)
+        });
+        cases.into_iter().zip(runs).collect()
+    })
+}
+
+/// A sending netperf stream: tcp_send or udp_send.
+fn sends(spec: &WorkloadSpec) -> bool {
+    matches!(
+        spec,
+        WorkloadSpec::Netperf(NetperfSpec {
+            direction: NetperfDirection::Send,
+            ..
+        })
+    )
+}
+
 #[test]
 fn tig_is_a_percentage_everywhere() {
-    for (cfg, topo, spec) in all_cases() {
-        let r = experiments::run_one(cfg, topo, spec, fast(), 5);
+    for ((cfg, _, spec), r) in all_runs() {
         assert!(
             (0.0..=100.0 + 1e-9).contains(&r.tig_percent),
             "{} {:?}: TIG {}",
@@ -63,11 +92,10 @@ fn tig_is_a_percentage_everywhere() {
 
 #[test]
 fn pi_configurations_never_take_interrupt_exits() {
-    for (cfg, topo, spec) in all_cases() {
+    for ((cfg, _, spec), r) in all_runs() {
         if !cfg.use_pi {
             continue;
         }
-        let r = experiments::run_one(cfg, topo, spec, fast(), 5);
         assert_eq!(
             r.exits.total(ExitReason::ExternalInterrupt),
             0,
@@ -91,37 +119,40 @@ fn every_kick_decision_becomes_exactly_one_io_exit() {
     // (the delayed-ACK flush shortcut only exists on the receive side),
     // so the virtqueue's kick ledger and the vCPU's exit ledger must
     // agree exactly.
-    for cfg in EventPathConfig::all_four(4) {
-        for spec in [
-            WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024)),
-            WorkloadSpec::Netperf(NetperfSpec::udp_send(256)),
-        ] {
-            let r = experiments::run_one(cfg, Topology::micro(), spec, fast(), 5);
-            let io_exits = r.exits.total(ExitReason::IoInstruction);
-            // A kick decided in the run's final microseconds may not have
-            // reached its exit before the simulation stops: allow the
-            // boundary straggler.
-            assert!(
-                r.kicks_total.abs_diff(io_exits) <= 2,
-                "{} {:?}: exits {} vs kicks {}",
-                cfg.label(),
-                spec,
-                io_exits,
-                r.kicks_total
-            );
-        }
+    let sending = all_runs().iter().filter(|((_, _, spec), _)| sends(spec));
+    assert_eq!(sending.clone().count(), 8, "four configs × tcp/udp send");
+    for ((cfg, _, spec), r) in sending {
+        let io_exits = r.exits.total(ExitReason::IoInstruction);
+        // A kick decided in the run's final microseconds may not have
+        // reached its exit before the simulation stops: allow the
+        // boundary straggler.
+        assert!(
+            r.kicks_total.abs_diff(io_exits) <= 2,
+            "{} {:?}: exits {} vs kicks {}",
+            cfg.label(),
+            spec,
+            io_exits,
+            r.kicks_total
+        );
     }
 }
 
 #[test]
 fn baseline_never_posts_interrupts() {
-    let r = experiments::run_one(
-        EventPathConfig::baseline(),
-        Topology::micro(),
-        WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024)),
-        fast(),
-        5,
-    );
+    let (_, r) = all_runs()
+        .iter()
+        .find(|((cfg, _, spec), _)| {
+            *cfg == EventPathConfig::baseline()
+                && matches!(
+                    spec,
+                    WorkloadSpec::Netperf(NetperfSpec {
+                        proto: NetperfProto::Tcp,
+                        direction: NetperfDirection::Send,
+                        ..
+                    })
+                )
+        })
+        .expect("baseline tcp send is a cell");
     // Emulated path: every delivered interrupt pays delivery/EOI machinery,
     // so the interrupt exits must be present whenever interrupts flowed.
     if r.rx_interrupts_total > 50 {
@@ -131,18 +162,16 @@ fn baseline_never_posts_interrupts() {
 
 #[test]
 fn no_redirection_without_the_redirect_feature() {
-    for cfg in [
+    let without = [
         EventPathConfig::baseline(),
         EventPathConfig::pi(),
         EventPathConfig::pi_h(4),
-    ] {
-        let r = experiments::run_one(
-            cfg,
-            Topology::multiplexed(),
-            WorkloadSpec::Memcached,
-            fast(),
-            5,
-        );
+    ];
+    let memcached = all_runs().iter().filter(|((cfg, _, spec), _)| {
+        without.contains(cfg) && matches!(spec, WorkloadSpec::Memcached)
+    });
+    assert_eq!(memcached.clone().count(), 3);
+    for ((cfg, _, _), r) in memcached {
         assert_eq!(r.redirections, 0, "{}", cfg.label());
         assert_eq!(r.offline_predictions, 0, "{}", cfg.label());
         assert_eq!(r.migrated_irqs, 0, "{}", cfg.label());

@@ -2,7 +2,8 @@
 # Tier-1 verification: rustfmt layout, release build, full test suite,
 # clippy at zero warnings over every target (tests and benches included)
 # with default and with all features, the end-to-end self-check, the
-# bench gate and the benchmark's model pins.
+# full-window reports against the committed BENCH_*.json, the bench gate
+# and the benchmark's model pins.
 # Run from the repository root.
 #
 # Sweep parallelism respects ES2_THREADS (default: all cores). It
@@ -35,6 +36,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 # trace and telemetry on, checked for their liveness verdicts and held
 # to the goldens under ci/. Writes each target/BENCH_<stem>_fast.json.
 ./target/release/repro selfcheck
+
+# Full-window determinism: the seven reports at their full windows must
+# regenerate every committed BENCH_<stem>.json byte for byte
+# (BENCH_telemetry.json holds every telemetry window row,
+# BENCH_trace.json every span-stage histogram). They run in a
+# throwaway directory with its own target/ for the Chrome traces, so the
+# committed files are compared, never overwritten.
+rm -rf target/fullcheck
+mkdir -p target/fullcheck/target
+for stem in migrate telemetry mq trace churn hostile scale; do
+    (cd target/fullcheck && ../release/repro --$stem > /dev/null)
+    cmp "BENCH_$stem.json" "target/fullcheck/BENCH_$stem.json"
+done
 
 # Guest trust boundary: the vhost backend's non-test code must stay free
 # of unwrap() on guest-reachable state — a hostile ring surfaces a typed
