@@ -400,46 +400,33 @@ pub fn render_chaos(params: Params, seed: u64) -> String {
             fill: WorkloadSpec::Idle,
         })
         .collect();
+    // Every sweep row is liveness-checked: `RunSpec::run` panics on a
+    // violation, so the verdict below covers all four rows.
     let results = experiments::run_specs(&specs);
 
-    // Injection points that drew nothing across the whole sweep are
-    // suppressed from the summary: a plan that never enables the
-    // hostile-guest family (like the acceptance plan above) renders the
-    // exact same bytes it did before that family existed, and a future
-    // all-zero column can never dilute the table. Only the hostile
-    // columns are subject to suppression — the legacy columns are part
-    // of the committed chaos-report format.
-    let hostile_drawn = results.iter().any(|r| {
-        r.fault_stats.ring_corruptions + r.fault_stats.storm_kicks + r.fault_stats.storm_eois > 0
-            || r.quarantines_total > 0
-    });
-    let mut header = vec![
-        "workload",
-        "goodput Gb/s",
-        "ops/s",
-        "faults",
-        "kick-",
-        "pkt-",
-        "msi-",
-        "rekick",
-        "reraise",
-        "RTO",
-        "PIdegr",
-    ];
-    if hostile_drawn {
-        header.extend(["corrupt", "storms", "quar"]);
-    }
-    header.push("vm0 posted/emul");
     let mut t = Table::new(
         format!(
             "Chaos sweep — acceptance plan (seed {seed}: kick loss/delay, vhost stalls, 1% pkt loss, MSI loss, preempt storms, PI fails on VM 0 at 100 ms)"
         ),
-        &header,
+        &[
+            "workload",
+            "goodput Gb/s",
+            "ops/s",
+            "faults",
+            "kick-",
+            "pkt-",
+            "msi-",
+            "rekick",
+            "reraise",
+            "RTO",
+            "PIdegr",
+            "vm0 posted/emul",
+        ],
     );
     for ((label, ..), r) in shapes.iter().zip(&results) {
         let f = r.fault_stats;
         let vm0 = r.modes.vm(0);
-        let mut cells = vec![
+        t.row(&[
             label.to_string(),
             format!("{:.3}", r.goodput_gbps),
             fmt_rate(r.ops_per_sec),
@@ -451,103 +438,45 @@ pub fn render_chaos(params: Params, seed: u64) -> String {
             r.watchdog_reraises.to_string(),
             r.guest_rtos.to_string(),
             f.pi_degradations.to_string(),
-        ];
-        if hostile_drawn {
-            cells.push(f.ring_corruptions.to_string());
-            cells.push((f.storm_kicks + f.storm_eois).to_string());
-            cells.push(format!("{}/{}", r.quarantines_total, r.queue_resets_total));
-        }
-        cells.push(format!("{}/{}", vm0.posted, vm0.emulated));
-        t.row(&cells);
+            format!("{}/{}", vm0.posted, vm0.emulated),
+        ]);
     }
     let mut out = t.render();
+    out.push_str("\nliveness: PASS (0 violations)\n");
 
-    // One liveness-checked run of the acceptance shape: the invariant
-    // checker's verdict is part of the deterministic report.
-    let topo = Topology::micro();
-    let mut specs = vec![WorkloadSpec::Idle; topo.num_vms as usize];
-    specs[0] = WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024));
-    let (_, report) = es2_testbed::Machine::with_specs_faulted(
-        EventPathConfig::pi(),
-        topo,
-        specs,
+    // Host-fault cell: a 3-host cell runs one live migration, one aborted
+    // migration, a degraded host (preempt storms) and a host crash with
+    // evacuation. The host/migration RNG streams are forked after the
+    // seven per-host families, so the sweep above draws the exact bytes
+    // it would without this cell.
+    let r = es2_testbed::Cluster::new(experiments::host_fault_cell(
+        EventPathConfig::pi_h_r(4),
         params,
         seed,
-        plan,
-    )
-    .run_checked();
+    ))
+    .run();
     out.push('\n');
     out.push_str(&format!(
-        "liveness: {}\n",
-        if report.ok() {
+        "host-fault cell (3 hosts x 2 VMs/host, PI+H+R): migrate VM0->host2, abort \
+         VM4->host0, degrade host2, crash host1 @60%\n  ledger: out={} resumed={} aborts={} \
+         retargets={} restarts={} | blackout p99 {:.1} us | final hosts [{}]\n  cell \
+         liveness: {}\n",
+        r.ledger.out,
+        r.ledger.resumed,
+        r.ledger.aborts,
+        r.ledger.retargets,
+        r.ledger.restarts,
+        r.blackout_percentile_us(0.99),
+        r.final_host
+            .iter()
+            .map(|h| h.map_or("-".to_string(), |v| v.to_string()))
+            .collect::<Vec<_>>()
+            .join(","),
+        if r.liveness.ok() {
             "PASS (0 violations)".to_string()
         } else {
-            format!("FAIL\n  {}", report.violations.join("\n  "))
+            format!("FAIL\n  {}", r.liveness.violations.join("\n  "))
         }
     ));
-
-    // Host-fault cell, appended after the legacy report so the committed
-    // golden prefix (ci/golden_chaos_fast.txt) stays byte-identical: a
-    // 3-host cell runs one live migration, one aborted migration, a
-    // degraded host (preempt storms) and a host crash with evacuation.
-    // The host/migration RNG streams are forked after the seven per-host
-    // families, so the sweep above draws the exact bytes it always did.
-    {
-        use es2_sim::{FaultPlan, SimDuration, SimTime};
-        use es2_testbed::{Cluster, ClusterSpec, PlannedMove};
-
-        let frac = |num: u64, den: u64| {
-            SimDuration::from_nanos(
-                params.warmup.as_nanos() + params.measure.as_nanos() * num / den,
-            )
-        };
-        let fleet = vec![WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024)); 6];
-        let mut spec = ClusterSpec::new(EventPathConfig::pi_h_r(4), 1, fleet, 3, 2, params, seed);
-        spec.plan = FaultPlan {
-            host_crash_mask: 0b10,
-            host_crash_at: frac(3, 5),
-            host_degraded_storm_mask: 0b100,
-            host_degraded_storm_p: 0.25,
-            host_degraded_storm_period: SimDuration::from_millis(2),
-            migration_abort_nth: 2,
-            ..FaultPlan::none()
-        };
-        spec.moves = vec![
-            PlannedMove {
-                vm: 0,
-                to: 2,
-                at: SimTime::ZERO + frac(1, 4),
-            },
-            PlannedMove {
-                vm: 4,
-                to: 0,
-                at: SimTime::ZERO + frac(3, 10),
-            },
-        ];
-        let r = Cluster::new(spec).run();
-        out.push('\n');
-        out.push_str(&format!(
-            "host-fault cell (3 hosts x 2 VMs/host, PI+H+R): migrate VM0->host2, abort \
-             VM4->host0, degrade host2, crash host1 @60%\n  ledger: out={} resumed={} aborts={} \
-             retargets={} restarts={} | blackout p99 {:.1} us | final hosts [{}]\n  cell \
-             liveness: {}\n",
-            r.ledger.out,
-            r.ledger.resumed,
-            r.ledger.aborts,
-            r.ledger.retargets,
-            r.ledger.restarts,
-            r.blackout_percentile_us(0.99),
-            r.final_host
-                .iter()
-                .map(|h| h.map_or("-".to_string(), |v| v.to_string()))
-                .collect::<Vec<_>>()
-                .join(","),
-            if r.liveness.ok() {
-                "PASS (0 violations)".to_string()
-            } else {
-                format!("FAIL\n  {}", r.liveness.violations.join("\n  "))
-            }
-        ));
-    }
     out
 }

@@ -16,10 +16,8 @@ use crate::cli::{self, Artifacts, Command};
 /// The golden files a row's serial output is held to, each as
 /// `(path, contents)`.
 pub(crate) struct Golden {
-    /// `ci/golden_<stem>_fast.txt`, held to stdout.
+    /// `ci/golden_<stem>_fast.txt`, held to all of stdout.
     stdout: (&'static str, &'static str),
-    /// Stdout may append to the file: it is a prefix, not all of stdout.
-    prefix: bool,
     /// `ci/golden_<stem>_fast.json`, held to the JSON a report row
     /// writes. A row that writes JSON must have one.
     json: Option<(&'static str, &'static str)>,
@@ -42,9 +40,9 @@ pub(crate) struct Check {
     golden: Golden,
 }
 
-/// The goldens `ci/golden_<stem>_fast.*` of a row: `Prefix` and
-/// `Exact` hold stdout to the `.txt` as a prefix or all of it; `Report`
-/// holds all of stdout to the `.txt` and the JSON to the `.json`.
+/// The goldens `ci/golden_<stem>_fast.*` of a row: `Exact` holds stdout
+/// to the `.txt`; `Report` holds stdout to the `.txt` and the JSON to the
+/// `.json`.
 macro_rules! golden {
     (@file $stem:literal, $ext:literal) => {
         (
@@ -52,16 +50,12 @@ macro_rules! golden {
             include_str!(concat!("../../../ci/golden_", $stem, "_fast.", $ext)),
         )
     };
-    (Prefix, $stem:literal) => {
-        Golden { stdout: golden!(@file $stem, "txt"), prefix: true, json: None }
-    };
     (Exact, $stem:literal) => {
-        Golden { stdout: golden!(@file $stem, "txt"), prefix: false, json: None }
+        Golden { stdout: golden!(@file $stem, "txt"), json: None }
     };
     (Report, $stem:literal) => {
         Golden {
             stdout: golden!(@file $stem, "txt"),
-            prefix: false,
             json: Some(golden!(@file $stem, "json")),
         }
     };
@@ -85,7 +79,7 @@ const fn row(args: &'static [&'static str], golden: Golden) -> Check {
 #[rustfmt::skip]
 pub(crate) const CHECKS: &[Check] = &[
     Check { contains: &["liveness: PASS", "cell liveness: PASS"],
-            ..row(&["chaos"], golden!(Prefix, "chaos")) },
+            ..row(&["chaos"], golden!(Exact, "chaos")) },
     Check { threads: false, ..row(&["table1", "fig4"], golden!(Exact, "table1_fig4")) },
     Check { contains: &["PASS (0 violations)"], ..row(&["--scale"], golden!(Report, "scale")) },
     Check { recorders: false, contains: &["sched-delay"],
@@ -196,13 +190,7 @@ impl Check {
             }
         }
         let (path, text) = self.golden.stdout;
-        let lines = if self.golden.prefix {
-            text.lines().count()
-        } else {
-            usize::MAX
-        };
-        let head: String = stdout.split_inclusive('\n').take(lines).collect();
-        same(path, text, "stdout", &head).map_err(|e| format!("golden {e}"))?;
+        same(path, text, "stdout", &stdout).map_err(|e| format!("golden {e}"))?;
         match self.golden.json {
             Some((path, text)) => same(path, text, "JSON", &format!("{serial_json}\n"))
                 .map_err(|e| format!("golden {e}")),

@@ -24,11 +24,8 @@ use es2_core::EventPathConfig;
 use es2_metrics::json::Json;
 use es2_metrics::telemetry::WINDOW_NS;
 use es2_metrics::{Annotation, SloMetric, SloSpec, TelemetryReport};
-use es2_sim::{exec, FaultPlan, SimDuration, SimTime};
-use es2_testbed::{
-    experiments, Cluster, ClusterSpec, Machine, Params, PlannedMove, ShardPolicy, Topology,
-    WorkloadSpec,
-};
+use es2_sim::{exec, FaultPlan};
+use es2_testbed::{experiments, Cluster, Machine, Params, ShardPolicy, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
 
 /// Attribution horizon: a breach blames the latest annotation at most
@@ -125,7 +122,7 @@ fn run_chaos(cfg: EventPathConfig, base: Params, seed: u64) -> TelCell {
     }
 }
 
-/// The migration topology: a 3-host cell (6 VMs, cap 2/host) running
+/// The migration topology: `repro chaos`'s 3-host host-fault cell running
 /// one live move, one aborted move, a degraded host and a host crash
 /// with evacuation; per-host reports overlay-merge over the shared
 /// global slot table.
@@ -134,33 +131,7 @@ fn run_migrate(cfg: EventPathConfig, base: Params, seed: u64) -> TelCell {
         telemetry: true,
         ..base
     };
-    let frac = |num: u64, den: u64| {
-        SimDuration::from_nanos(params.warmup.as_nanos() + params.measure.as_nanos() * num / den)
-    };
-    let fleet = vec![WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024)); 6];
-    let mut spec = ClusterSpec::new(cfg, 1, fleet, 3, 2, params, seed);
-    spec.plan = FaultPlan {
-        host_crash_mask: 0b10,
-        host_crash_at: frac(3, 5),
-        host_degraded_storm_mask: 0b100,
-        host_degraded_storm_p: 0.25,
-        host_degraded_storm_period: SimDuration::from_millis(2),
-        migration_abort_nth: 2,
-        ..FaultPlan::none()
-    };
-    spec.moves = vec![
-        PlannedMove {
-            vm: 0,
-            to: 2,
-            at: SimTime::ZERO + frac(1, 4),
-        },
-        PlannedMove {
-            vm: 4,
-            to: 0,
-            at: SimTime::ZERO + frac(3, 10),
-        },
-    ];
-    let r = Cluster::new(spec).run();
+    let r = Cluster::new(experiments::host_fault_cell(cfg, params, seed)).run();
     let mut merged: Option<TelemetryReport> = None;
     let mut config = "";
     for mut h in r.per_host {

@@ -7,8 +7,9 @@
 //! and full ES2, with the span tracer on. The stdout report and
 //! `BENCH_trace.json` contain only sim-time-derived quantities, so both
 //! are byte-identical at any thread count; `repro selfcheck` compares
-//! exactly that. A separate ES2 run with a bounded event log produces the
-//! Chrome-trace export (`chrome://tracing` / Perfetto).
+//! exactly that. The interrupt-path ES2 cell also keeps a bounded event
+//! log, which becomes the Chrome-trace export (`chrome://tracing` /
+//! Perfetto).
 
 use es2_core::{EventPathConfig, HybridParams};
 use es2_metrics::json::Json;
@@ -18,9 +19,13 @@ use es2_testbed::experiments::{run_specs, RunSpec};
 use es2_testbed::{Params, RunResult, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
 
-/// Event-log capacity for the Chrome-trace export run (bounded so the
-/// export stays viewer-sized regardless of window length).
-pub(crate) const CHROME_EVENT_CAPACITY: u32 = 20_000;
+/// Event-log capacity for the Chrome-trace export (bounded so the export
+/// stays viewer-sized regardless of window length).
+const CHROME_EVENT_CAPACITY: u32 = 20_000;
+
+/// The grid cell whose event log is the Chrome export: the interrupt-path
+/// scenario under ES2 (`trace_scenarios()[0]` × `trace_configs()[2]`).
+const CHROME_CELL: usize = 2;
 
 /// The three event-path configurations the trace compares.
 fn trace_configs() -> [(&'static str, EventPathConfig); 3] {
@@ -66,7 +71,7 @@ fn stage_cell(rep: &SpanReport, s: Stage) -> String {
 
 /// Run the traced grid and return the deterministic report (stage
 /// tables + sched-delay summary), `BENCH_trace.json` and the Chrome
-/// trace of the bounded-log ES2 run.
+/// trace of the bounded-log ES2 cell.
 pub fn trace_report(mut params: Params, seed: u64, fast: bool) -> (String, Json, Option<Json>) {
     params.trace = true;
     params.trace_events = 0;
@@ -74,7 +79,7 @@ pub fn trace_report(mut params: Params, seed: u64, fast: bool) -> (String, Json,
     let configs = trace_configs();
     let scenarios = trace_scenarios();
 
-    let specs: Vec<RunSpec> = scenarios
+    let mut specs: Vec<RunSpec> = scenarios
         .iter()
         .flat_map(|&(_, _, topo, spec)| {
             configs.iter().map(move |&(_, cfg)| RunSpec {
@@ -88,6 +93,10 @@ pub fn trace_report(mut params: Params, seed: u64, fast: bool) -> (String, Json,
             })
         })
         .collect();
+    // Grid cell 2 (the interrupt-path scenario under ES2) also keeps a
+    // bounded event log for the Chrome export. The log only records: the
+    // cell's stage histograms and span notes are the same with it off.
+    specs[CHROME_CELL].params.trace_events = CHROME_EVENT_CAPACITY;
     let results = run_specs(&specs);
 
     let mut report = String::new();
@@ -225,23 +234,7 @@ pub fn trace_report(mut params: Params, seed: u64, fast: bool) -> (String, Json,
         .with("seed", seed)
         .with("scenarios", Json::Arr(scenarios_json));
 
-    // Chrome export: one ES2 run of the interrupt-path scenario with the
-    // bounded event log on. Kept out of the grid so the grid's reports
-    // carry no log-capacity dependence.
-    let (_, _, topo, spec) = trace_scenarios()[0];
-    let mut cp = params;
-    cp.trace_events = CHROME_EVENT_CAPACITY;
-    let chrome_run = RunSpec {
-        cfg: trace_configs()[2].1,
-        topo,
-        spec,
-        params: cp,
-        seed,
-        faults: FaultPlan::none(),
-        fill: WorkloadSpec::Idle,
-    }
-    .run();
-    let chrome_rep = chrome_run.spans.as_ref().expect("traced run");
+    let chrome_rep = results[CHROME_CELL].spans.as_ref().expect("traced run");
     report.push_str(&format!(
         "chrome export: {} events ({} dropped past capacity {})\n",
         chrome_rep.events.len(),

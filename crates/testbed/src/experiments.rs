@@ -10,9 +10,10 @@
 //! any thread count (`ES2_THREADS=1` forces serial).
 
 use es2_core::{EventPathConfig, HybridParams};
-use es2_sim::FaultPlan;
+use es2_sim::{FaultPlan, SimDuration, SimTime};
 use es2_workloads::NetperfSpec;
 
+use crate::cluster::{ClusterSpec, PlannedMove};
 use crate::machine::{Machine, Topology};
 use crate::params::Params;
 use crate::results::RunResult;
@@ -40,15 +41,13 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// Execute the run to completion.
+    /// Execute the run to completion and check the liveness invariants
+    /// on its final state. Panics naming this spec, every violation and
+    /// the post-mortem dump if any invariant fails.
     pub fn run(&self) -> RunResult {
-        self.machine().run()
-    }
-
-    /// Execute the run to completion with liveness checking on the
-    /// final state.
-    pub fn run_checked(&self) -> (RunResult, crate::liveness::LivenessReport) {
-        self.machine().run_checked()
+        let (result, liveness) = self.machine().run_checked();
+        liveness.assert_ok(self);
+        result
     }
 
     /// Build the machine for this spec: VM 0 runs `spec`, every other
@@ -88,20 +87,20 @@ pub fn chaos_plan() -> FaultPlan {
     FaultPlan {
         kick_drop_p: 0.05,
         kick_delay_p: 0.05,
-        kick_delay: es2_sim::SimDuration::from_micros(50),
+        kick_delay: SimDuration::from_micros(50),
         worker_stall_p: 0.02,
-        worker_stall: es2_sim::SimDuration::from_micros(200),
+        worker_stall: SimDuration::from_micros(200),
         msi_drop_p: 0.01,
         msi_delay_p: 0.02,
-        msi_delay: es2_sim::SimDuration::from_micros(30),
+        msi_delay: SimDuration::from_micros(30),
         pkt_drop_p: 0.01,
         pkt_dup_p: 0.005,
         pkt_reorder_p: 0.01,
-        pkt_reorder_delay: es2_sim::SimDuration::from_micros(40),
-        preempt_storm_period: es2_sim::SimDuration::from_millis(5),
+        pkt_reorder_delay: SimDuration::from_micros(40),
+        preempt_storm_period: SimDuration::from_millis(5),
         preempt_storm_p: 0.25,
         pi_unavailable_mask: 0b1,
-        pi_fail_after: es2_sim::SimDuration::from_millis(100),
+        pi_fail_after: SimDuration::from_millis(100),
         ..FaultPlan::none()
     }
 }
@@ -123,6 +122,41 @@ pub fn hostile_plan(vm: u32) -> FaultPlan {
         desc_loop_p: 0.002,
         ..FaultPlan::none()
     }
+}
+
+/// The 3-host host-fault cell of `repro chaos` and the telemetry report's
+/// migration topology: six TCP senders at two VMs per host under `cfg`,
+/// VM 0 live-migrating to host 2 at a quarter of the window, VM 4's move
+/// to host 0 (the second migration) aborted at 30 %, host 2 degraded by
+/// preemption storms, and host 1 crashing at 60 % with evacuation.
+pub fn host_fault_cell(cfg: EventPathConfig, params: Params, seed: u64) -> ClusterSpec {
+    let frac = |num: u64, den: u64| {
+        SimDuration::from_nanos(params.warmup.as_nanos() + params.measure.as_nanos() * num / den)
+    };
+    let fleet = vec![WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024)); 6];
+    let mut spec = ClusterSpec::new(cfg, 1, fleet, 3, 2, params, seed);
+    spec.plan = FaultPlan {
+        host_crash_mask: 0b10,
+        host_crash_at: frac(3, 5),
+        host_degraded_storm_mask: 0b100,
+        host_degraded_storm_p: 0.25,
+        host_degraded_storm_period: SimDuration::from_millis(2),
+        migration_abort_nth: 2,
+        ..FaultPlan::none()
+    };
+    spec.moves = vec![
+        PlannedMove {
+            vm: 0,
+            to: 2,
+            at: SimTime::ZERO + frac(1, 4),
+        },
+        PlannedMove {
+            vm: 4,
+            to: 0,
+            at: SimTime::ZERO + frac(3, 10),
+        },
+    ];
+    spec
 }
 
 /// Run one configuration of one workload on a topology.
@@ -418,7 +452,7 @@ pub fn sriov(params: Params, seed: u64) -> Vec<(&'static str, RunResult, RunResu
     let mut p = params;
     p.device = crate::params::DeviceKind::AssignedVf;
     let mut ping_p = p;
-    ping_p.measure = ping_p.measure.max(es2_sim::SimDuration::from_secs(8));
+    ping_p.measure = ping_p.measure.max(SimDuration::from_secs(8));
     let send = WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024));
     let rows = [
         ("SR-IOV legacy", EventPathConfig::baseline()),

@@ -5,8 +5,13 @@
 //! checker inspects the final machine state for the invariants that must
 //! hold *regardless of what the fault plan did* — descriptor conservation
 //! on every virtqueue, scheduler/vCPU consistency, interrupt-delivery
-//! accounting, and forward progress. The chaos suite runs every faulted
-//! sweep through [`Machine::run_checked`] and asserts the report is clean.
+//! accounting, and forward progress. Every
+//! [`RunSpec::run`](crate::experiments::RunSpec::run) checks its final
+//! state here and panics on a violation, so every table, figure, report
+//! sweep and `repro selfcheck` row is checked. Machines built by hand (the
+//! hostile and multi-queue suites, `repro --hostile` and `--mq`) go
+//! through [`Machine::run_checked`], and `Cluster::run` returns every
+//! host's verdict in its result.
 //!
 //! The checker reads the per-VM ledger for delivery counts. When an
 //! invariant trips, the report carries the breadcrumb ring that the
@@ -37,12 +42,12 @@ impl LivenessReport {
         self.violations.is_empty()
     }
 
-    /// Panic with the full violation list (and the post-mortem dump, if
-    /// one was captured) unless the run is sound.
-    pub fn assert_ok(&self) {
+    /// Panic naming `run`, with the full violation list (and the
+    /// post-mortem dump, if one was captured), unless the run is sound.
+    pub fn assert_ok(&self, run: &dyn std::fmt::Debug) {
         assert!(
             self.ok(),
-            "liveness violations:\n  {}\n{}",
+            "liveness violations in {run:?}:\n  {}\n{}",
             self.violations.join("\n  "),
             self.diagnostics
         );
@@ -272,6 +277,25 @@ mod tests {
     use crate::{experiments, Params, Topology, WorkloadSpec};
     use es2_core::EventPathConfig;
     use es2_workloads::NetperfSpec;
+
+    #[test]
+    #[should_panic(expected = "fill: IdleQuiet }:\n  vm0 tx: synthetic violation\n")]
+    fn a_violation_panics_naming_the_spec_and_the_violation() {
+        let spec = experiments::RunSpec {
+            cfg: EventPathConfig::pi(),
+            topo: Topology::micro(),
+            spec: WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024)),
+            params: Params::fast_test(),
+            seed: 77,
+            faults: es2_sim::FaultPlan::none(),
+            fill: WorkloadSpec::IdleQuiet,
+        };
+        let report = LivenessReport {
+            violations: vec!["vm0 tx: synthetic violation".into()],
+            diagnostics: String::new(),
+        };
+        report.assert_ok(&spec);
+    }
 
     #[test]
     fn a_broken_invariant_is_reported_with_the_breadcrumb_ring() {

@@ -29,12 +29,16 @@ fn run_checked(
     seed: u64,
     plan: FaultPlan,
 ) -> RunResult {
-    let mut specs = vec![WorkloadSpec::Idle; topo.num_vms as usize];
-    specs[0] = spec;
-    let (r, report) =
-        Machine::with_specs_faulted(cfg, topo, specs, fast(), seed, plan).run_checked();
-    report.assert_ok();
-    r
+    RunSpec {
+        cfg,
+        topo,
+        spec,
+        params: fast(),
+        seed,
+        faults: plan,
+        fill: WorkloadSpec::Idle,
+    }
+    .run()
 }
 
 /// The fields that must be bitwise identical for two runs to count as

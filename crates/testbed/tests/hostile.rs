@@ -44,7 +44,7 @@ fn run_checked(
 ) -> RunResult {
     let (r, report) =
         Machine::with_specs_faulted(cfg, topo, specs, params, seed, plan).run_checked();
-    report.assert_ok();
+    report.assert_ok(&(cfg, seed));
     r
 }
 

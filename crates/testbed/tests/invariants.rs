@@ -178,18 +178,27 @@ fn no_redirection_without_the_redirect_feature() {
     }
 }
 
+/// The SR-IOV (assigned VF) tcp_send pair, Baseline then PI, run once
+/// at seed 5 with `fast()` for the two tests below.
+fn sriov_runs() -> &'static [(EventPathConfig, RunResult)] {
+    static RUNS: OnceLock<Vec<(EventPathConfig, RunResult)>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let p = Params {
+            device: es2_testbed::params::DeviceKind::AssignedVf,
+            ..fast()
+        };
+        let spec = WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024));
+        let cfgs = [EventPathConfig::baseline(), EventPathConfig::pi()];
+        let runs = sweep(&cfgs, |&cfg| {
+            experiments::run_one(cfg, Topology::micro(), spec, p, 5)
+        });
+        cfgs.into_iter().zip(runs).collect()
+    })
+}
+
 #[test]
 fn sriov_data_path_never_kicks() {
-    let mut p = fast();
-    p.device = es2_testbed::params::DeviceKind::AssignedVf;
-    for cfg in [EventPathConfig::baseline(), EventPathConfig::pi()] {
-        let r = experiments::run_one(
-            cfg,
-            Topology::micro(),
-            WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024)),
-            p,
-            5,
-        );
+    for (cfg, r) in sriov_runs() {
         assert_eq!(
             r.exits.total(ExitReason::IoInstruction),
             0,
@@ -202,11 +211,9 @@ fn sriov_data_path_never_kicks() {
 
 #[test]
 fn sriov_legacy_pays_interrupt_exits_but_vtd_pi_does_not() {
-    let mut p = fast();
-    p.device = es2_testbed::params::DeviceKind::AssignedVf;
-    let spec = WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024));
-    let legacy = experiments::run_one(EventPathConfig::baseline(), Topology::micro(), spec, p, 5);
-    let vtd = experiments::run_one(EventPathConfig::pi(), Topology::micro(), spec, p, 5);
+    let [(_, legacy), (_, vtd)] = sriov_runs() else {
+        unreachable!("two SR-IOV runs")
+    };
     assert!(
         legacy.exits.total(ExitReason::ApicAccess) > 0,
         "legacy assignment still injects through the hypervisor"
@@ -244,8 +251,8 @@ fn all_active_scale_cell_stays_live() {
         measure: SimDuration::from_millis(100),
         ..Params::default()
     };
-    let (_, live) = experiments::scale_active_spec(8, params, 7).run_checked();
-    assert!(live.ok(), "liveness violations: {:?}", live.violations);
+    // `RunSpec::run` panics on any liveness violation.
+    experiments::scale_active_spec(8, params, 7).run();
 }
 
 /// The per-VM ledger and the telemetry series record the same calls, so

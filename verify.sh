@@ -37,6 +37,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 # to the goldens under ci/. Writes each target/BENCH_<stem>_fast.json.
 ./target/release/repro selfcheck
 
+# The remaining figures: every figure run is liveness-checked
+# (`RunSpec::run` panics on a violation, and repro then exits non-zero),
+# and no selfcheck row renders these.
+./target/release/repro fig5 fig6 fig7 fig8 fig9 sriov ablations --fast > /dev/null
+
 # Full-window determinism: the seven reports at their full windows must
 # regenerate every committed BENCH_<stem>.json byte for byte
 # (BENCH_telemetry.json holds every telemetry window row,
