@@ -70,6 +70,7 @@ impl PiDescriptor {
 
     /// The hypervisor sets SN when the vCPU leaves guest mode (vmexit or
     /// deschedule) and clears it right before VM entry.
+    #[inline]
     pub fn set_suppress(&mut self, sn: bool) {
         self.sn = sn;
     }
@@ -95,6 +96,7 @@ impl PiDescriptor {
     /// Hardware PIR→vIRR synchronization (steps 3 / VM-entry sync): drains
     /// the PIR into the vAPIC page and clears ON. Returns how many vectors
     /// moved.
+    #[inline]
     pub fn sync_into(&mut self, vapic: &mut VApicPage) -> u32 {
         self.on = false;
         self.pir.drain_into(&mut vapic.virr)
@@ -135,6 +137,7 @@ impl VApicPage {
     /// Virtual-interrupt delivery (step 4): deliver the highest pending
     /// vector without a VM exit. Same arbitration rule as the physical
     /// APIC.
+    #[inline]
     pub fn ack(&mut self) -> Option<Vector> {
         let v = self.virr.highest()?;
         let in_service_class = self.visr.highest().map_or(0, |x| x & 0xf0);
@@ -148,6 +151,7 @@ impl VApicPage {
 
     /// Exit-less EOI (step 5). Returns the retired vector and whether more
     /// interrupts are immediately deliverable.
+    #[inline]
     pub fn eoi(&mut self) -> (Option<Vector>, bool) {
         let retired = self.visr.highest();
         if let Some(v) = retired {
@@ -173,6 +177,7 @@ impl VApicPage {
     }
 
     /// True if a handler is in service.
+    #[inline]
     pub fn in_service(&self) -> bool {
         !self.visr.is_empty()
     }

@@ -117,6 +117,7 @@ impl HybridHandler {
 
     /// Lines 7–11: the I/O thread scheduled this handler. Disables guest
     /// notifications (entering polling mode) and resets the turn workload.
+    #[inline]
     pub fn begin_turn<A, U>(&mut self, vq: &mut Virtqueue<A, U>) {
         self.workload = 0;
         if !vq.notify_disabled() {
@@ -132,6 +133,7 @@ impl HybridHandler {
     /// per-VM service-budget check (overload control): an exhausted budget
     /// ends the turn *before* the quota test so a poll-hogging VM defers
     /// its own work instead of spending shared I/O-thread time.
+    #[inline]
     pub fn poll_next<A, U>(&mut self, vq: &mut Virtqueue<A, U>) -> PollDecision<A> {
         if self.budget.is_some() && self.budget_left == 0 && !vq.is_avail_empty() {
             return PollDecision::BudgetExhausted;

@@ -121,6 +121,7 @@ impl Vcpu {
     /// synchronizes pending posted interrupts; under `Emulated`, the
     /// hypervisor injects the highest-priority pending vector (one event
     /// per entry). Returns the injected vector, if any.
+    #[inline]
     pub fn vm_entry(&mut self) -> Option<Vector> {
         debug_assert!(!self.in_guest, "double VM entry");
         self.in_guest = true;
@@ -144,18 +145,21 @@ impl Vcpu {
     }
 
     /// VM exit: transition to root mode.
+    #[inline]
     pub fn vm_exit(&mut self) {
         debug_assert!(self.in_guest, "VM exit while in root mode");
         self.in_guest = false;
     }
 
     /// The vCPU thread was switched in (kvm_sched_in).
+    #[inline]
     pub fn sched_in(&mut self) {
         self.running = true;
     }
 
     /// The vCPU thread was switched out (kvm_sched_out). KVM sets SN so
     /// that posting to a preempted vCPU does not fire pointless IPIs.
+    #[inline]
     pub fn sched_out(&mut self) {
         self.running = false;
         if self.path == InterruptPath::Posted {

@@ -48,6 +48,7 @@ impl NicQueue {
     }
 
     /// Enqueue; returns `false` (and counts a drop) if full.
+    #[inline]
     pub fn push(&mut self, p: Packet) -> bool {
         if self.q.len() >= self.capacity {
             self.dropped += 1;
@@ -59,6 +60,7 @@ impl NicQueue {
     }
 
     /// Dequeue the oldest packet.
+    #[inline]
     pub fn pop(&mut self) -> Option<Packet> {
         self.q.pop_front()
     }

@@ -48,6 +48,7 @@ impl Link {
     }
 
     /// Serialization time for a frame of `bytes`.
+    #[inline]
     pub(crate) fn serialization(&self, bytes: u32) -> SimDuration {
         SimDuration::from_nanos(
             (bytes as u64 * 8).saturating_mul(1_000_000_000) / self.bits_per_sec,
@@ -57,6 +58,7 @@ impl Link {
     /// Transmit a frame at `now`; returns its arrival time at the far end.
     ///
     /// If the transmitter is busy the frame queues behind earlier ones.
+    #[inline]
     pub(crate) fn transmit(&mut self, now: SimTime, bytes: u32) -> SimTime {
         let start = if self.next_free > now {
             self.next_free
@@ -74,6 +76,7 @@ impl Link {
     /// Faults act on the *flight*, not the transmitter: serialization and
     /// FIFO occupancy are charged identically in all cases, so enabling
     /// fault hooks does not perturb the timing of unaffected frames.
+    #[inline]
     pub fn transmit_faulted(
         &mut self,
         now: SimTime,

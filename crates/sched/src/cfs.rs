@@ -208,6 +208,7 @@ impl CfsScheduler {
     }
 
     /// Charge the current entity's execution up to `now`.
+    #[inline]
     fn update_curr(&mut self, core: CoreId, now: SimTime) {
         let rq = &mut self.cores[core.idx()];
         let Some(cur) = rq.current else { return };
@@ -231,6 +232,7 @@ impl CfsScheduler {
     /// The fair timeslice for the current entity on `core`
     /// (`sched_slice`): latency period split by weight, with the period
     /// stretched when over-committed.
+    #[inline]
     fn slice_for(&self, core: CoreId, t: ThreadId) -> SimDuration {
         let rq = &self.cores[core.idx()];
         let nr = rq.nr_running.max(1) as u64;
@@ -244,6 +246,7 @@ impl CfsScheduler {
 
     /// Switch `core` to the leftmost runnable entity (or idle). The caller
     /// must already have dealt with the previous current.
+    #[inline]
     fn pick_next(&mut self, core: CoreId, now: SimTime, prev: Option<ThreadId>) -> Switch {
         let rq = &mut self.cores[core.idx()];
         if let Some((_, tid)) = rq.queue.pop_leftmost() {
@@ -271,6 +274,7 @@ impl CfsScheduler {
     }
 
     /// Requeue the running entity as runnable (used on preemption).
+    #[inline]
     fn put_prev(&mut self, core: CoreId, cur: ThreadId, now: SimTime) {
         let e = &mut self.threads[cur.idx()];
         e.state = ThreadState::Runnable;
@@ -284,6 +288,7 @@ impl CfsScheduler {
     ///
     /// Waking an already-runnable/running thread is a no-op, matching
     /// `try_to_wake_up` semantics.
+    #[inline]
     pub fn wake(&mut self, t: ThreadId, now: SimTime) -> Option<Switch> {
         if self.threads[t.idx()].state != ThreadState::Sleeping {
             return None;
@@ -325,6 +330,7 @@ impl CfsScheduler {
     /// resulting switch.
     ///
     /// Panics if `t` is not currently running (a simulation logic error).
+    #[inline]
     pub fn block(&mut self, t: ThreadId, now: SimTime) -> Switch {
         let core = self.threads[t.idx()].core;
         assert_eq!(
@@ -387,6 +393,7 @@ impl CfsScheduler {
     /// entity's vruntime. On real hosts this noise is what makes
     /// initially synchronized run-queue rotations drift apart; without it
     /// a simulation of identical CPU hogs stays phase-locked forever.
+    #[inline]
     pub fn tick_with_noise(&mut self, core: CoreId, now: SimTime, noise_ns: u64) -> Option<Switch> {
         self.update_curr(core, now);
         if noise_ns > 0 {

@@ -30,10 +30,24 @@ pub(crate) fn nice_to_weight(nice: i8) -> u32 {
 ///
 /// `delta_vruntime = delta_exec * NICE_0_WEIGHT / weight`, the CFS
 /// `calc_delta_fair` rule (nice-0 tasks age 1:1).
+///
+/// Exact for every input: nice-0 returns `delta_ns` unchanged, a product
+/// that fits in `u64` divides in `u64`, and only a longer delta pays the
+/// `u128` divide (a library call on x86-64).
 #[inline]
 pub(crate) fn scale_delta(delta_ns: u64, weight: u32) -> u64 {
-    // u128 to avoid overflow for long deltas with tiny weights.
-    ((delta_ns as u128 * NICE_0_WEIGHT as u128) / weight as u128) as u64
+    if weight == NICE_0_WEIGHT {
+        return delta_ns;
+    }
+    match delta_ns.checked_mul(u64::from(NICE_0_WEIGHT)) {
+        Some(product) => product / u64::from(weight),
+        None => scale_delta_wide(delta_ns, weight),
+    }
+}
+
+/// `scale_delta` in `u128`, for products past `u64`.
+fn scale_delta_wide(delta_ns: u64, weight: u32) -> u64 {
+    ((u128::from(delta_ns) * u128::from(NICE_0_WEIGHT)) / u128::from(weight)) as u64
 }
 
 #[cfg(test)]
@@ -89,6 +103,22 @@ mod tests {
             prop_assert!(scale_delta(lo, w) <= scale_delta(hi, w));
             // Heavier weight => less vruntime for the same delta.
             prop_assert!(scale_delta(lo, 88761) <= scale_delta(lo, 15));
+        }
+
+        /// The nice-0 and `u64` fast paths give exactly the `u128`
+        /// formula, at every table weight and at deltas on both sides of
+        /// the `u64` product limit.
+        #[test]
+        fn prop_fast_paths_match_the_wide_formula(
+            d in any::<u64>(),
+            short in 0u64..1u64 << 54,
+            n in -20i8..=19,
+        ) {
+            let w = nice_to_weight(n);
+            for delta in [d, short, d >> 10, (d >> 10) + 1] {
+                prop_assert_eq!(scale_delta(delta, w), scale_delta_wide(delta, w));
+            }
+            prop_assert_eq!(scale_delta(d, NICE_0_WEIGHT), d);
         }
     }
 }

@@ -505,6 +505,7 @@ impl FaultInjector {
     }
 
     /// Extra stall to add to one vhost handler dispatch, if any.
+    #[inline]
     pub fn on_worker_dispatch(&mut self) -> Option<SimDuration> {
         if !self.active || self.plan.worker_stall_p <= 0.0 {
             return None;
@@ -534,6 +535,7 @@ impl FaultInjector {
     }
 
     /// Decide the fate of one packet crossing a link.
+    #[inline]
     pub fn on_packet(&mut self) -> PacketFault {
         if !self.active {
             return PacketFault::Deliver;

@@ -16,7 +16,7 @@
 //! ```
 //! use es2_sim::{EventQueue, SimTime, SimDuration};
 //!
-//! #[derive(Debug, PartialEq)]
+//! #[derive(Clone, Copy, Debug, PartialEq)]
 //! enum Ev { Ping, Pong }
 //!
 //! let mut q = EventQueue::new();

@@ -25,6 +25,14 @@
 //! outgrows the run's peak pending count and the steady state allocates
 //! nothing. [`EventQueue::peek_time`] is O(1); the multi-host merge peeks
 //! every host's queue on every step.
+//!
+//! Why payloads are `Copy` and pushes split in two: a payload is written
+//! once and read once, whole. `push` is inlined into its caller and
+//! stores the payload straight into its slot, then files the key out of
+//! line (`schedule`); `pop` copies the slot out as it was
+//! stored. No payload passes through a stack temporary written at one
+//! width and read back at another, which stalls store forwarding
+//! (DESIGN.md §8). A freed slot keeps its stale payload until reused.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -74,21 +82,21 @@ pub struct EventQueue<E> {
     front_len: usize,
     /// Keys evicted from, or too late for, the full front.
     heap: BinaryHeap<Reverse<u128>>,
-    /// Payloads by slot; `None` marks a free slot.
-    slab: Vec<Option<E>>,
+    /// Payloads by slot; a slot on the free list holds a stale payload.
+    slab: Vec<E>,
     /// Free slab slots, reused last-freed first.
     free: Vec<u32>,
     seq: u64,
     last_popped: SimTime,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// An empty queue positioned at `SimTime::ZERO`. It grows to the
     /// run's peak pending count and keeps that capacity.
     pub fn new() -> Self {
@@ -118,7 +126,7 @@ impl<E> EventQueue<E> {
     /// Every build panics on the push that would overflow a key field:
     /// the 2^40-th push into one queue (about 30 h of host time at
     /// 10 M pushes/s), or a push while 2^24 − 1 events are pending.
-    #[inline]
+    #[inline(always)]
     pub fn push(&mut self, at: SimTime, ev: E) {
         debug_assert!(
             at >= self.last_popped,
@@ -127,14 +135,19 @@ impl<E> EventQueue<E> {
         );
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slab[slot as usize] = Some(ev);
+                self.slab[slot as usize] = ev;
                 slot
             }
             None => {
-                self.slab.push(Some(ev));
+                self.slab.push(ev);
                 (self.slab.len() - 1) as u32
             }
         };
+        self.schedule(at, slot);
+    }
+
+    /// File the key of the payload just stored in `slot`.
+    fn schedule(&mut self, at: SimTime, slot: u32) {
         let key = pack(at, self.seq, slot);
         self.seq += 1;
         if self.front_len == FRONT {
@@ -185,9 +198,7 @@ impl<E> EventQueue<E> {
             self.heap.pop()?.0
         };
         let slot = key_slot(key);
-        let ev = self.slab[slot]
-            .take()
-            .expect("a queued key owns its slab slot");
+        let ev = self.slab[slot];
         self.free.push(slot as u32);
         let at = key_at(key);
         self.last_popped = at;

@@ -5,7 +5,7 @@
 //! generators from `es2-workloads` drive the protocol state machines.
 
 use es2_net::{FlowId, Packet, PacketKind};
-use es2_sim::SimDuration;
+use es2_sim::{SimDuration, SimTime};
 
 use crate::guest::{META_HTTP_GET, META_HTTP_GET_SMALL};
 use crate::machine::{Ev, Machine};
@@ -92,7 +92,7 @@ impl Machine {
         self.transmit_to_host_at(vm, pkt, at);
     }
 
-    fn transmit_to_host_at(&mut self, vm: u32, pkt: Packet, at: es2_sim::SimTime) {
+    fn transmit_to_host_at(&mut self, vm: u32, pkt: Packet, at: SimTime) {
         let fault = self.faults.on_packet();
         match self.link_to_host.transmit_faulted(at, pkt.bytes, fault) {
             es2_net::FaultedArrival::Dropped => {}
@@ -233,6 +233,21 @@ impl Machine {
         }
     }
 
+    /// `pkt` reaches `vm`'s UDP sink at `at`: a data packet counts iff
+    /// `warmup <= at < end_time`. That is the window the event path sees:
+    /// `OpenWindow` and `CloseWindow` are queued at bootstrap, ahead of
+    /// every arrival, so at `at == warmup` the window has just opened and
+    /// at `at == end_time` it has just closed. Called from the arrival
+    /// event and, on a single host, from the transmit that knows `at`.
+    pub(crate) fn udp_sink_arrival(&mut self, vm: u32, pkt: &Packet, at: SimTime) {
+        let open = SimTime::ZERO + self.p.warmup <= at && at < self.end_time;
+        if let ExtWl::UdpSink { received } = &mut self.ext[vm as usize] {
+            if pkt.kind == PacketKind::Data && open {
+                *received += 1;
+            }
+        }
+    }
+
     /// A packet from the tested host arrived at the generator.
     pub(crate) fn on_arrive_ext(&mut self, vm: u32, pkt: Packet) {
         let vmi = vm as usize;
@@ -254,11 +269,7 @@ impl Machine {
                     }
                 }
             }
-            ExtWl::UdpSink { received } => {
-                if pkt.kind == PacketKind::Data && window_open {
-                    *received += 1;
-                }
-            }
+            ExtWl::UdpSink { .. } => self.udp_sink_arrival(vm, &pkt, self.now),
             ExtWl::TcpSource {
                 flow,
                 cwnd,
@@ -362,5 +373,84 @@ impl Machine {
             }
             ExtWl::UdpSource { .. } | ExtWl::Idle => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use es2_core::EventPathConfig;
+    use es2_net::{FlowId, PacketFactory, PacketKind};
+    use es2_sim::SimTime;
+    use es2_workloads::NetperfSpec;
+
+    use crate::machine::{Ev, Machine, Topology};
+    use crate::params::Params;
+    use crate::workload::{ExtWl, WorkloadSpec};
+
+    fn udp_sink_machine() -> Machine {
+        let spec = WorkloadSpec::Netperf(NetperfSpec::udp_send(256));
+        Machine::new(
+            EventPathConfig::baseline(),
+            Topology::micro(),
+            spec,
+            Params::fast_test(),
+            1,
+        )
+    }
+
+    fn received(m: &Machine) -> u64 {
+        match m.ext[0] {
+            ExtWl::UdpSink { received } => received,
+            _ => unreachable!("VM 0 sends UDP"),
+        }
+    }
+
+    /// The event path's window: `OpenWindow` and `CloseWindow` are queued
+    /// at bootstrap, so an arrival queued later for the same instant pops
+    /// after them: inside the window at `warmup`, outside at `end_time`.
+    #[test]
+    fn arrivals_at_the_window_edges_pop_after_the_window_events() {
+        let mut m = udp_sink_machine();
+        let (warmup, end) = (SimTime::ZERO + m.p.warmup, m.end_time);
+        let pkt = PacketFactory::new().make(FlowId(0), PacketKind::Data, 256, SimTime::ZERO);
+        m.q.push(end, Ev::ArriveAtExt { vm: 0, pkt });
+        m.q.push(warmup, Ev::ArriveAtExt { vm: 0, pkt });
+        let mut order = Vec::new();
+        while let Some((at, ev)) = m.q.pop() {
+            match ev {
+                Ev::OpenWindow => order.push((at, "open")),
+                Ev::CloseWindow => order.push((at, "close")),
+                Ev::ArriveAtExt { .. } => order.push((at, "arrive")),
+                _ => {}
+            }
+        }
+        assert_eq!(
+            order,
+            [
+                (warmup, "open"),
+                (warmup, "arrive"),
+                (end, "close"),
+                (end, "arrive")
+            ]
+        );
+    }
+
+    /// The counting rule both paths share: a data packet counts iff
+    /// `warmup <= at < end_time`, as the event order above implies.
+    #[test]
+    fn udp_sink_counts_data_arrivals_from_warmup_up_to_end_time() {
+        let mut m = udp_sink_machine();
+        let (warmup, end) = (m.p.warmup.as_nanos(), m.end_time.as_nanos());
+        let mut pf = PacketFactory::new();
+        let data = pf.make(FlowId(0), PacketKind::Data, 256, SimTime::ZERO);
+        let ack = pf.make(FlowId(0), PacketKind::Ack, 0, SimTime::ZERO);
+        for (at, counted) in [(warmup - 1, 0), (warmup, 1), (end - 1, 1), (end, 0)] {
+            let before = received(&m);
+            m.udp_sink_arrival(0, &data, SimTime::from_nanos(at));
+            assert_eq!(received(&m) - before, counted, "data arrival at {at} ns");
+        }
+        let before = received(&m);
+        m.udp_sink_arrival(0, &ack, SimTime::from_nanos(warmup));
+        assert_eq!(received(&m), before, "only data packets count");
     }
 }

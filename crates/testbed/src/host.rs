@@ -19,6 +19,7 @@ use crate::machine::{Body, Ev, Machine, SegKind};
 use crate::params::{
     vhost_rx_cost, vhost_tx_cost, SRIOV_HOST_ISR, VHOST_DISPATCH, VHOST_REQUEUE_GAP, VHOST_RX_BURST,
 };
+use crate::workload::ExtWl;
 
 impl Machine {
     /// A vhost worker thread finished a segment (or was just scheduled)
@@ -190,12 +191,22 @@ impl Machine {
         }
         self.note_tx(vm, pkt.bytes);
         let fault = self.faults.on_packet();
-        match self
+        let arrival = self
             .link_to_ext
-            .transmit_faulted(self.now, pkt.bytes, fault)
-        {
+            .transmit_faulted(self.now, pkt.bytes, fault);
+        // A UDP sink does nothing with an arrival but count it, and the
+        // arrival instant is known here: count it now instead of queueing
+        // the event. A cluster member keeps the event, so its gate can
+        // still forward it to the VM's current host.
+        let count_now = self.mig.is_none() && matches!(self.ext[vmi], ExtWl::UdpSink { .. });
+        match arrival {
             FaultedArrival::Dropped => {}
+            FaultedArrival::One(at) if count_now => self.udp_sink_arrival(vm, &pkt, at),
             FaultedArrival::One(at) => self.q.push(at, Ev::ArriveAtExt { vm, pkt }),
+            FaultedArrival::Two(first, second) if count_now => {
+                self.udp_sink_arrival(vm, &pkt, first);
+                self.udp_sink_arrival(vm, &pkt, second);
+            }
             FaultedArrival::Two(first, second) => {
                 self.q.push(first, Ev::ArriveAtExt { vm, pkt });
                 self.q.push(second, Ev::ArriveAtExt { vm, pkt });

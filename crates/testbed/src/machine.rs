@@ -274,7 +274,13 @@ impl VmState {
 }
 
 /// Events of the discrete-event loop.
+///
+/// `repr(u32)`: the tag is a 32-bit word, so every field sits at the
+/// offset of its own width (`vm` and `tid` at 4, `gen` and `pkt` at 8)
+/// and the queue moves an event with aligned loads and stores instead of
+/// re-packing the bytes behind a one-byte tag (DESIGN.md §8).
 #[derive(Clone, Copy, Debug)]
+#[repr(u32)]
 pub(crate) enum Ev {
     Tick(CoreId),
     SegDone {
@@ -463,10 +469,10 @@ pub const EV_KIND_NAMES: &[&str] = &[
 // A kind past the profiler's table would land in its overflow bucket
 // unattributed: grow `MAX_KINDS` with the enum.
 const _: () = assert!(EV_KIND_NAMES.len() <= es2_metrics::ev_profile::MAX_KINDS);
-// Every queued event is as large as the largest variant: a payload
-// added to a variant must fit beside its fields (control flags sit next
-// to `vm`).
-const _: () = assert!(std::mem::size_of::<Ev>() <= 40);
+// Every queued event is as large as the largest variant (a `Packet`
+// beside `vm`): a payload added to a variant must fit beside its fields
+// (control flags sit next to `vm`).
+const _: () = assert!(std::mem::size_of::<Ev>() == 40);
 
 impl Ev {
     /// Dense kind index into [`EV_KIND_NAMES`] (profiling).

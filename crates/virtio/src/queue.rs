@@ -258,6 +258,7 @@ impl<A, U> Virtqueue<A, U> {
     /// kick, per the current suppression state.
     ///
     /// Returns `Err(payload)` if the ring is full.
+    #[inline]
     pub fn driver_add(&mut self, payload: A) -> Result<KickDecision, A> {
         // A quarantined queue accepts nothing: the guest sees a stopped
         // queue (as if full) until it performs the reset the device
@@ -333,6 +334,7 @@ impl<A, U> Virtqueue<A, U> {
 
     /// Reclaim one completed buffer from the used ring (frees a
     /// descriptor).
+    #[inline]
     pub fn driver_take_used(&mut self) -> Option<U> {
         let p = self.used.pop_front()?;
         self.last_used_idx = self.last_used_idx.wrapping_add(1);
@@ -342,6 +344,7 @@ impl<A, U> Virtqueue<A, U> {
     }
 
     /// Completed buffers the driver has not reclaimed yet.
+    #[inline]
     pub fn used_pending(&self) -> usize {
         self.used.len()
     }
@@ -357,6 +360,7 @@ impl<A, U> Virtqueue<A, U> {
     }
 
     /// Driver disables device→driver interrupts (NAPI entering poll mode).
+    #[inline]
     pub fn driver_disable_interrupts(&mut self) {
         if self.cfg.event_idx {
             // Push used_event far behind so need_event stays false for
@@ -370,6 +374,7 @@ impl<A, U> Virtqueue<A, U> {
     /// Driver re-enables interrupts (NAPI complete). Returns `true` if the
     /// used ring already holds entries — the race the driver must re-check
     /// (it would otherwise miss an interrupt).
+    #[inline]
     pub fn driver_enable_interrupts(&mut self) -> bool {
         self.avail_flags_no_interrupt = false;
         if self.cfg.event_idx {
@@ -383,6 +388,7 @@ impl<A, U> Virtqueue<A, U> {
     // ------------------------------------------------------------------
 
     /// Buffers exposed and not yet consumed.
+    #[inline]
     pub fn avail_pending(&self) -> usize {
         self.avail.len()
     }
@@ -393,6 +399,7 @@ impl<A, U> Virtqueue<A, U> {
     }
 
     /// Consume one exposed buffer.
+    #[inline]
     pub fn device_pop(&mut self) -> Option<A> {
         if self.broken {
             return None;
@@ -407,6 +414,7 @@ impl<A, U> Virtqueue<A, U> {
     /// device must raise a virtual interrupt, per the suppression state.
     /// A quarantined queue silently swallows the completion (no interrupt,
     /// no used entry) — the backend stopped serving this queue.
+    #[inline]
     pub fn device_push_used(&mut self, payload: U) -> bool {
         if self.broken {
             drop(payload);
@@ -436,6 +444,7 @@ impl<A, U> Virtqueue<A, U> {
 
     /// Device suppresses driver kicks (entered busy processing or — for
     /// ES2 — the permanent polling mode).
+    #[inline]
     pub fn device_disable_notify(&mut self) {
         self.used_flags_no_notify = true;
         if self.cfg.event_idx {
@@ -448,6 +457,7 @@ impl<A, U> Virtqueue<A, U> {
     /// notification mode). Returns `true` if buffers raced in and the
     /// device must process them before sleeping (`vhost_enable_notify`'s
     /// re-check).
+    #[inline]
     pub fn device_enable_notify(&mut self) -> bool {
         self.used_flags_no_notify = false;
         if self.cfg.event_idx {

@@ -66,6 +66,7 @@ impl VhostWorker {
     /// unregistered id is refused — never indexed with.
     /// A quarantined handler's kicks are likewise refused: its queue is
     /// broken and the worker stopped serving it.
+    #[inline]
     pub(crate) fn queue_work(&mut self, h: HandlerId) -> bool {
         let Some(queued) = self.queued.get_mut(h.idx()) else {
             return false;
@@ -81,6 +82,7 @@ impl VhostWorker {
     }
 
     /// Pop the next handler to run, or `None` (worker sleeps).
+    #[inline]
     pub(crate) fn next_work(&mut self) -> Option<HandlerId> {
         let h = self.work.pop_front()?;
         self.queued[h.idx()] = false;
@@ -236,18 +238,21 @@ impl VhostPool {
 
     /// True when queues own their workers and the dispatch hop is
     /// elided (see [`ShardPolicy::Passthrough`]).
+    #[inline]
     pub fn is_passthrough(&self) -> bool {
         self.policy == ShardPolicy::Passthrough
     }
 
     /// The worker assigned to `h` (worker 0 for unregistered ids, whose
     /// kicks that worker refuses).
+    #[inline]
     pub(crate) fn worker_of(&self, h: HandlerId) -> usize {
         self.assign.get(h.idx()).copied().unwrap_or(0) as usize
     }
 
     /// Queue `h` on its assigned worker. Returns the worker index and
     /// whether that worker was idle (its thread must be woken).
+    #[inline]
     pub fn queue_work(&mut self, h: HandlerId) -> (usize, bool) {
         let w = self.worker_of(h);
         let before = self.workers[w].is_queued(h);
@@ -259,6 +264,7 @@ impl VhostPool {
     }
 
     /// Pop worker `w`'s next handler, or `None` (that thread sleeps).
+    #[inline]
     pub fn next_work(&mut self, w: usize) -> Option<HandlerId> {
         let h = self.workers[w].next_work();
         if h.is_some() {

@@ -89,6 +89,7 @@ impl NetperfSpec {
     }
 
     /// Wire segments per application message.
+    #[inline]
     pub fn segments_per_msg(&self) -> u32 {
         match self.proto {
             NetperfProto::Tcp => segments_for(self.msg_bytes),
@@ -99,6 +100,7 @@ impl NetperfSpec {
 
     /// Bytes carried per segment (last segment may be short; we use the
     /// average for throughput accounting).
+    #[inline]
     pub fn payload_per_segment(&self) -> u32 {
         self.msg_bytes / self.segments_per_msg()
     }

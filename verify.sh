@@ -75,8 +75,8 @@ fi
 # instead of passing as a speed-up. Each pin is "seed workload digest".
 # ES2_THREADS is cleared, as perfbench/run.py does.
 cargo build --release --offline -q --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
-for pin in "1 sweep 7b99ca24416e2e7a" "1 dense bfce23d0dabb6151" "1 cell ef0010e9dad466fa" \
-           "7 sweep aac36da692208e35" "7 dense e3c4f7a15bd02235" "7 cell 67af96e663829a90"; do
+for pin in "1 sweep d78bd5bcf398c861" "1 dense bfce23d0dabb6151" "1 cell ef0010e9dad466fa" \
+           "7 sweep 83234f2f5e25890c" "7 dense e3c4f7a15bd02235" "7 cell 67af96e663829a90"; do
     set -- $pin
     env -u ES2_THREADS \
         target/perfbench/release/perfbench --workload "$2" --seed "$1" --seconds 0.1 \
