@@ -832,10 +832,11 @@ impl Cluster {
             if let Some(l) = lane.m.mig_ledger() {
                 ledger.merge(l);
             }
+            let end = lane.m.model_end(lane.crash_at);
             per_host.push(HostOutcome {
                 host: lane.host,
                 crashed: lane.crash_at,
-                result: RunResult::collect(lane.m),
+                result: RunResult::collect(lane.m, end),
             });
         }
         // Typed control-plane errors are still failures: promote every

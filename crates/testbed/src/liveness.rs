@@ -221,7 +221,8 @@ impl Machine {
     pub fn run_checked(mut self) -> (RunResult, LivenessReport) {
         while self.step_one() {}
         let report = check(&self);
-        (RunResult::collect(self), report)
+        let end = self.model_end(None);
+        (RunResult::collect(self, end), report)
     }
 }
 

@@ -913,13 +913,24 @@ impl Machine {
     pub fn run_with_snapshot(mut self) -> (RunResult, String) {
         while self.step_one() {}
         let snap = self.debug_snapshot();
-        (RunResult::collect(self), snap)
+        let end = self.model_end(None);
+        (RunResult::collect(self, end), snap)
     }
 
     /// Run to completion and collect results.
     pub fn run(mut self) -> RunResult {
         while self.step_one() {}
-        RunResult::collect(self)
+        let end = self.model_end(None);
+        RunResult::collect(self, end)
+    }
+
+    /// The instant a finished run's model ends, where the recorders
+    /// close: `end_time`, or earlier if the queue ran dry first, or the
+    /// crash instant of a host that crashed (`crash_at`). Never `now`
+    /// past `end_time`: that is the instant of whichever event happened
+    /// to pop first after the end, an artifact of event bookkeeping.
+    pub(crate) fn model_end(&self, crash_at: Option<SimTime>) -> SimTime {
+        crash_at.unwrap_or(self.now).min(self.end_time)
     }
 
     /// Pop and dispatch exactly one event. Returns `false` once the run

@@ -1,7 +1,7 @@
 //! Run results: the measurements the paper reports.
 
 use es2_hypervisor::{ExitReason, ExitStats};
-use es2_sim::SimDuration;
+use es2_sim::{SimDuration, SimTime};
 use es2_workloads::NetperfProto;
 
 use crate::machine::Machine;
@@ -129,8 +129,10 @@ impl RunResult {
         self.rtt_series.iter().map(|&(_, r)| r).sum::<f64>() / self.rtt_series.len() as f64
     }
 
-    pub(crate) fn collect(mut m: Machine) -> RunResult {
-        let (spans, telemetry) = m.finish_recorders();
+    /// Collect `m`'s results, closing its recorders at `end` (see
+    /// [`Machine::model_end`]).
+    pub(crate) fn collect(mut m: Machine, end: SimTime) -> RunResult {
+        let (spans, telemetry) = m.finish_recorders(end);
         let vm0 = &m.vms[0];
         let rx = &vm0.ledger.win;
         let window = m.p.measure;

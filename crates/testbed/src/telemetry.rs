@@ -34,7 +34,9 @@
 
 use es2_apic::Vector;
 use es2_hypervisor::{exit_cost, ExitReason, ExitStats};
-use es2_metrics::telemetry::{TelemetryGeometry, TelemetryRecorder, TelemetryReport, VmWin};
+use es2_metrics::telemetry::{
+    TelemetryGeometry, TelemetryRecorder, TelemetryReport, VmWin, WINDOW_NS,
+};
 use es2_metrics::{BackpressureStats, GuestTime, Histogram, SpanReport, VmModeCounts};
 use es2_sim::trace::Tracer;
 use es2_sim::{SimDuration, SimTime};
@@ -708,21 +710,30 @@ impl Machine {
         )
     }
 
-    /// Seal the span tracker and close the series at the current
-    /// instant, running every guest and worker interval still in
-    /// progress up to it.
-    pub(crate) fn finish_recorders(&mut self) -> (Option<SpanReport>, Option<TelemetryReport>) {
+    /// Seal the span tracker and close the series at `end`, the run's
+    /// model end ([`Machine::model_end`]), running every guest and
+    /// worker interval still in progress up to it. The series covers
+    /// `[0, end)`: a window that starts at `end` holds no time of the
+    /// run, only facts of events dispatched at the end instant itself
+    /// (the lifetime ledger and the annotations keep those), so it is
+    /// dropped.
+    pub(crate) fn finish_recorders(
+        &mut self,
+        end: SimTime,
+    ) -> (Option<SpanReport>, Option<TelemetryReport>) {
         let spans = self.rec.spans.take().map(|tr| tr.finish());
         let Some(mut t) = self.rec.tel.take() else {
             return (spans, None);
         };
-        let end = self.now.as_nanos();
+        let end = end.as_nanos();
         for (vm, state) in self.vms.iter().enumerate() {
             for since in state.ledger.guest.in_progress() {
                 t.record_guest_slice(vm as u32, since.as_nanos(), end);
             }
         }
-        (spans, Some(t.finish(end)))
+        let mut report = t.finish(end);
+        report.windows.retain(|w| w.idx * WINDOW_NS < end);
+        (spans, Some(report))
     }
 }
 

@@ -345,6 +345,91 @@ fn ledger_matches_the_series_inside_the_window() {
     }
 }
 
+/// The series closes at the run's model end, not at whichever event
+/// popped first past it. The cell is `repro --telemetry --fast`'s chaos
+/// Baseline cell, whose run dispatches events that record at the end
+/// instant itself: its series still has one window per millisecond of
+/// the run, and the tested vCPU's guest time summed over the windows
+/// from the warm-up on equals the ledger's in-window guest time. Run
+/// again with the end inside a window, the last partial window holds
+/// guest time only up to the end.
+#[test]
+fn the_series_closes_at_the_model_end() {
+    for measure_us in [200_000, 200_500] {
+        let params = Params {
+            warmup: SimDuration::from_millis(50),
+            measure: SimDuration::from_micros(measure_us),
+            telemetry: true,
+            num_cores: 10,
+            ..Params::default()
+        };
+        let topo = Topology {
+            num_vms: 8,
+            vcpus_per_vm: 1,
+        };
+        let mut specs = vec![WorkloadSpec::Idle; 8];
+        specs[0] = WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024));
+        specs[1] = WorkloadSpec::Netperf(NetperfSpec::tcp_receive(1024));
+        let cfg = EventPathConfig::baseline();
+        let plan = experiments::chaos_plan();
+        let r = Machine::with_specs_faulted(cfg, topo, specs, params, 20170814, plan).run();
+        let series = r.telemetry.as_ref().expect("telemetry on");
+        let end_ns = (params.warmup + params.measure).as_nanos();
+        let windows = end_ns.div_ceil(WINDOW_NS);
+        assert_eq!(series.windows.len() as u64, windows, "end {end_ns} ns");
+        assert_eq!(series.windows.last().map(|w| w.idx), Some(windows - 1));
+        let lo = params.warmup.as_nanos() / WINDOW_NS;
+        let series_guest_ns: u64 = series
+            .windows
+            .iter()
+            .filter(|w| w.idx >= lo)
+            .filter_map(|w| w.vm(0))
+            .map(|v| v.guest_ns)
+            .sum();
+        // One vCPU.
+        let ledger_guest_ns = r.tig_percent / 100.0 * params.measure.as_nanos() as f64;
+        assert!(
+            (ledger_guest_ns - series_guest_ns as f64).abs() < 1.0,
+            "end {end_ns} ns: guest ns {ledger_guest_ns} vs {series_guest_ns}"
+        );
+    }
+}
+
+/// A crashed host's series closes at its crash instant, not at the last
+/// event it ran. Host 1 holds two idle VMs whose single vCPUs time-share
+/// core 0 under posted interrupts: one of them is in guest mode at every
+/// instant, so the last window holds exactly the time from its start to
+/// the crash, and no window follows it.
+#[test]
+fn a_crashed_hosts_series_closes_at_its_crash_instant() {
+    let params = Params {
+        warmup: SimDuration::from_millis(20),
+        measure: SimDuration::from_millis(100),
+        telemetry: true,
+        ..Params::default()
+    };
+    let tcp = WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024));
+    let fleet = vec![tcp, tcp, WorkloadSpec::Idle, WorkloadSpec::Idle];
+    let mut spec = ClusterSpec::new(EventPathConfig::pi(), 1, fleet, 3, 2, params, 5);
+    let crash = SimDuration::from_micros(60_300);
+    spec.plan = FaultPlan {
+        host_crash_mask: 0b10,
+        host_crash_at: crash,
+        ..FaultPlan::none()
+    };
+    let cluster = Cluster::new(spec);
+    assert_eq!(cluster.placement()[2..], [Some(1), Some(1)]);
+    let r = cluster.run();
+    let host = &r.per_host[1];
+    assert_eq!(host.crashed, Some(SimTime::ZERO + crash));
+    let series = host.result.telemetry.as_ref().expect("telemetry on");
+    let last = series.windows.last().expect("host 1 recorded");
+    let crash_ns = crash.as_nanos();
+    assert_eq!(last.idx, crash_ns / WINDOW_NS);
+    let guest_ns: u64 = last.vms.iter().map(|v| v.guest_ns).sum();
+    assert_eq!(guest_ns, crash_ns - last.idx * WINDOW_NS);
+}
+
 /// Each containment and watchdog event is recorded by one probe that
 /// feeds both the ledger and the series: on a backpressured hostile
 /// cell with lost kicks and MSIs, the ledger's lifetime counts equal the
