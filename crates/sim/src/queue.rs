@@ -26,12 +26,13 @@
 //! nothing. [`EventQueue::peek_time`] is O(1); the multi-host merge peeks
 //! every host's queue on every step.
 //!
-//! Why payloads are `Copy` and pushes split in two: a payload is written
-//! once and read once, whole. `push` is inlined into its caller and
-//! stores the payload straight into its slot, then files the key out of
-//! line (`schedule`); `pop` copies the slot out as it was
-//! stored. No payload passes through a stack temporary written at one
-//! width and read back at another, which stalls store forwarding
+//! Why payloads are `Copy`, pushes split in two and pops hand out a
+//! slot: a payload is written once and read once. `push` is inlined into
+//! its caller and stores the payload straight into its slot, then files
+//! the key out of line (`schedule`); `pop_slot` hands out the slot, and
+//! the caller reads the payload there, each field at its own width, as
+//! it was stored. No payload passes through a stack temporary written
+//! at one width and read back at another, which stalls store forwarding
 //! (DESIGN.md §8). A freed slot keeps its stale payload until reused.
 
 use std::cmp::Reverse;
@@ -190,6 +191,16 @@ impl<E: Copy> EventQueue<E> {
     /// Remove and return the earliest event.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let (at, slot) = self.pop_slot()?;
+        Some((at, self.slab[slot]))
+    }
+
+    /// Remove the earliest event and return its instant and the slot
+    /// holding its payload, read in place through
+    /// [`EventQueue::payload`]. The slot is free again: the next push may
+    /// reuse it, so read what the payload carries before pushing.
+    #[inline]
+    pub fn pop_slot(&mut self) -> Option<(SimTime, usize)> {
         let soonest = self.front_soonest();
         let key = if soonest < self.heap_soonest() {
             self.front_len -= 1;
@@ -198,11 +209,16 @@ impl<E: Copy> EventQueue<E> {
             self.heap.pop()?.0
         };
         let slot = key_slot(key);
-        let ev = self.slab[slot];
         self.free.push(slot as u32);
         let at = key_at(key);
         self.last_popped = at;
-        Some((at, ev))
+        Some((at, slot))
+    }
+
+    /// The payload in `slot`, as [`EventQueue::push`] stored it.
+    #[inline]
+    pub fn payload(&self, slot: usize) -> &E {
+        &self.slab[slot]
     }
 
     /// The instant of the earliest pending event, if any.

@@ -82,6 +82,8 @@ impl Machine {
             self.do_vm_exit(vm, idx, ExitReason::Hlt);
             let sw = self.sched.block(tid, self.now);
             self.apply_switch(sw);
+        } else if self.vms[vm as usize].burns_open(idx) {
+            self.start_open_burn(tid);
         } else {
             self.start_segment(tid, SegKind::Burn, BURN_SLICE);
         }
@@ -236,7 +238,7 @@ impl Machine {
             let burning = matches!(
                 self.threads[tid.idx()].seg,
                 Some(crate::machine::Segment {
-                    kind: SegKind::Burn,
+                    kind: SegKind::Burn | SegKind::OpenBurn,
                     ..
                 })
             );

@@ -30,8 +30,8 @@ use es2_sim::{
 use es2_virtio::{HandlerId, VhostPool, Virtqueue};
 
 use crate::params::{
-    Params, CTX_SWITCH, GUEST_RTO_CHECK, GUEST_TIMER_PERIOD, RING_SIZE, SCHED_TICK_NOISE,
-    WATCHDOG_PERIOD,
+    Params, BURN_SLICE, CTX_SWITCH, GUEST_RTO_CHECK, GUEST_TIMER_PERIOD, RING_SIZE,
+    SCHED_TICK_NOISE, WATCHDOG_PERIOD,
 };
 use crate::results::RunResult;
 use crate::telemetry::{KickOrigin, MsiOrigin};
@@ -87,10 +87,23 @@ pub(crate) struct Segment {
     pub(crate) remaining: SimDuration,
 }
 
+/// What a segment does when it completes.
+///
+/// `repr(u32)`, as [`Ev`]: each field sits at an offset of its own width,
+/// so a segment built at its call site reaches its thread's slot without
+/// being re-packed at odd offsets behind a one-byte tag (DESIGN.md §8).
 #[derive(Clone, Copy, Debug)]
+#[repr(u32)]
 pub(crate) enum SegKind {
-    /// Guest CPU-burn script (lowest-priority guest work).
+    /// Guest CPU-burn script (lowest-priority guest work): one
+    /// `BURN_SLICE`, after which the vCPU polls for application work.
     Burn,
+    /// The burn script of a vCPU that can never have application work
+    /// ([`VmState::burns_open`]). Its slice boundaries change nothing, so
+    /// it is one open-ended segment that queues no completion.
+    /// `remaining` is the time to its next virtual `BURN_SLICE` boundary
+    /// ([`open_burn_remaining`]), the phase the evented chain keeps.
+    OpenBurn,
     /// Guest application work.
     App(AppStep),
     /// Guest interrupt handler.
@@ -243,6 +256,20 @@ pub(crate) struct VmState {
 }
 
 impl VmState {
+    /// Whether vCPU `idx` runs its burn script as one open-ended
+    /// [`SegKind::OpenBurn`]: the guest never halts, and
+    /// `Machine::select_app_step` can never return work for it (a
+    /// passive guest, a netperf receiver, or a netperf sender's vCPU past
+    /// its threads). A server's vCPUs stay evented.
+    pub(crate) fn burns_open(&self, idx: u32) -> bool {
+        !self.guest_idles
+            && match &self.wl {
+                GuestWl::Passive | GuestWl::NetperfRecv { .. } => true,
+                GuestWl::NetperfSend { spec, .. } => idx >= spec.threads,
+                GuestWl::Server { .. } => false,
+            }
+    }
+
     /// The pair owning handler `h` (pair `q` registers `2q` / `2q+1`).
     #[inline]
     pub(crate) fn pair_of(&self, h: HandlerId) -> usize {
@@ -941,19 +968,16 @@ impl Machine {
     /// clients, so standalone and multi-host execution share one
     /// event-dispatch semantics by construction.
     pub(crate) fn step_one(&mut self) -> bool {
-        match self.q.pop() {
-            None => false,
-            Some((t, ev)) => {
-                debug_assert!(t >= self.now);
-                self.now = t;
-                if t > self.end_time {
-                    false
-                } else {
-                    self.dispatch_ev(ev);
-                    true
-                }
-            }
+        let Some((t, slot)) = self.q.pop_slot() else {
+            return false;
+        };
+        debug_assert!(t >= self.now);
+        self.now = t;
+        if t > self.end_time {
+            return false;
         }
+        self.dispatch_ev(slot);
+        true
     }
 
     /// Time of the next pending event, if any (the cluster's merge
@@ -971,38 +995,39 @@ impl Machine {
         self.q.push(at, Ev::ArriveAtHost { vm, pkt });
     }
 
-    /// Dispatch one event, timing its handler into the process-global
-    /// profile. Observational only — results are unchanged by profiling.
+    /// Dispatch the event just popped from `slot`, timing its handler
+    /// into the process-global profile. Observational only — results are
+    /// unchanged by profiling.
     #[cfg(feature = "ev-profile")]
     #[inline]
-    pub(crate) fn dispatch_ev(&mut self, ev: Ev) {
-        let idx = ev.kind_idx();
+    pub(crate) fn dispatch_ev(&mut self, slot: usize) {
+        let idx = self.q.payload(slot).kind_idx();
         let t0 = std::time::Instant::now();
-        self.dispatch(ev);
+        self.dispatch(slot);
         es2_metrics::ev_profile::record(idx, t0.elapsed().as_nanos() as u64);
     }
 
-    /// Dispatch one event (profiling feature off: a plain call).
+    /// Dispatch the event just popped from `slot` (profiling feature
+    /// off: a plain call).
     #[cfg(not(feature = "ev-profile"))]
     #[inline(always)]
-    pub(crate) fn dispatch_ev(&mut self, ev: Ev) {
-        self.dispatch(ev);
+    pub(crate) fn dispatch_ev(&mut self, slot: usize) {
+        self.dispatch(slot);
     }
 
-    pub(crate) fn dispatch(&mut self, ev: Ev) {
+    /// Run the handler of the event just popped from `slot`. The match
+    /// reads each field from the queue's slot at its own width, as
+    /// `push` stored it, before the handler pushes anything (DESIGN.md
+    /// §8): the event is never copied whole.
+    pub(crate) fn dispatch(&mut self, slot: usize) {
         // Cluster gate: on a multi-host member, events addressed to a VM
         // that lives elsewhere (or is mid-blackout) are forwarded to
         // another host, buffered, or dropped before the single-host
         // handlers ever see them. Single-host machines skip the call.
-        let ev = if self.mig.is_some() {
-            match self.mig_gate(ev) {
-                Some(ev) => ev,
-                None => return,
-            }
-        } else {
-            ev
-        };
-        match ev {
+        if self.mig.is_some() && !self.mig_gate(*self.q.payload(slot)) {
+            return;
+        }
+        match *self.q.payload(slot) {
             Ev::Tick(core) => {
                 // NOHZ-style idle tick stop: with nothing runnable on the
                 // core there is nothing to preempt or account, so let the
@@ -1099,7 +1124,10 @@ impl Machine {
     // Segment mechanics
     // -----------------------------------------------------------------
 
-    /// Begin a fresh segment on a running thread.
+    /// Begin a fresh segment on a running thread. Inlined, so the caller
+    /// builds the segment straight into the thread's slot; the clock and
+    /// the completion are armed out of line.
+    #[inline]
     pub(crate) fn start_segment(&mut self, tid: ThreadId, kind: SegKind, dur: SimDuration) {
         debug_assert!(self.sched.is_running(tid), "segment on a parked thread");
         debug_assert!(
@@ -1112,6 +1140,41 @@ impl Machine {
             kind,
             remaining: dur,
         });
+        self.arm_segment(tid, dur);
+    }
+
+    /// Begin an open-ended burn on a running vCPU thread whose burns are
+    /// open ([`VmState::burns_open`]): a `BURN_SLICE` segment that
+    /// queues nothing.
+    pub(crate) fn start_open_burn(&mut self, tid: ThreadId) {
+        debug_assert!(self.sched.is_running(tid), "segment on a parked thread");
+        debug_assert!(self.threads[tid.idx()].seg.is_none());
+        let t = &mut self.threads[tid.idx()];
+        t.seg = Some(Segment {
+            kind: SegKind::OpenBurn,
+            remaining: BURN_SLICE,
+        });
+        t.seg_started = self.now;
+        t.gen.bump();
+    }
+
+    /// (Re)start the clock of `tid`'s segment now and queue its
+    /// completion `dur` from now, superseding any earlier one.
+    fn arm_segment(&mut self, tid: ThreadId, dur: SimDuration) {
+        debug_assert!(
+            match (self.threads[tid.idx()].body, self.threads[tid.idx()].seg) {
+                (
+                    Body::Vcpu { vm, idx },
+                    Some(Segment {
+                        kind: SegKind::Burn,
+                        ..
+                    }),
+                ) => !self.vms[vm as usize].burns_open(idx),
+                (_, seg) => !matches!(seg.map(|s| s.kind), Some(SegKind::OpenBurn)),
+            },
+            "completion queued for a burn that is open"
+        );
+        let t = &mut self.threads[tid.idx()];
         t.seg_started = self.now;
         let gen = t.gen.bump();
         self.q.push(self.now + dur, Ev::SegDone { tid, gen });
@@ -1120,17 +1183,20 @@ impl Machine {
     /// Resume a thread's saved segment. `charge_ctx` adds the host
     /// context-switch cost (scheduler switches only; IRQ returns and VM
     /// entries resume for free — their costs are modeled explicitly).
+    /// An open burn resumes its clock and queues nothing.
     fn resume_saved(&mut self, tid: ThreadId, charge_ctx: bool) {
-        let ctx_cost = CTX_SWITCH;
         let t = &mut self.threads[tid.idx()];
         let seg = t.seg.as_mut().expect("resume without saved segment");
         if charge_ctx {
-            seg.remaining += ctx_cost;
+            seg.remaining += CTX_SWITCH;
         }
-        t.seg_started = self.now;
-        let gen = t.gen.bump();
-        let at = self.now + seg.remaining;
-        self.q.push(at, Ev::SegDone { tid, gen });
+        let (kind, remaining) = (seg.kind, seg.remaining);
+        if let SegKind::OpenBurn = kind {
+            t.seg_started = self.now;
+            t.gen.bump();
+        } else {
+            self.arm_segment(tid, remaining);
+        }
     }
 
     /// Save the active segment's remaining work (preemption or IRQ
@@ -1140,13 +1206,13 @@ impl Machine {
         let now = self.now;
         let t = &mut self.threads[tid.idx()];
         t.gen.bump();
-        if let Some(seg) = t.seg.as_mut() {
-            let elapsed = now.saturating_since(t.seg_started);
-            seg.remaining = seg.remaining.saturating_sub(elapsed);
-            Some(*seg)
-        } else {
-            None
-        }
+        let seg = t.seg.as_mut()?;
+        let elapsed = now.saturating_since(t.seg_started);
+        seg.remaining = match seg.kind {
+            SegKind::OpenBurn => open_burn_remaining(seg.remaining, elapsed),
+            _ => seg.remaining.saturating_sub(elapsed),
+        };
+        Some(*seg)
     }
 
     /// Clear the thread's segment slot (it completed or was moved to an
@@ -1855,6 +1921,22 @@ impl Machine {
 /// Record on `q` the corrupted ring state a hostile guest of `kind`
 /// claims to have published. TX and RX rings carry different payload
 /// types, but the claims concern indices alone.
+/// The time from `elapsed` into an open burn to its next `BURN_SLICE`
+/// boundary, when its first boundary lay `first` after its clock
+/// started: `first - elapsed` before that boundary, then one every
+/// `BURN_SLICE`. These are exactly the completions the evented chain
+/// would have queued. Exactly on a boundary it is a full `BURN_SLICE`:
+/// the chain's completion and the interruption tie there, and either
+/// order leads to the same later boundaries.
+pub(crate) fn open_burn_remaining(first: SimDuration, elapsed: SimDuration) -> SimDuration {
+    if elapsed < first {
+        first - elapsed
+    } else {
+        let into_slice = (elapsed - first).as_nanos() % BURN_SLICE.as_nanos();
+        BURN_SLICE - SimDuration::from_nanos(into_slice)
+    }
+}
+
 fn publish_claim<A, U>(q: &mut Virtqueue<A, U>, kind: RingCorruptionKind) {
     let size = q.config().size;
     match kind {
@@ -1875,5 +1957,141 @@ fn publish_claim<A, U>(q: &mut Virtqueue<A, U>, kind: RingCorruptionKind) {
         RingCorruptionKind::DescLoop => q.guest_publish_chain(0, 1, true),
         RingCorruptionKind::ChainOverLength => q.guest_publish_chain(0, size + 1, false),
         RingCorruptionKind::UsedOverflow => q.guest_claim_used_outstanding(size + 1),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const SLICE: u64 = BURN_SLICE.as_nanos();
+
+    /// The evented burn a vCPU used to run: a completion at `start +
+    /// rem` starts the next `BURN_SLICE` there. At an interruption that
+    /// ties with a completion, `completion_first` picks which pops first.
+    struct Chain {
+        start: u64,
+        rem: u64,
+        completion_first: bool,
+        boundaries: Vec<u64>,
+        /// Boundaries ending a slice of length zero or `CTX_SWITCH`,
+        /// resumed from a tie the interruption won.
+        tie_ends: Vec<u64>,
+    }
+
+    impl Chain {
+        fn new(completion_first: bool) -> Self {
+            Chain {
+                start: 0,
+                rem: SLICE,
+                completion_first,
+                boundaries: Vec::new(),
+                tie_ends: Vec::new(),
+            }
+        }
+
+        /// Run the completions up to `t` (at `t` too if they pop first).
+        fn run_to(&mut self, t: u64) {
+            while self.start + self.rem < t || (self.start + self.rem == t && self.completion_first)
+            {
+                self.start += self.rem;
+                self.rem = SLICE;
+                self.boundaries.push(self.start);
+            }
+        }
+
+        /// Interrupt at `t`: the saved remaining time.
+        fn interrupt(&mut self, t: u64) -> u64 {
+            self.run_to(t);
+            self.rem -= t - self.start;
+            self.rem
+        }
+
+        fn resume(&mut self, at: u64, ctx: bool) {
+            if self.rem == 0 {
+                self.tie_ends.push(at + ctx_ns(ctx));
+            }
+            self.rem += ctx_ns(ctx);
+            self.start = at;
+        }
+    }
+
+    fn ctx_ns(ctx: bool) -> u64 {
+        if ctx {
+            CTX_SWITCH.as_nanos()
+        } else {
+            0
+        }
+    }
+
+    proptest! {
+        /// An open burn keeps the phase of the chain it replaces. Through
+        /// random interruptions, some exactly on a boundary, and resumes
+        /// with and without `CTX_SWITCH`, its saved `remaining` equals the
+        /// chain's (completion popping first at a tie) and its virtual
+        /// boundaries are the chain's completions. Where the interruption
+        /// pops first at a tie, the chain saves 0 and completes at the
+        /// resume (after `CTX_SWITCH`) instead of at the tie; every other
+        /// completion is the same.
+        #[test]
+        fn prop_open_burn_keeps_the_chains_boundaries(
+            steps in proptest::collection::vec(
+                (0u64..3 * SLICE, any::<bool>(), 0u64..SLICE, any::<bool>()),
+                1..40,
+            ),
+        ) {
+            let mut chain = Chain::new(true);
+            let mut tie_first = Chain::new(false);
+            let (mut start, mut rem) = (0u64, SLICE);
+            let mut open_boundaries = Vec::new();
+            let mut ties = Vec::new();
+            for (run, on_boundary, pause, ctx) in steps {
+                // `run` past the resume, or snapped to a boundary after
+                // it: the next one, or the next but one.
+                let t = if on_boundary {
+                    ties.push(start + rem + SLICE * (run % 2));
+                    start + rem + SLICE * (run % 2)
+                } else {
+                    start + run
+                };
+                let mut b = start + rem;
+                while b <= t {
+                    open_boundaries.push(b);
+                    b += SLICE;
+                }
+                let saved = open_burn_remaining(
+                    SimDuration::from_nanos(rem),
+                    SimDuration::from_nanos(t - start),
+                )
+                .as_nanos();
+                prop_assert_eq!(saved, chain.interrupt(t));
+                tie_first.interrupt(t);
+                let at = t + pause;
+                (start, rem) = (at, saved + ctx_ns(ctx));
+                chain.resume(at, ctx);
+                tie_first.resume(at, ctx);
+            }
+            // Every completion before a horizon past the last resume.
+            let horizon = start + 3 * SLICE;
+            for c in [&mut chain, &mut tie_first] {
+                c.run_to(horizon);
+                c.boundaries.retain(|&b| b < horizon);
+            }
+            let mut b = start + rem;
+            while b < horizon {
+                open_boundaries.push(b);
+                b += SLICE;
+            }
+            prop_assert_eq!(&open_boundaries, &chain.boundaries);
+            let without = |all: &[u64], moved: &[u64]| -> Vec<u64> {
+                all.iter().copied().filter(|b| !moved.contains(b)).collect()
+            };
+            prop_assert_eq!(
+                without(&tie_first.boundaries, &tie_first.tie_ends),
+                without(&chain.boundaries, &ties)
+            );
+            prop_assert_eq!(tie_first.tie_ends.len(), ties.len());
+        }
     }
 }

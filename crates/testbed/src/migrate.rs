@@ -289,19 +289,20 @@ impl Machine {
     // -----------------------------------------------------------------
 
     /// Filter one event through the cluster gate (only called when
-    /// `mig` is `Some`). Returns the event to process locally, or `None`
+    /// `mig` is `Some`). Returns whether to process it locally; `false`
     /// if it was forwarded to another host, buffered for resume, or
-    /// dropped (re-armed at resume by construction).
-    pub(crate) fn mig_gate(&mut self, ev: Ev) -> Option<Ev> {
+    /// dropped (re-armed at resume by construction). Queues nothing, so
+    /// the event's slot still holds it afterwards.
+    pub(crate) fn mig_gate(&mut self, ev: Ev) -> bool {
         let at = self.now + crate::cluster::CROSS_LANE_LOOKAHEAD;
         let m = self.mig.as_mut().unwrap();
         let (vm, fwd) = match ev {
             Ev::ArriveAtHost { vm, pkt } => match m.incoming[vm as usize].as_mut() {
                 Some(buf) => {
                     buf.pkts.push(pkt);
-                    return None;
+                    return false;
                 }
-                None if m.guest_local[vm as usize] => return Some(ev),
+                None if m.guest_local[vm as usize] => return true,
                 None => (vm, CrossOut::GuestPkt { vm, at, pkt }),
             },
             Ev::ArriveAtExt { vm, pkt } if !m.ext_local[vm as usize] => {
@@ -318,9 +319,9 @@ impl Machine {
                 match m.incoming[vm as usize].as_mut() {
                     Some(buf) => {
                         buf.msis.push(vector);
-                        return None;
+                        return false;
                     }
-                    None if m.guest_local[vm as usize] => return Some(ev),
+                    None if m.guest_local[vm as usize] => return true,
                     None => (vm, CrossOut::StaleMsi { vm, at, vector }),
                 }
             }
@@ -336,16 +337,16 @@ impl Machine {
             | Ev::AckFlush { vm }
             | Ev::GuestTcpTimeout { vm } => {
                 let vmi = vm as usize;
-                return (m.guest_local[vmi] && m.incoming[vmi].is_none()).then_some(ev);
+                return m.guest_local[vmi] && m.incoming[vmi].is_none();
             }
-            _ => return Some(ev),
+            _ => return true,
         };
         // The tenant was torn down here: its old flows drop at the host
         // edge rather than bouncing against the stale location timeline.
         if !m.reclaimed[vm as usize] {
             m.cross_out.push(fwd);
         }
-        None
+        false
     }
 
     // -----------------------------------------------------------------

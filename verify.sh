@@ -75,8 +75,8 @@ fi
 # instead of passing as a speed-up. Each pin is "seed workload digest".
 # ES2_THREADS is cleared, as perfbench/run.py does.
 cargo build --release --offline -q --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
-for pin in "1 sweep d78bd5bcf398c861" "1 dense bfce23d0dabb6151" "1 cell a66e46615fae7f50" \
-           "7 sweep 83234f2f5e25890c" "7 dense e3c4f7a15bd02235" "7 cell 1e3e6587cf9708a2"; do
+for pin in "1 sweep decc39db77387dae" "1 dense bfce23d0dabb6151" "1 cell c4b8dc7f15c9595b" \
+           "7 sweep aafc86b23d199dae" "7 dense e3c4f7a15bd02235" "7 cell 01b7f61195645c92"; do
     set -- $pin
     env -u ES2_THREADS \
         target/perfbench/release/perfbench --workload "$2" --seed "$1" --seconds 0.1 \
