@@ -83,7 +83,7 @@ impl Machine {
             let sw = self.sched.block(tid, self.now);
             self.apply_switch(sw);
         } else if self.vms[vm as usize].burns_open(idx) {
-            self.start_open_burn(tid);
+            self.start_segment(tid, SegKind::OpenBurn, BURN_SLICE);
         } else {
             self.start_segment(tid, SegKind::Burn, BURN_SLICE);
         }

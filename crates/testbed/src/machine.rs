@@ -1143,60 +1143,45 @@ impl Machine {
         self.arm_segment(tid, dur);
     }
 
-    /// Begin an open-ended burn on a running vCPU thread whose burns are
-    /// open ([`VmState::burns_open`]): a `BURN_SLICE` segment that
-    /// queues nothing.
-    pub(crate) fn start_open_burn(&mut self, tid: ThreadId) {
-        debug_assert!(self.sched.is_running(tid), "segment on a parked thread");
-        debug_assert!(self.threads[tid.idx()].seg.is_none());
-        let t = &mut self.threads[tid.idx()];
-        t.seg = Some(Segment {
-            kind: SegKind::OpenBurn,
-            remaining: BURN_SLICE,
-        });
-        t.seg_started = self.now;
-        t.gen.bump();
-    }
-
     /// (Re)start the clock of `tid`'s segment now and queue its
-    /// completion `dur` from now, superseding any earlier one.
+    /// completion `dur` from now, superseding any earlier one. An open
+    /// burn queues none: only an interruption ends it.
     fn arm_segment(&mut self, tid: ThreadId, dur: SimDuration) {
         debug_assert!(
             match (self.threads[tid.idx()].body, self.threads[tid.idx()].seg) {
-                (
-                    Body::Vcpu { vm, idx },
-                    Some(Segment {
-                        kind: SegKind::Burn,
-                        ..
-                    }),
-                ) => !self.vms[vm as usize].burns_open(idx),
-                (_, seg) => !matches!(seg.map(|s| s.kind), Some(SegKind::OpenBurn)),
+                (Body::Vcpu { vm, idx }, Some(seg))
+                    if matches!(seg.kind, SegKind::Burn | SegKind::OpenBurn) =>
+                    self.vms[vm as usize].burns_open(idx) == matches!(seg.kind, SegKind::OpenBurn),
+                _ => true,
             },
-            "completion queued for a burn that is open"
+            "a burn evented on a vCPU whose burns are open, or the reverse"
         );
         let t = &mut self.threads[tid.idx()];
         t.seg_started = self.now;
         let gen = t.gen.bump();
+        if let Some(Segment {
+            kind: SegKind::OpenBurn,
+            ..
+        }) = t.seg
+        {
+            return;
+        }
         self.q.push(self.now + dur, Ev::SegDone { tid, gen });
     }
 
     /// Resume a thread's saved segment. `charge_ctx` adds the host
     /// context-switch cost (scheduler switches only; IRQ returns and VM
     /// entries resume for free — their costs are modeled explicitly).
-    /// An open burn resumes its clock and queues nothing.
     fn resume_saved(&mut self, tid: ThreadId, charge_ctx: bool) {
-        let t = &mut self.threads[tid.idx()];
-        let seg = t.seg.as_mut().expect("resume without saved segment");
+        let seg = self.threads[tid.idx()]
+            .seg
+            .as_mut()
+            .expect("resume without saved segment");
         if charge_ctx {
             seg.remaining += CTX_SWITCH;
         }
-        let (kind, remaining) = (seg.kind, seg.remaining);
-        if let SegKind::OpenBurn = kind {
-            t.seg_started = self.now;
-            t.gen.bump();
-        } else {
-            self.arm_segment(tid, remaining);
-        }
+        let remaining = seg.remaining;
+        self.arm_segment(tid, remaining);
     }
 
     /// Save the active segment's remaining work (preemption or IRQ

@@ -211,8 +211,8 @@ fn idle_fill_cells() -> Vec<IdleFill> {
 
 /// The model of each Fig. 6 cell is unchanged, and its event count is
 /// pinned: one queued `SegDone` for an idle vCPU's burn would raise it.
-/// Debug builds also assert, at every queued completion, that it does
-/// not complete a burn that is open.
+/// Debug builds also assert, whenever a segment's clock starts, that a
+/// burn is open exactly when its vCPU's burns are.
 #[test]
 fn idle_burns_keep_the_model_and_queue_no_completions() {
     let cells = idle_fill_cells();
