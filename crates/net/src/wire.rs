@@ -22,6 +22,22 @@ pub enum FaultedArrival {
     Two(SimTime, SimTime),
 }
 
+impl FaultedArrival {
+    /// Call `f` once per arrival instant, the original before its
+    /// duplicate.
+    #[inline]
+    pub fn for_each(self, mut f: impl FnMut(SimTime)) {
+        match self {
+            FaultedArrival::Dropped => {}
+            FaultedArrival::One(at) => f(at),
+            FaultedArrival::Two(first, second) => {
+                f(first);
+                f(second);
+            }
+        }
+    }
+}
+
 /// One direction of a point-to-point link.
 #[derive(Clone, Debug)]
 pub struct Link {
@@ -181,6 +197,22 @@ mod tests {
             PacketFault::Delay(SimDuration::from_micros(5)),
         );
         assert_eq!(delayed, FaultedArrival::One(t(20_000 + 300 + 1000 + 5_000)));
+    }
+
+    #[test]
+    fn for_each_visits_every_arrival_in_order() {
+        let visit = |a: FaultedArrival| {
+            let mut seen = Vec::new();
+            a.for_each(|at| seen.push(at));
+            seen
+        };
+        assert_eq!(visit(FaultedArrival::Dropped), []);
+        assert_eq!(visit(FaultedArrival::One(t(5))), [t(5)]);
+        assert_eq!(
+            visit(FaultedArrival::Two(t(9), t(7))),
+            [t(9), t(7)],
+            "the original first, then its duplicate"
+        );
     }
 
     #[test]

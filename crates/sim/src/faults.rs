@@ -30,6 +30,13 @@
 use crate::rng::SimRng;
 use crate::time::SimDuration;
 
+/// Delay applied to a delayed guest kick.
+pub const KICK_DELAY: SimDuration = SimDuration::from_micros(50);
+/// Stall added to a stalled vhost handler dispatch.
+pub const WORKER_STALL: SimDuration = SimDuration::from_micros(200);
+/// Extra latency of a reordered packet.
+pub const PKT_REORDER_DELAY: SimDuration = SimDuration::from_micros(40);
+
 /// What to do with a single point-to-point delivery (guest kick or MSI).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeliveryFault {
@@ -109,14 +116,11 @@ pub enum PacketFault {
 pub struct FaultPlan {
     /// P(guest kick is lost) per kick I/O exit.
     pub kick_drop_p: f64,
-    /// P(guest kick is delayed) per kick, evaluated after the drop draw.
+    /// P(guest kick is delayed by [`KICK_DELAY`]) per kick, evaluated
+    /// after the drop draw.
     pub kick_delay_p: f64,
-    /// Delay applied to a delayed kick.
-    pub kick_delay: SimDuration,
-    /// P(vhost worker stalls) per handler dispatch.
+    /// P(vhost worker stalls for [`WORKER_STALL`]) per handler dispatch.
     pub worker_stall_p: f64,
-    /// Stall duration added to a stalled dispatch.
-    pub worker_stall: SimDuration,
     /// P(device MSI is lost) per interrupt raise.
     pub msi_drop_p: f64,
     /// P(device MSI is delayed) per raise, evaluated after the drop draw.
@@ -127,10 +131,9 @@ pub struct FaultPlan {
     pub pkt_drop_p: f64,
     /// P(packet duplicated), evaluated after the drop draw.
     pub pkt_dup_p: f64,
-    /// P(packet delayed past later traffic), evaluated after drop and dup.
+    /// P(packet delayed past later traffic by [`PKT_REORDER_DELAY`]),
+    /// evaluated after drop and dup.
     pub pkt_reorder_p: f64,
-    /// Extra latency for a reordered packet.
-    pub pkt_reorder_delay: SimDuration,
     /// Period of forced-preemption storms; `ZERO` disables them.
     pub preempt_storm_period: SimDuration,
     /// P(a given core is forcibly rescheduled) per storm tick.
@@ -219,16 +222,13 @@ impl FaultPlan {
         FaultPlan {
             kick_drop_p: 0.0,
             kick_delay_p: 0.0,
-            kick_delay: SimDuration::ZERO,
             worker_stall_p: 0.0,
-            worker_stall: SimDuration::ZERO,
             msi_drop_p: 0.0,
             msi_delay_p: 0.0,
             msi_delay: SimDuration::ZERO,
             pkt_drop_p: 0.0,
             pkt_dup_p: 0.0,
             pkt_reorder_p: 0.0,
-            pkt_reorder_delay: SimDuration::ZERO,
             preempt_storm_period: SimDuration::ZERO,
             preempt_storm_p: 0.0,
             pi_unavailable_mask: 0,
@@ -499,7 +499,7 @@ impl FaultInjector {
         }
         if self.plan.kick_delay_p > 0.0 && self.kick_rng.gen_bool(self.plan.kick_delay_p) {
             self.stats.kicks_delayed += 1;
-            return DeliveryFault::Delay(self.plan.kick_delay);
+            return DeliveryFault::Delay(KICK_DELAY);
         }
         DeliveryFault::Deliver
     }
@@ -512,7 +512,7 @@ impl FaultInjector {
         }
         if self.stall_rng.gen_bool(self.plan.worker_stall_p) {
             self.stats.worker_stalls += 1;
-            Some(self.plan.worker_stall)
+            Some(WORKER_STALL)
         } else {
             None
         }
@@ -550,7 +550,7 @@ impl FaultInjector {
         }
         if self.plan.pkt_reorder_p > 0.0 && self.pkt_rng.gen_bool(self.plan.pkt_reorder_p) {
             self.stats.pkts_reordered += 1;
-            return PacketFault::Delay(self.plan.pkt_reorder_delay);
+            return PacketFault::Delay(PKT_REORDER_DELAY);
         }
         PacketFault::Deliver
     }
@@ -748,16 +748,13 @@ mod tests {
         FaultPlan {
             kick_drop_p: 0.05,
             kick_delay_p: 0.05,
-            kick_delay: SimDuration::from_micros(50),
             worker_stall_p: 0.02,
-            worker_stall: SimDuration::from_micros(200),
             msi_drop_p: 0.01,
             msi_delay_p: 0.02,
             msi_delay: SimDuration::from_micros(30),
             pkt_drop_p: 0.01,
             pkt_dup_p: 0.01,
             pkt_reorder_p: 0.02,
-            pkt_reorder_delay: SimDuration::from_micros(40),
             preempt_storm_period: SimDuration::from_millis(5),
             preempt_storm_p: 0.5,
             pi_unavailable_mask: 0b1,
@@ -860,7 +857,6 @@ mod tests {
         let plan = FaultPlan {
             kick_drop_p: 1.0,
             kick_delay_p: 1.0,
-            kick_delay: SimDuration::from_micros(1),
             ..FaultPlan::none()
         };
         let mut inj = FaultInjector::new(plan, 1);

@@ -87,16 +87,13 @@ pub fn chaos_plan() -> FaultPlan {
     FaultPlan {
         kick_drop_p: 0.05,
         kick_delay_p: 0.05,
-        kick_delay: SimDuration::from_micros(50),
         worker_stall_p: 0.02,
-        worker_stall: SimDuration::from_micros(200),
         msi_drop_p: 0.01,
         msi_delay_p: 0.02,
         msi_delay: SimDuration::from_micros(30),
         pkt_drop_p: 0.01,
         pkt_dup_p: 0.005,
         pkt_reorder_p: 0.01,
-        pkt_reorder_delay: SimDuration::from_micros(40),
         preempt_storm_period: SimDuration::from_millis(5),
         preempt_storm_p: 0.25,
         pi_unavailable_mask: 0b1,

@@ -94,16 +94,9 @@ impl Machine {
 
     fn transmit_to_host_at(&mut self, vm: u32, pkt: Packet, at: SimTime) {
         let fault = self.faults.on_packet();
-        match self.link_to_host.transmit_faulted(at, pkt.bytes, fault) {
-            es2_net::FaultedArrival::Dropped => {}
-            es2_net::FaultedArrival::One(arrival) => {
-                self.q.push(arrival, Ev::ArriveAtHost { vm, pkt });
-            }
-            es2_net::FaultedArrival::Two(first, second) => {
-                self.q.push(first, Ev::ArriveAtHost { vm, pkt });
-                self.q.push(second, Ev::ArriveAtHost { vm, pkt });
-            }
-        }
+        self.link_to_host
+            .transmit_faulted(at, pkt.bytes, fault)
+            .for_each(|arrival| self.q.push(arrival, Ev::ArriveAtHost { vm, pkt }));
     }
 
     /// A paced generator event fired (stream sources, ping, httperf).

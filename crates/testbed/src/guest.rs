@@ -8,7 +8,7 @@
 //! vCPU thread never HLTs (exactly why the paper runs those scripts).
 
 use es2_hypervisor::{ExitReason, InterruptPath};
-use es2_net::{FaultedArrival, FlowId, Packet, PacketKind};
+use es2_net::{FlowId, Packet, PacketKind};
 use es2_sim::SimDuration;
 use es2_virtio::KickDecision;
 use es2_workloads::{McOp, NetperfDirection, NetperfProto};
@@ -40,19 +40,12 @@ impl Machine {
         if self.p.device == crate::params::DeviceKind::AssignedVf {
             let at = self.now + SRIOV_DMA;
             let fault = self.faults.on_packet();
-            match self.link_to_ext.transmit_faulted(at, pkt.bytes, fault) {
-                FaultedArrival::Dropped => {}
-                FaultedArrival::One(arrival) => {
+            self.link_to_ext
+                .transmit_faulted(at, pkt.bytes, fault)
+                .for_each(|arrival| {
                     self.q
-                        .push(arrival, crate::machine::Ev::ArriveAtExt { vm, pkt });
-                }
-                FaultedArrival::Two(first, second) => {
-                    self.q
-                        .push(first, crate::machine::Ev::ArriveAtExt { vm, pkt });
-                    self.q
-                        .push(second, crate::machine::Ev::ArriveAtExt { vm, pkt });
-                }
-            }
+                        .push(arrival, crate::machine::Ev::ArriveAtExt { vm, pkt })
+                });
             return Ok(false);
         }
         match self.vms[vmi].pairs[qi].tx.driver_add(pkt) {

@@ -11,7 +11,7 @@
 //! the worker picks the handler up.
 
 use es2_core::PollDecision;
-use es2_net::{FaultedArrival, Packet};
+use es2_net::Packet;
 use es2_sched::ThreadId;
 use es2_virtio::HandlerId;
 
@@ -199,19 +199,13 @@ impl Machine {
         // the event. A cluster member keeps the event, so its gate can
         // still forward it to the VM's current host.
         let count_now = self.mig.is_none() && matches!(self.ext[vmi], ExtWl::UdpSink { .. });
-        match arrival {
-            FaultedArrival::Dropped => {}
-            FaultedArrival::One(at) if count_now => self.udp_sink_arrival(vm, &pkt, at),
-            FaultedArrival::One(at) => self.q.push(at, Ev::ArriveAtExt { vm, pkt }),
-            FaultedArrival::Two(first, second) if count_now => {
-                self.udp_sink_arrival(vm, &pkt, first);
-                self.udp_sink_arrival(vm, &pkt, second);
+        arrival.for_each(|at| {
+            if count_now {
+                self.udp_sink_arrival(vm, &pkt, at);
+            } else {
+                self.q.push(at, Ev::ArriveAtExt { vm, pkt });
             }
-            FaultedArrival::Two(first, second) => {
-                self.q.push(first, Ev::ArriveAtExt { vm, pkt });
-                self.q.push(second, Ev::ArriveAtExt { vm, pkt });
-            }
-        }
+        });
         self.vhost_tx_step(vm, w, qi);
     }
 

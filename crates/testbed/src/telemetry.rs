@@ -61,7 +61,7 @@ const RING_CAPACITY: usize = 256;
 pub(crate) enum KickOrigin {
     /// A plain guest kick (I/O-instruction exit or PI doorbell).
     Kick,
-    /// A kick deferred by fault injection (`FaultPlan::kick_delay`).
+    /// A kick deferred by fault injection (`es2_sim::faults::KICK_DELAY`).
     Delayed,
     /// A watchdog re-kick covering a dropped notification.
     Watchdog,
