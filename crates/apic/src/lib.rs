@@ -10,9 +10,6 @@
 //!   machinery (§III): interrupts are *posted* into the PI descriptor's PIR,
 //!   a notification IPI makes the CPU synchronize PIR into the virtual IRR of
 //!   the vAPIC page, and delivery/EOI proceed without VM exits.
-//! * [`msi::MsiMessage`] — Message-Signaled-Interrupt routing, the form in
-//!   which KVM's `kvm_set_msi_irq` sees a virtual device interrupt and the
-//!   point where ES2 intercepts and redirects (§V-C).
 //! * [`vectors`] — the vector layout of Linux's interrupt map, which ES2
 //!   uses to distinguish redirectable device vectors from per-vCPU vectors
 //!   such as the timer.
@@ -21,14 +18,15 @@
 //!
 //! The models hold interrupt state only. Which flight-recorder span a
 //! pending vector belongs to is the testbed's span tracker's business.
+//! No MSI message type exists either: every device MSI in the testbed is a
+//! fixed, physically addressed message, so it routes by (VM, vector,
+//! affinity vCPU) alone, the fields `kvm_set_msi_irq` rewrites (§V-C).
 
 pub mod lapic;
-pub mod msi;
 pub mod pi;
 mod regs;
 pub mod vectors;
 
 pub use lapic::EmulatedLapic;
-pub use msi::{DeliveryMode, DestMode, MsiMessage};
 pub use pi::{PiDescriptor, VApicPage};
 pub use vectors::Vector;

@@ -41,9 +41,9 @@ fn rng(c: &mut Criterion) {
 }
 
 fn virtqueue(c: &mut Criterion) {
-    use es2_virtio::{Virtqueue, VirtqueueConfig};
+    use es2_virtio::Virtqueue;
     c.bench_function("virtio/ring_round_trip_256", |b| {
-        let mut q: Virtqueue<u64> = Virtqueue::new(VirtqueueConfig::default());
+        let mut q: Virtqueue<u64> = Virtqueue::new(256);
         b.iter(|| {
             for i in 0..256u64 {
                 q.driver_add(i).unwrap();
@@ -137,10 +137,10 @@ fn redirection(c: &mut Criterion) {
 
 fn hybrid(c: &mut Criterion) {
     use es2_core::{HybridHandler, HybridParams, PollDecision};
-    use es2_virtio::{Virtqueue, VirtqueueConfig};
+    use es2_virtio::Virtqueue;
     c.bench_function("es2/hybrid_poll_turns_256", |b| {
         b.iter(|| {
-            let mut vq: Virtqueue<u32> = Virtqueue::new(VirtqueueConfig::default());
+            let mut vq: Virtqueue<u32> = Virtqueue::new(256);
             let mut h = HybridHandler::new(HybridParams::with_quota(8));
             for i in 0..256 {
                 vq.driver_add(i).unwrap();
@@ -151,7 +151,7 @@ fn hybrid(c: &mut Criterion) {
                 loop {
                     match h.poll_next(&mut vq) {
                         PollDecision::Process(_) => polled += 1,
-                        PollDecision::QuotaExhausted | PollDecision::BudgetExhausted => break,
+                        PollDecision::QuotaExhausted => break,
                         PollDecision::Drained => return black_box(polled),
                     }
                 }

@@ -18,7 +18,7 @@ use es2_core::EventPathConfig;
 use es2_metrics::json::Json;
 use es2_sim::{exec, FaultPlan};
 use es2_testbed::experiments::{self};
-use es2_testbed::{BackpressureParams, Machine, Params, RunResult, Topology, WorkloadSpec};
+use es2_testbed::{Machine, Params, RunResult, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
 
 /// The VM index that misbehaves (VM 0 is the measured victim).
@@ -70,7 +70,7 @@ pub fn hostile_report(params: Params, seed: u64, fast: bool) -> (String, Json, O
     use es2_metrics::Table;
 
     let params = Params {
-        backpressure: Some(BackpressureParams::default()),
+        backpressure: true,
         ..params
     };
     let configs: &[EventPathConfig] = if fast {
@@ -195,7 +195,6 @@ pub fn hostile_report(params: Params, seed: u64, fast: bool) -> (String, Json, O
                 .with("quarantines", bp.quarantines)
                 .with("queue_resets", bp.resets)
                 .with("throttled_kicks", bp.throttled_kicks)
-                .with("budget_deferrals", bp.budget_deferrals)
                 .with("quarantine_dropped", bp.quarantine_dropped)
                 .with("per_vm", per_vm)
                 .with("liveness", if c.liveness_ok { "pass" } else { "fail" })

@@ -60,13 +60,6 @@ pub enum PollDecision<T> {
     /// `workload >= quota` (line 15): the caller must requeue the handler
     /// on the I/O thread and end the turn. Notifications stay disabled.
     QuotaExhausted,
-    /// The handler's *service budget* ran out (overload-control extension
-    /// to Algorithm 1): the caller must requeue the handler — typically
-    /// with a penalty delay — and end the turn. Notifications stay
-    /// disabled. Unlike quota exhaustion (fair round-robin slicing), this
-    /// marks a VM that consumed its whole service allocation: the deferred
-    /// work degrades the hog, not its neighbors.
-    BudgetExhausted,
     /// The queue drained below quota (line 19): notifications re-enabled,
     /// handler returns to notification mode and the turn ends.
     Drained,
@@ -78,11 +71,6 @@ pub struct HybridHandler {
     mode: HandlerMode,
     quota: u32,
     workload: u32,
-    /// Per-service-window request allowance (`None` = unlimited, the
-    /// default — overload control off). Replenished externally by
-    /// [`replenish_budget`](Self::replenish_budget).
-    budget: Option<u32>,
-    budget_left: u32,
     /// Notification→polling transitions.
     entered_polling: u64,
 }
@@ -94,8 +82,6 @@ impl HybridHandler {
             mode: HandlerMode::Notification,
             quota: params.quota,
             workload: 0,
-            budget: None,
-            budget_left: 0,
             entered_polling: 0,
         }
     }
@@ -129,22 +115,15 @@ impl HybridHandler {
         }
     }
 
-    /// Lines 12–19: one step of the polling loop, extended with the
-    /// per-VM service-budget check (overload control): an exhausted budget
-    /// ends the turn *before* the quota test so a poll-hogging VM defers
-    /// its own work instead of spending shared I/O-thread time.
+    /// Lines 12–19: one step of the polling loop.
     #[inline]
     pub fn poll_next<A, U>(&mut self, vq: &mut Virtqueue<A, U>) -> PollDecision<A> {
-        if self.budget.is_some() && self.budget_left == 0 && !vq.is_avail_empty() {
-            return PollDecision::BudgetExhausted;
-        }
         if self.workload >= self.quota {
             return PollDecision::QuotaExhausted;
         }
         match vq.device_pop() {
             Some(req) => {
                 self.workload += 1;
-                self.budget_left = self.budget_left.saturating_sub(1);
                 PollDecision::Process(req)
             }
             None => {
@@ -184,26 +163,6 @@ impl HybridHandler {
         decision == KickDecision::Kick && self.mode == HandlerMode::Notification
     }
 
-    // ------------------------------------------------------------------
-    // Per-VM service budget (overload control)
-    // ------------------------------------------------------------------
-
-    /// Enable overload control: at most `limit` requests per service
-    /// window (replenished by [`replenish_budget`](Self::replenish_budget)).
-    /// The budget starts full.
-    pub fn set_service_budget(&mut self, limit: u32) {
-        self.budget = Some(limit);
-        self.budget_left = limit;
-    }
-
-    /// Refill the service budget at the start of a new window. No-op when
-    /// overload control is off.
-    pub fn replenish_budget(&mut self) {
-        if let Some(limit) = self.budget {
-            self.budget_left = limit;
-        }
-    }
-
     /// Watchdog predicate: `true` when the queue holds exposed buffers
     /// while the handler sits in notification mode — exactly the state a
     /// *lost* guest kick leaves behind. In a fault-free world this state
@@ -227,14 +186,10 @@ impl HybridHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use es2_virtio::VirtqueueConfig;
     use proptest::prelude::*;
 
     fn vq_with(n: u32) -> Virtqueue<u32> {
-        let mut vq = Virtqueue::new(VirtqueueConfig {
-            size: 256,
-            event_idx: true,
-        });
+        let mut vq = Virtqueue::new(256);
         for i in 0..n {
             vq.driver_add(i).unwrap();
         }
@@ -455,50 +410,6 @@ mod tests {
         assert!(h.kick_wakes(KickDecision::Kick));
     }
 
-    #[test]
-    fn budget_exhaustion_ends_turn_before_quota() {
-        let mut vq = vq_with(20);
-        let mut h = handler(8);
-        h.set_service_budget(3);
-        let (n, d) = run_turn(&mut h, &mut vq);
-        assert_eq!((n, d), (3, PollDecision::BudgetExhausted));
-        assert_eq!(h.mode(), HandlerMode::Polling, "stays polling");
-        assert!(vq.notify_disabled());
-        // Without a replenish the next turn yields immediately.
-        let (n, d) = run_turn(&mut h, &mut vq);
-        assert_eq!((n, d), (0, PollDecision::BudgetExhausted));
-        // A new service window restores normal operation.
-        h.replenish_budget();
-        let (n, d) = run_turn(&mut h, &mut vq);
-        assert_eq!((n, d), (3, PollDecision::BudgetExhausted));
-    }
-
-    #[test]
-    fn exhausted_budget_with_empty_queue_still_drains() {
-        // No pending work to defer: the handler must park in notification
-        // mode rather than spin on BudgetExhausted forever.
-        let mut vq = vq_with(2);
-        let mut h = handler(8);
-        h.set_service_budget(2);
-        let (n, d) = run_turn(&mut h, &mut vq);
-        assert_eq!((n, d), (2, PollDecision::Drained));
-        assert_eq!(h.mode(), HandlerMode::Notification);
-    }
-
-    #[test]
-    fn unlimited_budget_is_byte_neutral() {
-        // Default handlers (budget off) behave exactly as before.
-        let mut vq = vq_with(10);
-        let mut h = handler(4);
-        for expected in [
-            (4, PollDecision::QuotaExhausted),
-            (4, PollDecision::QuotaExhausted),
-            (2, PollDecision::Drained),
-        ] {
-            assert_eq!(run_turn(&mut h, &mut vq), expected);
-        }
-    }
-
     proptest! {
         /// Conservation: everything the guest enqueues is polled exactly
         /// once, whatever the interleaving of fills and turns.
@@ -507,7 +418,7 @@ mod tests {
             quota in 1u32..16,
             fills in proptest::collection::vec(0u32..10, 1..40)
         ) {
-            let mut vq: Virtqueue<u32> = Virtqueue::new(VirtqueueConfig { size: 512, event_idx: true });
+            let mut vq: Virtqueue<u32> = Virtqueue::new(512);
             let mut h = handler(quota);
             let mut enqueued = 0u64;
             let mut polled = 0u64;
@@ -560,7 +471,7 @@ mod tests {
             let mut h = handler(quota);
             let (_, d) = run_turn(&mut h, &mut vq);
             match d {
-                PollDecision::QuotaExhausted | PollDecision::BudgetExhausted =>
+                PollDecision::QuotaExhausted =>
                     prop_assert_eq!(h.mode(), HandlerMode::Polling),
                 PollDecision::Drained =>
                     prop_assert_eq!(h.mode(), HandlerMode::Notification),

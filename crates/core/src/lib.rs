@@ -19,10 +19,12 @@
 //! * **Intelligent interrupt redirection** ([`redirect`], §IV-C) —
 //!   host→guest. An information channel from the vCPU scheduler maintains
 //!   per-VM online/offline vCPU lists; device MSIs are re-targeted at
-//!   `kvm_set_msi_irq` ([`router::Es2Router`]) to the least-loaded online
-//!   vCPU (sticky until descheduled, for cache affinity), or — if the whole
-//!   VM is descheduled — to the head of the offline list (offline longest ⇒
-//!   predicted to run soonest).
+//!   `kvm_set_msi_irq` to the least-loaded online vCPU (sticky until
+//!   descheduled, for cache affinity), or — if the whole VM is
+//!   descheduled — to the head of the offline list (offline longest ⇒
+//!   predicted to run soonest). The hook is one call: the testbed hands
+//!   [`RedirectionEngine::select_target`] each MSI's affinity
+//!   destination. One engine serves one host, so its lists are host-local.
 //!
 //! * **Configurations** ([`config`], §VI-A) — the four measured setups:
 //!   `Baseline`, `PI`, `PI+H`, `PI+H+R` (full ES2).
@@ -31,14 +33,14 @@
 //!
 //! ```
 //! use es2_core::{EventPathConfig, HybridHandler, PollDecision};
-//! use es2_virtio::{Virtqueue, VirtqueueConfig};
+//! use es2_virtio::Virtqueue;
 //!
 //! // The full-ES2 configuration with the paper's TCP quota.
 //! let cfg = EventPathConfig::pi_h_r(4);
 //! assert!(cfg.use_pi && cfg.redirect);
 //!
 //! // A hybrid handler polling a TX queue.
-//! let mut vq: Virtqueue<u32> = Virtqueue::new(VirtqueueConfig::default());
+//! let mut vq: Virtqueue<u32> = Virtqueue::new(256);
 //! let mut h = HybridHandler::new(cfg.hybrid.unwrap());
 //! vq.driver_add(7).unwrap();
 //! h.begin_turn(&mut vq);
@@ -52,10 +54,8 @@ pub mod config;
 pub mod eli;
 pub mod hybrid;
 pub mod redirect;
-pub mod router;
 
 pub use config::{EventPathConfig, HybridParams};
 pub use eli::{EliHazards, EliSharedApic};
 pub use hybrid::{HandlerMode, HybridHandler, PollDecision};
 pub use redirect::{OfflinePolicy, RedirectionEngine, TargetPolicy};
-pub use router::{Es2Router, RoutedMsi};

@@ -131,7 +131,7 @@ impl RedirectionEngine {
 
     /// `kvm_sched_out` notifier: `vcpu` of `vm` was descheduled. It joins
     /// the **tail** of the offline list, encoding the deschedule sequence.
-    pub(crate) fn sched_out(&mut self, vm: usize, vcpu: u32) {
+    pub fn sched_out(&mut self, vm: usize, vcpu: u32) {
         let lists = &mut self.vms[vm];
         lists.online.retain(|&v| v != vcpu);
         if !lists.offline.contains(&vcpu) {

@@ -2,19 +2,16 @@
 //! virtio substrates directly (no testbed, no clock) — the contract each
 //! piece must honour for the full simulation to be meaningful.
 
-use es2_apic::MsiMessage;
-use es2_core::{
-    Es2Router, EventPathConfig, HybridHandler, HybridParams, PollDecision, RedirectionEngine,
-};
-use es2_hypervisor::{DeliveryOutcome, InterruptPath, MsiRouter, RouteCtx, Vcpu, VcpuId, VmId};
-use es2_virtio::{KickDecision, Virtqueue, VirtqueueConfig};
+use es2_core::{EventPathConfig, HybridHandler, HybridParams, PollDecision, RedirectionEngine};
+use es2_hypervisor::{DeliveryOutcome, InterruptPath, Vcpu};
+use es2_virtio::{KickDecision, Virtqueue};
 
 /// The full guest→host direction: a guest enqueues requests, the hybrid
 /// handler serves them without losing one, and notification suppression
 /// keeps the kicks (I/O-instruction exits) far below the requests.
 #[test]
 fn guest_to_host_direction_end_to_end() {
-    let mut vq: Virtqueue<u32> = Virtqueue::new(VirtqueueConfig::default());
+    let mut vq: Virtqueue<u32> = Virtqueue::new(256);
     let mut handler = HybridHandler::new(HybridParams::with_quota(4));
     let mut vcpu = Vcpu::new(InterruptPath::Posted);
     vcpu.sched_in();
@@ -40,7 +37,7 @@ fn guest_to_host_direction_end_to_end() {
             loop {
                 match handler.poll_next(&mut vq) {
                     PollDecision::Process(_) => served += 1,
-                    PollDecision::QuotaExhausted | PollDecision::BudgetExhausted => {
+                    PollDecision::QuotaExhausted => {
                         requeue = true;
                         break;
                     }
@@ -58,35 +55,30 @@ fn guest_to_host_direction_end_to_end() {
     assert!(kicks <= 10, "kicks={kicks}");
 }
 
-/// The host→guest direction under redirection: the router picks an online
+/// The host→guest direction under redirection: the engine picks an online
 /// vCPU, posted delivery stays exit-less, and the engine's bookkeeping
 /// matches what the vCPUs took.
 #[test]
 fn host_to_guest_direction_with_redirection() {
     let mut vcpus: Vec<Vcpu> = (0..4).map(|_| Vcpu::new(InterruptPath::Posted)).collect();
-    let mut router = Es2Router::new(RedirectionEngine::new(1, 4));
+    let mut engine = RedirectionEngine::new(1, 4);
 
     // vCPUs 1 and 2 are online and in guest mode.
-    for &i in &[1usize, 2] {
-        vcpus[i].sched_in();
-        vcpus[i].vm_entry();
-        router.on_sched_change(VcpuId::new(0, i as u32), true);
+    for i in [1u32, 2] {
+        vcpus[i as usize].sched_in();
+        vcpus[i as usize].vm_entry();
+        engine.sched_in(0, i);
     }
 
-    let msg = MsiMessage::fixed(0, 0x41); // affinity points at offline vCPU 0
-    let ctx = RouteCtx {
-        vm: VmId(0),
-        num_vcpus: 4,
-    };
     let mut by_vcpu = [0u64; 4];
     for n in 0..20 {
-        let target = router.route(&msg, &ctx);
+        // The affinity destination is offline vCPU 0.
+        let target = engine.select_target(0, 0x41, 0) as usize;
         assert!(
-            target.idx == 1 || target.idx == 2,
-            "round {n}: routed to offline vCPU {}",
-            target.idx
+            target == 1 || target == 2,
+            "round {n}: routed to offline vCPU {target}"
         );
-        let outcome = vcpus[target.idx as usize].deliver(0x41);
+        let outcome = vcpus[target].deliver(0x41);
         assert!(
             matches!(
                 outcome,
@@ -95,17 +87,17 @@ fn host_to_guest_direction_with_redirection() {
             "posted path only"
         );
         // Hardware sync + exit-less handling.
-        let v = &mut vcpus[target.idx as usize];
+        let v = &mut vcpus[target];
         v.pi_notification_sync();
         while let Some(vec) = v.take_posted_interrupt() {
             assert_eq!(vec, 0x41);
-            by_vcpu[target.idx as usize] += 1;
+            by_vcpu[target] += 1;
             v.eoi();
         }
     }
     // All 20 interrupts were handled by the online pair.
     assert_eq!(by_vcpu.iter().sum::<u64>(), 20);
-    assert_eq!(router.engine().redirection_count(), 20);
+    assert_eq!(engine.redirection_count(), 20);
     // Stickiness: a single target served everything until descheduled.
     assert!(by_vcpu.contains(&20), "sticky target expected: {by_vcpu:?}");
 }
@@ -116,36 +108,31 @@ fn host_to_guest_direction_with_redirection() {
 #[test]
 fn deschedule_handover_and_offline_prediction() {
     let mut vcpus: Vec<Vcpu> = (0..2).map(|_| Vcpu::new(InterruptPath::Posted)).collect();
-    let mut router = Es2Router::new(RedirectionEngine::new(1, 2));
-    let msg = MsiMessage::fixed(0, 0x41);
-
-    let ctx = RouteCtx {
-        vm: VmId(0),
-        num_vcpus: 2,
-    };
-    let route = |router: &mut Es2Router| router.route(&msg, &ctx).idx;
+    let mut engine = RedirectionEngine::new(1, 2);
+    // A device interrupt whose affinity destination is vCPU 0.
+    let route = |engine: &mut RedirectionEngine| engine.select_target(0, 0x41, 0);
 
     // vCPU 1 online: it is the sticky target.
     vcpus[1].sched_in();
     vcpus[1].vm_entry();
-    router.on_sched_change(VcpuId::new(0, 1), true);
-    assert_eq!(route(&mut router), 1);
+    engine.sched_in(0, 1);
+    assert_eq!(route(&mut engine), 1);
 
     // vCPU 1 descheduled, vCPU 0 comes online: target hands over.
     vcpus[1].vm_exit();
     vcpus[1].sched_out();
-    router.on_sched_change(VcpuId::new(0, 1), false);
+    engine.sched_out(0, 1);
     vcpus[0].sched_in();
     vcpus[0].vm_entry();
-    router.on_sched_change(VcpuId::new(0, 0), true);
-    assert_eq!(route(&mut router), 0);
+    engine.sched_in(0, 0);
+    assert_eq!(route(&mut engine), 0);
 
     // Whole VM offline: prediction picks the head (vCPU 1, offline
     // longest), and delivery parks in its PI descriptor until entry.
     vcpus[0].vm_exit();
     vcpus[0].sched_out();
-    router.on_sched_change(VcpuId::new(0, 0), false);
-    let t = route(&mut router);
+    engine.sched_out(0, 0);
+    let t = route(&mut engine);
     assert_eq!(t, 1, "offline-head prediction");
     assert_eq!(vcpus[1].deliver(0x41), DeliveryOutcome::PiPosted);
     // When it finally runs, the entry sync delivers without any exit.

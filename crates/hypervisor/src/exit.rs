@@ -22,8 +22,10 @@ pub enum ExitReason {
     EptViolation,
     /// Interrupt-window exit (pending interrupt with interrupts masked).
     PendingInterrupt,
-    /// Guest executed HLT (prevented in the experiments by the CPU-burn
-    /// scripts, but modeled for completeness).
+    /// Guest executed HLT. The CPU-burn scripts keep most experiment
+    /// guests from idling, but the httperf server guest and the
+    /// cluster's dormant `IdleQuiet` slots halt when they run out of
+    /// work.
     Hlt,
     /// Anything else (MSR accesses, CPUID, ...).
     Other,

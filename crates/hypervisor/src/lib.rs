@@ -1,5 +1,5 @@
-//! KVM-like hypervisor substrate: VM exits, event injection, posted
-//! interrupts and MSI routing.
+//! KVM-like hypervisor substrate: VM exits, event injection and posted
+//! interrupts.
 //!
 //! §II-B of the paper identifies the three privileged operations of the
 //! virtual I/O event path, each of which costs a VM exit under
@@ -18,21 +18,19 @@
 //!   breakdown of Table I / Fig. 5) and the calibrated cost model,
 //! * [`vcpu`] — the per-vCPU interrupt state machine over both delivery
 //!   paths: the emulated-LAPIC path (kick IPI + injection + EOI exits) and
-//!   the posted-interrupt path (exit-less, §III),
-//! * [`router`] — the `kvm_set_msi_irq` equivalent: an [`router::MsiRouter`]
-//!   trait deciding the destination vCPU of each device MSI. Stock KVM uses
-//!   [`router::AffinityRouter`] (follow the guest's affinity setting); ES2
-//!   plugs its intelligent redirection in here without touching anything
-//!   else, mirroring how the real patch hooks a single function.
+//!   the posted-interrupt path (exit-less, §III).
+//!
+//! MSI routing, the `kvm_set_msi_irq` step, is one call in the testbed:
+//! stock KVM delivers to the guest's affinity vCPU, and ES2 asks its
+//! redirection engine (`es2_core::RedirectionEngine`) instead, the way the
+//! real patch hooks that single function (§V-C).
 //!
 //! Timing is owned by the discrete-event testbed: this crate reports *what
 //! happens* (which exits, which IPIs); the testbed charges the costs from
 //! [`exit::exit_cost`], [`exit::IPI_SEND`] and [`exit::PI_NOTIFICATION`].
 
 pub mod exit;
-pub mod router;
 pub mod vcpu;
 
 pub use exit::{exit_cost, ExitReason, ExitStats, IPI_SEND, PI_NOTIFICATION};
-pub use router::{AffinityRouter, MsiRouter, RouteCtx};
-pub use vcpu::{DeliveryOutcome, InterruptPath, Vcpu, VcpuId, VmId};
+pub use vcpu::{DeliveryOutcome, InterruptPath, Vcpu};

@@ -20,26 +20,6 @@
 use es2_apic::pi::PostOutcome;
 use es2_apic::{EmulatedLapic, PiDescriptor, VApicPage, Vector};
 
-/// Identifier of a VM.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct VmId(pub u32);
-
-/// Identifier of a vCPU within a VM.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct VcpuId {
-    /// Owning VM.
-    pub vm: VmId,
-    /// Index within the VM (== guest APIC ID).
-    pub idx: u32,
-}
-
-impl VcpuId {
-    /// Construct from raw parts.
-    pub fn new(vm: u32, idx: u32) -> Self {
-        VcpuId { vm: VmId(vm), idx }
-    }
-}
-
 /// Which interrupt-delivery machinery serves this vCPU.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InterruptPath {

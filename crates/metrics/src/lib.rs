@@ -22,8 +22,9 @@
 //! * [`json`] — the JSON value type, writer and reader behind every
 //!   `BENCH_*.json` artifact, the Chrome-trace exports and the CI
 //!   bench gate,
-//! * [`backpressure`] — the per-VM overload-control ledger (shed kicks,
-//!   deferred poll budget, quarantines) for the hostile-guest experiments,
+//! * [`backpressure`] — the per-VM overload-control ledger (throttled
+//!   kicks, absorbed storms, quarantines) for the hostile-guest
+//!   experiments,
 //! * [`ev_profile`] — the per-event-kind host-time dispatch profile behind
 //!   the testbed's `ev-profile` feature.
 

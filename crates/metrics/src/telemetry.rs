@@ -183,8 +183,6 @@ pub struct VmWin {
     pub rx_lat_buckets: [u64; RX_BUCKETS],
     /// Kicks deferred by GCRA backpressure.
     pub throttled_kicks: u64,
-    /// Vhost turns cut short by the service budget.
-    pub budget_deferrals: u64,
     /// Queues quarantined in this window.
     pub quarantines: u64,
     /// Guest queue resets completed in this window.
@@ -273,7 +271,6 @@ impl Row for VmWin {
             *x += y;
         }
         self.throttled_kicks += o.throttled_kicks;
-        self.budget_deferrals += o.budget_deferrals;
         self.quarantines += o.quarantines;
         self.resets += o.resets;
     }
@@ -1316,14 +1313,13 @@ mod tests {
             5 => r.vm_row(vm, at).tx(arg % 1500),
             6 => r.vm_row(vm, at).rx_latency(arg),
             7 => r.vm_row(vm, at).throttled_kicks += 1,
-            8 => r.vm_row(vm, at).budget_deferrals += 1,
-            9 => r.vm_row(vm, at).quarantines += 1,
-            10 => r.vm_row(vm, at).resets += 1,
-            11 => {
+            8 => r.vm_row(vm, at).quarantines += 1,
+            9 => r.vm_row(vm, at).resets += 1,
+            10 => {
                 r.worker_on_core(vm, w, at);
                 r.worker_off_core(vm, w, at + arg);
             }
-            12 => r.record_worker_pending(vm, w, at, arg % 40),
+            11 => r.record_worker_pending(vm, w, at, arg % 40),
             _ => r.record_worker_turn(vm, w, at),
         }
     }
@@ -1394,11 +1390,10 @@ mod tests {
                     row.rx_lat_buckets[b.unwrap_or(RX_BUCKETS - 1)] += 1;
                 }
                 7 => self.vm(vm, at).throttled_kicks += 1,
-                8 => self.vm(vm, at).budget_deferrals += 1,
-                9 => self.vm(vm, at).quarantines += 1,
-                10 => self.vm(vm, at).resets += 1,
-                11 => self.slice(at, at + arg, |w, ns| w.workers[slot].on_core_ns += ns),
-                12 => {
+                8 => self.vm(vm, at).quarantines += 1,
+                9 => self.vm(vm, at).resets += 1,
+                10 => self.slice(at, at + arg, |w, ns| w.workers[slot].on_core_ns += ns),
+                11 => {
                     let row = self.worker(slot, at);
                     row.pending_hwm = row.pending_hwm.max(arg % 40);
                 }
@@ -1537,7 +1532,7 @@ mod tests {
         #[test]
         fn prop_sparse_rows_read_like_dense_rows(
             ops in proptest::collection::vec(
-                (0u8..14, 0u32..4, 0u64..8_000_000, 0u64..3_000_000),
+                (0u8..13, 0u32..4, 0u64..8_000_000, 0u64..3_000_000),
                 0..80,
             ),
         ) {

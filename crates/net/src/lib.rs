@@ -28,4 +28,4 @@ pub mod wire;
 pub use nic::{rss_queue, NicQueue};
 pub use packet::{FlowId, Packet, PacketFactory, PacketKind};
 pub use tcp::TcpFlow;
-pub use wire::{FaultedArrival, Link};
+pub use wire::Link;

@@ -31,11 +31,11 @@ use crate::rng::SimRng;
 use crate::time::SimDuration;
 
 /// Delay applied to a delayed guest kick.
-pub const KICK_DELAY: SimDuration = SimDuration::from_micros(50);
+pub(crate) const KICK_DELAY: SimDuration = SimDuration::from_micros(50);
 /// Stall added to a stalled vhost handler dispatch.
-pub const WORKER_STALL: SimDuration = SimDuration::from_micros(200);
+pub(crate) const WORKER_STALL: SimDuration = SimDuration::from_micros(200);
 /// Extra latency of a reordered packet.
-pub const PKT_REORDER_DELAY: SimDuration = SimDuration::from_micros(40);
+pub(crate) const PKT_REORDER_DELAY: SimDuration = SimDuration::from_micros(40);
 
 /// What to do with a single point-to-point delivery (guest kick or MSI).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,10 +116,11 @@ pub enum PacketFault {
 pub struct FaultPlan {
     /// P(guest kick is lost) per kick I/O exit.
     pub kick_drop_p: f64,
-    /// P(guest kick is delayed by [`KICK_DELAY`]) per kick, evaluated
-    /// after the drop draw.
+    /// P(guest kick is delayed by `KICK_DELAY`, 50 µs) per kick,
+    /// evaluated after the drop draw.
     pub kick_delay_p: f64,
-    /// P(vhost worker stalls for [`WORKER_STALL`]) per handler dispatch.
+    /// P(vhost worker stalls for `WORKER_STALL`, 200 µs) per handler
+    /// dispatch.
     pub worker_stall_p: f64,
     /// P(device MSI is lost) per interrupt raise.
     pub msi_drop_p: f64,
@@ -131,8 +132,8 @@ pub struct FaultPlan {
     pub pkt_drop_p: f64,
     /// P(packet duplicated), evaluated after the drop draw.
     pub pkt_dup_p: f64,
-    /// P(packet delayed past later traffic by [`PKT_REORDER_DELAY`]),
-    /// evaluated after drop and dup.
+    /// P(packet delayed past later traffic by `PKT_REORDER_DELAY`,
+    /// 40 µs), evaluated after drop and dup.
     pub pkt_reorder_p: f64,
     /// Period of forced-preemption storms; `ZERO` disables them.
     pub preempt_storm_period: SimDuration,

@@ -1,4 +1,4 @@
-//! Per-VM kick throttling: a deterministic token bucket (GCRA form).
+//! Per-queue kick throttling: a deterministic token bucket (GCRA form).
 //!
 //! The throttle decides, in integer nanoseconds of sim time, whether a
 //! guest kick is admitted to the vhost worker immediately or deferred to
@@ -16,8 +16,6 @@
 //! charged there. Deferred kicks coalesce: the virtqueue's kick is
 //! level-triggered, so delivering one late wake at the conforming instant
 //! serves every kick the storm produced in between.
-
-use crate::params::BackpressureParams;
 
 /// Outcome of one admission test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,14 +39,14 @@ pub(crate) struct KickBucket {
 }
 
 impl KickBucket {
-    /// A bucket from the run parameters; starts full (a burst passes
-    /// immediately).
-    pub(crate) fn new(p: &BackpressureParams) -> Self {
-        let increment = (1e9 / p.kick_rate).max(1.0) as u64;
+    /// A bucket admitting `rate` kicks/sec with a burst of `burst`
+    /// kicks; starts full (a burst passes immediately).
+    pub(crate) fn new(rate: f64, burst: u32) -> Self {
+        let increment = (1e9 / rate).max(1.0) as u64;
         KickBucket {
             tat: 0,
             increment,
-            tolerance: increment.saturating_mul(p.kick_burst as u64),
+            tolerance: increment.saturating_mul(burst as u64),
         }
     }
 
@@ -75,21 +73,11 @@ impl KickBucket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use es2_sim::SimDuration;
-
-    fn bucket(rate: f64, burst: u32) -> KickBucket {
-        KickBucket::new(&BackpressureParams {
-            kick_rate: rate,
-            kick_burst: burst,
-            service_budget: 4096,
-            budget_window: SimDuration::from_millis(1),
-        })
-    }
 
     #[test]
     fn burst_passes_then_defers() {
         // 1 kHz, burst 4: T = 1 ms, τ = 4 ms.
-        let mut b = bucket(1000.0, 4);
+        let mut b = KickBucket::new(1000.0, 4);
         for i in 0..5 {
             assert_eq!(b.admit(0), Admission::Pass, "kick {i} within burst");
         }
@@ -99,7 +87,7 @@ mod tests {
 
     #[test]
     fn deferred_instant_conforms() {
-        let mut b = bucket(1000.0, 4);
+        let mut b = KickBucket::new(1000.0, 4);
         for _ in 0..5 {
             b.admit(0);
         }
@@ -112,7 +100,7 @@ mod tests {
     #[test]
     fn paced_stream_never_defers() {
         // Kicks exactly at the sustained rate conform forever.
-        let mut b = bucket(1_000_000.0, 1); // T = 1 µs
+        let mut b = KickBucket::new(1_000_000.0, 1); // T = 1 µs
         for i in 0..10_000u64 {
             assert_eq!(b.admit(i * 1_000), Admission::Pass, "kick {i}");
         }
@@ -120,7 +108,7 @@ mod tests {
 
     #[test]
     fn idle_time_refills_the_burst_allowance() {
-        let mut b = bucket(1000.0, 4);
+        let mut b = KickBucket::new(1000.0, 4);
         for _ in 0..5 {
             assert_eq!(b.admit(0), Admission::Pass);
         }
@@ -134,7 +122,7 @@ mod tests {
 
     #[test]
     fn storm_coalesces_onto_one_instant() {
-        let mut b = bucket(1000.0, 1);
+        let mut b = KickBucket::new(1000.0, 1);
         assert_eq!(b.admit(0), Admission::Pass);
         assert_eq!(b.admit(0), Admission::Pass, "burst of one more");
         let first = match b.admit(0) {
@@ -152,8 +140,8 @@ mod tests {
         // Two buckets fed the same arrival times make the same decisions
         // (the determinism contract).
         let arrivals = [0u64, 10, 10, 500_000, 500_000, 500_000, 2_000_000];
-        let mut a = bucket(1000.0, 2);
-        let mut b = bucket(1000.0, 2);
+        let mut a = KickBucket::new(1000.0, 2);
+        let mut b = KickBucket::new(1000.0, 2);
         for &t in &arrivals {
             assert_eq!(a.admit(t), b.admit(t));
         }

@@ -10,7 +10,7 @@
 //! slots run [`WorkloadSpec::IdleQuiet`] — a HLT-parked guest with an
 //! idle peer that generates no events — so a slot costs nothing until
 //! a migration installs real state into it. This keeps `FlowId`,
-//! `VcpuId` and every per-VM index globally consistent across moves:
+//! vCPU indices and every per-VM index globally consistent across moves:
 //! migration never renumbers anything. Packing capacity
 //! ([`ClusterSpec::cap_vms_per_host`]) is an *admission* parameter,
 //! deliberately decoupled from the simulated core count.
@@ -647,7 +647,7 @@ impl Cluster {
                 host_seed(spec.seed, h),
                 spec.plan.for_single_host(h),
             );
-            m.enable_cluster(h as u32, compiled.slot_specs.clone());
+            m.enable_cluster(compiled.slot_specs.clone());
             for (g, p) in placement.iter().enumerate() {
                 match p {
                     Some(home) if *home != h as u32 => m.mark_remote(g as u32),

@@ -83,16 +83,6 @@ impl Machine {
             return;
         }
         if is_tx {
-            // Lazy per-window service-budget replenish: no periodic event
-            // is scheduled (the clean event stream stays identical) — the
-            // window index is recomputed at each turn start.
-            if let Some(bp) = self.p.backpressure {
-                let win = self.now.as_nanos() / bp.budget_window.as_nanos().max(1);
-                if win != self.vms[vmi].pairs[qi].budget_window_idx {
-                    self.vms[vmi].pairs[qi].budget_window_idx = win;
-                    self.vms[vmi].pairs[qi].tx_handler.replenish_budget();
-                }
-            }
             let pair = &mut self.vms[vmi].pairs[qi];
             let (hdl, txq) = (&mut pair.tx_handler, &mut pair.tx);
             hdl.begin_turn(txq);
@@ -146,26 +136,6 @@ impl Machine {
                 let at = self.now + VHOST_REQUEUE_GAP;
                 self.q
                     .push(at, crate::machine::Ev::HandlerRequeue { vm, h });
-                self.vhost_continue(tid);
-            }
-            PollDecision::BudgetExhausted => {
-                // The queue's per-window service budget is spent: its
-                // remaining work waits for the next window. Only this
-                // queue is deferred — the worker immediately serves
-                // other handlers or sleeps.
-                let h = pair.tx_h;
-                self.note_budget_deferral(vm);
-                let wns = self
-                    .p
-                    .backpressure
-                    .map(|b| b.budget_window.as_nanos())
-                    .unwrap_or(VHOST_REQUEUE_GAP.as_nanos())
-                    .max(1);
-                let next_window = (self.now.as_nanos() / wns + 1) * wns;
-                self.q.push(
-                    es2_sim::SimTime::ZERO + es2_sim::SimDuration::from_nanos(next_window),
-                    crate::machine::Ev::HandlerRequeue { vm, h },
-                );
                 self.vhost_continue(tid);
             }
             PollDecision::Drained => {

@@ -52,6 +52,6 @@ pub use es2_virtio::ShardPolicy;
 pub use liveness::LivenessReport;
 pub use machine::{Machine, Topology, EV_KIND_NAMES};
 pub use migrate::MigLedger;
-pub use params::{BackpressureParams, ChurnSpec, Params};
+pub use params::{ChurnSpec, Params};
 pub use results::RunResult;
 pub use workload::WorkloadSpec;

@@ -262,11 +262,11 @@ fn check_conservation<A, U>(rep: &mut LivenessReport, vmi: usize, name: &str, q:
             "vm{vmi} {name}: completed {completed} exceeds popped {popped}"
         ));
     }
-    if popped - completed > q.config().size as u64 {
+    if popped - completed > q.size() as u64 {
         rep.fail(format!(
             "vm{vmi} {name}: {} buffers stuck in-device (ring size {})",
             popped - completed,
-            q.config().size
+            q.size()
         ));
     }
 }

@@ -16,10 +16,9 @@
 
 use es2_apic::vectors::LOCAL_TIMER_VECTOR;
 use es2_apic::Vector;
-use es2_core::{Es2Router, EventPathConfig, HybridHandler, RedirectionEngine};
+use es2_core::{EventPathConfig, HybridHandler, RedirectionEngine};
 use es2_hypervisor::{
-    exit_cost, AffinityRouter, DeliveryOutcome, ExitReason, InterruptPath, MsiRouter, RouteCtx,
-    Vcpu, VcpuId, VmId, IPI_SEND, PI_NOTIFICATION,
+    exit_cost, DeliveryOutcome, ExitReason, InterruptPath, Vcpu, IPI_SEND, PI_NOTIFICATION,
 };
 use es2_net::{Link, NicQueue, Packet, PacketFactory};
 use es2_sched::{CfsScheduler, CoreId, Switch, ThreadId, ThreadState};
@@ -199,9 +198,9 @@ pub(crate) struct VcpuCtx {
 /// with everything that is per-queue rather than per-VM: its handler
 /// identities in the vhost pool, the hybrid TX handler state, the host
 /// backlog feeding its RX side, its MSI vectors and owning vCPU, and
-/// the per-queue backpressure machinery (kick bucket, TX service-budget
-/// window). Pair `q` registers handlers `2q` (TX) and `2q+1` (RX), and
-/// raises vectors `0x41 + 2q` / `0x42 + 2q` steered at `affinity_vcpu`.
+/// its kick throttle. Pair `q` registers handlers `2q` (TX) and `2q+1`
+/// (RX), and raises vectors `0x41 + 2q` / `0x42 + 2q` steered at
+/// `affinity_vcpu`.
 pub(crate) struct QueuePair {
     pub(crate) tx_h: HandlerId,
     pub(crate) rx_h: HandlerId,
@@ -221,8 +220,6 @@ pub(crate) struct QueuePair {
     /// Per-half flag (0 = TX, 1 = RX): a coalesced [`Ev::ThrottledKick`]
     /// wake is already scheduled.
     pub(crate) throttle_armed: [bool; 2],
-    /// Last service-budget window the TX handler was replenished in.
-    pub(crate) budget_window_idx: u64,
 }
 
 pub(crate) struct VmState {
@@ -564,7 +561,7 @@ pub struct Machine {
     pub(crate) link_to_ext: Link,
     pub(crate) link_to_host: Link,
     pub(crate) pf: PacketFactory,
-    pub(crate) router: Option<Es2Router>,
+    pub(crate) redirection: Option<RedirectionEngine>,
     pub(crate) window_open: bool,
     pub(crate) end_time: SimTime,
     /// Deterministic fault decision engine (inert for the empty plan: the
@@ -670,8 +667,8 @@ impl Machine {
             ));
         }
 
-        let router = if cfg.redirect {
-            let engine = match params.redirect_policies {
+        let redirection = if cfg.redirect {
+            Some(match params.redirect_policies {
                 Some((target, offline)) => RedirectionEngine::with_policies(
                     topo.num_vms as usize,
                     topo.vcpus_per_vm,
@@ -680,8 +677,7 @@ impl Machine {
                     seed ^ 0x5eed,
                 ),
                 None => RedirectionEngine::new(topo.num_vms as usize, topo.vcpus_per_vm),
-            };
-            Some(Es2Router::new(engine))
+            })
         } else {
             None
         };
@@ -709,7 +705,7 @@ impl Machine {
             link_to_ext: Link::forty_gbe(),
             link_to_host: Link::forty_gbe(),
             pf: PacketFactory::new(),
-            router,
+            redirection,
             window_open: false,
             end_time,
             faults: FaultInjector::new(plan, seed),
@@ -1232,8 +1228,8 @@ impl Machine {
                 }
                 vcpu.sched_out();
                 self.note_vcpu_sched_out(vm, idx, preempted_in_guest);
-                if let Some(r) = &mut self.router {
-                    r.on_sched_change(VcpuId::new(vm, idx), false);
+                if let Some(e) = &mut self.redirection {
+                    e.sched_out(vm as usize, idx);
                 }
             }
         }
@@ -1244,8 +1240,8 @@ impl Machine {
             Body::Vcpu { vm, idx } => {
                 self.vms[vm as usize].vcpus[idx as usize].sched_in();
                 self.note_vcpu_sched_in(vm, idx);
-                if let Some(r) = &mut self.router {
-                    r.on_sched_change(VcpuId::new(vm, idx), true);
+                if let Some(e) = &mut self.redirection {
+                    e.sched_in(vm as usize, idx);
                     self.migrate_parked_irqs(vm, idx);
                 }
                 // If the thread was preempted mid-root-mode work, resume it
@@ -1495,30 +1491,22 @@ impl Machine {
         }
     }
 
-    /// Route a device MSI of `origin` through the configured router and
-    /// deliver it.
+    /// Route a device MSI of `origin` and deliver it: the
+    /// `kvm_set_msi_irq` hook (§V-C).
     pub(crate) fn route_and_deliver_msi(&mut self, vm: u32, vector: Vector, origin: MsiOrigin) {
-        // Per-queue steering: the MSI's affinity hint is the vCPU that
-        // owns the queue raising this vector (per-VM hint == pair 0 in
-        // the single-queue device).
+        // Per-queue steering: the MSI's affinity destination is the vCPU
+        // that owns the queue raising this vector (per-VM hint == pair 0
+        // in the single-queue device). Stock KVM delivers there; ES2's
+        // engine may rewrite it from the vCPUs' scheduling status.
         let affinity = match self.vms[vm as usize].vector_pair(vector) {
             Some((qi, _)) => self.vms[vm as usize].pairs[qi].affinity_vcpu,
             None => self.vms[vm as usize].pairs[0].affinity_vcpu,
         };
-        let msg = es2_apic::MsiMessage::fixed(affinity as u8, vector);
-        let ctx = RouteCtx {
-            vm: VmId(vm),
-            num_vcpus: self.topo.vcpus_per_vm,
+        let target = match &mut self.redirection {
+            Some(e) => e.select_target(vm as usize, vector, affinity),
+            None => affinity,
         };
-        let (target, redirected) = match &mut self.router {
-            // `MsiRouter::route` delegates to `route_explained`, so the
-            // traced and untraced paths run the identical computation.
-            Some(r) => {
-                let routed = r.route_explained(&msg, &ctx);
-                (routed.target.idx, routed.redirected)
-            }
-            None => (AffinityRouter.route(&msg, &ctx).idx, false),
-        };
+        let redirected = target != affinity;
         let parked = self.cfg.redirect && !self.vms[vm as usize].vcpus[target as usize].running;
         if parked {
             // Offline prediction: remember the parked interrupt so it can
@@ -1544,9 +1532,9 @@ impl Machine {
             let still_pending = !self.vms[vmi].vcpus[tgt as usize].running
                 && self.vms[vmi].vcpus[tgt as usize].rescind(vector);
             if still_pending {
-                if let Some(r) = &mut self.router {
+                if let Some(e) = &mut self.redirection {
                     // Keep the engine's per-vCPU accounting in step.
-                    r.engine_mut().select_target(vmi, vector, online_idx);
+                    e.select_target(vmi, vector, online_idx);
                 }
                 self.note_irq_migrated(vm, tgt, online_idx, vector);
                 self.deliver_to_vcpu(vm, online_idx, vector);
@@ -1923,7 +1911,7 @@ pub(crate) fn open_burn_remaining(first: SimDuration, elapsed: SimDuration) -> S
 }
 
 fn publish_claim<A, U>(q: &mut Virtqueue<A, U>, kind: RingCorruptionKind) {
-    let size = q.config().size;
+    let size = q.size();
     match kind {
         RingCorruptionKind::DescOutOfRange => q.guest_publish_desc_index(size),
         RingCorruptionKind::AvailIdxJump => {

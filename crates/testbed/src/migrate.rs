@@ -10,12 +10,12 @@
 //! 1. **Pause** (`S`, at `t_p`): every vCPU thread and the vhost worker
 //!    thread are descheduled ([`es2_sched::CfsScheduler::deactivate`] —
 //!    running vCPUs take a migration-forced VM exit on the way out, so
-//!    the source router marks them offline exactly as live Linux would
-//!    see `sched_out` notifier fires). The whole `VmState` — virtio
-//!    rings, NIC backlog, parked IRQs, PIR/vIRR posted-interrupt state,
-//!    hybrid-handler mode, quarantine and backpressure ledgers — plus
-//!    every thread's saved segment is packed into a `VmSnapshot`. The
-//!    vacated slot becomes a fresh dormant (HLT-idle) VM.
+//!    the source's redirection engine marks them offline exactly as live
+//!    Linux would see `sched_out` notifier fires). The whole `VmState` —
+//!    virtio rings, NIC backlog, parked IRQs, PIR/vIRR posted-interrupt
+//!    state, hybrid-handler mode, quarantine and backpressure ledgers —
+//!    plus every thread's saved segment is packed into a `VmSnapshot`.
+//!    The vacated slot becomes a fresh dormant (HLT-idle) VM.
 //! 2. **Copy** (wire, `[t_p, t_p + D)`): the snapshot crosses to the
 //!    target host with arrival time `t_p + D`, where the blackout
 //!    `D = pause + copy_base + copy_per_unit · dirty + resume` scales
@@ -23,7 +23,7 @@
 //!    dirty-page analog. `D` always exceeds the cross-lane lookahead.
 //! 3. **Resume** (`T`, at `t_p + D`): the snapshot lands in the target
 //!    slot (same global index on every host), threads that were active
-//!    wake (rebuilding the **target** router's online list through the
+//!    wake (rebuilding the **target** engine's online list through the
 //!    ordinary `sched_in` notifier path), saved segments resume, and the
 //!    stale-state scan (`Machine::watchdog_scan_vm`) re-kicks stuck
 //!    handlers and re-raises lost MSIs over the reliable watchdog path —
@@ -47,13 +47,14 @@ use es2_apic::Vector;
 use es2_hypervisor::{InterruptPath, Vcpu};
 use es2_net::Packet;
 use es2_sim::{SimDuration, SimTime};
-use es2_virtio::{VhostPool, Virtqueue, VirtqueueConfig};
+use es2_virtio::{VhostPool, Virtqueue};
 
 use es2_core::HybridHandler;
 use es2_sched::{ThreadId, ThreadState};
 
+use crate::backpressure::KickBucket;
 use crate::machine::{Ev, Machine, QueuePair, Segment, VcpuCtx, VmState};
-use crate::params::{DELAYED_ACK_TIMEOUT, HOST_BACKLOG, RING_SIZE};
+use crate::params::{DELAYED_ACK_TIMEOUT, HOST_BACKLOG, KICK_BURST, KICK_RATE, RING_SIZE};
 use crate::telemetry::MsiOrigin;
 use crate::workload::{ExtWl, GuestWl, WorkloadSpec};
 
@@ -217,16 +218,13 @@ enum Rebuild {
 }
 
 impl Machine {
-    /// Turn this machine into host `host` of a multi-host cell, whose
+    /// Turn this machine into one host of a multi-host cell, whose
     /// global slot `g` runs `slot_specs[g]` wherever it boots. Called
     /// once right after construction; every slot starts fully local
     /// (bit-identical behavior until `mark_remote` and the first control
     /// event).
-    pub(crate) fn enable_cluster(&mut self, host: u32, slot_specs: Vec<WorkloadSpec>) {
+    pub(crate) fn enable_cluster(&mut self, slot_specs: Vec<WorkloadSpec>) {
         let n = self.topo.num_vms as usize;
-        if let Some(r) = self.router.as_mut() {
-            r.set_host(host);
-        }
         self.mig = Some(Box::new(MigState {
             guest_local: vec![true; n],
             ext_local: vec![true; n],
@@ -354,8 +352,8 @@ impl Machine {
     // -----------------------------------------------------------------
 
     /// Deschedule and pack `vm`, leaving a fresh dormant slot behind.
-    /// Running vCPUs take a migration-forced exit (router sees them go
-    /// offline); every thread's saved segment, the virtio rings, parked
+    /// Running vCPUs take a migration-forced exit (the redirection engine
+    /// sees them go offline); every thread's saved segment, the virtio rings, parked
     /// IRQs, posted-interrupt and ledger state travel in the snapshot.
     pub(crate) fn pause_vm(&mut self, vm: u32) -> Box<VmSnapshot> {
         let vmi = vm as usize;
@@ -495,7 +493,7 @@ impl Machine {
         // Stale-state scan: the exact watchdog pass, run synchronously.
         // Re-kicks stuck handlers and re-raises lost MSIs through
         // route_and_deliver_msi — resolving against the *target*
-        // router's freshly rebuilt lists.
+        // engine's freshly rebuilt lists.
         self.watchdog_scan_vm(vm);
 
         // Polling-mode handlers whose requeue event died on the source
@@ -771,18 +769,14 @@ impl Machine {
             vctx.push(VcpuCtx::default());
         }
         let mut worker = VhostPool::new(num_workers, p.shard_policy);
-        let vq_cfg = VirtqueueConfig {
-            size: RING_SIZE,
-            event_idx: true,
-        };
         let num_pairs = p.queues_per_vm.max(1);
         let mut pairs = Vec::with_capacity(num_pairs as usize);
         for qi in 0..num_pairs {
             // Pair q is owned by (and its MSIs steered at) vCPU q%N.
             let owner = qi % nv as u32;
             let (tx_h, rx_h) = worker.register_pair(qi, owner);
-            let mut tx = Virtqueue::new(vq_cfg);
-            let mut rx = Virtqueue::new(vq_cfg);
+            let mut tx = Virtqueue::new(RING_SIZE);
+            let mut rx = Virtqueue::new(RING_SIZE);
             // Guest TX completions are reclaimed in the xmit path; TX
             // interrupts armed only when the ring fills. RX refill kicks
             // stay unarmed unless vhost runs out of buffers.
@@ -791,13 +785,10 @@ impl Machine {
                 rx.driver_add_n(RING_SIZE, ()).expect("ring has room");
             }
             rx.device_disable_notify();
-            let mut tx_handler = match cfg.hybrid {
+            let tx_handler = match cfg.hybrid {
                 Some(h) => HybridHandler::new(h),
                 None => HybridHandler::stock(),
             };
-            if let Some(bp) = p.backpressure {
-                tx_handler.set_service_budget(bp.service_budget);
-            }
             pairs.push(QueuePair {
                 tx_h,
                 rx_h,
@@ -812,10 +803,8 @@ impl Machine {
                 blocked_tx_full: false,
                 kick_bucket: p
                     .backpressure
-                    .as_ref()
-                    .map(crate::backpressure::KickBucket::new),
+                    .then(|| KickBucket::new(KICK_RATE, KICK_BURST)),
                 throttle_armed: [false; 2],
-                budget_window_idx: 0,
             });
         }
         VmState {

@@ -137,6 +137,15 @@ pub(crate) const SRIOV_HOST_ISR: SimDuration = SimDuration::from_nanos(1800);
 /// VF DMA + doorbell cost per packet on the assigned-device data path.
 pub(crate) const SRIOV_DMA: SimDuration = SimDuration::from_nanos(900);
 
+// ---- kick throttle (only when `Params::backpressure` is on) ----
+/// Sustained guest-kick admission rate (kicks/sec) of each queue's token
+/// bucket. Legitimate workloads kick at the worker's sleep/wake frequency
+/// (≈ thousands/sec), far below this; only a storm hits it.
+pub(crate) const KICK_RATE: f64 = 50_000.0;
+/// Burst tolerance: kicks admitted back-to-back before the bucket starts
+/// deferring.
+pub(crate) const KICK_BURST: u32 = 32;
+
 // ---- fault recovery (used only under an active fault plan) ----
 /// Liveness-watchdog scan period: how often stuck rings are re-kicked
 /// and lost device interrupts re-raised.
@@ -196,36 +205,6 @@ pub enum DeviceKind {
     Paravirtual,
     /// An SR-IOV virtual function assigned to the VM (§VII).
     AssignedVf,
-}
-
-/// Per-VM vhost backpressure / overload control. All mechanisms charge
-/// the misbehaving VM itself: throttled kicks are delivered late to *its*
-/// queue, an exhausted service budget defers *its* poll work.
-#[derive(Clone, Copy, Debug)]
-pub struct BackpressureParams {
-    /// Sustained guest-kick admission rate (kicks/sec) of the per-VM
-    /// token bucket. Legitimate workloads kick at the worker's sleep/wake
-    /// frequency (≈ thousands/sec), far below this; only a storm hits it.
-    pub kick_rate: f64,
-    /// Burst tolerance: kicks admitted back-to-back before the bucket
-    /// starts deferring.
-    pub kick_burst: u32,
-    /// Requests the vhost worker will serve for one VM per service
-    /// window before deferring the rest of its work.
-    pub service_budget: u32,
-    /// Length of one service-budget window.
-    pub budget_window: SimDuration,
-}
-
-impl Default for BackpressureParams {
-    fn default() -> Self {
-        BackpressureParams {
-            kick_rate: 50_000.0,
-            kick_burst: 32,
-            service_budget: 4096,
-            budget_window: SimDuration::from_millis(1),
-        }
-    }
 }
 
 /// Tenant-churn control plane for a cluster run: a deterministic VM
@@ -290,9 +269,10 @@ pub struct Params {
     pub redirect_policies: Option<(es2_core::TargetPolicy, es2_core::OfflinePolicy)>,
 
     // ---- overload control (hostile-guest hardening) ----
-    /// Per-VM kick throttle and vhost service budget (`None` = off, the
-    /// default — existing runs stay byte-identical).
-    pub backpressure: Option<BackpressureParams>,
+    /// Per-queue kick throttle (`KICK_RATE` 50 000 kicks/s, `KICK_BURST`
+    /// 32): a throttled kick is delivered late to the misbehaving VM's
+    /// own queue. Off by default.
+    pub backpressure: bool,
     /// Delay between a queue quarantine (ring-validation violation) and
     /// the guest driver noticing the `DEVICE_NEEDS_RESET` analog and
     /// resetting the queue.
@@ -338,7 +318,7 @@ impl Default for Params {
 
             redirect_policies: None,
 
-            backpressure: None,
+            backpressure: false,
             quarantine_reset_delay: SimDuration::from_micros(100),
 
             warmup: SimDuration::from_millis(200),

@@ -74,7 +74,7 @@ pub struct RunResult {
     /// bounded Chrome-trace event log.
     pub spans: Option<es2_metrics::SpanReport>,
     /// Backpressure/containment ledger summed across every VM: throttled
-    /// kicks, budget deferrals, storm absorption, quarantines and resets.
+    /// kicks, storm absorption, quarantines and resets.
     pub backpressure: es2_metrics::BackpressureStats,
     /// The same ledger broken out per VM (index = VM id) — the
     /// blast-radius evidence that only the hostile VM paid.
@@ -217,11 +217,8 @@ impl RunResult {
             }
         }
 
-        let (redirections, offline_predictions) = match &m.router {
-            Some(r) => (
-                r.engine().redirection_count(),
-                r.engine().offline_prediction_count(),
-            ),
+        let (redirections, offline_predictions) = match &m.redirection {
+            Some(e) => (e.redirection_count(), e.offline_prediction_count()),
             None => (0, 0),
         };
 

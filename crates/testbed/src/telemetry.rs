@@ -61,7 +61,7 @@ const RING_CAPACITY: usize = 256;
 pub(crate) enum KickOrigin {
     /// A plain guest kick (I/O-instruction exit or PI doorbell).
     Kick,
-    /// A kick deferred by fault injection (`es2_sim::faults::KICK_DELAY`).
+    /// A kick deferred by fault injection (`FaultPlan::kick_delay_p`).
     Delayed,
     /// A watchdog re-kick covering a dropped notification.
     Watchdog,
@@ -85,8 +85,8 @@ pub(crate) enum MsiOrigin {
 /// latency probes would report for it.
 ///
 /// It counts in two rows of the series' type. `life` counts since this
-/// state was built: exits, MSI delivery modes, throttled kicks, budget
-/// deferrals, quarantines and resets. `win` counts inside the
+/// state was built: exits, MSI delivery modes, throttled kicks,
+/// quarantines and resets. `win` counts inside the
 /// measurement window: exits while this VM saw it open, and rx-latency
 /// samples while the machine's window is open. A VM state created
 /// mid-window (a cold restart, a churn boot, the slot a migration
@@ -215,7 +215,6 @@ impl VmLedger {
     pub(crate) fn backpressure(&self) -> BackpressureStats {
         BackpressureStats {
             throttled_kicks: self.life.throttled_kicks,
-            budget_deferrals: self.life.budget_deferrals,
             spurious_kicks: self.spurious_kicks,
             spurious_eois: self.spurious_eois,
             quarantines: self.life.quarantines,
@@ -460,12 +459,6 @@ impl Machine {
             let slot = vm as usize * self.vms[vm as usize].worker.num_workers() + w as usize;
             tr.on_turn_end(vm, slot, self.now.as_nanos(), self.window_open);
         }
-    }
-
-    /// A TX handler turn of `vm` cut short by the service budget.
-    pub(crate) fn note_budget_deferral(&mut self, vm: u32) {
-        self.count(vm, |r| r.budget_deferrals += 1);
-        self.rec.ring.record(self.now, "budget-defer", vm as u64, 0);
     }
 
     /// The queue of handler `h` failed ring validation with `err` and

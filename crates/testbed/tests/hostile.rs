@@ -12,17 +12,17 @@ use es2_core::EventPathConfig;
 use es2_hypervisor::ExitReason;
 use es2_sim::{FaultPlan, RingCorruptionKind};
 use es2_testbed::experiments::{self, hostile_plan, RunSpec};
-use es2_testbed::{BackpressureParams, Machine, Params, RunResult, Topology, WorkloadSpec};
+use es2_testbed::{Machine, Params, RunResult, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
 
 fn fast() -> Params {
     Params::fast_test()
 }
 
-/// Fast params with the per-VM backpressure engine switched on.
+/// Fast params with the per-queue kick throttle switched on.
 fn fast_bp() -> Params {
     Params {
-        backpressure: Some(BackpressureParams::default()),
+        backpressure: true,
         ..Params::fast_test()
     }
 }
@@ -359,7 +359,7 @@ fn same_seed_reproduces_the_same_hostile_run() {
 fn non_hostile_plans_draw_nothing_from_the_hostile_streams() {
     // The pre-existing chaos plan has every hostile field at zero: the
     // hostile machinery must stay inert (zero draws, zero quarantines)
-    // and the default backpressure=None leaves the whole ledger empty.
+    // and the default (throttle off) leaves the whole ledger empty.
     let r = run_checked(
         EventPathConfig::pi_h(4),
         Topology::micro(),

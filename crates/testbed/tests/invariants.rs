@@ -12,8 +12,8 @@ use es2_metrics::telemetry::WINDOW_NS;
 use es2_sim::exec::sweep;
 use es2_sim::{FaultPlan, SimDuration, SimTime};
 use es2_testbed::{
-    experiments, BackpressureParams, Cluster, ClusterSpec, Machine, Params, PlannedMove, RunResult,
-    Topology, WorkloadSpec,
+    experiments, Cluster, ClusterSpec, Machine, Params, PlannedMove, RunResult, Topology,
+    WorkloadSpec,
 };
 use es2_workloads::{NetperfDirection, NetperfProto, NetperfSpec};
 
@@ -438,12 +438,7 @@ fn a_crashed_hosts_series_closes_at_its_crash_instant() {
 #[test]
 fn containment_and_watchdog_counts_match_the_series() {
     let params = Params {
-        backpressure: Some(BackpressureParams {
-            kick_rate: 20_000.0,
-            kick_burst: 8,
-            service_budget: 64,
-            ..BackpressureParams::default()
-        }),
+        backpressure: true,
         telemetry: true,
         ..fast()
     };
@@ -462,19 +457,13 @@ fn containment_and_watchdog_counts_match_the_series() {
     assert_eq!(series.ann_dropped, 0);
     let vms = || series.windows.iter().flat_map(|w| &w.vms);
     let bp = r.backpressure;
-    let ledger = [
-        bp.throttled_kicks,
-        bp.budget_deferrals,
-        bp.quarantines,
-        bp.resets,
-    ];
+    let ledger = [bp.throttled_kicks, bp.quarantines, bp.resets];
     let summed = [
         vms().map(|v| v.throttled_kicks).sum::<u64>(),
-        vms().map(|v| v.budget_deferrals).sum(),
         vms().map(|v| v.quarantines).sum(),
         vms().map(|v| v.resets).sum(),
     ];
-    assert_eq!(ledger, summed, "throttled, deferred, quarantined, reset");
+    assert_eq!(ledger, summed, "throttled, quarantined, reset");
     assert!(
         ledger.iter().all(|&n| n > 0),
         "a containment sink saw nothing: {ledger:?}"

@@ -34,5 +34,5 @@
 pub mod queue;
 pub mod vhost;
 
-pub use queue::{KickDecision, RingError, Virtqueue, VirtqueueConfig};
+pub use queue::{KickDecision, RingError, Virtqueue};
 pub use vhost::{HandlerId, ShardPolicy, VhostPool};

@@ -14,26 +14,11 @@
 //!   `VRING_AVAIL_F_NO_INTERRUPT` flag and the `used_event` index deciding
 //!   whether a consumed buffer requires a **virtual interrupt**,
 //! * the `vring_need_event` wrap-around window comparison from the spec.
+//!
+//! Every ring negotiates `VIRTIO_F_EVENT_IDX`, as modern Linux guests and
+//! vhost-net do, so the flag-only notification mode is not modelled.
 
 use std::collections::VecDeque;
-
-/// Configuration of one virtqueue.
-#[derive(Clone, Copy, Debug)]
-pub struct VirtqueueConfig {
-    /// Ring size (number of descriptors). vhost-net defaults to 256.
-    pub size: u16,
-    /// Whether `VIRTIO_F_EVENT_IDX` was negotiated (modern Linux: yes).
-    pub event_idx: bool,
-}
-
-impl Default for VirtqueueConfig {
-    fn default() -> Self {
-        VirtqueueConfig {
-            size: 256,
-            event_idx: true,
-        }
-    }
-}
 
 /// A guest-trust-boundary violation caught by device-side ring
 /// validation — the typed replacement for what would be a panic (or
@@ -158,10 +143,11 @@ fn need_event(event_idx: u16, new_idx: u16, old_idx: u16) -> bool {
 /// queue) fills its whole RX ring.
 #[derive(Clone, Debug)]
 pub struct Virtqueue<A, U = A> {
-    cfg: VirtqueueConfig,
+    /// Ring size (number of descriptors), a power of two.
+    size: u16,
     /// Buffers exposed by the driver, not yet consumed by the device.
     /// Both halves grow with occupancy; `num_free` bounds their sum at
-    /// `cfg.size`.
+    /// `size`.
     avail: VecDeque<A>,
     /// Buffers completed by the device, not yet reclaimed by the driver.
     used: VecDeque<U>,
@@ -210,14 +196,16 @@ pub struct Virtqueue<A, U = A> {
 }
 
 impl<A, U> Virtqueue<A, U> {
-    /// A new, empty virtqueue; notifications and interrupts start enabled.
-    pub fn new(cfg: VirtqueueConfig) -> Self {
-        assert!(cfg.size > 0 && cfg.size.is_power_of_two(), "ring size");
+    /// A new, empty virtqueue of `size` descriptors (a power of two;
+    /// vhost-net defaults to 256); notifications and interrupts start
+    /// enabled.
+    pub fn new(size: u16) -> Self {
+        assert!(size > 0 && size.is_power_of_two(), "ring size");
         Virtqueue {
-            cfg,
+            size,
             avail: VecDeque::new(),
             used: VecDeque::new(),
-            num_free: cfg.size,
+            num_free: size,
             avail_idx: 0,
             used_idx: 0,
             last_avail_idx: 0,
@@ -240,9 +228,9 @@ impl<A, U> Virtqueue<A, U> {
         }
     }
 
-    /// Ring configuration.
-    pub fn config(&self) -> VirtqueueConfig {
-        self.cfg
+    /// Ring size (number of descriptors).
+    pub fn size(&self) -> u16 {
+        self.size
     }
 
     // ------------------------------------------------------------------
@@ -272,19 +260,13 @@ impl<A, U> Virtqueue<A, U> {
         self.avail_idx = self.avail_idx.wrapping_add(1);
         self.avail.push_back(payload);
 
-        // With EVENT_IDX, a device that disabled notifications re-parks
-        // `avail_event` on every processing pass (vhost_disable_notify), so
-        // the index can never be crossed while suppression is intended; we
-        // model that re-parking with the sticky flag. Without it, ~2^15
-        // silent adds would wrap the free-running index past the parked
-        // event and produce a phantom kick.
-        let kick = if self.used_flags_no_notify {
-            false
-        } else if self.cfg.event_idx {
-            need_event(self.avail_event, self.avail_idx, old)
-        } else {
-            true
-        };
+        // A device that disabled notifications re-parks `avail_event` on
+        // every processing pass (vhost_disable_notify), so the index can
+        // never be crossed while suppression is intended; we model that
+        // re-parking with the sticky flag. Without it, ~2^15 silent adds
+        // would wrap the free-running index past the parked event and
+        // produce a phantom kick.
+        let kick = !self.used_flags_no_notify && need_event(self.avail_event, self.avail_idx, old);
         if kick {
             self.kicks += 1;
             Ok(KickDecision::Kick)
@@ -321,13 +303,9 @@ impl<A, U> Virtqueue<A, U> {
         // `[old, old + n)` — the batch window a Linux driver tests once
         // per publish. `n` never exceeds the ring size, so the window
         // cannot wrap onto itself.
-        let kicks = if self.used_flags_no_notify {
-            0
-        } else if self.cfg.event_idx {
-            u16::from(need_event(self.avail_event, self.avail_idx, old))
-        } else {
-            n
-        };
+        let kicks = u16::from(
+            !self.used_flags_no_notify && need_event(self.avail_event, self.avail_idx, old),
+        );
         self.kicks += u64::from(kicks);
         Ok(kicks)
     }
@@ -362,12 +340,9 @@ impl<A, U> Virtqueue<A, U> {
     /// Driver disables device→driver interrupts (NAPI entering poll mode).
     #[inline]
     pub fn driver_disable_interrupts(&mut self) {
-        if self.cfg.event_idx {
-            // Push used_event far behind so need_event stays false for
-            // ~2^15 completions — how virtio_net's
-            // `virtqueue_disable_cb` works.
-            self.used_event = self.used_idx.wrapping_sub(0x8000);
-        }
+        // Push used_event far behind so need_event stays false for ~2^15
+        // completions — how virtio_net's `virtqueue_disable_cb` works.
+        self.used_event = self.used_idx.wrapping_sub(0x8000);
         self.avail_flags_no_interrupt = true;
     }
 
@@ -377,9 +352,7 @@ impl<A, U> Virtqueue<A, U> {
     #[inline]
     pub fn driver_enable_interrupts(&mut self) -> bool {
         self.avail_flags_no_interrupt = false;
-        if self.cfg.event_idx {
-            self.used_event = self.last_used_idx;
-        }
+        self.used_event = self.last_used_idx;
         !self.used.is_empty()
     }
 
@@ -429,13 +402,8 @@ impl<A, U> Virtqueue<A, U> {
         // (NAPI poll mode, suppressed TX completions) keeps `used_event`
         // parked; the sticky flag models the re-parking and prevents
         // free-running-index wrap-around from firing phantom interrupts.
-        let interrupt = if self.avail_flags_no_interrupt {
-            false
-        } else if self.cfg.event_idx {
-            need_event(self.used_event, self.used_idx, old)
-        } else {
-            true
-        };
+        let interrupt =
+            !self.avail_flags_no_interrupt && need_event(self.used_event, self.used_idx, old);
         if interrupt {
             self.interrupts += 1;
         }
@@ -447,10 +415,8 @@ impl<A, U> Virtqueue<A, U> {
     #[inline]
     pub fn device_disable_notify(&mut self) {
         self.used_flags_no_notify = true;
-        if self.cfg.event_idx {
-            // Park avail_event far behind (vhost_disable_notify).
-            self.avail_event = self.avail_idx.wrapping_sub(0x8000);
-        }
+        // Park avail_event far behind (vhost_disable_notify).
+        self.avail_event = self.avail_idx.wrapping_sub(0x8000);
     }
 
     /// Device re-enables driver kicks (about to sleep / ES2 returning to
@@ -460,9 +426,7 @@ impl<A, U> Virtqueue<A, U> {
     #[inline]
     pub fn device_enable_notify(&mut self) -> bool {
         self.used_flags_no_notify = false;
-        if self.cfg.event_idx {
-            self.avail_event = self.last_avail_idx;
-        }
+        self.avail_event = self.last_avail_idx;
         !self.avail.is_empty()
     }
 
@@ -519,7 +483,7 @@ impl<A, U> Virtqueue<A, U> {
         let Some(claim) = self.claim.take() else {
             return Ok(());
         };
-        let size = self.cfg.size;
+        let size = self.size;
         match claim {
             GuestClaim::DescIndex(index) => {
                 if index < size {
@@ -604,7 +568,7 @@ impl<A, U> Virtqueue<A, U> {
         }
         self.avail.clear();
         self.used.clear();
-        self.num_free = self.cfg.size;
+        self.num_free = self.size;
         self.avail_idx = 0;
         self.used_idx = 0;
         self.last_avail_idx = 0;
@@ -696,19 +660,19 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn vq(event_idx: bool) -> Virtqueue<u32> {
-        Virtqueue::new(VirtqueueConfig { size: 8, event_idx })
+    fn vq() -> Virtqueue<u32> {
+        Virtqueue::new(8)
     }
 
     #[test]
     fn first_add_kicks() {
-        let mut q = vq(true);
+        let mut q = vq();
         assert_eq!(q.driver_add(1).unwrap(), KickDecision::Kick);
     }
 
     #[test]
     fn adds_while_device_busy_do_not_kick() {
-        let mut q = vq(true);
+        let mut q = vq();
         q.driver_add(1).unwrap(); // kick
 
         // Device starts processing; with EVENT_IDX it has not re-armed
@@ -721,7 +685,7 @@ mod tests {
 
     #[test]
     fn enable_notify_rearms_kick() {
-        let mut q = vq(true);
+        let mut q = vq();
         q.driver_add(1).unwrap();
         q.device_pop().unwrap();
         let raced = q.device_enable_notify();
@@ -731,7 +695,7 @@ mod tests {
 
     #[test]
     fn enable_notify_detects_race() {
-        let mut q = vq(true);
+        let mut q = vq();
         q.driver_add(1).unwrap();
         q.device_pop().unwrap();
         q.driver_add(2).unwrap(); // lands while device about to sleep
@@ -740,7 +704,7 @@ mod tests {
 
     #[test]
     fn disable_notify_silences_driver_event_idx() {
-        let mut q = vq(true);
+        let mut q = vq();
         q.device_disable_notify();
         for i in 0..5 {
             assert_eq!(q.driver_add(i).unwrap(), KickDecision::NoKick, "i={i}");
@@ -749,17 +713,8 @@ mod tests {
     }
 
     #[test]
-    fn disable_notify_silences_driver_flag_mode() {
-        let mut q = vq(false);
-        q.device_disable_notify();
-        assert_eq!(q.driver_add(1).unwrap(), KickDecision::NoKick);
-        q.device_enable_notify();
-        assert_eq!(q.driver_add(2).unwrap(), KickDecision::Kick);
-    }
-
-    #[test]
     fn ring_capacity_enforced() {
-        let mut q = vq(true);
+        let mut q = vq();
         for i in 0..8 {
             q.driver_add(i).unwrap();
         }
@@ -776,7 +731,7 @@ mod tests {
 
     #[test]
     fn first_completion_interrupts_then_coalesces() {
-        let mut q = vq(true);
+        let mut q = vq();
         for i in 0..4 {
             q.driver_add(i).unwrap();
         }
@@ -791,7 +746,7 @@ mod tests {
 
     #[test]
     fn napi_cycle_suppresses_then_rearms() {
-        let mut q = vq(true);
+        let mut q = vq();
         for i in 0..6 {
             q.driver_add(i).unwrap();
         }
@@ -810,7 +765,7 @@ mod tests {
 
     #[test]
     fn driver_enable_interrupts_detects_race() {
-        let mut q = vq(true);
+        let mut q = vq();
         q.driver_add(1).unwrap();
         q.driver_disable_interrupts();
         let p = q.device_pop().unwrap();
@@ -823,10 +778,7 @@ mod tests {
         // Regression: with notifications parked, >2^15 silent adds used to
         // wrap the free-running avail index past the parked avail_event and
         // produce a phantom kick.
-        let mut q: Virtqueue<u32> = Virtqueue::new(VirtqueueConfig {
-            size: 8,
-            event_idx: true,
-        });
+        let mut q: Virtqueue<u32> = Virtqueue::new(8);
         q.device_disable_notify();
         for i in 0..70_000u32 {
             q.driver_add(i).unwrap();
@@ -839,10 +791,7 @@ mod tests {
 
     #[test]
     fn no_phantom_interrupt_after_index_wraparound() {
-        let mut q: Virtqueue<u32> = Virtqueue::new(VirtqueueConfig {
-            size: 8,
-            event_idx: true,
-        });
+        let mut q: Virtqueue<u32> = Virtqueue::new(8);
         q.driver_disable_interrupts();
         for i in 0..70_000u32 {
             q.driver_add(i).unwrap();
@@ -859,7 +808,7 @@ mod tests {
 
     #[test]
     fn conservation_counters_track_pipeline_stages() {
-        let mut q = vq(true);
+        let mut q = vq();
         for i in 0..5 {
             q.driver_add(i).unwrap();
         }
@@ -878,7 +827,7 @@ mod tests {
             q.reclaimed_total() + q.used_pending() as u64
         );
         // A full add fails and must not count.
-        let mut full = vq(true);
+        let mut full = vq();
         for i in 0..8 {
             full.driver_add(i).unwrap();
         }
@@ -901,7 +850,7 @@ mod tests {
 
     #[test]
     fn fifo_payload_order_preserved() {
-        let mut q = vq(true);
+        let mut q = vq();
         for i in 0..5 {
             q.driver_add(i).unwrap();
         }
@@ -921,8 +870,8 @@ mod tests {
         // descriptor count alone: the (size + 1)th add is refused with its
         // payload handed back, whether the in-flight entries sit on the
         // avail side or the used side.
-        let size = VirtqueueConfig::default().size;
-        let mut q: Virtqueue<u32> = Virtqueue::new(VirtqueueConfig::default());
+        let size = 256;
+        let mut q: Virtqueue<u32> = Virtqueue::new(size);
         for i in 0..size as u32 {
             q.driver_add(i).unwrap();
         }
@@ -945,7 +894,7 @@ mod tests {
         // Cycle a small ring through several wraps of the free-running
         // u16 indices with uneven batches, so the storage's own head also
         // wraps at every offset: both halves stay FIFO throughout.
-        let mut q = vq(true);
+        let mut q = vq();
         let (mut next_add, mut next_pop, mut next_take) = (0u32, 0u32, 0u32);
         let mut batch = 1;
         while next_take < 3 * 65_536 + 5 {
@@ -974,7 +923,7 @@ mod tests {
 
     #[test]
     fn valid_claims_clear_silently() {
-        let mut q = vq(true);
+        let mut q = vq();
         q.driver_add(1).unwrap();
         q.driver_add(2).unwrap();
         q.guest_publish_desc_index(7);
@@ -990,13 +939,13 @@ mod tests {
 
     #[test]
     fn validate_without_claim_is_ok() {
-        let mut q = vq(true);
+        let mut q = vq();
         assert_eq!(q.device_validate(), Ok(()));
     }
 
     #[test]
     fn desc_index_out_of_range_is_caught() {
-        let mut q = vq(true);
+        let mut q = vq();
         q.guest_publish_desc_index(8); // size is 8, valid range 0..=7
         assert_eq!(
             q.device_validate(),
@@ -1008,7 +957,7 @@ mod tests {
 
     #[test]
     fn avail_idx_jump_and_regress_are_caught() {
-        let mut q = vq(true);
+        let mut q = vq();
         q.driver_add(1).unwrap();
         q.device_pop().unwrap(); // cursor = 1, nothing outstanding
         q.guest_publish_avail_idx(5);
@@ -1035,7 +984,7 @@ mod tests {
         // Drive the free-running cursor to u16::MAX, then publish across
         // the wrap: the legitimate claim is 0 (= MAX + 1), and validation
         // must accept it while still rejecting a real jump.
-        let mut q = vq(true);
+        let mut q = vq();
         for i in 0..u16::MAX as u32 {
             q.driver_add(i).unwrap();
             let p = q.device_pop().unwrap();
@@ -1059,7 +1008,7 @@ mod tests {
 
     #[test]
     fn chain_length_at_limit_passes_one_past_fails() {
-        let mut q = vq(true); // size 8
+        let mut q = vq(); // size 8
         q.guest_publish_chain(0, 8, false);
         assert_eq!(q.device_validate(), Ok(()), "chain exactly at ring size");
         q.guest_publish_chain(0, 9, false);
@@ -1071,7 +1020,7 @@ mod tests {
 
     #[test]
     fn self_referencing_descriptor_is_caught() {
-        let mut q = vq(true);
+        let mut q = vq();
         q.guest_publish_chain(3, 1, true);
         assert_eq!(
             q.device_validate(),
@@ -1081,7 +1030,7 @@ mod tests {
 
     #[test]
     fn used_overflow_is_caught() {
-        let mut q = vq(true);
+        let mut q = vq();
         q.guest_claim_used_outstanding(8);
         assert_eq!(q.device_validate(), Ok(()), "at ring size is legal");
         q.guest_claim_used_outstanding(9);
@@ -1096,7 +1045,7 @@ mod tests {
 
     #[test]
     fn quarantine_then_reset_lifecycle() {
-        let mut q = vq(true);
+        let mut q = vq();
         for i in 0..4 {
             q.driver_add(i).unwrap();
         }
@@ -1145,7 +1094,7 @@ mod tests {
 
     #[test]
     fn reset_without_request_is_refused() {
-        let mut q = vq(true);
+        let mut q = vq();
         q.driver_add(1).unwrap();
         assert!(!q.guest_reset(), "no reset requested");
         assert_eq!(q.avail_pending(), 1, "state untouched");
@@ -1192,10 +1141,9 @@ mod tests {
         /// storage only.
         #[test]
         fn prop_descriptor_conservation(ops in proptest::collection::vec(0u8..7, 1..300)) {
-            let cfg = VirtqueueConfig { size: 16, event_idx: true };
-            let mut q: Virtqueue<u64> = Virtqueue::new(cfg);
-            let mut tx: Virtqueue<u64, ()> = Virtqueue::new(cfg);
-            let mut rx: Virtqueue<(), u64> = Virtqueue::new(cfg);
+            let mut q: Virtqueue<u64> = Virtqueue::new(16);
+            let mut tx: Virtqueue<u64, ()> = Virtqueue::new(16);
+            let mut rx: Virtqueue<(), u64> = Virtqueue::new(16);
             let mut next_payload = 0u64;
             let mut added = 0u64;
             let mut reclaimed = 0u64;
@@ -1284,7 +1232,7 @@ mod tests {
         /// drain), every batch of adds produces exactly one kick.
         #[test]
         fn prop_one_kick_per_batch(batches in proptest::collection::vec(1usize..8, 1..20)) {
-            let mut q: Virtqueue<u64> = Virtqueue::new(VirtqueueConfig { size: 256, event_idx: true });
+            let mut q: Virtqueue<u64> = Virtqueue::new(256);
             let mut payload = 0;
             for (i, &n) in batches.iter().enumerate() {
                 let kicks_before = q.kick_count();
@@ -1314,13 +1262,12 @@ mod tests {
         /// same decision on the next add; a refused batch changes nothing.
         #[test]
         fn prop_driver_add_n_matches_n_driver_adds(
-            event_idx in any::<bool>(),
             lead in 0u16..48,
             ops in proptest::collection::vec(0u8..6, 0..40),
             quarantined in 0u8..4,
         ) {
             const SIZE: u16 = 16;
-            let mut q: Virtqueue<u32> = Virtqueue::new(VirtqueueConfig { size: SIZE, event_idx });
+            let mut q: Virtqueue<u32> = Virtqueue::new(SIZE);
             // The cursors of a ring that has already cycled `base` buffers
             // through and re-armed both events: every round trip moves
             // them in step.

@@ -318,7 +318,7 @@ impl VhostPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RingError, Virtqueue, VirtqueueConfig};
+    use crate::{RingError, Virtqueue};
 
     #[test]
     fn queue_reports_idle_transition() {
@@ -427,10 +427,7 @@ mod tests {
 
     #[test]
     fn quarantine_drops_pending_work_and_refuses_kicks() {
-        let mut vq: Virtqueue<u32> = Virtqueue::new(VirtqueueConfig {
-            size: 8,
-            event_idx: true,
-        });
+        let mut vq: Virtqueue<u32> = Virtqueue::new(8);
         let mut w = VhostWorker::new();
         let a = w.register_handler();
         let b = w.register_handler();

@@ -75,8 +75,8 @@ fi
 # instead of passing as a speed-up. Each pin is "seed workload digest".
 # ES2_THREADS is cleared, as perfbench/run.py does.
 cargo build --release --offline -q --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
-for pin in "1 sweep decc39db77387dae" "1 dense bfce23d0dabb6151" "1 cell c4b8dc7f15c9595b" \
-           "7 sweep aafc86b23d199dae" "7 dense e3c4f7a15bd02235" "7 cell 01b7f61195645c92"; do
+for pin in "1 sweep c7a1c768513d1b2a" "1 dense 2d516f946772acbb" "1 cell 322016e056f4b621" \
+           "7 sweep aa8d1d0e6c9a4ada" "7 dense 93cb00f6c46ed48e" "7 cell cb2af62471ef5823"; do
     set -- $pin
     env -u ES2_THREADS \
         target/perfbench/release/perfbench --workload "$2" --seed "$1" --seconds 0.1 \
