@@ -29,7 +29,9 @@
 //! reports, a report and an experiment, `selfcheck` with anything),
 //! exits with status 2 before anything runs. A report that cannot write
 //! its JSON exits with status 1; with `--fast` a missing `target/` is
-//! caught before simulating.
+//! caught before simulating. A run in which any cell's liveness verdict
+//! fails also exits with status 1, after printing and writing
+//! everything, and names the failed cells on stderr.
 
 use std::path::Path;
 
@@ -80,14 +82,19 @@ fn main() {
         require_target(&Artifacts::path(stem, true));
     }
     let mut out = std::io::stdout().lock();
-    let artifacts = cli::run(&selection, cli::params(&selection, fast), fast, &mut out)
+    let (artifacts, verdict) = cli::run(&selection, cli::params(&selection, fast), fast, &mut out)
         .unwrap_or_else(|e| {
             eprintln!("repro: cannot write stdout: {e}");
             std::process::exit(1);
         });
+    let mut ok = true;
     if let Some(artifacts) = artifacts {
-        let ok = artifacts.write(fast);
+        ok = artifacts.write(fast);
         dump_ev_profile();
-        std::process::exit(i32::from(!ok));
     }
+    if let Err(e) = verdict {
+        eprintln!("repro: {e}");
+        ok = false;
+    }
+    std::process::exit(i32::from(!ok));
 }

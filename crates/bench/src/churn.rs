@@ -22,9 +22,13 @@ use es2_core::EventPathConfig;
 use es2_metrics::json::Json;
 use es2_sim::{exec, FaultPlan, SimDuration, SimTime};
 use es2_testbed::{
-    ChurnSpec, Cluster, ClusterResult, ClusterSpec, Params, PlannedMove, WorkloadSpec,
+    ChurnLedger, ChurnSpec, Cluster, ClusterResult, ClusterSpec, Params, PlannedMove, WorkloadSpec,
 };
 use es2_workloads::NetperfSpec;
+
+use crate::cli::Rendered;
+use crate::columns::{self, Col, Val};
+use crate::events_total;
 
 const HOSTS: u32 = 4;
 const CAP_VMS_PER_HOST: u32 = 3;
@@ -107,19 +111,71 @@ fn static_cell(cfg: EventPathConfig, params: Params, seed: u64) -> ClusterSpec {
     ClusterSpec::new(cfg, 1, fleet(), HOSTS, CAP_VMS_PER_HOST, params, seed)
 }
 
-fn events_total(r: &ClusterResult) -> u64 {
-    r.per_host.iter().map(|h| h.result.events_simulated).sum()
+/// One config's churn cell and its static comparison cell.
+pub(crate) struct ChurnCell {
+    config: &'static str,
+    churn: ClusterResult,
+    fixed: ClusterResult,
+    /// Warm-up plus measurement window, in seconds.
+    run_secs: f64,
 }
 
-fn reclaimed_total(r: &ClusterResult) -> u32 {
-    r.per_host.iter().map(|h| h.result.reclaimed_slots).sum()
+impl ChurnCell {
+    fn ledger(&self) -> &ChurnLedger {
+        self.churn
+            .churn
+            .as_ref()
+            .expect("churn cell lost its ledger")
+    }
+
+    fn liveness_ok(&self) -> bool {
+        self.churn.liveness.ok() && self.fixed.liveness.ok()
+    }
 }
 
-/// Run the churn sweep over Baseline / PI / ES2 and return
-/// `(deterministic_report, json, None)`.
-pub fn churn_report(params: Params, seed: u64, fast: bool) -> (String, Json, Option<Json>) {
-    use es2_metrics::Table;
+type Column = Col<ChurnCell>;
 
+/// The cell fields, once for stdout and JSON. `orphans` is listed
+/// twice: the JSON puts it before the two rx p99 keys, stdout after.
+#[rustfmt::skip]
+pub(crate) const COLUMNS: &[Column] = &[
+    Column::both("config", "config", |c| c.config.into()),
+    Column::json("arrivals", |c| c.ledger().arrivals.into()),
+    Column::both("admitted", "admitted", |c| c.ledger().admitted.into()),
+    Column::both("admits_per_sec", "admits/s", |c| {
+        (c.ledger().admitted as f64 / c.run_secs).into()
+    }).dec(1),
+    Column::both("rejection_ratio", "reject", |c| c.ledger().rejection_ratio().into()).dec(3),
+    Column::json("rejected_final", |c| c.ledger().rejected_final.into()),
+    Column::json("abandoned", |c| c.ledger().abandoned.into()),
+    Column::json("retried", |c| c.ledger().retried.into()),
+    Column::json("retry_successes", |c| c.ledger().retry_successes.into()),
+    Column::both("retry_success_ratio", "retry ok", |c| c.ledger().retry_success_ratio().into())
+        .dec(3),
+    Column::json("boot_p50_us", |c| c.ledger().boot_wait_percentile_us(0.5).into()),
+    Column::both("boot_p99_us", "boot p99 us", |c| c.ledger().boot_wait_percentile_us(0.99).into())
+        .dec(1),
+    Column::json("place_fail_faults", |c| c.ledger().place_fail_faults.into()),
+    Column::json("boot_stall_faults", |c| c.ledger().boot_stall_faults.into()),
+    Column::json("boot_timeouts", |c| c.churn.ledger.boot_timeouts.into()),
+    Column::json("brownout_deferrals", |c| c.ledger().brownout_deferrals.into()),
+    Column::both("destroy_races", "races", |c| c.ledger().destroy_races.into()),
+    Column::both("replaced_on_crash", "replaced", |c| c.ledger().replaced_on_crash.into()),
+    Column::json("departures", |c| c.ledger().departures.into()),
+    Column::both("reclaimed_slots", "reclaimed", |c| {
+        c.churn.per_host.iter().map(|h| h.result.reclaimed_slots).sum::<u32>().into()
+    }),
+    Column::json("ctl_errors", |c| c.churn.ledger.ctl_errors.len().into()),
+    Column::json("orphans", |c| c.churn.orphans().into()),
+    Column::both("churn_rx_p99_us", "rx p99 us", |c| c.churn.worst_rx_p99_us().into()),
+    Column::both("static_rx_p99_us", "static rx p99", |c| c.fixed.worst_rx_p99_us().into()),
+    Column::stdout("orphans", |c| c.churn.orphans().into()),
+    Column::json("events", |c| events_total(&c.churn).into()),
+    Column::both("liveness", "liveness", |c| Val::Verdict(c.liveness_ok())),
+];
+
+/// Run the churn sweep over Baseline / PI / ES2.
+pub fn churn_report(params: Params, seed: u64, fast: bool) -> Rendered {
     let run_secs = (params.warmup + params.measure).as_secs_f64();
     // Each config's churn and static cells are independent cells of
     // one sweep, which returns them in this order whatever the thread
@@ -134,71 +190,35 @@ pub fn churn_report(params: Params, seed: u64, fast: bool) -> (String, Json, Opt
         })
         .collect();
     let mut runs = exec::sweep(&specs, |s| Cluster::new(s.clone()).run()).into_iter();
-    let cells: Vec<(&'static str, ClusterResult, ClusterResult)> = configs()
+    let cells: Vec<ChurnCell> = configs()
         .into_iter()
-        .map(|(name, _)| {
-            let churn = runs.next().expect("churn cell");
-            let fixed = runs.next().expect("static cell");
-            (name, churn, fixed)
+        .map(|(config, _)| ChurnCell {
+            config,
+            churn: runs.next().expect("churn cell"),
+            fixed: runs.next().expect("static cell"),
+            run_secs,
         })
         .collect();
 
     let arrivals = churn_spec(fast).arrivals;
-    let mut t = Table::new(
+    let mut report = columns::table(
         format!(
             "Tenant churn — {FLEET} static VMs + {arrivals} heavy-tailed arrivals over {HOSTS} \
              hosts (cap {CAP_VMS_PER_HOST}/host), full control-plane fault diet (seed {seed})"
         ),
-        &[
-            "config",
-            "admitted",
-            "admits/s",
-            "reject",
-            "retry ok",
-            "boot p99 us",
-            "races",
-            "replaced",
-            "reclaimed",
-            "rx p99 us",
-            "static rx p99",
-            "orphans",
-            "liveness",
-        ],
+        COLUMNS,
+        &cells,
     );
-    for (name, r, s) in &cells {
-        let c = r.churn.as_ref().expect("churn cell lost its ledger");
-        t.row(&[
-            name.to_string(),
-            c.admitted.to_string(),
-            format!("{:.1}", c.admitted as f64 / run_secs),
-            format!("{:.3}", c.rejection_ratio()),
-            format!("{:.3}", c.retry_success_ratio()),
-            format!("{:.1}", c.boot_wait_percentile_us(0.99)),
-            c.destroy_races.to_string(),
-            c.replaced_on_crash.to_string(),
-            reclaimed_total(r).to_string(),
-            r.worst_rx_p99_us().to_string(),
-            s.worst_rx_p99_us().to_string(),
-            r.orphans().to_string(),
-            if r.liveness.ok() && s.liveness.ok() {
-                "PASS"
-            } else {
-                "FAIL"
-            }
-            .to_string(),
-        ]);
-    }
-    let mut report = t.render();
-    report.push('\n');
 
     // One control-plane line per config: the lifecycle call counts the
     // hosts actually executed (boots, departs, timeout rollbacks) and
     // the typed control errors (must stay zero).
-    for (name, r, _) in &cells {
-        let c = r.churn.as_ref().unwrap();
+    for cell in &cells {
+        let (c, r) = (cell.ledger(), &cell.churn);
         report.push_str(&format!(
-            "{name}: arrivals {} -> admitted {} (retried {}, exhausted {}, abandoned {}), boots \
+            "{}: arrivals {} -> admitted {} (retried {}, exhausted {}, abandoned {}), boots \
              {}, departs {}, boot timeouts {}, brownout deferrals {}, ctl errors {}\n",
+            cell.config,
             c.arrivals,
             c.admitted,
             c.retried,
@@ -212,54 +232,16 @@ pub fn churn_report(params: Params, seed: u64, fast: bool) -> (String, Json, Opt
         ));
     }
 
-    let json_cells: Json = cells
-        .iter()
-        .map(|(name, r, s)| {
-            let c = r.churn.as_ref().unwrap();
-            Json::object()
-                .with("config", *name)
-                .with("arrivals", c.arrivals)
-                .with("admitted", c.admitted)
-                .with("admits_per_sec", c.admitted as f64 / run_secs)
-                .with("rejection_ratio", c.rejection_ratio())
-                .with("rejected_final", c.rejected_final)
-                .with("abandoned", c.abandoned)
-                .with("retried", c.retried)
-                .with("retry_successes", c.retry_successes)
-                .with("retry_success_ratio", c.retry_success_ratio())
-                .with("boot_p50_us", c.boot_wait_percentile_us(0.5))
-                .with("boot_p99_us", c.boot_wait_percentile_us(0.99))
-                .with("place_fail_faults", c.place_fail_faults)
-                .with("boot_stall_faults", c.boot_stall_faults)
-                .with("boot_timeouts", r.ledger.boot_timeouts)
-                .with("brownout_deferrals", c.brownout_deferrals)
-                .with("destroy_races", c.destroy_races)
-                .with("replaced_on_crash", c.replaced_on_crash)
-                .with("departures", c.departures)
-                .with("reclaimed_slots", reclaimed_total(r))
-                .with("ctl_errors", r.ledger.ctl_errors.len())
-                .with("orphans", r.orphans())
-                .with("churn_rx_p99_us", r.worst_rx_p99_us())
-                .with("static_rx_p99_us", s.worst_rx_p99_us())
-                .with("events", events_total(r))
-                .with(
-                    "liveness",
-                    if r.liveness.ok() && s.liveness.ok() {
-                        "pass"
-                    } else {
-                        "fail"
-                    },
-                )
-        })
-        .collect();
     let json = Json::object()
-        .with("harness", "repro --churn")
-        .with("fast", fast)
-        .with("seed", seed)
         .with("hosts", HOSTS)
         .with("cap_vms_per_host", CAP_VMS_PER_HOST)
         .with("fleet", FLEET)
         .with("arrivals", arrivals)
-        .with("cells", json_cells);
-    (report, json, None)
+        .with("cells", columns::json(COLUMNS, &cells));
+    let failed = cells
+        .iter()
+        .filter(|c| !c.liveness_ok())
+        .map(|c| c.config.to_string())
+        .collect();
+    (report, json, None, failed)
 }

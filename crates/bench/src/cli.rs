@@ -13,9 +13,14 @@ use es2_testbed::Params;
 
 use crate::*;
 
-/// A report subcommand: runs at `(params, seed, fast)` and returns its
-/// deterministic stdout report, its JSON and an optional Chrome trace.
-pub type Report = fn(Params, u64, bool) -> (String, Json, Option<Json>);
+/// A report subcommand: runs at `(params, seed, fast)`.
+pub type Report = fn(Params, u64, bool) -> Rendered;
+
+/// What a report returns: its deterministic stdout report, its own JSON
+/// members ([`run`] writes the `harness`, `fast` and `seed` header
+/// before them), an optional Chrome trace, and the names of the cells
+/// whose liveness verdict failed.
+pub type Rendered = (String, Json, Option<Json>, Vec<String>);
 
 /// The report subcommands: flag, stem of the `BENCH_<stem>.json` they
 /// write, and the report they run.
@@ -121,8 +126,9 @@ pub fn params(selection: &Selection, fast: bool) -> Params {
     params
 }
 
-/// Run the figure experiment `name` at `params` and render it.
-fn experiment(name: &str, params: Params, fast: bool) -> String {
+/// Run the figure experiment `name` at `params` and render it, naming
+/// in `failed` each cell whose liveness verdict failed.
+fn experiment(name: &str, params: Params, fast: bool, failed: &mut Vec<String>) -> String {
     match name {
         "table1" => render_table1(params, SEED),
         "fig4" => render_fig4(params, SEED),
@@ -160,7 +166,11 @@ fn experiment(name: &str, params: Params, fast: bool) -> String {
                 p.warmup = SimDuration::from_millis(50);
                 p.measure = SimDuration::from_millis(300);
             }
-            render_chaos(p, SEED)
+            let (text, host_fault_ok) = render_chaos(p, SEED);
+            if !host_fault_ok {
+                failed.push("chaos host-fault cell".into());
+            }
+            text
         }
         "ablations" => {
             let mut p = params;
@@ -180,29 +190,45 @@ pub struct Artifacts {
 }
 
 /// Run `selection` at `params`, writing its stdout to `out` as each
-/// part finishes. A report also returns its artifacts. `out` is flushed
-/// before returning, as `repro` may exit right after.
+/// part finishes. Returns a report's artifacts, its JSON headed by
+/// `harness`, `fast` and `seed`, and the run's verdict: `Err` naming
+/// the cells whose liveness verdict failed. `out` is flushed before
+/// returning, as `repro` may exit right after.
 pub fn run(
     selection: &Selection,
     params: Params,
     fast: bool,
     out: &mut impl Write,
-) -> io::Result<Option<Artifacts>> {
+) -> io::Result<(Option<Artifacts>, Result<(), String>)> {
+    let mut failed = Vec::new();
     let artifacts = match selection {
         Selection::Experiments(names) => {
             for name in names {
-                writeln!(out, "{}", experiment(name, params, fast))?;
+                writeln!(out, "{}", experiment(name, params, fast, &mut failed))?;
             }
             None
         }
-        &Selection::Report(&(_, stem, report)) => {
-            let (text, json, chrome) = report(params, SEED, fast);
+        &Selection::Report(&(flag, stem, report)) => {
+            let (text, json, chrome, f) = report(params, SEED, fast);
             write!(out, "{text}")?;
+            failed = f;
+            let Json::Obj(own) = json else {
+                panic!("{flag} returned JSON that is not an object");
+            };
+            let header = Json::object()
+                .with("harness", format!("repro {flag}"))
+                .with("fast", fast)
+                .with("seed", SEED);
+            let json = own.into_iter().fold(header, |j, (k, v)| j.with(&k, v));
             Some(Artifacts { stem, json, chrome })
         }
     };
     out.flush()?;
-    Ok(artifacts)
+    let verdict = match &failed[..] {
+        [] => Ok(()),
+        cells => Err(format!("FAIL verdict in {}", cells.join(", "))),
+    };
+    Ok((artifacts, verdict))
 }
 
 impl Artifacts {

@@ -21,6 +21,9 @@ use es2_testbed::experiments::{self};
 use es2_testbed::{Machine, Params, RunResult, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
 
+use crate::cli::Rendered;
+use crate::columns::{self, Col, Val};
+
 /// The VM index that misbehaves (VM 0 is the measured victim).
 const HOSTILE_VM: u32 = 1;
 
@@ -65,10 +68,57 @@ fn run_one(cfg: EventPathConfig, params: Params, seed: u64, hostile: bool) -> (R
     (result, live.ok())
 }
 
-/// Run the blast-radius sweep and return `(deterministic_report, json, None)`.
-pub fn hostile_report(params: Params, seed: u64, fast: bool) -> (String, Json, Option<Json>) {
-    use es2_metrics::Table;
+type Column = Col<HostileCell>;
 
+/// The cell fields, once for stdout and JSON.
+#[rustfmt::skip]
+pub(crate) const COLUMNS: &[Column] = &[
+    Column::both("config", "config", |c| c.config.into()),
+    Column::both("victim_goodput_clean_gbps", "clean Gb/s", |c| c.clean.goodput_gbps.into()).dec(3),
+    Column::both("victim_goodput_hostile_gbps", "hostile Gb/s", |c| c.hostile.goodput_gbps.into())
+        .dec(3),
+    Column::both("victim_goodput_retained_percent", "retained %", |c| c.retained_percent().into())
+        .dec(1),
+    Column::both("victim_rx_p99_clean_us", "p99 clean us", |c| c.clean.rx_p99_us_per_vm[0].into()),
+    Column::both("victim_rx_p99_hostile_us", "p99 hostile us", |c| {
+        c.hostile.rx_p99_us_per_vm[0].into()
+    }),
+    Column::json("victim_rx_p99_ratio", |c| c.p99_ratio().into()),
+    Column::json("ring_corruptions", |c| c.hostile.fault_stats.ring_corruptions.into()),
+    Column::json("storm_kicks", |c| c.hostile.fault_stats.storm_kicks.into()),
+    Column::json("storm_eois", |c| c.hostile.fault_stats.storm_eois.into()),
+    Column::both("quarantines", "quarantines", |c| c.hostile.backpressure.quarantines.into()),
+    Column::both("queue_resets", "resets", |c| c.hostile.backpressure.resets.into()),
+    Column::both("throttled_kicks", "throttled", |c| c.hostile.backpressure.throttled_kicks.into()),
+    Column::both("quarantine_dropped", "shed bufs", |c| {
+        c.hostile.backpressure.quarantine_dropped.into()
+    }),
+    Column::json("per_vm", |c| Val::Json(per_vm(&c.hostile))),
+    Column::json("liveness", |c| Val::Verdict(c.liveness_ok)),
+];
+
+/// The hostile run's containment ledger, one object per VM.
+fn per_vm(hostile: &RunResult) -> Json {
+    hostile
+        .backpressure_per_vm
+        .iter()
+        .zip(&hostile.rx_p99_us_per_vm)
+        .enumerate()
+        .map(|(vm, (b, &rx_p99_us))| {
+            Json::object()
+                .with("vm", vm)
+                .with("spurious_kicks", b.spurious_kicks)
+                .with("spurious_eois", b.spurious_eois)
+                .with("throttled_kicks", b.throttled_kicks)
+                .with("quarantines", b.quarantines)
+                .with("resets", b.resets)
+                .with("rx_p99_us", rx_p99_us)
+        })
+        .collect()
+}
+
+/// Run the blast-radius sweep.
+pub fn hostile_report(params: Params, seed: u64, fast: bool) -> Rendered {
     let params = Params {
         backpressure: true,
         ..params
@@ -100,41 +150,14 @@ pub fn hostile_report(params: Params, seed: u64, fast: bool) -> (String, Json, O
         });
     }
 
-    let mut t = Table::new(
+    let mut report = columns::table(
         format!(
             "Hostile guest — VM {HOSTILE_VM} runs ring corruption + kick/EOI storms + desc \
              loops; VM 0 is the victim (4 VMs time-sharing, seed {seed})"
         ),
-        &[
-            "config",
-            "clean Gb/s",
-            "hostile Gb/s",
-            "retained %",
-            "p99 clean us",
-            "p99 hostile us",
-            "quarantines",
-            "resets",
-            "throttled",
-            "shed bufs",
-        ],
+        COLUMNS,
+        &cells,
     );
-    for c in &cells {
-        let bp = &c.hostile.backpressure;
-        t.row(&[
-            c.config.to_string(),
-            format!("{:.3}", c.clean.goodput_gbps),
-            format!("{:.3}", c.hostile.goodput_gbps),
-            format!("{:.1}", c.retained_percent()),
-            c.clean.rx_p99_us_per_vm[0].to_string(),
-            c.hostile.rx_p99_us_per_vm[0].to_string(),
-            bp.quarantines.to_string(),
-            bp.resets.to_string(),
-            bp.throttled_kicks.to_string(),
-            bp.quarantine_dropped.to_string(),
-        ]);
-    }
-    let mut report = t.render();
-    report.push('\n');
     for c in &cells {
         let h = &c.hostile;
         let hostile_bp = &h.backpressure_per_vm[HOSTILE_VM as usize];
@@ -156,55 +179,17 @@ pub fn hostile_report(params: Params, seed: u64, fast: bool) -> (String, Json, O
             hostile_bp.spurious_eois,
             hostile_bp.throttled_kicks,
             leaked,
-            if c.liveness_ok { "PASS" } else { "FAIL" },
+            columns::verdict(c.liveness_ok),
         ));
     }
 
-    let json_cells: Json = cells
-        .iter()
-        .map(|c| {
-            let bp = &c.hostile.backpressure;
-            let per_vm: Json = c
-                .hostile
-                .backpressure_per_vm
-                .iter()
-                .zip(&c.hostile.rx_p99_us_per_vm)
-                .enumerate()
-                .map(|(vm, (b, &rx_p99_us))| {
-                    Json::object()
-                        .with("vm", vm)
-                        .with("spurious_kicks", b.spurious_kicks)
-                        .with("spurious_eois", b.spurious_eois)
-                        .with("throttled_kicks", b.throttled_kicks)
-                        .with("quarantines", b.quarantines)
-                        .with("resets", b.resets)
-                        .with("rx_p99_us", rx_p99_us)
-                })
-                .collect();
-            Json::object()
-                .with("config", c.config)
-                .with("victim_goodput_clean_gbps", c.clean.goodput_gbps)
-                .with("victim_goodput_hostile_gbps", c.hostile.goodput_gbps)
-                .with("victim_goodput_retained_percent", c.retained_percent())
-                .with("victim_rx_p99_clean_us", c.clean.rx_p99_us_per_vm[0])
-                .with("victim_rx_p99_hostile_us", c.hostile.rx_p99_us_per_vm[0])
-                .with("victim_rx_p99_ratio", c.p99_ratio())
-                .with("ring_corruptions", c.hostile.fault_stats.ring_corruptions)
-                .with("storm_kicks", c.hostile.fault_stats.storm_kicks)
-                .with("storm_eois", c.hostile.fault_stats.storm_eois)
-                .with("quarantines", bp.quarantines)
-                .with("queue_resets", bp.resets)
-                .with("throttled_kicks", bp.throttled_kicks)
-                .with("quarantine_dropped", bp.quarantine_dropped)
-                .with("per_vm", per_vm)
-                .with("liveness", if c.liveness_ok { "pass" } else { "fail" })
-        })
-        .collect();
     let json = Json::object()
-        .with("harness", "repro --hostile")
-        .with("fast", fast)
-        .with("seed", seed)
         .with("hostile_vm", HOSTILE_VM)
-        .with("cells", json_cells);
-    (report, json, None)
+        .with("cells", columns::json(COLUMNS, &cells));
+    let failed = cells
+        .iter()
+        .filter(|c| !c.liveness_ok)
+        .map(|c| c.config.to_string())
+        .collect();
+    (report, json, None, failed)
 }

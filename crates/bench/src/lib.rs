@@ -8,6 +8,7 @@
 
 pub mod churn;
 pub mod cli;
+mod columns;
 pub mod hostile;
 pub mod migrate;
 pub mod mq;
@@ -24,6 +25,11 @@ use es2_testbed::{Params, RunResult};
 
 /// Default seed used by the repro harness.
 pub const SEED: u64 = 20170814; // ICPP'17 conference date
+
+/// Events a cluster run simulated, summed over its hosts.
+fn events_total(r: &es2_testbed::ClusterResult) -> u64 {
+    r.per_host.iter().map(|h| h.result.events_simulated).sum()
+}
 
 fn exit_cells(r: &RunResult) -> [String; 5] {
     let other: f64 = ExitReason::all()
@@ -354,8 +360,9 @@ pub fn render_fig9(params: Params, seed: u64, rates: &[f64]) -> String {
 /// workload shapes, rendered with **only deterministic quantities** (no
 /// wall-clock) so runs at different thread counts can be compared
 /// byte-for-byte — that comparison *is* the reproducibility check
-/// `repro selfcheck` runs.
-pub fn render_chaos(params: Params, seed: u64) -> String {
+/// `repro selfcheck` runs. Also returns whether the host-fault cell's
+/// liveness verdict passed.
+pub fn render_chaos(params: Params, seed: u64) -> (String, bool) {
     use es2_core::EventPathConfig;
     use es2_testbed::experiments::RunSpec;
     use es2_testbed::{Topology, WorkloadSpec};
@@ -460,7 +467,7 @@ pub fn render_chaos(params: Params, seed: u64) -> String {
         "host-fault cell (3 hosts x 2 VMs/host, PI+H+R): migrate VM0->host2, abort \
          VM4->host0, degrade host2, crash host1 @60%\n  ledger: out={} resumed={} aborts={} \
          retargets={} restarts={} | blackout p99 {:.1} us | final hosts [{}]\n  cell \
-         liveness: {}\n",
+         liveness: {}{}\n",
         r.ledger.out,
         r.ledger.resumed,
         r.ledger.aborts,
@@ -472,11 +479,11 @@ pub fn render_chaos(params: Params, seed: u64) -> String {
             .map(|h| h.map_or("-".to_string(), |v| v.to_string()))
             .collect::<Vec<_>>()
             .join(","),
-        if r.liveness.ok() {
-            "PASS (0 violations)".to_string()
-        } else {
-            format!("FAIL\n  {}", r.liveness.violations.join("\n  "))
-        }
+        columns::verdict(r.liveness.ok()),
+        match &r.liveness.violations[..] {
+            [] => " (0 violations)".to_string(),
+            v => format!("\n  {}", v.join("\n  ")),
+        },
     ));
-    out
+    (out, r.liveness.ok())
 }

@@ -20,6 +20,10 @@ use es2_sim::{exec, FaultPlan, SimDuration, SimTime};
 use es2_testbed::{Cluster, ClusterResult, ClusterSpec, Params, PlannedMove, WorkloadSpec};
 use es2_workloads::NetperfSpec;
 
+use crate::cli::Rendered;
+use crate::columns::{self, Col, Val};
+use crate::events_total;
+
 const HOSTS: u32 = 4;
 const CAP_VMS_PER_HOST: u32 = 2;
 const FLEET: u32 = 8;
@@ -90,16 +94,12 @@ fn abort_cell(params: Params, seed: u64) -> ClusterSpec {
     spec
 }
 
-fn vms_on_host(r: &ClusterResult, host: u32) -> u32 {
-    r.final_host
-        .iter()
-        .flatten()
-        .filter(|&&h| h == host)
-        .count() as u32
+fn vms_on_host0(r: &ClusterResult) -> usize {
+    r.final_host.iter().flatten().filter(|&&h| h == 0).count()
 }
 
-fn host_rx_p99_us(r: &ClusterResult, host: u32) -> u64 {
-    r.per_host[host as usize]
+fn host0_rx_p99_us(r: &ClusterResult) -> u64 {
+    r.per_host[0]
         .result
         .rx_p99_us_per_vm
         .iter()
@@ -108,15 +108,40 @@ fn host_rx_p99_us(r: &ClusterResult, host: u32) -> u64 {
         .unwrap_or(0)
 }
 
-fn events_total(r: &ClusterResult) -> u64 {
-    r.per_host.iter().map(|h| h.result.events_simulated).sum()
+/// One packing level of the consolidation sweep and its run.
+pub(crate) struct Level {
+    /// VMs the level packs onto host 0.
+    target: u32,
+    result: ClusterResult,
 }
 
-/// Run the consolidation sweep + recovery cells and return
-/// `(deterministic_report, json, None)`.
-pub fn migrate_report(params: Params, seed: u64, fast: bool) -> (String, Json, Option<Json>) {
-    use es2_metrics::Table;
+type Column = Col<Level>;
 
+/// The consolidation row fields, once for stdout and JSON.
+#[rustfmt::skip]
+pub(crate) const COLUMNS: &[Column] = &[
+    Column::json("target_vms_on_host0", |c| c.target.into()),
+    Column::both("final_vms_on_host0", "VMs@host0", |c| vms_on_host0(&c.result).into()),
+    Column::both("host0_density", "density", |c| {
+        (c.target as f64 / CAP_VMS_PER_HOST as f64).into()
+    }).dec(2),
+    Column::json("packing_density", |c| c.result.packing_density().into()),
+    Column::both("migrations", "migs", |c| c.result.ledger.out.into()),
+    Column::json("msi_retargets", |c| c.result.ledger.retargets.into()),
+    Column::both("blackout_p50_us", "blackout p50 us", |c| {
+        c.result.blackout_percentile_us(0.5).into()
+    }).dec(1),
+    Column::both("blackout_p99_us", "blackout p99 us", |c| {
+        c.result.blackout_percentile_us(0.99).into()
+    }).dec(1),
+    Column::both("host0_rx_p99_us", "host0 rx p99 us", |c| host0_rx_p99_us(&c.result).into()),
+    Column::both("worst_rx_p99_us", "worst rx p99 us", |c| c.result.worst_rx_p99_us().into()),
+    Column::both("events", "events", |c| events_total(&c.result).into()),
+    Column::both("liveness", "liveness", |c| Val::Verdict(c.result.liveness.ok())),
+];
+
+/// Run the consolidation sweep and the recovery cells.
+pub fn migrate_report(params: Params, seed: u64, fast: bool) -> Rendered {
     // The packing levels and the two recovery cells are independent
     // cells of one sweep, which returns them in this order whatever the
     // thread count.
@@ -130,85 +155,45 @@ pub fn migrate_report(params: Params, seed: u64, fast: bool) -> (String, Json, O
     let mut runs = exec::sweep(&specs, |s| Cluster::new(s.clone()).run());
     let abort = runs.pop().expect("abort cell");
     let crash = runs.pop().expect("crash cell");
-    let cells: Vec<(u32, ClusterResult)> = levels.iter().copied().zip(runs).collect();
+    let cells: Vec<Level> = levels
+        .iter()
+        .zip(runs)
+        .map(|(&target, result)| Level { target, result })
+        .collect();
 
-    let mut t = Table::new(
+    let mut report = columns::table(
         format!(
             "Consolidation sweep — {FLEET} TCP-send VMs over {HOSTS} hosts (cap \
              {CAP_VMS_PER_HOST}/host), live-migrating onto host 0 mid-run (seed {seed})"
         ),
-        &[
-            "VMs@host0",
-            "density",
-            "migs",
-            "blackout p50 us",
-            "blackout p99 us",
-            "host0 rx p99 us",
-            "worst rx p99 us",
-            "events",
-            "liveness",
-        ],
+        COLUMNS,
+        &cells,
     );
-    for (l, r) in &cells {
-        t.row(&[
-            format!("{}", vms_on_host(r, 0)),
-            format!("{:.2}", *l as f64 / CAP_VMS_PER_HOST as f64),
-            r.ledger.out.to_string(),
-            format!("{:.1}", r.blackout_percentile_us(0.5)),
-            format!("{:.1}", r.blackout_percentile_us(0.99)),
-            host_rx_p99_us(r, 0).to_string(),
-            r.worst_rx_p99_us().to_string(),
-            events_total(r).to_string(),
-            if r.liveness.ok() { "PASS" } else { "FAIL" }.to_string(),
-        ]);
-    }
-    let mut report = t.render();
-    report.push('\n');
 
     // --- Recovery cells: host crash + evacuation, and an aborted move. ---
+    let (crash_ok, abort_ok) = (crash.liveness.ok(), abort.liveness.ok());
     report.push_str(&format!(
         "host crash: host 1 dies mid-run -> {} cold restarts, survivors' worst rx p99 {} us, \
          liveness {}\n",
         crash.ledger.restarts,
         crash.worst_rx_p99_us(),
-        if crash.liveness.ok() { "PASS" } else { "FAIL" },
+        columns::verdict(crash_ok),
     ));
     report.push_str(&format!(
         "aborted migration: {} aborts, VM 2 back on host {} (blackout {:.1} us), liveness {}\n",
         abort.ledger.aborts,
         abort.final_host[2].map_or(-1, |h| h as i64),
         abort.blackout_percentile_us(0.5),
-        if abort.liveness.ok() { "PASS" } else { "FAIL" },
+        columns::verdict(abort_ok),
     ));
 
-    let consolidation: Json = cells
-        .iter()
-        .map(|(l, r)| {
-            Json::object()
-                .with("target_vms_on_host0", *l)
-                .with("final_vms_on_host0", vms_on_host(r, 0))
-                .with("host0_density", *l as f64 / CAP_VMS_PER_HOST as f64)
-                .with("packing_density", r.packing_density())
-                .with("migrations", r.ledger.out)
-                .with("msi_retargets", r.ledger.retargets)
-                .with("blackout_p50_us", r.blackout_percentile_us(0.5))
-                .with("blackout_p99_us", r.blackout_percentile_us(0.99))
-                .with("host0_rx_p99_us", host_rx_p99_us(r, 0))
-                .with("worst_rx_p99_us", r.worst_rx_p99_us())
-                .with("events", events_total(r))
-                .with("liveness", if r.liveness.ok() { "pass" } else { "fail" })
-        })
-        .collect();
     let recovery = Json::object()
         .with(
             "host_crash",
             Json::object()
                 .with("restarts", crash.ledger.restarts)
                 .with("worst_rx_p99_us", crash.worst_rx_p99_us())
-                .with(
-                    "liveness",
-                    if crash.liveness.ok() { "pass" } else { "fail" },
-                ),
+                .with("liveness", Val::Verdict(crash_ok).json()),
         )
         .with(
             "aborted_migration",
@@ -216,19 +201,23 @@ pub fn migrate_report(params: Params, seed: u64, fast: bool) -> (String, Json, O
                 .with("aborts", abort.ledger.aborts)
                 .with("vm_back_on_source", abort.final_host[2] == Some(1))
                 .with("blackout_us", abort.blackout_percentile_us(0.5))
-                .with(
-                    "liveness",
-                    if abort.liveness.ok() { "pass" } else { "fail" },
-                ),
+                .with("liveness", Val::Verdict(abort_ok).json()),
         );
+    let mut failed: Vec<String> = cells
+        .iter()
+        .filter(|c| !c.result.liveness.ok())
+        .map(|c| format!("{} VMs on host 0", c.target))
+        .collect();
+    for (cell, ok) in [("host crash", crash_ok), ("aborted migration", abort_ok)] {
+        if !ok {
+            failed.push(cell.into());
+        }
+    }
     let json = Json::object()
-        .with("harness", "repro --migrate")
-        .with("fast", fast)
-        .with("seed", seed)
         .with("hosts", HOSTS)
         .with("cap_vms_per_host", CAP_VMS_PER_HOST)
         .with("fleet", FLEET)
-        .with("consolidation", consolidation)
+        .with("consolidation", columns::json(COLUMNS, &cells))
         .with("recovery", recovery);
-    (report, json, None)
+    (report, json, None, failed)
 }

@@ -28,6 +28,9 @@ use es2_sim::{exec, FaultPlan};
 use es2_testbed::{Machine, Params, RunResult, ShardPolicy, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
 
+use crate::cli::Rendered;
+use crate::columns::{self, Col, Val};
+
 /// vCPUs per VM in the sweep — matches the consolidation sweep's
 /// two-vCPU tenants, so `q2` is exactly one TX/RX pair per vCPU.
 const MQ_VCPUS_PER_VM: u32 = 2;
@@ -104,10 +107,37 @@ fn run_cell(
     }
 }
 
-/// Run the multi-queue sweep and return `(deterministic_report, json, None)`.
-pub fn mq_report(params: Params, seed: u64, fast: bool) -> (String, Json, Option<Json>) {
-    use es2_metrics::Table;
+type Column = Col<MqCell>;
 
+/// The cell fields, once for stdout and JSON.
+#[rustfmt::skip]
+pub(crate) const COLUMNS: &[Column] = &[
+    Column::both("vms", "vms", |c| c.vms.into()),
+    Column::stdout("cell", |c| c.label().into()),
+    Column::json("queues", |c| c.queues.into()),
+    Column::json("workers", |c| c.workers.into()),
+    Column::both("effective_workers", "eff w", |c| c.effective_workers.into()),
+    Column::json("policy", |c| c.policy.label().into()),
+    Column::both("goodput_gbps", "goodput Gb/s", |c| c.result.goodput_gbps.into()).dec(3),
+    Column::both("exit_rate_per_sec", "exits/s", |c| c.result.total_exit_rate().into()),
+    Column::both("rx_p99_us", "rx p99 us", |c| c.result.rx_p99_us_per_vm[0].into()),
+    Column::both("rx_mean_us", "rx mean us", |c| c.result.mean_rx_latency_us.into()).dec(1),
+    Column::both("kicks", "kicks", |c| c.result.kicks_total.into()),
+    Column::json("rx_interrupts", |c| c.result.rx_interrupts_total.into()),
+    Column::both("host_ctx_switches", "ctx sw", |c| c.result.host_ctx_switches.into()),
+    Column::both("polling_entries", "polling", |c| c.result.polling_entries.into()),
+    Column::both("device_irqs_per_vcpu", "dev irqs/vcpu", |c| {
+        Val::Ints(c.result.device_irqs_per_vcpu.clone())
+    }),
+    Column::both("vhost_pending_hwm_per_worker", "pend hwm/w", |c| {
+        Val::Ints(c.result.vhost_pending_hwm_per_worker.clone())
+    }),
+    Column::json("events_simulated", |c| c.result.events_simulated.into()),
+    Column::both("liveness", "liveness", |c| Val::Verdict(c.liveness_ok)),
+];
+
+/// Run the multi-queue sweep.
+pub fn mq_report(params: Params, seed: u64, fast: bool) -> Rendered {
     // The grid's cells are independent cells of one sweep, which
     // returns them in this order whatever the thread count.
     let vm_counts: &[u32] = if fast { &[8, 16] } else { &[64, 128] };
@@ -119,53 +149,14 @@ pub fn mq_report(params: Params, seed: u64, fast: bool) -> (String, Json, Option
         run_cell(vms, q, w, policy, params, seed)
     });
 
-    let mut t = Table::new(
+    let mut report = columns::table(
         format!(
             "Multi-queue virtio — VM 0 sends 2-flow TCP over q queues / w sharded vhost \
              workers, dormant tenants for density (seed {seed})"
         ),
-        &[
-            "vms",
-            "cell",
-            "eff w",
-            "goodput Gb/s",
-            "exits/s",
-            "rx p99 us",
-            "rx mean us",
-            "kicks",
-            "ctx sw",
-            "polling",
-            "dev irqs/vcpu",
-            "pend hwm/w",
-            "liveness",
-        ],
+        COLUMNS,
+        &cells,
     );
-    let join_u64 = |v: &[u64]| {
-        v.iter()
-            .map(|x| x.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    for c in &cells {
-        let r = &c.result;
-        t.row(&[
-            c.vms.to_string(),
-            c.label(),
-            c.effective_workers.to_string(),
-            format!("{:.3}", r.goodput_gbps),
-            format!("{:.0}", r.total_exit_rate()),
-            r.rx_p99_us_per_vm[0].to_string(),
-            format!("{:.1}", r.mean_rx_latency_us),
-            r.kicks_total.to_string(),
-            r.host_ctx_switches.to_string(),
-            r.polling_entries.to_string(),
-            join_u64(&r.device_irqs_per_vcpu),
-            join_u64(&r.vhost_pending_hwm_per_worker),
-            if c.liveness_ok { "PASS" } else { "FAIL" }.to_string(),
-        ]);
-    }
-    let mut report = t.render();
-    report.push('\n');
 
     // Headline: the dispatch hop the passthrough path deletes, at the
     // densest cell.
@@ -189,44 +180,13 @@ pub fn mq_report(params: Params, seed: u64, fast: bool) -> (String, Json, Option
         mux.result.mean_rx_latency_us,
     ));
 
-    let json_cells: Json = cells
-        .iter()
-        .map(|c| {
-            let r = &c.result;
-            Json::object()
-                .with("vms", c.vms)
-                .with("queues", c.queues)
-                .with("workers", c.workers)
-                .with("effective_workers", c.effective_workers)
-                .with("policy", c.policy.label())
-                .with("goodput_gbps", r.goodput_gbps)
-                .with("exit_rate_per_sec", r.total_exit_rate())
-                .with("rx_p99_us", r.rx_p99_us_per_vm[0])
-                .with("rx_mean_us", r.mean_rx_latency_us)
-                .with("kicks", r.kicks_total)
-                .with("rx_interrupts", r.rx_interrupts_total)
-                .with("host_ctx_switches", r.host_ctx_switches)
-                .with("polling_entries", r.polling_entries)
-                .with(
-                    "device_irqs_per_vcpu",
-                    r.device_irqs_per_vcpu.iter().copied().collect::<Json>(),
-                )
-                .with(
-                    "vhost_pending_hwm_per_worker",
-                    r.vhost_pending_hwm_per_worker
-                        .iter()
-                        .copied()
-                        .collect::<Json>(),
-                )
-                .with("events_simulated", r.events_simulated)
-                .with("liveness", if c.liveness_ok { "pass" } else { "fail" })
-        })
-        .collect();
     let json = Json::object()
-        .with("harness", "repro --mq")
-        .with("fast", fast)
-        .with("seed", seed)
         .with("vcpus_per_vm", MQ_VCPUS_PER_VM)
-        .with("cells", json_cells);
-    (report, json, None)
+        .with("cells", columns::json(COLUMNS, &cells));
+    let failed = cells
+        .iter()
+        .filter(|c| !c.liveness_ok)
+        .map(|c| format!("{} VMs {}", c.vms, c.label()))
+        .collect();
+    (report, json, None, failed)
 }

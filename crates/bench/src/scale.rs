@@ -10,18 +10,32 @@ use es2_metrics::json::Json;
 use es2_testbed::experiments::{self, RunSpec};
 use es2_testbed::{Params, RunResult};
 
+use crate::cli::Rendered;
+use crate::columns::{self, Col};
+
 /// One (VM count, configuration) cell of the consolidation sweep.
-struct ScaleCell {
+pub(crate) struct ScaleCell {
     vms: u32,
     config: &'static str,
     result: RunResult,
 }
 
-/// Run the many-VM consolidation sweep and return
-/// `(deterministic_report, json, None)`.
-pub fn scale_report(params: Params, seed: u64, fast: bool) -> (String, Json, Option<Json>) {
-    use es2_metrics::Table;
+type Column = Col<ScaleCell>;
 
+/// The cell fields, once for stdout and JSON.
+#[rustfmt::skip]
+pub(crate) const COLUMNS: &[Column] = &[
+    Column::both("vms", "VMs", |c| c.vms.into()),
+    Column::both("config", "config", |c| c.config.into()),
+    Column::both("events_simulated", "events", |c| c.result.events_simulated.into()),
+    Column::both("conns_established", "conns", |c| c.result.conns_established.into()),
+    Column::both("mean_conn_time_ms", "mean conn ms", |c| c.result.mean_conn_time_ms.into()).dec(3),
+    Column::stdout("exits/s", |c| c.result.total_exit_rate().into()),
+    Column::stdout("ctx switches", |c| c.result.host_ctx_switches.into()),
+];
+
+/// Run the many-VM consolidation sweep.
+pub fn scale_report(params: Params, seed: u64, fast: bool) -> Rendered {
     let vm_counts: &[u32] = if fast { &[64] } else { &[32, 64, 128] };
     let rate = experiments::SCALE_HTTPERF_RATE;
     let names = experiments::SCALE_CONFIG_NAMES;
@@ -45,58 +59,22 @@ pub fn scale_report(params: Params, seed: u64, fast: bool) -> (String, Json, Opt
         })
         .collect();
 
-    let mut t = Table::new(
+    let mut report = columns::table(
         format!(
             "Scale — consolidation sweep (httperf {rate:.0} conn/s tenant among HLT-idle \
              tenants, 2 shared vCPU cores, seed {seed})"
         ),
-        &[
-            "VMs",
-            "config",
-            "events",
-            "conns",
-            "mean conn ms",
-            "exits/s",
-            "ctx switches",
-        ],
+        COLUMNS,
+        &cells,
     );
-    for c in &cells {
-        t.row(&[
-            c.vms.to_string(),
-            c.config.to_string(),
-            c.result.events_simulated.to_string(),
-            c.result.conns_established.to_string(),
-            format!("{:.3}", c.result.mean_conn_time_ms),
-            format!("{:.0}", c.result.total_exit_rate()),
-            c.result.host_ctx_switches.to_string(),
-        ]);
-    }
-    let mut report = t.render();
-    report.push('\n');
     report.push_str(&format!(
         "liveness (all {} cells checked): PASS (0 violations)\n",
         cells.len()
     ));
 
     let json = Json::object()
-        .with("harness", "repro --scale")
-        .with("fast", fast)
-        .with("seed", seed)
         .with("httperf_rate", rate)
         .with("vcpus_per_vm", experiments::SCALE_VCPUS_PER_VM)
-        .with(
-            "cells",
-            cells
-                .iter()
-                .map(|c| {
-                    Json::object()
-                        .with("vms", c.vms)
-                        .with("config", c.config)
-                        .with("events_simulated", c.result.events_simulated)
-                        .with("conns_established", c.result.conns_established)
-                        .with("mean_conn_time_ms", c.result.mean_conn_time_ms)
-                })
-                .collect::<Json>(),
-        );
-    (report, json, None)
+        .with("cells", columns::json(COLUMNS, &cells));
+    (report, json, None, Vec::new())
 }

@@ -11,7 +11,7 @@
 use es2_sim::exec;
 use es2_testbed::Params;
 
-use crate::cli::{self, Artifacts, Command};
+use crate::cli::{self, Artifacts, Command, Selection};
 
 /// The golden files a row's serial output is held to, each as
 /// `(path, contents)`.
@@ -98,23 +98,32 @@ pub(crate) const CHECKS: &[Check] = &[
 /// A change to the params a run uses on top of the command line's.
 pub(crate) type Tweak = fn(Params) -> Params;
 
+/// What a rendered run printed, and a report's artifacts; `Err` when a
+/// cell's liveness verdict failed.
+pub type Rendering = Result<(String, Option<Artifacts>), String>;
+
 /// Run `repro <args> --fast` in-process on `threads` sweep threads with
-/// its params passed through `tweak`: its stdout and, for a report, its
-/// artifacts.
-pub fn render(args: &[&str], threads: usize, tweak: Tweak) -> (String, Option<Artifacts>) {
+/// its params passed through `tweak`.
+pub fn render(args: &[&str], threads: usize, tweak: Tweak) -> Rendering {
     let args: Vec<&str> = args.iter().copied().chain(["--fast"]).collect();
     let Ok(Command::Run { selection, fast }) = cli::parse(&args) else {
         panic!("selfcheck row {args:?} is not a repro run");
     };
-    let params = tweak(cli::params(&selection, fast));
+    render_selection(&selection, fast, threads, tweak)
+}
+
+fn render_selection(selection: &Selection, fast: bool, threads: usize, tweak: Tweak) -> Rendering {
+    let params = tweak(cli::params(selection, fast));
     exec::set_threads(Some(threads));
     let mut out = Vec::new();
-    let artifacts = cli::run(&selection, params, fast, &mut out).expect("write to memory");
+    let (artifacts, verdict) =
+        cli::run(selection, params, fast, &mut out).expect("write to memory");
     exec::set_threads(None);
-    (
+    verdict?;
+    Ok((
         String::from_utf8(out).expect("reports are UTF-8"),
         artifacts,
-    )
+    ))
 }
 
 /// `Err` unless a run handed at least two jobs to worker threads: with
@@ -147,7 +156,7 @@ fn same(want_label: &str, want: &str, got_label: &str, got: &str) -> Result<(), 
 impl Check {
     /// Run the row; `Err` describes the first failed comparison.
     fn run(&self, threads: usize) -> Result<(), String> {
-        let (stdout, artifacts) = render(self.args, 1, |p| p);
+        let (stdout, artifacts) = render(self.args, 1, |p| p)?;
         if artifacts.as_ref().is_some_and(|a| !a.write(true)) {
             return Err("could not write its JSON".into());
         }
@@ -172,7 +181,8 @@ impl Check {
         }
         for (label, threads, tweak) in others {
             let before = exec::dispatched();
-            let (other, other_artifacts) = render(self.args, threads, tweak);
+            let (other, other_artifacts) =
+                render(self.args, threads, tweak).map_err(|e| format!("{label}: {e}"))?;
             if threads > 1 {
                 parallel_enough(exec::dispatched() - before)
                     .map_err(|e| format!("{label}: {e}"))?;
@@ -219,6 +229,40 @@ pub fn run() -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::{Rendered, Report};
+    use es2_metrics::json::Json;
+
+    fn stub(failed: &[&str]) -> Rendered {
+        let own = Json::object().with("own", 1u32);
+        let failed = failed.iter().map(|s| s.to_string()).collect();
+        ("stub\n".into(), own, None, failed)
+    }
+
+    static PASSING: (&str, &str, Report) = ("--passing", "passing", |_, _, _| stub(&[]));
+    static FAILING: (&str, &str, Report) = ("--failing", "failing", |_, _, _| stub(&["cell b"]));
+
+    #[test]
+    fn a_failing_verdict_fails_the_run_and_its_selfcheck_render() {
+        for (report, failed) in [(&PASSING, false), (&FAILING, true)] {
+            let selection = Selection::Report(report);
+            let mut out = Vec::new();
+            let (artifacts, verdict) =
+                cli::run(&selection, Params::default(), true, &mut out).unwrap();
+            assert_eq!(out, b"stub\n", "stdout prints whatever the verdict");
+            let json = artifacts.expect("a report's artifacts").json.to_string();
+            assert_eq!(
+                json,
+                format!(
+                    "{{\n  \"harness\": \"repro {}\",\n  \"fast\": true,\n  \"seed\": {},\n  \"own\": 1\n}}",
+                    report.0,
+                    crate::SEED
+                )
+            );
+            let want = failed.then(|| "FAIL verdict in cell b".to_string());
+            assert_eq!(verdict.err(), want);
+            assert_eq!(render_selection(&selection, true, 1, |p| p).err(), want);
+        }
+    }
 
     #[test]
     fn a_thread_comparison_that_dispatched_one_job_fails() {

@@ -23,10 +23,13 @@
 use es2_core::EventPathConfig;
 use es2_metrics::json::Json;
 use es2_metrics::telemetry::WINDOW_NS;
-use es2_metrics::{Annotation, SloMetric, SloSpec, TelemetryReport};
+use es2_metrics::{Annotation, BurnAlert, SloBreach, SloMetric, SloSpec, Table, TelemetryReport};
 use es2_sim::{exec, FaultPlan};
 use es2_testbed::{experiments, Cluster, Machine, Params, ShardPolicy, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
+
+use crate::cli::Rendered;
+use crate::columns::{self, Col, Val};
 
 /// Attribution horizon: a breach blames the latest annotation at most
 /// this far before its onset.
@@ -40,13 +43,119 @@ const MAX_POINTS: usize = 120;
 /// always reported).
 const MAX_ANNS: usize = 200;
 
-/// One telemetry cell: a (topology, event path) run's report.
+/// One telemetry cell: a (topology, event path) run's report, its
+/// liveness verdict, and what the SLO engine found in it.
 pub(crate) struct TelCell {
-    pub topology: &'static str,
-    pub config: &'static str,
-    pub report: TelemetryReport,
+    topology: &'static str,
+    config: &'static str,
+    report: TelemetryReport,
     /// Span report for the Chrome-trace merge (chaos cells only).
-    pub spans: Option<es2_metrics::SpanReport>,
+    spans: Option<es2_metrics::SpanReport>,
+    liveness_ok: bool,
+    /// The fleet series at full resolution.
+    series: Vec<SeriesPoint>,
+    breaches: Vec<SloBreach>,
+    alerts: Vec<BurnAlert>,
+}
+
+impl TelCell {
+    fn new(
+        topology: &'static str,
+        config: &'static str,
+        report: TelemetryReport,
+        spans: Option<es2_metrics::SpanReport>,
+        liveness_ok: bool,
+    ) -> TelCell {
+        let specs = slo_specs();
+        TelCell {
+            topology,
+            config,
+            series: fleet_series(&report, usize::MAX),
+            breaches: report.evaluate_slos(&specs, HORIZON),
+            alerts: specs
+                .iter()
+                .flat_map(|s| report.burn_alerts(s, 5, 60, 0.02, 10.0))
+                .collect(),
+            report,
+            spans,
+            liveness_ok,
+        }
+    }
+
+    /// The series' largest value of `f`, or 0.
+    fn peak(&self, f: fn(&SeriesPoint) -> f64) -> f64 {
+        self.series.iter().map(f).fold(0.0, f64::max)
+    }
+}
+
+type Column = Col<TelCell>;
+
+/// The cell summary fields, once for stdout and JSON. `breaches` is a
+/// count on stdout and the list in JSON, so it is two columns.
+#[rustfmt::skip]
+pub(crate) const COLUMNS: &[Column] = &[
+    Column::both("topology", "cell", |c| c.topology.into()),
+    Column::both("config", "config", |c| c.config.into()),
+    Column::both("windows", "windows", |c| c.report.windows.len().into()),
+    Column::stdout("peak tig%", |c| c.peak(|p| p.tig_pct).into()).dec(1),
+    Column::stdout("peak exits/s", |c| c.peak(|p| p.exits_per_sec).into()),
+    Column::stdout("peak rx p99", |c| c.peak(|p| p.rx_p99_us).into()),
+    Column::stdout("peak backlog", |c| {
+        c.series.iter().map(|p| p.pending_hwm).max().unwrap_or(0).into()
+    }),
+    Column::stdout("goodput MB", |c| {
+        (c.series.iter().map(|p| p.goodput_bytes).sum::<u64>() as f64 / 1e6).into()
+    }).dec(1),
+    Column::both("ann_total", "anns", |c| c.report.annotations.len().into()),
+    Column::json("ann_dropped", |c| c.report.ann_dropped.into()),
+    Column::json("series", |c| Val::Json(series_json(&c.report))),
+    Column::json("annotations", |c| {
+        Val::Json(c.report.annotations.iter().take(MAX_ANNS).map(annotation).collect())
+    }),
+    Column::stdout("breaches", |c| c.breaches.len().into()),
+    Column::json("breaches", |c| Val::Json(c.breaches.iter().map(breach).collect())),
+    Column::stdout("alerts", |c| c.alerts.len().into()),
+    Column::json("burn_alerts", |c| Val::Json(c.alerts.iter().map(burn_alert).collect())),
+];
+
+fn annotation(a: &Annotation) -> Json {
+    Json::object()
+        .with("at_ns", a.at_ns)
+        .with("vm", a.vm)
+        .with("kind", a.kind)
+        .with("arg", a.arg)
+}
+
+fn breach(b: &SloBreach) -> Json {
+    Json::object()
+        .with("slo", b.slo)
+        .with("start_ns", b.start_ns)
+        .with("end_ns", b.end_ns)
+        .with("worst", b.worst)
+        .with("cause", b.cause.as_ref().map(annotation))
+}
+
+fn burn_alert(a: &BurnAlert) -> Json {
+    Json::object()
+        .with("slo", a.slo)
+        .with("at_ns", a.at_ns)
+        .with("short_frac", a.short_frac)
+        .with("long_frac", a.long_frac)
+}
+
+/// The fleet series downsampled to `MAX_POINTS`, one array per field.
+fn series_json(rep: &TelemetryReport) -> Json {
+    let series = fleet_series(rep, MAX_POINTS);
+    let col = |f: fn(&SeriesPoint) -> Json| series.iter().map(f).collect::<Json>();
+    Json::object()
+        .with("idx", col(|p| p.idx.into()))
+        .with("len", col(|p| p.len.into()))
+        .with("tig_pct", col(|p| p.tig_pct.into()))
+        .with("exits_per_sec", col(|p| p.exits_per_sec.into()))
+        .with("rx_p99_us", col(|p| p.rx_p99_us.into()))
+        .with("goodput_bytes", col(|p| p.goodput_bytes.into()))
+        .with("pending_hwm", col(|p| p.pending_hwm.into()))
+        .with("occupancy_pct", col(|p| p.occupancy_pct.into()))
 }
 
 /// The declarative objective set evaluated over every cell.
@@ -95,31 +204,58 @@ fn configs() -> [EventPathConfig; 3] {
     ]
 }
 
+/// One single-host cell: 8 VMs of `vcpus_per_vm` vCPUs on 10 cores,
+/// running `specs` under `plan` with telemetry on.
+fn run_host(
+    topology: &'static str,
+    cfg: EventPathConfig,
+    params: Params,
+    vcpus_per_vm: u32,
+    specs: Vec<WorkloadSpec>,
+    seed: u64,
+    plan: FaultPlan,
+) -> TelCell {
+    let params = Params {
+        telemetry: true,
+        num_cores: 10,
+        ..params
+    };
+    let topo = Topology {
+        num_vms: 8,
+        vcpus_per_vm,
+    };
+    let (mut result, live) =
+        Machine::with_specs_faulted(cfg, topo, specs, params, seed, plan).run_checked();
+    let report = result.telemetry.take().expect("telemetry enabled");
+    TelCell::new(
+        topology,
+        result.config,
+        report,
+        result.spans.take(),
+        live.ok(),
+    )
+}
+
 /// The chaos topology: an 8-VM fleet under the acceptance fault plan;
 /// VM 0 sends TCP, VM 1 receives, the rest idle for density. Spans on
 /// for the Chrome-trace merge.
 fn run_chaos(cfg: EventPathConfig, base: Params, seed: u64) -> TelCell {
-    let params = Params {
-        telemetry: true,
-        trace: true,
-        num_cores: 10,
-        ..base
-    };
-    let topo = Topology {
-        num_vms: 8,
-        vcpus_per_vm: 1,
-    };
     let mut specs = vec![WorkloadSpec::Idle; 8];
     specs[0] = WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024));
     specs[1] = WorkloadSpec::Netperf(NetperfSpec::tcp_receive(1024));
-    let plan = experiments::chaos_plan();
-    let mut result = Machine::with_specs_faulted(cfg, topo, specs, params, seed, plan).run();
-    TelCell {
-        topology: "chaos",
-        config: result.config,
-        report: result.telemetry.take().expect("telemetry enabled"),
-        spans: result.spans.take(),
-    }
+    let params = Params {
+        trace: true,
+        ..base
+    };
+    run_host(
+        "chaos",
+        cfg,
+        params,
+        1,
+        specs,
+        seed,
+        experiments::chaos_plan(),
+    )
 }
 
 /// The migration topology: `repro chaos`'s 3-host host-fault cell running
@@ -132,6 +268,7 @@ fn run_migrate(cfg: EventPathConfig, base: Params, seed: u64) -> TelCell {
         ..base
     };
     let r = Cluster::new(experiments::host_fault_cell(cfg, params, seed)).run();
+    let liveness_ok = r.liveness.ok();
     let mut merged: Option<TelemetryReport> = None;
     let mut config = "";
     for mut h in r.per_host {
@@ -142,12 +279,13 @@ fn run_migrate(cfg: EventPathConfig, base: Params, seed: u64) -> TelCell {
             None => merged = Some(rep),
         }
     }
-    TelCell {
-        topology: "migrate",
+    TelCell::new(
+        "migrate",
         config,
-        report: merged.expect("at least one host"),
-        spans: None,
-    }
+        merged.expect("at least one host"),
+        None,
+        liveness_ok,
+    )
 }
 
 /// The multi-queue topology: VM 0 drives 2-flow TCP over 2 queue pairs
@@ -155,27 +293,14 @@ fn run_migrate(cfg: EventPathConfig, base: Params, seed: u64) -> TelCell {
 /// and backlog rows are the point here).
 fn run_mq(cfg: EventPathConfig, base: Params, seed: u64) -> TelCell {
     let params = Params {
-        telemetry: true,
-        num_cores: 10,
         queues_per_vm: 2,
         vhost_workers: 2,
         shard_policy: ShardPolicy::Passthrough,
         ..base
     };
-    let topo = Topology {
-        num_vms: 8,
-        vcpus_per_vm: 2,
-    };
     let mut specs = vec![WorkloadSpec::IdleQuiet; 8];
     specs[0] = WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024).with_threads(2));
-    let mut result =
-        Machine::with_specs_faulted(cfg, topo, specs, params, seed, FaultPlan::none()).run();
-    TelCell {
-        topology: "mq",
-        config: result.config,
-        report: result.telemetry.take().expect("telemetry enabled"),
-        spans: None,
-    }
+    run_host("mq", cfg, params, 2, specs, seed, FaultPlan::none())
 }
 
 /// One downsampled fleet-series point: fleet aggregates over a bucket
@@ -235,24 +360,15 @@ fn fleet_series(rep: &TelemetryReport, max_points: usize) -> Vec<SeriesPoint> {
         let span_ns = len as f64 * WINDOW_NS as f64;
         // Nearest-rank p99 from the bucket sums (same rule the SLO
         // engine applies).
-        let rx_p99_us = {
-            let rank = (0.99 * lat_count as f64).ceil() as u64;
-            let mut acc = 0u64;
-            let mut val = 0.0;
-            if lat_count > 0 {
-                for (i, &c) in buckets.iter().enumerate() {
-                    acc += c;
-                    if acc >= rank.max(1) {
-                        val = if i + 1 == RX_BUCKETS {
-                            lat_max as f64 / 1e3
-                        } else {
-                            RX_BUCKET_EDGES_US[i] as f64
-                        };
-                        break;
-                    }
-                }
-            }
-            val
+        let rank = (0.99 * lat_count as f64).ceil().max(1.0) as u64;
+        let mut running = buckets.iter().scan(0, |acc, &c| {
+            *acc += c;
+            Some(*acc)
+        });
+        let rx_p99_us = match running.position(|acc| acc >= rank) {
+            Some(i) if i + 1 < RX_BUCKETS => RX_BUCKET_EDGES_US[i] as f64,
+            Some(_) => lat_max as f64 / 1e3,
+            None => 0.0,
         };
         out.push(SeriesPoint {
             idx: start,
@@ -274,10 +390,8 @@ fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
-/// Run every cell and return `(deterministic_report, json, Some(chrome))`.
-pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, Json, Option<Json>) {
-    use es2_metrics::Table;
-
+/// Run every cell.
+pub fn telemetry_report(params: Params, seed: u64, _fast: bool) -> Rendered {
     // Nine independent (topology, event path) cells on one sweep; it
     // returns them in this order whatever the thread count.
     type Run = fn(EventPathConfig, Params, u64) -> TelCell;
@@ -288,62 +402,15 @@ pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, Json,
         .collect();
     let cells = exec::sweep(&grid, |&(run, cfg)| run(cfg, params, seed));
 
-    let specs = slo_specs();
-
-    // ---- cell summary table ----
-    let mut t = Table::new(
+    let mut report = columns::table(
         format!(
             "Fleet telemetry — {} ms windows, Baseline/PI/ES2 across chaos + migrate + mq \
              (seed {seed})",
             WINDOW_NS as f64 / 1e6
         ),
-        &[
-            "cell",
-            "config",
-            "windows",
-            "peak tig%",
-            "peak exits/s",
-            "peak rx p99",
-            "peak backlog",
-            "goodput MB",
-            "anns",
-            "breaches",
-            "alerts",
-        ],
+        COLUMNS,
+        &cells,
     );
-    let mut all_breaches = Vec::new();
-    let mut all_alerts = Vec::new();
-    for c in &cells {
-        let rep = &c.report;
-        let series = fleet_series(rep, usize::MAX);
-        let peak = |f: &dyn Fn(&SeriesPoint) -> f64| series.iter().map(f).fold(0.0, f64::max);
-        let goodput: u64 = series.iter().map(|p| p.goodput_bytes).sum();
-        let breaches = rep.evaluate_slos(&specs, HORIZON);
-        let alerts: Vec<_> = specs
-            .iter()
-            .flat_map(|s| rep.burn_alerts(s, 5, 60, 0.02, 10.0))
-            .collect();
-        t.row(&[
-            c.topology.to_string(),
-            c.config.to_string(),
-            rep.windows.len().to_string(),
-            format!("{:.1}", peak(&|p| p.tig_pct)),
-            format!("{:.0}", peak(&|p| p.exits_per_sec)),
-            format!("{:.0}", peak(&|p| p.rx_p99_us)),
-            format!(
-                "{}",
-                series.iter().map(|p| p.pending_hwm).max().unwrap_or(0)
-            ),
-            format!("{:.1}", goodput as f64 / 1e6),
-            rep.annotations.len().to_string(),
-            breaches.len().to_string(),
-            alerts.len().to_string(),
-        ]);
-        all_breaches.push(breaches);
-        all_alerts.push(alerts);
-    }
-    let mut report = t.render();
-    report.push('\n');
 
     // ---- breach table with causal attribution ----
     let mut bt = Table::new(
@@ -355,10 +422,8 @@ pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, Json,
             "cell", "config", "slo", "start ms", "end ms", "worst", "cause",
         ],
     );
-    let mut rows = 0;
-    for (c, breaches) in cells.iter().zip(&all_breaches) {
-        for b in breaches {
-            rows += 1;
+    for c in &cells {
+        for b in &c.breaches {
             let cause = match &b.cause {
                 Some(a) => format!("{} vm{} @{:.1}ms arg={}", a.kind, a.vm, ms(a.at_ns), a.arg),
                 None => "-".to_string(),
@@ -374,7 +439,7 @@ pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, Json,
             ]);
         }
     }
-    if rows > 0 {
+    if cells.iter().any(|c| !c.breaches.is_empty()) {
         report.push_str(&bt.render());
         report.push('\n');
     } else {
@@ -382,14 +447,12 @@ pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, Json,
     }
 
     // ---- burn alerts ----
-    let mut fired = 0;
     let mut at = Table::new(
         "Burn-rate alerts (short 5w / long 60w, 2% budget, 10x factor)",
         &["cell", "config", "slo", "at ms", "short", "long"],
     );
-    for (c, alerts) in cells.iter().zip(&all_alerts) {
-        for a in alerts {
-            fired += 1;
+    for c in &cells {
+        for a in &c.alerts {
             at.row(&[
                 c.topology.to_string(),
                 c.config.to_string(),
@@ -400,7 +463,7 @@ pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, Json,
             ]);
         }
     }
-    if fired > 0 {
+    if cells.iter().any(|c| !c.alerts.is_empty()) {
         report.push_str(&at.render());
         report.push('\n');
     } else {
@@ -460,87 +523,18 @@ pub fn telemetry_report(params: Params, seed: u64, fast: bool) -> (String, Json,
     }
     report.push_str(&tt.render());
 
-    // ---- JSON ----
-    let annotation = |a: &Annotation| {
-        Json::object()
-            .with("at_ns", a.at_ns)
-            .with("vm", a.vm)
-            .with("kind", a.kind)
-            .with("arg", a.arg)
-    };
-    let json_cells: Json = cells
-        .iter()
-        .zip(&all_breaches)
-        .zip(&all_alerts)
-        .map(|((c, breaches), alerts)| {
-            let rep = &c.report;
-            let series = fleet_series(rep, MAX_POINTS);
-            let col = |f: fn(&SeriesPoint) -> Json| series.iter().map(f).collect::<Json>();
-            Json::object()
-                .with("topology", c.topology)
-                .with("config", c.config)
-                .with("windows", rep.windows.len())
-                .with("ann_total", rep.annotations.len())
-                .with("ann_dropped", rep.ann_dropped)
-                .with(
-                    "series",
-                    Json::object()
-                        .with("idx", col(|p| p.idx.into()))
-                        .with("len", col(|p| p.len.into()))
-                        .with("tig_pct", col(|p| p.tig_pct.into()))
-                        .with("exits_per_sec", col(|p| p.exits_per_sec.into()))
-                        .with("rx_p99_us", col(|p| p.rx_p99_us.into()))
-                        .with("goodput_bytes", col(|p| p.goodput_bytes.into()))
-                        .with("pending_hwm", col(|p| p.pending_hwm.into()))
-                        .with("occupancy_pct", col(|p| p.occupancy_pct.into())),
-                )
-                .with(
-                    "annotations",
-                    rep.annotations
-                        .iter()
-                        .take(MAX_ANNS)
-                        .map(annotation)
-                        .collect::<Json>(),
-                )
-                .with(
-                    "breaches",
-                    breaches
-                        .iter()
-                        .map(|b| {
-                            Json::object()
-                                .with("slo", b.slo)
-                                .with("start_ns", b.start_ns)
-                                .with("end_ns", b.end_ns)
-                                .with("worst", b.worst)
-                                .with("cause", b.cause.as_ref().map(annotation))
-                        })
-                        .collect::<Json>(),
-                )
-                .with(
-                    "burn_alerts",
-                    alerts
-                        .iter()
-                        .map(|a| {
-                            Json::object()
-                                .with("slo", a.slo)
-                                .with("at_ns", a.at_ns)
-                                .with("short_frac", a.short_frac)
-                                .with("long_frac", a.long_frac)
-                        })
-                        .collect::<Json>(),
-                )
-        })
-        .collect();
     let json = Json::object()
-        .with("harness", "repro --telemetry")
-        .with("fast", fast)
-        .with("seed", seed)
         .with("window_ns", WINDOW_NS)
         .with("horizon_ns", HORIZON)
-        .with("cells", json_cells);
+        .with("cells", columns::json(COLUMNS, &cells));
 
     let chrome = es2_chaos
         .report
         .merged_chrome_trace(es2_chaos.spans.as_ref());
-    (report, json, Some(chrome))
+    let failed = cells
+        .iter()
+        .filter(|c| !c.liveness_ok)
+        .map(|c| format!("{}/{}", c.topology, c.config))
+        .collect();
+    (report, json, Some(chrome), failed)
 }

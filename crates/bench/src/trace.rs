@@ -16,8 +16,10 @@ use es2_metrics::json::Json;
 use es2_metrics::{SpanReport, Stage, Table};
 use es2_sim::FaultPlan;
 use es2_testbed::experiments::{run_specs, RunSpec};
-use es2_testbed::{Params, RunResult, Topology, WorkloadSpec};
+use es2_testbed::{Params, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
+
+use crate::cli::Rendered;
 
 /// Event-log capacity for the Chrome-trace export (bounded so the export
 /// stays viewer-sized regardless of window length).
@@ -72,7 +74,7 @@ fn stage_cell(rep: &SpanReport, s: Stage) -> String {
 /// Run the traced grid and return the deterministic report (stage
 /// tables + sched-delay summary), `BENCH_trace.json` and the Chrome
 /// trace of the bounded-log ES2 cell.
-pub fn trace_report(mut params: Params, seed: u64, fast: bool) -> (String, Json, Option<Json>) {
+pub fn trace_report(mut params: Params, seed: u64, _fast: bool) -> Rendered {
     params.trace = true;
     params.trace_events = 0;
 
@@ -102,10 +104,7 @@ pub fn trace_report(mut params: Params, seed: u64, fast: bool) -> (String, Json,
     let mut report = String::new();
     let mut scenarios_json = Vec::new();
 
-    for (si, &(key, desc, ..)) in scenarios.iter().enumerate() {
-        let runs: Vec<&RunResult> = results[si * configs.len()..(si + 1) * configs.len()]
-            .iter()
-            .collect();
+    for (&(key, desc, ..), runs) in scenarios.iter().zip(results.chunks(configs.len())) {
         let reps: Vec<&SpanReport> = runs
             .iter()
             .map(|r| r.spans.as_ref().expect("traced run has a span report"))
@@ -169,7 +168,7 @@ pub fn trace_report(mut params: Params, seed: u64, fast: bool) -> (String, Json,
 
         let configs_json: Json = configs
             .iter()
-            .zip(&runs)
+            .zip(runs)
             .zip(&reps)
             .map(|((&(ckey, _), run), rep)| {
                 let stages: Json = Stage::ALL
@@ -228,11 +227,7 @@ pub fn trace_report(mut params: Params, seed: u64, fast: bool) -> (String, Json,
                 ),
         );
     }
-    let json = Json::object()
-        .with("harness", "repro --trace")
-        .with("fast", fast)
-        .with("seed", seed)
-        .with("scenarios", Json::Arr(scenarios_json));
+    let json = Json::object().with("scenarios", Json::Arr(scenarios_json));
 
     let chrome_rep = results[CHROME_CELL].spans.as_ref().expect("traced run");
     report.push_str(&format!(
@@ -243,5 +238,5 @@ pub fn trace_report(mut params: Params, seed: u64, fast: bool) -> (String, Json,
     ));
     let chrome = chrome_rep.chrome_trace_json();
 
-    (report, json, Some(chrome))
+    (report, json, Some(chrome), Vec::new())
 }

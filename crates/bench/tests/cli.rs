@@ -74,6 +74,6 @@ fn selfcheck_render_matches_the_binary() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let (serial, _) = es2_bench::selfcheck::render(&["--scale"], 1, |p| p);
+    let (serial, _) = es2_bench::selfcheck::render(&["--scale"], 1, |p| p).expect("passes");
     assert_eq!(serial, String::from_utf8_lossy(&out.stdout));
 }

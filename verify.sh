@@ -47,7 +47,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 # (BENCH_telemetry.json holds every telemetry window row,
 # BENCH_trace.json every span-stage histogram). They run in a
 # throwaway directory with its own target/ for the Chrome traces, so the
-# committed files are compared, never overwritten.
+# committed files are compared, never overwritten. A report whose cell
+# prints a FAIL verdict exits 1, which stops the loop through `set -e`.
 rm -rf target/fullcheck
 mkdir -p target/fullcheck/target
 for stem in migrate telemetry mq trace churn hostile scale; do
